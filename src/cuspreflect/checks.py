@@ -417,13 +417,14 @@ def check_window_consistency(
         ("R1", ChartId.R1Outer, _R1_REGIONS),
         ("R2", ChartId.R2Outer, _R2_REGIONS),
     ):
-        for p, q in sweep_grid(params, scheme, grid=grid):
-            qm = sobolev.q_max(scheme, p, n, s)
-            for region in regions:
+        grid_cells = sweep_grid(params, scheme, grid=grid)
+        for region in regions:
+            sums = sobolev.distortion_sweep(
+                params, chart, region, grid_cells, shl, samples_per_shell, seed
+            )
+            for (p, q), ss in zip(grid_cells, sums):
+                qm = sobolev.q_max(scheme, p, n, s)
                 cells += 1
-                ss = sobolev.distortion_integral(
-                    params, chart, region, p, q, shl, samples_per_shell, seed
-                )
                 verdict = sobolev.convergence_verdict(ss)
                 predicted = region_prediction(region, p, q, n, s)
                 near_curve = abs(q - qm) < margin and region is not RegionLabel.RegionD

@@ -152,11 +152,17 @@ def cmd_sweep(args) -> int:
     start = time.perf_counter()
     scheme = args.scheme.upper()
     chart, regions = _scheme_regions(scheme)
-    if args.p and args.q:
+    if args.p is not None:
         cells = [(p, q) for p in _parse_floats(args.p) for q in _parse_floats(args.q)]
     else:
         cells = checks.sweep_grid(params, scheme, grid=args.grid)
     shl = shells(args.k_min, args.k_max)
+    valid = [(p, q) for p, q in cells if 1.0 <= q < p]
+    sums = {
+        region: dict(zip(valid, sobolev.distortion_sweep(
+            params, chart, region, valid, shl, args.samples, args.seed)))
+        for region in regions
+    }
     rows = []
     for p, q in cells:
         try:
@@ -171,9 +177,7 @@ def cmd_sweep(args) -> int:
                 continue
             admissible = bool(q < qm) if np.isfinite(qm) else False
             e = sobolev.predicted_shell_exponent(region, p, q, params.n, params.s)
-            ss = sobolev.distortion_integral(
-                params, chart, region, p, q, shl, args.samples, args.seed
-            )
+            ss = sums[region][(p, q)]
             verdict = sobolev.convergence_verdict(ss)
             agrees = (verdict.kind == "Inconclusive") or (
                 (verdict.kind == "Convergent") == (e > -1.0)
@@ -296,6 +300,13 @@ def cmd_holder(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuspreflect",
@@ -311,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=42)
             sp.add_argument("--k-min", type=int, default=5)
             sp.add_argument("--k-max", type=int, default=30)
-            sp.add_argument("--samples", type=int, default=4096,
+            sp.add_argument("--samples", type=_positive_int, default=4096,
                             help="samples per shell")
 
     sp = sub.add_parser("classify", help="region label of a point")
@@ -342,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--scheme", choices=["r1", "r2"], default="r1")
     sp.add_argument("--p", help="comma list of p values (default: acceptance grid)")
-    sp.add_argument("--q", help="comma list of q values")
-    sp.add_argument("--grid", type=int, default=21, help="grid size per axis")
+    sp.add_argument("--q", help="comma list of q values (with --p)")
+    sp.add_argument("--grid", type=_positive_int, default=21, help="grid size per axis")
     sp.add_argument("--out", default="sweep.csv")
     sp.set_defaults(func=cmd_sweep)
 
@@ -375,9 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "sweep" and (args.p is None) != (args.q is None):
+        parser.error("sweep takes --p and --q together, or neither for the default grid")
     try:
         return args.func(args)
-    except (WindowError, ChartDomainError, InterfaceError, EmptyRegionError, ValueError) as exc:
+    except (WindowError, ChartDomainError, InterfaceError, EmptyRegionError, ValueError,
+            sobolev.InterfaceRetryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

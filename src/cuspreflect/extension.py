@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import reflections, sobolev
 from .errors import ChartDomainError, WindowError
@@ -293,6 +292,9 @@ def _dist_to_domain(params: CuspParams, t: float, r: float) -> float:
     i = int(np.argmin(vals))
     lo, hi = taus[max(0, i - 1)], taus[min(len(taus) - 1, i + 1)]
     if hi > lo:
+        # imported here: scipy.optimize costs most of the package's import time
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(gap, bounds=(float(lo), float(hi)), method="bounded")
         best = min(vals[i], float(res.fun))
     else:  # pragma: no cover - degenerate bracket
@@ -456,12 +458,9 @@ def extension_norm_experiment(
             g_tot += g
         vals.append(v_tot)
         grads.append(g_tot)
-    meta = {"kind": "extendnorm", "scheme": spec.scheme, "p": p, "q": q, "seed": seed}
-    value_sum = ShellSum.from_contributions(ks, vals, {**meta, "term": "value"})
-    grad_sum = ShellSum.from_contributions(ks, grads, {**meta, "term": "grad"})
-    total_sum = ShellSum.from_contributions(
-        ks, [a + b for a, b in zip(vals, grads)], {**meta, "term": "total"}
-    )
+    value_sum = ShellSum.from_contributions(ks, vals)
+    grad_sum = ShellSum.from_contributions(ks, grads)
+    total_sum = ShellSum.from_contributions(ks, [a + b for a, b in zip(vals, grads)])
     verdict = convergence_verdict(total_sum)
 
     lp = sobolev.lp_norm_term(params, u, RegionLabel.CuspInterior, p, shells, samples_per_shell, seed)

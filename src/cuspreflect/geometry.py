@@ -401,24 +401,74 @@ def _grid_shape(count: int) -> tuple[int, int]:
     return m1, m2
 
 
-def sample_profile(
+@dataclass
+class ScaleDraw:
+    """Region /\\ shell samples whose radius is still to be drawn.
+
+    The scale variable, t, the importance weight and the conditional radial
+    band [lo_r, hi_r] with its uniform variate u2 are fixed; `profile` draws
+    r from the band.  Region B's slab fixes r by the scale variable alone,
+    so `r` is set there and the band is unused.
+    """
+
+    n: int
+    t: np.ndarray
+    weight: np.ndarray
+    measure: float
+    count: int
+    lo_r: np.ndarray | None = None
+    hi_r: np.ndarray | None = None
+    u2: np.ndarray | None = None
+    r: np.ndarray | None = None
+
+    def profile(self, radial_tilt: float = 0.0) -> ProfileSample:
+        """Draw r with conditional density ~ r^(n-2-radial_tilt) in the band,
+        compensated by weights, and return the finished samples.
+
+        Several tilts may be applied to one draw; each call leaves the draw
+        unchanged.
+        """
+        if self.r is not None:
+            return ProfileSample(self.t, self.r, self.weight, self.measure, self.count)
+        lo_r, hi_r, w = self.lo_r, self.hi_r, self.weight
+        nm2 = float(self.n - 2)
+        if radial_tilt != 0.0:
+            # Cap the tilt so lo^(m+1) stays in float range; the cells that need
+            # variance reduction sit near the critical curve where the natural
+            # tilt is about (n-1) + 1/s, far below the cap.
+            lo_min = float(np.min(lo_r))
+            if lo_min <= 0.0:
+                cap = nm2 + 0.99
+            else:
+                cap = (nm2 + 1.0) + 600.0 / max(1.0, -math.log(lo_min))
+            radial_tilt = min(radial_tilt, cap)
+        m_r = nm2 - radial_tilt
+        r = _power_icdf(lo_r, hi_r, m_r, self.u2)
+        if radial_tilt != 0.0:
+            # weight = (true radial density) / (tilted density), both normalised
+            if abs(m_r + 1.0) < 1e-14:
+                z_m = np.log(hi_r / lo_r)
+            else:
+                z_m = (hi_r ** (m_r + 1.0) - lo_r ** (m_r + 1.0)) / (m_r + 1.0)
+            z_r = (hi_r ** (nm2 + 1.0) - lo_r ** (nm2 + 1.0)) / (nm2 + 1.0)
+            w = w * r**radial_tilt * z_m / z_r
+        return ProfileSample(self.t, r, w, self.measure, self.count)
+
+
+def draw_scale(
     params: CuspParams,
     label: RegionLabel,
     shell: Shell,
     count: int,
     rng: np.random.Generator,
-    radial_tilt: float = 0.0,
     stratify: bool = True,
-) -> ProfileSample:
-    """Draw weighted (t, r) quadrature samples from region /\\ shell.
+) -> ScaleDraw:
+    """Draw everything of `sample_profile` but the radius.
 
     The scale coordinate follows its exact power law when the normalisation
     is closed form (cone/slab/band); otherwise (C, E) a closed-form proposal
-    plus an importance weight is used.  `radial_tilt` reshapes the
-    conditional radial density to ~ r^(n-2-tilt), compensated by weights,
-    which kills the variance of integrands with a known radial power
-    singularity (region E).  Stratification is a jittered 2-D grid, so the
-    effective count is the enclosing m1*m2 grid size.
+    plus an importance weight is used.  Stratification is a jittered 2-D
+    grid, so the effective count is the enclosing m1*m2 grid size.
     """
     _require_sampleable(label)
     n, s = params.n, params.s
@@ -440,7 +490,6 @@ def sample_profile(
     u2 = 1e-9 + (1.0 - 2e-9) * u2
 
     w = np.ones(m)
-    nm2 = float(n - 2)
 
     if q.kind == "cone":
         xi = _power_icdf(a, b, n - 1.0, u1)
@@ -453,8 +502,7 @@ def sample_profile(
     elif q.kind == "slab":
         xi = _power_icdf(a, b, n - 1.0, u1)
         t = -xi + 2.0 * xi * u2
-        r = xi
-        return ProfileSample(t, r, w, measure, m)
+        return ScaleDraw(n, t, w, measure, m, r=xi)
     elif q.kind == "cwedge":
         # proposal ~ xi^(n-1); true density ~ xi^(n-1) - xi^(s(n-1))
         xi = _power_icdf(a, b, n - 1.0, u1)
@@ -470,28 +518,26 @@ def sample_profile(
         w = w * (cap - xi ** (s * (n - 1.0))) * ((b - a) / zt)
         lo_r, hi_r = xi**s, np.full(m, 0.5**s)
         t = xi * np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    return ScaleDraw(n, np.asarray(t, dtype=float), w, measure, m, lo_r, hi_r, u2)
 
-    if radial_tilt != 0.0:
-        # Cap the tilt so lo^(m+1) stays in float range; the cells that need
-        # variance reduction sit near the critical curve where the natural
-        # tilt is about (n-1) + 1/s, far below the cap.
-        lo_min = float(np.min(lo_r))
-        if lo_min <= 0.0:
-            cap = nm2 + 0.99
-        else:
-            cap = (nm2 + 1.0) + 600.0 / max(1.0, -math.log(lo_min))
-        radial_tilt = min(radial_tilt, cap)
-    m_r = nm2 - radial_tilt
-    r = _power_icdf(lo_r, hi_r, m_r, u2)
-    if radial_tilt != 0.0:
-        # weight = (true radial density) / (tilted density), both normalised
-        if abs(m_r + 1.0) < 1e-14:
-            z_m = np.log(hi_r / lo_r)
-        else:
-            z_m = (hi_r ** (m_r + 1.0) - lo_r ** (m_r + 1.0)) / (m_r + 1.0)
-        z_r = (hi_r ** (nm2 + 1.0) - lo_r ** (nm2 + 1.0)) / (nm2 + 1.0)
-        w = w * r**radial_tilt * z_m / z_r
-    return ProfileSample(np.asarray(t, dtype=float), r, w, measure, m)
+
+def sample_profile(
+    params: CuspParams,
+    label: RegionLabel,
+    shell: Shell,
+    count: int,
+    rng: np.random.Generator,
+    radial_tilt: float = 0.0,
+    stratify: bool = True,
+) -> ProfileSample:
+    """Draw weighted (t, r) quadrature samples from region /\\ shell.
+
+    `draw_scale` draws the scale coordinate and the radial band;
+    `radial_tilt` then reshapes the conditional radial density to
+    ~ r^(n-2-tilt), compensated by weights, which kills the variance of
+    integrands with a known radial power singularity (region E).
+    """
+    return draw_scale(params, label, shell, count, rng, stratify).profile(radial_tilt)
 
 
 def random_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:

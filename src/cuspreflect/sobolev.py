@@ -13,8 +13,13 @@ obstruction is the distortion integral
 
 whose dyadic shells decay like 2^(-k(e+1)) with the region's analytic
 exponent e (see `predicted_shell_exponent`); it converges iff e > -1.
-`distortion_integral` estimates the shells by stratified Monte Carlo in
-profile coordinates and `convergence_verdict` classifies the tail ratios.
+`distortion_sweep` estimates the shells by stratified Monte Carlo in
+profile coordinates for many (p, q) cells at once and
+`convergence_verdict` classifies the tail ratios.  The samples and the
+chart jet (opnorm, det) of a shell depend only on (seed, k, region), so a
+sweep draws each (region, shell) once and reduces every cell over that
+draw; only region E's radial tilt, which depends on (p, q), is applied
+per cell to the shared draw.  `distortion_integral` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .geometry import (
     RegionLabel,
     Shell,
     derive_rng,
+    draw_scale,
     random_directions,
     sample_profile,
 )
@@ -46,6 +52,8 @@ RATIO_DIVERGENT = 1.0
 VERDICT_TAIL = 4
 PARTIAL_SUM_CAP = 1e12
 MIN_SHELLS = 6
+# Redraws of a shell whose integrand values hold a nan, before giving up.
+MAX_RETRIES = 3
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +180,9 @@ class ShellSum:
     contributions: dict[int, float]
     partial_sums: list[float] = field(default_factory=list)
     ratios: list[float] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_contributions(cls, ks, values, meta=None) -> "ShellSum":
+    def from_contributions(cls, ks, values) -> "ShellSum":
         ks = list(ks)
         contributions = {k: float(v) for k, v in zip(ks, values)}
         partials, ratios = [], []
@@ -191,7 +198,7 @@ class ShellSum:
                 else:
                     ratios.append(0.0 if c == 0.0 else math.inf)
             prev = c
-        return cls(ks, contributions, partials, ratios, meta or {})
+        return cls(ks, contributions, partials, ratios)
 
     @property
     def total(self) -> float:
@@ -247,7 +254,7 @@ def shell_estimate(
     samples: int,
     rng_seed_parts: tuple,
     radial_tilt: float = 0.0,
-    max_retries: int = 3,
+    max_retries: int = MAX_RETRIES,
 ) -> float:
     """Stratified estimate of one shell integral.
 
@@ -284,6 +291,75 @@ def _distortion_tilt(region: RegionLabel, p: float, q: float, s: float) -> float
     return 0.0
 
 
+def distortion_sweep(
+    params: CuspParams,
+    chart: ChartId,
+    region: RegionLabel,
+    cells,
+    shells,
+    samples_per_shell: int = 4096,
+    seed: int = 42,
+) -> list[ShellSum]:
+    """Shellwise stratified estimates of the distortion integral
+    opnorm(DR)^(pq/(p-q)) / |J|^(q/(p-q)) over the region, one shell sum per
+    (p, q) cell, in cell order.
+
+    Each shell is drawn once from the substream (seed, k, region, "dist")
+    and every cell is reduced over that draw; on regions A..D the chart jet
+    is shared as well, on region E each cell applies its own radial tilt to
+    the shared draw.  A cell whose values hold a nan is redrawn under
+    "dist#<attempt>", alone with the other such cells, at most MAX_RETRIES
+    times; each cell's contributions equal a one-cell run's bit for bit.
+    """
+    cells = list(cells)
+    for p, q in cells:
+        _check_pq(p, q)
+    if region not in _DISTORTION_REGIONS:
+        raise ValueError(f"distortion integral is defined on A..E, not {region.value}")
+    if reflections.chart_of_region(region) is not chart:
+        raise ValueError(f"{region.value} is not a piece of chart {chart.value}")
+    piece = reflections.piece_of_region(region)
+    powers = [(p * q / (p - q), q / (p - q)) for p, q in cells]
+    tilts = [_distortion_tilt(region, p, q, params.s) for p, q in cells]
+
+    def jets(shell, rng, pending):
+        """(cell, samples, opnorm, |det|) for each pending cell."""
+        if region is RegionLabel.RegionE:
+            draw = draw_scale(params, region, shell, samples_per_shell, rng)
+            for i in pending:
+                prof = draw.profile(tilts[i])
+                _, _, opnorm, det = reflections.profile_jet(piece, params, prof.t, prof.r)
+                yield i, prof, opnorm, np.abs(det)
+            return
+        prof = sample_profile(params, region, shell, samples_per_shell, rng)
+        _, _, opnorm, det = reflections.profile_jet(piece, params, prof.t, prof.r)
+        absdet = np.abs(det)
+        for i in pending:
+            yield i, prof, opnorm, absdet
+
+    ks = [sh.k for sh in shells]
+    values = [[] for _ in cells]
+    for sh in shells:
+        pending = list(range(len(cells)))
+        for attempt in range(MAX_RETRIES + 1):
+            if not pending:
+                break
+            rng = derive_rng(seed, sh.k, region, salt=f"dist#{attempt}" if attempt else "dist")
+            nan_cells = []
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                for i, prof, opnorm, absdet in jets(sh, rng, pending):
+                    P, Q = powers[i]
+                    weighted = prof.weight * (opnorm**P / absdet**Q)
+                    if np.any(np.isnan(weighted)):
+                        nan_cells.append(i)
+                    else:
+                        values[i].append(prof.measure * float(np.mean(weighted)))
+            pending = nan_cells
+        if pending:
+            raise InterfaceRetryError(region, sh)
+    return [ShellSum.from_contributions(ks, v) for v in values]
+
+
 def distortion_integral(
     params: CuspParams,
     chart: ChartId,
@@ -295,38 +371,9 @@ def distortion_integral(
     seed: int = 42,
 ) -> ShellSum:
     """Shellwise stratified estimate of the (p, q) distortion integral
-    opnorm(DR)^(pq/(p-q)) / |J|^(q/(p-q)) over the region."""
-    _check_pq(p, q)
-    if region not in _DISTORTION_REGIONS:
-        raise ValueError(f"distortion integral is defined on A..E, not {region.value}")
-    if reflections.chart_of_region(region) is not chart:
-        raise ValueError(f"{region.value} is not a piece of chart {chart.value}")
-    piece = reflections.piece_of_region(region)
-    P = p * q / (p - q)
-    Q = q / (p - q)
-    tilt = _distortion_tilt(region, p, q, params.s)
-
-    def integrand(t, r, rng):
-        _, _, opnorm, det = reflections.profile_jet(piece, params, t, r)
-        return opnorm**P / np.abs(det) ** Q
-
-    ks = [sh.k for sh in shells]
-    values = [
-        shell_estimate(
-            params, region, sh, integrand, samples_per_shell, (seed, sh.k, "dist"), tilt
-        )
-        for sh in shells
-    ]
-    meta = {
-        "kind": "distortion",
-        "chart": chart.value,
-        "region": region.value,
-        "p": p,
-        "q": q,
-        "seed": seed,
-        "samples_per_shell": samples_per_shell,
-    }
-    return ShellSum.from_contributions(ks, values, meta)
+    opnorm(DR)^(pq/(p-q)) / |J|^(q/(p-q)) over the region: the one-cell
+    case of `distortion_sweep`."""
+    return distortion_sweep(params, chart, region, [(p, q)], shells, samples_per_shell, seed)[0]
 
 
 def sobolev_seminorm(
@@ -356,8 +403,7 @@ def sobolev_seminorm(
         shell_estimate(params, region, sh, integrand, samples_per_shell, (seed, sh.k, "semi"))
         for sh in shells
     ]
-    meta = {"kind": "seminorm", "region": region.value, "p": p, "seed": seed}
-    return ShellSum.from_contributions(ks, values, meta)
+    return ShellSum.from_contributions(ks, values)
 
 
 def lp_norm_term(
@@ -382,8 +428,7 @@ def lp_norm_term(
         shell_estimate(params, region, sh, integrand, samples_per_shell, (seed, sh.k, "lp"))
         for sh in shells
     ]
-    meta = {"kind": "lp", "region": region.value, "p": p, "seed": seed}
-    return ShellSum.from_contributions(ks, values, meta)
+    return ShellSum.from_contributions(ks, values)
 
 
 # ---------------------------------------------------------------------------

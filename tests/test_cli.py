@@ -66,6 +66,41 @@ class TestExitCodes:
         assert proc.returncode == 3
 
 
+class TestInputHardening:
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--samples", "0", "--grid", "2", "--k-max", "12"],
+        ["sweep", "--grid", "0", "--samples", "64", "--k-max", "12"],
+        ["extendnorm", "--p", "2", "--q", "1.1", "--samples", "-1", "--k-max", "12"],
+    ])
+    def test_nonpositive_counts_are_2(self, tmp_path, capsys, args):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--p", "2"], ["--q", "1.1"]])
+    def test_sweep_needs_both_p_and_q(self, tmp_path, capsys, flag):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", *flag, "--grid", "2", "--samples", "64", "--k-max", "12",
+                     "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--p" in err and "--q" in err
+        assert not out.exists()
+
+    def test_region_e_retry_error_is_3(self, tmp_path, capsys):
+        # every redraw of region E's shell 17 holds a nan at this cell
+        out = tmp_path / "out.csv"
+        assert run_cli(["sweep", "--scheme", "r2", "--n", "5", "--s", "3", "--p", "1.3",
+                        "--q", "1.25", "--samples", "1024", "--k-max", "26",
+                        "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: persistent non-finite")
+        assert not out.exists()
+
+
 class TestSweep:
     def test_explicit_cells_and_agreement(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -209,6 +212,15 @@ class TestCutoff:
             b = cutoff_psi(params, Point(t + h * d[0], [max(r + h * d[1], 0.0), 0.0]))
             worst = max(worst, abs(a - b) / h)
         assert worst < 30.0  # 1/(local collar width) stays modest away from the corner
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # cutoff_psi imports the minimiser on first use, not at package import
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cuspreflect; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_product_contract(self, params):
         spec = ExtensionSpec("R1", Direction.FromInside)

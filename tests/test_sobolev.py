@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -6,16 +7,17 @@ from conftest import brute_shell_integral
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspreflect import reflections, sobolev
+from cuspreflect import checks, reflections, sobolev
 from cuspreflect.errors import WindowError
 from cuspreflect.extension import Constant, PowerAlpha
-from cuspreflect.geometry import RegionLabel, Shell, shells
+from cuspreflect.geometry import CuspParams, RegionLabel, Shell, shells
 from cuspreflect.reflections import ChartId
 from cuspreflect.sobolev import (
     ExponentPair,
     ShellSum,
     convergence_verdict,
     distortion_integral,
+    distortion_sweep,
     dual_exponent,
     dual_exponent_inverse,
     p_min_r1,
@@ -236,6 +238,96 @@ class TestDistortionIntegral:
                                  6.0, 5.95, shells(5, 30), 1024, 42)
         assert convergence_verdict(ss).kind == "Divergent"
         assert not any(math.isnan(v) for v in ss.contributions.values())
+
+
+def reference_distortion(params, region, p, q, shl, samples, seed):
+    """The per-cell shell loop that `distortion_sweep` batches: one
+    `shell_estimate` per shell, the jet evaluated inside the integrand."""
+    piece = reflections.piece_of_region(region)
+    P, Q = p * q / (p - q), q / (p - q)
+    s = params.s
+    tilt = (s - 1.0) * p * q / (s * (p - q)) if region is RegionLabel.RegionE else 0.0
+
+    def integrand(t, r, rng):
+        _, _, opnorm, det = reflections.profile_jet(piece, params, t, r)
+        return opnorm**P / np.abs(det) ** Q
+
+    return [sobolev.shell_estimate(params, region, sh, integrand, samples,
+                                   (seed, sh.k, "dist"), tilt)
+            for sh in shl]
+
+
+_SWEEP_REGIONS = [
+    (RegionLabel.RegionA, ChartId.R1Outer, "R1"),
+    (RegionLabel.RegionB, ChartId.R1Outer, "R1"),
+    (RegionLabel.RegionC, ChartId.R1Outer, "R1"),
+    (RegionLabel.RegionD, ChartId.R2Outer, "R2"),
+    (RegionLabel.RegionE, ChartId.R2Outer, "R2"),
+]
+
+
+class TestDistortionSweep:
+    @pytest.mark.parametrize("n,s", [(3, 2.0), (4, 1.5)])
+    @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
+    def test_matches_per_cell_loop_exactly(self, n, s, region, chart, scheme):
+        params = CuspParams(n, s)
+        cells = checks.sweep_grid(params, scheme, grid=3)
+        shl = shells(5, 12)
+        sums = distortion_sweep(params, chart, region, cells, shl, 256, 7)
+        assert len(sums) == len(cells)
+        for (p, q), ss in zip(cells, sums):
+            ref = reference_distortion(params, region, p, q, shl, 256, 7)
+            assert [ss.contributions[k] for k in ss.ks] == ref
+            assert ss.ks == [sh.k for sh in shl]
+
+    @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
+    def test_redraws_match_per_cell_loop(self, monkeypatch, params, region, chart, scheme):
+        # Poison about half of the first-attempt jets with a nan, keyed on
+        # the sample bytes; redraws stay clean.  Region E's radii differ per
+        # cell, so there only the poisoned cells of a shell are redrawn.
+        salts = []
+        derive = sobolev.derive_rng
+
+        def spy(seed, k, label, salt=""):
+            salts.append(salt)
+            return derive(seed, k, label, salt=salt)
+
+        jet = reflections.profile_jet
+        jets = {"poisoned": 0, "redrawn": 0}
+
+        def poisoned(piece, prm, t, r):
+            t_out, r_out, opnorm, det = jet(piece, prm, t, r)
+            if "#" in salts[-1]:
+                jets["redrawn"] += 1
+            elif zlib.crc32(np.asarray(r).tobytes()) % 2 == 0:
+                jets["poisoned"] += 1
+                opnorm = opnorm.copy()
+                opnorm[0] = np.nan
+            return t_out, r_out, opnorm, det
+
+        monkeypatch.setattr(sobolev, "derive_rng", spy)
+        monkeypatch.setattr(reflections, "profile_jet", poisoned)
+        cells = checks.sweep_grid(params, scheme, grid=3)
+        shl = shells(5, 10)
+        sums = distortion_sweep(params, chart, region, cells, shl, 64, 3)
+        assert 0 < jets["redrawn"] == jets["poisoned"] < len(cells) * len(shl)
+        for (p, q), ss in zip(cells, sums):
+            ref = reference_distortion(params, region, p, q, shl, 64, 3)
+            assert [ss.contributions[k] for k in ss.ks] == ref
+
+    def test_retry_error_on_both_paths(self):
+        params = CuspParams(5, 3.0)
+        shl = shells(5, 26)
+        with pytest.raises(sobolev.InterfaceRetryError):
+            distortion_sweep(params, ChartId.R2Outer, RegionLabel.RegionE,
+                             [(1.3, 1.25)], shl, 1024, 42)
+        with pytest.raises(sobolev.InterfaceRetryError):
+            reference_distortion(params, RegionLabel.RegionE, 1.3, 1.25, shl, 1024, 42)
+
+    def test_rejects_invalid_cell(self, params):
+        with pytest.raises(WindowError):
+            distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionA,
+                             [(2.0, 1.1), (2.0, 2.5)], shells(5, 12))
 
 
 class TestSeminorm:

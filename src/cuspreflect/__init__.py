@@ -5,7 +5,6 @@ from .errors import (
     ChartDomainError,
     EmptyRegionError,
     InterfaceError,
-    SingularityError,
     WindowError,
 )
 from .extension import (
@@ -26,11 +25,9 @@ from .extension import (
 from .geometry import (
     CuspParams,
     Point,
-    ProfilePoint,
     RegionLabel,
     Shell,
     classify,
-    region_volume,
     sample_region,
     shell_measure,
     shells,
@@ -41,11 +38,9 @@ from .reflections import (
     apply,
     differential,
     differential_fd,
-    distortion,
     invert,
 )
 from .sobolev import (
-    ExponentPair,
     ShellSum,
     Verdict,
     convergence_verdict,

@@ -8,28 +8,31 @@ while the acceptance tests run the full-size one.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import extension, reflections, sobolev
 from .extension import ClampT, Direction, ExtensionSpec, PowerAlpha
 from .geometry import (
+    SAMPLEABLE,
     CuspParams,
     Point,
     RegionLabel,
     Shell,
-    classify,
     classify_profile,
     derive_rng,
+    radii,
     random_directions,
-    region_volume,
     sample_profile,
     sample_region,
+    sample_region_points,
     shell_measure,
     shells,
 )
-from .reflections import ChartId
+from .reflections import ChartId, chart_regions, outer_chart, scheme_of
 
 
 @dataclass
@@ -44,11 +47,6 @@ class InvariantResult:
     def of(cls, name, samples, worst, threshold):
         worst = float(worst)
         return cls(name, int(samples), worst, float(threshold), bool(worst <= threshold))
-
-
-_R1_REGIONS = (RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC)
-_R2_REGIONS = (RegionLabel.RegionD, RegionLabel.RegionE)
-_ALL_PIECES = ("A", "B", "C", "D", "E", "P1", "P2", "P3")
 
 
 # ---------------------------------------------------------------------------
@@ -120,31 +118,29 @@ def check_boundary_consistency(params: CuspParams, samples: int = 10_000, seed: 
 
 
 def check_shell_measure_sums(params: CuspParams, k_max: int = 40):
-    """Sum of shell measures k=1..K converges to the closed-form volume."""
+    """Sum of shell measures k=1..K converges to the closed-form volume of
+    the scale range [0, 1/2] the shells cover."""
     worst = 0.0
-    for label in (*_R1_REGIONS, *_R2_REGIONS, RegionLabel.CuspInterior,
-                  RegionLabel.InnerPiece1, RegionLabel.InnerPiece2, RegionLabel.InnerPiece3):
+    for label in SAMPLEABLE:
         total = sum(shell_measure(params, label, Shell(k)) for k in range(1, k_max + 1))
-        exact = region_volume(params, label, scale_cap=0.5)
+        exact = shell_measure(params, label, (0.0, 0.5))
         worst = max(worst, abs(total - exact) / exact)
-    return InvariantResult.of("geometry.shell_measure_sums", 9 * k_max, worst, 1e-6)
+    return InvariantResult.of("geometry.shell_measure_sums", len(SAMPLEABLE) * k_max, worst, 1e-6)
 
 
 def check_sampler_hit_rate(params: CuspParams, count: int = 400, seed: int = 7):
     """sample_region output classifies back to its region, every time."""
     misses = 0
     total = 0
-    cases = [("R1", lab) for lab in (*_R1_REGIONS, RegionLabel.InnerPiece1,
-                                     RegionLabel.InnerPiece2, RegionLabel.InnerPiece3)]
-    cases += [("R2", lab) for lab in _R2_REGIONS]
+    cases = [(scheme_of(chart), lab) for chart in ChartId for lab in chart_regions(chart)]
     # under R1 the cusp core splits into the inner pieces, so the plain
     # cusp-interior label is only reachable through scheme R2 here
     cases += [("R2", RegionLabel.CuspInterior)]
     for scheme, label in cases:
         for k in (1, 3, 8, 20):
-            pts = sample_region(params, scheme, label, Shell(k), count, seed)
-            total += len(pts)
-            misses += sum(classify(params, scheme, p) is not label for p in pts)
+            t, X = sample_region_points(params, scheme, label, Shell(k), count, seed)
+            total += t.size
+            misses += int(np.sum(classify_profile(params, scheme, t, radii(X)) != label))
     return InvariantResult.of("geometry.sampler_hit_rate", total, misses, 0)
 
 
@@ -157,12 +153,13 @@ def check_boundary_fixity(params: CuspParams, samples: int = 10_000, seed: int =
     rng = derive_rng(seed, 0, "fixity")
     t = np.exp(rng.uniform(np.log(2.0**-20), np.log(0.5), samples))
     dirs = random_directions(samples, params.n - 1, rng)
+    # float_power rounds as scalar t ** s does; a vectorised ** can differ
+    # in the last bit
+    X = np.float_power(t, params.s)[:, None] * dirs
     worst = 0.0
     for chart in ChartId:
-        for i in range(samples):
-            z = Point(float(t[i]), t[i] ** params.s * dirs[i])
-            img = reflections.apply(chart, params, z)
-            worst = max(worst, float(np.max(np.abs(img.as_array() - z.as_array()))))
+        T, X_img = reflections.apply_points(chart, params, t, X)
+        worst = max(worst, float(np.max(np.abs(T - t))), float(np.max(np.abs(X_img - X))))
     return InvariantResult.of("reflections.boundary_fixity", 3 * samples, worst, 1e-12)
 
 
@@ -260,21 +257,19 @@ def check_equivariance(params: CuspParams, samples: int = 200, seed: int = 7):
     n = params.n
     worst = 0.0
     total = 0
-    cases = [(ChartId.R1Outer, lab) for lab in _R1_REGIONS]
-    cases += [(ChartId.R2Outer, lab) for lab in _R2_REGIONS]
-    cases += [(ChartId.R1Inner, lab) for lab in (RegionLabel.InnerPiece1,
-                                                 RegionLabel.InnerPiece2,
-                                                 RegionLabel.InnerPiece3)]
-    for chart, label in cases:
-        pts = sample_region(params, "R2" if chart is ChartId.R2Outer else "R1",
-                            label, Shell(3), samples, seed)
-        q, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
-        for z in pts:
-            img = reflections.apply(chart, params, z)
-            rot = reflections.apply(chart, params, Point(z.t, q @ z.x))
-            worst = max(worst, float(np.max(np.abs(rot.as_array()
-                        - np.concatenate(([img.t], q @ img.x))))))
-            total += 1
+
+    def rotate(q, X):  # q @ x row by row
+        return (q @ X[:, :, None])[:, :, 0]
+
+    for chart in (ChartId.R1Outer, ChartId.R2Outer, ChartId.R1Inner):
+        for label in chart_regions(chart):
+            t, X = sample_region_points(params, scheme_of(chart), label, Shell(3), samples, seed)
+            q, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
+            T, X_img = reflections.apply_points(chart, params, t, X)
+            T_rot, X_rot = reflections.apply_points(chart, params, t, rotate(q, X))
+            worst = max(worst, float(np.max(np.abs(T_rot - T))),
+                        float(np.max(np.abs(X_rot - rotate(q, X_img)))))
+            total += t.size
     return InvariantResult.of("reflections.equivariance", total, worst, 1e-12)
 
 
@@ -300,7 +295,7 @@ def check_boundedness(params: CuspParams, samples: int = 2048, seed: int = 7):
     """Sampled opnorm on the R1 collar does not grow as shells refine."""
     worst = 0.0
     total = 0
-    for label in _R1_REGIONS:
+    for label in chart_regions(ChartId.R1Outer):
         piece = reflections.piece_of_region(label)
         running = 0.0
         for k in range(5, 21):
@@ -327,39 +322,37 @@ def check_e_opnorm_factor(params: CuspParams, samples: int = 2048, seed: int = 7
     return res
 
 
-def _fd_points(params: CuspParams, piece: str, count: int, seed: int):
-    """Piece-interior points with comfortable margins for the FD stencil."""
-    label = reflections._PIECE_REGION[piece]
-    scheme = "R2" if piece in ("D", "E") else "R1"
-    pts = []
+def _fd_points(params: CuspParams, chart: ChartId, label: RegionLabel, count: int, seed: int):
+    """Up to `count` piece-interior points (t, X) with comfortable margins
+    for the FD stencil."""
+    piece = reflections.piece_of_region(label)
+    ts, Xs = [], []
+    got = 0
     k = 2
-    while len(pts) < count and k < 7:
-        got = sample_region(params, scheme, label, Shell(k), count, seed + k)
-        for z in got:
-            gap = min(
-                reflections._interface_gap(params, piece, z.t, z.r),
-                reflections._smoothness_gap(piece, z.t, z.r),
-            )
-            if gap > 4.0 * reflections.fd_step(z):
-                pts.append(z)
-            if len(pts) >= count:
-                break
+    while got < count and k < 7:
+        t, X = sample_region_points(params, scheme_of(chart), label, Shell(k), count, seed + k)
+        r = radii(X)
+        room = np.minimum(*reflections.piece_gaps(piece, params, t, r))
+        keep = room > 4.0 * reflections.fd_step(t, r)
+        ts.append(t[keep][: count - got])
+        Xs.append(X[keep][: count - got])
+        got += ts[-1].size
         k += 1
-    return pts
+    return np.concatenate(ts), np.concatenate(Xs)
 
 
 def check_fd_agreement(params: CuspParams, per_piece: int = 1000, seed: int = 7):
     """Analytic differentials match central finite differences."""
     worst = 0.0
     total = 0
-    for piece in _ALL_PIECES:
-        chart = reflections.chart_of_region(reflections._PIECE_REGION[piece])
-        for z in _fd_points(params, piece, per_piece, seed):
-            jet = reflections.differential(chart, params, z)
-            fd = reflections.differential_fd(chart, params, z)
-            scale = float(np.max(np.abs(jet.differential)))
-            worst = max(worst, float(np.max(np.abs(jet.differential - fd))) / scale)
-            total += 1
+    for chart in ChartId:
+        for label in chart_regions(chart):
+            t, X = _fd_points(params, chart, label, per_piece, seed)
+            _, _, M, _, _ = reflections.differential_points(chart, params, t, X)
+            fd = reflections.differential_fd_points(chart, params, t, X)
+            err = np.max(np.abs(M - fd), axis=(1, 2)) / np.max(np.abs(M), axis=(1, 2))
+            worst = max(worst, float(np.max(err, initial=0.0)))
+            total += t.size
     return InvariantResult.of("reflections.fd_agreement", total, worst, 1e-5)
 
 
@@ -367,18 +360,17 @@ def check_round_trip(params: CuspParams, per_piece: int = 400, seed: int = 7):
     """invert(apply(z)) = z and apply(invert(w)) = w within 1e-8."""
     worst = 0.0
     total = 0
-    for piece in _ALL_PIECES:
-        label = reflections._PIECE_REGION[piece]
-        chart = reflections.chart_of_region(label)
-        scheme = "R2" if chart is ChartId.R2Outer else "R1"
-        for k in (1, 4, 9):
-            for z in sample_region(params, scheme, label, Shell(k), per_piece // 3 + 1, seed):
-                w = reflections.apply(chart, params, z)
-                back = reflections.invert(chart, params, w)
-                worst = max(worst, float(np.max(np.abs(back.as_array() - z.as_array()))))
-                fwd = reflections.apply(chart, params, reflections.invert(chart, params, w))
-                worst = max(worst, float(np.max(np.abs(fwd.as_array() - w.as_array()))))
-                total += 1
+    for chart in ChartId:
+        for label in chart_regions(chart):
+            for k in (1, 4, 9):
+                t, X = sample_region_points(params, scheme_of(chart), label, Shell(k),
+                                            per_piece // 3 + 1, seed)
+                T, W = reflections.apply_points(chart, params, t, X)
+                t_back, X_back = reflections.invert_points(chart, params, T, W)
+                T_fwd, W_fwd = reflections.apply_points(chart, params, t_back, X_back)
+                worst = max(worst, *(float(np.max(np.abs(a - b))) for a, b in
+                                     ((t_back, t), (X_back, X), (T_fwd, T), (W_fwd, W))))
+                total += t.size
     return InvariantResult.of("reflections.round_trip", total, worst, 1e-8)
 
 
@@ -413,12 +405,10 @@ def check_window_consistency(
     shl = shells(k_min, k_max)
     bad = 0
     cells = 0
-    for scheme, chart, regions in (
-        ("R1", ChartId.R1Outer, _R1_REGIONS),
-        ("R2", ChartId.R2Outer, _R2_REGIONS),
-    ):
+    for scheme in reflections.SCHEME_CHARTS:
+        chart = outer_chart(scheme)
         grid_cells = sweep_grid(params, scheme, grid=grid)
-        for region in regions:
+        for region in chart_regions(chart):
             sums = sobolev.distortion_sweep(
                 params, chart, region, grid_cells, shl, samples_per_shell, seed
             )
@@ -450,12 +440,10 @@ def check_shell_exponent_match(params: CuspParams, n_pairs: int = 10, seed: int 
     rng = derive_rng(seed, 0, "expmatch")
     worst = 0.0
     total = 0
-    for scheme, chart, regions in (
-        ("R1", ChartId.R1Outer, _R1_REGIONS),
-        ("R2", ChartId.R2Outer, _R2_REGIONS),
-    ):
+    for scheme in reflections.SCHEME_CHARTS:
+        chart = outer_chart(scheme)
         pmin = sobolev.p_min_r1(n, s) if scheme == "R1" else sobolev.p_min_r2(n, s)
-        for region in regions:
+        for region in chart_regions(chart):
             made = 0
             attempts = 0
             while made < n_pairs:
@@ -529,20 +517,18 @@ def check_dual_roundtrip(params: CuspParams, samples: int = 200, seed: int = 7):
 
 def check_native_identity(params: CuspParams, samples: int = 300, seed: int = 7):
     """The extension equals u exactly on the native side."""
-    u = PowerAlpha(0.7)
-    spec = ExtensionSpec("R1", Direction.FromInside)
+    cases = [(ExtensionSpec("R1", Direction.FromInside), PowerAlpha(0.7), label)
+             for label in (RegionLabel.CuspInterior, RegionLabel.InnerPiece2,
+                           RegionLabel.InnerPiece3)]
+    cases += [(ExtensionSpec("R1", Direction.FromOutside), ClampT(), label)
+              for label in chart_regions(ChartId.R1Outer)]
     worst = 0.0
     total = 0
-    for label in (RegionLabel.CuspInterior, RegionLabel.InnerPiece2, RegionLabel.InnerPiece3):
-        for z in sample_region(params, "R1", label, Shell(2), samples, seed):
-            worst = max(worst, abs(extension.extend_eval(spec, params, u, z) - u.value(z)))
-            total += 1
-    spec_out = ExtensionSpec("R1", Direction.FromOutside)
-    u2 = ClampT()
-    for label in _R1_REGIONS:
-        for z in sample_region(params, "R1", label, Shell(2), samples, seed):
-            worst = max(worst, abs(extension.extend_eval(spec_out, params, u2, z) - u2.value(z)))
-            total += 1
+    for spec, u, label in cases:
+        t, X = sample_region_points(params, "R1", label, Shell(2), samples, seed)
+        ext = extension.extend_eval_points(spec, params, u, t, X)
+        worst = max(worst, float(np.max(np.abs(ext - u.value_points(t, X)))))
+        total += t.size
     return InvariantResult.of("extension.native_identity", total, worst, 0.0)
 
 
@@ -555,13 +541,12 @@ def check_trace_matching(params: CuspParams, samples: int = 500, seed: int = 7):
     worst = 0.0
     e1 = np.zeros(params.n - 1)
     e1[0] = 1.0
-    for scheme in ("R1", "R2"):
+    wall = np.float_power(t, params.s)  # rounds as scalar t ** s does
+    for scheme in reflections.SCHEME_CHARTS:
         spec = ExtensionSpec(scheme, Direction.FromInside)
-        for ti in t:
-            wall = ti**params.s
-            inner = extension.extend_eval(spec, params, u, Point(ti, (wall * (1 - eps)) * e1))
-            outer = extension.extend_eval(spec, params, u, Point(ti, (wall * (1 + eps)) * e1))
-            worst = max(worst, abs(inner - outer))
+        inner = extension.extend_eval_points(spec, params, u, t, (wall * (1 - eps))[:, None] * e1)
+        outer = extension.extend_eval_points(spec, params, u, t, (wall * (1 + eps))[:, None] * e1)
+        worst = max(worst, float(np.max(np.abs(inner - outer))))
     return InvariantResult.of("extension.trace_matching", 2 * samples, worst, 1e-8)
 
 
@@ -591,11 +576,11 @@ def check_winfty_positive(params: CuspParams, per_shell: int = 120, seed: int = 
     total = 0
     for k in range(5, 21):
         mx = 0.0
-        for label in _R1_REGIONS:
-            for z in sample_region(params, "R1", label, Shell(k), per_shell, seed):
-                g = extension.extend_gradient(spec, params, u, z)
-                mx = max(mx, float(np.linalg.norm(g)))
-                total += 1
+        for label in chart_regions(ChartId.R1Outer):
+            t, X = sample_region_points(params, "R1", label, Shell(k), per_shell, seed)
+            g = extension.extend_gradient_points(spec, params, u, t, X)
+            mx = max(mx, float(np.max(radii(g))))
+            total += t.size
         maxima.append(mx)
     early = max(maxima[:8])
     worst = max(maxima) / early
@@ -617,38 +602,49 @@ def check_holder_negative(params: CuspParams):
 # driver
 # ---------------------------------------------------------------------------
 
-def run_all(params: CuspParams, quick: bool = True, seed: int = 42) -> list[InvariantResult]:
+def run_all(params: CuspParams, quick: bool = True, seed: int = 42):
     """Run every module invariant; `quick` shrinks the Monte Carlo budgets to
-    keep the CLI profile under a minute."""
+    keep the CLI profile under a minute.
+
+    Returns the results and the wall time in seconds of each check function,
+    keyed by its name (both partition schemes count as one check).
+    """
     part = 20_000 if quick else 100_000
     fix = 2_000 if quick else 10_000
     fd = 150 if quick else 1000
     sps = 1024 if quick else 4096
     grid = 11 if quick else 21
-    results = [
-        check_partition(params, "R1", part, seed),
-        check_partition(params, "R2", part, seed),
-        check_boundary_consistency(params, fix, seed),
-        check_shell_measure_sums(params),
-        check_sampler_hit_rate(params, 200 if quick else 400, seed),
-        check_boundary_fixity(params, fix, seed),
-        check_interface_continuity(params, 1000, seed),
-        check_straddle_continuity(params, 200, seed),
-        check_image_bands(params, 1000 if quick else 2000, seed),
-        check_equivariance(params, 60 if quick else 200, seed),
-        *check_jacobian_scaling(params, 1024 if quick else 4096, seed),
-        check_boundedness(params, 1024 if quick else 2048, seed),
-        check_e_opnorm_factor(params, 1024 if quick else 2048, seed),
-        check_fd_agreement(params, fd, seed),
-        check_round_trip(params, 120 if quick else 400, seed),
-        check_window_consistency(params, sps, grid=grid, seed=seed),
-        check_shell_exponent_match(params, 4 if quick else 10, seed, sps),
-        check_qmax_curves(params),
-        check_dual_roundtrip(params, 100, seed),
-        check_native_identity(params, 150 if quick else 300, seed),
-        check_trace_matching(params, 200 if quick else 500, seed),
-        check_cutoff_product(params, 100 if quick else 200, seed),
-        check_winfty_positive(params, 60 if quick else 120, seed),
-        *check_holder_negative(params),
+    suite = [
+        partial(check_partition, params, "R1", part, seed),
+        partial(check_partition, params, "R2", part, seed),
+        partial(check_boundary_consistency, params, fix, seed),
+        partial(check_shell_measure_sums, params),
+        partial(check_sampler_hit_rate, params, 200 if quick else 400, seed),
+        partial(check_boundary_fixity, params, fix, seed),
+        partial(check_interface_continuity, params, 1000, seed),
+        partial(check_straddle_continuity, params, 200, seed),
+        partial(check_image_bands, params, 1000 if quick else 2000, seed),
+        partial(check_equivariance, params, 60 if quick else 200, seed),
+        partial(check_jacobian_scaling, params, 1024 if quick else 4096, seed),
+        partial(check_boundedness, params, 1024 if quick else 2048, seed),
+        partial(check_e_opnorm_factor, params, 1024 if quick else 2048, seed),
+        partial(check_fd_agreement, params, fd, seed),
+        partial(check_round_trip, params, 120 if quick else 400, seed),
+        partial(check_window_consistency, params, sps, grid=grid, seed=seed),
+        partial(check_shell_exponent_match, params, 4 if quick else 10, seed, sps),
+        partial(check_qmax_curves, params),
+        partial(check_dual_roundtrip, params, 100, seed),
+        partial(check_native_identity, params, 150 if quick else 300, seed),
+        partial(check_trace_matching, params, 200 if quick else 500, seed),
+        partial(check_cutoff_product, params, 100 if quick else 200, seed),
+        partial(check_winfty_positive, params, 60 if quick else 120, seed),
+        partial(check_holder_negative, params),
     ]
-    return results
+    results, seconds = [], {}
+    for check in suite:
+        start = time.perf_counter()
+        out = check()
+        name = check.func.__name__
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
+        results += out if isinstance(out, list) else [out]
+    return results, seconds

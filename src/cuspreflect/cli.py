@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, checks, extension, reflections, sobolev
 from .errors import ChartDomainError, EmptyRegionError, InterfaceError, WindowError
 from .extension import ClampT, Constant, Direction, ExtensionSpec, PowerAlpha
-from .geometry import CuspParams, Point, RegionLabel, classify, shells
+from .geometry import CuspParams, Point, classify, shells
 from .reflections import ChartId
 
 _CHARTS = {
@@ -29,15 +29,6 @@ _CHARTS = {
     "r1-inner": ChartId.R1Inner,
     "r2-outer": ChartId.R2Outer,
 }
-
-_REGIONS = {
-    "A": RegionLabel.RegionA,
-    "B": RegionLabel.RegionB,
-    "C": RegionLabel.RegionC,
-    "D": RegionLabel.RegionD,
-    "E": RegionLabel.RegionE,
-}
-
 
 def f12(x) -> str:
     """Fixed 12-significant-digit decimal used in all outputs."""
@@ -119,7 +110,7 @@ def cmd_jacobian(args) -> int:
 def cmd_verify(args) -> int:
     params = _params(args)
     start = time.perf_counter()
-    results = checks.run_all(params, quick=not args.full, seed=args.seed)
+    results, check_s = checks.run_all(params, quick=not args.full, seed=args.seed)
     rows = [
         [r.name, r.samples, r.worst_error, r.threshold, r.passed]
         for r in results
@@ -127,7 +118,8 @@ def cmd_verify(args) -> int:
     out = Path(args.out)
     _write_rows(out, ["name", "samples", "worst_error", "threshold", "pass"], rows)
     wall = time.perf_counter() - start
-    _write_manifest(out, args, {"invariants": len(results)}, wall)
+    _write_manifest(out, args, {"invariants": len(results),
+                                "check_s": {k: round(v, 3) for k, v in check_s.items()}}, wall)
     failed = [r for r in results if not r.passed]
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name} "
@@ -141,17 +133,12 @@ def cmd_verify(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _scheme_regions(scheme: str):
-    if scheme == "R1":
-        return ChartId.R1Outer, (RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC)
-    return ChartId.R2Outer, (RegionLabel.RegionD, RegionLabel.RegionE)
-
-
 def cmd_sweep(args) -> int:
     params = _params(args)
     start = time.perf_counter()
     scheme = args.scheme.upper()
-    chart, regions = _scheme_regions(scheme)
+    chart = reflections.outer_chart(scheme)
+    regions = reflections.chart_regions(chart)
     if args.p is not None:
         cells = [(p, q) for p in _parse_floats(args.p) for q in _parse_floats(args.q)]
     else:
@@ -205,10 +192,11 @@ def cmd_sweep(args) -> int:
 def cmd_scaling(args) -> int:
     params = _params(args)
     start = time.perf_counter()
+    collar = {reflections.piece_of_region(label): label for label in reflections.COLLAR_REGIONS}
     labels = (
-        [_REGIONS[r.strip().upper()] for r in args.regions.split(",")]
+        [collar[r.strip().upper()] for r in args.regions.split(",")]
         if args.regions
-        else list(_REGIONS.values())
+        else list(collar.values())
     )
     rows = []
     for label in labels:

@@ -25,7 +25,3 @@ class InterfaceError(ValueError):
 
 class EmptyRegionError(ValueError):
     """A sampler was asked for points in an empty region/shell intersection."""
-
-
-class SingularityError(ArithmeticError):
-    """A Jacobian determinant underflowed to the point of being unusable."""

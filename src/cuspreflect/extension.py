@@ -22,12 +22,16 @@ from .geometry import (
     BALL_CENTER_T,
     BALL_RADIUS,
     CuspParams,
-    Point,
     RegionLabel,
     Shell,
     as_point,
-    classify,
+    as_points,
+    classify_profile,
+    first_flagged,
+    on_cusp_wall,
+    radii,
     random_directions,
+    select_first,
 )
 from .reflections import ChartId
 from .sobolev import ShellSum, Verdict, convergence_verdict, scaling_fit
@@ -170,7 +174,7 @@ class ExtensionSpec:
 
     def __post_init__(self):
         scheme = str(self.scheme).upper()
-        if scheme not in ("R1", "R2"):
+        if scheme not in reflections.SCHEME_CHARTS:
             raise ValueError(f"scheme must be 'R1' or 'R2', got {self.scheme}")
         object.__setattr__(self, "scheme", scheme)
         if self.direction is Direction.FromOutside and scheme == "R2":
@@ -178,74 +182,102 @@ class ExtensionSpec:
 
     @property
     def outer_chart(self) -> ChartId:
-        return ChartId.R1Outer if self.scheme == "R1" else ChartId.R2Outer
+        return reflections.outer_chart(self.scheme)
 
 
-_NATIVE_INSIDE = {
-    RegionLabel.CuspInterior,
-    RegionLabel.BallInterior,
-    RegionLabel.InnerPiece1,
-    RegionLabel.InnerPiece2,
-    RegionLabel.InnerPiece3,
-}
-_BOUNDARYISH = {RegionLabel.BoundaryCusp, RegionLabel.Origin}
+_NATIVE_INSIDE = (RegionLabel.CuspInterior, RegionLabel.BallInterior,
+                  *reflections.chart_regions(ChartId.R1Inner))
+_BOUNDARYISH = (RegionLabel.BoundaryCusp, RegionLabel.Origin)
+
+# Evaluation sites: 0 on the boundary null set, u itself, or u o R.
+_ZERO, _NATIVE, _CHART = 0, 1, 2
 
 
-def _eval_site(spec: ExtensionSpec, params: CuspParams, p: Point):
-    """Return ('native'|'zero'|'chart', chart-or-None) for the point.
+def _among(labels, group) -> np.ndarray:
+    return np.array([label in group for label in labels], dtype=bool)
 
-    Chart membership is tested through the chart closures first, so closure
-    edges (such as t = 1/2 on the cusp core) compose fine; classification
-    is only consulted for the native/boundary/off-domain split.
+
+def _eval_site(spec: ExtensionSpec, params: CuspParams, t, X):
+    """Site of each point of a batch (_ZERO, _NATIVE or _CHART) and the chart
+    the _CHART points compose through; the first point outside the
+    extension's reach raises ChartDomainError.
+
+    Chart membership is tested through the chart closures, so closure edges
+    (such as t = 1/2 on the cusp core) compose fine; classification is only
+    consulted for the native/boundary/off-domain split.
     """
+    r = radii(X)
+    labels = classify_profile(params, spec.scheme, t, r)
     if spec.direction is Direction.FromInside:
-        piece = reflections._chart_piece(spec.outer_chart, params, p.t, p.r)
-        label = classify(params, spec.scheme, p)
-        if label in _BOUNDARYISH:
-            return "zero", None
-        if label in _NATIVE_INSIDE:
-            return "native", None
-        if piece is not None:
-            return "chart", spec.outer_chart
-        raise ChartDomainError(
-            f"{p!r} is outside the extension neighbourhood ({label.value})", label=label
+        chart = spec.outer_chart
+        on_chart = reflections.piece_index(chart, params, t, r) >= 0
+        site = select_first(
+            [_among(labels, _BOUNDARYISH), _among(labels, _NATIVE_INSIDE), on_chart],
+            [_ZERO, _NATIVE, _CHART], -1,
         )
-    # FromOutside (scheme R1 only): compose through the inner chart.
-    if reflections._on_cusp_wall(params, p.t, p.r) or p.norm <= 1e-12:
-        return "zero", None
-    piece = reflections._chart_piece(ChartId.R1Inner, params, p.t, p.r)
-    if piece is not None:
-        return "chart", ChartId.R1Inner
-    label = classify(params, spec.scheme, p)
-    if label in (RegionLabel.CuspInterior, RegionLabel.BallInterior):
-        raise ChartDomainError(
-            f"{p!r} lies in the domain beyond the inner chart ({label.value})", label=label
+        reason = "is outside the extension neighbourhood"
+    else:  # FromOutside (scheme R1 only): compose through the inner chart.
+        chart = ChartId.R1Inner
+        on_chart = reflections.piece_index(chart, params, t, r) >= 0
+        site = select_first(
+            [on_cusp_wall(params, t, r) | (np.hypot(t, r) <= 1e-12), on_chart,
+             _among(labels, (RegionLabel.CuspInterior, RegionLabel.BallInterior))],
+            [_ZERO, _CHART, -1], _NATIVE,  # native anywhere in the open complement
         )
-    return "native", None  # anywhere in the open complement
+        reason = "lies in the domain beyond the inner chart"
+    if bad := first_flagged(site < 0, t, X):
+        label = labels[bad[0]]
+        raise ChartDomainError(f"{bad[1]!r} {reason} ({label.value})", label=label)
+    return site, chart
+
+
+def extend_eval_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction, t, X):
+    """Values of the extended function on a point batch: u on the native
+    side, u o R across the boundary, 0 on the boundary itself (a null set,
+    kept as printed)."""
+    t, X = as_points(t, X, params)
+    site, chart = _eval_site(spec, params, t, X)
+    out = np.zeros(t.size)
+    native = site == _NATIVE
+    if native.any():
+        out[native] = u.value_points(t[native], X[native])
+    via = site == _CHART
+    if via.any():
+        out[via] = u.value_points(*reflections.apply_points(chart, params, t[via], X[via]))
+    return out
 
 
 def extend_eval(spec: ExtensionSpec, params: CuspParams, u: TestFunction, z) -> float:
-    """Value of the extended function at z: u on the native side, u o R across
-    the boundary, 0 on the boundary itself (a null set, kept as printed)."""
+    """Value of the extended function at z: the one-row case of
+    `extend_eval_points`."""
     p = as_point(z, params)
-    site, chart = _eval_site(spec, params, p)
-    if site == "zero":
-        return 0.0
-    if site == "native":
-        return u.value(p)
-    return u.value(reflections.apply(chart, params, p))
+    return float(extend_eval_points(spec, params, u, [p.t], p.x[None, :])[0])
+
+
+def extend_gradient_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction, t, X):
+    """Chain-rule gradients (N, n) of the extension at piece-interior points."""
+    t, X = as_points(t, X, params)
+    site, chart = _eval_site(spec, params, t, X)
+    if bad := first_flagged(site == _ZERO, t, X):
+        raise ChartDomainError(f"gradient undefined on the boundary at {bad[1]!r}")
+    out = np.empty((t.size, params.n))
+    native = site == _NATIVE
+    if native.any():
+        g_t, g_x = u.gradient_points(t[native], X[native])
+        out[native] = np.column_stack([g_t, g_x])
+    via = site == _CHART
+    if via.any():
+        T, X_img, M, _, _ = reflections.differential_points(chart, params, t[via], X[via])
+        g_t, g_x = u.gradient_points(T, X_img)
+        out[via] = (np.column_stack([g_t, g_x])[:, None, :] @ M)[:, 0, :]
+    return out
 
 
 def extend_gradient(spec: ExtensionSpec, params: CuspParams, u: TestFunction, z) -> np.ndarray:
-    """Chain-rule gradient of the extension at a piece-interior point."""
+    """Chain-rule gradient of the extension at a piece-interior point: the
+    one-row case of `extend_gradient_points`."""
     p = as_point(z, params)
-    site, chart = _eval_site(spec, params, p)
-    if site == "zero":
-        raise ChartDomainError(f"gradient undefined on the boundary at {p!r}")
-    if site == "native":
-        return u.gradient(p)
-    jet = reflections.differential(chart, params, p)
-    return u.gradient(jet.image) @ jet.differential
+    return extend_gradient_points(spec, params, u, [p.t], p.x[None, :])[0]
 
 
 def extend_global(spec: ExtensionSpec, params: CuspParams, u: TestFunction, z) -> float:
@@ -354,12 +386,6 @@ def membership_oracle(u: PowerAlpha, p: float, n: int, s: float) -> bool:
     return u.alpha + 1.0 < (1.0 + (n - 1) * s) / p
 
 
-_EXT_REGIONS = {
-    "R1": (RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC),
-    "R2": (RegionLabel.RegionD, RegionLabel.RegionE),
-}
-
-
 def _composed_terms(
     params: CuspParams,
     spec: ExtensionSpec,
@@ -447,7 +473,7 @@ def extension_norm_experiment(
         raise WindowError(
             f"t^(-{u.alpha}) is not W^(1,{p}) on the cusp window; experiment is vacuous"
         )
-    regions = _EXT_REGIONS[spec.scheme]
+    regions = reflections.chart_regions(spec.outer_chart)
     ks = [sh.k for sh in shells]
     vals, grads = [], []
     for sh in shells:
@@ -512,9 +538,9 @@ def holder_probe(
     e1[0] = 1.0
     oscs, diams = [], []
     for t in ts:
-        radii = np.linspace(0.0, t**s, radial_samples, endpoint=False)
-        vals = [extend_eval(spec, params, u, Point(t, r * e1)) for r in radii]
-        oscs.append(max(vals) - min(vals))
+        r = np.linspace(0.0, t**s, radial_samples, endpoint=False)
+        vals = extend_eval_points(spec, params, u, np.full(r.size, t), r[:, None] * e1)
+        oscs.append(float(np.max(vals) - np.min(vals)))
         diams.append(2.0 * t**s)
     slope, _, resid = scaling_fit(zip(diams, oscs))
     return HolderProbe(ts, oscs, diams, slope, resid)

@@ -72,32 +72,12 @@ class Point:
     def r(self) -> float:
         return float(np.linalg.norm(self.x))
 
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.t, self.r)
-
     def as_array(self) -> np.ndarray:
         return np.concatenate(([self.t], self.x))
-
-    def __iter__(self):
-        yield self.t
-        yield self.x
 
     def __repr__(self):  # keeps failure output short in tests
         xs = ",".join(f"{v:.6g}" for v in self.x)
         return f"Point(t={self.t:.6g}, x=({xs}))"
-
-
-@dataclass(frozen=True)
-class ProfilePoint:
-    """Axisymmetric reduction (t, r) of a point, r = |x| >= 0."""
-
-    t: float
-    r: float
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("profile radius must be >= 0")
 
 
 def as_point(z, params: CuspParams | None = None) -> Point:
@@ -112,6 +92,38 @@ def as_point(z, params: CuspParams | None = None) -> Point:
     if params is not None and p.x.size != params.n - 1:
         raise ValueError(f"expected {params.n - 1} cross-section coordinates, got {p.x.size}")
     return p
+
+
+def as_points(t, X, params: CuspParams) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce a point batch: t of shape (N,) and cross sections X of shape (N, n-1)."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    X = np.asarray(X, dtype=float)
+    if X.shape != (t.size, params.n - 1):
+        raise ValueError(f"expected x of shape {(t.size, params.n - 1)}, got {X.shape}")
+    return t, X
+
+
+def radii(X) -> np.ndarray:
+    """|x| of each row of X, rounded as `Point.r` rounds one row."""
+    X = np.asarray(X, dtype=float)
+    return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
+
+
+def first_flagged(bad: np.ndarray, t, X) -> tuple[int, Point] | None:
+    """Index and Point of the first flagged row of a point batch, if any."""
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, Point(t[i], X[i])
+
+
+def select_first(conds, choices, default):
+    """`np.select` (per element, the choice of the first true condition) as
+    a chain of `np.where`, a fraction of its cost on one-row batches."""
+    out = default
+    for cond, choice in zip(reversed(conds), reversed(choices)):
+        out = np.where(cond, choice, out)
+    return np.asarray(out)
 
 
 class RegionLabel(Enum):
@@ -154,22 +166,21 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
-def sphere_area(dim: int) -> float:
-    """Surface area of the unit sphere S^dim in R^{dim+1}."""
-    return (dim + 1) * unit_ball_volume(dim + 1)
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
 
-_R1_REGIONS = (RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC)
-_R2_REGIONS = (RegionLabel.RegionD, RegionLabel.RegionE)
-_INNER_PIECES = (RegionLabel.InnerPiece1, RegionLabel.InnerPiece2, RegionLabel.InnerPiece3)
-
-
 def _inside_ball(t, r, slack: float = 0.0):
     return np.hypot(t - BALL_CENTER_T, r) < BALL_RADIUS * (1.0 - slack)
+
+
+def on_cusp_wall(params: CuspParams, t, r):
+    """Profile points within REL_TOL (relative to the local cusp radius) of
+    the cusp wall |x| = t^s, 0 < t <= 1."""
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    ts = np.abs(t) ** params.s
+    return (t > 0) & (t <= 1.0) & (np.abs(r - ts) <= REL_TOL * np.maximum(ts, r))
 
 
 def classify_profile(params: CuspParams, scheme: str, t, r):
@@ -195,10 +206,10 @@ def classify_profile(params: CuspParams, scheme: str, t, r):
 
     take(np.hypot(t, r) <= ORIGIN_TOL, RegionLabel.Origin)
 
+    take(on_cusp_wall(params, t, r) & ~_inside_ball(t, r, REL_TOL), RegionLabel.BoundaryCusp)
+
     with np.errstate(invalid="ignore"):
         ts = np.where(t > 0, t, np.nan) ** s
-    on_wall = (t > 0) & (t <= 1.0) & (np.abs(r - ts) <= REL_TOL * np.maximum(ts, r))
-    take(on_wall & ~_inside_ball(t, r, REL_TOL), RegionLabel.BoundaryCusp)
 
     in_cusp = (t > 0) & (t <= 1.0) & (r < ts)
     if scheme == "R1":
@@ -221,9 +232,10 @@ def classify_profile(params: CuspParams, scheme: str, t, r):
 
 
 def classify(params: CuspParams, scheme: str, z) -> RegionLabel:
-    """Classify a point into exactly one region label for the given scheme."""
+    """Classify a point into exactly one region label for the given scheme:
+    the one-row case of `classify_profile` on (t, radii(x))."""
     p = as_point(z, params)
-    return classify_profile(params, scheme, p.t, p.r).item()
+    return classify_profile(params, scheme, np.array([p.t]), radii(p.x[None, :]))[0]
 
 
 def _check_scheme(scheme: str) -> str:
@@ -234,7 +246,7 @@ def _check_scheme(scheme: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shell measures and region volumes
+# Shell measures
 # ---------------------------------------------------------------------------
 
 def _pow_integral(lo: float, hi: float, m: float) -> float:
@@ -279,11 +291,12 @@ SAMPLEABLE = tuple(_QUAD)
 
 
 def _scheme_of_label(label: RegionLabel) -> str | None:
-    if label in _R1_REGIONS or label in _INNER_PIECES:
-        return "R1"
-    if label in _R2_REGIONS:
-        return "R2"
-    return None  # CuspInterior is scheme-agnostic
+    from .reflections import chart_of_region, scheme_of  # reflections imports this module
+
+    try:
+        return scheme_of(chart_of_region(label))
+    except ValueError:
+        return None  # CuspInterior is scheme-agnostic
 
 
 def _require_sampleable(label: RegionLabel, scheme: str | None = None):
@@ -300,8 +313,10 @@ def _shell_scale_interval(label: RegionLabel, lo: float, hi: float) -> tuple[flo
     return max(lo, 0.0), min(hi, q.scale_hi)
 
 
-def shell_measure(params: CuspParams, label: RegionLabel, shell: Shell) -> float:
-    """Exact Lebesgue volume of region /\\ shell from the closed-form slices.
+def shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
+    """Exact Lebesgue volume of the region with its scale variable in a
+    dyadic `Shell` or in a scale interval (lo, hi), from the closed-form
+    slices; (0, 1/2) gives the volume the shells cover.
 
     Cross sections are (n-1)-balls or annuli: the cusp slice at height t has
     radius t^s, a cone slice radius |t|; region B integrates |x| with the
@@ -309,7 +324,8 @@ def shell_measure(params: CuspParams, label: RegionLabel, shell: Shell) -> float
     """
     _require_sampleable(label)
     n, s = params.n, params.s
-    a, b = _shell_scale_interval(label, shell.lo, shell.hi)
+    lo, hi = (shell.lo, shell.hi) if isinstance(shell, Shell) else shell
+    a, b = _shell_scale_interval(label, lo, hi)
     if b <= a:
         return 0.0
     cn = unit_ball_volume(n - 1)
@@ -325,27 +341,6 @@ def shell_measure(params: CuspParams, label: RegionLabel, shell: Shell) -> float
         cap = 0.5 ** (s * (n - 1))
         return 2.0 * cn * (cap * (b - a) - _pow_integral(a, b, s * (n - 1)))
     # 'band': annulus [c_lo*xi^s, c_hi*xi^s]
-    frac = q.c_hi ** (n - 1) - q.c_lo ** (n - 1)
-    return cn * frac * _pow_integral(a, b, s * (n - 1))
-
-
-def region_volume(params: CuspParams, label: RegionLabel, scale_cap: float | None = None) -> float:
-    """Closed-form volume of the region, optionally capped in its scale
-    variable (the dyadic shells cover scale <= 1/2 only)."""
-    _require_sampleable(label)
-    n, s = params.n, params.s
-    q = _QUAD[label]
-    a, b = 0.0, q.scale_hi if scale_cap is None else min(q.scale_hi, scale_cap)
-    cn = unit_ball_volume(n - 1)
-    if q.kind == "cone":
-        return cn * _pow_integral(a, b, n - 1)
-    if q.kind == "slab":
-        return 2.0 * (n - 1) * cn * _pow_integral(a, b, n - 1)
-    if q.kind == "cwedge":
-        return cn * (_pow_integral(a, b, n - 1) - _pow_integral(a, b, s * (n - 1)))
-    if q.kind == "ering":
-        cap = 0.5 ** (s * (n - 1))
-        return 2.0 * cn * (cap * (b - a) - _pow_integral(a, b, s * (n - 1)))
     frac = q.c_hi ** (n - 1) - q.c_lo ** (n - 1)
     return cn * frac * _pow_integral(a, b, s * (n - 1))
 
@@ -548,18 +543,19 @@ def random_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndar
     return g / norms
 
 
-def sample_region(
+def sample_region_points(
     params: CuspParams,
     scheme: str,
     label: RegionLabel,
     shell: Shell,
     count: int,
     seed: int,
-) -> list[Point]:
-    """Deterministically sample `count` points of region /\\ shell.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministically sample `count` points of region /\\ shell as
+    arrays: t of shape (count,) and cross sections of shape (count, n-1).
 
-    Every returned point classifies back to `label` under the scheme; the
-    per-shell stream is derived from (seed, shell.k, label) so reruns and
+    Every point classifies back to `label` under the scheme; the per-shell
+    stream is derived from (seed, shell.k, label) so reruns and
     out-of-order shell evaluation reproduce identical points.
     """
     _require_sampleable(label, scheme)
@@ -568,8 +564,14 @@ def sample_region(
     rng = derive_rng(seed, shell.k, label)
     prof = sample_profile(params, label, shell, count, rng, stratify=False)
     dirs = random_directions(prof.count, params.n - 1, rng)
-    pts = [Point(float(t), r * d) for t, r, d in zip(prof.t, prof.r, dirs)]
-    return pts[:count]
+    return prof.t[:count], (prof.r[:, None] * dirs)[:count]
+
+
+def sample_region(params: CuspParams, scheme: str, label: RegionLabel, shell: Shell, count: int,
+                  seed: int) -> list[Point]:
+    """`sample_region_points` as a list of Points."""
+    t, X = sample_region_points(params, scheme, label, shell, count, seed)
+    return [Point(float(ti), xi) for ti, xi in zip(t, X)]
 
 
 def shells(k_min: int, k_max: int) -> list[Shell]:

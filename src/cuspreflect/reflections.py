@@ -33,24 +33,33 @@ All charts restrict to the identity on the cusp boundary |x| = t^s, and the
 outer charts map their collar onto the cusp core with image radius bands
 [0, 1/6], [1/6, 1/2], [1/2, 1] (R1) and [0, 1/2], [1/2, 1] (R2) in units of
 t^s.  The charts are orientation reversing: det < 0 everywhere.
+
+The maps work on point batches: `apply_points`, `differential_points`,
+`differential_fd_points` and `invert_points` take t of shape (N,) and cross
+sections X of shape (N, n-1), dispatch every point to its own piece, and
+raise for the first point off the chart.  `apply`, `differential`,
+`differential_fd` and `invert` are their one-row cases on a Point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ChartDomainError, InterfaceError, SingularityError, WindowError
+from .errors import ChartDomainError, InterfaceError
 from .geometry import (
-    REL_TOL,
     CuspParams,
     Point,
     RegionLabel,
     as_point,
+    as_points,
     classify,
+    first_flagged,
+    on_cusp_wall,
+    radii,
+    select_first,
 )
 
 
@@ -67,6 +76,13 @@ _CHART_PIECES: dict[ChartId, tuple[str, ...]] = {
     ChartId.R2Outer: ("D", "E"),
 }
 
+# The scheme table: each scheme's charts, its outer chart first.  Every
+# scheme -> chart -> region lookup in the package goes through it.
+SCHEME_CHARTS: dict[str, tuple[ChartId, ...]] = {
+    "R1": (ChartId.R1Outer, ChartId.R1Inner),
+    "R2": (ChartId.R2Outer,),
+}
+
 _PIECE_REGION: dict[str, RegionLabel] = {
     "A": RegionLabel.RegionA,
     "B": RegionLabel.RegionB,
@@ -79,10 +95,6 @@ _PIECE_REGION: dict[str, RegionLabel] = {
 }
 
 _REGION_PIECE = {v: k for k, v in _PIECE_REGION.items()}
-
-# Test hook: when set to (i, j), the assembled analytic differential matrix
-# has that entry negated, so oracle comparisons must fail.
-_perturb_entry: tuple[int, int] | None = None
 
 
 def piece_of_region(label: RegionLabel) -> str:
@@ -97,6 +109,24 @@ def chart_of_region(label: RegionLabel) -> ChartId:
         if _REGION_PIECE.get(label) in pieces:
             return chart
     raise ValueError(f"{label.value} does not belong to any chart")
+
+
+def chart_regions(chart: ChartId) -> tuple[RegionLabel, ...]:
+    """Region labels of the chart's pieces, in dispatch order."""
+    return tuple(_PIECE_REGION[piece] for piece in _CHART_PIECES[chart])
+
+
+def scheme_of(chart: ChartId) -> str:
+    return next(scheme for scheme, charts in SCHEME_CHARTS.items() if chart in charts)
+
+
+def outer_chart(scheme: str) -> ChartId:
+    return SCHEME_CHARTS[scheme][0]
+
+
+# The collar regions, A to E: the pieces of both schemes' outer charts.
+COLLAR_REGIONS = tuple(label for scheme in SCHEME_CHARTS
+                       for label in chart_regions(outer_chart(scheme)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +246,14 @@ def piece_profile(piece: str, params: CuspParams, t, r):
     return _EVALS[piece](params, np.asarray(t, dtype=float), np.asarray(r, dtype=float))
 
 
-def profile_jet(piece: str, params: CuspParams, t, r):
-    """Vectorised (T, phi, opnorm, det) of a piece at profile points.
+def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r):
+    """(tangential stretch, opnorm, det) from the profile block.
 
     The operator norm is the largest singular value: the max of the profile
-    2x2 block's top singular value and the tangential stretch phi/r.  The
-    determinant carries the orientation sign: det2x2 * (phi/r)^(n-2).
+    2x2 block's top singular value and the tangential stretch phi/r (phi_r
+    on the axis, where pieces have phi ~ r).  The determinant carries the
+    orientation sign: det2x2 * (phi/r)^(n-2).
     """
-    n = params.n
-    T, T_t, T_r, phi, phi_t, phi_r = piece_profile(piece, params, t, r)
-    r = np.asarray(r, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         tang = np.where(r > 0.0, phi / np.where(r > 0.0, r, 1.0), phi_r)
     det2 = T_t * phi_r - T_r * phi_t
@@ -234,79 +262,124 @@ def profile_jet(piece: str, params: CuspParams, t, r):
     sig_max = np.sqrt((ssum + disc) / 2.0)
     opnorm = np.maximum(sig_max, np.abs(tang))
     det = det2 * tang ** (n - 2)
+    return tang, opnorm, det
+
+
+def profile_jet(piece: str, params: CuspParams, t, r):
+    """Vectorised (T, phi, opnorm, det) of a piece at profile points."""
+    T, T_t, T_r, phi, phi_t, phi_r = piece_profile(piece, params, t, r)
+    _, opnorm, det = _jet_algebra(params.n, np.asarray(r, dtype=float), T_t, T_r, phi, phi_t, phi_r)
     return T, phi, opnorm, det
 
 
 # ---------------------------------------------------------------------------
-# Chart dispatch
+# Chart dispatch on point batches
 # ---------------------------------------------------------------------------
 
-def _on_cusp_wall(params: CuspParams, t: float, r: float) -> bool:
-    if not (0.0 < t <= 1.0):
-        return False
-    ts = t**params.s
-    return abs(r - ts) <= REL_TOL * max(ts, r)
-
-
-def _chart_piece(chart: ChartId, params: CuspParams, t: float, r: float) -> str | None:
-    """Piece key of the chart containing (t, r), closures included.
-
-    Returns None off the chart.  The inner chart accepts the closure edge
-    t = 1/2 (the formulas are regular there) even though the open core used
-    by `classify` stops strictly below it.
+def piece_index(chart: ChartId, params: CuspParams, t, r) -> np.ndarray:
+    """Index into the chart's pieces of the piece whose closure holds each
+    profile point (t, r), ties going to the earlier piece; -1 off the chart.
+    The inner chart accepts the closure edge t = 1/2 (the formulas are
+    regular there) even though the open core of `classify` stops below it.
     """
     s = params.s
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    at = np.abs(t)
+    ats = at**s
     if chart is ChartId.R1Outer:
-        if -0.5 < t <= 0.0 and r <= -t:
-            return "A"
-        if abs(t) < 0.5 and abs(t) <= r < 0.5:
-            return "B"
-        if 0.0 <= t < 0.5 and t**s <= r <= t:
-            return "C"
-        return None
-    if chart is ChartId.R1Inner:
-        if not (0.0 < t <= 0.5) or r >= t**s:
-            return None
-        ts = t**s
-        if r <= ts / 6.0:
-            return "P1"
-        if r <= ts / 3.0:
-            return "P2"
-        return "P3"
-    if -0.5 < t <= 0.0 and r <= (-t) ** s:
-        return "D"
-    if abs(t) < 0.5 and abs(t) ** s <= r < 0.5**s:
-        return "E"
-    return None
+        masks = [
+            (-0.5 < t) & (t <= 0.0) & (r <= -t),
+            (at < 0.5) & (at <= r) & (r < 0.5),
+            (0.0 <= t) & (t < 0.5) & (ats <= r) & (r <= t),
+        ]
+    elif chart is ChartId.R1Inner:
+        core = (0.0 < t) & (t <= 0.5) & (r < ats)
+        masks = [core & (r <= ats / 6.0), core & (r <= ats / 3.0), core]
+    else:
+        masks = [
+            (-0.5 < t) & (t <= 0.0) & (r <= ats),
+            (at < 0.5) & (ats <= r) & (r < 0.5**s),
+        ]
+    return select_first(masks, range(len(masks)), -1)
+
+
+# Per piece, with ts = |t|^s: the coordinatewise distances from (t, r) to
+# the nearest interface (piece interfaces and the cusp wall; the formulas
+# are one-sidedly analytic at domain closure edges such as t = -1/2) and to
+# the kinks of the piece's own formula (t = 0 for fractional powers of t,
+# r = 0 for x/|x| factors).  The formulas extend analytically across the
+# interfaces, so finite differencing one formula only has to avoid kinks.
+_GAPS = {
+    "A": lambda t, r, ts: (-t - r, -t),
+    "B": lambda t, r, ts: (r - np.abs(t), r),
+    "C": lambda t, r, ts: (np.minimum(r - ts, t - r), np.minimum(t, r)),
+    "D": lambda t, r, ts: (ts - r, np.full_like(t, np.inf)),
+    "E": lambda t, r, ts: (r - ts, r),
+    "P1": lambda t, r, ts: (ts / 6.0 - r, t),
+    "P2": lambda t, r, ts: (np.minimum(r - ts / 6.0, ts / 3.0 - r), np.minimum(t, r)),
+    "P3": lambda t, r, ts: (np.minimum(r - ts / 3.0, ts - r), np.minimum(t, r)),
+}
+
+
+def piece_gaps(piece: str, params: CuspParams, t, r):
+    """(interface gap, kink gap) of profile points of one piece (see `_GAPS`);
+    the smaller is the room a central-difference stencil has."""
+    t = np.asarray(t, dtype=float)
+    return _GAPS[piece](t, np.asarray(r, dtype=float), np.abs(t) ** params.s)
+
+
+def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r) -> np.ndarray:
+    """Rows T, T_t, T_r, phi, phi_t, phi_r, interface gap and kink gap of
+    each point's own piece (idx from `piece_index`); nan off the chart."""
+    out = np.full((8, idx.size), np.nan)
+    for i, piece in enumerate(_CHART_PIECES[chart]):
+        m = idx == i
+        if m.any():
+            out[:, m] = (*piece_profile(piece, params, t[m], r[m]),
+                         *piece_gaps(piece, params, t[m], r[m]))
+    return out
+
+
+def fd_step(t, r) -> np.ndarray:
+    """Central-difference step per point: h = max(1e-6, 1e-6 * |z|)."""
+    return np.maximum(1e-6, 1e-6 * np.hypot(t, r))
 
 
 def _domain_error(chart: ChartId, params: CuspParams, z: Point) -> ChartDomainError:
-    label = classify(params, "R2" if chart is ChartId.R2Outer else "R1", z)
+    label = classify(params, scheme_of(chart), z)
     return ChartDomainError(
         f"point {z!r} is outside the domain of {chart.value}: it classifies to {label.value}",
         label=label,
     )
 
 
-def apply(chart: ChartId, params: CuspParams, z) -> Point:
-    """Evaluate the chart at z; cusp-boundary points map to themselves.
+def _along(phi, X, r) -> np.ndarray:
+    """phi * x/|x| row by row; 0 on the axis."""
+    pos = r > 0.0
+    return np.where(pos[:, None], phi[:, None] * (X / np.where(pos, r, 1.0)[:, None]), 0.0)
 
-    The image direction x/|x| is preserved (all pieces are axisymmetric).
-    Points off the chart raise ChartDomainError carrying their region label.
-    """
+
+def apply_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray, np.ndarray]:
+    """Chart images (T, X_img) of a point batch.  Cusp-boundary points map
+    to themselves and the image direction x/|x| is preserved (all pieces are
+    axisymmetric); the first point off the chart raises ChartDomainError
+    carrying its region label."""
+    t, X = as_points(t, X, params)
+    r = radii(X)
+    wall = on_cusp_wall(params, t, r)
+    idx = piece_index(chart, params, t, r)
+    if bad := first_flagged(~wall & (idx < 0), t, X):
+        raise _domain_error(chart, params, bad[1])
+    prof = _chart_profile(chart, params, idx, t, r)
+    return np.where(wall, t, prof[0]), np.where(wall[:, None], X, _along(prof[3], X, r))
+
+
+def apply(chart: ChartId, params: CuspParams, z) -> Point:
+    """Evaluate the chart at z: the one-row case of `apply_points`."""
     p = as_point(z, params)
-    t, r = p.t, p.r
-    if _on_cusp_wall(params, t, r):
-        return Point(p.t, p.x.copy())
-    piece = _chart_piece(chart, params, t, r)
-    if piece is None:
-        raise _domain_error(chart, params, p)
-    T, phi, _, _ = profile_jet(piece, params, t, r)
-    if r > 0.0:
-        x_img = float(phi) * (p.x / r)
-    else:
-        x_img = np.zeros_like(p.x)
-    return Point(float(T), x_img)
+    T, X_img = apply_points(chart, params, [p.t], p.x[None, :])
+    return Point(float(T[0]), X_img[0])
 
 
 @dataclass(frozen=True)
@@ -319,205 +392,147 @@ class Jet:
     opnorm: float
 
 
-def _assemble_matrix(params: CuspParams, u_hat: np.ndarray, T_t, T_r, phi_t, phi_r, tang) -> np.ndarray:
-    n = params.n
-    M = np.zeros((n, n))
-    M[0, 0] = T_t
-    M[0, 1:] = T_r * u_hat
-    M[1:, 0] = phi_t * u_hat
-    M[1:, 1:] = tang * (np.eye(n - 1) - np.outer(u_hat, u_hat)) + phi_r * np.outer(u_hat, u_hat)
+def _jacobian_matrices(u_hat, T_t, T_r, phi_t, phi_r, tang) -> np.ndarray:
+    """(N, n, n) differentials [[T_t, T_r u^T], [phi_t u, tang (I - u u^T) +
+    phi_r u u^T]] from the profile block and the unit directions u."""
+    count, m = u_hat.shape
+    uu = u_hat[:, :, None] * u_hat[:, None, :]
+    M = np.empty((count, m + 1, m + 1))
+    M[:, 0, 0] = T_t
+    M[:, 0, 1:] = T_r[:, None] * u_hat
+    M[:, 1:, 0] = phi_t[:, None] * u_hat
+    M[:, 1:, 1:] = tang[:, None, None] * (np.eye(m) - uu) + phi_r[:, None, None] * uu
     return M
 
 
-def _interface_gap(params: CuspParams, piece: str, t: float, r: float) -> float:
-    """Coordinatewise distance from (t, r) to the nearest surface where the
-    chart switches formula (piece-to-piece interfaces and the cusp wall).
-
-    Domain closure edges (t = -1/2, t = 1/2, r = 1/2, ...) are not included:
-    the piece formulas are one-sidedly analytic there.
-    """
-    s = params.s
-    if piece == "A":
-        return (-t) - r
-    if piece == "B":
-        return r - abs(t)
-    if piece == "C":
-        return min(r - t**s, t - r)
-    if piece == "D":
-        return (-t) ** s - r
-    if piece == "E":
-        return r - abs(t) ** s
-    ts = t**s
-    if piece == "P1":
-        return ts / 6.0 - r
-    if piece == "P2":
-        return min(r - ts / 6.0, ts / 3.0 - r)
-    return min(r - ts / 3.0, ts - r)
-
-
-def _smoothness_gap(piece: str, t: float, r: float) -> float:
-    """Coordinatewise distance from (t, r) to the kinks of the piece's own
-    formula (t = 0 for fractional powers of t, r = 0 for x/|x| factors).
-
-    The formulas extend analytically across the piece interfaces, so finite
-    differencing one piece's formula only has to avoid these kinks.
-    """
-    if piece == "A":
-        return -t
-    if piece in ("B", "E"):
-        return r
-    if piece == "D":
-        return math.inf
-    if piece == "P1":
-        return t
-    return min(t, r)  # C, P2, P3
+def differential_points(chart: ChartId, params: CuspParams, t, X):
+    """Analytic differentials (T, X_img, M, det, opnorm), M of shape
+    (N, n, n), of a point batch strictly inside chart pieces; det and opnorm
+    come from the profile block, as in `profile_jet`.  The first point on
+    the cusp wall or a piece interface raises InterfaceError, the first
+    point off the chart ChartDomainError."""
+    t, X = as_points(t, X, params)
+    r = radii(X)
+    wall = on_cusp_wall(params, t, r)
+    idx = piece_index(chart, params, t, r)
+    T, T_t, T_r, phi, phi_t, phi_r, interface, _ = _chart_profile(chart, params, idx, t, r)
+    if bad := first_flagged(wall | (idx < 0) | (interface <= 0.0), t, X):
+        i, z = bad
+        if wall[i]:
+            raise InterfaceError(f"differential undefined on the cusp boundary at {z!r}")
+        if idx[i] < 0:
+            raise _domain_error(chart, params, z)
+        piece = _CHART_PIECES[chart][idx[i]]
+        raise InterfaceError(f"point {z!r} sits on an interface of piece {piece}")
+    tang, opnorm, det = _jet_algebra(params.n, r, T_t, T_r, phi, phi_t, phi_r)
+    pos = r > 0.0
+    u_hat = np.where(pos[:, None], X / np.where(pos, r, 1.0)[:, None], np.eye(1, params.n - 1))
+    M = _jacobian_matrices(u_hat, T_t, T_r, phi_t, phi_r, tang)
+    return T, _along(phi, X, r), M, det, opnorm
 
 
 def differential(chart: ChartId, params: CuspParams, z) -> Jet:
-    """Analytic differential at a point strictly inside one chart piece."""
+    """Analytic differential at a point strictly inside one chart piece: the
+    one-row case of `differential_points`."""
     p = as_point(z, params)
-    t, r = p.t, p.r
-    if _on_cusp_wall(params, t, r):
-        raise InterfaceError(f"differential undefined on the cusp boundary at {p!r}")
-    piece = _chart_piece(chart, params, t, r)
-    if piece is None:
-        raise _domain_error(chart, params, p)
-    if _interface_gap(params, piece, t, r) <= 0.0:
-        raise InterfaceError(f"point {p!r} sits on an interface of piece {piece}")
-    T, T_t, T_r, phi, phi_t, phi_r = piece_profile(piece, params, t, r)
-    if r > 0.0:
-        u_hat = p.x / r
-        tang = float(phi) / r
-        x_img = float(phi) * u_hat
-    else:
-        u_hat = np.zeros(params.n - 1)
-        u_hat[0] = 1.0
-        tang = float(phi_r)  # pieces containing the axis have phi ~ r
-        x_img = np.zeros(params.n - 1)
-    M = _assemble_matrix(params, u_hat, float(T_t), float(T_r), float(phi_t), float(phi_r), tang)
-    if _perturb_entry is not None:
-        M = M.copy()
-        M[_perturb_entry] = -M[_perturb_entry]
-    det2 = float(T_t) * float(phi_r) - float(T_r) * float(phi_t)
-    det = det2 * tang ** (params.n - 2)
-    ssum = float(T_t) ** 2 + float(T_r) ** 2 + float(phi_t) ** 2 + float(phi_r) ** 2
-    disc = math.sqrt(max(ssum**2 - 4.0 * det2**2, 0.0))
-    opnorm = max(math.sqrt((ssum + disc) / 2.0), abs(tang))
-    return Jet(Point(float(T), x_img), M, det, opnorm)
+    T, X_img, M, det, opnorm = differential_points(chart, params, [p.t], p.x[None, :])
+    return Jet(Point(float(T[0]), X_img[0]), M[0], float(det[0]), float(opnorm[0]))
 
 
-def fd_step(z: Point) -> float:
-    """Central-difference step: h = max(1e-6, 1e-6 * |z|)."""
-    return max(1e-6, 1e-6 * z.norm)
+def _piece_map(chart: ChartId, params: CuspParams, idx, Z) -> np.ndarray:
+    """Each row's own piece formula (T, phi x/|x|) at raw coordinates Z."""
+    t, X = Z[:, 0], Z[:, 1:]
+    r = radii(X)
+    prof = _chart_profile(chart, params, idx, t, r)
+    return np.column_stack([prof[0], _along(prof[3], X, r)])
 
 
-def _apply_piece_formula(piece: str, params: CuspParams, coords: np.ndarray) -> np.ndarray:
-    """Evaluate one piece's closed-form map on a raw coordinate vector."""
-    t = float(coords[0])
-    x = coords[1:]
-    r = float(np.linalg.norm(x))
-    T, _, _, phi, _, _ = piece_profile(piece, params, t, r)
-    img = np.empty_like(coords)
-    img[0] = float(T)
-    img[1:] = float(phi) * (x / r) if r > 0.0 else 0.0
-    return img
-
-
-def differential_fd(chart: ChartId, params: CuspParams, z, h: float | None = None) -> np.ndarray:
-    """Finite-difference oracle: componentwise central differences of the
-    piece map containing z.
-
-    The point must lie in (the closure of) one piece, with its interface
-    gaps and the formula kinks at least 2h away so the stencil samples a
-    single smooth formula.
+def differential_fd_points(chart: ChartId, params: CuspParams, t, X, h=None) -> np.ndarray:
+    """Finite-difference oracle, shape (N, n, n): componentwise central
+    differences of the piece map containing each point, with step `h`
+    (default `fd_step`).  Every point must lie in (the closure of) one
+    piece with its interfaces and formula kinks more than 2h away, so the
+    stencil samples a single smooth formula; the first that does not raises.
     """
-    p = as_point(z, params)
-    if h is None:
-        h = fd_step(p)
-    piece = _chart_piece(chart, params, p.t, p.r)
-    if piece is None:
-        raise _domain_error(chart, params, p)
-    gap = min(_smoothness_gap(piece, p.t, p.r), _interface_gap(params, piece, p.t, p.r))
-    if gap <= 2.0 * h:
+    t, X = as_points(t, X, params)
+    r = radii(X)
+    h = np.broadcast_to(fd_step(t, r) if h is None else np.asarray(h, dtype=float), t.shape)
+    idx = piece_index(chart, params, t, r)
+    _, _, _, _, _, _, interface, kink = _chart_profile(chart, params, idx, t, r)
+    if bad := first_flagged((idx < 0) | (np.minimum(kink, interface) <= 2.0 * h), t, X):
+        i, z = bad
+        if idx[i] < 0:
+            raise _domain_error(chart, params, z)
         raise InterfaceError(
-            f"point {p!r} is within 2h={2 * h:.3g} of an interface/kink of piece {piece}"
+            f"point {z!r} is within 2h={2 * h[i]:.3g} of an interface/kink of piece "
+            f"{_CHART_PIECES[chart][idx[i]]}"
         )
-    n = params.n
-    base = p.as_array()
-    M = np.zeros((n, n))
-    for j in range(n):
-        zp, zm = base.copy(), base.copy()
-        zp[j] += h
-        zm[j] -= h
-        fp = _apply_piece_formula(piece, params, zp)
-        fm = _apply_piece_formula(piece, params, zm)
-        M[:, j] = (fp - fm) / (2.0 * h)
+    Z = np.column_stack([t, X])
+    M = np.empty((t.size, params.n, params.n))
+    for j in range(params.n):
+        step = np.zeros_like(Z)
+        step[:, j] = h
+        fp = _piece_map(chart, params, idx, Z + step)
+        fm = _piece_map(chart, params, idx, Z - step)
+        M[:, :, j] = (fp - fm) / (2.0 * h)[:, None]
     return M
 
 
-def invert(chart: ChartId, params: CuspParams, w) -> Point:
-    """Closed-form inverse of the chart, dispatched on the image bands.
+def differential_fd(chart: ChartId, params: CuspParams, z, h: float | None = None) -> np.ndarray:
+    """Finite-difference oracle at one point: the one-row case of
+    `differential_fd_points`."""
+    p = as_point(z, params)
+    return differential_fd_points(chart, params, [p.t], p.x[None, :], h)[0]
 
-    R1Outer and R2Outer invert from the cusp core (radius bands in units of
-    t^s: [0,1/6]/[1/6,1/2]/[1/2,1] and [0,1/2]/[1/2,1]); R1Inner inverts
-    from the R1 collar.  Cusp-boundary points return themselves.
+
+def invert_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form inverse of the chart on a point batch, dispatched on the
+    image bands: R1Outer and R2Outer invert from the cusp core (radius bands
+    in units of t^s: [0,1/6]/[1/6,1/2]/[1/2,1] and [0,1/2]/[1/2,1]), R1Inner
+    from the R1 collar.  Cusp-boundary points return themselves; the first
+    point outside the chart's image raises ChartDomainError.
     """
-    p = as_point(w, params)
+    t, X = as_points(t, X, params)
     s = params.s
-    t, r = p.t, p.r
-    if _on_cusp_wall(params, t, r):
-        return Point(p.t, p.x.copy())
-    u_hat = p.x / r if r > 0.0 else np.zeros(params.n - 1)
-
-    if chart in (ChartId.R1Outer, ChartId.R2Outer):
-        if not (0.0 < t <= 0.5) or r > t**s:
-            raise _domain_error(chart, params, p)
-        ts = t**s
-        if chart is ChartId.R1Outer:
-            if r <= ts / 6.0:
-                # A: t' = -t, x' = |t'|^(s-1) x / 6
-                src_t = -t
-                src_r = 6.0 * r * t ** (1.0 - s)
-            elif r <= ts / 2.0:
-                # B: radial profile (tau/6) t'^(s-1) + t'^s/3 at |x| = t'
-                src_t = (6.0 * r - 2.0 * ts) * t ** (1.0 - s)
-                src_r = t
-            else:
-                lam, mu, _, _ = _lam_mu(s, t)
-                src_t = t
-                src_r = (r - mu) / lam
+    r = radii(X)
+    wall = on_cusp_wall(params, t, r)
+    at = np.abs(t)
+    ts = at**s
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if chart is ChartId.R1Inner:
+            # the image is the R1 collar; the bands mirror the piece images
+            a = 1.5 * (1.0 - t ** (1.0 - s))
+            b = (3.0 * t - ts) / 2.0
+            bands = [
+                (t <= 0.0) & (r <= -t) & (t > -0.5),
+                (0.0 < t) & (t < 0.5) & (ts <= r) & (r <= t),
+                (at <= r) & (r < 0.5) & (at < 0.5),
+            ]
+            src_t = [-t, t, r]
+            src_r = [r * (-t) ** (s - 1.0) / 6.0, (r - b) / a,
+                     (t + 3.0 * r) * r ** (s - 1.0) / 12.0]
         else:
-            if r <= ts / 2.0:
-                src_t = -t
-                src_r = 2.0 * r
+            core = (0.0 < t) & (t <= 0.5) & (r <= ts)
+            if chart is ChartId.R1Outer:
+                # A: t' = -t, x' = |t'|^(s-1) x / 6; B: radial profile
+                # (tau/6) t'^(s-1) + t'^s/3 at |x| = t'; C: lam x + mu x/|x|
+                lam, mu, _, _ = _lam_mu(s, t)
+                bands = [core & (r <= ts / 6.0), core & (r <= ts / 2.0), core]
+                src_t = [-t, (6.0 * r - 2.0 * ts) * t ** (1.0 - s), t]
+                src_r = [6.0 * r * t ** (1.0 - s), t, (r - mu) / lam]
             else:
-                src_t = 4.0 * t * r / ts - 3.0 * t
-                src_r = ts
-        return Point(float(src_t), float(src_r) * u_hat if r > 0.0 else np.zeros(params.n - 1))
-
-    # R1Inner: image is the R1 collar; dispatch mirrors the piece images.
-    if t <= 0.0 and r <= -t and t > -0.5:
-        src_t = -t
-        src_r = r * src_t ** (s - 1.0) / 6.0
-    elif 0.0 < t < 0.5 and t**s <= r <= t:
-        a = 1.5 * (1.0 - t ** (1.0 - s))
-        b = (3.0 * t - t**s) / 2.0
-        src_t = t
-        src_r = (r - b) / a
-    elif abs(t) <= r < 0.5 and abs(t) < 0.5:
-        src_t = r
-        src_r = (t + 3.0 * r) * r ** (s - 1.0) / 12.0
-    else:
-        raise _domain_error(chart, params, p)
-    return Point(float(src_t), float(src_r) * u_hat if r > 0.0 else np.zeros(params.n - 1))
+                bands = [core & (r <= ts / 2.0), core]
+                src_t = [-t, 4.0 * t * r / ts - 3.0 * t]
+                src_r = [2.0 * r, ts]
+    if bad := first_flagged(~wall & ~select_first(bands, [True] * len(bands), False), t, X):
+        raise _domain_error(chart, params, bad[1])
+    T = np.where(wall, t, select_first(bands, src_t, 0.0))
+    return T, np.where(wall[:, None], X, _along(select_first(bands, src_r, 0.0), X, r))
 
 
-def distortion(chart: ChartId, params: CuspParams, z, p: float) -> float:
-    """Pointwise p-distortion opnorm^p / |det| of the chart at z."""
-    if p < 1.0:
-        raise WindowError(f"distortion exponent must satisfy p >= 1, got {p}")
-    jet = differential(chart, params, z)
-    adet = abs(jet.det)
-    if adet < 1e-300:
-        raise SingularityError(f"Jacobian determinant underflow at {z!r}")
-    return jet.opnorm**p / adet
+def invert(chart: ChartId, params: CuspParams, w) -> Point:
+    """Closed-form inverse of the chart at w: the one-row case of
+    `invert_points`."""
+    p = as_point(w, params)
+    T, X_src = invert_points(chart, params, [p.t], p.x[None, :])
+    return Point(float(T[0]), X_src[0])

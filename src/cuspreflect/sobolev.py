@@ -128,26 +128,6 @@ def _check_pq(p: float, q: float):
         raise WindowError(f"exponents must satisfy 1 <= q < p, got p={p}, q={q}")
 
 
-@dataclass(frozen=True)
-class ExponentPair:
-    """A (p, q) pair with 1 <= q < p, as used by the composition estimates."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        _check_pq(self.p, self.q)
-
-
-_DISTORTION_REGIONS = {
-    RegionLabel.RegionA,
-    RegionLabel.RegionB,
-    RegionLabel.RegionC,
-    RegionLabel.RegionD,
-    RegionLabel.RegionE,
-}
-
-
 def predicted_shell_exponent(region: RegionLabel, p: float, q: float, n: int, s: float) -> float:
     """Analytic power e with shell-k distortion mass ~ 2^(-k(e+1)).
 
@@ -314,7 +294,7 @@ def distortion_sweep(
     cells = list(cells)
     for p, q in cells:
         _check_pq(p, q)
-    if region not in _DISTORTION_REGIONS:
+    if region not in reflections.COLLAR_REGIONS:
         raise ValueError(f"distortion integral is defined on A..E, not {region.value}")
     if reflections.chart_of_region(region) is not chart:
         raise ValueError(f"{region.value} is not a piece of chart {chart.value}")

@@ -1,4 +1,5 @@
-"""Shared fixtures and the brute-force quadrature oracle.
+"""Shared fixtures, a planted differential fault, the child-process
+environment and the brute-force quadrature oracle.
 
 The oracle integrates profile integrands over region/shell intersections by
 dense midpoint rules (log-spaced in the radial direction where integrands
@@ -8,15 +9,40 @@ used to check.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cuspreflect
+import cuspreflect.reflections as refl
 from cuspreflect.geometry import CuspParams, RegionLabel, Shell, unit_ball_volume
 
 
 @pytest.fixture
 def params():
     return CuspParams(3, 2.0)
+
+
+def package_env() -> dict:
+    """Environment for a child interpreter that imports the package from
+    where this process found it."""
+    src = str(Path(cuspreflect.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def negate_entry(i, j):
+    """The differential's matrix assembly with entry (i, j) negated: a
+    planted fault for `monkeypatch.setattr(refl, "_jacobian_matrices", ...)`."""
+    assemble = refl._jacobian_matrices
+
+    def planted(*args):
+        M = assemble(*args)
+        M[:, i, j] = -M[:, i, j]
+        return M
+
+    return planted
 
 
 def brute_shell_integral(

@@ -5,7 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import negate_entry, package_env
 
+import cuspreflect
 import cuspreflect.reflections as refl
 from cuspreflect.cli import main
 
@@ -44,7 +46,7 @@ class TestExitCodes:
     def _spawn(self, args):
         return subprocess.run(
             [sys.executable, "-m", "cuspreflect", *args],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
 
     def test_parse_error_is_2(self):
@@ -206,8 +208,20 @@ class TestVerify:
         # in the acceptance tests
         import cuspreflect.checks as checks
 
-        res = checks.check_fd_agreement(__import__("cuspreflect").CuspParams(3, 2.0), 30, 1)
+        res = checks.check_fd_agreement(cuspreflect.CuspParams(3, 2.0), 30, 1)
         assert res.passed
-        monkeypatch.setattr(refl, "_perturb_entry", (1, 0))
-        res = checks.check_fd_agreement(__import__("cuspreflect").CuspParams(3, 2.0), 30, 1)
+        monkeypatch.setattr(refl, "_jacobian_matrices", negate_entry(1, 0))
+        res = checks.check_fd_agreement(cuspreflect.CuspParams(3, 2.0), 30, 1)
         assert not res.passed
+
+    def test_manifest_times_every_check(self, tmp_path):
+        import cuspreflect.checks as checks
+
+        out = tmp_path / "verify.csv"
+        assert run_cli(["verify", "--out", str(out)]) == 0
+        assert open(out).readline().strip() == "name,samples,worst_error,threshold,pass"
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        names = {name for name in dir(checks) if name.startswith("check_")}
+        assert set(manifest["check_s"]) == names
+        assert all(seconds >= 0.0 for seconds in manifest["check_s"].values())
+        assert sum(manifest["check_s"].values()) <= manifest["wall_time_s"] + 0.01

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import package_env
 
 from cuspreflect.errors import ChartDomainError, WindowError
 from cuspreflect.extension import (
@@ -218,7 +219,7 @@ class TestCutoff:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, cuspreflect; print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=package_env(),
         )
         assert proc.stdout.strip() == "False"
 

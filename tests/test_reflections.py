@@ -2,18 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from conftest import negate_entry
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cuspreflect.reflections as refl
-from cuspreflect.errors import ChartDomainError, InterfaceError, WindowError
+from cuspreflect.errors import ChartDomainError, InterfaceError
 from cuspreflect.geometry import CuspParams, Point, RegionLabel, Shell, sample_region
 from cuspreflect.reflections import (
     ChartId,
     apply,
     differential,
     differential_fd,
-    distortion,
     invert,
 )
 
@@ -187,10 +187,8 @@ class TestFiniteDifferences:
                 pts = sample_region(params, scheme, label, Shell(2), 40, 17)
                 checked = 0
                 for z in pts:
-                    piece = refl._chart_piece(chart, params, z.t, z.r)
-                    gap = min(refl._interface_gap(params, piece, z.t, z.r),
-                              refl._smoothness_gap(piece, z.t, z.r))
-                    if gap < 4e-6:
+                    piece = refl.piece_of_region(label)
+                    if min(refl.piece_gaps(piece, params, z.t, z.r)) < 4e-6:
                         continue
                     A = differential(chart, params, z).differential
                     F = differential_fd(chart, params, z)
@@ -231,28 +229,6 @@ class TestInvert:
                         assert np.max(np.abs(ww.as_array() - w.as_array())) < 1e-8
 
 
-class TestDistortion:
-    def test_piece_d(self, params):
-        # opnorm^p / |det| = 1 / (1/4) = 4 at p = 2, n = 3
-        val = distortion(ChartId.R2Outer, params, Point(-0.3, [0.02, 0.0]), 2.0)
-        assert val == pytest.approx(4.0, rel=1e-12)
-
-    def test_inner_piece1(self, params):
-        # 12^2 / 144 = 1 at t = 1/2
-        val = distortion(ChartId.R1Inner, params, Point(0.5, [1e-9, 0.0]), 2.0)
-        assert val == pytest.approx(1.0, rel=1e-9)
-
-    def test_piece_a(self, params):
-        val = distortion(ChartId.R1Outer, params, Point(-0.25, [0.1, 0.0]), 1.0)
-        jet = differential(ChartId.R1Outer, params, Point(-0.25, [0.1, 0.0]))
-        assert val == pytest.approx(jet.opnorm * 576.0, rel=1e-12)
-        assert 1.0 <= jet.opnorm < 1.5
-
-    def test_rejects_small_p(self, params):
-        with pytest.raises(WindowError):
-            distortion(ChartId.R2Outer, params, Point(-0.3, [0.02, 0.0]), 0.5)
-
-
 class TestBoundaryAndInterfaces:
     def test_boundary_fixity_fine(self):
         for n, s in [(3, 1.5), (3, 2.0), (4, 3.0)]:
@@ -287,14 +263,11 @@ class TestBoundaryAndInterfaces:
             assert math.hypot(Tm - Tp, Pm - Pp) < 1e-12
 
 
-def test_fault_hook_breaks_fd_agreement(params):
+def test_fault_hook_breaks_fd_agreement(params, monkeypatch):
     z = Point(-0.25, [0.1, 0.0])
     clean = differential(ChartId.R1Outer, params, z).differential
     F = differential_fd(ChartId.R1Outer, params, z)
     assert np.max(np.abs(clean - F)) < 1e-6
-    refl._perturb_entry = (1, 1)
-    try:
-        corrupt = differential(ChartId.R1Outer, params, z).differential
-        assert np.max(np.abs(corrupt - F)) > 1e-3
-    finally:
-        refl._perturb_entry = None
+    monkeypatch.setattr(refl, "_jacobian_matrices", negate_entry(1, 1))
+    corrupt = differential(ChartId.R1Outer, params, z).differential
+    assert np.max(np.abs(corrupt - F)) > 1e-3

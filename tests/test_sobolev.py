@@ -13,7 +13,6 @@ from cuspreflect.extension import Constant, PowerAlpha
 from cuspreflect.geometry import CuspParams, RegionLabel, Shell, shells
 from cuspreflect.reflections import ChartId
 from cuspreflect.sobolev import (
-    ExponentPair,
     ShellSum,
     convergence_verdict,
     distortion_integral,
@@ -118,15 +117,6 @@ class TestPredictedExponent:
         for n, s, p in [(3, 2.0, 2.0), (4, 1.5, 3.0), (3, 3.0, 5.0)]:
             qm = sobolev.q_max(scheme, p, n, s)
             assert predicted_shell_exponent(region, p, qm, n, s) == pytest.approx(-1.0, abs=1e-12)
-
-
-class TestExponentPair:
-    def test_validates(self):
-        ExponentPair(2.0, 1.5)
-        with pytest.raises(WindowError):
-            ExponentPair(2.0, 2.0)
-        with pytest.raises(WindowError):
-            ExponentPair(2.0, 0.5)
 
 
 class TestShellSumVerdict:

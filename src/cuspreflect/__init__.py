@@ -13,7 +13,6 @@ from .extension import (
     Direction,
     ExtensionSpec,
     PowerAlpha,
-    RadialBump,
     cutoff_psi,
     extend_eval,
     extend_global,

@@ -193,11 +193,11 @@ def cmd_scaling(args) -> int:
     params = _params(args)
     start = time.perf_counter()
     collar = {reflections.piece_of_region(label): label for label in reflections.COLLAR_REGIONS}
-    labels = (
-        [collar[r.strip().upper()] for r in args.regions.split(",")]
-        if args.regions
-        else list(collar.values())
-    )
+    letters = [r.strip().upper() for r in args.regions.split(",")] if args.regions else collar
+    for letter in letters:
+        if letter not in collar:
+            raise WindowError(f"unknown region {letter!r} (use {','.join(collar)})")
+    labels = [collar[letter] for letter in letters]
     rows = []
     for label in labels:
         shl = shells(args.k_min, args.k_max)
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("holder", help="oscillation/diameter exponent probe")
     common(sp)
     sp.add_argument("--t-values", help="comma list of heights in (0, 1/2)")
-    sp.add_argument("--radial-samples", type=int, default=64)
+    sp.add_argument("--radial-samples", type=_positive_int, default=64)
     sp.add_argument("--out", default="holder.csv")
     sp.set_defaults(func=cmd_holder)
     return parser

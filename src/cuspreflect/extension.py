@@ -101,51 +101,6 @@ class ClampT(TestFunction):
         return g_t, np.zeros_like(np.asarray(X, dtype=float))
 
 
-@dataclass(frozen=True, eq=False)
-class RadialBump(TestFunction):
-    """Smooth bump exp(1 - 1/(1 - rho^2)) of the scaled distance to `center`."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(-1))
-        if not (self.radius > 0.0):
-            raise WindowError("bump radius must be positive")
-
-    def _rho(self, t, X):
-        d = np.hypot(
-            np.asarray(t, dtype=float) - self.center[0],
-            np.linalg.norm(np.asarray(X, dtype=float) - self.center[1:], axis=1),
-        )
-        return d / self.radius
-
-    def value_points(self, t, X):
-        rho = self._rho(t, X)
-        out = np.zeros_like(rho)
-        inside = rho < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - rho[inside] ** 2))
-        return out
-
-    def gradient_points(self, t, X):
-        t = np.asarray(t, dtype=float)
-        X = np.asarray(X, dtype=float)
-        diff_t = t - self.center[0]
-        diff_x = X - self.center[1:]
-        d = np.hypot(diff_t, np.linalg.norm(diff_x, axis=1))
-        rho = d / self.radius
-        g_t = np.zeros_like(t)
-        g_x = np.zeros_like(X)
-        inside = (rho < 1.0) & (d > 0.0)
-        if np.any(inside):
-            w = np.exp(1.0 - 1.0 / (1.0 - rho[inside] ** 2))
-            dw = w * (-2.0 * rho[inside] / (1.0 - rho[inside] ** 2) ** 2)
-            scale = dw / (self.radius * d[inside])
-            g_t[inside] = scale * diff_t[inside]
-            g_x[inside] = scale[:, None] * diff_x[inside]
-        return g_t, g_x
-
-
 @dataclass(frozen=True)
 class Constant(TestFunction):
     c: float
@@ -423,8 +378,7 @@ def _composed_terms(
         g_t, g_x = u.gradient_points(T, X)
         g_par = np.sum(g_x * dirs, axis=1)
         g_perp = g_x - g_par[:, None] * dirs
-        with np.errstate(invalid="ignore", divide="ignore"):
-            tang = np.where(r > 0.0, phi / np.where(r > 0.0, r, 1.0), phi_r)
+        tang = reflections.tangential_stretch(r, phi, phi_r)
         d_t = g_t * T_t + g_par * phi_t
         d_rad = g_t * T_r + g_par * phi_r
         d_perp2 = tang**2 * np.sum(g_perp**2, axis=1)

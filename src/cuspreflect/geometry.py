@@ -12,10 +12,13 @@ Two collar neighbourhoods support the reflection charts:
 
 `classify` partitions collar \\ closure(domain) into pieces A, B, C (R1) or
 D, E (R2), and under R1 splits the cusp core {0 < t < 1/2, |x| < t^s} into
-three inner bands with radius breakpoints t^s/6 and t^s/3.  Everything here
-is axisymmetric in x, so the heavy lifting happens in profile coordinates
-(t, r) with r = |x|; a point contributes Lebesgue measure with the weight
-of the (n-2)-sphere of radius r.
+three inner bands with radius breakpoints t^s/6 and t^s/3.  The region
+table below states each piece's chart, scheme and closed shape once; the
+classification, the chart dispatch of `reflections` and the samplers' scheme
+checks all read it.  Everything here is axisymmetric in x, so the heavy
+lifting happens in profile coordinates (t, r) with r = |x|; a point
+contributes Lebesgue measure with the weight of the (n-2)-sphere of radius
+r.
 
 Dyadic shells stratify the singular integrals: shell k covers the region's
 scale variable (|t| for A, C, D, E and the inner bands; |x| for B) in
@@ -142,6 +145,98 @@ class RegionLabel(Enum):
     Origin = "Origin"
 
 
+# ---------------------------------------------------------------------------
+# Region table
+# ---------------------------------------------------------------------------
+
+class ChartId(Enum):
+    R1Outer = "R1Outer"
+    R1Inner = "R1Inner"
+    R2Outer = "R2Outer"
+
+
+# The scheme table: each scheme's charts, its outer chart first.
+SCHEME_CHARTS: dict[str, tuple[ChartId, ...]] = {
+    "R1": (ChartId.R1Outer, ChartId.R1Inner),
+    "R2": (ChartId.R2Outer,),
+}
+
+
+def _core(t, r, ts):
+    """The cusp core 0 < t <= 1/2, r < t^s, with its closure edge t = 1/2."""
+    return (0.0 < t) & (t <= 0.5) & (r < ts)
+
+
+# The region table: every chart region's chart, piece name and closed shape
+# in profile coordinates (t, r), r = |x|, as a mask of (t, r, ts = |t|^s, s).
+# Each chart's rows are in dispatch order: a point on an interface lies in
+# both neighbours' shapes and goes to the earlier row.  The collar regions
+# lie in the open collar box |t| < 1/2, r < 1/2 (r < (1/2)^s for R2), the
+# inner bands in the cusp core.  Every region inequality of the package is
+# stated here once.
+_REGIONS = {
+    RegionLabel.RegionA: (ChartId.R1Outer, "A",
+                          lambda t, r, ts, s: (-0.5 < t) & (t <= 0.0) & (r <= -t)),
+    RegionLabel.RegionB: (ChartId.R1Outer, "B",
+                          lambda t, r, ts, s: (np.abs(t) < 0.5) & (np.abs(t) <= r) & (r < 0.5)),
+    RegionLabel.RegionC: (ChartId.R1Outer, "C",
+                          lambda t, r, ts, s: (0.0 <= t) & (t < 0.5) & (ts <= r) & (r <= t)),
+    RegionLabel.InnerPiece1: (ChartId.R1Inner, "P1",
+                              lambda t, r, ts, s: _core(t, r, ts) & (r <= ts / 6.0)),
+    RegionLabel.InnerPiece2: (ChartId.R1Inner, "P2",
+                              lambda t, r, ts, s: _core(t, r, ts) & (r <= ts / 3.0)),
+    RegionLabel.InnerPiece3: (ChartId.R1Inner, "P3", lambda t, r, ts, s: _core(t, r, ts)),
+    RegionLabel.RegionD: (ChartId.R2Outer, "D",
+                          lambda t, r, ts, s: (-0.5 < t) & (t <= 0.0) & (r <= ts)),
+    RegionLabel.RegionE: (ChartId.R2Outer, "E",
+                          lambda t, r, ts, s: (np.abs(t) < 0.5) & (ts <= r) & (r < 0.5**s)),
+}
+
+_CHART_REGIONS = {chart: tuple(label for label, row in _REGIONS.items() if row[0] is chart)
+                  for chart in ChartId}
+
+
+def chart_regions(chart: ChartId) -> tuple[RegionLabel, ...]:
+    """Region labels of the chart's pieces, in dispatch order."""
+    return _CHART_REGIONS[chart]
+
+
+def chart_of_region(label: RegionLabel) -> ChartId:
+    try:
+        return _REGIONS[label][0]
+    except KeyError:
+        raise ValueError(f"{label.value} does not belong to any chart") from None
+
+
+def piece_of_region(label: RegionLabel) -> str:
+    try:
+        return _REGIONS[label][1]
+    except KeyError:
+        raise ValueError(f"{label.value} is not a chart piece") from None
+
+
+def scheme_of(chart: ChartId) -> str:
+    return next(scheme for scheme, charts in SCHEME_CHARTS.items() if chart in charts)
+
+
+def outer_chart(scheme: str) -> ChartId:
+    return SCHEME_CHARTS[scheme][0]
+
+
+# The collar regions, A to E: the pieces of both schemes' outer charts.
+COLLAR_REGIONS = tuple(label for scheme in SCHEME_CHARTS
+                       for label in chart_regions(outer_chart(scheme)))
+
+
+def region_masks(params: CuspParams, chart: ChartId, t, r) -> list[np.ndarray]:
+    """Masks of the closed shapes of the chart's regions at profile points
+    (t, r), in dispatch order (see `_REGIONS`)."""
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    ts = np.abs(t) ** params.s
+    return [_REGIONS[label][2](t, r, ts, params.s) for label in chart_regions(chart)]
+
+
 @dataclass(frozen=True)
 class Shell:
     """Dyadic shell k >= 1: the scale variable lies in [2^-(k+1), 2^-k]."""
@@ -186,49 +281,33 @@ def on_cusp_wall(params: CuspParams, t, r):
 def classify_profile(params: CuspParams, scheme: str, t, r):
     """Vectorised region classification in profile coordinates.
 
-    Tie-break rule: interface points go to the earlier region in the order
-    A, B, C (resp. D, E; inner band 1, 2, 3), implemented by the mask order
-    below.  Points within REL_TOL (relative to the local cusp radius) of
-    |x| = t^s with 0 < t <= 1 report BoundaryCusp.
+    The first matching step labels a point: Origin, then BoundaryCusp
+    (within REL_TOL, relative to the local cusp radius, of |x| = t^s with
+    0 < t <= 1), under R1 the inner bands below t = 1/2, CuspInterior,
+    BallInterior, and the collar regions of the scheme's outer chart.  The
+    bands and collar regions are the closed shapes of the region table, so
+    interface points go to the earlier region in the order A, B, C (resp.
+    D, E; inner band 1, 2, 3).
     """
     scheme = _check_scheme(scheme)
-    s = params.s
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    out = np.full(np.broadcast(t, r).shape, RegionLabel.OutsideNeighborhood, dtype=object)
-    unset = np.ones(out.shape, dtype=bool)
-
-    def take(mask, label):
-        nonlocal unset
-        m = mask & unset
-        out[m] = label
-        unset &= ~m
-
-    take(np.hypot(t, r) <= ORIGIN_TOL, RegionLabel.Origin)
-
-    take(on_cusp_wall(params, t, r) & ~_inside_ball(t, r, REL_TOL), RegionLabel.BoundaryCusp)
-
-    with np.errstate(invalid="ignore"):
-        ts = np.where(t > 0, t, np.nan) ** s
-
-    in_cusp = (t > 0) & (t <= 1.0) & (r < ts)
+    steps = [
+        (np.hypot(t, r) <= ORIGIN_TOL, RegionLabel.Origin),
+        (on_cusp_wall(params, t, r) & ~_inside_ball(t, r, REL_TOL), RegionLabel.BoundaryCusp),
+    ]
     if scheme == "R1":
-        core = in_cusp & (t < 0.5)
-        take(core & (r <= ts / 6.0), RegionLabel.InnerPiece1)
-        take(core & (r <= ts / 3.0), RegionLabel.InnerPiece2)
-        take(core, RegionLabel.InnerPiece3)
-    take(in_cusp, RegionLabel.CuspInterior)
-    take(_inside_ball(t, r), RegionLabel.BallInterior)
-
-    if scheme == "R1":
-        take((t > -0.5) & (t <= 0) & (r <= -t), RegionLabel.RegionA)
-        take((np.abs(t) < 0.5) & (np.abs(t) <= r) & (r < 0.5), RegionLabel.RegionB)
-        take((t >= 0) & (t < 0.5) & (ts <= r) & (r <= t), RegionLabel.RegionC)
-    else:
-        abs_ts = np.abs(t) ** s
-        take((t > -0.5) & (t <= 0) & (r <= abs_ts), RegionLabel.RegionD)
-        take((np.abs(t) < 0.5) & (abs_ts < r) & (r < 0.5**s), RegionLabel.RegionE)
-    return out
+        steps += zip([m & (t < 0.5) for m in region_masks(params, ChartId.R1Inner, t, r)],
+                     chart_regions(ChartId.R1Inner))
+    steps += [
+        ((t > 0) & (t <= 1.0) & (r < np.abs(t) ** params.s), RegionLabel.CuspInterior),
+        (_inside_ball(t, r), RegionLabel.BallInterior),
+    ]
+    chart = outer_chart(scheme)
+    steps += zip(region_masks(params, chart, t, r), chart_regions(chart))
+    masks, labels = zip(*steps)
+    step = select_first(masks, range(len(masks)), len(masks))
+    return np.array([*labels, RegionLabel.OutsideNeighborhood], dtype=object)[step]
 
 
 def classify(params: CuspParams, scheme: str, z) -> RegionLabel:
@@ -240,7 +319,7 @@ def classify(params: CuspParams, scheme: str, z) -> RegionLabel:
 
 def _check_scheme(scheme: str) -> str:
     name = str(scheme).upper()
-    if name not in ("R1", "R2"):
+    if name not in SCHEME_CHARTS:
         raise ValueError(f"scheme must be 'R1' or 'R2', got {scheme!r}")
     return name
 
@@ -291,8 +370,6 @@ SAMPLEABLE = tuple(_QUAD)
 
 
 def _scheme_of_label(label: RegionLabel) -> str | None:
-    from .reflections import chart_of_region, scheme_of  # reflections imports this module
-
     try:
         return scheme_of(chart_of_region(label))
     except ValueError:

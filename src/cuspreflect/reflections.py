@@ -36,97 +36,39 @@ t^s.  The charts are orientation reversing: det < 0 everywhere.
 
 The maps work on point batches: `apply_points`, `differential_points`,
 `differential_fd_points` and `invert_points` take t of shape (N,) and cross
-sections X of shape (N, n-1), dispatch every point to its own piece, and
-raise for the first point off the chart.  `apply`, `differential`,
+sections X of shape (N, n-1), dispatch every point to the piece whose
+closed region (a row of the region table in `geometry`) holds it, and raise
+for the first point off the chart.  `apply`, `differential`,
 `differential_fd` and `invert` are their one-row cases on a Point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ChartDomainError, InterfaceError
-from .geometry import (
+from .geometry import (  # noqa: F401 - the region table's names stay importable from here
+    COLLAR_REGIONS,
+    SCHEME_CHARTS,
+    ChartId,
     CuspParams,
     Point,
-    RegionLabel,
     as_point,
     as_points,
+    chart_of_region,
+    chart_regions,
     classify,
     first_flagged,
     on_cusp_wall,
+    outer_chart,
+    piece_of_region,
     radii,
+    region_masks,
+    scheme_of,
     select_first,
 )
-
-
-class ChartId(Enum):
-    R1Outer = "R1Outer"
-    R1Inner = "R1Inner"
-    R2Outer = "R2Outer"
-
-
-# Piece keys, in dispatch order (ties go to the earlier piece).
-_CHART_PIECES: dict[ChartId, tuple[str, ...]] = {
-    ChartId.R1Outer: ("A", "B", "C"),
-    ChartId.R1Inner: ("P1", "P2", "P3"),
-    ChartId.R2Outer: ("D", "E"),
-}
-
-# The scheme table: each scheme's charts, its outer chart first.  Every
-# scheme -> chart -> region lookup in the package goes through it.
-SCHEME_CHARTS: dict[str, tuple[ChartId, ...]] = {
-    "R1": (ChartId.R1Outer, ChartId.R1Inner),
-    "R2": (ChartId.R2Outer,),
-}
-
-_PIECE_REGION: dict[str, RegionLabel] = {
-    "A": RegionLabel.RegionA,
-    "B": RegionLabel.RegionB,
-    "C": RegionLabel.RegionC,
-    "D": RegionLabel.RegionD,
-    "E": RegionLabel.RegionE,
-    "P1": RegionLabel.InnerPiece1,
-    "P2": RegionLabel.InnerPiece2,
-    "P3": RegionLabel.InnerPiece3,
-}
-
-_REGION_PIECE = {v: k for k, v in _PIECE_REGION.items()}
-
-
-def piece_of_region(label: RegionLabel) -> str:
-    try:
-        return _REGION_PIECE[label]
-    except KeyError:
-        raise ValueError(f"{label.value} is not a chart piece") from None
-
-
-def chart_of_region(label: RegionLabel) -> ChartId:
-    for chart, pieces in _CHART_PIECES.items():
-        if _REGION_PIECE.get(label) in pieces:
-            return chart
-    raise ValueError(f"{label.value} does not belong to any chart")
-
-
-def chart_regions(chart: ChartId) -> tuple[RegionLabel, ...]:
-    """Region labels of the chart's pieces, in dispatch order."""
-    return tuple(_PIECE_REGION[piece] for piece in _CHART_PIECES[chart])
-
-
-def scheme_of(chart: ChartId) -> str:
-    return next(scheme for scheme, charts in SCHEME_CHARTS.items() if chart in charts)
-
-
-def outer_chart(scheme: str) -> ChartId:
-    return SCHEME_CHARTS[scheme][0]
-
-
-# The collar regions, A to E: the pieces of both schemes' outer charts.
-COLLAR_REGIONS = tuple(label for scheme in SCHEME_CHARTS
-                       for label in chart_regions(outer_chart(scheme)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +188,21 @@ def piece_profile(piece: str, params: CuspParams, t, r):
     return _EVALS[piece](params, np.asarray(t, dtype=float), np.asarray(r, dtype=float))
 
 
+def tangential_stretch(r, phi, phi_r):
+    """The stretch phi/r of a piece across the radial direction; phi_r on
+    the axis, where pieces have phi ~ r."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(r > 0.0, phi / np.where(r > 0.0, r, 1.0), phi_r)
+
+
 def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r):
     """(tangential stretch, opnorm, det) from the profile block.
 
     The operator norm is the largest singular value: the max of the profile
-    2x2 block's top singular value and the tangential stretch phi/r (phi_r
-    on the axis, where pieces have phi ~ r).  The determinant carries the
-    orientation sign: det2x2 * (phi/r)^(n-2).
+    2x2 block's top singular value and the tangential stretch.  The
+    determinant carries the orientation sign: det2x2 * (phi/r)^(n-2).
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tang = np.where(r > 0.0, phi / np.where(r > 0.0, r, 1.0), phi_r)
+    tang = tangential_stretch(r, phi, phi_r)
     det2 = T_t * phi_r - T_r * phi_t
     ssum = T_t**2 + T_r**2 + phi_t**2 + phi_r**2
     disc = np.sqrt(np.maximum(ssum**2 - 4.0 * det2**2, 0.0))
@@ -279,28 +226,11 @@ def profile_jet(piece: str, params: CuspParams, t, r):
 def piece_index(chart: ChartId, params: CuspParams, t, r) -> np.ndarray:
     """Index into the chart's pieces of the piece whose closure holds each
     profile point (t, r), ties going to the earlier piece; -1 off the chart.
-    The inner chart accepts the closure edge t = 1/2 (the formulas are
-    regular there) even though the open core of `classify` stops below it.
+    The closures are the shapes of the region table (`region_masks`); the
+    inner chart accepts the closure edge t = 1/2 (the formulas are regular
+    there) even though the open core of `classify` stops below it.
     """
-    s = params.s
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    at = np.abs(t)
-    ats = at**s
-    if chart is ChartId.R1Outer:
-        masks = [
-            (-0.5 < t) & (t <= 0.0) & (r <= -t),
-            (at < 0.5) & (at <= r) & (r < 0.5),
-            (0.0 <= t) & (t < 0.5) & (ats <= r) & (r <= t),
-        ]
-    elif chart is ChartId.R1Inner:
-        core = (0.0 < t) & (t <= 0.5) & (r < ats)
-        masks = [core & (r <= ats / 6.0), core & (r <= ats / 3.0), core]
-    else:
-        masks = [
-            (-0.5 < t) & (t <= 0.0) & (r <= ats),
-            (at < 0.5) & (ats <= r) & (r < 0.5**s),
-        ]
+    masks = region_masks(params, chart, t, r)
     return select_first(masks, range(len(masks)), -1)
 
 
@@ -333,9 +263,10 @@ def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r) -> np.ndarray:
     """Rows T, T_t, T_r, phi, phi_t, phi_r, interface gap and kink gap of
     each point's own piece (idx from `piece_index`); nan off the chart."""
     out = np.full((8, idx.size), np.nan)
-    for i, piece in enumerate(_CHART_PIECES[chart]):
+    for i, label in enumerate(chart_regions(chart)):
         m = idx == i
         if m.any():
+            piece = piece_of_region(label)
             out[:, m] = (*piece_profile(piece, params, t[m], r[m]),
                          *piece_gaps(piece, params, t[m], r[m]))
     return out
@@ -422,7 +353,7 @@ def differential_points(chart: ChartId, params: CuspParams, t, X):
             raise InterfaceError(f"differential undefined on the cusp boundary at {z!r}")
         if idx[i] < 0:
             raise _domain_error(chart, params, z)
-        piece = _CHART_PIECES[chart][idx[i]]
+        piece = piece_of_region(chart_regions(chart)[idx[i]])
         raise InterfaceError(f"point {z!r} sits on an interface of piece {piece}")
     tang, opnorm, det = _jet_algebra(params.n, r, T_t, T_r, phi, phi_t, phi_r)
     pos = r > 0.0
@@ -465,7 +396,7 @@ def differential_fd_points(chart: ChartId, params: CuspParams, t, X, h=None) -> 
             raise _domain_error(chart, params, z)
         raise InterfaceError(
             f"point {z!r} is within 2h={2 * h[i]:.3g} of an interface/kink of piece "
-            f"{_CHART_PIECES[chart][idx[i]]}"
+            f"{piece_of_region(chart_regions(chart)[idx[i]])}"
         )
     Z = np.column_stack([t, X])
     M = np.empty((t.size, params.n, params.n))
@@ -496,18 +427,15 @@ def invert_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray,
     s = params.s
     r = radii(X)
     wall = on_cusp_wall(params, t, r)
-    at = np.abs(t)
-    ts = at**s
+    ts = np.abs(t) ** s
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if chart is ChartId.R1Inner:
-            # the image is the R1 collar; the bands mirror the piece images
+            # the image is the R1 collar; the bands are the collar regions
+            # in the order A, C, B, so a tie at r = t goes to C
             a = 1.5 * (1.0 - t ** (1.0 - s))
             b = (3.0 * t - ts) / 2.0
-            bands = [
-                (t <= 0.0) & (r <= -t) & (t > -0.5),
-                (0.0 < t) & (t < 0.5) & (ts <= r) & (r <= t),
-                (at <= r) & (r < 0.5) & (at < 0.5),
-            ]
+            in_a, in_b, in_c = region_masks(params, ChartId.R1Outer, t, r)
+            bands = [in_a, in_c, in_b]
             src_t = [-t, t, r]
             src_r = [r * (-t) ** (s - 1.0) / 6.0, (r - b) / a,
                      (t + 3.0 * r) * r ** (s - 1.0) / 12.0]

@@ -234,7 +234,6 @@ def shell_estimate(
     samples: int,
     rng_seed_parts: tuple,
     radial_tilt: float = 0.0,
-    max_retries: int = MAX_RETRIES,
 ) -> float:
     """Stratified estimate of one shell integral.
 
@@ -244,7 +243,7 @@ def shell_estimate(
     since genuinely divergent exponents overflow by design.
     """
     seed, k, salt = rng_seed_parts
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         rng = derive_rng(seed, k, region, salt=f"{salt}#{attempt}" if attempt else salt)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             prof = sample_profile(params, region, shell, samples, rng, radial_tilt=radial_tilt)
@@ -356,6 +355,23 @@ def distortion_integral(
     return distortion_sweep(params, chart, region, [(p, q)], shells, samples_per_shell, seed)[0]
 
 
+def _function_shells(params, pointwise, region, shells, samples_per_shell, seed, salt):
+    """Shell sum of pointwise(t, X) over the region, X drawn in a uniform
+    direction at each sampled radius; each shell's stream is salted `salt`."""
+    dim = params.n - 1
+
+    def integrand(t, r, rng):
+        dirs = random_directions(t.size, dim, rng)
+        return pointwise(t, r[:, None] * dirs)
+
+    ks = [sh.k for sh in shells]
+    values = [
+        shell_estimate(params, region, sh, integrand, samples_per_shell, (seed, sh.k, salt))
+        for sh in shells
+    ]
+    return ShellSum.from_contributions(ks, values)
+
+
 def sobolev_seminorm(
     params: CuspParams,
     u,
@@ -369,21 +385,13 @@ def sobolev_seminorm(
     region (restricted to the t < 1/2 window the shells cover)."""
     if p < 1.0:
         raise WindowError(f"Sobolev exponent must satisfy p >= 1, got {p}")
-    dim = params.n - 1
 
-    def integrand(t, r, rng):
-        dirs = random_directions(t.size, dim, rng)
-        X = r[:, None] * dirs
+    def grad_norm_p(t, X):
         g_t, g_x = u.gradient_points(t, X)
         norm = np.sqrt(g_t**2 + np.sum(g_x**2, axis=1))
         return norm**p
 
-    ks = [sh.k for sh in shells]
-    values = [
-        shell_estimate(params, region, sh, integrand, samples_per_shell, (seed, sh.k, "semi"))
-        for sh in shells
-    ]
-    return ShellSum.from_contributions(ks, values)
+    return _function_shells(params, grad_norm_p, region, shells, samples_per_shell, seed, "semi")
 
 
 def lp_norm_term(
@@ -396,19 +404,8 @@ def lp_norm_term(
     seed: int = 42,
 ) -> ShellSum:
     """Shellwise estimate of the value term |u|^p over the region."""
-    dim = params.n - 1
-
-    def integrand(t, r, rng):
-        dirs = random_directions(t.size, dim, rng)
-        X = r[:, None] * dirs
-        return np.abs(u.value_points(t, X)) ** p
-
-    ks = [sh.k for sh in shells]
-    values = [
-        shell_estimate(params, region, sh, integrand, samples_per_shell, (seed, sh.k, "lp"))
-        for sh in shells
-    ]
-    return ShellSum.from_contributions(ks, values)
+    return _function_shells(params, lambda t, X: np.abs(u.value_points(t, X)) ** p,
+                            region, shells, samples_per_shell, seed, "lp")
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,7 @@ class TestInputHardening:
         ["sweep", "--samples", "0", "--grid", "2", "--k-max", "12"],
         ["sweep", "--grid", "0", "--samples", "64", "--k-max", "12"],
         ["extendnorm", "--p", "2", "--q", "1.1", "--samples", "-1", "--k-max", "12"],
+        ["holder", "--radial-samples", "0"],
     ])
     def test_nonpositive_counts_are_2(self, tmp_path, capsys, args):
         out = tmp_path / "out.csv"
@@ -91,6 +92,16 @@ class TestInputHardening:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--p" in err and "--q" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("letter", ["Q", "P1"])
+    def test_scaling_unknown_region_is_3(self, tmp_path, capsys, letter):
+        out = tmp_path / "out.csv"
+        assert run_cli(["scaling", "--regions", f"A,{letter}", "--samples", "64",
+                        "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown region '{letter}'")
+        assert "A,B,C,D,E" in err
         assert not out.exists()
 
     def test_region_e_retry_error_is_3(self, tmp_path, capsys):

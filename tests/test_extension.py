@@ -12,7 +12,6 @@ from cuspreflect.extension import (
     Direction,
     ExtensionSpec,
     PowerAlpha,
-    RadialBump,
     cutoff_psi,
     extend_eval,
     extend_global,
@@ -52,17 +51,9 @@ class TestTestFunctions:
         assert u.value(Point(0.1, [0.2, 0.0])) == 2.5
         assert np.all(u.gradient(Point(0.1, [0.2, 0.0])) == 0.0)
 
-    def test_bump_support_and_peak(self):
-        u = RadialBump(center=[0.0, 0.0, 0.0], radius=0.5)
-        assert u.value(Point(0.0, [0.0, 0.0])) == pytest.approx(1.0)
-        assert u.value(Point(0.6, [0.0, 0.0])) == 0.0
-        assert u.value(Point(0.0, [0.51, 0.0])) == 0.0
-
     @pytest.mark.parametrize("u,z", [
         (PowerAlpha(1.2), Point(0.3, [0.05, 0.02])),
         (ClampT(), Point(0.4, [0.1, 0.0])),
-        (RadialBump([0.1, 0.0, 0.0], 0.4), Point(0.2, [0.1, 0.05])),
-        (RadialBump([0.1, 0.02, 0.0], 0.4), Point(0.25, [0.12, -0.04])),
     ])
     def test_gradient_matches_fd(self, u, z):
         # central-difference oracle away from kinks

@@ -1,0 +1,48 @@
+"""Each module of the package imports only the modules below it.
+
+The layers, bottom first: errors < geometry < reflections < sobolev <
+extension < checks < cli.  Imports inside functions count as well, so a
+lower layer cannot reach an upper one by deferring the import.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cuspreflect
+
+LAYERS = ("errors", "geometry", "reflections", "sobolev", "extension", "checks", "cli")
+PACKAGE = Path(cuspreflect.__file__).parent
+
+
+def imported_layers(path: Path) -> set[str]:
+    """Package modules imported anywhere in the file, relatively or by name.
+    Names taken from the package itself (such as `__version__`) are not
+    modules and are left out."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("cuspreflect."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("cuspreflect"):
+                continue
+            inner = module.removeprefix("cuspreflect").lstrip(".") if node.level == 0 else module
+            if inner:
+                found.add(inner.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found & set(LAYERS)
+
+
+def test_every_module_has_a_layer():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert modules - {"__init__", "__main__"} == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_only_lower_layers(module):
+    below = set(LAYERS[:LAYERS.index(module)])
+    assert imported_layers(PACKAGE / f"{module}.py") <= below

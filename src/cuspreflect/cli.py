@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -220,16 +221,31 @@ def cmd_scaling(args) -> int:
 # extendnorm
 # ---------------------------------------------------------------------------
 
+def _function_number(kind: str, arg: str) -> float:
+    try:
+        value = float(arg)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise WindowError(f"{kind} needs a finite number, got {arg!r}")
+    return value
+
+
 def _parse_function(text: str):
-    kind, _, arg = text.partition(":")
+    """The test function of `--function`; every malformed value raises a
+    WindowError that names the flag."""
+    kind, colon, arg = text.partition(":")
     kind = kind.strip().lower()
-    if kind == "power":
-        return PowerAlpha(float(arg))
-    if kind == "clampt":
-        return ClampT()
-    if kind == "const":
-        return Constant(float(arg) if arg else 1.0)
-    raise WindowError(f"unknown test function {text!r} (use power:A, clampt, const:C)")
+    try:
+        if kind == "clampt" and not colon:
+            return ClampT()
+        if kind == "power":
+            return PowerAlpha(_function_number(kind, arg))
+        if kind == "const":
+            return Constant(_function_number(kind, arg) if colon else 1.0)
+        raise WindowError("use power:A, clampt or const:C")
+    except WindowError as exc:
+        raise WindowError(f"--function {text!r}: {exc}") from None
 
 
 def cmd_extendnorm(args) -> int:
@@ -288,11 +304,16 @@ def cmd_holder(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, minimum: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be a positive integer >= {minimum}, got {value}")
     return value
+
+
+def _radial_count(text: str) -> int:
+    """At least 2: with one radial sample per height every oscillation is 0."""
+    return _positive_int(text, minimum=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("holder", help="oscillation/diameter exponent probe")
     common(sp)
     sp.add_argument("--t-values", help="comma list of heights in (0, 1/2)")
-    sp.add_argument("--radial-samples", type=_positive_int, default=64)
+    sp.add_argument("--radial-samples", type=_radial_count, default=64)
     sp.add_argument("--out", default="holder.csv")
     sp.set_defaults(func=cmd_holder)
     return parser

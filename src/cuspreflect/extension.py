@@ -4,8 +4,9 @@ A function u on the cusp domain extends outward by composition with the
 outer chart (value u(R(z)) on the collar, u itself inside, 0 on the
 boundary null set); a function on the complement extends inward through the
 inner chart of the first reflection.  The analytic test-function families
-below come with exact gradients, so extension gradients are exact
-chain-rule products with the chart Jets.
+below depend on t alone and come with exact derivatives, so extension
+gradients are exact chain-rule products with the chart Jets; through a
+chart image T their norm is |u'(T)| |grad T|, with grad T = (T_t, T_r).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .geometry import (
     first_flagged,
     on_cusp_wall,
     radii,
-    random_directions,
     select_first,
 )
 from .reflections import ChartId
@@ -42,10 +42,12 @@ from .sobolev import ShellSum, Verdict, convergence_verdict, scaling_fit
 # ---------------------------------------------------------------------------
 
 class TestFunction:
-    """Analytic function with exact gradient; vectorised over point batches.
+    """Analytic function of t alone, u(t, x) = u(t), with exact derivative.
 
-    `value_points`/`gradient_points` take t of shape (N,) and cross-section
-    coordinates X of shape (N, n-1); gradients come back as (g_t, g_x).
+    A family defines the profile `value_t` (u) and `deriv_t` (u') on arrays
+    of t.  `value_points`/`gradient_points` take t of shape (N,) and
+    cross-section coordinates X of shape (N, n-1) and return u(t) and the
+    gradient (g_t, g_x) = (u'(t), 0).
     """
 
     def value(self, z) -> float:
@@ -57,16 +59,16 @@ class TestFunction:
         g_t, g_x = self.gradient_points(np.array([p.t]), p.x[None, :])
         return np.concatenate(([g_t[0]], g_x[0]))
 
-    def value_points(self, t, X):  # pragma: no cover - interface
-        raise NotImplementedError
+    def value_points(self, t, X):
+        return self.value_t(np.asarray(t, dtype=float))
 
-    def gradient_points(self, t, X):  # pragma: no cover - interface
-        raise NotImplementedError
+    def gradient_points(self, t, X):
+        return self.deriv_t(np.asarray(t, dtype=float)), np.zeros_like(np.asarray(X, dtype=float))
 
 
 @dataclass(frozen=True)
 class PowerAlpha(TestFunction):
-    """u(t, x) = t^(-alpha) on t > 0; the sharpness probe family."""
+    """u = t^(-alpha) on t > 0; the sharpness probe family."""
 
     alpha: float
 
@@ -74,43 +76,39 @@ class PowerAlpha(TestFunction):
         if not (self.alpha > 0.0):
             raise WindowError(f"power exponent must be positive, got {self.alpha}")
 
-    def value_points(self, t, X):
-        t = np.asarray(t, dtype=float)
+    def _check(self, t):
         if np.any(t <= 0.0):
             raise ValueError("t^(-alpha) probe is only defined for t > 0")
+
+    def value_t(self, t):
+        self._check(t)
         return t ** (-self.alpha)
 
-    def gradient_points(self, t, X):
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
-            raise ValueError("t^(-alpha) probe is only defined for t > 0")
-        g_t = -self.alpha * t ** (-self.alpha - 1.0)
-        return g_t, np.zeros_like(np.asarray(X, dtype=float))
+    def deriv_t(self, t):
+        self._check(t)
+        return -self.alpha * t ** (-self.alpha - 1.0)
 
 
 @dataclass(frozen=True)
 class ClampT(TestFunction):
-    """u(t, x) = clamp(t, 0, 1): the Lipschitz probe with kinks at t = 0, 1."""
+    """u = clamp(t, 0, 1): the Lipschitz probe with kinks at t = 0, 1."""
 
-    def value_points(self, t, X):
-        return np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    def value_t(self, t):
+        return np.clip(t, 0.0, 1.0)
 
-    def gradient_points(self, t, X):
-        t = np.asarray(t, dtype=float)
-        g_t = ((t > 0.0) & (t < 1.0)).astype(float)
-        return g_t, np.zeros_like(np.asarray(X, dtype=float))
+    def deriv_t(self, t):
+        return ((t > 0.0) & (t < 1.0)).astype(float)
 
 
 @dataclass(frozen=True)
 class Constant(TestFunction):
     c: float
 
-    def value_points(self, t, X):
-        return np.full(np.asarray(t, dtype=float).shape, self.c)
+    def value_t(self, t):
+        return np.full(np.shape(t), self.c)
 
-    def gradient_points(self, t, X):
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t), np.zeros_like(np.asarray(X, dtype=float))
+    def deriv_t(self, t):
+        return np.zeros_like(t)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +349,10 @@ def _composed_terms(
     samples: int,
     seed: int,
 ):
-    """One shell's (value, gradient) L^q masses of u o R over a collar piece."""
+    """One shell's (value, gradient) L^q masses of u o R over a collar piece:
+    u depends on t alone, so u o R = u(T) has gradient norm |u'(T)| |(T_t, T_r)|."""
     piece = reflections.piece_of_region(region)
-    n, s = params.n, params.s
-    dim = n - 1
+    s = params.s
 
     def tilt_for(kind: str) -> float:
         # Region E composes through T = r^(1/s): the power family pulls a
@@ -365,24 +363,14 @@ def _composed_terms(
         a = u.alpha
         return (a * q / s) if kind == "value" else ((a + s) * q / s)
 
-    def value_integrand(t, r, rng):
-        T, phi, _, _ = reflections.profile_jet(piece, params, t, r)
-        dirs = random_directions(t.size, dim, rng)
-        X = phi[:, None] * dirs
-        return np.abs(u.value_points(T, X)) ** q
+    def value_integrand(t, r):
+        T = reflections.piece_profile(piece, params, t, r)[0]
+        return np.abs(u.value_t(T)) ** q
 
-    def grad_integrand(t, r, rng):
-        T, T_t, T_r, phi, phi_t, phi_r = reflections.piece_profile(piece, params, t, r)
-        dirs = random_directions(t.size, dim, rng)
-        X = phi[:, None] * dirs
-        g_t, g_x = u.gradient_points(T, X)
-        g_par = np.sum(g_x * dirs, axis=1)
-        g_perp = g_x - g_par[:, None] * dirs
-        tang = reflections.tangential_stretch(r, phi, phi_r)
-        d_t = g_t * T_t + g_par * phi_t
-        d_rad = g_t * T_r + g_par * phi_r
-        d_perp2 = tang**2 * np.sum(g_perp**2, axis=1)
-        return (d_t**2 + d_rad**2 + d_perp2) ** (q / 2.0)
+    def grad_integrand(t, r):
+        T, T_t, T_r, _, _, _ = reflections.piece_profile(piece, params, t, r)
+        du = u.deriv_t(T)
+        return ((du * T_t) ** 2 + (du * T_r) ** 2) ** (q / 2.0)
 
     val = sobolev.shell_estimate(
         params, region, shell, value_integrand, samples, (seed, shell.k, "extval"),

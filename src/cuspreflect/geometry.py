@@ -460,11 +460,9 @@ class ProfileSample:
 
 def _strata(m1: int, m2: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Jittered m1 x m2 grid in the unit square, one sample per cell."""
-    i = np.repeat(np.arange(m1), m2)
-    j = np.tile(np.arange(m2), m1)
-    u1 = (i + rng.random(m1 * m2)) / m1
-    u2 = (j + rng.random(m1 * m2)) / m2
-    return u1, u2
+    u1 = (np.arange(m1)[:, None] + rng.random((m1, m2))) / m1
+    u2 = (np.arange(m2) + rng.random((m1, m2))) / m2
+    return u1.ravel(), u2.ravel()
 
 
 def _grid_shape(count: int) -> tuple[int, int]:

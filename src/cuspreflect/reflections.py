@@ -188,21 +188,17 @@ def piece_profile(piece: str, params: CuspParams, t, r):
     return _EVALS[piece](params, np.asarray(t, dtype=float), np.asarray(r, dtype=float))
 
 
-def tangential_stretch(r, phi, phi_r):
-    """The stretch phi/r of a piece across the radial direction; phi_r on
-    the axis, where pieces have phi ~ r."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(r > 0.0, phi / np.where(r > 0.0, r, 1.0), phi_r)
-
-
 def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r):
     """(tangential stretch, opnorm, det) from the profile block.
 
-    The operator norm is the largest singular value: the max of the profile
+    The tangential stretch is phi/r, the stretch across the radial
+    direction; on the axis, where pieces have phi ~ r, it is phi_r.  The
+    operator norm is the largest singular value: the max of the profile
     2x2 block's top singular value and the tangential stretch.  The
     determinant carries the orientation sign: det2x2 * (phi/r)^(n-2).
     """
-    tang = tangential_stretch(r, phi, phi_r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tang = np.where(r > 0.0, phi / np.where(r > 0.0, r, 1.0), phi_r)
     det2 = T_t * phi_r - T_r * phi_t
     ssum = T_t**2 + T_r**2 + phi_t**2 + phi_r**2
     disc = np.sqrt(np.maximum(ssum**2 - 4.0 * det2**2, 0.0))

@@ -37,7 +37,6 @@ from .geometry import (
     Shell,
     derive_rng,
     draw_scale,
-    random_directions,
     sample_profile,
 )
 from .reflections import ChartId
@@ -237,7 +236,7 @@ def shell_estimate(
 ) -> float:
     """Stratified estimate of one shell integral.
 
-    `integrand(t, r, rng)` returns pointwise values on profile samples.  nan
+    `integrand(t, r)` returns pointwise values on profile samples.  nan
     values (formula kinks hit head-on) trigger resampling of the whole shell
     with a fresh substream, a bounded number of times; inf values are kept,
     since genuinely divergent exponents overflow by design.
@@ -247,7 +246,7 @@ def shell_estimate(
         rng = derive_rng(seed, k, region, salt=f"{salt}#{attempt}" if attempt else salt)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             prof = sample_profile(params, region, shell, samples, rng, radial_tilt=radial_tilt)
-            vals = integrand(prof.t, prof.r, rng)
+            vals = integrand(prof.t, prof.r)
             weighted = prof.weight * vals
             if not np.any(np.isnan(weighted)):
                 return prof.measure * float(np.mean(weighted))
@@ -356,17 +355,12 @@ def distortion_integral(
 
 
 def _function_shells(params, pointwise, region, shells, samples_per_shell, seed, salt):
-    """Shell sum of pointwise(t, X) over the region, X drawn in a uniform
-    direction at each sampled radius; each shell's stream is salted `salt`."""
-    dim = params.n - 1
-
-    def integrand(t, r, rng):
-        dirs = random_directions(t.size, dim, rng)
-        return pointwise(t, r[:, None] * dirs)
-
+    """Shell sum of pointwise(t) over the region (u depends on t alone);
+    each shell's stream is salted `salt`."""
     ks = [sh.k for sh in shells]
     values = [
-        shell_estimate(params, region, sh, integrand, samples_per_shell, (seed, sh.k, salt))
+        shell_estimate(params, region, sh, lambda t, r: pointwise(t), samples_per_shell,
+                       (seed, sh.k, salt))
         for sh in shells
     ]
     return ShellSum.from_contributions(ks, values)
@@ -381,17 +375,13 @@ def sobolev_seminorm(
     samples_per_shell: int = 4096,
     seed: int = 42,
 ) -> ShellSum:
-    """Shellwise stratified estimate of the gradient term |Du|^p over the
-    region (restricted to the t < 1/2 window the shells cover)."""
+    """Shellwise stratified estimate of the gradient term |Du|^p = |u'(t)|^p
+    over the region (restricted to the t < 1/2 window the shells cover)."""
     if p < 1.0:
         raise WindowError(f"Sobolev exponent must satisfy p >= 1, got {p}")
-
-    def grad_norm_p(t, X):
-        g_t, g_x = u.gradient_points(t, X)
-        norm = np.sqrt(g_t**2 + np.sum(g_x**2, axis=1))
-        return norm**p
-
-    return _function_shells(params, grad_norm_p, region, shells, samples_per_shell, seed, "semi")
+    # sqrt(u'^2) rather than |u'|: a u' whose square overflows gives inf
+    return _function_shells(params, lambda t: np.sqrt(u.deriv_t(t) ** 2) ** p,
+                            region, shells, samples_per_shell, seed, "semi")
 
 
 def lp_norm_term(
@@ -403,8 +393,8 @@ def lp_norm_term(
     samples_per_shell: int = 4096,
     seed: int = 42,
 ) -> ShellSum:
-    """Shellwise estimate of the value term |u|^p over the region."""
-    return _function_shells(params, lambda t, X: np.abs(u.value_points(t, X)) ** p,
+    """Shellwise estimate of the value term |u(t)|^p over the region."""
+    return _function_shells(params, lambda t: np.abs(u.value_t(t)) ** p,
                             region, shells, samples_per_shell, seed, "lp")
 
 

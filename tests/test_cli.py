@@ -74,6 +74,7 @@ class TestInputHardening:
         ["sweep", "--grid", "0", "--samples", "64", "--k-max", "12"],
         ["extendnorm", "--p", "2", "--q", "1.1", "--samples", "-1", "--k-max", "12"],
         ["holder", "--radial-samples", "0"],
+        ["holder", "--radial-samples", "1"],
     ])
     def test_nonpositive_counts_are_2(self, tmp_path, capsys, args):
         out = tmp_path / "out.csv"
@@ -102,6 +103,22 @@ class TestInputHardening:
         err = capsys.readouterr().err
         assert err.startswith(f"error: unknown region '{letter}'")
         assert "A,B,C,D,E" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("function,reason", [
+        ("clampt:3", "use power:A, clampt or const:C"),
+        ("const:nan", "const needs a finite number"),
+        ("power:", "power needs a finite number"),
+        ("power:inf", "power needs a finite number"),
+        ("power:-1", "power exponent must be positive"),
+        ("bogus:2", "use power:A, clampt or const:C"),
+    ])
+    def test_bad_function_is_3(self, tmp_path, capsys, function, reason):
+        out = tmp_path / "out.csv"
+        assert run_cli(["extendnorm", "--function", function, "--p", "2", "--q", "1.1",
+                        "--samples", "64", "--k-max", "11", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --function {function!r}: {reason}")
         assert not out.exists()
 
     def test_region_e_retry_error_is_3(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import package_env
 
+from cuspreflect import extension, geometry, reflections, sobolev
 from cuspreflect.errors import ChartDomainError, WindowError
 from cuspreflect.extension import (
     ClampT,
@@ -20,7 +21,17 @@ from cuspreflect.extension import (
     holder_probe,
     membership_oracle,
 )
-from cuspreflect.geometry import CuspParams, Point, RegionLabel, Shell, sample_region, shells
+from cuspreflect.geometry import (
+    CuspParams,
+    Point,
+    RegionLabel,
+    Shell,
+    derive_rng,
+    random_directions,
+    sample_profile,
+    sample_region,
+    shells,
+)
 
 
 class TestTestFunctions:
@@ -283,6 +294,163 @@ class TestNormExperiment:
                                         shells(5, 24), 1024, 42)
         # q = 1.3 < q_max_r2 = 10/7: admissible through the second reflection
         assert rep.verdict.kind == "Convergent"
+
+
+# ---------------------------------------------------------------------------
+# The direction-drawing integrands that the t-only integrands replaced, kept
+# as the reference: each sample draws a uniform cross-section direction after
+# the profile and projects the gradient onto it and its complement.
+# ---------------------------------------------------------------------------
+
+def reference_shell_estimate(params, region, shell, integrand, samples, seed_parts,
+                             radial_tilt=0.0):
+    """`shell_estimate` with an integrand that also takes the shell's rng."""
+    seed, k, salt = seed_parts
+    for attempt in range(sobolev.MAX_RETRIES + 1):
+        rng = derive_rng(seed, k, region, salt=f"{salt}#{attempt}" if attempt else salt)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            prof = sample_profile(params, region, shell, samples, rng, radial_tilt=radial_tilt)
+            weighted = prof.weight * integrand(prof.t, prof.r, rng)
+            if not np.any(np.isnan(weighted)):
+                return prof.measure * float(np.mean(weighted))
+    raise sobolev.InterfaceRetryError(region, shell)
+
+
+def reference_composed_terms(params, u, q, region, shell, samples, seed):
+    piece = reflections.piece_of_region(region)
+    n, s = params.n, params.s
+    dim = n - 1
+    tilts = (0.0, 0.0)
+    if region is RegionLabel.RegionE and isinstance(u, PowerAlpha):
+        tilts = (u.alpha * q / s, (u.alpha + s) * q / s)
+
+    def value_integrand(t, r, rng):
+        T, phi, _, _ = reflections.profile_jet(piece, params, t, r)
+        dirs = random_directions(t.size, dim, rng)
+        return np.abs(u.value_points(T, phi[:, None] * dirs)) ** q
+
+    def grad_integrand(t, r, rng):
+        T, T_t, T_r, phi, phi_t, phi_r = reflections.piece_profile(piece, params, t, r)
+        dirs = random_directions(t.size, dim, rng)
+        g_t, g_x = u.gradient_points(T, phi[:, None] * dirs)
+        g_par = np.sum(g_x * dirs, axis=1)
+        g_perp = g_x - g_par[:, None] * dirs
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tang = np.where(r > 0.0, phi / np.where(r > 0.0, r, 1.0), phi_r)
+        d_t = g_t * T_t + g_par * phi_t
+        d_rad = g_t * T_r + g_par * phi_r
+        d_perp2 = tang**2 * np.sum(g_perp**2, axis=1)
+        return (d_t**2 + d_rad**2 + d_perp2) ** (q / 2.0)
+
+    return tuple(
+        reference_shell_estimate(params, region, shell, f, samples, (seed, shell.k, salt), tilt)
+        for f, salt, tilt in ((value_integrand, "extval", tilts[0]),
+                              (grad_integrand, "extgrad", tilts[1]))
+    )
+
+
+def reference_function_shells(params, u, p, shl, samples, seed):
+    """(lp_norm_term, sobolev_seminorm) contributions over the cusp window."""
+    dim = params.n - 1
+
+    def lp(t, X):
+        return np.abs(u.value_points(t, X)) ** p
+
+    def semi(t, X):
+        g_t, g_x = u.gradient_points(t, X)
+        return np.sqrt(g_t**2 + np.sum(g_x**2, axis=1)) ** p
+
+    def shells_of(pointwise, salt):
+        def integrand(t, r, rng):
+            return pointwise(t, r[:, None] * random_directions(t.size, dim, rng))
+
+        return [reference_shell_estimate(params, RegionLabel.CuspInterior, sh, integrand,
+                                         samples, (seed, sh.k, salt)) for sh in shl]
+
+    return shells_of(lp, "lp"), shells_of(semi, "semi")
+
+
+_FUNCTIONS = [PowerAlpha(1.2), ClampT(), Constant(2.5)]
+_PARAMS = [(3, 2.0), (4, 1.5)]
+
+
+class TestProfileIntegrands:
+    """The t-only integrands equal the direction-drawing reference bit for bit."""
+
+    @pytest.mark.parametrize("n,s", _PARAMS)
+    @pytest.mark.parametrize("u", _FUNCTIONS, ids=["power", "clampt", "const"])
+    @pytest.mark.parametrize("scheme", ["R1", "R2"])
+    def test_composed_terms_match_reference(self, n, s, u, scheme):
+        params = CuspParams(n, s)
+        spec = ExtensionSpec(scheme, Direction.FromInside)
+        q = 1.3
+        for region in reflections.chart_regions(spec.outer_chart):
+            for sh in shells(5, 10):
+                got = extension._composed_terms(params, spec, u, q, region, sh, 256, 7)
+                want = reference_composed_terms(params, u, q, region, sh, 256, 7)
+                assert got == want, (region, sh.k)
+
+    @pytest.mark.parametrize("n,s", _PARAMS)
+    @pytest.mark.parametrize("u", _FUNCTIONS, ids=["power", "clampt", "const"])
+    def test_function_shells_match_reference(self, n, s, u):
+        params = CuspParams(n, s)
+        shl = shells(3, 10)
+        lp = sobolev.lp_norm_term(params, u, RegionLabel.CuspInterior, 2.0, shl, 256, 7)
+        semi = sobolev.sobolev_seminorm(params, u, RegionLabel.CuspInterior, 2.0, shl, 256, 7)
+        want_lp, want_semi = reference_function_shells(params, u, 2.0, shl, 256, 7)
+        assert list(lp.contributions.values()) == want_lp
+        assert list(semi.contributions.values()) == want_semi
+
+
+# Float hex of extension_norm_experiment(n=3, s=2, power:1.4, p=2, k=5..12,
+# 256 samples, seed 7), recorded with the direction-drawing integrands.
+_PINNED = {
+    ("R1", 1.1): (
+        ["0x1.aab7a017a1149p-5", "0x1.379848a0933bep-6", "0x1.c3581434b3bd5p-8",
+         "0x1.484972b887604p-9", "0x1.de1eb5f9acfacp-11", "0x1.5b57c9ef74763p-12",
+         "0x1.f7cfa09085dcfp-14", "0x1.6e48a014103d2p-15"],
+        ["0x1.33b5b46fcf01ep+2", "0x1.de32b611bf6edp+1", "0x1.785e5bbe5a295p+1",
+         "0x1.2229710f0349dp+1", "0x1.c4e2bac1ce735p+0", "0x1.60c5d8024fe6ep+0",
+         "0x1.14091f6facbb1p+0", "0x1.ac43552b26c96p-1"],
+        "0x1.9fc7dc5def9a6p+1", "0x1.1de602ca09e2dp+2",
+    ),
+    ("R2", 1.3): (
+        ["0x1.455559b6ed866p-5", "0x1.4593f7203adbfp-6", "0x1.45a1e0c971611p-7",
+         "0x1.45a4ef67132dfp-8", "0x1.45a59ba64346cp-9", "0x1.45a5c171e9793p-10",
+         "0x1.45a5c9d84f2b1p-11", "0x1.45a5cbb3602b8p-12"],
+        ["0x1.0c1fe7c6cccbfp+1", "0x1.8895b2147fa2cp+0", "0x1.1775fce5268dap+0",
+         "0x1.86b168d205f13p-1", "0x1.0dd42f29c9ff1p-1", "0x1.718c29aa7cf87p-2",
+         "0x1.f740e9c85899cp-3", "0x1.54ddfb74e2e85p-3"],
+        "0x1.9fc7dc5def9a6p+1", "0x1.62df17f91a115p+0",
+    ),
+}
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("scheme,q", sorted(_PINNED))
+    def test_pinned_float_hex(self, params, scheme, q):
+        values, grads, u_norm, ratio = _PINNED[(scheme, q)]
+        rep = extension_norm_experiment(params, ExtensionSpec(scheme, Direction.FromInside),
+                                        PowerAlpha(1.4), 2.0, q, shells(5, 12), 256, 7)
+        assert [v.hex() for v in rep.value_sum.contributions.values()] == values
+        assert [v.hex() for v in rep.grad_sum.contributions.values()] == grads
+        assert (rep.u_norm.hex(), rep.ratio.hex()) == (u_norm, ratio)
+
+    def test_norm_terms_draw_no_directions(self, params, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random_directions called")
+
+        original = geometry.random_directions
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cuspreflect") and \
+                    getattr(module, "random_directions", None) is original:
+                monkeypatch.setattr(module, "random_directions", refuse)
+        u = PowerAlpha(1.4)
+        for scheme, q in sorted(_PINNED):
+            extension_norm_experiment(params, ExtensionSpec(scheme, Direction.FromInside), u,
+                                      2.0, q, shells(5, 10), 64, 7)
+        for term in (sobolev.sobolev_seminorm, sobolev.lp_norm_term):
+            term(params, ClampT(), RegionLabel.CuspInterior, 2.0, shells(3, 8), 64, 7)
 
 
 class TestHolderProbe:

@@ -238,7 +238,7 @@ def reference_distortion(params, region, p, q, shl, samples, seed):
     s = params.s
     tilt = (s - 1.0) * p * q / (s * (p - q)) if region is RegionLabel.RegionE else 0.0
 
-    def integrand(t, r, rng):
+    def integrand(t, r):
         _, _, opnorm, det = reflections.profile_jet(piece, params, t, r)
         return opnorm**P / np.abs(det) ** Q
 

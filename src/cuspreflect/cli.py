@@ -47,8 +47,19 @@ def _parse_point(text: str, n: int) -> Point:
     return Point(parts[0], parts[1:])
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+def _parse_floats(flag: str, text: str) -> list[float]:
+    """The finite numbers of a comma list; any other entry raises a
+    WindowError that names the flag."""
+    values = []
+    for entry in text.split(","):
+        try:
+            value = float(entry)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise WindowError(f"{flag} {text!r}: needs finite numbers, got {entry.strip()!r}")
+        values.append(value)
+    return values
 
 
 def _params(args) -> CuspParams:
@@ -141,7 +152,8 @@ def cmd_sweep(args) -> int:
     chart = reflections.outer_chart(scheme)
     regions = reflections.chart_regions(chart)
     if args.p is not None:
-        cells = [(p, q) for p in _parse_floats(args.p) for q in _parse_floats(args.q)]
+        cells = [(p, q) for p in _parse_floats("--p", args.p)
+                 for q in _parse_floats("--q", args.q)]
     else:
         cells = checks.sweep_grid(params, scheme, grid=args.grid)
     shl = shells(args.k_min, args.k_max)
@@ -287,7 +299,7 @@ def cmd_extendnorm(args) -> int:
 def cmd_holder(args) -> int:
     params = _params(args)
     start = time.perf_counter()
-    ts = (_parse_floats(args.t_values) if args.t_values
+    ts = (_parse_floats("--t-values", args.t_values) if args.t_values
           else [2.0 ** (-k) for k in range(3, 11)])
     probe = extension.holder_probe(params, ts, radial_samples=args.radial_samples)
     rows = [[t, o, d, probe.exponent]
@@ -400,7 +412,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (WindowError, ChartDomainError, InterfaceError, EmptyRegionError, ValueError,
-            sobolev.InterfaceRetryError) as exc:
+            sobolev.NonFiniteIntegrandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

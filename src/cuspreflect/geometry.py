@@ -434,12 +434,34 @@ def derive_rng(seed: int, k: int, label, salt: str = "") -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "little"))
 
 
-def _power_icdf(lo, hi, m: float, u):
-    """Inverse CDF of the density ~ x^m on [lo, hi] (log branch at m=-1)."""
-    if abs(m + 1.0) < 1e-14:
-        return lo * (hi / lo) ** u
+def _log_branch(p):
+    """Whether the power law x^(p-1) integrates to a log (p = 0): a bool,
+    or a bool column for a column of p; `None` when no entry does."""
+    log = abs(p) < 1e-14
+    return log if (log.any() if np.ndim(log) else log) else None
+
+
+def _power_icdf(lo, hi, m, u):
+    """Inverse CDF of the density ~ x^m on [lo, hi] (log branch at m=-1).
+    A column of exponents m gives one row of samples per exponent."""
     p = m + 1.0
-    return (lo**p + u * (hi**p - lo**p)) ** (1.0 / p)
+    log = _log_branch(p)
+    if log is None:
+        return (lo**p + u * (hi**p - lo**p)) ** (1.0 / p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(log, lo * (hi / lo) ** u,
+                        (lo**p + u * (hi**p - lo**p)) ** np.reciprocal(p))
+
+
+def _power_norm(lo, hi, m):
+    """`_pow_integral` on arrays: the integral of x^m over [lo, hi] per
+    element, with a column of exponents m giving one row per exponent."""
+    p = m + 1.0
+    log = _log_branch(p)
+    if log is None:
+        return (hi**p - lo**p) / p
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(log, np.log(hi / lo), (hi**p - lo**p) / np.asarray(p))
 
 
 @dataclass
@@ -447,15 +469,37 @@ class ProfileSample:
     """Weighted profile samples of region /\\ shell for quadrature.
 
     mean(weight * f(t, r)) estimates the measure-average of f; multiplying
-    by `measure` gives the shell integral.  `weight` absorbs any mismatch
-    between the sampling law and the true normalised measure.
+    by `measure` gives the shell integral.  The weight absorbs any mismatch
+    between the sampling law and the true normalised measure: the scale
+    draw's `base_weight` w, times r^tilt z_m / z_r where a radial tilt
+    reshaped the radius law (z_m and z_r normalise the tilted and the true
+    radial density).  `weight` is that product as a float; `log_weight` is
+    log w + tilt log r + log z_m - log z_r, which stays finite where
+    r^tilt underflows.  With a column of tilts, r and both weights have one
+    row per tilt.
     """
 
     t: np.ndarray
     r: np.ndarray
-    weight: np.ndarray
+    base_weight: np.ndarray
     measure: float
     count: int
+    tilt: float | np.ndarray = 0.0
+    z_m: np.ndarray | None = None
+    z_r: np.ndarray | None = None
+
+    @property
+    def weight(self) -> np.ndarray:
+        if self.z_m is None:
+            return self.base_weight
+        return self.base_weight * self.r**self.tilt * self.z_m / self.z_r
+
+    @property
+    def log_weight(self) -> np.ndarray:
+        log_w = np.log(self.base_weight)
+        if self.z_m is None:
+            return log_w
+        return log_w + self.tilt * np.log(self.r) + (np.log(self.z_m) - np.log(self.z_r))
 
 
 def _strata(m1: int, m2: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -491,38 +535,35 @@ class ScaleDraw:
     u2: np.ndarray | None = None
     r: np.ndarray | None = None
 
-    def profile(self, radial_tilt: float = 0.0) -> ProfileSample:
+    def profile(self, radial_tilt=0.0) -> ProfileSample:
         """Draw r with conditional density ~ r^(n-2-radial_tilt) in the band,
         compensated by weights, and return the finished samples.
 
-        Several tilts may be applied to one draw; each call leaves the draw
-        unchanged.
+        `radial_tilt` is one tilt or a column of tilts, which gives one row
+        of radii and weights per tilt; each row equals a one-tilt column's
+        bit for bit.  Several tilts may be applied to one draw; each call
+        leaves the draw unchanged.
         """
         if self.r is not None:
             return ProfileSample(self.t, self.r, self.weight, self.measure, self.count)
-        lo_r, hi_r, w = self.lo_r, self.hi_r, self.weight
+        lo_r, hi_r = self.lo_r, self.hi_r
         nm2 = float(self.n - 2)
-        if radial_tilt != 0.0:
-            # Cap the tilt so lo^(m+1) stays in float range; the cells that need
-            # variance reduction sit near the critical curve where the natural
-            # tilt is about (n-1) + 1/s, far below the cap.
-            lo_min = float(np.min(lo_r))
-            if lo_min <= 0.0:
-                cap = nm2 + 0.99
-            else:
-                cap = (nm2 + 1.0) + 600.0 / max(1.0, -math.log(lo_min))
-            radial_tilt = min(radial_tilt, cap)
+        if np.ndim(radial_tilt) == 0 and radial_tilt == 0.0:
+            r = _power_icdf(lo_r, hi_r, nm2, self.u2)
+            return ProfileSample(self.t, r, self.weight, self.measure, self.count)
+        # Cap the tilt so lo^(m+1) stays in float range; the cells that need
+        # variance reduction sit near the critical curve where the natural
+        # tilt is about (n-1) + 1/s, far below the cap.
+        lo_min = float(np.min(lo_r))
+        if lo_min <= 0.0:
+            cap = nm2 + 0.99
+        else:
+            cap = (nm2 + 1.0) + 600.0 / max(1.0, -math.log(lo_min))
+        radial_tilt = np.minimum(radial_tilt, cap)
         m_r = nm2 - radial_tilt
         r = _power_icdf(lo_r, hi_r, m_r, self.u2)
-        if radial_tilt != 0.0:
-            # weight = (true radial density) / (tilted density), both normalised
-            if abs(m_r + 1.0) < 1e-14:
-                z_m = np.log(hi_r / lo_r)
-            else:
-                z_m = (hi_r ** (m_r + 1.0) - lo_r ** (m_r + 1.0)) / (m_r + 1.0)
-            z_r = (hi_r ** (nm2 + 1.0) - lo_r ** (nm2 + 1.0)) / (nm2 + 1.0)
-            w = w * r**radial_tilt * z_m / z_r
-        return ProfileSample(self.t, r, w, self.measure, self.count)
+        return ProfileSample(self.t, r, self.weight, self.measure, self.count, radial_tilt,
+                             _power_norm(lo_r, hi_r, m_r), _power_norm(lo_r, hi_r, nm2))
 
 
 def draw_scale(

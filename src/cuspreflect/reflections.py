@@ -188,24 +188,33 @@ def piece_profile(piece: str, params: CuspParams, t, r):
     return _EVALS[piece](params, np.asarray(t, dtype=float), np.asarray(r, dtype=float))
 
 
-def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r):
-    """(tangential stretch, opnorm, det) from the profile block.
+def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r, log: bool = False):
+    """(tangential stretch, opnorm, det) from the profile block; with `log`,
+    (tangential stretch, log opnorm, log|det|).
 
     The tangential stretch is phi/r, the stretch across the radial
     direction; on the axis, where pieces have phi ~ r, it is phi_r.  The
     operator norm is the largest singular value: the max of the profile
-    2x2 block's top singular value and the tangential stretch.  The
-    determinant carries the orientation sign: det2x2 * (phi/r)^(n-2).
+    2x2 block's top singular value and the tangential stretch.  The block
+    [[a, b], [c, d]] has singular values (h+ +- h-)/2 with
+    h+ = |(a+d, b-c)| and h- = |(a-d, b+c)|, which square the entries once
+    (not twice, as the trace form (|M|_F^2 + disc)/2 does), so they stay
+    finite for entries up to 2^511.  The determinant carries the orientation
+    sign: det2x2 * (phi/r)^(n-2); its log form log|det2x2| + (n-2) log|phi/r|
+    stays finite where the product under- or overflows.
     """
+    pos = r > 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        tang = np.where(r > 0.0, phi / np.where(r > 0.0, r, 1.0), phi_r)
+        tang = np.where(pos, phi / np.where(pos, r, 1.0), phi_r)
+    abs_tang = np.abs(tang)
     det2 = T_t * phi_r - T_r * phi_t
-    ssum = T_t**2 + T_r**2 + phi_t**2 + phi_r**2
-    disc = np.sqrt(np.maximum(ssum**2 - 4.0 * det2**2, 0.0))
-    sig_max = np.sqrt((ssum + disc) / 2.0)
-    opnorm = np.maximum(sig_max, np.abs(tang))
-    det = det2 * tang ** (n - 2)
-    return tang, opnorm, det
+    sig_max = 0.5 * (np.sqrt((T_t + phi_r) ** 2 + (T_r - phi_t) ** 2)
+                     + np.sqrt((T_t - phi_r) ** 2 + (T_r + phi_t) ** 2))
+    opnorm = np.maximum(sig_max, abs_tang)
+    if log:
+        with np.errstate(divide="ignore"):
+            return tang, np.log(opnorm), np.log(np.abs(det2)) + (n - 2) * np.log(abs_tang)
+    return tang, opnorm, det2 * tang ** (n - 2)
 
 
 def profile_jet(piece: str, params: CuspParams, t, r):
@@ -213,6 +222,16 @@ def profile_jet(piece: str, params: CuspParams, t, r):
     T, T_t, T_r, phi, phi_t, phi_r = piece_profile(piece, params, t, r)
     _, opnorm, det = _jet_algebra(params.n, np.asarray(r, dtype=float), T_t, T_r, phi, phi_t, phi_r)
     return T, phi, opnorm, det
+
+
+def profile_log_jet(piece: str, params: CuspParams, t, r):
+    """Vectorised (log opnorm, log|det|) of a piece at profile points: the
+    log form of `profile_jet`'s opnorm and |det|, finite in deep shells
+    where |det| underflows to 0."""
+    _, T_t, T_r, phi, phi_t, phi_r = piece_profile(piece, params, t, r)
+    _, log_opnorm, log_absdet = _jet_algebra(params.n, np.asarray(r, dtype=float),
+                                             T_t, T_r, phi, phi_t, phi_r, log=True)
+    return log_opnorm, log_absdet
 
 
 # ---------------------------------------------------------------------------

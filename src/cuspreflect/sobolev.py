@@ -16,10 +16,12 @@ exponent e (see `predicted_shell_exponent`); it converges iff e > -1.
 `distortion_sweep` estimates the shells by stratified Monte Carlo in
 profile coordinates for many (p, q) cells at once and
 `convergence_verdict` classifies the tail ratios.  The samples and the
-chart jet (opnorm, det) of a shell depend only on (seed, k, region), so a
-sweep draws each (region, shell) once and reduces every cell over that
-draw; only region E's radial tilt, which depends on (p, q), is applied
-per cell to the shared draw.  `distortion_integral` is its one-cell case.
+chart jet of a shell depend only on (seed, k, region), so a sweep draws
+each (region, shell) once; only region E's radial tilt, which depends on
+(p, q), reshapes the radii, block of cells by block of cells.  The
+integrand is reduced in log space, from log opnorm, log|det| and the log
+importance weight, so deep shells where |det| underflows keep finite
+values.  `distortion_integral` is its one-cell case.
 """
 
 from __future__ import annotations
@@ -51,8 +53,12 @@ RATIO_DIVERGENT = 1.0
 VERDICT_TAIL = 4
 PARTIAL_SUM_CAP = 1e12
 MIN_SHELLS = 6
-# Redraws of a shell whose integrand values hold a nan, before giving up.
+# Redraws of a `shell_estimate` shell whose integrand values hold a nan,
+# before giving up.
 MAX_RETRIES = 3
+# Values (cells x samples) that `distortion_sweep` reduces in one block:
+# larger blocks save little time and raise peak memory.
+BLOCK_VALUES = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +259,19 @@ def shell_estimate(
     raise InterfaceRetryError(region, shell)
 
 
-class InterfaceRetryError(RuntimeError):
+class NonFiniteIntegrandError(RuntimeError):
+    """A shell's integrand values hold a nan."""
+
+    what = "non-finite integrand values"
+
     def __init__(self, region, shell):
-        super().__init__(
-            f"persistent non-finite integrand values on {region.value}, shell {shell.k}"
-        )
+        super().__init__(f"{self.what} on {region.value}, shell {shell.k}")
+
+
+class InterfaceRetryError(NonFiniteIntegrandError):
+    """`shell_estimate` met a nan in every one of its redraws."""
+
+    what = "persistent non-finite integrand values"
 
 
 def _distortion_tilt(region: RegionLabel, p: float, q: float, s: float) -> float:
@@ -267,6 +281,15 @@ def _distortion_tilt(region: RegionLabel, p: float, q: float, s: float) -> float
     if region is RegionLabel.RegionE:
         return (s - 1.0) * p * q / (s * (p - q))
     return 0.0
+
+
+def _log_shell(measure: float, L: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """log(measure * mean(exp(L), axis=1)) row by row, shifted by each row's
+    max `top` so that no exp over- or underflows; a row with an infinite max
+    is not shifted, so an infinite L gives an infinite shell and an all -inf
+    row an empty one."""
+    shift = np.where(np.isfinite(top), top, 0.0)
+    return np.log(measure) + shift + np.log(np.mean(np.exp(L - shift[:, None]), axis=1))
 
 
 def distortion_sweep(
@@ -282,12 +305,15 @@ def distortion_sweep(
     opnorm(DR)^(pq/(p-q)) / |J|^(q/(p-q)) over the region, one shell sum per
     (p, q) cell, in cell order.
 
-    Each shell is drawn once from the substream (seed, k, region, "dist")
-    and every cell is reduced over that draw; on regions A..D the chart jet
-    is shared as well, on region E each cell applies its own radial tilt to
-    the shared draw.  A cell whose values hold a nan is redrawn under
-    "dist#<attempt>", alone with the other such cells, at most MAX_RETRIES
-    times; each cell's contributions equal a one-cell run's bit for bit.
+    Each shell is drawn once from the substream (seed, k, region, "dist").
+    The integrand is reduced in log space: a block of cells forms
+    L = log w + P log opnorm - Q log|det| by broadcasting its exponent
+    columns (P, Q) against the shared log jet, and each cell's shell is
+    exp(log measure + max L + log mean exp(L - max L)).  On region E each
+    block draws its own radii from the shared scale draw with its column of
+    radial tilts.  Elementwise broadcasting makes every cell's contributions
+    equal a one-cell run's bit for bit.  A nan in L raises
+    NonFiniteIntegrandError; there is no redraw.
     """
     cells = list(cells)
     for p, q in cells:
@@ -297,45 +323,36 @@ def distortion_sweep(
     if reflections.chart_of_region(region) is not chart:
         raise ValueError(f"{region.value} is not a piece of chart {chart.value}")
     piece = reflections.piece_of_region(region)
-    powers = [(p * q / (p - q), q / (p - q)) for p, q in cells]
-    tilts = [_distortion_tilt(region, p, q, params.s) for p, q in cells]
+    P = np.array([[p * q / (p - q)] for p, q in cells])
+    Q = np.array([[q / (p - q)] for p, q in cells])
+    tilts = np.array([[_distortion_tilt(region, p, q, params.s)] for p, q in cells])
+    tilted = region is RegionLabel.RegionE
 
-    def jets(shell, rng, pending):
-        """(cell, samples, opnorm, |det|) for each pending cell."""
-        if region is RegionLabel.RegionE:
-            draw = draw_scale(params, region, shell, samples_per_shell, rng)
-            for i in pending:
-                prof = draw.profile(tilts[i])
-                _, _, opnorm, det = reflections.profile_jet(piece, params, prof.t, prof.r)
-                yield i, prof, opnorm, np.abs(det)
-            return
-        prof = sample_profile(params, region, shell, samples_per_shell, rng)
-        _, _, opnorm, det = reflections.profile_jet(piece, params, prof.t, prof.r)
-        absdet = np.abs(det)
-        for i in pending:
-            yield i, prof, opnorm, absdet
-
+    log_shells = np.empty((len(cells), len(shells)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j, sh in enumerate(shells):
+            rng = derive_rng(seed, sh.k, region, salt="dist")
+            if tilted:
+                draw = draw_scale(params, region, sh, samples_per_shell, rng)
+            else:
+                draw = sample_profile(params, region, sh, samples_per_shell, rng)
+                log_w = draw.log_weight
+                log_op, log_det = reflections.profile_log_jet(piece, params, draw.t, draw.r)
+            rows = max(1, BLOCK_VALUES // draw.count)
+            for lo in range(0, len(cells), rows):
+                block = slice(lo, lo + rows)
+                if tilted:
+                    prof = draw.profile(tilts[block])
+                    log_w = prof.log_weight
+                    log_op, log_det = reflections.profile_log_jet(piece, params, prof.t, prof.r)
+                L = log_w + P[block] * log_op - Q[block] * log_det
+                top = L.max(axis=1)  # nan where a row holds a nan
+                if np.isnan(top).any():
+                    raise NonFiniteIntegrandError(region, sh)
+                log_shells[block, j] = _log_shell(draw.measure, L, top)
+        contributions = np.exp(log_shells)
     ks = [sh.k for sh in shells]
-    values = [[] for _ in cells]
-    for sh in shells:
-        pending = list(range(len(cells)))
-        for attempt in range(MAX_RETRIES + 1):
-            if not pending:
-                break
-            rng = derive_rng(seed, sh.k, region, salt=f"dist#{attempt}" if attempt else "dist")
-            nan_cells = []
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                for i, prof, opnorm, absdet in jets(sh, rng, pending):
-                    P, Q = powers[i]
-                    weighted = prof.weight * (opnorm**P / absdet**Q)
-                    if np.any(np.isnan(weighted)):
-                        nan_cells.append(i)
-                    else:
-                        values[i].append(prof.measure * float(np.mean(weighted)))
-            pending = nan_cells
-        if pending:
-            raise InterfaceRetryError(region, sh)
-    return [ShellSum.from_contributions(ks, v) for v in values]
+    return [ShellSum.from_contributions(ks, row) for row in contributions]
 
 
 def distortion_integral(

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -121,14 +122,49 @@ class TestInputHardening:
         assert err.startswith(f"error: --function {function!r}: {reason}")
         assert not out.exists()
 
-    def test_region_e_retry_error_is_3(self, tmp_path, capsys):
-        # every redraw of region E's shell 17 holds a nan at this cell
+    @pytest.mark.parametrize("args,flag,text", [
+        (["sweep", "--p", "nan", "--q", "1.3"], "--p", "nan"),
+        (["sweep", "--p", "inf", "--q", "1.3"], "--p", "inf"),
+        (["sweep", "--p", "2,", "--q", "1.3"], "--p", "2,"),
+        (["sweep", "--p", "2", "--q", "1.1,,1.3"], "--q", "1.1,,1.3"),
+        (["holder", "--t-values", "0.1,nan"], "--t-values", "0.1,nan"),
+    ])
+    def test_bad_float_list_is_3(self, tmp_path, capsys, args, flag, text):
         out = tmp_path / "out.csv"
-        assert run_cli(["sweep", "--scheme", "r2", "--n", "5", "--s", "3", "--p", "1.3",
-                        "--q", "1.25", "--samples", "1024", "--k-max", "26",
-                        "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("error: persistent non-finite")
+        assert run_cli(args + ["--samples", "64", "--k-max", "12", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {text!r}: needs finite numbers")
         assert not out.exists()
+
+
+def _sweep_rows(tmp_path, args):
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", *args, "--out", str(out)]) == 0
+    return list(csv.DictReader(open(out)))
+
+
+class TestFaultRegressions:
+    def test_deep_shells_stay_convergent(self, tmp_path):
+        # |det| on region A underflows to 0 past k ~ 70 at n = 6, s = 4; the
+        # log-space reduction keeps these shells finite
+        rows = _sweep_rows(tmp_path, ["--scheme", "r1", "--n", "6", "--s", "4", "--p", "30",
+                                      "--q", "1.5,5", "--k-max", "80", "--seed", "42"])
+        assert len(rows) == 6
+        for r in rows:
+            assert (r["verdict"], r["agrees"]) == ("Convergent", "true")
+            assert math.isfinite(float(r["partial_sum"]))
+
+    @pytest.mark.parametrize("n,s,p,q", [
+        ("5", "3", "1.3", "1.25"), ("4", "3", "2.3", "2.25"), ("5", "2", "2.19", "2.14"),
+    ])
+    def test_region_e_cells_give_verdicts(self, tmp_path, n, s, p, q):
+        # r^tilt underflowed to 0 where opnorm^P overflowed: 0 * inf = nan
+        rows = _sweep_rows(tmp_path, ["--scheme", "r2", "--n", n, "--s", s, "--p", p,
+                                      "--q", q, "--samples", "1024", "--k-max", "26",
+                                      "--seed", "42"])
+        assert [r["region"] for r in rows] == ["RegionD", "RegionE"]
+        assert all(r["agrees"] == "true" for r in rows)
+        assert rows[1]["verdict"] == "Divergent"
 
 
 class TestSweep:

@@ -15,7 +15,7 @@ from .extension import (
     PowerAlpha,
     cutoff_psi,
     extend_eval,
-    extend_global,
+    extend_global_points,
     extend_gradient,
     extension_norm_experiment,
     holder_probe,

@@ -40,13 +40,6 @@ def f12(x) -> str:
     return format(float(x), ".12g")
 
 
-def _parse_point(text: str, n: int) -> Point:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != n:
-        raise WindowError(f"point needs {n} coordinates for n={n}, got {len(parts)}")
-    return Point(parts[0], parts[1:])
-
-
 def _parse_floats(flag: str, text: str) -> list[float]:
     """The finite numbers of a comma list; any other entry raises a
     WindowError that names the flag."""
@@ -60,6 +53,13 @@ def _parse_floats(flag: str, text: str) -> list[float]:
             raise WindowError(f"{flag} {text!r}: needs finite numbers, got {entry.strip()!r}")
         values.append(value)
     return values
+
+
+def _parse_point(text: str, n: int) -> Point:
+    parts = _parse_floats("--point", text)
+    if len(parts) != n:
+        raise WindowError(f"point needs {n} coordinates for n={n}, got {len(parts)}")
+    return Point(parts[0], parts[1:])
 
 
 def _params(args) -> CuspParams:

@@ -7,6 +7,11 @@ inner chart of the first reflection.  The analytic test-function families
 below depend on t alone and come with exact derivatives, so extension
 gradients are exact chain-rule products with the chart Jets; through a
 chart image T their norm is |u'(T)| |grad T|, with grad T = (T_t, T_r).
+
+The Lipschitz cutoff psi (1 on the closed domain, 0 off the R1 collar of the
+region table) turns the extension into the global cutoff product psi E(u).
+Like the extension itself it runs on point batches; its distance to the
+closed cusp is a fixed-size refined grid search in the height tau.
 """
 
 from __future__ import annotations
@@ -233,92 +238,89 @@ def extend_gradient(spec: ExtensionSpec, params: CuspParams, u: TestFunction, z)
     return extend_gradient_points(spec, params, u, [p.t], p.x[None, :])[0]
 
 
-def extend_global(spec: ExtensionSpec, params: CuspParams, u: TestFunction, z) -> float:
-    """Cutoff product psi * E(u): the globally defined extension, zero
-    outside the collar neighbourhood."""
-    p = as_point(z, params)
-    psi = cutoff_psi(params, p)
-    if psi == 0.0:
-        return 0.0
-    return psi * extend_eval(spec, params, u, p)
+def extend_global_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction, t, X):
+    """Cutoff product psi * E(u) on a point batch: the globally defined
+    extension, zero outside the collar neighbourhood."""
+    t, X = as_points(t, X, params)
+    psi = cutoff_psi_points(params, t, X)
+    out = np.zeros(t.size)
+    on = psi != 0.0
+    if on.any():
+        out[on] = psi[on] * extend_eval_points(spec, params, u, t[on], X[on])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Cutoff
 # ---------------------------------------------------------------------------
 
-def _in_closed_domain(params: CuspParams, t: float, r: float) -> bool:
+# The distance to the closed cusp searches a grid of TAU_NODES heights tau
+# over [0, 1], then TAU_STAGES - 1 times a grid of as many nodes across the
+# two cells around each point's best node.
+TAU_NODES = 257
+TAU_STAGES = 3
+
+
+def _dist_to_domain(params: CuspParams, t, r):
+    """Profile-plane distance from points off the closed domain to it: the
+    cusp by the refined grid search over tau of
+    hypot(t - tau, max(0, r - tau^s)), the ball in closed form."""
     s = params.s
-    if 0.0 < t <= 1.0 and r <= t**s:
-        return True
-    if math.hypot(t - BALL_CENTER_T, r) <= BALL_RADIUS:
-        return True
-    return t == 0.0 and r == 0.0
+    rows = np.arange(t.size)
+    nodes = np.arange(TAU_NODES)
+    lo = np.zeros(t.size)
+    step = np.full(t.size, 1.0 / (TAU_NODES - 1))
+    best = np.full(t.size, np.inf)
+    for _ in range(TAU_STAGES):
+        taus = lo[:, None] + step[:, None] * nodes
+        gap = np.hypot(t[:, None] - taus, np.maximum(0.0, r[:, None] - taus**s))
+        i = np.argmin(gap, axis=1)
+        best = np.minimum(best, gap[rows, i])
+        centre = taus[rows, i]
+        lo = np.maximum(centre - step, 0.0)
+        step = (np.minimum(centre + step, 1.0) - lo) / (TAU_NODES - 1)
+    d_ball = np.maximum(0.0, np.hypot(t - BALL_CENTER_T, r) - BALL_RADIUS)
+    return np.minimum(best, d_ball)
 
 
-def _in_collar_r1(t: float, r: float) -> bool:
-    return abs(t) < 0.5 and r < 0.5
-
-
-def _dist_to_domain(params: CuspParams, t: float, r: float) -> float:
-    """Profile-plane distance to the closed domain (cusp curve via a guarded
-    1-D minimisation, ball in closed form)."""
-    s = params.s
-    if _in_closed_domain(params, t, r):
-        return 0.0
-    d_ball = max(0.0, math.hypot(t - BALL_CENTER_T, r) - BALL_RADIUS)
-
-    def gap(tau: float) -> float:
-        dr = max(0.0, r - tau**s)
-        return math.hypot(t - tau, dr)
-
-    taus = np.linspace(0.0, 1.0, 257)
-    vals = [gap(float(tau)) for tau in taus]
-    i = int(np.argmin(vals))
-    lo, hi = taus[max(0, i - 1)], taus[min(len(taus) - 1, i + 1)]
-    if hi > lo:
-        # imported here: scipy.optimize costs most of the package's import time
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(gap, bounds=(float(lo), float(hi)), method="bounded")
-        best = min(vals[i], float(res.fun))
-    else:  # pragma: no cover - degenerate bracket
-        best = vals[i]
-    return min(best, d_ball)
-
-
-def _dist_to_collar_complement(params: CuspParams, t: float, r: float) -> float:
-    """Closed-form profile distance from a collar point to the complement of
+def _dist_to_collar_complement(params: CuspParams, t, r):
+    """Closed-form profile distance from collar points to the complement of
     the R1 neighbourhood: the three cylinder walls plus the corner wedge
     {t >= 1/2, r >= t^s}."""
-    s = params.s
-    d_left = t + 0.5
-    d_side = 0.5 - r
-    if r >= 0.5**s:
-        d_corner = 0.5 - t
-    else:
-        d_corner = math.hypot(0.5 - t, 0.5**s - r)
-    return max(0.0, min(d_left, d_side, d_corner))
+    wall = 0.5**params.s
+    corner = np.where(r >= wall, 0.5 - t, np.hypot(0.5 - t, wall - r))
+    return np.maximum(0.0, np.minimum(np.minimum(t + 0.5, 0.5 - r), corner))
+
+
+def cutoff_psi_points(params: CuspParams, t, X):
+    """Lipschitz cutoff on a point batch: 1 on the closed domain (the closed
+    cusp, the closed ball and the origin), 0 outside the R1 collar (the
+    closed shapes of regions A, B and C in the region table), and in between
+    the distance quotient d(z, complement) / (d(z, complement) + d(z, domain)),
+    i.e. the distance to the complement normalised by the local collar width.
+    """
+    t, X = as_points(t, X, params)
+    r = radii(X)
+    domain = (((0.0 < t) & (t <= 1.0) & (r <= np.abs(t) ** params.s))
+              | (np.hypot(t - BALL_CENTER_T, r) <= BALL_RADIUS)
+              | ((t == 0.0) & (r == 0.0)))
+    psi = np.where(domain, 1.0, 0.0)
+    between = (psi == 0.0) & (reflections.piece_index(ChartId.R1Outer, params, t, r) >= 0)
+    if between.any():
+        tb, rb = t[between], r[between]
+        d_out = _dist_to_collar_complement(params, tb, rb)
+        width = d_out + _dist_to_domain(params, tb, rb)
+        # width is 0 only on the corner circle, a null set
+        psi[between] = np.divide(d_out, width, out=np.zeros_like(width), where=width > 0.0)
+    return psi
 
 
 def cutoff_psi(params: CuspParams, z) -> float:
-    """Lipschitz cutoff: 1 on the closed domain, 0 outside the R1 collar.
-
-    In the collar the value is the distance quotient
-    d(z, complement) / (d(z, complement) + d(z, domain)), i.e. the distance
-    to the complement normalised by the local collar width.
-    """
+    """Lipschitz cutoff at one point z: 1 on the closed domain, 0 outside the
+    R1 collar, the distance quotient in between; the one-row case of
+    `cutoff_psi_points`."""
     p = as_point(z, params)
-    t, r = p.t, p.r
-    if _in_closed_domain(params, t, r):
-        return 1.0
-    if not _in_collar_r1(t, r):
-        return 0.0
-    d_out = _dist_to_collar_complement(params, t, r)
-    d_in = _dist_to_domain(params, t, r)
-    if d_out + d_in == 0.0:  # pragma: no cover - corner circle null set
-        return 0.0
-    return d_out / (d_out + d_in)
+    return float(cutoff_psi_points(params, [p.t], p.x[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -328,15 +328,6 @@ def _check_scheme(scheme: str) -> str:
 # Shell measures
 # ---------------------------------------------------------------------------
 
-def _pow_integral(lo: float, hi: float, m: float) -> float:
-    """Integral of x^m over [lo, hi], lo >= 0 (log branch at m = -1)."""
-    if hi <= lo:
-        return 0.0
-    if abs(m + 1.0) < 1e-14:
-        return math.log(hi / lo)
-    return (hi ** (m + 1.0) - lo ** (m + 1.0)) / (m + 1.0)
-
-
 # Per-region quadrature structure: the scale variable, its exact (or
 # proposal) power, and the conditional radial band at fixed scale.
 # kind:  'cone'   -> r in [c_lo*xi, c_hi*xi],        t = sign*xi
@@ -408,18 +399,18 @@ def shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
     cn = unit_ball_volume(n - 1)
     q = _QUAD[label]
     if q.kind == "cone":
-        return cn * _pow_integral(a, b, n - 1)
+        return cn * _power_norm(a, b, n - 1)
     if q.kind == "slab":
         # t-range 2*xi at radius xi; area weight (n-1)*cn*xi^(n-2)
-        return 2.0 * (n - 1) * cn * _pow_integral(a, b, n - 1)
+        return 2.0 * (n - 1) * cn * _power_norm(a, b, n - 1)
     if q.kind == "cwedge":
-        return cn * (_pow_integral(a, b, n - 1) - _pow_integral(a, b, s * (n - 1)))
+        return cn * (_power_norm(a, b, n - 1) - _power_norm(a, b, s * (n - 1)))
     if q.kind == "ering":
         cap = 0.5 ** (s * (n - 1))
-        return 2.0 * cn * (cap * (b - a) - _pow_integral(a, b, s * (n - 1)))
+        return 2.0 * cn * (cap * (b - a) - _power_norm(a, b, s * (n - 1)))
     # 'band': annulus [c_lo*xi^s, c_hi*xi^s]
     frac = q.c_hi ** (n - 1) - q.c_lo ** (n - 1)
-    return cn * frac * _pow_integral(a, b, s * (n - 1))
+    return cn * frac * _power_norm(a, b, s * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +445,8 @@ def _power_icdf(lo, hi, m, u):
 
 
 def _power_norm(lo, hi, m):
-    """`_pow_integral` on arrays: the integral of x^m over [lo, hi] per
-    element, with a column of exponents m giving one row per exponent."""
+    """The integral of x^m over [lo, hi], lo >= 0 (log branch at m = -1),
+    per element; a column of exponents m gives one row per exponent."""
     p = m + 1.0
     log = _log_branch(p)
     if log is None:
@@ -617,15 +608,15 @@ def draw_scale(
     elif q.kind == "cwedge":
         # proposal ~ xi^(n-1); true density ~ xi^(n-1) - xi^(s(n-1))
         xi = _power_icdf(a, b, n - 1.0, u1)
-        zp = _pow_integral(a, b, n - 1.0)
-        zt = zp - _pow_integral(a, b, s * (n - 1.0))
+        zp = _power_norm(a, b, n - 1.0)
+        zt = zp - _power_norm(a, b, s * (n - 1.0))
         w = w * (1.0 - xi ** ((s - 1.0) * (n - 1.0))) * (zp / zt)
         lo_r, hi_r = xi**s, xi
         t = xi
     else:  # 'ering'
         xi = a + (b - a) * u1  # uniform proposal
         cap = 0.5 ** (s * (n - 1))
-        zt = cap * (b - a) - _pow_integral(a, b, s * (n - 1.0))
+        zt = cap * (b - a) - _power_norm(a, b, s * (n - 1.0))
         w = w * (cap - xi ** (s * (n - 1.0))) * ((b - a) / zt)
         lo_r, hi_r = xi**s, np.full(m, 0.5**s)
         t = xi * np.where(rng.random(m) < 0.5, 1.0, -1.0)

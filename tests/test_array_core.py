@@ -139,6 +139,23 @@ class TestBatchesEqualWrappers:
             X_wall = wall[:, None] ** s * random_directions(3, n - 1, np.random.default_rng(0))
             assert same(extension.extend_eval_points(spec, params, u, wall, X_wall), np.zeros(3))
 
+    def test_cutoff_psi(self, n, s):
+        params = CuspParams(n, s)
+        t, X = batch(params, "R1", (*R1_COLLAR, *INNER, RegionLabel.CuspInterior), count=10,
+                     wall=10)
+        # ball, far outside, the wall point (0.25, 0.0625), t = 0, r = 1/2,
+        # t = +-1/2 and the origin
+        pinned_t = [2.0, 1.2, -0.6, 0.1, 0.25, 0.0, 0.1, 0.5, -0.5, 0.0]
+        pinned_r = [1.0, 0.3, 0.1, 0.6, 0.0625, 0.25, 0.5, 0.3, 0.2, 0.0]
+        rng = np.random.default_rng(8)
+        t = np.concatenate([t, pinned_t])
+        X = np.concatenate([X, np.array(pinned_r)[:, None]
+                            * random_directions(len(pinned_r), n - 1, rng)])
+        psi = extension.cutoff_psi_points(params, t, X)
+        assert same(psi, [extension.cutoff_psi(params, z) for z in rows(t, X)])
+        assert ((psi > 0.0) & (psi < 1.0)).sum() >= 10  # collar rows reach the distance search
+        assert (psi == 0.0).any() and (psi == 1.0).any()
+
 
 def test_batch_errors_name_the_first_bad_point(params):
     t = np.array([-0.25, 0.9, -0.3])
@@ -343,6 +360,28 @@ def ref_winfty_positive(params, per_shell, seed):
     return total, max(maxima) / max(maxima[:8])
 
 
+def cutoff_loop_points(params, samples, seed):
+    """The points of the per-point cutoff product check, in its order."""
+    points = sample_region(params, "R1", RegionLabel.CuspInterior, Shell(2), samples, seed)
+    rng = derive_rng(seed, 0, "cutoffout")
+    for _ in range(samples):
+        points.append(Point(float(rng.uniform(-2.0, -0.6)), rng.uniform(0.6, 2.0, params.n - 1)))
+    return points
+
+
+def ref_cutoff_product(params, samples, seed):
+    u = PowerAlpha(0.4)
+    spec = ExtensionSpec("R1", Direction.FromInside)
+    worst = 0.0
+    points = cutoff_loop_points(params, samples, seed)
+    for i, z in enumerate(points):
+        psi = extension.cutoff_psi(params, z)
+        got = 0.0 if psi == 0.0 else psi * extension.extend_eval(spec, params, u, z)
+        want = u.value(z) if i < samples else 0.0  # the domain, then far outside
+        worst = max(worst, abs(got - want))
+    return len(points), worst
+
+
 REFERENCES = [
     (checks.check_boundary_fixity, ref_boundary_fixity, 200),
     (checks.check_sampler_hit_rate, ref_sampler_hit_rate, 40),
@@ -352,6 +391,7 @@ REFERENCES = [
     (checks.check_native_identity, ref_native_identity, 40),
     (checks.check_trace_matching, ref_trace_matching, 100),
     (checks.check_winfty_positive, ref_winfty_positive, 8),
+    (checks.check_cutoff_product, ref_cutoff_product, 40),
 ]
 
 
@@ -391,3 +431,21 @@ def test_mislabelled_sample_fails_hit_rate(params, monkeypatch):
     monkeypatch.setattr(checks, "classify_profile", mislabel)
     res = checks.check_sampler_hit_rate(params, 20, 1)
     assert not res.passed and res.worst_error == 36  # one per (region, shell) draw
+
+
+@pytest.mark.parametrize("n,s", PARAMS)
+def test_cutoff_product_draws_the_loop_points(n, s, monkeypatch):
+    # the batched check sees the points of the per-point loop, in its order
+    params = CuspParams(n, s)
+    seen = []
+    extend_global_points = extension.extend_global_points
+
+    def record(spec, params, u, t, X):
+        seen.append((t, X))
+        return extend_global_points(spec, params, u, t, X)
+
+    monkeypatch.setattr(extension, "extend_global_points", record)
+    checks.check_cutoff_product(params, 30, 3)
+    t, X = np.concatenate([p[0] for p in seen]), np.concatenate([p[1] for p in seen])
+    want = cutoff_loop_points(params, 30, 3)
+    assert same(t, [z.t for z in want]) and same(X, [z.x for z in want])

@@ -136,6 +136,17 @@ class TestInputHardening:
         assert err.startswith(f"error: {flag} {text!r}: needs finite numbers")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,text", [
+        ("classify", "0.1,,0"),
+        ("reflect", "0.1,abc,0"),
+        ("jacobian", "0.1,nan,0"),
+    ])
+    def test_bad_point_is_3(self, capsys, command, text):
+        scheme = ["--scheme", "r1"] if command == "classify" else ["--scheme", "r1-outer"]
+        assert run_cli([command, *scheme, "--point", text]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --point {text!r}: needs finite numbers")
+
 
 def _sweep_rows(tmp_path, args):
     out = tmp_path / "sweep.csv"

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from cuspreflect.extension import (
     PowerAlpha,
     cutoff_psi,
     extend_eval,
-    extend_global,
+    extend_global_points,
     extend_gradient,
     extension_norm_experiment,
     holder_probe,
@@ -216,21 +217,65 @@ class TestCutoff:
             worst = max(worst, abs(a - b) / h)
         assert worst < 30.0  # 1/(local collar width) stays modest away from the corner
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # cutoff_psi imports the minimiser on first use, not at package import
+    def test_package_runs_without_scipy(self):
+        # the cutoff, its distance search and the batched product check need
+        # numpy alone
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, cuspreflect; print('scipy.optimize' in sys.modules)"],
+             "import sys, cuspreflect\n"
+             "from cuspreflect import checks\n"
+             "params = cuspreflect.CuspParams(3, 2.0)\n"
+             "assert 0.0 < cuspreflect.cutoff_psi(params, [0.0, 0.25, 0.0]) < 1.0\n"
+             "assert checks.check_cutoff_product(params).passed\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
             capture_output=True, text=True, check=True, env=package_env(),
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_product_contract(self, params):
         spec = ExtensionSpec("R1", Direction.FromInside)
         u = PowerAlpha(0.5)
         z = Point(0.2, [0.01, 0.0])
-        assert extend_global(spec, params, u, z) == u.value(z)
-        assert extend_global(spec, params, u, Point(-0.7, [0.1, 0.0])) == 0.0
+        got = extend_global_points(spec, params, u, [0.2, -0.7], [[0.01, 0.0], [0.1, 0.0]])
+        assert got.tolist() == [u.value(z), 0.0]
+
+
+def dense_dist_to_domain(s, t, r):
+    """Profile distance from (t, r) to the closed domain: a 20001-node grid
+    in tau, golden-section search across the two cells around its best node,
+    and the ball in closed form."""
+    def gap(tau):
+        return math.hypot(t - tau, max(0.0, r - tau**s))
+
+    taus = np.linspace(0.0, 1.0, 20001)
+    i = int(np.argmin(np.hypot(t - taus, np.maximum(0.0, r - taus**s))))
+    a, b = taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        c, d = b - g * (b - a), a + g * (b - a)
+        if gap(c) < gap(d):
+            b = d
+        else:
+            a = c
+    best = min(gap(taus[i]), gap(0.5 * (a + b)))
+    return min(best, max(0.0, math.hypot(t - 2.0, r) - math.sqrt(2.0)))
+
+
+class TestCutoffAccuracy:
+    @pytest.mark.parametrize("n,s", [(3, 2.0), (5, 1.2), (6, 4.0)])
+    def test_distance_and_psi_match_dense_search(self, n, s):
+        params = CuspParams(n, s)
+        rng = np.random.default_rng(31)
+        t = rng.uniform(-0.5, 0.5, 600)
+        r = rng.uniform(0.0, 0.5, 600)
+        off = (t <= 0.0) | (r > np.abs(t) ** s)  # the collar off the closed domain
+        t, r = t[off][:150], r[off][:150]
+        want = np.array([dense_dist_to_domain(s, a, b) for a, b in zip(t, r)])
+        assert np.max(np.abs(extension._dist_to_domain(params, t, r) - want)) <= 1e-8
+        d_out = extension._dist_to_collar_complement(params, t, r)
+        X = r[:, None] * random_directions(t.size, n - 1, rng)
+        psi = extension.cutoff_psi_points(params, t, X)
+        assert np.max(np.abs(psi - d_out / (d_out + want))) <= 1e-8
 
 
 class TestMembershipOracle:

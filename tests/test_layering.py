@@ -2,10 +2,12 @@
 
 The layers, bottom first: errors < geometry < reflections < sobolev <
 extension < checks < cli.  Imports inside functions count as well, so a
-lower layer cannot reach an upper one by deferring the import.
+lower layer cannot reach an upper one by deferring the import.  Beyond the
+package itself, a module may import only the standard library and numpy.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,20 @@ def test_every_module_has_a_layer():
 def test_imports_only_lower_layers(module):
     below = set(LAYERS[:LAYERS.index(module)])
     assert imported_layers(PACKAGE / f"{module}.py") <= below
+
+
+def imported_roots(path: Path) -> set[str]:
+    """Top-level names of the absolutely imported modules of the file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_imports_only_stdlib_and_numpy(path):
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cuspreflect"}
+    assert imported_roots(path) <= allowed

@@ -22,6 +22,7 @@ from .extension import (
     membership_oracle,
 )
 from .geometry import (
+    ChartId,
     CuspParams,
     Point,
     RegionLabel,
@@ -32,7 +33,6 @@ from .geometry import (
     shells,
 )
 from .reflections import (
-    ChartId,
     Jet,
     apply,
     differential,

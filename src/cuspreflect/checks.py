@@ -18,19 +18,24 @@ from . import extension, reflections, sobolev
 from .extension import ClampT, Direction, ExtensionSpec, PowerAlpha
 from .geometry import (
     SAMPLEABLE,
+    SCHEME_CHARTS,
+    ChartId,
     CuspParams,
     RegionLabel,
     Shell,
+    chart_regions,
     classify_profile,
     derive_rng,
+    outer_chart,
+    piece_of_region,
     radii,
     random_directions,
     sample_profile,
     sample_region_points,
+    scheme_of,
     shell_measure,
     shells,
 )
-from .reflections import ChartId, chart_regions, outer_chart, scheme_of
 
 
 @dataclass
@@ -115,9 +120,10 @@ def check_boundary_consistency(params: CuspParams, samples: int = 10_000, seed: 
     return InvariantResult.of("geometry.boundary_consistency", 2 * samples, bad, 0)
 
 
-def check_shell_measure_sums(params: CuspParams, k_max: int = 40):
-    """Sum of shell measures k=1..K converges to the closed-form volume of
+def check_shell_measure_sums(params: CuspParams):
+    """Sum of shell measures k=1..40 converges to the closed-form volume of
     the scale range [0, 1/2] the shells cover."""
+    k_max = 40
     worst = 0.0
     for label in SAMPLEABLE:
         total = sum(shell_measure(params, label, Shell(k)) for k in range(1, k_max + 1))
@@ -294,7 +300,7 @@ def check_boundedness(params: CuspParams, samples: int = 2048, seed: int = 7):
     worst = 0.0
     total = 0
     for label in chart_regions(ChartId.R1Outer):
-        piece = reflections.piece_of_region(label)
+        piece = piece_of_region(label)
         running = 0.0
         for k in range(5, 21):
             rng = derive_rng(seed, k, label, salt="bound")
@@ -308,22 +314,19 @@ def check_boundedness(params: CuspParams, samples: int = 2048, seed: int = 7):
     return InvariantResult.of("reflections.boundedness_outer", total, worst, 1.05)
 
 
-def check_e_opnorm_factor(params: CuspParams, samples: int = 2048, seed: int = 7,
-                          max_factor: float = 4.0):
-    """opnorm * |x|^((s-1)/s) on region E stays within a fixed factor."""
+def check_e_opnorm_factor(params: CuspParams, samples: int = 2048, seed: int = 7):
+    """opnorm * |x|^((s-1)/s) on region E stays within a factor 4."""
     rows = sobolev.scaling_profile(params, RegionLabel.RegionE,
                                    [Shell(k) for k in range(5, 21)], samples, seed)
     vals = [r["opnorm_comp_mean"] for r in rows]
     factor = max(vals) / min(vals)
-    res = InvariantResult.of("reflections.e_opnorm_factor", samples * len(rows),
-                             factor, max_factor)
-    return res
+    return InvariantResult.of("reflections.e_opnorm_factor", samples * len(rows), factor, 4.0)
 
 
 def _fd_points(params: CuspParams, chart: ChartId, label: RegionLabel, count: int, seed: int):
     """Up to `count` piece-interior points (t, X) with comfortable margins
     for the FD stencil."""
-    piece = reflections.piece_of_region(label)
+    piece = piece_of_region(label)
     ts, Xs = [], []
     got = 0
     k = 2
@@ -376,10 +379,9 @@ def check_round_trip(params: CuspParams, per_piece: int = 400, seed: int = 7):
 # sobolev
 # ---------------------------------------------------------------------------
 
-def sweep_grid(params: CuspParams, scheme: str, grid: int = 21, p_hi: float = 6.0):
-    """The acceptance (p, q) grid: p in [1.1 p_min, p_hi], q in [1, p - 0.05]."""
-    pmin = sobolev.p_min_r1(params.n, params.s) if scheme == "R1" else sobolev.p_min_r2(params.n, params.s)
-    ps = np.linspace(1.1 * pmin, p_hi, grid)
+def sweep_grid(params: CuspParams, scheme: str, grid: int = 21):
+    """The acceptance (p, q) grid: p in [1.1 p_min, 6], q in [1, p - 0.05]."""
+    ps = np.linspace(1.1 * sobolev.p_min(scheme, params.n, params.s), 6.0, grid)
     return [(float(p), float(q)) for p in ps for q in np.linspace(1.0, p - 0.05, grid)]
 
 
@@ -393,17 +395,16 @@ def check_window_consistency(
     samples_per_shell: int = 1024,
     k_min: int = 5,
     k_max: int = 26,
-    margin: float = 0.05,
     grid: int = 21,
     seed: int = 42,
 ):
     """Verdicts agree with the per-region analytic predicate away from the
-    critical curve; Inconclusive cells appear only within the margin."""
+    critical curve; Inconclusive cells appear only within 0.05 in q of it."""
     n, s = params.n, params.s
     shl = shells(k_min, k_max)
     bad = 0
     cells = 0
-    for scheme in reflections.SCHEME_CHARTS:
+    for scheme in SCHEME_CHARTS:
         chart = outer_chart(scheme)
         grid_cells = sweep_grid(params, scheme, grid=grid)
         for region in chart_regions(chart):
@@ -415,7 +416,7 @@ def check_window_consistency(
                 cells += 1
                 verdict = sobolev.convergence_verdict(ss)
                 predicted = region_prediction(region, p, q, n, s)
-                near_curve = abs(q - qm) < margin and region is not RegionLabel.RegionD
+                near_curve = abs(q - qm) < 0.05 and region is not RegionLabel.RegionD
                 if verdict.kind == "Inconclusive":
                     if not near_curve:
                         bad += 1
@@ -438,9 +439,9 @@ def check_shell_exponent_match(params: CuspParams, n_pairs: int = 10, seed: int 
     rng = derive_rng(seed, 0, "expmatch")
     worst = 0.0
     total = 0
-    for scheme in reflections.SCHEME_CHARTS:
+    for scheme in SCHEME_CHARTS:
         chart = outer_chart(scheme)
-        pmin = sobolev.p_min_r1(n, s) if scheme == "R1" else sobolev.p_min_r2(n, s)
+        pmin = sobolev.p_min(scheme, n, s)
         for region in chart_regions(chart):
             made = 0
             attempts = 0
@@ -525,7 +526,7 @@ def check_native_identity(params: CuspParams, samples: int = 300, seed: int = 7)
     for spec, u, label in cases:
         t, X = sample_region_points(params, "R1", label, Shell(2), samples, seed)
         ext = extension.extend_eval_points(spec, params, u, t, X)
-        worst = max(worst, float(np.max(np.abs(ext - u.value_points(t, X)))))
+        worst = max(worst, float(np.max(np.abs(ext - u.value_t(t)))))
         total += t.size
     return InvariantResult.of("extension.native_identity", total, worst, 0.0)
 
@@ -540,7 +541,7 @@ def check_trace_matching(params: CuspParams, samples: int = 500, seed: int = 7):
     e1 = np.zeros(params.n - 1)
     e1[0] = 1.0
     wall = np.float_power(t, params.s)  # rounds as scalar t ** s does
-    for scheme in reflections.SCHEME_CHARTS:
+    for scheme in SCHEME_CHARTS:
         spec = ExtensionSpec(scheme, Direction.FromInside)
         inner = extension.extend_eval_points(spec, params, u, t, (wall * (1 - eps))[:, None] * e1)
         outer = extension.extend_eval_points(spec, params, u, t, (wall * (1 + eps))[:, None] * e1)
@@ -553,7 +554,7 @@ def check_cutoff_product(params: CuspParams, samples: int = 200, seed: int = 7):
     u = PowerAlpha(0.4)
     spec = ExtensionSpec("R1", Direction.FromInside)
     t, X = sample_region_points(params, "R1", RegionLabel.CuspInterior, Shell(2), samples, seed)
-    inside = extension.extend_global_points(spec, params, u, t, X) - u.value_points(t, X)
+    inside = extension.extend_global_points(spec, params, u, t, X) - u.value_t(t)
     # far-outside points, drawn row by row: t in [-2, -0.6), then x in [0.6, 2)^(n-1)
     rng = derive_rng(seed, 0, "cutoffout")
     low = np.r_[-2.0, np.full(params.n - 1, 0.6)]

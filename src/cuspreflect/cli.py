@@ -19,11 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, checks, extension, reflections, sobolev
+from . import __version__, checks, extension, geometry, reflections, sobolev
 from .errors import ChartDomainError, EmptyRegionError, InterfaceError, WindowError
 from .extension import ClampT, Constant, Direction, ExtensionSpec, PowerAlpha
-from .geometry import CuspParams, Point, classify, shells
-from .reflections import ChartId
+from .geometry import ChartId, CuspParams, Point, classify, shells
 
 _CHARTS = {
     "r1-outer": ChartId.R1Outer,
@@ -149,8 +148,8 @@ def cmd_sweep(args) -> int:
     params = _params(args)
     start = time.perf_counter()
     scheme = args.scheme.upper()
-    chart = reflections.outer_chart(scheme)
-    regions = reflections.chart_regions(chart)
+    chart = geometry.outer_chart(scheme)
+    regions = geometry.chart_regions(chart)
     if args.p is not None:
         cells = [(p, q) for p in _parse_floats("--p", args.p)
                  for q in _parse_floats("--q", args.q)]
@@ -205,7 +204,7 @@ def cmd_sweep(args) -> int:
 def cmd_scaling(args) -> int:
     params = _params(args)
     start = time.perf_counter()
-    collar = {reflections.piece_of_region(label): label for label in reflections.COLLAR_REGIONS}
+    collar = {geometry.piece_of_region(label): label for label in geometry.COLLAR_REGIONS}
     letters = [r.strip().upper() for r in args.regions.split(",")] if args.regions else collar
     for letter in letters:
         if letter not in collar:
@@ -336,42 +335,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seeded=True):
+    # Each subcommand takes only the flags it reads.
+    def cusp(sp):
         sp.add_argument("--n", type=int, default=3, help="dimension (>= 3)")
         sp.add_argument("--s", type=float, default=2.0, help="cusp degree (> 1)")
-        if seeded:
-            sp.add_argument("--seed", type=int, default=42)
-            sp.add_argument("--k-min", type=int, default=5)
-            sp.add_argument("--k-max", type=int, default=30)
-            sp.add_argument("--samples", type=_positive_int, default=4096,
-                            help="samples per shell")
+
+    def seeded(sp):
+        cusp(sp)
+        sp.add_argument("--seed", type=int, default=42)
+
+    def shelled(sp, k_min=5, k_max=30):
+        seeded(sp)
+        sp.add_argument("--k-min", type=int, default=k_min)
+        sp.add_argument("--k-max", type=int, default=k_max)
+        sp.add_argument("--samples", type=_positive_int, default=4096,
+                        help="samples per shell")
 
     sp = sub.add_parser("classify", help="region label of a point")
-    common(sp, seeded=False)
+    cusp(sp)
     sp.add_argument("--scheme", choices=["r1", "r2"], default="r1")
     sp.add_argument("--point", required=True, help="t,x1,...,x_{n-1}")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("reflect", help="image of a point under a chart")
-    common(sp, seeded=False)
+    cusp(sp)
     sp.add_argument("--scheme", dest="chart", choices=sorted(_CHARTS), required=True)
     sp.add_argument("--point", required=True)
     sp.set_defaults(func=cmd_reflect)
 
     sp = sub.add_parser("jacobian", help="opnorm and determinant of a chart differential")
-    common(sp, seeded=False)
+    cusp(sp)
     sp.add_argument("--scheme", dest="chart", choices=sorted(_CHARTS), required=True)
     sp.add_argument("--point", required=True)
     sp.set_defaults(func=cmd_jacobian)
 
     sp = sub.add_parser("verify", help="run the invariant suite")
-    common(sp)
+    seeded(sp)
     sp.add_argument("--full", action="store_true", help="full-size Monte Carlo budgets")
     sp.add_argument("--out", default="verify.csv")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sweep", help="(p, q) distortion-integral sweep")
-    common(sp)
+    shelled(sp)
     sp.add_argument("--scheme", choices=["r1", "r2"], default="r1")
     sp.add_argument("--p", help="comma list of p values (default: acceptance grid)")
     sp.add_argument("--q", help="comma list of q values (with --p)")
@@ -380,14 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("scaling", help="Jacobian scaling-law fits per region")
-    common(sp)
-    sp.set_defaults(k_min=8, k_max=24)
+    shelled(sp, k_min=8, k_max=24)
     sp.add_argument("--regions", help="comma list among A,B,C,D,E (default all)")
     sp.add_argument("--out", default="scaling.csv")
     sp.set_defaults(func=cmd_scaling)
 
     sp = sub.add_parser("extendnorm", help="extension-norm shell experiment")
-    common(sp)
+    shelled(sp)
     sp.add_argument("--scheme", choices=["r1", "r2"], default="r1")
     sp.add_argument("--function", default="power:1.4", help="power:A | clampt | const:C")
     sp.add_argument("--p", type=float, required=True)
@@ -396,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_extendnorm)
 
     sp = sub.add_parser("holder", help="oscillation/diameter exponent probe")
-    common(sp)
+    cusp(sp)
     sp.add_argument("--t-values", help="comma list of heights in (0, 1/2)")
     sp.add_argument("--radial-samples", type=_radial_count, default=64)
     sp.add_argument("--out", default="holder.csv")

@@ -3,10 +3,12 @@
 A function u on the cusp domain extends outward by composition with the
 outer chart (value u(R(z)) on the collar, u itself inside, 0 on the
 boundary null set); a function on the complement extends inward through the
-inner chart of the first reflection.  The analytic test-function families
-below depend on t alone and come with exact derivatives, so extension
-gradients are exact chain-rule products with the chart Jets; through a
-chart image T their norm is |u'(T)| |grad T|, with grad T = (T_t, T_r).
+inner chart of the first reflection.  The test functions are profiles u(t)
+with exact derivatives u'(t), so u o R = u(T) and the extension gradient is
+the first row of DR scaled by u'(T), with norm |u'(T)| |grad T|,
+grad T = (T_t, T_r).  The norm experiment sums these terms region by region
+through `sobolev.function_shells`, the shell loop of the seminorm and L^p
+terms as well.
 
 The Lipschitz cutoff psi (1 on the closed domain, 0 off the R1 collar of the
 region table) turns the extension into the global cutoff product psi E(u).
@@ -27,18 +29,21 @@ from .errors import ChartDomainError, WindowError
 from .geometry import (
     BALL_CENTER_T,
     BALL_RADIUS,
+    ChartId,
     CuspParams,
     RegionLabel,
-    Shell,
     as_point,
     as_points,
+    chart_regions,
+    check_scheme,
     classify_profile,
     first_flagged,
     on_cusp_wall,
+    outer_chart,
+    piece_of_region,
     radii,
     select_first,
 )
-from .reflections import ChartId
 from .sobolev import ShellSum, Verdict, convergence_verdict, scaling_fit
 
 
@@ -46,33 +51,12 @@ from .sobolev import ShellSum, Verdict, convergence_verdict, scaling_fit
 # Test functions
 # ---------------------------------------------------------------------------
 
-class TestFunction:
-    """Analytic function of t alone, u(t, x) = u(t), with exact derivative.
-
-    A family defines the profile `value_t` (u) and `deriv_t` (u') on arrays
-    of t.  `value_points`/`gradient_points` take t of shape (N,) and
-    cross-section coordinates X of shape (N, n-1) and return u(t) and the
-    gradient (g_t, g_x) = (u'(t), 0).
-    """
-
-    def value(self, z) -> float:
-        p = as_point(z)
-        return float(self.value_points(np.array([p.t]), p.x[None, :])[0])
-
-    def gradient(self, z) -> np.ndarray:
-        p = as_point(z)
-        g_t, g_x = self.gradient_points(np.array([p.t]), p.x[None, :])
-        return np.concatenate(([g_t[0]], g_x[0]))
-
-    def value_points(self, t, X):
-        return self.value_t(np.asarray(t, dtype=float))
-
-    def gradient_points(self, t, X):
-        return self.deriv_t(np.asarray(t, dtype=float)), np.zeros_like(np.asarray(X, dtype=float))
-
+# Each family is a profile u(t) with exact derivative: `value_t` gives u and
+# `deriv_t` gives u' on arrays of t.  A test function of the cusp domain is
+# u(t, x) = u(t), so its gradient is (u'(t), 0).
 
 @dataclass(frozen=True)
-class PowerAlpha(TestFunction):
+class PowerAlpha:
     """u = t^(-alpha) on t > 0; the sharpness probe family."""
 
     alpha: float
@@ -95,7 +79,7 @@ class PowerAlpha(TestFunction):
 
 
 @dataclass(frozen=True)
-class ClampT(TestFunction):
+class ClampT:
     """u = clamp(t, 0, 1): the Lipschitz probe with kinks at t = 0, 1."""
 
     def value_t(self, t):
@@ -106,7 +90,7 @@ class ClampT(TestFunction):
 
 
 @dataclass(frozen=True)
-class Constant(TestFunction):
+class Constant:
     c: float
 
     def value_t(self, t):
@@ -114,6 +98,9 @@ class Constant(TestFunction):
 
     def deriv_t(self, t):
         return np.zeros_like(t)
+
+
+TestFunction = PowerAlpha | ClampT | Constant
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +118,18 @@ class ExtensionSpec:
     direction: Direction
 
     def __post_init__(self):
-        scheme = str(self.scheme).upper()
-        if scheme not in reflections.SCHEME_CHARTS:
-            raise ValueError(f"scheme must be 'R1' or 'R2', got {self.scheme}")
+        scheme = check_scheme(self.scheme)
         object.__setattr__(self, "scheme", scheme)
         if self.direction is Direction.FromOutside and scheme == "R2":
             raise WindowError("inward extension is only available through scheme R1")
 
     @property
     def outer_chart(self) -> ChartId:
-        return reflections.outer_chart(self.scheme)
+        return outer_chart(self.scheme)
 
 
 _NATIVE_INSIDE = (RegionLabel.CuspInterior, RegionLabel.BallInterior,
-                  *reflections.chart_regions(ChartId.R1Inner))
+                  *chart_regions(ChartId.R1Inner))
 _BOUNDARYISH = (RegionLabel.BoundaryCusp, RegionLabel.Origin)
 
 # Evaluation sites: 0 on the boundary null set, u itself, or u o R.
@@ -198,10 +183,10 @@ def extend_eval_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction,
     out = np.zeros(t.size)
     native = site == _NATIVE
     if native.any():
-        out[native] = u.value_points(t[native], X[native])
+        out[native] = u.value_t(t[native])
     via = site == _CHART
     if via.any():
-        out[via] = u.value_points(*reflections.apply_points(chart, params, t[via], X[via]))
+        out[via] = u.value_t(reflections.apply_points(chart, params, t[via], X[via])[0])
     return out
 
 
@@ -218,16 +203,15 @@ def extend_gradient_points(spec: ExtensionSpec, params: CuspParams, u: TestFunct
     site, chart = _eval_site(spec, params, t, X)
     if bad := first_flagged(site == _ZERO, t, X):
         raise ChartDomainError(f"gradient undefined on the boundary at {bad[1]!r}")
-    out = np.empty((t.size, params.n))
+    out = np.zeros((t.size, params.n))
     native = site == _NATIVE
     if native.any():
-        g_t, g_x = u.gradient_points(t[native], X[native])
-        out[native] = np.column_stack([g_t, g_x])
+        out[native, 0] = u.deriv_t(t[native])
     via = site == _CHART
     if via.any():
-        T, X_img, M, _, _ = reflections.differential_points(chart, params, t[via], X[via])
-        g_t, g_x = u.gradient_points(T, X_img)
-        out[via] = (np.column_stack([g_t, g_x])[:, None, :] @ M)[:, 0, :]
+        # (u'(T), 0, ..., 0) DR is the first row of DR scaled by u'(T)
+        T, _, M, _, _ = reflections.differential_points(chart, params, t[via], X[via])
+        out[via] = u.deriv_t(T)[:, None] * M[:, 0, :]
     return out
 
 
@@ -341,29 +325,26 @@ def membership_oracle(u: PowerAlpha, p: float, n: int, s: float) -> bool:
     return u.alpha + 1.0 < (1.0 + (n - 1) * s) / p
 
 
-def _composed_terms(
+def _region_terms(
     params: CuspParams,
-    spec: ExtensionSpec,
     u: TestFunction,
     q: float,
     region: RegionLabel,
-    shell: Shell,
+    shells,
     samples: int,
     seed: int,
-):
-    """One shell's (value, gradient) L^q masses of u o R over a collar piece:
-    u depends on t alone, so u o R = u(T) has gradient norm |u'(T)| |(T_t, T_r)|."""
-    piece = reflections.piece_of_region(region)
+) -> tuple[ShellSum, ShellSum]:
+    """Shell sums of the (value, gradient) L^q masses of u o R over a collar
+    region: u depends on t alone, so u o R = u(T) has gradient norm
+    |u'(T)| |(T_t, T_r)|."""
+    piece = piece_of_region(region)
     s = params.s
-
-    def tilt_for(kind: str) -> float:
-        # Region E composes through T = r^(1/s): the power family pulls a
-        # radial singularity r^(-alpha q / s) (value) or r^(-(alpha+s)q/s)
-        # (gradient) into the integrand; match the sampling density to it.
-        if region is not RegionLabel.RegionE or not isinstance(u, PowerAlpha):
-            return 0.0
-        a = u.alpha
-        return (a * q / s) if kind == "value" else ((a + s) * q / s)
+    # Region E composes through T = r^(1/s): the power family pulls a radial
+    # singularity r^(-alpha q / s) (value) or r^(-(alpha+s)q/s) (gradient)
+    # into the integrand; match the sampling density to it.
+    value_tilt = grad_tilt = 0.0
+    if region is RegionLabel.RegionE and isinstance(u, PowerAlpha):
+        value_tilt, grad_tilt = u.alpha * q / s, (u.alpha + s) * q / s
 
     def value_integrand(t, r):
         T = reflections.piece_profile(piece, params, t, r)[0]
@@ -374,15 +355,12 @@ def _composed_terms(
         du = u.deriv_t(T)
         return ((du * T_t) ** 2 + (du * T_r) ** 2) ** (q / 2.0)
 
-    val = sobolev.shell_estimate(
-        params, region, shell, value_integrand, samples, (seed, shell.k, "extval"),
-        radial_tilt=tilt_for("value"),
+    return (
+        sobolev.function_shells(params, region, shells, value_integrand, samples, seed,
+                                "extval", value_tilt),
+        sobolev.function_shells(params, region, shells, grad_integrand, samples, seed,
+                                "extgrad", grad_tilt),
     )
-    grad = sobolev.shell_estimate(
-        params, region, shell, grad_integrand, samples, (seed, shell.k, "extgrad"),
-        radial_tilt=tilt_for("grad"),
-    )
-    return val, grad
 
 
 @dataclass
@@ -417,17 +395,12 @@ def extension_norm_experiment(
         raise WindowError(
             f"t^(-{u.alpha}) is not W^(1,{p}) on the cusp window; experiment is vacuous"
         )
-    regions = reflections.chart_regions(spec.outer_chart)
+    terms = [_region_terms(params, u, q, region, shells, samples_per_shell, seed)
+             for region in chart_regions(spec.outer_chart)]
     ks = [sh.k for sh in shells]
-    vals, grads = [], []
-    for sh in shells:
-        v_tot = g_tot = 0.0
-        for region in regions:
-            v, g = _composed_terms(params, spec, u, q, region, sh, samples_per_shell, seed)
-            v_tot += v
-            g_tot += g
-        vals.append(v_tot)
-        grads.append(g_tot)
+    # per shell 0 + A + B + C, in chart order: the float order the CSVs pin
+    vals = [sum(v.contributions[k] for v, _ in terms) for k in ks]
+    grads = [sum(g.contributions[k] for _, g in terms) for k in ks]
     value_sum = ShellSum.from_contributions(ks, vals)
     grad_sum = ShellSum.from_contributions(ks, grads)
     total_sum = ShellSum.from_contributions(ks, [a + b for a, b in zip(vals, grads)])

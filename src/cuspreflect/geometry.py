@@ -289,7 +289,7 @@ def classify_profile(params: CuspParams, scheme: str, t, r):
     interface points go to the earlier region in the order A, B, C (resp.
     D, E; inner band 1, 2, 3).
     """
-    scheme = _check_scheme(scheme)
+    scheme = check_scheme(scheme)
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     steps = [
@@ -317,7 +317,8 @@ def classify(params: CuspParams, scheme: str, z) -> RegionLabel:
     return classify_profile(params, scheme, np.array([p.t]), radii(p.x[None, :]))[0]
 
 
-def _check_scheme(scheme: str) -> str:
+def check_scheme(scheme: str) -> str:
+    """The scheme's upper-case name; ValueError unless it is R1 or R2."""
     name = str(scheme).upper()
     if name not in SCHEME_CHARTS:
         raise ValueError(f"scheme must be 'R1' or 'R2', got {scheme!r}")
@@ -372,7 +373,7 @@ def _require_sampleable(label: RegionLabel, scheme: str | None = None):
         raise ValueError(f"{label.value} is not a sampleable open region")
     if scheme is not None:
         want = _scheme_of_label(label)
-        if want is not None and want != _check_scheme(scheme):
+        if want is not None and want != check_scheme(scheme):
             raise ValueError(f"{label.value} belongs to scheme {want}, not {scheme}")
 
 

@@ -49,20 +49,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, InterfaceError
-from .geometry import (  # noqa: F401 - the region table's names stay importable from here
-    COLLAR_REGIONS,
-    SCHEME_CHARTS,
+from .geometry import (
     ChartId,
     CuspParams,
     Point,
     as_point,
     as_points,
-    chart_of_region,
     chart_regions,
     classify,
     first_flagged,
     on_cusp_wall,
-    outer_chart,
     piece_of_region,
     radii,
     region_masks,

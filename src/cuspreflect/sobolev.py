@@ -22,6 +22,11 @@ each (region, shell) once; only region E's radial tilt, which depends on
 integrand is reduced in log space, from log opnorm, log|det| and the log
 importance weight, so deep shells where |det| underflows keep finite
 values.  `distortion_integral` is its one-cell case.
+
+The norm terms of a test function and of its extension run through one
+shell loop, `function_shells`.  On both paths every shell draws once, from
+the substream (seed, k, region, salt), and a nan raises
+NonFiniteIntegrandError.
 """
 
 from __future__ import annotations
@@ -34,14 +39,18 @@ import numpy as np
 from . import reflections
 from .errors import WindowError
 from .geometry import (
+    COLLAR_REGIONS,
+    ChartId,
     CuspParams,
     RegionLabel,
     Shell,
+    chart_of_region,
+    check_scheme,
     derive_rng,
     draw_scale,
+    piece_of_region,
     sample_profile,
 )
-from .reflections import ChartId
 
 # Verdict thresholds.  The convergent cutoff is calibrated so the classifier
 # is decisive at every sweep cell at least 0.05 in q away from the critical
@@ -53,9 +62,6 @@ RATIO_DIVERGENT = 1.0
 VERDICT_TAIL = 4
 PARTIAL_SUM_CAP = 1e12
 MIN_SHELLS = 6
-# Redraws of a `shell_estimate` shell whose integrand values hold a nan,
-# before giving up.
-MAX_RETRIES = 3
 # Values (cells x samples) that `distortion_sweep` reduces in one block:
 # larger blocks save little time and raise peak memory.
 BLOCK_VALUES = 8192
@@ -98,8 +104,14 @@ def q_max_r2(p: float, n: int, s: float) -> float:
     return c * p / (c + (s - 1.0) * p)
 
 
+def p_min(scheme: str, n: int, s: float) -> float:
+    """Lower end of the admissible p-window of the scheme."""
+    return p_min_r1(n, s) if check_scheme(scheme) == "R1" else p_min_r2(n, s)
+
+
 def q_max(scheme: str, p: float, n: int, s: float) -> float:
-    return q_max_r1(p, n, s) if str(scheme).upper() == "R1" else q_max_r2(p, n, s)
+    """Critical q of the scheme at p."""
+    return q_max_r1(p, n, s) if check_scheme(scheme) == "R1" else q_max_r2(p, n, s)
 
 
 def p_star(n: int, s: float) -> float:
@@ -201,8 +213,8 @@ class Verdict:
         return self.kind
 
 
-def convergence_verdict(shell_sum: ShellSum, tail: int = VERDICT_TAIL) -> Verdict:
-    """Classify tail behaviour: Convergent if the last `tail` ratios are all
+def convergence_verdict(shell_sum: ShellSum) -> Verdict:
+    """Classify tail behaviour: Convergent if the last VERDICT_TAIL ratios are all
     <= RATIO_CONVERGENT; else Divergent if all >= 1.0 or the partial sum
     exceeds 1e12.
 
@@ -215,7 +227,7 @@ def convergence_verdict(shell_sum: ShellSum, tail: int = VERDICT_TAIL) -> Verdic
     total = shell_sum.total
     if total == 0.0:
         return Verdict("Convergent", 0.0)
-    last = shell_sum.ratios[-tail:]
+    last = shell_sum.ratios[-VERDICT_TAIL:]
     finite = [x for x in last if math.isfinite(x) and x > 0.0]
     fitted = math.exp(sum(math.log(x) for x in finite) / len(finite)) if finite else math.inf
     if all(x <= RATIO_CONVERGENT for x in last) and math.isfinite(total):
@@ -240,38 +252,28 @@ def shell_estimate(
     rng_seed_parts: tuple,
     radial_tilt: float = 0.0,
 ) -> float:
-    """Stratified estimate of one shell integral.
+    """Stratified estimate of one shell integral from the substream
+    (seed, k, region, salt) of `rng_seed_parts` = (seed, k, salt).
 
-    `integrand(t, r)` returns pointwise values on profile samples.  nan
-    values (formula kinks hit head-on) trigger resampling of the whole shell
-    with a fresh substream, a bounded number of times; inf values are kept,
-    since genuinely divergent exponents overflow by design.
+    `integrand(t, r)` returns pointwise values on profile samples.  A nan
+    among the weighted values raises NonFiniteIntegrandError; inf values are
+    kept, since genuinely divergent exponents overflow by design.
     """
     seed, k, salt = rng_seed_parts
-    for attempt in range(MAX_RETRIES + 1):
-        rng = derive_rng(seed, k, region, salt=f"{salt}#{attempt}" if attempt else salt)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            prof = sample_profile(params, region, shell, samples, rng, radial_tilt=radial_tilt)
-            vals = integrand(prof.t, prof.r)
-            weighted = prof.weight * vals
-            if not np.any(np.isnan(weighted)):
-                return prof.measure * float(np.mean(weighted))
-    raise InterfaceRetryError(region, shell)
+    rng = derive_rng(seed, k, region, salt=salt)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        prof = sample_profile(params, region, shell, samples, rng, radial_tilt=radial_tilt)
+        weighted = prof.weight * integrand(prof.t, prof.r)
+        if np.isnan(weighted).any():
+            raise NonFiniteIntegrandError(region, shell)
+        return prof.measure * float(np.mean(weighted))
 
 
 class NonFiniteIntegrandError(RuntimeError):
     """A shell's integrand values hold a nan."""
 
-    what = "non-finite integrand values"
-
     def __init__(self, region, shell):
-        super().__init__(f"{self.what} on {region.value}, shell {shell.k}")
-
-
-class InterfaceRetryError(NonFiniteIntegrandError):
-    """`shell_estimate` met a nan in every one of its redraws."""
-
-    what = "persistent non-finite integrand values"
+        super().__init__(f"non-finite integrand values on {region.value}, shell {shell.k}")
 
 
 def _distortion_tilt(region: RegionLabel, p: float, q: float, s: float) -> float:
@@ -318,11 +320,11 @@ def distortion_sweep(
     cells = list(cells)
     for p, q in cells:
         _check_pq(p, q)
-    if region not in reflections.COLLAR_REGIONS:
+    if region not in COLLAR_REGIONS:
         raise ValueError(f"distortion integral is defined on A..E, not {region.value}")
-    if reflections.chart_of_region(region) is not chart:
+    if chart_of_region(region) is not chart:
         raise ValueError(f"{region.value} is not a piece of chart {chart.value}")
-    piece = reflections.piece_of_region(region)
+    piece = piece_of_region(region)
     P = np.array([[p * q / (p - q)] for p, q in cells])
     Q = np.array([[q / (p - q)] for p, q in cells])
     tilts = np.array([[_distortion_tilt(region, p, q, params.s)] for p, q in cells])
@@ -371,16 +373,24 @@ def distortion_integral(
     return distortion_sweep(params, chart, region, [(p, q)], shells, samples_per_shell, seed)[0]
 
 
-def _function_shells(params, pointwise, region, shells, samples_per_shell, seed, salt):
-    """Shell sum of pointwise(t) over the region (u depends on t alone);
-    each shell's stream is salted `salt`."""
-    ks = [sh.k for sh in shells]
+def function_shells(
+    params: CuspParams,
+    region: RegionLabel,
+    shells,
+    integrand,
+    samples_per_shell: int,
+    seed: int,
+    salt: str,
+    radial_tilt: float = 0.0,
+) -> ShellSum:
+    """Shell sum of integrand(t, r) over the region, each shell estimated by
+    `shell_estimate` from the substream (seed, k, region, salt)."""
     values = [
-        shell_estimate(params, region, sh, lambda t, r: pointwise(t), samples_per_shell,
-                       (seed, sh.k, salt))
+        shell_estimate(params, region, sh, integrand, samples_per_shell, (seed, sh.k, salt),
+                       radial_tilt=radial_tilt)
         for sh in shells
     ]
-    return ShellSum.from_contributions(ks, values)
+    return ShellSum.from_contributions([sh.k for sh in shells], values)
 
 
 def sobolev_seminorm(
@@ -397,8 +407,8 @@ def sobolev_seminorm(
     if p < 1.0:
         raise WindowError(f"Sobolev exponent must satisfy p >= 1, got {p}")
     # sqrt(u'^2) rather than |u'|: a u' whose square overflows gives inf
-    return _function_shells(params, lambda t: np.sqrt(u.deriv_t(t) ** 2) ** p,
-                            region, shells, samples_per_shell, seed, "semi")
+    return function_shells(params, region, shells, lambda t, r: np.sqrt(u.deriv_t(t) ** 2) ** p,
+                           samples_per_shell, seed, "semi")
 
 
 def lp_norm_term(
@@ -411,8 +421,8 @@ def lp_norm_term(
     seed: int = 42,
 ) -> ShellSum:
     """Shellwise estimate of the value term |u(t)|^p over the region."""
-    return _function_shells(params, lambda t: np.abs(u.value_t(t)) ** p,
-                            region, shells, samples_per_shell, seed, "lp")
+    return function_shells(params, region, shells, lambda t, r: np.abs(u.value_t(t)) ** p,
+                           samples_per_shell, seed, "lp")
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +459,7 @@ def scaling_profile(
     """Per-shell geometric means of |det| and means of opnorm for a chart
     piece, plus the radial-compensated opnorm mean used by the region-E
     boundedness check."""
-    piece = reflections.piece_of_region(region)
+    piece = piece_of_region(region)
     s = params.s
     rows = []
     for sh in shells:
@@ -480,7 +490,7 @@ def det_scaling_target(region: RegionLabel, n: int, s: float) -> float:
     raise ValueError(f"no scaling target for {region.value}")
 
 
-def qmax_crossing(n: int, s: float, tol: float = 1e-12) -> float:
+def qmax_crossing(n: int, s: float) -> float:
     """Numeric crossing of the two critical curves (bisection); equals p*."""
     lo = p_min_r1(n, s) * (1.0 + 1e-9)
     hi = 64.0
@@ -497,6 +507,6 @@ def qmax_crossing(n: int, s: float, tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * max(1.0, lo):
+        if hi - lo < 1e-12 * max(1.0, lo):
             break
     return 0.5 * (lo + hi)

@@ -1,5 +1,6 @@
-"""Shared fixtures, a planted differential fault, the child-process
-environment and the brute-force quadrature oracle.
+"""Shared fixtures, a planted differential fault, a spy on the shell
+streams, the child-process environment and the brute-force quadrature
+oracle.
 
 The oracle integrates profile integrands over region/shell intersections by
 dense midpoint rules (log-spaced in the radial direction where integrands
@@ -17,6 +18,7 @@ import pytest
 
 import cuspreflect
 import cuspreflect.reflections as refl
+from cuspreflect import sobolev
 from cuspreflect.geometry import CuspParams, RegionLabel, Shell, unit_ball_volume
 
 
@@ -43,6 +45,19 @@ def negate_entry(i, j):
         return M
 
     return planted
+
+
+def spy_rng(monkeypatch) -> list:
+    """Record the (seed, k, label, salt) of every `derive_rng` call of sobolev."""
+    calls = []
+    derive = sobolev.derive_rng
+
+    def spy(seed, k, label, salt=""):
+        calls.append((seed, k, label, salt))
+        return derive(seed, k, label, salt=salt)
+
+    monkeypatch.setattr(sobolev, "derive_rng", spy)
+    return calls
 
 
 def brute_shell_integral(

@@ -10,8 +10,7 @@ import time
 from cuspreflect import checks, extension, reflections, sobolev
 from cuspreflect.cli import main as cli_main
 from cuspreflect.extension import Direction, ExtensionSpec, PowerAlpha, membership_oracle
-from cuspreflect.geometry import CuspParams, Point, RegionLabel, shells
-from cuspreflect.reflections import ChartId
+from cuspreflect.geometry import ChartId, CuspParams, Point, RegionLabel, shells
 
 
 def _report(num, name, ok, elapsed, budget, detail=""):

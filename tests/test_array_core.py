@@ -14,6 +14,7 @@ from cuspreflect import checks, extension, geometry, reflections
 from cuspreflect.errors import ChartDomainError
 from cuspreflect.extension import ClampT, Direction, ExtensionSpec, PowerAlpha
 from cuspreflect.geometry import (
+    ChartId,
     CuspParams,
     Point,
     RegionLabel,
@@ -26,7 +27,6 @@ from cuspreflect.geometry import (
     sample_region,
     sample_region_points,
 )
-from cuspreflect.reflections import ChartId
 
 PARAMS = [(3, 2.0), (4, 1.5), (3, 3.0)]
 R1_COLLAR = (RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC)
@@ -281,7 +281,7 @@ def ref_fd_agreement(params, per_piece, seed):
     worst = 0.0
     total = 0
     for piece, label in PIECE_REGION.items():
-        chart = reflections.chart_of_region(label)
+        chart = geometry.chart_of_region(label)
         for z in _fd_points(params, piece, per_piece, seed):
             jet = reflections.differential(chart, params, z)
             fd = reflections.differential_fd(chart, params, z)
@@ -295,7 +295,7 @@ def ref_round_trip(params, per_piece, seed):
     worst = 0.0
     total = 0
     for label in PIECE_REGION.values():
-        chart = reflections.chart_of_region(label)
+        chart = geometry.chart_of_region(label)
         scheme = "R2" if chart is ChartId.R2Outer else "R1"
         for k in (1, 4, 9):
             for z in sample_region(params, scheme, label, Shell(k), per_piece // 3 + 1, seed):
@@ -315,13 +315,15 @@ def ref_native_identity(params, samples, seed):
     total = 0
     for label in (RegionLabel.CuspInterior, RegionLabel.InnerPiece2, RegionLabel.InnerPiece3):
         for z in sample_region(params, "R1", label, Shell(2), samples, seed):
-            worst = max(worst, abs(extension.extend_eval(spec, params, u, z) - u.value(z)))
+            want = u.value_t(np.array([z.t]))[0]
+            worst = max(worst, abs(extension.extend_eval(spec, params, u, z) - want))
             total += 1
     spec_out = ExtensionSpec("R1", Direction.FromOutside)
     u2 = ClampT()
     for label in R1_COLLAR:
         for z in sample_region(params, "R1", label, Shell(2), samples, seed):
-            worst = max(worst, abs(extension.extend_eval(spec_out, params, u2, z) - u2.value(z)))
+            want = u2.value_t(np.array([z.t]))[0]
+            worst = max(worst, abs(extension.extend_eval(spec_out, params, u2, z) - want))
             total += 1
     return total, worst
 
@@ -377,7 +379,7 @@ def ref_cutoff_product(params, samples, seed):
     for i, z in enumerate(points):
         psi = extension.cutoff_psi(params, z)
         got = 0.0 if psi == 0.0 else psi * extension.extend_eval(spec, params, u, z)
-        want = u.value(z) if i < samples else 0.0  # the domain, then far outside
+        want = u.value_t(np.array([z.t]))[0] if i < samples else 0.0  # the domain, then far outside
         worst = max(worst, abs(got - want))
     return len(points), worst
 

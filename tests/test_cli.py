@@ -131,9 +131,31 @@ class TestInputHardening:
     ])
     def test_bad_float_list_is_3(self, tmp_path, capsys, args, flag, text):
         out = tmp_path / "out.csv"
-        assert run_cli(args + ["--samples", "64", "--k-max", "12", "--out", str(out)]) == 3
+        small = ["--samples", "64", "--k-max", "12"] if args[0] == "sweep" else []
+        assert run_cli(args + small + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} {text!r}: needs finite numbers")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,flag", [
+        (["classify", "--point", "0.1,0,0"], "--seed"),
+        (["reflect", "--scheme", "r1-outer", "--point", "0.1,0,0"], "--samples"),
+        (["jacobian", "--scheme", "r1-outer", "--point", "0.1,0,0"], "--k-max"),
+        (["verify"], "--k-min"),
+        (["verify"], "--k-max"),
+        (["verify"], "--samples"),
+        (["holder"], "--seed"),
+        (["holder"], "--k-max"),
+        (["holder"], "--samples"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_unread_flag_is_2(self, tmp_path, capsys, args, flag):
+        # each command takes only the flags it reads
+        out = tmp_path / "out.csv"
+        writes = ["--out", str(out)] if args[0] in ("verify", "holder") else []
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + [flag, "9"] + writes)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 9" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,text", [

@@ -8,8 +8,8 @@ so an index or sign slip in either derivation shows up here.
 import numpy as np
 import pytest
 
-from cuspreflect.geometry import CuspParams, Point, RegionLabel, Shell, sample_region
-from cuspreflect.reflections import ChartId, differential
+from cuspreflect.geometry import ChartId, CuspParams, Point, RegionLabel, Shell, sample_region
+from cuspreflect.reflections import differential
 
 
 def _entries_A(n, s, t, x):

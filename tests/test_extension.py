@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import package_env
+from conftest import package_env, spy_rng
 
 from cuspreflect import extension, geometry, reflections, sobolev
 from cuspreflect.errors import ChartDomainError, WindowError
@@ -38,46 +38,32 @@ from cuspreflect.geometry import (
 class TestTestFunctions:
     def test_power_value_and_gradient(self):
         u = PowerAlpha(1.4)
-        z = Point(0.3, [0.01, 0.0])
-        assert u.value(z) == pytest.approx(0.3**-1.4)
-        g = u.gradient(z)
-        assert g[0] == pytest.approx(-1.4 * 0.3**-2.4)
-        assert np.all(g[1:] == 0.0)
+        t = np.array([0.3])
+        assert u.value_t(t)[0] == pytest.approx(0.3**-1.4)
+        assert u.deriv_t(t)[0] == pytest.approx(-1.4 * 0.3**-2.4)
 
     def test_power_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
-            PowerAlpha(1.0).value(Point(-0.1, [0.0, 0.0]))
+            PowerAlpha(1.0).value_t(np.array([-0.1]))
         with pytest.raises(WindowError):
             PowerAlpha(-1.0)
 
     def test_clamp(self):
         u = ClampT()
-        assert u.value(Point(-0.5, [0.0, 0.0])) == 0.0
-        assert u.value(Point(0.4, [0.0, 0.0])) == 0.4
-        assert u.value(Point(1.5, [0.0, 0.0])) == 1.0
-        assert u.gradient(Point(0.4, [0.0, 0.0]))[0] == 1.0
-        assert u.gradient(Point(-0.4, [0.0, 0.0]))[0] == 0.0
+        assert u.value_t(np.array([-0.5, 0.4, 1.5])).tolist() == [0.0, 0.4, 1.0]
+        assert u.deriv_t(np.array([0.4, -0.4])).tolist() == [1.0, 0.0]
 
     def test_constant(self):
         u = Constant(2.5)
-        assert u.value(Point(0.1, [0.2, 0.0])) == 2.5
-        assert np.all(u.gradient(Point(0.1, [0.2, 0.0])) == 0.0)
+        assert u.value_t(np.array([0.1])).tolist() == [2.5]
+        assert u.deriv_t(np.array([0.1])).tolist() == [0.0]
 
-    @pytest.mark.parametrize("u,z", [
-        (PowerAlpha(1.2), Point(0.3, [0.05, 0.02])),
-        (ClampT(), Point(0.4, [0.1, 0.0])),
-    ])
-    def test_gradient_matches_fd(self, u, z):
+    @pytest.mark.parametrize("u,t", [(PowerAlpha(1.2), 0.3), (ClampT(), 0.4)])
+    def test_gradient_matches_fd(self, u, t):
         # central-difference oracle away from kinks
         h = 1e-6
-        base = z.as_array()
-        g = u.gradient(z)
-        for j in range(3):
-            zp, zm = base.copy(), base.copy()
-            zp[j] += h
-            zm[j] -= h
-            fd = (u.value(Point(zp[0], zp[1:])) - u.value(Point(zm[0], zm[1:]))) / (2 * h)
-            assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        fd = (u.value_t(np.array([t + h]))[0] - u.value_t(np.array([t - h]))[0]) / (2 * h)
+        assert u.deriv_t(np.array([t]))[0] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 class TestExtensionSpec:
@@ -89,6 +75,10 @@ class TestExtensionSpec:
     def test_r2_inward_rejected(self):
         with pytest.raises(WindowError):
             ExtensionSpec("R2", Direction.FromOutside)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="scheme must be 'R1' or 'R2', got 'r3'"):
+            ExtensionSpec("r3", Direction.FromInside)
 
 
 class TestExtendEval:
@@ -103,7 +93,7 @@ class TestExtendEval:
         spec = ExtensionSpec("R1", Direction.FromInside)
         u = PowerAlpha(0.9)
         z = Point(0.3, [0.02, 0.0])
-        assert extend_eval(spec, params, u, z) == u.value(z)
+        assert extend_eval(spec, params, u, z) == u.value_t(np.array([z.t]))[0]
 
     def test_boundary_value_zero(self, params):
         spec = ExtensionSpec("R1", Direction.FromInside)
@@ -237,7 +227,7 @@ class TestCutoff:
         u = PowerAlpha(0.5)
         z = Point(0.2, [0.01, 0.0])
         got = extend_global_points(spec, params, u, [0.2, -0.7], [[0.01, 0.0], [0.1, 0.0]])
-        assert got.tolist() == [u.value(z), 0.0]
+        assert got.tolist() == [u.value_t(np.array([z.t]))[0], 0.0]
 
 
 def dense_dist_to_domain(s, t, r):
@@ -341,6 +331,48 @@ class TestNormExperiment:
         assert rep.verdict.kind == "Convergent"
 
 
+def _plant_nan(monkeypatch, piece):
+    """Make `piece_profile` return a nan in the first T_t of the piece, so
+    that only the gradient integrand of its region meets one."""
+    profile = reflections.piece_profile
+
+    def planted(name, prm, t, r):
+        T, T_t, *rest = profile(name, prm, t, r)
+        if name == piece:
+            T_t = T_t.copy()
+            T_t.flat[0] = np.nan
+        return (T, T_t, *rest)
+
+    monkeypatch.setattr(reflections, "piece_profile", planted)
+
+
+class TestNonFiniteNorm:
+    """A nan in a norm integrand raises at once, from the shell's one draw."""
+
+    def test_raises_after_one_draw(self, monkeypatch, params):
+        _plant_nan(monkeypatch, "E")
+        calls = spy_rng(monkeypatch)
+        spec = ExtensionSpec("R2", Direction.FromInside)
+        with pytest.raises(sobolev.NonFiniteIntegrandError, match="RegionE, shell 5$"):
+            extension_norm_experiment(params, spec, PowerAlpha(1.4), 2.0, 1.3,
+                                      shells(5, 12), 64, 3)
+        shell_calls = [c for c in calls if c[1:3] == (5, RegionLabel.RegionE)
+                       and c[3].startswith("extgrad")]
+        assert shell_calls == [(3, 5, RegionLabel.RegionE, "extgrad")]
+        assert calls[-1] == shell_calls[0]
+
+    def test_extendnorm_exits_3(self, monkeypatch, tmp_path, capsys):
+        from cuspreflect.cli import main
+
+        _plant_nan(monkeypatch, "E")
+        out = tmp_path / "out.csv"
+        assert main(["extendnorm", "--scheme", "r2", "--p", "2", "--q", "1.3",
+                     "--samples", "64", "--k-max", "12", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: non-finite integrand values on RegionE, shell 5\n"
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # The direction-drawing integrands that the t-only integrands replaced, kept
 # as the reference: each sample draws a uniform cross-section direction after
@@ -351,18 +383,17 @@ def reference_shell_estimate(params, region, shell, integrand, samples, seed_par
                              radial_tilt=0.0):
     """`shell_estimate` with an integrand that also takes the shell's rng."""
     seed, k, salt = seed_parts
-    for attempt in range(sobolev.MAX_RETRIES + 1):
-        rng = derive_rng(seed, k, region, salt=f"{salt}#{attempt}" if attempt else salt)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            prof = sample_profile(params, region, shell, samples, rng, radial_tilt=radial_tilt)
-            weighted = prof.weight * integrand(prof.t, prof.r, rng)
-            if not np.any(np.isnan(weighted)):
-                return prof.measure * float(np.mean(weighted))
-    raise sobolev.InterfaceRetryError(region, shell)
+    rng = derive_rng(seed, k, region, salt=salt)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        prof = sample_profile(params, region, shell, samples, rng, radial_tilt=radial_tilt)
+        weighted = prof.weight * integrand(prof.t, prof.r, rng)
+        if np.isnan(weighted).any():
+            raise sobolev.NonFiniteIntegrandError(region, shell)
+        return prof.measure * float(np.mean(weighted))
 
 
 def reference_composed_terms(params, u, q, region, shell, samples, seed):
-    piece = reflections.piece_of_region(region)
+    piece = geometry.piece_of_region(region)
     n, s = params.n, params.s
     dim = n - 1
     tilts = (0.0, 0.0)
@@ -370,14 +401,13 @@ def reference_composed_terms(params, u, q, region, shell, samples, seed):
         tilts = (u.alpha * q / s, (u.alpha + s) * q / s)
 
     def value_integrand(t, r, rng):
-        T, phi, _, _ = reflections.profile_jet(piece, params, t, r)
-        dirs = random_directions(t.size, dim, rng)
-        return np.abs(u.value_points(T, phi[:, None] * dirs)) ** q
+        T = reflections.profile_jet(piece, params, t, r)[0]
+        return np.abs(u.value_t(T)) ** q
 
     def grad_integrand(t, r, rng):
         T, T_t, T_r, phi, phi_t, phi_r = reflections.piece_profile(piece, params, t, r)
         dirs = random_directions(t.size, dim, rng)
-        g_t, g_x = u.gradient_points(T, phi[:, None] * dirs)
+        g_t, g_x = u.deriv_t(T), np.zeros((t.size, dim))
         g_par = np.sum(g_x * dirs, axis=1)
         g_perp = g_x - g_par[:, None] * dirs
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -399,10 +429,10 @@ def reference_function_shells(params, u, p, shl, samples, seed):
     dim = params.n - 1
 
     def lp(t, X):
-        return np.abs(u.value_points(t, X)) ** p
+        return np.abs(u.value_t(t)) ** p
 
     def semi(t, X):
-        g_t, g_x = u.gradient_points(t, X)
+        g_t, g_x = u.deriv_t(t), np.zeros_like(X)
         return np.sqrt(g_t**2 + np.sum(g_x**2, axis=1)) ** p
 
     def shells_of(pointwise, salt):
@@ -429,9 +459,11 @@ class TestProfileIntegrands:
         params = CuspParams(n, s)
         spec = ExtensionSpec(scheme, Direction.FromInside)
         q = 1.3
-        for region in reflections.chart_regions(spec.outer_chart):
-            for sh in shells(5, 10):
-                got = extension._composed_terms(params, spec, u, q, region, sh, 256, 7)
+        shl = shells(5, 10)
+        for region in geometry.chart_regions(spec.outer_chart):
+            got_value, got_grad = extension._region_terms(params, u, q, region, shl, 256, 7)
+            for sh in shl:
+                got = (got_value.contributions[sh.k], got_grad.contributions[sh.k])
                 want = reference_composed_terms(params, u, q, region, sh, 256, 7)
                 assert got == want, (region, sh.k)
 

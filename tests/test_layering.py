@@ -4,6 +4,8 @@ The layers, bottom first: errors < geometry < reflections < sobolev <
 extension < checks < cli.  Imports inside functions count as well, so a
 lower layer cannot reach an upper one by deferring the import.  Beyond the
 package itself, a module may import only the standard library and numpy.
+A name that `geometry` defines, such as the region table's, is read from
+`geometry`, not through `reflections`, which imports it.
 """
 
 import ast
@@ -65,3 +67,36 @@ def imported_roots(path: Path) -> set[str]:
 def test_imports_only_stdlib_and_numpy(path):
     allowed = set(sys.stdlib_module_names) | {"numpy", "cuspreflect"}
     assert imported_roots(path) <= allowed
+
+
+def geometry_names() -> set[str]:
+    """Names bound at the top level of geometry.py."""
+    names = set()
+    for node in ast.parse((PACKAGE / "geometry.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def geometry_reads_via_reflections(path: Path) -> set[str]:
+    """Names of `geometry` that the file reads as `reflections.<name>` or
+    imports from the reflections module."""
+    own = geometry_names()
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "reflections" and node.attr in own:
+                found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("reflections",
+                                                                  "cuspreflect.reflections"):
+            found.update(alias.name for alias in node.names if alias.name in own)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.stem != "reflections"),
+                         ids=lambda p: p.stem)
+def test_geometry_names_come_from_geometry(path):
+    assert geometry_reads_via_reflections(path) == set()

@@ -8,9 +8,16 @@ from hypothesis import strategies as st
 
 import cuspreflect.reflections as refl
 from cuspreflect.errors import ChartDomainError, InterfaceError
-from cuspreflect.geometry import CuspParams, Point, RegionLabel, Shell, sample_region
-from cuspreflect.reflections import (
+from cuspreflect.geometry import (
     ChartId,
+    CuspParams,
+    Point,
+    RegionLabel,
+    Shell,
+    piece_of_region,
+    sample_region,
+)
+from cuspreflect.reflections import (
     apply,
     differential,
     differential_fd,
@@ -187,7 +194,7 @@ class TestFiniteDifferences:
                 pts = sample_region(params, scheme, label, Shell(2), 40, 17)
                 checked = 0
                 for z in pts:
-                    piece = refl.piece_of_region(label)
+                    piece = piece_of_region(label)
                     if min(refl.piece_gaps(piece, params, z.t, z.r)) < 4e-6:
                         continue
                     A = differential(chart, params, z).differential

@@ -17,6 +17,7 @@ from cuspreflect.geometry import (
     BALL_RADIUS,
     ORIGIN_TOL,
     REL_TOL,
+    ChartId,
     CuspParams,
     RegionLabel,
     classify_profile,
@@ -24,7 +25,7 @@ from cuspreflect.geometry import (
     radii,
     select_first,
 )
-from cuspreflect.reflections import ChartId, piece_index
+from cuspreflect.reflections import piece_index
 
 PARAMS = [(3, 2.0), (4, 1.5), (3, 3.0), (5, 1.2)]
 

@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import brute_shell_integral
+from conftest import brute_shell_integral, spy_rng
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuspreflect import checks, reflections, sobolev
 from cuspreflect.errors import WindowError
 from cuspreflect.extension import Constant, PowerAlpha
-from cuspreflect.geometry import CuspParams, RegionLabel, Shell, shells
-from cuspreflect.reflections import ChartId
+from cuspreflect.geometry import ChartId, CuspParams, RegionLabel, Shell, piece_of_region, shells
 from cuspreflect.sobolev import (
     ShellSum,
     convergence_verdict,
@@ -44,6 +43,18 @@ class TestWindows:
             q_max_r1(1.5, 3, 2.0)
         with pytest.raises(WindowError):
             q_max_r2(1.2, 3, 2.0)
+
+    def test_scheme_dispatch(self):
+        assert sobolev.q_max("r1", 2.0, 3, 2.0) == q_max_r1(2.0, 3, 2.0)
+        assert sobolev.q_max("R2", 2.0, 3, 2.0) == q_max_r2(2.0, 3, 2.0)
+        assert sobolev.p_min("R1", 3, 2.0) == p_min_r1(3, 2.0)
+        assert sobolev.p_min("r2", 3, 2.0) == p_min_r2(3, 2.0)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="scheme must be 'R1' or 'R2', got 'R3'"):
+            sobolev.q_max("R3", 2.0, 3, 2.0)
+        with pytest.raises(ValueError, match="got 'R3'"):
+            sobolev.p_min("R3", 3, 2.0)
 
     @pytest.mark.parametrize("n,s,expect", [(3, 2.0, 10.0 / 3.0), (4, 3.0, 7.5)])
     def test_p_star(self, n, s, expect):
@@ -191,7 +202,7 @@ class TestDistortionIntegral:
     ])
     def test_against_brute_force(self, params, region, chart, p, q):
         # independent dense-quadrature oracle per shell
-        piece = reflections.piece_of_region(region)
+        piece = piece_of_region(region)
         P, Q = p * q / (p - q), q / (p - q)
 
         def f(t, r):
@@ -233,7 +244,7 @@ def reference_distortion(params, region, p, q, shl, samples, seed):
     """The pow-form per-cell shell loop that `distortion_sweep` replaced: one
     `shell_estimate` per shell, with weight * opnorm^P / |det|^Q evaluated
     as floats inside the integrand."""
-    piece = reflections.piece_of_region(region)
+    piece = piece_of_region(region)
     P, Q = p * q / (p - q), q / (p - q)
     s = params.s
     tilt = (s - 1.0) * p * q / (s * (p - q)) if region is RegionLabel.RegionE else 0.0
@@ -267,19 +278,6 @@ def _plant_nan(monkeypatch):
         return log_opnorm, log_absdet
 
     monkeypatch.setattr(reflections, "profile_log_jet", planted)
-
-
-def _spy_rng(monkeypatch) -> list:
-    """Record the (seed, k, label, salt) of every `derive_rng` call of sobolev."""
-    calls = []
-    derive = sobolev.derive_rng
-
-    def spy(seed, k, label, salt=""):
-        calls.append((seed, k, label, salt))
-        return derive(seed, k, label, salt=salt)
-
-    monkeypatch.setattr(sobolev, "derive_rng", spy)
-    return calls
 
 
 class TestDistortionSweep:
@@ -321,7 +319,7 @@ class TestDistortionSweep:
     def test_nan_in_log_jet_raises_on_first_draw(self, monkeypatch, params, region, chart,
                                                  scheme):
         _plant_nan(monkeypatch)
-        calls = _spy_rng(monkeypatch)
+        calls = spy_rng(monkeypatch)
         cells = checks.sweep_grid(params, scheme, grid=3)
         with pytest.raises(sobolev.NonFiniteIntegrandError, match=f"{region.value}, shell 5"):
             distortion_sweep(params, chart, region, cells, shells(5, 10), 64, 3)
@@ -339,7 +337,7 @@ class TestDistortionSweep:
 
     @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
     def test_one_draw_per_region_and_shell(self, monkeypatch, params, region, chart, scheme):
-        calls = _spy_rng(monkeypatch)
+        calls = spy_rng(monkeypatch)
         cells = checks.sweep_grid(params, scheme, grid=7)
         distortion_sweep(params, chart, region, cells, shells(5, 12), 1024, 3)
         assert calls == [(3, k, region, "dist") for k in range(5, 13)]

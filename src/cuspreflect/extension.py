@@ -7,8 +7,10 @@ inner chart of the first reflection.  The test functions are profiles u(t)
 with exact derivatives u'(t), so u o R = u(T) and the extension gradient is
 the first row of DR scaled by u'(T), with norm |u'(T)| |grad T|,
 grad T = (T_t, T_r).  The norm experiment sums these terms region by region
-through `sobolev.function_shells`, the shell loop of the seminorm and L^p
-terms as well.
+through `sobolev.function_shells`, the shell loop of the seminorm as well:
+each (region, shell) is drawn once for all its terms, the collar regions
+under the salt "extval" and the L^p and seminorm terms of u on the cusp
+window under "lp".
 
 The Lipschitz cutoff psi (1 on the closed domain, 0 off the R1 collar of the
 region table) turns the extension into the global cutoff product psi E(u).
@@ -335,32 +337,61 @@ def _region_terms(
     seed: int,
 ) -> tuple[ShellSum, ShellSum]:
     """Shell sums of the (value, gradient) L^q masses of u o R over a collar
-    region: u depends on t alone, so u o R = u(T) has gradient norm
-    |u'(T)| |(T_t, T_r)|."""
+    region, both from one draw per shell under the salt "extval": u depends
+    on t alone, so u o R = u(T) has gradient norm |u'(T)| |(T_t, T_r)|.
+    Terms of equal radial tilt read one chart profile."""
     piece = piece_of_region(region)
     s = params.s
-    # Region E composes through T = r^(1/s): the power family pulls a radial
-    # singularity r^(-alpha q / s) (value) or r^(-(alpha+s)q/s) (gradient)
-    # into the integrand; match the sampling density to it.
+    # Region E composes through T = r^(1/s), with |grad T| = r^(1/s-1)/s: the
+    # power family pulls a radial singularity r^(-alpha q / s) (value) or
+    # r^(-(alpha+s)q/s) (gradient) into the integrand, and clamp(t, 0, 1),
+    # whose u' is 1 there, r^(-(s-1)q/s) (gradient); match the sampling
+    # density to it.
     value_tilt = grad_tilt = 0.0
     if region is RegionLabel.RegionE and isinstance(u, PowerAlpha):
         value_tilt, grad_tilt = u.alpha * q / s, (u.alpha + s) * q / s
+    elif region is RegionLabel.RegionE and isinstance(u, ClampT):
+        grad_tilt = (s - 1.0) * q / s
 
-    def value_integrand(t, r):
-        T = reflections.piece_profile(piece, params, t, r)[0]
-        return np.abs(u.value_t(T)) ** q
+    def masses(value: bool, grad: bool):
+        def integrand(t, r):
+            T, T_t, T_r = reflections.piece_profile(piece, params, t, r)[:3]
+            rows = []
+            if value:
+                rows.append(np.abs(u.value_t(T)) ** q)
+            if grad:
+                du = u.deriv_t(T)
+                rows.append(((du * T_t) ** 2 + (du * T_r) ** 2) ** (q / 2.0))
+            return np.stack(rows)
 
-    def grad_integrand(t, r):
-        T, T_t, T_r, _, _, _ = reflections.piece_profile(piece, params, t, r)
-        du = u.deriv_t(T)
-        return ((du * T_t) ** 2 + (du * T_r) ** 2) ** (q / 2.0)
+        return integrand
 
-    return (
-        sobolev.function_shells(params, region, shells, value_integrand, samples, seed,
-                                "extval", value_tilt),
-        sobolev.function_shells(params, region, shells, grad_integrand, samples, seed,
-                                "extgrad", grad_tilt),
-    )
+    if value_tilt == grad_tilt:
+        terms = [(masses(True, True), value_tilt)]
+    else:
+        terms = [(masses(True, False), value_tilt), (masses(False, True), grad_tilt)]
+    value_sum, grad_sum = sobolev.function_shells(params, region, shells, terms, samples, seed,
+                                                  "extval")
+    return value_sum, grad_sum
+
+
+def _window_terms(
+    params: CuspParams,
+    u: TestFunction,
+    p: float,
+    shells,
+    samples: int,
+    seed: int,
+) -> tuple[ShellSum, ShellSum]:
+    """Shell sums of the L^p value and gradient masses |u|^p and |u'|^p of u
+    over the cusp window, both from one draw per shell under the salt "lp"."""
+
+    def integrand(t, r):
+        return np.stack([np.abs(u.value_t(t)) ** p, sobolev.gradient_power(u, p, t)])
+
+    lp, semi = sobolev.function_shells(params, RegionLabel.CuspInterior, shells,
+                                       [(integrand, 0.0)], samples, seed, "lp")
+    return lp, semi
 
 
 @dataclass
@@ -406,15 +437,15 @@ def extension_norm_experiment(
     total_sum = ShellSum.from_contributions(ks, [a + b for a, b in zip(vals, grads)])
     verdict = convergence_verdict(total_sum)
 
-    lp = sobolev.lp_norm_term(params, u, RegionLabel.CuspInterior, p, shells, samples_per_shell, seed)
-    semi = sobolev.sobolev_seminorm(
-        params, u, RegionLabel.CuspInterior, p, shells, samples_per_shell, seed
-    )
+    lp, semi = _window_terms(params, u, p, shells, samples_per_shell, seed)
     u_norm = lp.total ** (1.0 / p) + semi.total ** (1.0 / p)
-    if math.isfinite(total_sum.total) and u_norm > 0.0:
-        ratio = (value_sum.total ** (1.0 / q) + grad_sum.total ** (1.0 / q)) / u_norm
-    else:
+    ext_norm = value_sum.total ** (1.0 / q) + grad_sum.total ** (1.0 / q)
+    if not math.isfinite(total_sum.total):
         ratio = math.inf
+    elif u_norm > 0.0:
+        ratio = ext_norm / u_norm
+    else:  # 0 / 0 for the zero function
+        ratio = math.inf if ext_norm > 0.0 else 0.0
     return ExtensionNormReport(value_sum, grad_sum, total_sum, u_norm, ratio, verdict)
 
 

@@ -24,9 +24,10 @@ importance weight, so deep shells where |det| underflows keep finite
 values.  `distortion_integral` is its one-cell case.
 
 The norm terms of a test function and of its extension run through one
-shell loop, `function_shells`.  On both paths every shell draws once, from
-the substream (seed, k, region, salt), and a nan raises
-NonFiniteIntegrandError.
+shell loop, `function_shells`, whose shell primitive `shell_estimate` draws
+each (region, shell) once, from the substream (seed, k, region, salt), and
+reduces every term of that shell from the draw: the terms of one radial tilt
+share one profile.  On both paths a nan raises NonFiniteIntegrandError.
 """
 
 from __future__ import annotations
@@ -247,26 +248,37 @@ def shell_estimate(
     params: CuspParams,
     region: RegionLabel,
     shell: Shell,
-    integrand,
+    terms,
     samples: int,
     rng_seed_parts: tuple,
-    radial_tilt: float = 0.0,
-) -> float:
-    """Stratified estimate of one shell integral from the substream
-    (seed, k, region, salt) of `rng_seed_parts` = (seed, k, salt).
+) -> list[float]:
+    """Stratified estimates of the terms of one shell integral, all from one
+    draw of the substream (seed, k, region, salt) of `rng_seed_parts` =
+    (seed, k, salt).
 
-    `integrand(t, r)` returns pointwise values on profile samples.  A nan
-    among the weighted values raises NonFiniteIntegrandError; inf values are
-    kept, since genuinely divergent exponents overflow by design.
+    `terms` lists (integrand, radial_tilt) pairs.  `integrand(t, r)` returns
+    values of shape (N,) on the profile samples of its tilt, or a stack
+    (m, N) of m integrands, each row one estimate; the terms of one tilt get
+    the same samples.  The result lists measure * mean(weight * values) per
+    row, in term order.  A nan among a term's weighted values raises
+    NonFiniteIntegrandError; inf values are kept, since genuinely divergent
+    exponents overflow by design.
     """
     seed, k, salt = rng_seed_parts
     rng = derive_rng(seed, k, region, salt=salt)
+    estimates = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        prof = sample_profile(params, region, shell, samples, rng, radial_tilt=radial_tilt)
-        weighted = prof.weight * integrand(prof.t, prof.r)
-        if np.isnan(weighted).any():
-            raise NonFiniteIntegrandError(region, shell)
-        return prof.measure * float(np.mean(weighted))
+        draw = draw_scale(params, region, shell, samples, rng)
+        profiles = {}
+        for integrand, tilt in terms:
+            if tilt not in profiles:
+                profiles[tilt] = draw.profile(tilt)
+            prof = profiles[tilt]
+            weighted = prof.weight * integrand(prof.t, prof.r)
+            if np.isnan(weighted).any():
+                raise NonFiniteIntegrandError(region, shell)
+            estimates += [prof.measure * float(np.mean(row)) for row in np.atleast_2d(weighted)]
+    return estimates
 
 
 class NonFiniteIntegrandError(RuntimeError):
@@ -377,20 +389,24 @@ def function_shells(
     params: CuspParams,
     region: RegionLabel,
     shells,
-    integrand,
+    terms,
     samples_per_shell: int,
     seed: int,
     salt: str,
-    radial_tilt: float = 0.0,
-) -> ShellSum:
-    """Shell sum of integrand(t, r) over the region, each shell estimated by
-    `shell_estimate` from the substream (seed, k, region, salt)."""
-    values = [
-        shell_estimate(params, region, sh, integrand, samples_per_shell, (seed, sh.k, salt),
-                       radial_tilt=radial_tilt)
-        for sh in shells
-    ]
-    return ShellSum.from_contributions([sh.k for sh in shells], values)
+) -> list[ShellSum]:
+    """Shell sums of the (integrand, radial_tilt) terms over the region, one
+    per estimate row of `shell_estimate`; each shell is drawn once, from the
+    substream (seed, k, region, salt), for all the terms."""
+    values = [shell_estimate(params, region, sh, terms, samples_per_shell, (seed, sh.k, salt))
+              for sh in shells]
+    ks = [sh.k for sh in shells]
+    return [ShellSum.from_contributions(ks, column) for column in zip(*values)]
+
+
+def gradient_power(u, p: float, t):
+    """|u'(t)|^p, the seminorm integrand of a profile u(t)."""
+    # sqrt(u'^2) rather than |u'|: a u' whose square overflows gives inf
+    return np.sqrt(u.deriv_t(t) ** 2) ** p
 
 
 def sobolev_seminorm(
@@ -406,23 +422,8 @@ def sobolev_seminorm(
     over the region (restricted to the t < 1/2 window the shells cover)."""
     if p < 1.0:
         raise WindowError(f"Sobolev exponent must satisfy p >= 1, got {p}")
-    # sqrt(u'^2) rather than |u'|: a u' whose square overflows gives inf
-    return function_shells(params, region, shells, lambda t, r: np.sqrt(u.deriv_t(t) ** 2) ** p,
-                           samples_per_shell, seed, "semi")
-
-
-def lp_norm_term(
-    params: CuspParams,
-    u,
-    region: RegionLabel,
-    p: float,
-    shells,
-    samples_per_shell: int = 4096,
-    seed: int = 42,
-) -> ShellSum:
-    """Shellwise estimate of the value term |u(t)|^p over the region."""
-    return function_shells(params, region, shells, lambda t, r: np.abs(u.value_t(t)) ** p,
-                           samples_per_shell, seed, "lp")
+    return function_shells(params, region, shells, [(lambda t, r: gradient_power(u, p, t), 0.0)],
+                           samples_per_shell, seed, "semi")[0]
 
 
 # ---------------------------------------------------------------------------

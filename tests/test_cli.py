@@ -288,6 +288,15 @@ class TestExtendnorm:
         rows = list(csv.DictReader(open(out)))
         assert rows[-1]["verdict"] == "Convergent"
 
+    def test_zero_function_ratio_is_zero(self, tmp_path, capsys):
+        # the extension of 0 is 0: the ratio 0/0 reads 0, not inf
+        out = tmp_path / "en.csv"
+        assert run_cli(["extendnorm", "--function", "const:0", "--p", "2", "--q", "1.1",
+                        "--samples", "64", "--k-max", "12", "--out", str(out)]) == 0
+        assert "(u-norm 0, ratio 0)" in capsys.readouterr().out
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert (manifest["ratio"], manifest["u_norm"]) == (0.0, 0.0)
+
 
 class TestHolder:
     def test_csv_and_exponent(self, tmp_path):

@@ -331,6 +331,60 @@ class TestNormExperiment:
         assert rep.verdict.kind == "Convergent"
 
 
+def clampt_region_e_grad(n, s, q, k):
+    """Exact gradient L^q mass of clamp(t, 0, 1) o R over region E /\\ shell k:
+    T = r^(1/s) has grad T = (0, r^(1/s-1)/s) and u'(T) = 1, so the mass is
+    s^-q times the integral of r^((1/s-1)q) over |t| in [a, b],
+    |t|^s <= r <= 2^-s, in the measure |S^(n-2)| r^(n-2) dr dt."""
+    a, b = 2.0 ** (-k - 1), 2.0 ** (-k)
+    sphere = (n - 1) * geometry.unit_ball_volume(n - 1)
+    beta = (1.0 / s - 1.0) * q + n - 1.0  # exponent of the radial antiderivative
+    e = s * beta + 1.0
+    inner = ((b - a) * 0.5 ** (s * beta) - (b**e - a**e) / e) / beta
+    return 2.0 * sphere * s**-q * inner
+
+
+class TestClampRegionE:
+    """Region E's gradient term of clamp(t, 0, 1) is sampled with its radial
+    power r^((1/s-1)q), so its shells match the closed form on both sides of
+    the threshold q = (1 + (n-1)s)/(s-1) = 5 (n = 3, s = 2)."""
+
+    @pytest.mark.parametrize("q", [3.5, 5.5])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_grad_shells_match_closed_form(self, params, q, seed):
+        shl = shells(5, 30)
+        _, grad = extension._region_terms(params, ClampT(), q, RegionLabel.RegionE, shl,
+                                          1024, seed)
+        for sh in shl:
+            want = clampt_region_e_grad(3, 2.0, q, sh.k)
+            assert grad.contributions[sh.k] == pytest.approx(want, rel=5e-3), sh.k
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_divergent_past_threshold(self, params, seed):
+        rep = extension_norm_experiment(params, ExtensionSpec("R2", Direction.FromInside),
+                                        ClampT(), 8.0, 5.5, shells(5, 30), 1024, seed)
+        assert rep.verdict.kind == "Divergent"
+
+
+class TestDrawCount:
+    """Each (region, shell) of a norm experiment is drawn once for all its
+    terms: the collar regions under "extval", the cusp window under "lp"."""
+
+    @pytest.mark.parametrize("scheme,u", [("R1", PowerAlpha(1.4)), ("R2", PowerAlpha(1.4)),
+                                          ("R2", ClampT())], ids=["R1", "R2", "R2-clampt"])
+    def test_one_draw_per_region_and_shell(self, monkeypatch, params, scheme, u):
+        calls = spy_rng(monkeypatch)
+        spec = ExtensionSpec(scheme, Direction.FromInside)
+        shl = shells(5, 12)
+        extension_norm_experiment(params, spec, u, 2.0, 1.3, shl, 64, 3)
+        regions = geometry.chart_regions(spec.outer_chart)
+        assert len(calls) == (len(regions) + 1) * len(shl)
+        drawn = {(label, k) for _, k, label, _ in calls}
+        assert drawn == {(label, sh.k) for label in (*regions, RegionLabel.CuspInterior)
+                         for sh in shl}
+        assert {salt for *_, salt in calls} <= {"extval", "lp"}
+
+
 def _plant_nan(monkeypatch, piece):
     """Make `piece_profile` return a nan in the first T_t of the piece, so
     that only the gradient integrand of its region meets one."""
@@ -357,8 +411,8 @@ class TestNonFiniteNorm:
             extension_norm_experiment(params, spec, PowerAlpha(1.4), 2.0, 1.3,
                                       shells(5, 12), 64, 3)
         shell_calls = [c for c in calls if c[1:3] == (5, RegionLabel.RegionE)
-                       and c[3].startswith("extgrad")]
-        assert shell_calls == [(3, 5, RegionLabel.RegionE, "extgrad")]
+                       and c[3].startswith("extval")]
+        assert shell_calls == [(3, 5, RegionLabel.RegionE, "extval")]
         assert calls[-1] == shell_calls[0]
 
     def test_extendnorm_exits_3(self, monkeypatch, tmp_path, capsys):
@@ -399,6 +453,8 @@ def reference_composed_terms(params, u, q, region, shell, samples, seed):
     tilts = (0.0, 0.0)
     if region is RegionLabel.RegionE and isinstance(u, PowerAlpha):
         tilts = (u.alpha * q / s, (u.alpha + s) * q / s)
+    elif region is RegionLabel.RegionE and isinstance(u, ClampT):
+        tilts = (0.0, (s - 1.0) * q / s)
 
     def value_integrand(t, r, rng):
         T = reflections.profile_jet(piece, params, t, r)[0]
@@ -420,12 +476,13 @@ def reference_composed_terms(params, u, q, region, shell, samples, seed):
     return tuple(
         reference_shell_estimate(params, region, shell, f, samples, (seed, shell.k, salt), tilt)
         for f, salt, tilt in ((value_integrand, "extval", tilts[0]),
-                              (grad_integrand, "extgrad", tilts[1]))
+                              (grad_integrand, "extval", tilts[1]))
     )
 
 
-def reference_function_shells(params, u, p, shl, samples, seed):
-    """(lp_norm_term, sobolev_seminorm) contributions over the cusp window."""
+def reference_function_shells(params, u, p, shl, samples, seed, semi_salt):
+    """(L^p, seminorm) contributions over the cusp window, the seminorm drawn
+    under `semi_salt`."""
     dim = params.n - 1
 
     def lp(t, X):
@@ -442,7 +499,7 @@ def reference_function_shells(params, u, p, shl, samples, seed):
         return [reference_shell_estimate(params, RegionLabel.CuspInterior, sh, integrand,
                                          samples, (seed, sh.k, salt)) for sh in shl]
 
-    return shells_of(lp, "lp"), shells_of(semi, "semi")
+    return shells_of(lp, "lp"), shells_of(semi, semi_salt)
 
 
 _FUNCTIONS = [PowerAlpha(1.2), ClampT(), Constant(2.5)]
@@ -472,33 +529,37 @@ class TestProfileIntegrands:
     def test_function_shells_match_reference(self, n, s, u):
         params = CuspParams(n, s)
         shl = shells(3, 10)
-        lp = sobolev.lp_norm_term(params, u, RegionLabel.CuspInterior, 2.0, shl, 256, 7)
-        semi = sobolev.sobolev_seminorm(params, u, RegionLabel.CuspInterior, 2.0, shl, 256, 7)
-        want_lp, want_semi = reference_function_shells(params, u, 2.0, shl, 256, 7)
+        lp, semi = extension._window_terms(params, u, 2.0, shl, 256, 7)
+        want_lp, want_semi = reference_function_shells(params, u, 2.0, shl, 256, 7, "lp")
         assert list(lp.contributions.values()) == want_lp
+        assert list(semi.contributions.values()) == want_semi
+        semi = sobolev.sobolev_seminorm(params, u, RegionLabel.CuspInterior, 2.0, shl, 256, 7)
+        want_semi = reference_function_shells(params, u, 2.0, shl, 256, 7, "semi")[1]
         assert list(semi.contributions.values()) == want_semi
 
 
 # Float hex of extension_norm_experiment(n=3, s=2, power:1.4, p=2, k=5..12,
-# 256 samples, seed 7), recorded with the direction-drawing integrands.
+# 256 samples, seed 7).  The values were recorded with the direction-drawing
+# integrands; the gradients, u_norm and ratio with one draw per (region,
+# shell) for all its terms.
 _PINNED = {
     ("R1", 1.1): (
         ["0x1.aab7a017a1149p-5", "0x1.379848a0933bep-6", "0x1.c3581434b3bd5p-8",
          "0x1.484972b887604p-9", "0x1.de1eb5f9acfacp-11", "0x1.5b57c9ef74763p-12",
          "0x1.f7cfa09085dcfp-14", "0x1.6e48a014103d2p-15"],
-        ["0x1.33b5b46fcf01ep+2", "0x1.de32b611bf6edp+1", "0x1.785e5bbe5a295p+1",
-         "0x1.2229710f0349dp+1", "0x1.c4e2bac1ce735p+0", "0x1.60c5d8024fe6ep+0",
-         "0x1.14091f6facbb1p+0", "0x1.ac43552b26c96p-1"],
-        "0x1.9fc7dc5def9a6p+1", "0x1.1de602ca09e2dp+2",
+        ["0x1.32b7887e5f530p+2", "0x1.e2e73c242d146p+1", "0x1.753985925c9dfp+1",
+         "0x1.23214a591482cp+1", "0x1.c7893672398a6p+0", "0x1.6244306d31280p+0",
+         "0x1.1292990847fb9p+0", "0x1.abe22d14adc8ap-1"],
+        "0x1.9f1b3870baa0cp+1", "0x1.1e8e14c6eb953p+2",
     ),
     ("R2", 1.3): (
         ["0x1.455559b6ed866p-5", "0x1.4593f7203adbfp-6", "0x1.45a1e0c971611p-7",
          "0x1.45a4ef67132dfp-8", "0x1.45a59ba64346cp-9", "0x1.45a5c171e9793p-10",
          "0x1.45a5c9d84f2b1p-11", "0x1.45a5cbb3602b8p-12"],
-        ["0x1.0c1fe7c6cccbfp+1", "0x1.8895b2147fa2cp+0", "0x1.1775fce5268dap+0",
-         "0x1.86b168d205f13p-1", "0x1.0dd42f29c9ff1p-1", "0x1.718c29aa7cf87p-2",
-         "0x1.f740e9c85899cp-3", "0x1.54ddfb74e2e85p-3"],
-        "0x1.9fc7dc5def9a6p+1", "0x1.62df17f91a115p+0",
+        ["0x1.0c0d152b976a9p+1", "0x1.882068c700897p+0", "0x1.1781c06eb4e0bp+0",
+         "0x1.86d159ce38c3dp-1", "0x1.0df7478892e61p-1", "0x1.71b5a4e0ba4e1p-2",
+         "0x1.f6ff9b5cc734dp-3", "0x1.5484cc342c29bp-3"],
+        "0x1.9f1b3870baa0cp+1", "0x1.636099271db33p+0",
     ),
 }
 
@@ -526,8 +587,9 @@ class TestDeterminism:
         for scheme, q in sorted(_PINNED):
             extension_norm_experiment(params, ExtensionSpec(scheme, Direction.FromInside), u,
                                       2.0, q, shells(5, 10), 64, 7)
-        for term in (sobolev.sobolev_seminorm, sobolev.lp_norm_term):
-            term(params, ClampT(), RegionLabel.CuspInterior, 2.0, shells(3, 8), 64, 7)
+        sobolev.sobolev_seminorm(params, ClampT(), RegionLabel.CuspInterior, 2.0, shells(3, 8),
+                                 64, 7)
+        extension._window_terms(params, ClampT(), 2.0, shells(3, 8), 64, 7)
 
 
 class TestHolderProbe:

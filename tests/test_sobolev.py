@@ -253,8 +253,8 @@ def reference_distortion(params, region, p, q, shl, samples, seed):
         _, _, opnorm, det = reflections.profile_jet(piece, params, t, r)
         return opnorm**P / np.abs(det) ** Q
 
-    return [sobolev.shell_estimate(params, region, sh, integrand, samples,
-                                   (seed, sh.k, "dist"), tilt)
+    return [sobolev.shell_estimate(params, region, sh, [(integrand, tilt)], samples,
+                                   (seed, sh.k, "dist"))[0]
             for sh in shl]
 
 

@@ -287,7 +287,7 @@ def check_jacobian_scaling(params: CuspParams, samples: int = 2048, seed: int = 
         (RegionLabel.RegionC, 0.02, range(8, 25)),
     ):
         rows = sobolev.scaling_profile(params, label, [Shell(k) for k in krange], samples, seed)
-        slope, _, _ = sobolev.scaling_fit([(r["scale"], r["absdet_gmean"]) for r in rows])
+        slope, _, _ = sobolev.scaling_fit([(r["log_scale"], r["log_absdet"]) for r in rows])
         target = sobolev.det_scaling_target(label, params.n, params.s)
         out.append(InvariantResult.of(
             f"reflections.jacobian_scaling.{label.value}", samples * len(rows),
@@ -466,8 +466,7 @@ def check_shell_exponent_match(params: CuspParams, n_pairs: int = 10, seed: int 
                 ss = sobolev.distortion_integral(
                     params, chart, region, p, q, shells(5, 32), samples_per_shell, seed
                 )
-                tail = ss.ratios[-8:]
-                fitted = float(np.mean(np.log2(tail)))
+                fitted = float(np.mean(ss.log_ratios[-8:]) / np.log(2.0))
                 worst = max(worst, abs(fitted + (e + 1.0)))
                 made += 1
                 total += 1

@@ -214,11 +214,11 @@ def cmd_scaling(args) -> int:
     for label in labels:
         shl = shells(args.k_min, args.k_max)
         data = sobolev.scaling_profile(params, label, shl, args.samples, args.seed)
-        slope, _, _ = sobolev.scaling_fit([(d["scale"], d["absdet_gmean"]) for d in data])
+        slope, _, _ = sobolev.scaling_fit([(d["log_scale"], d["log_absdet"]) for d in data])
         target = sobolev.det_scaling_target(label, params.n, params.s)
         for d in data:
-            rows.append([label.value, d["scale"], d["opnorm_mean"], d["absdet_gmean"],
-                         slope, target])
+            rows.append([label.value, math.exp(d["log_scale"]), d["opnorm_mean"],
+                         math.exp(d["log_absdet"]), slope, target])
     out = Path(args.out)
     _write_rows(out, ["region", "scale", "opnorm", "abs_det", "fitted_slope",
                       "target_slope"], rows)

@@ -10,7 +10,7 @@ grad T = (T_t, T_r).  The norm experiment sums these terms region by region
 through `sobolev.function_shells`, the shell loop of the seminorm as well:
 each (region, shell) is drawn once for all its terms, the collar regions
 under the salt "extval" and the L^p and seminorm terms of u on the cusp
-window under "lp".
+window under "lp"; the integrands return logs, and regions sum in logs.
 
 The Lipschitz cutoff psi (1 on the closed domain, 0 off the R1 collar of the
 region table) turns the extension into the global cutoff product psi E(u).
@@ -338,8 +338,8 @@ def _region_terms(
 ) -> tuple[ShellSum, ShellSum]:
     """Shell sums of the (value, gradient) L^q masses of u o R over a collar
     region, both from one draw per shell under the salt "extval": u depends
-    on t alone, so u o R = u(T) has gradient norm |u'(T)| |(T_t, T_r)|.
-    Terms of equal radial tilt read one chart profile."""
+    on t alone, so u o R = u(T) has gradient norm |u'(T)| |(T_t, T_r)|, whose
+    log sums the factors' logs.  Terms of equal radial tilt read one profile."""
     piece = piece_of_region(region)
     s = params.s
     # Region E composes through T = r^(1/s), with |grad T| = r^(1/s-1)/s: the
@@ -358,10 +358,9 @@ def _region_terms(
             T, T_t, T_r = reflections.piece_profile(piece, params, t, r)[:3]
             rows = []
             if value:
-                rows.append(np.abs(u.value_t(T)) ** q)
+                rows.append(q * np.log(np.abs(u.value_t(T))))
             if grad:
-                du = u.deriv_t(T)
-                rows.append(((du * T_t) ** 2 + (du * T_r) ** 2) ** (q / 2.0))
+                rows.append(q * (np.log(np.abs(u.deriv_t(T))) + 0.5 * np.log(T_t**2 + T_r**2)))
             return np.stack(rows)
 
         return integrand
@@ -387,7 +386,7 @@ def _window_terms(
     over the cusp window, both from one draw per shell under the salt "lp"."""
 
     def integrand(t, r):
-        return np.stack([np.abs(u.value_t(t)) ** p, sobolev.gradient_power(u, p, t)])
+        return np.stack([p * np.log(np.abs(u.value_t(t))), sobolev.log_gradient_power(u, p, t)])
 
     lp, semi = sobolev.function_shells(params, RegionLabel.CuspInterior, shells,
                                        [(integrand, 0.0)], samples, seed, "lp")
@@ -429,18 +428,18 @@ def extension_norm_experiment(
     terms = [_region_terms(params, u, q, region, shells, samples_per_shell, seed)
              for region in chart_regions(spec.outer_chart)]
     ks = [sh.k for sh in shells]
-    # per shell 0 + A + B + C, in chart order: the float order the CSVs pin
-    vals = [sum(v.contributions[k] for v, _ in terms) for k in ks]
-    grads = [sum(g.contributions[k] for _, g in terms) for k in ks]
-    value_sum = ShellSum.from_contributions(ks, vals)
-    grad_sum = ShellSum.from_contributions(ks, grads)
-    total_sum = ShellSum.from_contributions(ks, [a + b for a, b in zip(vals, grads)])
+    vals = np.logaddexp.reduce([v.log_contributions for v, _ in terms])
+    grads = np.logaddexp.reduce([g.log_contributions for _, g in terms])
+    value_sum = ShellSum(ks, vals)
+    grad_sum = ShellSum(ks, grads)
+    total_sum = ShellSum(ks, np.logaddexp(vals, grads))
     verdict = convergence_verdict(total_sum)
 
     lp, semi = _window_terms(params, u, p, shells, samples_per_shell, seed)
-    u_norm = lp.total ** (1.0 / p) + semi.total ** (1.0 / p)
-    ext_norm = value_sum.total ** (1.0 / q) + grad_sum.total ** (1.0 / q)
-    if not math.isfinite(total_sum.total):
+    with np.errstate(over="ignore"):
+        u_norm = float(np.exp(lp.log_total / p) + np.exp(semi.log_total / p))
+        ext_norm = float(np.exp(value_sum.log_total / q) + np.exp(grad_sum.log_total / q))
+    if total_sum.log_total == math.inf:
         ratio = math.inf
     elif u_norm > 0.0:
         ratio = ext_norm / u_norm
@@ -490,5 +489,6 @@ def holder_probe(
         vals = extend_eval_points(spec, params, u, np.full(r.size, t), r[:, None] * e1)
         oscs.append(float(np.max(vals) - np.min(vals)))
         diams.append(2.0 * t**s)
-    slope, _, resid = scaling_fit(zip(diams, oscs))
+    with np.errstate(divide="ignore"):  # a zero oscillation fails the fit
+        slope, _, resid = scaling_fit(zip(np.log(diams), np.log(oscs)))
     return HolderProbe(ts, oscs, diams, slope, resid)

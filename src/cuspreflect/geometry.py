@@ -382,10 +382,10 @@ def _shell_scale_interval(label: RegionLabel, lo: float, hi: float) -> tuple[flo
     return max(lo, 0.0), min(hi, q.scale_hi)
 
 
-def shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
-    """Exact Lebesgue volume of the region with its scale variable in a
-    dyadic `Shell` or in a scale interval (lo, hi), from the closed-form
-    slices; (0, 1/2) gives the volume the shells cover.
+def log_shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
+    """log of the exact Lebesgue volume of the region with its scale
+    variable in a dyadic `Shell` or in a scale interval (lo, hi), from the
+    closed-form slices; (0, 1/2) gives the volume the shells cover.
 
     Cross sections are (n-1)-balls or annuli: the cusp slice at height t has
     radius t^s, a cone slice radius |t|; region B integrates |x| with the
@@ -396,22 +396,33 @@ def shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
     lo, hi = (shell.lo, shell.hi) if isinstance(shell, Shell) else shell
     a, b = _shell_scale_interval(label, lo, hi)
     if b <= a:
-        return 0.0
-    cn = unit_ball_volume(n - 1)
+        return -math.inf
+    log_a, log_b = math.log(a) if a > 0.0 else -math.inf, math.log(b)
+    log_cn = math.log(unit_ball_volume(n - 1))
     q = _QUAD[label]
     if q.kind == "cone":
-        return cn * _power_norm(a, b, n - 1)
+        return log_cn + float(_log_power_norm(log_a, log_b, n - 1))
     if q.kind == "slab":
         # t-range 2*xi at radius xi; area weight (n-1)*cn*xi^(n-2)
-        return 2.0 * (n - 1) * cn * _power_norm(a, b, n - 1)
+        return math.log(2.0 * (n - 1)) + log_cn + float(_log_power_norm(log_a, log_b, n - 1))
+    if q.kind == "band":
+        # annulus [c_lo*xi^s, c_hi*xi^s]
+        frac = q.c_hi ** (n - 1) - q.c_lo ** (n - 1)
+        return log_cn + math.log(frac) + float(_log_power_norm(log_a, log_b, s * (n - 1)))
+    # C: cone slices less the cusp's; E: two annuli, each a disk of radius
+    # (1/2)^s less the cusp's
+    cusp = float(_log_power_norm(log_a, log_b, s * (n - 1)))
     if q.kind == "cwedge":
-        return cn * (_power_norm(a, b, n - 1) - _power_norm(a, b, s * (n - 1)))
-    if q.kind == "ering":
-        cap = 0.5 ** (s * (n - 1))
-        return 2.0 * cn * (cap * (b - a) - _power_norm(a, b, s * (n - 1)))
-    # 'band': annulus [c_lo*xi^s, c_hi*xi^s]
-    frac = q.c_hi ** (n - 1) - q.c_lo ** (n - 1)
-    return cn * frac * _power_norm(a, b, s * (n - 1))
+        whole = float(_log_power_norm(log_a, log_b, n - 1))
+    else:
+        log_cn += math.log(2.0)
+        whole = s * (n - 1) * math.log(0.5) + math.log(b - a)
+    return log_cn + whole + math.log(-math.expm1(cusp - whole))
+
+
+def shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
+    """exp of `log_shell_measure`: 0 or inf past the float range."""
+    return math.exp(log_shell_measure(params, label, shell))
 
 
 # ---------------------------------------------------------------------------
@@ -430,68 +441,58 @@ def _log_branch(p):
     """Whether the power law x^(p-1) integrates to a log (p = 0): a bool,
     or a bool column for a column of p; `None` when no entry does."""
     log = abs(p) < 1e-14
-    return log if (log.any() if np.ndim(log) else log) else None
+    return log if (log.any() if isinstance(log, np.ndarray) else log) else None
 
 
 def _power_icdf(lo, hi, m, u):
     """Inverse CDF of the density ~ x^m on [lo, hi] (log branch at m=-1).
-    A column of exponents m gives one row of samples per exponent."""
+    A column of exponents m gives one row of samples per exponent.  Scaled
+    to hi, it reads (lo/hi)^(m+1), which stays in range where lo^(m+1) does not."""
     p = m + 1.0
     log = _log_branch(p)
     if log is None:
-        return (lo**p + u * (hi**p - lo**p)) ** (1.0 / p)
+        low = (lo / hi) ** p
+        return hi * (low + u * (1.0 - low)) ** (1.0 / p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        low = (lo / hi) ** p
         return np.where(log, lo * (hi / lo) ** u,
-                        (lo**p + u * (hi**p - lo**p)) ** np.reciprocal(p))
+                        hi * (low + u * (1.0 - low)) ** np.reciprocal(p))
 
 
-def _power_norm(lo, hi, m):
-    """The integral of x^m over [lo, hi], lo >= 0 (log branch at m = -1),
-    per element; a column of exponents m gives one row per exponent."""
+def _log_power_norm(log_lo, log_hi, m):
+    """log of the integral of x^m over [lo, hi], 0 <= lo < hi (log branch at
+    m = -1), per element, from the logs of the bounds, so it stays finite
+    where the integral leaves the float range; a column of exponents m gives
+    one row per exponent."""
     p = m + 1.0
     log = _log_branch(p)
-    if log is None:
-        return (hi**p - lo**p) / p
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.where(log, np.log(hi / lo), (hi**p - lo**p) / np.asarray(p))
+    span = log_hi - log_lo
+    # x^p weighs the larger end: (hi^p - lo^p)/p = hi^p (1 - (lo/hi)^p)/p
+    # for p > 0, and lo^p (1 - (lo/hi)^-p)/(-p) for p < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (np.where(p > 0.0, p * log_hi, p * log_lo)
+               + np.log(-np.expm1(-np.abs(p) * span)) - np.log(np.abs(p)))
+        return out if log is None else np.where(log, np.log(span), out)
 
 
 @dataclass
 class ProfileSample:
-    """Weighted profile samples of region /\\ shell for quadrature.
+    """Weighted profile samples of region /\\ shell for quadrature, in logs.
 
-    mean(weight * f(t, r)) estimates the measure-average of f; multiplying
-    by `measure` gives the shell integral.  The weight absorbs any mismatch
-    between the sampling law and the true normalised measure: the scale
-    draw's `base_weight` w, times r^tilt z_m / z_r where a radial tilt
-    reshaped the radius law (z_m and z_r normalise the tilted and the true
-    radial density).  `weight` is that product as a float; `log_weight` is
-    log w + tilt log r + log z_m - log z_r, which stays finite where
-    r^tilt underflows.  With a column of tilts, r and both weights have one
-    row per tilt.
+    mean(exp(log_weight) f(t, r)) estimates the measure-average of f; its
+    log plus `log_measure` is the log of the shell integral.  The weight
+    absorbs any mismatch between the sampling law and the true normalised
+    measure: the scale draw's weight w, times r^tilt z_m / z_r where a
+    radial tilt reshaped the radius law (z_m and z_r, whose logs stay finite
+    past the float range, normalise the tilted and the true radial density).
+    With a column of tilts, r and the log weight have one row per tilt.
     """
 
     t: np.ndarray
     r: np.ndarray
-    base_weight: np.ndarray
-    measure: float
+    log_weight: np.ndarray
+    log_measure: float
     count: int
-    tilt: float | np.ndarray = 0.0
-    z_m: np.ndarray | None = None
-    z_r: np.ndarray | None = None
-
-    @property
-    def weight(self) -> np.ndarray:
-        if self.z_m is None:
-            return self.base_weight
-        return self.base_weight * self.r**self.tilt * self.z_m / self.z_r
-
-    @property
-    def log_weight(self) -> np.ndarray:
-        log_w = np.log(self.base_weight)
-        if self.z_m is None:
-            return log_w
-        return log_w + self.tilt * np.log(self.r) + (np.log(self.z_m) - np.log(self.z_r))
 
 
 def _strata(m1: int, m2: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -511,16 +512,16 @@ def _grid_shape(count: int) -> tuple[int, int]:
 class ScaleDraw:
     """Region /\\ shell samples whose radius is still to be drawn.
 
-    The scale variable, t, the importance weight and the conditional radial
-    band [lo_r, hi_r] with its uniform variate u2 are fixed; `profile` draws
-    r from the band.  Region B's slab fixes r by the scale variable alone,
-    so `r` is set there and the band is unused.
+    The scale variable, t, the log importance weight and the conditional
+    radial band [lo_r, hi_r] with its uniform variate u2 are fixed;
+    `profile` draws r from the band.  Region B's slab fixes r by the scale
+    variable alone, so `r` is set there and the band is unused.
     """
 
     n: int
     t: np.ndarray
-    weight: np.ndarray
-    measure: float
+    log_weight: np.ndarray
+    log_measure: float
     count: int
     lo_r: np.ndarray | None = None
     hi_r: np.ndarray | None = None
@@ -537,15 +538,15 @@ class ScaleDraw:
         leaves the draw unchanged.
         """
         if self.r is not None:
-            return ProfileSample(self.t, self.r, self.weight, self.measure, self.count)
+            return ProfileSample(self.t, self.r, self.log_weight, self.log_measure, self.count)
         lo_r, hi_r = self.lo_r, self.hi_r
         nm2 = float(self.n - 2)
         if np.ndim(radial_tilt) == 0 and radial_tilt == 0.0:
             r = _power_icdf(lo_r, hi_r, nm2, self.u2)
-            return ProfileSample(self.t, r, self.weight, self.measure, self.count)
-        # Cap the tilt so lo^(m+1) stays in float range; the cells that need
-        # variance reduction sit near the critical curve where the natural
-        # tilt is about (n-1) + 1/s, far below the cap.
+            return ProfileSample(self.t, r, self.log_weight, self.log_measure, self.count)
+        # Cap the tilt so (lo/hi)^(m+1) stays in float range; the cells that
+        # need variance reduction sit near the critical curve where the
+        # natural tilt is about (n-1) + 1/s, far below the cap.
         lo_min = float(np.min(lo_r))
         if lo_min <= 0.0:
             cap = nm2 + 0.99
@@ -554,8 +555,11 @@ class ScaleDraw:
         radial_tilt = np.minimum(radial_tilt, cap)
         m_r = nm2 - radial_tilt
         r = _power_icdf(lo_r, hi_r, m_r, self.u2)
-        return ProfileSample(self.t, r, self.weight, self.measure, self.count, radial_tilt,
-                             _power_norm(lo_r, hi_r, m_r), _power_norm(lo_r, hi_r, nm2))
+        with np.errstate(divide="ignore"):  # lo_r is 0 on cones and inner band 1
+            log_lo, log_hi = np.log(lo_r), np.log(hi_r)
+        log_weight = self.log_weight + radial_tilt * np.log(r) + (
+            _log_power_norm(log_lo, log_hi, m_r) - _log_power_norm(log_lo, log_hi, nm2))
+        return ProfileSample(self.t, r, log_weight, self.log_measure, self.count)
 
 
 def draw_scale(
@@ -569,9 +573,10 @@ def draw_scale(
     """Draw everything of `sample_profile` but the radius.
 
     The scale coordinate follows its exact power law when the normalisation
-    is closed form (cone/slab/band); otherwise (C, E) a closed-form proposal
-    plus an importance weight is used.  Stratification is a jittered 2-D
-    grid, so the effective count is the enclosing m1*m2 grid size.
+    is closed form (cone/slab/band, log weight 0); otherwise (C, E) a
+    closed-form proposal plus a log importance weight is used.
+    Stratification is a jittered 2-D grid, so the effective count is the
+    enclosing m1*m2 grid size.
     """
     _require_sampleable(label)
     n, s = params.n, params.s
@@ -579,7 +584,8 @@ def draw_scale(
     if b <= a:
         raise EmptyRegionError(f"shell {shell.k} misses the scale range of {label.value}")
     q = _QUAD[label]
-    measure = shell_measure(params, label, shell)
+    log_measure = log_shell_measure(params, label, shell)
+    log_cn = math.log(unit_ball_volume(n - 1))
 
     if stratify:
         m1, m2 = _grid_shape(count)
@@ -592,7 +598,7 @@ def draw_scale(
     # never sit exactly on a region interface (bias ~ 1e-9, far below MC noise)
     u2 = 1e-9 + (1.0 - 2e-9) * u2
 
-    w = np.ones(m)
+    log_w = np.zeros(m)
 
     if q.kind == "cone":
         xi = _power_icdf(a, b, n - 1.0, u1)
@@ -605,23 +611,24 @@ def draw_scale(
     elif q.kind == "slab":
         xi = _power_icdf(a, b, n - 1.0, u1)
         t = -xi + 2.0 * xi * u2
-        return ScaleDraw(n, t, w, measure, m, r=xi)
+        return ScaleDraw(n, t, log_w, log_measure, m, r=xi)
     elif q.kind == "cwedge":
-        # proposal ~ xi^(n-1); true density ~ xi^(n-1) - xi^(s(n-1))
+        # proposal ~ xi^(n-1), of total mass cn zp; true density ~ xi^(n-1)
+        # - xi^(s(n-1)), of total mass the measure
         xi = _power_icdf(a, b, n - 1.0, u1)
-        zp = _power_norm(a, b, n - 1.0)
-        zt = zp - _power_norm(a, b, s * (n - 1.0))
-        w = w * (1.0 - xi ** ((s - 1.0) * (n - 1.0))) * (zp / zt)
+        log_zp = float(_log_power_norm(math.log(a), math.log(b), n - 1.0))
+        log_w = np.log1p(-xi ** ((s - 1.0) * (n - 1.0))) + (log_cn + log_zp - log_measure)
         lo_r, hi_r = xi**s, xi
         t = xi
     else:  # 'ering'
-        xi = a + (b - a) * u1  # uniform proposal
-        cap = 0.5 ** (s * (n - 1))
-        zt = cap * (b - a) - _power_norm(a, b, s * (n - 1.0))
-        w = w * (cap - xi ** (s * (n - 1.0))) * ((b - a) / zt)
+        # uniform proposal, of total mass 2 cn (1/2)^(s(n-1)) (b - a); true
+        # density ~ (1/2)^(s(n-1)) - xi^(s(n-1)), of total mass the measure
+        xi = a + (b - a) * u1
+        log_mass = math.log(2.0 * (b - a)) + log_cn + s * (n - 1) * math.log(0.5)
+        log_w = np.log1p(-(2.0 * xi) ** (s * (n - 1.0))) + (log_mass - log_measure)
         lo_r, hi_r = xi**s, np.full(m, 0.5**s)
         t = xi * np.where(rng.random(m) < 0.5, 1.0, -1.0)
-    return ScaleDraw(n, np.asarray(t, dtype=float), w, measure, m, lo_r, hi_r, u2)
+    return ScaleDraw(n, np.asarray(t, dtype=float), log_w, log_measure, m, lo_r, hi_r, u2)
 
 
 def sample_profile(

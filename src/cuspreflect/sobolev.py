@@ -18,22 +18,24 @@ profile coordinates for many (p, q) cells at once and
 `convergence_verdict` classifies the tail ratios.  The samples and the
 chart jet of a shell depend only on (seed, k, region), so a sweep draws
 each (region, shell) once; only region E's radial tilt, which depends on
-(p, q), reshapes the radii, block of cells by block of cells.  The
-integrand is reduced in log space, from log opnorm, log|det| and the log
-importance weight, so deep shells where |det| underflows keep finite
-values.  `distortion_integral` is its one-cell case.
+(p, q), reshapes the radii, block of cells by block of cells.
+`distortion_integral` is its one-cell case.
 
 The norm terms of a test function and of its extension run through one
 shell loop, `function_shells`, whose shell primitive `shell_estimate` draws
 each (region, shell) once, from the substream (seed, k, region, salt), and
 reduces every term of that shell from the draw: the terms of one radial tilt
-share one profile.  On both paths a nan raises NonFiniteIntegrandError.
+share one profile.  Shells span hundreds of binary orders, so both paths
+work in logs from the measure to the verdict: log measures and weights,
+integrands that return logs, one reduce `_log_shell` with one nan rule
+(NonFiniteIntegrandError), and `ShellSum`s of log contributions, whose log
+ratios the verdict reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,37 +172,32 @@ def predicted_shell_exponent(region: RegionLabel, p: float, q: float, n: int, s:
 # Shell sums and verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ShellSum:
-    """Per-shell contributions to a singular integral, reduced in ascending k."""
+    """Per-shell log contributions to a singular integral, reduced in
+    ascending k to a `log_total` and `log_ratios` (after an empty or infinite
+    shell: -inf if this one is empty, else inf).  The float views
+    `contributions`, `partial_sums`, `ratios` and `total`, made once, read
+    inf or 0 past the float range; the logs do not."""
 
-    ks: list[int]
-    contributions: dict[int, float]
-    partial_sums: list[float] = field(default_factory=list)
-    ratios: list[float] = field(default_factory=list)
+    def __init__(self, ks, log_contributions):
+        self.ks = list(ks)
+        logs = self.log_contributions = np.asarray(log_contributions, dtype=float)
+        prev, cur = logs[:-1], logs[1:]
+        log_partials = np.logaddexp.accumulate(logs)
+        self.log_total = float(log_partials[-1]) if logs.size else -math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.log_ratios = np.where(np.isfinite(prev), cur - prev,
+                                       np.where(cur == -np.inf, -np.inf, np.inf))
+            self.contributions = dict(zip(self.ks, np.exp(logs).tolist()))
+            self.partial_sums = np.exp(log_partials).tolist()
+            self.ratios = np.exp(self.log_ratios).tolist()
+        self.total = self.partial_sums[-1] if self.partial_sums else 0.0
 
     @classmethod
     def from_contributions(cls, ks, values) -> "ShellSum":
-        ks = list(ks)
-        contributions = {k: float(v) for k, v in zip(ks, values)}
-        partials, ratios = [], []
-        total = 0.0
-        prev = None
-        for k in ks:
-            c = contributions[k]
-            total += c
-            partials.append(total)
-            if prev is not None:
-                if prev > 0.0 and math.isfinite(prev):
-                    ratios.append(c / prev)
-                else:
-                    ratios.append(0.0 if c == 0.0 else math.inf)
-            prev = c
-        return cls(ks, contributions, partials, ratios)
-
-    @property
-    def total(self) -> float:
-        return self.partial_sums[-1] if self.partial_sums else 0.0
+        """The shell sum of float contributions."""
+        with np.errstate(divide="ignore"):
+            return cls(ks, np.log(values))
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,7 @@ class Verdict:
 def convergence_verdict(shell_sum: ShellSum) -> Verdict:
     """Classify tail behaviour: Convergent if the last VERDICT_TAIL ratios are all
     <= RATIO_CONVERGENT; else Divergent if all >= 1.0 or the partial sum
-    exceeds 1e12.
+    exceeds 1e12.  The rules read the log ratios and the log total.
 
     The rules apply in that order: a decisively decaying tail wins even when
     the (finite) sum is numerically enormous, as happens for bounded
@@ -225,17 +222,18 @@ def convergence_verdict(shell_sum: ShellSum) -> Verdict:
     """
     if len(shell_sum.ks) < MIN_SHELLS:
         raise ValueError(f"need at least {MIN_SHELLS} shells, got {len(shell_sum.ks)}")
-    total = shell_sum.total
-    if total == 0.0:
+    log_total = shell_sum.log_total
+    if log_total == -math.inf:
         return Verdict("Convergent", 0.0)
-    last = shell_sum.ratios[-VERDICT_TAIL:]
-    finite = [x for x in last if math.isfinite(x) and x > 0.0]
-    fitted = math.exp(sum(math.log(x) for x in finite) / len(finite)) if finite else math.inf
-    if all(x <= RATIO_CONVERGENT for x in last) and math.isfinite(total):
+    last = shell_sum.log_ratios[-VERDICT_TAIL:]
+    finite = last[np.isfinite(last)]
+    with np.errstate(over="ignore"):
+        fitted = float(np.exp(np.mean(finite))) if finite.size else math.inf
+    if np.all(last <= math.log(RATIO_CONVERGENT)) and math.isfinite(log_total):
         return Verdict("Convergent", fitted)
-    if all(x >= RATIO_DIVERGENT for x in last):
+    if np.all(last >= math.log(RATIO_DIVERGENT)):
         return Verdict("Divergent", fitted)
-    if not math.isfinite(total) or total > PARTIAL_SUM_CAP:
+    if not math.isfinite(log_total) or log_total > math.log(PARTIAL_SUM_CAP):
         return Verdict("Divergent", fitted)
     return Verdict("Inconclusive", fitted)
 
@@ -252,17 +250,16 @@ def shell_estimate(
     samples: int,
     rng_seed_parts: tuple,
 ) -> list[float]:
-    """Stratified estimates of the terms of one shell integral, all from one
-    draw of the substream (seed, k, region, salt) of `rng_seed_parts` =
+    """Stratified log estimates of the terms of one shell integral, all from
+    one draw of the substream (seed, k, region, salt) of `rng_seed_parts` =
     (seed, k, salt).
 
     `terms` lists (integrand, radial_tilt) pairs.  `integrand(t, r)` returns
-    values of shape (N,) on the profile samples of its tilt, or a stack
+    log values of shape (N,) on the profile samples of its tilt, or a stack
     (m, N) of m integrands, each row one estimate; the terms of one tilt get
-    the same samples.  The result lists measure * mean(weight * values) per
-    row, in term order.  A nan among a term's weighted values raises
-    NonFiniteIntegrandError; inf values are kept, since genuinely divergent
-    exponents overflow by design.
+    the same samples.  The result lists the `_log_shell` of each row, in term
+    order: a nan raises NonFiniteIntegrandError, while inf values are kept,
+    since genuinely divergent exponents overflow by design.
     """
     seed, k, salt = rng_seed_parts
     rng = derive_rng(seed, k, region, salt=salt)
@@ -274,10 +271,8 @@ def shell_estimate(
             if tilt not in profiles:
                 profiles[tilt] = draw.profile(tilt)
             prof = profiles[tilt]
-            weighted = prof.weight * integrand(prof.t, prof.r)
-            if np.isnan(weighted).any():
-                raise NonFiniteIntegrandError(region, shell)
-            estimates += [prof.measure * float(np.mean(row)) for row in np.atleast_2d(weighted)]
+            L = np.atleast_2d(prof.log_weight + integrand(prof.t, prof.r))
+            estimates += _log_shell(prof.log_measure, L, region, shell).tolist()
     return estimates
 
 
@@ -297,13 +292,16 @@ def _distortion_tilt(region: RegionLabel, p: float, q: float, s: float) -> float
     return 0.0
 
 
-def _log_shell(measure: float, L: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """log(measure * mean(exp(L), axis=1)) row by row, shifted by each row's
-    max `top` so that no exp over- or underflows; a row with an infinite max
-    is not shifted, so an infinite L gives an infinite shell and an all -inf
-    row an empty one."""
+def _log_shell(log_measure: float, L: np.ndarray, region: RegionLabel, shell: Shell) -> np.ndarray:
+    """log(measure * mean(exp(L), axis=1)) row by row, or NonFiniteIntegrandError
+    on a nan in L.  Each row is shifted by its max so that no exp over- or
+    underflows; a row with an infinite max is not shifted, so an infinite L
+    gives an infinite shell and an all -inf row an empty one."""
+    top = L.max(axis=1)  # nan where a row holds a nan
+    if np.isnan(top).any():
+        raise NonFiniteIntegrandError(region, shell)
     shift = np.where(np.isfinite(top), top, 0.0)
-    return np.log(measure) + shift + np.log(np.mean(np.exp(L - shift[:, None]), axis=1))
+    return log_measure + shift + np.log(np.exp(L - shift[:, None]).sum(axis=1) / L.shape[1])
 
 
 def distortion_sweep(
@@ -322,8 +320,8 @@ def distortion_sweep(
     Each shell is drawn once from the substream (seed, k, region, "dist").
     The integrand is reduced in log space: a block of cells forms
     L = log w + P log opnorm - Q log|det| by broadcasting its exponent
-    columns (P, Q) against the shared log jet, and each cell's shell is
-    exp(log measure + max L + log mean exp(L - max L)).  On region E each
+    columns (P, Q) against the shared log jet, and each cell's log shell is
+    log measure + max L + log mean exp(L - max L).  On region E each
     block draws its own radii from the shared scale draw with its column of
     radial tilts.  Elementwise broadcasting makes every cell's contributions
     equal a one-cell run's bit for bit.  A nan in L raises
@@ -360,13 +358,9 @@ def distortion_sweep(
                     log_w = prof.log_weight
                     log_op, log_det = reflections.profile_log_jet(piece, params, prof.t, prof.r)
                 L = log_w + P[block] * log_op - Q[block] * log_det
-                top = L.max(axis=1)  # nan where a row holds a nan
-                if np.isnan(top).any():
-                    raise NonFiniteIntegrandError(region, sh)
-                log_shells[block, j] = _log_shell(draw.measure, L, top)
-        contributions = np.exp(log_shells)
+                log_shells[block, j] = _log_shell(draw.log_measure, L, region, sh)
     ks = [sh.k for sh in shells]
-    return [ShellSum.from_contributions(ks, row) for row in contributions]
+    return [ShellSum(ks, row) for row in log_shells]
 
 
 def distortion_integral(
@@ -400,13 +394,12 @@ def function_shells(
     values = [shell_estimate(params, region, sh, terms, samples_per_shell, (seed, sh.k, salt))
               for sh in shells]
     ks = [sh.k for sh in shells]
-    return [ShellSum.from_contributions(ks, column) for column in zip(*values)]
+    return [ShellSum(ks, column) for column in zip(*values)]
 
 
-def gradient_power(u, p: float, t):
-    """|u'(t)|^p, the seminorm integrand of a profile u(t)."""
-    # sqrt(u'^2) rather than |u'|: a u' whose square overflows gives inf
-    return np.sqrt(u.deriv_t(t) ** 2) ** p
+def log_gradient_power(u, p: float, t):
+    """p log|u'(t)|: the log of |u'(t)|^p, the seminorm integrand of u(t)."""
+    return p * np.log(np.abs(u.deriv_t(t)))
 
 
 def sobolev_seminorm(
@@ -422,7 +415,8 @@ def sobolev_seminorm(
     over the region (restricted to the t < 1/2 window the shells cover)."""
     if p < 1.0:
         raise WindowError(f"Sobolev exponent must satisfy p >= 1, got {p}")
-    return function_shells(params, region, shells, [(lambda t, r: gradient_power(u, p, t), 0.0)],
+    return function_shells(params, region, shells,
+                           [(lambda t, r: log_gradient_power(u, p, t), 0.0)],
                            samples_per_shell, seed, "semi")[0]
 
 
@@ -431,18 +425,17 @@ def sobolev_seminorm(
 # ---------------------------------------------------------------------------
 
 def scaling_fit(pairs) -> tuple[float, float, float]:
-    """Ordinary least squares on (log scale, log value).
+    """Ordinary least squares on (log scale, log value) pairs.
 
     Returns (slope, intercept, residual) where residual is the RMS of the
-    log-space misfit.  Rejects nonpositive inputs and fewer than 3 pairs.
+    log-space misfit.  Rejects non-finite logs and fewer than 3 pairs.
     """
-    pts = [(float(a), float(b)) for a, b in pairs]
+    pts = np.array([(float(a), float(b)) for a, b in pairs]).reshape(-1, 2)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 pairs for a fit, got {len(pts)}")
-    if any(a <= 0.0 or b <= 0.0 for a, b in pts):
-        raise ValueError("scaling_fit needs strictly positive scales and values")
-    lx = np.log([a for a, _ in pts])
-    ly = np.log([b for _, b in pts])
+    if not np.isfinite(pts).all():
+        raise ValueError("scaling_fit needs finite log scales and log values")
+    lx, ly = pts.T
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
@@ -457,25 +450,26 @@ def scaling_profile(
     samples_per_shell: int = 2048,
     seed: int = 42,
 ) -> list[dict]:
-    """Per-shell geometric means of |det| and means of opnorm for a chart
-    piece, plus the radial-compensated opnorm mean used by the region-E
-    boundedness check."""
+    """Per-shell log geometric means of the scale variable and of |det| and
+    means of opnorm for a chart piece, plus the radial-compensated opnorm
+    mean used by the region-E boundedness check."""
     piece = piece_of_region(region)
     s = params.s
     rows = []
     for sh in shells:
         rng = derive_rng(seed, sh.k, region, salt="scal")
         prof = sample_profile(params, region, sh, samples_per_shell, rng)
-        _, _, opnorm, det = reflections.profile_jet(piece, params, prof.t, prof.r)
+        log_opnorm, log_absdet = reflections.profile_log_jet(piece, params, prof.t, prof.r)
+        opnorm = np.exp(log_opnorm)
         # pair |J| with the geometric mean of the *sampled* scale variable,
         # so exact power laws (region A) fit to machine precision
         scale_var = prof.r if region is RegionLabel.RegionB else np.abs(prof.t)
         rows.append(
             {
                 "k": sh.k,
-                "scale": float(np.exp(np.mean(np.log(scale_var)))),
+                "log_scale": float(np.mean(np.log(scale_var))),
                 "opnorm_mean": float(np.mean(opnorm)),
-                "absdet_gmean": float(np.exp(np.mean(np.log(np.abs(det))))),
+                "log_absdet": float(np.mean(log_absdet)),
                 "opnorm_comp_mean": float(np.mean(opnorm * prof.r ** ((s - 1.0) / s))),
             }
         )

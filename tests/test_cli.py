@@ -199,6 +199,49 @@ class TestFaultRegressions:
         assert all(r["agrees"] == "true" for r in rows)
         assert rows[1]["verdict"] == "Divergent"
 
+    def test_region_d_past_float_range(self, tmp_path):
+        # e = 4, but at q close to p the shells leave the float range; the
+        # verdict reads their logs, while partial_sum may print inf
+        rows = _sweep_rows(tmp_path, ["--scheme", "r2", "--p", "30", "--q", "29.95",
+                                      "--samples", "256", "--k-max", "26"])
+        assert rows[0]["region"] == "RegionD"
+        assert (rows[0]["verdict"], rows[0]["agrees"]) == ("Convergent", "true")
+        assert float(rows[0]["last_ratio"]) == pytest.approx(2.0**-5)  # 2^-(e+1)
+
+    @pytest.mark.parametrize("q,verdict", [("1.1", "Convergent"), ("1.4", "Divergent")])
+    def test_norm_shells_to_k_250(self, tmp_path, q, verdict):
+        # lo^p of the sampler's scale law underflowed and put samples at t = 0;
+        # past that, measure * mean overflowed to inf and then 0 * inf = nan
+        out = tmp_path / "en.csv"
+        assert run_cli(["extendnorm", "--scheme", "r1", "--n", "3", "--s", "2",
+                        "--function", "power:1.4", "--p", "2", "--q", q, "--samples", "1024",
+                        "--k-max", "250", "--out", str(out)]) == 0
+        assert "nan" not in out.read_text() + Path(str(out) + ".manifest.json").read_text()
+        assert list(csv.DictReader(open(out)))[-1]["verdict"] == verdict
+
+    def test_norm_band_exponent_21(self, tmp_path):
+        # the cusp window's scale law x^20 underflowed lo^p and hi^p from k ~ 50
+        assert run_cli(["extendnorm", "--n", "6", "--s", "4", "--function", "power:0.1",
+                        "--p", "2", "--q", "1.1", "--samples", "256", "--k-max", "60",
+                        "--out", str(tmp_path / "en.csv")]) == 0
+
+    def test_scaling_past_det_underflow(self, tmp_path):
+        # |det| on region A underflows to 0 before k = 80 at n = 6, s = 4
+        out = tmp_path / "scaling.csv"
+        assert run_cli(["scaling", "--regions", "A", "--n", "6", "--s", "4", "--k-min", "8",
+                        "--k-max", "80", "--samples", "256", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(open(out)))
+        assert float(rows[0]["target_slope"]) == 15.0
+        assert float(rows[0]["fitted_slope"]) == pytest.approx(15.0, abs=1e-6)
+
+    def test_region_c_normaliser_past_underflow(self, tmp_path):
+        # region C's scale normaliser underflowed to 0 from k = 179 at n = 6,
+        # and the weight divided by it
+        rows = _sweep_rows(tmp_path, ["--scheme", "r1", "--n", "6", "--s", "2", "--p", "30",
+                                      "--q", "1.5", "--samples", "64", "--k-max", "180"])
+        assert [r["region"] for r in rows] == ["RegionA", "RegionB", "RegionC"]
+        assert all(r["agrees"] == "true" for r in rows)
+
 
 class TestSweep:
     def test_explicit_cells_and_agreement(self, tmp_path, capsys):

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from cuspreflect import checks, reflections, sobolev
 from cuspreflect.errors import WindowError
-from cuspreflect.extension import Constant, PowerAlpha
+from cuspreflect.extension import (
+    Constant,
+    Direction,
+    ExtensionSpec,
+    PowerAlpha,
+    extension_norm_experiment,
+)
 from cuspreflect.geometry import ChartId, CuspParams, RegionLabel, Shell, piece_of_region, shells
 from cuspreflect.sobolev import (
     ShellSum,
@@ -242,8 +248,8 @@ class TestDistortionIntegral:
 
 def reference_distortion(params, region, p, q, shl, samples, seed):
     """The pow-form per-cell shell loop that `distortion_sweep` replaced: one
-    `shell_estimate` per shell, with weight * opnorm^P / |det|^Q evaluated
-    as floats inside the integrand."""
+    `shell_estimate` per shell, with opnorm^P / |det|^Q evaluated as floats
+    inside the integrand, which returns its log."""
     piece = piece_of_region(region)
     P, Q = p * q / (p - q), q / (p - q)
     s = params.s
@@ -251,11 +257,13 @@ def reference_distortion(params, region, p, q, shl, samples, seed):
 
     def integrand(t, r):
         _, _, opnorm, det = reflections.profile_jet(piece, params, t, r)
-        return opnorm**P / np.abs(det) ** Q
+        return np.log(opnorm**P / np.abs(det) ** Q)
 
-    return [sobolev.shell_estimate(params, region, sh, [(integrand, tilt)], samples,
+    logs = [sobolev.shell_estimate(params, region, sh, [(integrand, tilt)], samples,
                                    (seed, sh.k, "dist"))[0]
             for sh in shl]
+    with np.errstate(over="ignore"):
+        return np.exp(logs).tolist()
 
 
 _SWEEP_REGIONS = [
@@ -380,6 +388,38 @@ class TestVerdictProperty:
         assert convergence_verdict(ss).kind == ("Convergent" if e > -1.0 else "Divergent")
 
 
+@st.composite
+def _norm_cells(draw):
+    """(n, s, scheme, alpha, p, q, k_max) with t^(-alpha) in W^{1,p} of the
+    cusp window: alpha + 1 < (1 + (n-1) s) / p."""
+    n = draw(st.integers(3, 6))
+    s = 1.5 + 2.5 * draw(st.floats(0.0, 1.0))
+    c = 1.0 + (n - 1) * s
+    p = 1.0 + (c - 1.0) * draw(st.floats(0.01, 0.99))
+    alpha = (c / p - 1.0) * draw(st.floats(0.01, 0.99))
+    q = 1.0 + (p - 1.0) * draw(st.floats(0.0, 0.99))
+    return (n, s, draw(st.sampled_from(["R1", "R2"])), alpha, p, q,
+            draw(st.sampled_from([60, 120, 250])))
+
+
+class TestNormProperty:
+    """Inside the membership window the norm path runs to k = 250 without
+    raising and without a nan, however far its shells leave the float range."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(cell=_norm_cells())
+    def test_no_nan_in_any_view(self, cell):
+        n, s, scheme, alpha, p, q, k_max = cell
+        spec = ExtensionSpec(scheme, Direction.FromInside)
+        rep = extension_norm_experiment(CuspParams(n, s), spec, PowerAlpha(alpha), p, q,
+                                        shells(5, k_max), 64, 42)
+        for ss in (rep.value_sum, rep.grad_sum, rep.total_sum):
+            views = [ss.log_contributions, ss.log_ratios, [ss.log_total, ss.total],
+                     list(ss.contributions.values()), ss.partial_sums, ss.ratios]
+            assert not any(np.isnan(v).any() for v in views), cell
+        assert not (math.isnan(rep.u_norm) or math.isnan(rep.ratio)), cell
+
+
 class TestSeminorm:
     def test_power_half_closed_form(self, params):
         # |Du|^2 = alpha^2 t^(-3); with the t^(2s) disk area the integral is
@@ -416,7 +456,7 @@ class TestSeminorm:
 class TestScalingFit:
     def test_exact_square_law(self):
         t = np.linspace(0.1, 2.0, 30)
-        slope, intercept, resid = scaling_fit(zip(t, t**2))
+        slope, intercept, resid = scaling_fit(zip(np.log(t), np.log(t**2)))
         assert slope == pytest.approx(2.0, abs=1e-12)
         assert resid < 1e-12
 
@@ -424,27 +464,27 @@ class TestScalingFit:
     @given(slope=st.floats(-4.0, 4.0), amp=st.floats(0.1, 10.0))
     def test_recovers_random_power_laws(self, slope, amp):
         x = np.geomspace(0.01, 1.0, 12)
-        got, intercept, resid = scaling_fit(zip(x, amp * x**slope))
+        got, intercept, resid = scaling_fit(zip(np.log(x), np.log(amp * x**slope)))
         assert got == pytest.approx(slope, abs=1e-9)
         assert math.exp(intercept) == pytest.approx(amp, rel=1e-9)
 
     def test_region_a_det_slope(self, params):
         rows = sobolev.scaling_profile(params, RegionLabel.RegionA,
                                        [Shell(k) for k in range(8, 25)], 1024, 42)
-        slope, _, _ = scaling_fit([(r["scale"], r["absdet_gmean"]) for r in rows])
+        slope, _, _ = scaling_fit([(r["log_scale"], r["log_absdet"]) for r in rows])
         assert slope == pytest.approx(2.0, abs=1e-12)
 
     def test_noisy_data_reports_residual(self):
         x = np.geomspace(0.01, 1.0, 20)
         y = x**1.5 * np.exp(np.sin(np.arange(20)) * 0.2)
-        _, _, resid = scaling_fit(zip(x, y))
+        _, _, resid = scaling_fit(zip(np.log(x), np.log(y)))
         assert resid > 1e-3  # reported, not silently swallowed
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            scaling_fit([(1.0, 1.0), (2.0, -1.0), (3.0, 2.0)])
+            scaling_fit([(0.0, 0.0), (math.log(2.0), -math.inf), (math.log(3.0), math.log(2.0))])
         with pytest.raises(ValueError):
-            scaling_fit([(1.0, 1.0), (2.0, 2.0)])
+            scaling_fit([(0.0, 0.0), (math.log(2.0), math.log(2.0))])
 
 
 class TestShellExponentVsMeasured:

@@ -10,7 +10,10 @@ grad T = (T_t, T_r).  The norm experiment sums these terms region by region
 through `sobolev.function_shells`, the shell loop of the seminorm as well:
 each (region, shell) is drawn once for all its terms, the collar regions
 under the salt "extval" and the L^p and seminorm terms of u on the cusp
-window under "lp"; the integrands return logs, and regions sum in logs.
+window under "lp".  The integrands take the `ProfileSample` and return
+logs: they read u in its log form `log_jet_t` and the chart's T-row
+(`reflections.piece_T_row`) alone, so the radius is drawn only where T
+depends on it; regions sum in logs.
 
 The Lipschitz cutoff psi (1 on the closed domain, 0 off the R1 collar of the
 region table) turns the extension into the global cutoff product psi E(u).
@@ -54,7 +57,9 @@ from .sobolev import ShellSum, Verdict, convergence_verdict, scaling_fit
 # ---------------------------------------------------------------------------
 
 # Each family is a profile u(t) with exact derivative: `value_t` gives u and
-# `deriv_t` gives u' on arrays of t.  A test function of the cusp domain is
+# `deriv_t` gives u' on arrays of t, and `log_jet_t` gives their log form
+# (log|u|, log|u'|), which the norm integrands read: it stays finite where u
+# or u' leaves the float range.  A test function of the cusp domain is
 # u(t, x) = u(t), so its gradient is (u'(t), 0).
 
 @dataclass(frozen=True)
@@ -79,6 +84,11 @@ class PowerAlpha:
         self._check(t)
         return -self.alpha * t ** (-self.alpha - 1.0)
 
+    def log_jet_t(self, t):
+        self._check(t)
+        log_t = np.log(t)
+        return -self.alpha * log_t, math.log(self.alpha) - (self.alpha + 1.0) * log_t
+
 
 @dataclass(frozen=True)
 class ClampT:
@@ -90,6 +100,10 @@ class ClampT:
     def deriv_t(self, t):
         return ((t > 0.0) & (t < 1.0)).astype(float)
 
+    def log_jet_t(self, t):
+        with np.errstate(divide="ignore"):
+            return np.log(self.value_t(t)), np.log(self.deriv_t(t))
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -100,6 +114,10 @@ class Constant:
 
     def deriv_t(self, t):
         return np.zeros_like(t)
+
+    def log_jet_t(self, t):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(self.value_t(t))), np.log(self.deriv_t(t))
 
 
 TestFunction = PowerAlpha | ClampT | Constant
@@ -339,7 +357,8 @@ def _region_terms(
     """Shell sums of the (value, gradient) L^q masses of u o R over a collar
     region, both from one draw per shell under the salt "extval": u depends
     on t alone, so u o R = u(T) has gradient norm |u'(T)| |(T_t, T_r)|, whose
-    log sums the factors' logs.  Terms of equal radial tilt read one profile."""
+    log sums log|u'(T)| and log hypot(T_t, T_r).  Terms of equal radial tilt
+    read one profile and one T-row."""
     piece = piece_of_region(region)
     s = params.s
     # Region E composes through T = r^(1/s), with |grad T| = r^(1/s-1)/s: the
@@ -354,13 +373,14 @@ def _region_terms(
         grad_tilt = (s - 1.0) * q / s
 
     def masses(value: bool, grad: bool):
-        def integrand(t, r):
-            T, T_t, T_r = reflections.piece_profile(piece, params, t, r)[:3]
+        def integrand(prof):
+            T, T_t, T_r = reflections.piece_T_row(piece, params, prof.t, lambda: prof.r)
+            log_u, log_du = u.log_jet_t(T)
             rows = []
             if value:
-                rows.append(q * np.log(np.abs(u.value_t(T))))
+                rows.append(q * log_u)
             if grad:
-                rows.append(q * (np.log(np.abs(u.deriv_t(T))) + 0.5 * np.log(T_t**2 + T_r**2)))
+                rows.append(q * (log_du + np.log(np.hypot(T_t, T_r))))
             return np.stack(rows)
 
         return integrand
@@ -385,8 +405,9 @@ def _window_terms(
     """Shell sums of the L^p value and gradient masses |u|^p and |u'|^p of u
     over the cusp window, both from one draw per shell under the salt "lp"."""
 
-    def integrand(t, r):
-        return np.stack([p * np.log(np.abs(u.value_t(t))), sobolev.log_gradient_power(u, p, t)])
+    def integrand(prof):
+        log_u, log_du = u.log_jet_t(prof.t)
+        return np.stack([p * log_u, p * log_du])
 
     lp, semi = sobolev.function_shells(params, RegionLabel.CuspInterior, shells,
                                        [(integrand, 0.0)], samples, seed, "lp")

@@ -22,7 +22,9 @@ r.
 
 Dyadic shells stratify the singular integrals: shell k covers the region's
 scale variable (|t| for A, C, D, E and the inner bands; |x| for B) in
-[2^-(k+1), 2^-k].
+[2^-(k+1), 2^-k].  The samplers draw the scale variable first
+(`draw_scale`) and the radius from its conditional band after; an untilted
+`ProfileSample` draws the radius only on the first read of its `r`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -486,13 +490,20 @@ class ProfileSample:
     radial tilt reshaped the radius law (z_m and z_r, whose logs stay finite
     past the float range, normalise the tilted and the true radial density).
     With a column of tilts, r and the log weight have one row per tilt.
+
+    The radii `r` are drawn by `draw_r` on first read, so an integrand of t
+    alone never pays for them.
     """
 
     t: np.ndarray
-    r: np.ndarray
     log_weight: np.ndarray
     log_measure: float
     count: int
+    draw_r: Callable[[], np.ndarray]
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return self.draw_r()
 
 
 def _strata(m1: int, m2: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -535,15 +546,18 @@ class ScaleDraw:
         `radial_tilt` is one tilt or a column of tilts, which gives one row
         of radii and weights per tilt; each row equals a one-tilt column's
         bit for bit.  Several tilts may be applied to one draw; each call
-        leaves the draw unchanged.
+        leaves the draw unchanged.  Untilted, the weights do not depend on r,
+        so r is drawn on the first read of the sample's `r`, from the same
+        variate u2; a tilted profile draws it at once.
         """
         if self.r is not None:
-            return ProfileSample(self.t, self.r, self.log_weight, self.log_measure, self.count)
+            return ProfileSample(self.t, self.log_weight, self.log_measure, self.count,
+                                 lambda: self.r)
         lo_r, hi_r = self.lo_r, self.hi_r
         nm2 = float(self.n - 2)
         if np.ndim(radial_tilt) == 0 and radial_tilt == 0.0:
-            r = _power_icdf(lo_r, hi_r, nm2, self.u2)
-            return ProfileSample(self.t, r, self.log_weight, self.log_measure, self.count)
+            return ProfileSample(self.t, self.log_weight, self.log_measure, self.count,
+                                 lambda: _power_icdf(lo_r, hi_r, nm2, self.u2))
         # Cap the tilt so (lo/hi)^(m+1) stays in float range; the cells that
         # need variance reduction sit near the critical curve where the
         # natural tilt is about (n-1) + 1/s, far below the cap.
@@ -559,7 +573,7 @@ class ScaleDraw:
             log_lo, log_hi = np.log(lo_r), np.log(hi_r)
         log_weight = self.log_weight + radial_tilt * np.log(r) + (
             _log_power_norm(log_lo, log_hi, m_r) - _log_power_norm(log_lo, log_hi, nm2))
-        return ProfileSample(self.t, r, log_weight, self.log_measure, self.count)
+        return ProfileSample(self.t, log_weight, self.log_measure, self.count, lambda: r)
 
 
 def draw_scale(

@@ -68,28 +68,44 @@ from .geometry import (
 
 
 # ---------------------------------------------------------------------------
-# Profile evaluators: (T, T_t, T_r, phi, phi_t, phi_r), vectorised
+# Profile evaluators, vectorised: per piece a T-row (T, T_t, T_r) and a
+# phi-row (phi, phi_t, phi_r).  A T-row takes the radius as a zero-argument
+# function and calls it only where T depends on r (B, E, P2), so a caller
+# that reads the T-row alone never needs r elsewhere.
 # ---------------------------------------------------------------------------
 
-def _eval_A(params: CuspParams, t, r):
+def _T_reflected(params: CuspParams, t, _):
+    """T = -t: the T-row of A, D and P1."""
+    one = np.ones_like(t)
+    return -t, -one, 0.0 * one
+
+
+def _t_itself(params: CuspParams, t, _):
+    """(t, 1, 0): the T-row of C and P3 and the phi-row of P2."""
+    one = np.ones_like(t)
+    return t, one, 0.0 * one
+
+
+def _phi_A(params: CuspParams, t, r):
     s = params.s
     xi = -t  # |t| on A
-    one = np.ones_like(xi)
-    T = -t
     phi = xi ** (s - 1.0) * r / 6.0
     phi_t = -(s - 1.0) * xi ** (s - 2.0) * r / 6.0
     phi_r = xi ** (s - 1.0) / 6.0
-    return T, -one, 0.0 * one, phi, phi_t, phi_r
+    return phi, phi_t, phi_r
 
 
-def _eval_B(params: CuspParams, t, r):
+def _T_B(params: CuspParams, t, radius):
+    r = radius()
+    return r, np.zeros_like(r), np.ones_like(r)
+
+
+def _phi_B(params: CuspParams, t, r):
     s = params.s
-    one = np.ones_like(np.asarray(r, dtype=float))
-    T = r + 0.0 * one
     phi = (t / 6.0) * r ** (s - 1.0) + r**s / 3.0
     phi_t = r ** (s - 1.0) / 6.0
     phi_r = (s - 1.0) * (t / 6.0) * r ** (s - 2.0) + s * r ** (s - 1.0) / 3.0
-    return T, 0.0 * one, one, phi, phi_t, phi_r
+    return phi, phi_t, phi_r
 
 
 def _lam_mu(s: float, t):
@@ -106,82 +122,90 @@ def _lam_mu(s: float, t):
     return lam, mu, lam_p, mu_p
 
 
-def _eval_C(params: CuspParams, t, r):
-    s = params.s
-    lam, mu, lam_p, mu_p = _lam_mu(s, t)
-    one = np.ones_like(np.asarray(t, dtype=float))
-    T = t + 0.0 * one
+def _phi_C(params: CuspParams, t, r):
+    lam, mu, lam_p, mu_p = _lam_mu(params.s, t)
     phi = lam * r + mu
     phi_t = lam_p * r + mu_p
-    phi_r = lam + 0.0 * one
-    return T, one, 0.0 * one, phi, phi_t, phi_r
+    phi_r = lam + 0.0 * np.ones_like(t)
+    return phi, phi_t, phi_r
 
 
-def _eval_D(params: CuspParams, t, r):
-    one = np.ones_like(np.asarray(t, dtype=float))
-    return -t + 0.0 * one, -one, 0.0 * one, r / 2.0 + 0.0 * one, 0.0 * one, 0.5 * one
+def _phi_D(params: CuspParams, t, r):
+    one = np.ones_like(t)
+    return r / 2.0 + 0.0 * one, 0.0 * one, 0.5 * one
 
 
-def _eval_E(params: CuspParams, t, r):
+def _T_E(params: CuspParams, t, radius):
     s = params.s
-    one = np.ones_like(np.asarray(r, dtype=float))
+    r = radius()
     T = r ** (1.0 / s)
     T_r = r ** (1.0 / s - 1.0) / s
+    return T, np.zeros_like(r), T_r
+
+
+def _phi_E(params: CuspParams, t, r):
+    s = params.s
     phi = (t / 4.0) * r ** (1.0 - 1.0 / s) + 0.75 * r
     phi_t = r ** (1.0 - 1.0 / s) / 4.0
     phi_r = (t / 4.0) * (1.0 - 1.0 / s) * r ** (-1.0 / s) + 0.75
-    return T, 0.0 * one, T_r, phi, phi_t, phi_r
+    return phi, phi_t, phi_r
 
 
-def _eval_P1(params: CuspParams, t, r):
+def _phi_P1(params: CuspParams, t, r):
     s = params.s
-    one = np.ones_like(np.asarray(t, dtype=float))
-    T = -t + 0.0 * one
     phi = 6.0 * r * t ** (1.0 - s)
     phi_t = 6.0 * (1.0 - s) * r * t ** (-s)
-    phi_r = 6.0 * t ** (1.0 - s) + 0.0 * one
-    return T, -one, 0.0 * one, phi, phi_t, phi_r
+    phi_r = 6.0 * t ** (1.0 - s) + 0.0 * np.ones_like(t)
+    return phi, phi_t, phi_r
 
 
-def _eval_P2(params: CuspParams, t, r):
+def _T_P2(params: CuspParams, t, radius):
     s = params.s
-    one = np.ones_like(np.asarray(t, dtype=float))
+    r = radius()
     T = 12.0 * r * t ** (1.0 - s) - 3.0 * t
     T_t = 12.0 * (1.0 - s) * r * t ** (-s) - 3.0
-    T_r = 12.0 * t ** (1.0 - s) + 0.0 * one
-    phi = t + 0.0 * one
-    return T, T_t, T_r, phi, one, 0.0 * one
+    T_r = 12.0 * t ** (1.0 - s) + 0.0 * np.ones_like(t)
+    return T, T_t, T_r
 
 
-def _eval_P3(params: CuspParams, t, r):
+def _phi_P3(params: CuspParams, t, r):
     s = params.s
-    one = np.ones_like(np.asarray(t, dtype=float))
     a = 1.5 * (1.0 - t ** (1.0 - s))
     a_p = 1.5 * (s - 1.0) * t ** (-s)
     b = (3.0 * t - t**s) / 2.0
     b_p = (3.0 - s * t ** (s - 1.0)) / 2.0
-    T = t + 0.0 * one
     phi = a * r + b
     phi_t = a_p * r + b_p
-    phi_r = a + 0.0 * one
-    return T, one, 0.0 * one, phi, phi_t, phi_r
+    phi_r = a + 0.0 * np.ones_like(t)
+    return phi, phi_t, phi_r
 
 
-_EVALS = {
-    "A": _eval_A,
-    "B": _eval_B,
-    "C": _eval_C,
-    "D": _eval_D,
-    "E": _eval_E,
-    "P1": _eval_P1,
-    "P2": _eval_P2,
-    "P3": _eval_P3,
+# Each piece's (T-row, phi-row).
+_ROWS = {
+    "A": (_T_reflected, _phi_A),
+    "B": (_T_B, _phi_B),
+    "C": (_t_itself, _phi_C),
+    "D": (_T_reflected, _phi_D),
+    "E": (_T_E, _phi_E),
+    "P1": (_T_reflected, _phi_P1),
+    "P2": (_T_P2, _t_itself),
+    "P3": (_t_itself, _phi_P3),
 }
 
 
+def piece_T_row(piece: str, params: CuspParams, t, radius):
+    """(T, T_t, T_r) for a piece at heights t; `radius` is a zero-argument
+    function giving the radii r, called only on the pieces whose T depends
+    on r (B, E, P2)."""
+    return _ROWS[piece][0](params, np.asarray(t, dtype=float), radius)
+
+
 def piece_profile(piece: str, params: CuspParams, t, r):
-    """(T, T_t, T_r, phi, phi_t, phi_r) for a piece on arrays (t, r)."""
-    return _EVALS[piece](params, np.asarray(t, dtype=float), np.asarray(r, dtype=float))
+    """(T, T_t, T_r, phi, phi_t, phi_r) for a piece on arrays (t, r): its
+    T-row and its phi-row."""
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    return (*piece_T_row(piece, params, t, lambda: r), *_ROWS[piece][1](params, t, r))
 
 
 def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r, log: bool = False):

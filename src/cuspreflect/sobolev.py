@@ -25,11 +25,12 @@ The norm terms of a test function and of its extension run through one
 shell loop, `function_shells`, whose shell primitive `shell_estimate` draws
 each (region, shell) once, from the substream (seed, k, region, salt), and
 reduces every term of that shell from the draw: the terms of one radial tilt
-share one profile.  Shells span hundreds of binary orders, so both paths
-work in logs from the measure to the verdict: log measures and weights,
-integrands that return logs, one reduce `_log_shell` with one nan rule
-(NonFiniteIntegrandError), and `ShellSum`s of log contributions, whose log
-ratios the verdict reads.
+share one profile, which each integrand reads as a `ProfileSample`, so an
+untilted integrand of t alone never draws the radius.  Shells span hundreds
+of binary orders, so both paths work in logs from the measure to the
+verdict: log measures and weights, integrands that return logs, one reduce
+`_log_shell` with one nan rule (NonFiniteIntegrandError), and `ShellSum`s of
+log contributions, whose log ratios the verdict reads.
 """
 
 from __future__ import annotations
@@ -254,12 +255,14 @@ def shell_estimate(
     one draw of the substream (seed, k, region, salt) of `rng_seed_parts` =
     (seed, k, salt).
 
-    `terms` lists (integrand, radial_tilt) pairs.  `integrand(t, r)` returns
-    log values of shape (N,) on the profile samples of its tilt, or a stack
+    `terms` lists (integrand, radial_tilt) pairs.  `integrand(prof)` returns
+    log values of shape (N,) on the `ProfileSample` of its tilt, or a stack
     (m, N) of m integrands, each row one estimate; the terms of one tilt get
-    the same samples.  The result lists the `_log_shell` of each row, in term
-    order: a nan raises NonFiniteIntegrandError, while inf values are kept,
-    since genuinely divergent exponents overflow by design.
+    the same samples.  An untilted sample draws its radii on the first read
+    of `prof.r`, so an integrand that reads t alone draws none.  The result
+    lists the `_log_shell` of each row, in term order: a nan raises
+    NonFiniteIntegrandError, while inf values are kept, since genuinely
+    divergent exponents overflow by design.
     """
     seed, k, salt = rng_seed_parts
     rng = derive_rng(seed, k, region, salt=salt)
@@ -271,7 +274,7 @@ def shell_estimate(
             if tilt not in profiles:
                 profiles[tilt] = draw.profile(tilt)
             prof = profiles[tilt]
-            L = np.atleast_2d(prof.log_weight + integrand(prof.t, prof.r))
+            L = np.atleast_2d(prof.log_weight + integrand(prof))
             estimates += _log_shell(prof.log_measure, L, region, shell).tolist()
     return estimates
 
@@ -397,11 +400,6 @@ def function_shells(
     return [ShellSum(ks, column) for column in zip(*values)]
 
 
-def log_gradient_power(u, p: float, t):
-    """p log|u'(t)|: the log of |u'(t)|^p, the seminorm integrand of u(t)."""
-    return p * np.log(np.abs(u.deriv_t(t)))
-
-
 def sobolev_seminorm(
     params: CuspParams,
     u,
@@ -412,11 +410,12 @@ def sobolev_seminorm(
     seed: int = 42,
 ) -> ShellSum:
     """Shellwise stratified estimate of the gradient term |Du|^p = |u'(t)|^p
-    over the region (restricted to the t < 1/2 window the shells cover)."""
+    over the region (restricted to the t < 1/2 window the shells cover),
+    whose log p log|u'(t)| reads the log form `u.log_jet_t`."""
     if p < 1.0:
         raise WindowError(f"Sobolev exponent must satisfy p >= 1, got {p}")
     return function_shells(params, region, shells,
-                           [(lambda t, r: log_gradient_power(u, p, t), 0.0)],
+                           [(lambda prof: p * u.log_jet_t(prof.t)[1], 0.0)],
                            samples_per_shell, seed, "semi")[0]
 
 

@@ -225,6 +225,33 @@ class TestFaultRegressions:
                         "--p", "2", "--q", "1.1", "--samples", "256", "--k-max", "60",
                         "--out", str(tmp_path / "en.csv")]) == 0
 
+    def test_norm_derivative_past_float_range(self, tmp_path):
+        # u' = -4 t^-5 overflows below t ~ 2^-204; the norm terms read its
+        # log, so u-norm and the shells stay finite, and q > n/(alpha+1)
+        # = 1.2 makes the tail diverge
+        out = tmp_path / "en.csv"
+        assert run_cli(["extendnorm", "--scheme", "r1", "--n", "6", "--s", "2",
+                        "--function", "power:4", "--p", "2.1", "--q", "1.9", "--samples", "256",
+                        "--k-max", "250", "--out", str(out)]) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert math.isfinite(manifest["u_norm"]) and math.isfinite(manifest["ratio"])
+        rows = list(csv.DictReader(open(out)))
+        assert [row["k"] for row in rows] == [str(k) for k in range(5, 251)]
+        assert all(math.isfinite(float(row["Lq_grad_term"])) for row in rows)
+        assert rows[-1]["verdict"] == manifest["verdict"] == "Divergent"
+
+    def test_norm_grad_t_past_float_range(self, tmp_path):
+        # region E's T_r = r^(1/s-1)/s passes 2^512 from k = 171 at s = 4, so
+        # T_t^2 + T_r^2 overflowed and made this convergent cell (q < 9/4.5)
+        # read Divergent; log hypot(T_t, T_r) stays finite
+        out = tmp_path / "en.csv"
+        assert run_cli(["extendnorm", "--scheme", "r2", "--n", "3", "--s", "4",
+                        "--function", "power:0.5", "--p", "3", "--q", "1.8", "--samples", "256",
+                        "--k-max", "250", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(open(out)))
+        assert all(math.isfinite(float(row["Lq_grad_term"])) for row in rows)
+        assert rows[-1]["verdict"] == "Convergent"
+
     def test_scaling_past_det_underflow(self, tmp_path):
         # |det| on region A underflows to 0 before k = 80 at n = 6, s = 4
         out = tmp_path / "scaling.csv"

@@ -66,6 +66,42 @@ class TestTestFunctions:
         assert u.deriv_t(np.array([t]))[0] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+class TestLogJet:
+    """`log_jet_t` is (log|u|, log|u'|), finite where u or u' leaves the float
+    range."""
+
+    @pytest.mark.parametrize("u", [PowerAlpha(1.4), PowerAlpha(4.0), ClampT(), Constant(2.5),
+                                   Constant(-0.5)], ids=["power1.4", "power4", "clampt",
+                                                         "const", "const-neg"])
+    def test_matches_log_of_value_and_derivative(self, u):
+        t = np.geomspace(2.0**-150, 1.5, 401)
+        if not isinstance(u, PowerAlpha):
+            t = np.concatenate([-t, [0.0], t])
+        log_u, log_du = u.log_jet_t(t)
+        compared = 0
+        with np.errstate(divide="ignore"):
+            for got, want in ((log_u, np.log(np.abs(u.value_t(t)))),
+                              (log_du, np.log(np.abs(u.deriv_t(t))))):
+                finite = np.isfinite(want)
+                np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=1e-13)
+                assert (got[~finite] == want[~finite]).all()
+                compared += finite.sum()
+        assert compared > t.size // 2
+
+    def test_power_finite_past_float_range(self):
+        u = PowerAlpha(4.0)
+        t = np.array([2.0**-300])
+        log_u, log_du = u.log_jet_t(t)
+        assert np.isfinite(log_u).all() and np.isfinite(log_du).all()
+        assert log_u[0] == pytest.approx(1200.0 * math.log(2.0), rel=1e-15)
+        assert log_du[0] == pytest.approx(math.log(4.0) + 1500.0 * math.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("t", [0.0, -0.1])
+    def test_power_rejects_nonpositive_t(self, t):
+        with pytest.raises(ValueError):
+            PowerAlpha(1.0).log_jet_t(np.array([0.2, t]))
+
+
 class TestExtensionSpec:
     def test_valid(self):
         ExtensionSpec("R1", Direction.FromInside)
@@ -385,19 +421,46 @@ class TestDrawCount:
         assert {salt for *_, salt in calls} <= {"extval", "lp"}
 
 
-def _plant_nan(monkeypatch, piece):
-    """Make `piece_profile` return a nan in the first T_t of the piece, so
-    that only the gradient integrand of its region meets one."""
-    profile = reflections.piece_profile
+class TestNormReadsOnlyTheTRow:
+    """The norm integrands read T, T_t and T_r alone: no chart piece's full
+    profile, and the radius only where T depends on it."""
 
-    def planted(name, prm, t, r):
-        T, T_t, *rest = profile(name, prm, t, r)
+    @pytest.mark.parametrize("u,p,q", [(PowerAlpha(1.4), 2.0, 1.1), (ClampT(), 3.0, 2.0)],
+                             ids=["power", "clampt"])
+    @pytest.mark.parametrize("scheme", ["R1", "R2"])
+    def test_radius_read_only_on_b_and_e(self, monkeypatch, params, scheme, u, p, q):
+        def refuse(*args, **kwargs):
+            raise AssertionError("piece_profile called")
+
+        monkeypatch.setattr(reflections, "piece_profile", refuse)
+        calls = spy_rng(monkeypatch)
+        read = set()
+        radius = geometry.ProfileSample.r
+
+        def spy(prof):
+            read.add(calls[-1][2])
+            return radius.__get__(prof, geometry.ProfileSample)
+
+        monkeypatch.setattr(geometry.ProfileSample, "r", property(spy))
+        spec = ExtensionSpec(scheme, Direction.FromInside)
+        extension_norm_experiment(params, spec, u, p, q, shells(5, 12), 64, 3)
+        want = {"R1": RegionLabel.RegionB, "R2": RegionLabel.RegionE}[scheme]
+        assert read == {want}
+
+
+def _plant_nan(monkeypatch, piece):
+    """Make `piece_T_row` return a nan in the first T_t of the piece, so
+    that only the gradient integrand of its region meets one."""
+    row = reflections.piece_T_row
+
+    def planted(name, prm, t, radius):
+        T, T_t, T_r = row(name, prm, t, radius)
         if name == piece:
             T_t = T_t.copy()
             T_t.flat[0] = np.nan
-        return (T, T_t, *rest)
+        return T, T_t, T_r
 
-    monkeypatch.setattr(reflections, "piece_profile", planted)
+    monkeypatch.setattr(reflections, "piece_T_row", planted)
 
 
 class TestNonFiniteNorm:
@@ -549,25 +612,26 @@ class TestProfileIntegrands:
 # Float hex of extension_norm_experiment(n=3, s=2, power:1.4, p=2, k=5..12,
 # 256 samples, seed 7), recorded with one draw per (region, shell) for all
 # its terms, the sampler's inverse CDF scaled to the top of its interval,
-# and the shells reduced and summed in log form.
+# the shells reduced and summed in log form, and the integrands read from
+# the chart T-row and the test function's log form.
 _PINNED = {
     ("R1", 1.1): (
         ["0x1.aab7a017a114ep-5", "0x1.379848a0933cep-6", "0x1.c3581434b3bdap-8",
          "0x1.484972b88760fp-9", "0x1.de1eb5f9acfa3p-11", "0x1.5b57c9ef74762p-12",
          "0x1.f7cfa09085dc0p-14", "0x1.6e48a014103ecp-15"],
-        ["0x1.32b7887e5f536p+2", "0x1.e2e73c242d15cp+1", "0x1.753985925c9e2p+1",
-         "0x1.23214a5914835p+1", "0x1.c7893672398a5p+0", "0x1.6244306d31288p+0",
-         "0x1.1292990847fb6p+0", "0x1.abe22d14adcaep-1"],
-        "0x1.9f1b3870baa0bp+1", "0x1.1e8e14c6eb957p+2",
+        ["0x1.32b7887e5f530p+2", "0x1.e2e73c242d156p+1", "0x1.753985925c9ddp+1",
+         "0x1.23214a5914830p+1", "0x1.c78936723989fp+0", "0x1.6244306d31282p+0",
+         "0x1.1292990847fb2p+0", "0x1.abe22d14adca7p-1"],
+        "0x1.9f1b3870baa04p+1", "0x1.1e8e14c6eb95ap+2",
     ),
     ("R2", 1.3): (
-        ["0x1.455559b6ed866p-5", "0x1.4593f7203adbfp-6", "0x1.45a1e0c97160fp-7",
-         "0x1.45a4ef67132dfp-8", "0x1.45a59ba64346bp-9", "0x1.45a5c171e9790p-10",
+        ["0x1.455559b6ed866p-5", "0x1.4593f7203adbfp-6", "0x1.45a1e0c971614p-7",
+         "0x1.45a4ef67132e4p-8", "0x1.45a59ba64346bp-9", "0x1.45a5c171e9795p-10",
          "0x1.45a5c9d84f2aep-11", "0x1.45a5cbb3602c8p-12"],
-        ["0x1.0c0d152b976a9p+1", "0x1.882068c700898p+0", "0x1.1781c06eb4e0bp+0",
-         "0x1.86d159ce38c3ap-1", "0x1.0df7478892e61p-1", "0x1.71b5a4e0ba4dep-2",
-         "0x1.f6ff9b5cc7348p-3", "0x1.5484cc342c2a1p-3"],
-        "0x1.9f1b3870baa0bp+1", "0x1.636099271db33p+0",
+        ["0x1.0c0d152b976a9p+1", "0x1.882068c700894p+0", "0x1.1781c06eb4e09p+0",
+         "0x1.86d159ce38c35p-1", "0x1.0df7478892e5dp-1", "0x1.71b5a4e0ba4d8p-2",
+         "0x1.f6ff9b5cc7340p-3", "0x1.5484cc342c29dp-3"],
+        "0x1.9f1b3870baa04p+1", "0x1.636099271db39p+0",
     ),
 }
 

@@ -217,6 +217,25 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_region(params, "R2", RegionLabel.RegionA, Shell(1), 10, 7)
 
+    @pytest.mark.parametrize("label", [RegionLabel.RegionA, RegionLabel.RegionC,
+                                       RegionLabel.RegionD, RegionLabel.RegionE,
+                                       RegionLabel.CuspInterior, RegionLabel.InnerPiece2])
+    def test_untilted_radius_drawn_on_first_read(self, monkeypatch, params, label):
+        # the band's radius is drawn once, on the first read of `r`, from the
+        # variate u2 fixed by the scale draw; a tilted profile draws it at once
+        draw = geometry.draw_scale(params, label, Shell(5), 64, np.random.default_rng(3))
+        calls = []
+        icdf = geometry._power_icdf
+        monkeypatch.setattr(geometry, "_power_icdf",
+                            lambda *args: calls.append(args) or icdf(*args))
+        prof = draw.profile(0.0)
+        assert calls == []
+        r = prof.r
+        assert len(calls) == 1 and prof.r is r
+        assert np.array_equal(r, icdf(draw.lo_r, draw.hi_r, params.n - 2.0, draw.u2))
+        draw.profile(0.5)
+        assert len(calls) == 2
+
     def test_non_sampleable(self, params):
         with pytest.raises(ValueError):
             sample_region(params, "R1", RegionLabel.Origin, Shell(1), 10, 7)

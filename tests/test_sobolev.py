@@ -255,8 +255,8 @@ def reference_distortion(params, region, p, q, shl, samples, seed):
     s = params.s
     tilt = (s - 1.0) * p * q / (s * (p - q)) if region is RegionLabel.RegionE else 0.0
 
-    def integrand(t, r):
-        _, _, opnorm, det = reflections.profile_jet(piece, params, t, r)
+    def integrand(prof):
+        _, _, opnorm, det = reflections.profile_jet(piece, params, prof.t, prof.r)
         return np.log(opnorm**P / np.abs(det) ** Q)
 
     logs = [sobolev.shell_estimate(params, region, sh, [(integrand, tilt)], samples,

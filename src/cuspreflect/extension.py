@@ -380,7 +380,9 @@ def _region_terms(
             if value:
                 rows.append(q * log_u)
             if grad:
-                rows.append(q * (log_du + np.log(np.hypot(T_t, T_r))))
+                # hypot(T_t, 0) = |T_t|: A, C and D never call hypot
+                grad_T = np.hypot(T_t, T_r, out=np.abs(T_t), where=T_r != 0.0)
+                rows.append(q * (log_du + np.log(grad_T)))
             return np.stack(rows)
 
         return integrand

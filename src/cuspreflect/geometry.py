@@ -558,22 +558,31 @@ class ScaleDraw:
         if np.ndim(radial_tilt) == 0 and radial_tilt == 0.0:
             return ProfileSample(self.t, self.log_weight, self.log_measure, self.count,
                                  lambda: _power_icdf(lo_r, hi_r, nm2, self.u2))
+        cap, log_lo, log_hi, log_z_r = self._tilt_frame
+        radial_tilt = np.minimum(radial_tilt, cap)
+        m_r = nm2 - radial_tilt
+        r = _power_icdf(lo_r, hi_r, m_r, self.u2)
+        log_weight = self.log_weight + radial_tilt * np.log(r) + (
+            _log_power_norm(log_lo, log_hi, m_r) - log_z_r)
+        return ProfileSample(self.t, log_weight, self.log_measure, self.count, lambda: r)
+
+    @cached_property
+    def _tilt_frame(self):
+        """What every tilted `profile` of the draw shares, made on the first:
+        the tilt cap, log lo_r, log hi_r and the log normaliser z_r of the
+        untilted radial density."""
+        nm2 = float(self.n - 2)
         # Cap the tilt so (lo/hi)^(m+1) stays in float range; the cells that
         # need variance reduction sit near the critical curve where the
         # natural tilt is about (n-1) + 1/s, far below the cap.
-        lo_min = float(np.min(lo_r))
+        lo_min = float(np.min(self.lo_r))
         if lo_min <= 0.0:
             cap = nm2 + 0.99
         else:
             cap = (nm2 + 1.0) + 600.0 / max(1.0, -math.log(lo_min))
-        radial_tilt = np.minimum(radial_tilt, cap)
-        m_r = nm2 - radial_tilt
-        r = _power_icdf(lo_r, hi_r, m_r, self.u2)
         with np.errstate(divide="ignore"):  # lo_r is 0 on cones and inner band 1
-            log_lo, log_hi = np.log(lo_r), np.log(hi_r)
-        log_weight = self.log_weight + radial_tilt * np.log(r) + (
-            _log_power_norm(log_lo, log_hi, m_r) - _log_power_norm(log_lo, log_hi, nm2))
-        return ProfileSample(self.t, log_weight, self.log_measure, self.count, lambda: r)
+            log_lo, log_hi = np.log(self.lo_r), np.log(self.hi_r)
+        return cap, log_lo, log_hi, _log_power_norm(log_lo, log_hi, nm2)
 
 
 def draw_scale(
@@ -620,7 +629,8 @@ def draw_scale(
         t = q.sign * xi
     elif q.kind == "band":
         xi = _power_icdf(a, b, s * (n - 1.0), u1)
-        lo_r, hi_r = q.c_lo * xi**s, q.c_hi * xi**s
+        xi_s = xi**s
+        lo_r, hi_r = q.c_lo * xi_s, q.c_hi * xi_s
         t = q.sign * xi
     elif q.kind == "slab":
         xi = _power_icdf(a, b, n - 1.0, u1)

@@ -11,6 +11,14 @@ matrices are assembled from those five scalars; the closed forms below were
 derived from the map formulas and are cross-checked against central finite
 differences by the test suite.
 
+Each piece takes each power once: it raises its variable to one power g
+(|t|^(s-1) on A, r^(s-1) on B, t^(s-1) on C, t^(1-s) on the inner bands,
+T = r^(1/s) on E) and builds the other powers from g by products and
+quotients; E's phi-row reads the T-row's T as r/T and 1/T.  A quotient
+g/|t| or g/r is taken as 0 where its divisor is 0, at the apex of A, B or
+C, where it multiplies a factor that vanishes on the piece, so the origin
+maps without an infinite power.
+
 Charts:
 
   R1Outer  on A u B u C   (collar minus the closed domain, scheme R1)
@@ -71,8 +79,15 @@ from .geometry import (
 # Profile evaluators, vectorised: per piece a T-row (T, T_t, T_r) and a
 # phi-row (phi, phi_t, phi_r).  A T-row takes the radius as a zero-argument
 # function and calls it only where T depends on r (B, E, P2), so a caller
-# that reads the T-row alone never needs r elsewhere.
+# that reads the T-row alone never needs r elsewhere.  A phi-row also gets
+# the T-row's T, which E's phi-row reads.
 # ---------------------------------------------------------------------------
+
+def _over(g, x):
+    """g/x, and 0 where x is 0: g is a positive power of x, and the quotient
+    only multiplies factors that vanish where x does on the piece's closure."""
+    return np.divide(g, x, out=np.zeros_like(g), where=x != 0.0)
+
 
 def _T_reflected(params: CuspParams, t, _):
     """T = -t: the T-row of A, D and P1."""
@@ -80,18 +95,19 @@ def _T_reflected(params: CuspParams, t, _):
     return -t, -one, 0.0 * one
 
 
-def _t_itself(params: CuspParams, t, _):
+def _t_itself(params: CuspParams, t, *_):
     """(t, 1, 0): the T-row of C and P3 and the phi-row of P2."""
     one = np.ones_like(t)
     return t, one, 0.0 * one
 
 
-def _phi_A(params: CuspParams, t, r):
+def _phi_A(params: CuspParams, t, r, _):
     s = params.s
     xi = -t  # |t| on A
-    phi = xi ** (s - 1.0) * r / 6.0
-    phi_t = -(s - 1.0) * xi ** (s - 2.0) * r / 6.0
-    phi_r = xi ** (s - 1.0) / 6.0
+    g = xi ** (s - 1.0)
+    phi = g * r / 6.0
+    phi_t = -(s - 1.0) * _over(g, xi) * r / 6.0
+    phi_r = g / 6.0
     return phi, phi_t, phi_r
 
 
@@ -100,29 +116,28 @@ def _T_B(params: CuspParams, t, radius):
     return r, np.zeros_like(r), np.ones_like(r)
 
 
-def _phi_B(params: CuspParams, t, r):
+def _phi_B(params: CuspParams, t, r, _):
     s = params.s
-    phi = (t / 6.0) * r ** (s - 1.0) + r**s / 3.0
-    phi_t = r ** (s - 1.0) / 6.0
-    phi_r = (s - 1.0) * (t / 6.0) * r ** (s - 2.0) + s * r ** (s - 1.0) / 3.0
+    g = r ** (s - 1.0)
+    phi = (t / 6.0) * g + g * r / 3.0
+    phi_t = g / 6.0
+    phi_r = (s - 1.0) * (t / 6.0) * _over(g, r) + s * g / 3.0
     return phi, phi_t, phi_r
 
 
 def _lam_mu(s: float, t):
     g = t ** (s - 1.0)
+    gg = g * g
     den = 2.0 * (g - 1.0)
+    den2 = 2.0 * (g - 1.0) ** 2
     lam = g / den
-    mu = t**s - t ** (2.0 * s - 1.0) / den
-    lam_p = -(s - 1.0) * t ** (s - 2.0) / (2.0 * (g - 1.0) ** 2)
-    mu_p = (
-        s * g
-        - (2.0 * s - 1.0) * t ** (2.0 * s - 2.0) / den
-        + (s - 1.0) * t ** (3.0 * s - 3.0) / (2.0 * (g - 1.0) ** 2)
-    )
+    mu = g * t - gg * t / den
+    lam_p = -(s - 1.0) * _over(g, t) / den2
+    mu_p = s * g - (2.0 * s - 1.0) * gg / den + (s - 1.0) * (gg * g) / den2
     return lam, mu, lam_p, mu_p
 
 
-def _phi_C(params: CuspParams, t, r):
+def _phi_C(params: CuspParams, t, r, _):
     lam, mu, lam_p, mu_p = _lam_mu(params.s, t)
     phi = lam * r + mu
     phi_t = lam_p * r + mu_p
@@ -130,7 +145,7 @@ def _phi_C(params: CuspParams, t, r):
     return phi, phi_t, phi_r
 
 
-def _phi_D(params: CuspParams, t, r):
+def _phi_D(params: CuspParams, t, r, _):
     one = np.ones_like(t)
     return r / 2.0 + 0.0 * one, 0.0 * one, 0.5 * one
 
@@ -139,41 +154,44 @@ def _T_E(params: CuspParams, t, radius):
     s = params.s
     r = radius()
     T = r ** (1.0 / s)
-    T_r = r ** (1.0 / s - 1.0) / s
-    return T, np.zeros_like(r), T_r
+    return T, np.zeros_like(r), T / (s * r)
 
 
-def _phi_E(params: CuspParams, t, r):
+def _phi_E(params: CuspParams, t, r, T):
     s = params.s
-    phi = (t / 4.0) * r ** (1.0 - 1.0 / s) + 0.75 * r
-    phi_t = r ** (1.0 - 1.0 / s) / 4.0
-    phi_r = (t / 4.0) * (1.0 - 1.0 / s) * r ** (-1.0 / s) + 0.75
+    r_T = r / T  # r^(1 - 1/s)
+    phi = (t / 4.0) * r_T + 0.75 * r
+    phi_t = r_T / 4.0
+    phi_r = (t / 4.0) * (1.0 - 1.0 / s) / T + 0.75
     return phi, phi_t, phi_r
 
 
-def _phi_P1(params: CuspParams, t, r):
+def _phi_P1(params: CuspParams, t, r, _):
     s = params.s
-    phi = 6.0 * r * t ** (1.0 - s)
-    phi_t = 6.0 * (1.0 - s) * r * t ** (-s)
-    phi_r = 6.0 * t ** (1.0 - s) + 0.0 * np.ones_like(t)
+    g = t ** (1.0 - s)
+    phi = 6.0 * r * g
+    phi_t = 6.0 * (1.0 - s) * r * (g / t)
+    phi_r = 6.0 * g + 0.0 * np.ones_like(t)
     return phi, phi_t, phi_r
 
 
 def _T_P2(params: CuspParams, t, radius):
     s = params.s
     r = radius()
-    T = 12.0 * r * t ** (1.0 - s) - 3.0 * t
-    T_t = 12.0 * (1.0 - s) * r * t ** (-s) - 3.0
-    T_r = 12.0 * t ** (1.0 - s) + 0.0 * np.ones_like(t)
+    g = t ** (1.0 - s)
+    T = 12.0 * r * g - 3.0 * t
+    T_t = 12.0 * (1.0 - s) * r * (g / t) - 3.0
+    T_r = 12.0 * g + 0.0 * np.ones_like(t)
     return T, T_t, T_r
 
 
-def _phi_P3(params: CuspParams, t, r):
+def _phi_P3(params: CuspParams, t, r, _):
     s = params.s
-    a = 1.5 * (1.0 - t ** (1.0 - s))
-    a_p = 1.5 * (s - 1.0) * t ** (-s)
-    b = (3.0 * t - t**s) / 2.0
-    b_p = (3.0 - s * t ** (s - 1.0)) / 2.0
+    g = t ** (1.0 - s)
+    a = 1.5 * (1.0 - g)
+    a_p = 1.5 * (s - 1.0) * (g / t)
+    b = (3.0 * t - t / g) / 2.0
+    b_p = (3.0 - s / g) / 2.0
     phi = a * r + b
     phi_t = a_p * r + b_p
     phi_r = a + 0.0 * np.ones_like(t)
@@ -205,7 +223,8 @@ def piece_profile(piece: str, params: CuspParams, t, r):
     T-row and its phi-row."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    return (*piece_T_row(piece, params, t, lambda: r), *_ROWS[piece][1](params, t, r))
+    T_row = piece_T_row(piece, params, t, lambda: r)
+    return (*T_row, *_ROWS[piece][1](params, t, r, T_row[0]))
 
 
 def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r, log: bool = False):
@@ -223,9 +242,9 @@ def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r, log: bool = False):
     sign: det2x2 * (phi/r)^(n-2); its log form log|det2x2| + (n-2) log|phi/r|
     stays finite where the product under- or overflows.
     """
-    pos = r > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tang = np.where(pos, phi / np.where(pos, r, 1.0), phi_r)
+    tang = np.empty_like(phi)
+    np.copyto(tang, phi_r)
+    np.divide(phi, r, out=tang, where=r > 0.0)
     abs_tang = np.abs(tang)
     det2 = T_t * phi_r - T_r * phi_t
     sig_max = 0.5 * (np.sqrt((T_t + phi_r) ** 2 + (T_r - phi_t) ** 2)

@@ -194,12 +194,6 @@ class ShellSum:
             self.ratios = np.exp(self.log_ratios).tolist()
         self.total = self.partial_sums[-1] if self.partial_sums else 0.0
 
-    @classmethod
-    def from_contributions(cls, ks, values) -> "ShellSum":
-        """The shell sum of float contributions."""
-        with np.errstate(divide="ignore"):
-            return cls(ks, np.log(values))
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -299,12 +293,14 @@ def _log_shell(log_measure: float, L: np.ndarray, region: RegionLabel, shell: Sh
     """log(measure * mean(exp(L), axis=1)) row by row, or NonFiniteIntegrandError
     on a nan in L.  Each row is shifted by its max so that no exp over- or
     underflows; a row with an infinite max is not shifted, so an infinite L
-    gives an infinite shell and an all -inf row an empty one."""
+    gives an infinite shell and an all -inf row an empty one.  L is the
+    caller's scratch: it is shifted and exponentiated in place."""
     top = L.max(axis=1)  # nan where a row holds a nan
     if np.isnan(top).any():
         raise NonFiniteIntegrandError(region, shell)
     shift = np.where(np.isfinite(top), top, 0.0)
-    return log_measure + shift + np.log(np.exp(L - shift[:, None]).sum(axis=1) / L.shape[1])
+    L -= shift[:, None]
+    return log_measure + shift + np.log(np.exp(L, out=L).sum(axis=1) / L.shape[1])
 
 
 def distortion_sweep(
@@ -360,7 +356,9 @@ def distortion_sweep(
                     prof = draw.profile(tilts[block])
                     log_w = prof.log_weight
                     log_op, log_det = reflections.profile_log_jet(piece, params, prof.t, prof.r)
-                L = log_w + P[block] * log_op - Q[block] * log_det
+                L = P[block] * log_op
+                L += log_w
+                L -= Q[block] * log_det
                 log_shells[block, j] = _log_shell(draw.log_measure, L, region, sh)
     ks = [sh.k for sh in shells]
     return [ShellSum(ks, row) for row in log_shells]

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,23 @@ class TestPointCommands:
     def test_boundary_echo(self, capsys):
         assert run_cli(["reflect", "--scheme", "r1-inner", "--point", "0.25,0.0625,0"]) == 0
         assert capsys.readouterr().out.strip() == "0.25,0.0625,0"
+
+    @pytest.mark.parametrize("s", ["1.5", "2", "3"])
+    @pytest.mark.parametrize("chart", ["r1-outer", "r1-inner", "r2-outer"])
+    def test_reflect_origin_is_warning_free(self, capsys, chart, s):
+        # the origin is the apex of piece A (R1) and of piece D (R2), where
+        # |t|^(s-2) is infinite for s < 2 and |t|^(s-1)/|t| is 0/0; the inner
+        # chart leaves it out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(["reflect", "--scheme", chart, "--n", "3", "--s", s,
+                          "--point", "0,0,0"])
+        assert [str(w.message) for w in caught] == []
+        out, err = capsys.readouterr()
+        if chart == "r1-inner":
+            assert rc == 3 and "Origin" in err
+        else:
+            assert rc == 0 and out.strip() == "-0,0,0"
 
     def test_classify(self, capsys):
         assert run_cli(["classify", "--scheme", "r2", "--point", "0.1,0.09,0"]) == 0

@@ -240,6 +240,27 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_region(params, "R1", RegionLabel.Origin, Shell(1), 10, 7)
 
+    def test_tilt_frame_made_once_per_draw(self, monkeypatch, params):
+        # the tilt cap, log lo_r, log hi_r and the untilted normaliser z_r do
+        # not depend on the tilt: every block of tilts reads them from the draw
+        def draw():
+            return geometry.draw_scale(params, RegionLabel.RegionE, Shell(6), 256,
+                                       geometry.derive_rng(5, 6, RegionLabel.RegionE))
+
+        shared = draw()
+        untilted = []
+        norm = geometry._log_power_norm
+        monkeypatch.setattr(geometry, "_log_power_norm", lambda lo, hi, m: (
+            np.ndim(m) == 0 and untilted.append(m)) or norm(lo, hi, m))
+        columns = [np.array([[1.25], [2.75]]), np.array([[0.6], [3.3], [40.0]])]
+        profiles = [shared.profile(column) for column in columns]
+        assert untilted == [params.n - 2.0]
+        for column, prof in zip(columns, profiles):
+            for row, tilt in enumerate(column[:, 0]):
+                one = draw().profile(np.array([[tilt]]))
+                assert np.array_equal(prof.r[row], one.r[0])
+                assert np.array_equal(prof.log_weight[row], one.log_weight[0])
+
 
 def test_unit_ball_volumes():
     assert unit_ball_volume(2) == pytest.approx(math.pi)

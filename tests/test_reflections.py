@@ -14,6 +14,8 @@ from cuspreflect.geometry import (
     Point,
     RegionLabel,
     Shell,
+    derive_rng,
+    draw_scale,
     piece_of_region,
     sample_region,
 )
@@ -278,3 +280,104 @@ def test_fault_hook_breaks_fd_agreement(params, monkeypatch):
     monkeypatch.setattr(refl, "_jacobian_matrices", negate_entry(1, 1))
     corrupt = differential(ChartId.R1Outer, params, z).differential
     assert np.max(np.abs(corrupt - F)) > 1e-3
+
+
+# Textbook power forms of every piece's profile, each power taken by `**`:
+# the reference for `piece_profile`, which takes each power once.  Each
+# returns the six profile scalars and the powers it took.
+def _reference_profile(piece, s, t, r):
+    one, zero = np.ones_like(t * r), np.zeros_like(t * r)
+    if piece in ("A", "D", "P1"):
+        T_row = (-t + zero, -one, zero)
+    elif piece in ("C", "P3"):
+        T_row = (t + zero, one, zero)
+    if piece == "A":
+        xi = -t
+        powers = (xi ** (s - 1.0), xi ** (s - 2.0))
+        phi_row = (powers[0] * r / 6.0, -(s - 1.0) * powers[1] * r / 6.0, powers[0] / 6.0 + zero)
+    elif piece == "B":
+        powers = (r ** (s - 1.0), r**s, r ** (s - 2.0))
+        T_row = (r + zero, zero, one)
+        phi_row = ((t / 6.0) * powers[0] + powers[1] / 3.0, powers[0] / 6.0,
+                   (s - 1.0) * (t / 6.0) * powers[2] + s * powers[0] / 3.0)
+    elif piece == "C":
+        powers = (t ** (s - 1.0), t**s, t ** (2.0 * s - 1.0), t ** (s - 2.0),
+                  t ** (2.0 * s - 2.0), t ** (3.0 * s - 3.0))
+        g, ts, t2s1, ts2, t2s2, t3s3 = powers
+        den = 2.0 * (g - 1.0)
+        lam, mu = g / den, ts - t2s1 / den
+        lam_p = -(s - 1.0) * ts2 / (2.0 * (g - 1.0) ** 2)
+        mu_p = s * g - (2.0 * s - 1.0) * t2s2 / den + (s - 1.0) * t3s3 / (2.0 * (g - 1.0) ** 2)
+        phi_row = (lam * r + mu, lam_p * r + mu_p, lam + zero)
+    elif piece == "D":
+        powers = ()
+        phi_row = (r / 2.0 + zero, zero, 0.5 * one)
+    elif piece == "E":
+        powers = (r ** (1.0 / s), r ** (1.0 / s - 1.0), r ** (1.0 - 1.0 / s), r ** (-1.0 / s))
+        T_row = (powers[0] + zero, zero, powers[1] / s + zero)
+        phi_row = ((t / 4.0) * powers[2] + 0.75 * r, powers[2] / 4.0 + zero,
+                   (t / 4.0) * (1.0 - 1.0 / s) * powers[3] + 0.75)
+    elif piece == "P1":
+        powers = (t ** (1.0 - s), t ** (-s))
+        phi_row = (6.0 * r * powers[0], 6.0 * (1.0 - s) * r * powers[1], 6.0 * powers[0] + zero)
+    elif piece == "P2":
+        powers = (t ** (1.0 - s), t ** (-s))
+        T_row = (12.0 * r * powers[0] - 3.0 * t, 12.0 * (1.0 - s) * r * powers[1] - 3.0,
+                 12.0 * powers[0] + zero)
+        phi_row = (t + zero, one, zero)
+    else:  # P3
+        powers = (t ** (1.0 - s), t ** (-s), t**s, t ** (s - 1.0))
+        a, a_p = 1.5 * (1.0 - powers[0]), 1.5 * (s - 1.0) * powers[1]
+        b, b_p = (3.0 * t - powers[2]) / 2.0, (3.0 - s * powers[3]) / 2.0
+        phi_row = (a * r + b, a_p * r + b_p, a + zero)
+    return (*T_row, *phi_row), powers
+
+
+def _reference_log_jet(n, r, T_t, T_r, phi, phi_t, phi_r):
+    """(log opnorm, log|det|): the 2x2 profile block's top singular value from
+    a LAPACK SVD against the tangential stretch |phi/r|, and log|det2x2| +
+    (n-2) log|phi/r|."""
+    block = np.stack([np.stack([T_t, T_r], -1), np.stack([phi_t, phi_r], -1)], -2)
+    top = np.linalg.svd(block, compute_uv=False)[..., 0]
+    tang = np.abs(phi / r)
+    return (np.log(np.maximum(top, tang)),
+            np.log(np.abs(T_t * phi_r - T_r * phi_t)) + (n - 2) * np.log(tang))
+
+
+@pytest.mark.parametrize("n,s", [(3, 2.0), (4, 1.5), (5, 3.0), (6, 4.0)])
+def test_pieces_match_textbook_powers(n, s):
+    # interior points of every piece from shell 1 down to the deep shell
+    # 2^-250, with radii from the whole radial band and crowded to its foot,
+    # kept where t, r and every power of the reference are normal numbers
+    params = CuspParams(n, s)
+    tiny = np.finfo(float).tiny
+    for label in [RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC,
+                  RegionLabel.RegionD, RegionLabel.RegionE, RegionLabel.InnerPiece1,
+                  RegionLabel.InnerPiece2, RegionLabel.InnerPiece3]:
+        piece = piece_of_region(label)
+        for k in (1, 2, 4, 9, 20, 45, 90, 140, 200, 250):
+            draw = draw_scale(params, label, Shell(k), 256, derive_rng(11, k, label))
+            for tilt in (0.0, n - 2.0 + 0.9):
+                with np.errstate(all="ignore"):  # deep radii leave the normal range
+                    prof = draw.profile(tilt)
+                    t, r = prof.t, prof.r
+                    ref, powers = _reference_profile(piece, s, t, r)
+                normal = np.ones(t.shape, dtype=bool)
+                for power in (t, r, *powers):
+                    normal &= (np.abs(power) >= tiny) & np.isfinite(power)
+                t, r, ref = t[normal], r[normal], [row[normal] for row in ref]
+                new = refl.piece_profile(piece, params, t, r)
+                for got, want in zip(new, ref):
+                    assert np.isfinite(got[np.isfinite(want)]).all(), (piece, k)
+                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0,
+                                               err_msg=f"{piece} k={k}")
+                # the jet algebra's range: block entries below 2^511
+                fits = np.all(np.abs(ref[1:]) < 2.0**511, axis=0)
+                with np.errstate(over="ignore"):
+                    new_log = refl.profile_log_jet(piece, params, t[fits], r[fits])
+                ref_log = _reference_log_jet(n, r[fits], *[row[fits] for row in ref[1:]])
+                # a log's absolute error is its argument's relative error
+                for got, want in zip(new_log, ref_log):
+                    assert np.isfinite(got).all(), (piece, k)
+                    assert (np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all(), \
+                        (piece, k)

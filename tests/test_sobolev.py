@@ -135,10 +135,16 @@ class TestPredictedExponent:
             assert predicted_shell_exponent(region, p, qm, n, s) == pytest.approx(-1.0, abs=1e-12)
 
 
+def shell_sum_of(ks, values) -> ShellSum:
+    """The shell sum of float contributions (0 gives an empty shell)."""
+    with np.errstate(divide="ignore"):
+        return ShellSum(ks, np.log(values))
+
+
 class TestShellSumVerdict:
     def _sum_from_ratio(self, ratio, n=12, first=1.0):
         vals = [first * ratio**i for i in range(n)]
-        return ShellSum.from_contributions(range(5, 5 + n), vals)
+        return shell_sum_of(range(5, 5 + n), vals)
 
     def test_convergent(self):
         v = convergence_verdict(self._sum_from_ratio(0.5))
@@ -152,7 +158,7 @@ class TestShellSumVerdict:
         assert convergence_verdict(self._sum_from_ratio(0.95)).kind == "Inconclusive"
 
     def test_zero_sum_converges(self):
-        ss = ShellSum.from_contributions(range(5, 15), [0.0] * 10)
+        ss = shell_sum_of(range(5, 15), [0.0] * 10)
         assert convergence_verdict(ss).kind == "Convergent"
 
     def test_huge_convergent_sum_stays_convergent(self):
@@ -161,11 +167,11 @@ class TestShellSumVerdict:
 
     def test_cap_triggers_on_nondecaying_sum(self):
         vals = [4e11, 4e11, 4e11, 3.9e11, 4e11, 3.92e11, 4e11]
-        assert convergence_verdict(ShellSum.from_contributions(range(7), vals)).kind == "Divergent"
+        assert convergence_verdict(shell_sum_of(range(7), vals)).kind == "Divergent"
 
     def test_needs_six_shells(self):
         with pytest.raises(ValueError):
-            convergence_verdict(ShellSum.from_contributions(range(5), [1.0] * 5))
+            convergence_verdict(shell_sum_of(range(5), [1.0] * 5))
 
     def test_partial_sums_monotone(self):
         ss = self._sum_from_ratio(0.7)

@@ -29,21 +29,22 @@ from enum import Enum
 
 import numpy as np
 
-from . import reflections, sobolev
+from . import geometry, reflections, sobolev
 from .errors import ChartDomainError, WindowError
 from .geometry import (
     BALL_CENTER_T,
     BALL_RADIUS,
+    COLLAR_REGIONS,
+    SCHEME_CHARTS,
     ChartId,
     CuspParams,
     RegionLabel,
     as_point,
     as_points,
+    chart_of_region,
     chart_regions,
     check_scheme,
-    classify_profile,
     first_flagged,
-    on_cusp_wall,
     outer_chart,
     piece_of_region,
     radii,
@@ -148,50 +149,80 @@ class ExtensionSpec:
         return outer_chart(self.scheme)
 
 
-_NATIVE_INSIDE = (RegionLabel.CuspInterior, RegionLabel.BallInterior,
-                  *chart_regions(ChartId.R1Inner))
-_BOUNDARYISH = (RegionLabel.BoundaryCusp, RegionLabel.Origin)
-
-# Evaluation sites: 0 on the boundary null set, u itself, or u o R.
+# Evaluation sites: 0 on the boundary null set, u itself, or u o R; -1 is
+# out of the extension's reach.
 _ZERO, _NATIVE, _CHART = 0, 1, 2
 
 
-def _among(labels, group) -> np.ndarray:
-    return np.array([label in group for label in labels], dtype=bool)
+def _step_table(scheme: str, value_of) -> np.ndarray:
+    """`value_of` each classification step of the scheme, indexed by step."""
+    return np.array([value_of(label) for label in geometry._STEPS[scheme]])
+
+
+def _inside_site(label: RegionLabel) -> int:
+    """Outward: 0 at the origin and on the cusp wall, u on the domain side,
+    u o R on the collar regions of the outer chart."""
+    if label in (RegionLabel.Origin, RegionLabel.BoundaryCusp):
+        return _ZERO
+    if label in (RegionLabel.CuspInterior, RegionLabel.BallInterior,
+                 *chart_regions(ChartId.R1Inner)):
+        return _NATIVE
+    return _CHART if label in COLLAR_REGIONS else -1
+
+
+def _outside_site(label: RegionLabel) -> int:
+    """Inward, off the inner chart and the cusp wall: 0 at the origin, out of
+    reach in the domain, u anywhere in the open complement."""
+    if label in (RegionLabel.Origin, RegionLabel.BoundaryCusp):
+        return _ZERO
+    return -1 if label in (RegionLabel.CuspInterior, RegionLabel.BallInterior) else _NATIVE
+
+
+def _outer_piece(label: RegionLabel) -> int:
+    """Index of a collar region among its outer chart's pieces, -1 for
+    every other label."""
+    if label not in COLLAR_REGIONS:
+        return -1
+    return chart_regions(chart_of_region(label)).index(label)
+
+
+# Per classification step (`geometry._STEPS`) of each scheme: the outward
+# site and piece index, and under R1 the inward site.
+_INSIDE_SITES = {scheme: _step_table(scheme, _inside_site) for scheme in SCHEME_CHARTS}
+_INSIDE_PIECES = {scheme: _step_table(scheme, _outer_piece) for scheme in SCHEME_CHARTS}
+_OUTSIDE_SITES = _step_table("R1", _outside_site)
 
 
 def _eval_site(spec: ExtensionSpec, params: CuspParams, t, X):
-    """Site of each point of a batch (_ZERO, _NATIVE or _CHART) and the chart
-    the _CHART points compose through; the first point outside the
+    """Site of each point of a batch (_ZERO, _NATIVE or _CHART), the chart
+    the _CHART points compose through, the radii and cusp-wall mask of every
+    point, and the piece index of every _CHART point, all from one
+    region-table pass (`geometry._locate`); the first point outside the
     extension's reach raises ChartDomainError.
 
-    Chart membership is tested through the chart closures, so closure edges
-    (such as t = 1/2 on the cusp core) compose fine; classification is only
-    consulted for the native/boundary/off-domain split.
+    Outward, the site and the piece follow from the classification step: a
+    collar region's step is the first outer-chart mask that holds the point.
+    Inward, chart membership is tested through the inner chart's closures,
+    so closure edges (such as t = 1/2 on the cusp core) compose fine; the
+    step only splits the rest into native and off-domain points.
     """
     r = radii(X)
-    labels = classify_profile(params, spec.scheme, t, r)
+    step, wall, masks = geometry._locate(params, spec.scheme, t, r)
     if spec.direction is Direction.FromInside:
         chart = spec.outer_chart
-        on_chart = reflections.piece_index(chart, params, t, r) >= 0
-        site = select_first(
-            [_among(labels, _BOUNDARYISH), _among(labels, _NATIVE_INSIDE), on_chart],
-            [_ZERO, _NATIVE, _CHART], -1,
-        )
+        site = _INSIDE_SITES[spec.scheme][step]
+        idx = _INSIDE_PIECES[spec.scheme][step]
         reason = "is outside the extension neighbourhood"
     else:  # FromOutside (scheme R1 only): compose through the inner chart.
         chart = ChartId.R1Inner
-        on_chart = reflections.piece_index(chart, params, t, r) >= 0
-        site = select_first(
-            [on_cusp_wall(params, t, r) | (np.hypot(t, r) <= 1e-12), on_chart,
-             _among(labels, (RegionLabel.CuspInterior, RegionLabel.BallInterior))],
-            [_ZERO, _CHART, -1], _NATIVE,  # native anywhere in the open complement
-        )
+        idx = select_first(masks[chart], range(len(masks[chart])), -1)
+        site = _OUTSIDE_SITES[step]
+        site = np.where(wall | (site == _ZERO), _ZERO, np.where(idx >= 0, _CHART, site))
         reason = "lies in the domain beyond the inner chart"
     if bad := first_flagged(site < 0, t, X):
-        label = labels[bad[0]]
+        label = geometry._STEPS[spec.scheme][step[bad[0]]]
         raise ChartDomainError(f"{bad[1]!r} {reason} ({label.value})", label=label)
-    return site, chart
+    return site, chart, r, wall, idx
 
 
 def extend_eval_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction, t, X):
@@ -199,14 +230,16 @@ def extend_eval_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction,
     side, u o R across the boundary, 0 on the boundary itself (a null set,
     kept as printed)."""
     t, X = as_points(t, X, params)
-    site, chart = _eval_site(spec, params, t, X)
+    site, chart, r, wall, idx = _eval_site(spec, params, t, X)
     out = np.zeros(t.size)
     native = site == _NATIVE
     if native.any():
         out[native] = u.value_t(t[native])
     via = site == _CHART
     if via.any():
-        out[via] = u.value_t(reflections.apply_points(chart, params, t[via], X[via])[0])
+        T, _ = reflections._apply_located(chart, params, t[via], X[via], r[via], wall[via],
+                                          idx[via])
+        out[via] = u.value_t(T)
     return out
 
 
@@ -220,7 +253,7 @@ def extend_eval(spec: ExtensionSpec, params: CuspParams, u: TestFunction, z) -> 
 def extend_gradient_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction, t, X):
     """Chain-rule gradients (N, n) of the extension at piece-interior points."""
     t, X = as_points(t, X, params)
-    site, chart = _eval_site(spec, params, t, X)
+    site, chart, r, wall, idx = _eval_site(spec, params, t, X)
     if bad := first_flagged(site == _ZERO, t, X):
         raise ChartDomainError(f"gradient undefined on the boundary at {bad[1]!r}")
     out = np.zeros((t.size, params.n))
@@ -230,7 +263,8 @@ def extend_gradient_points(spec: ExtensionSpec, params: CuspParams, u: TestFunct
     via = site == _CHART
     if via.any():
         # (u'(T), 0, ..., 0) DR is the first row of DR scaled by u'(T)
-        T, _, M, _, _ = reflections.differential_points(chart, params, t[via], X[via])
+        T, _, M, _, _ = reflections._differential_located(chart, params, t[via], X[via], r[via],
+                                                          wall[via], idx[via])
         out[via] = u.deriv_t(T)[:, None] * M[:, 0, :]
     return out
 
@@ -305,11 +339,12 @@ def cutoff_psi_points(params: CuspParams, t, X):
     """
     t, X = as_points(t, X, params)
     r = radii(X)
-    domain = (((0.0 < t) & (t <= 1.0) & (r <= np.abs(t) ** params.s))
+    ts = np.abs(t) ** params.s
+    domain = (((0.0 < t) & (t <= 1.0) & (r <= ts))
               | (np.hypot(t - BALL_CENTER_T, r) <= BALL_RADIUS)
               | ((t == 0.0) & (r == 0.0)))
     psi = np.where(domain, 1.0, 0.0)
-    between = (psi == 0.0) & (reflections.piece_index(ChartId.R1Outer, params, t, r) >= 0)
+    between = (psi == 0.0) & (reflections.piece_index(ChartId.R1Outer, params, t, r, ts) >= 0)
     if between.any():
         tb, rb = t[between], r[between]
         d_out = _dist_to_collar_complement(params, tb, rb)

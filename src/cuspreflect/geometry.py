@@ -15,7 +15,10 @@ D, E (R2), and under R1 splits the cusp core {0 < t < 1/2, |x| < t^s} into
 three inner bands with radius breakpoints t^s/6 and t^s/3.  The region
 table below states each piece's chart, scheme and closed shape once; the
 classification, the chart dispatch of `reflections` and the samplers' scheme
-checks all read it.  Everything here is axisymmetric in x, so the heavy
+checks all read it.  A point batch is located once: one pass over the table
+(`_locate`) gives the classification step of every point and the masks of
+the scheme's charts, which the extension reads for its evaluation sites and
+its chart dispatch.  Everything here is axisymmetric in x, so the heavy
 lifting happens in profile coordinates (t, r) with r = |x|; a point
 contributes Lebesgue measure with the weight of the (n-2)-sphere of radius
 r.
@@ -72,7 +75,7 @@ class Point:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(-1))
-        if not (math.isfinite(self.t) and np.all(np.isfinite(self.x))):
+        if not (math.isfinite(self.t) and np.isfinite(self.x).all()):
             raise ValueError("point has non-finite coordinates")
 
     @property
@@ -232,12 +235,14 @@ COLLAR_REGIONS = tuple(label for scheme in SCHEME_CHARTS
                        for label in chart_regions(outer_chart(scheme)))
 
 
-def region_masks(params: CuspParams, chart: ChartId, t, r) -> list[np.ndarray]:
+def region_masks(params: CuspParams, chart: ChartId, t, r, ts=None) -> list[np.ndarray]:
     """Masks of the closed shapes of the chart's regions at profile points
-    (t, r), in dispatch order (see `_REGIONS`)."""
+    (t, r), in dispatch order (see `_REGIONS`); `ts` is |t|^s when the
+    caller has it."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    ts = np.abs(t) ** params.s
+    if ts is None:
+        ts = np.abs(t) ** params.s
     return [_REGIONS[label][2](t, r, ts, params.s) for label in chart_regions(chart)]
 
 
@@ -269,17 +274,60 @@ def unit_ball_volume(dim: int) -> float:
 # Classification
 # ---------------------------------------------------------------------------
 
-def _inside_ball(t, r, slack: float = 0.0):
-    return np.hypot(t - BALL_CENTER_T, r) < BALL_RADIUS * (1.0 - slack)
-
-
-def on_cusp_wall(params: CuspParams, t, r):
+def on_cusp_wall(params: CuspParams, t, r, ts=None):
     """Profile points within REL_TOL (relative to the local cusp radius) of
-    the cusp wall |x| = t^s, 0 < t <= 1."""
+    the cusp wall |x| = t^s, 0 < t <= 1; `ts` is |t|^s when the caller has
+    it."""
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if ts is None:
+        ts = np.abs(t) ** params.s
+    return (t > 0) & (t <= 1.0) & (np.abs(r - ts) <= REL_TOL * np.maximum(ts, r))
+
+
+# The classification steps of each scheme: Origin, BoundaryCusp, under R1
+# the inner bands below t = 1/2, CuspInterior, BallInterior, the collar
+# regions of the scheme's outer chart, and OutsideNeighborhood past the last.
+_STEPS = {
+    scheme: (RegionLabel.Origin, RegionLabel.BoundaryCusp,
+             *(chart_regions(ChartId.R1Inner) if scheme == "R1" else ()),
+             RegionLabel.CuspInterior, RegionLabel.BallInterior,
+             *chart_regions(outer_chart(scheme)), RegionLabel.OutsideNeighborhood)
+    for scheme in SCHEME_CHARTS
+}
+_STEP_LABELS = {scheme: np.array(steps, dtype=object) for scheme, steps in _STEPS.items()}
+
+
+def _first_step(masks) -> np.ndarray:
+    """Per point, the index of the first true mask, and len(masks) where
+    none is: one argmax over the masks laid side by side with a column of
+    True.  For the nine to eleven steps of a scheme it costs less than a
+    chain of `np.where` on one-row batches and no more on large ones."""
+    side = np.empty((*np.shape(masks[0]), len(masks) + 1), dtype=bool)
+    for i, mask in enumerate(masks):
+        side[..., i] = mask
+    side[..., -1] = True
+    return side.argmax(axis=-1)
+
+
+def _locate(params: CuspParams, scheme: str, t, r):
+    """The region-table pass behind `classify_profile`, the extension's
+    evaluation sites and its chart dispatch.  It computes |t|^s, the
+    cusp-wall mask and each region mask of the (checked) scheme once, and
+    returns each point's step (an index into `_STEPS[scheme]`), the wall
+    mask, and the `region_masks` of each chart of the scheme by chart."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     ts = np.abs(t) ** params.s
-    return (t > 0) & (t <= 1.0) & (np.abs(r - ts) <= REL_TOL * np.maximum(ts, r))
+    wall = on_cusp_wall(params, t, r, ts)
+    masks = {chart: region_masks(params, chart, t, r, ts) for chart in SCHEME_CHARTS[scheme]}
+    ball = np.hypot(t - BALL_CENTER_T, r)
+    steps = [np.hypot(t, r) <= ORIGIN_TOL, wall & ~(ball < BALL_RADIUS * (1.0 - REL_TOL))]
+    if scheme == "R1":
+        steps += [m & (t < 0.5) for m in masks[ChartId.R1Inner]]
+    steps += [(t > 0) & (t <= 1.0) & (r < ts), ball < BALL_RADIUS,
+              *masks[outer_chart(scheme)]]
+    return _first_step(steps), wall, masks
 
 
 def classify_profile(params: CuspParams, scheme: str, t, r):
@@ -287,31 +335,15 @@ def classify_profile(params: CuspParams, scheme: str, t, r):
 
     The first matching step labels a point: Origin, then BoundaryCusp
     (within REL_TOL, relative to the local cusp radius, of |x| = t^s with
-    0 < t <= 1), under R1 the inner bands below t = 1/2, CuspInterior,
-    BallInterior, and the collar regions of the scheme's outer chart.  The
-    bands and collar regions are the closed shapes of the region table, so
-    interface points go to the earlier region in the order A, B, C (resp.
-    D, E; inner band 1, 2, 3).
+    0 < t <= 1, outside the ball), under R1 the inner bands below t = 1/2,
+    CuspInterior, BallInterior, and the collar regions of the scheme's outer
+    chart.  The bands and collar regions are the closed shapes of the region
+    table, so interface points go to the earlier region in the order A, B, C
+    (resp. D, E; inner band 1, 2, 3).
     """
     scheme = check_scheme(scheme)
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    steps = [
-        (np.hypot(t, r) <= ORIGIN_TOL, RegionLabel.Origin),
-        (on_cusp_wall(params, t, r) & ~_inside_ball(t, r, REL_TOL), RegionLabel.BoundaryCusp),
-    ]
-    if scheme == "R1":
-        steps += zip([m & (t < 0.5) for m in region_masks(params, ChartId.R1Inner, t, r)],
-                     chart_regions(ChartId.R1Inner))
-    steps += [
-        ((t > 0) & (t <= 1.0) & (r < np.abs(t) ** params.s), RegionLabel.CuspInterior),
-        (_inside_ball(t, r), RegionLabel.BallInterior),
-    ]
-    chart = outer_chart(scheme)
-    steps += zip(region_masks(params, chart, t, r), chart_regions(chart))
-    masks, labels = zip(*steps)
-    step = select_first(masks, range(len(masks)), len(masks))
-    return np.array([*labels, RegionLabel.OutsideNeighborhood], dtype=object)[step]
+    step, _, _ = _locate(params, scheme, t, r)
+    return _STEP_LABELS[scheme][step]
 
 
 def classify(params: CuspParams, scheme: str, z) -> RegionLabel:

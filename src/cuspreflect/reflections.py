@@ -277,14 +277,15 @@ def profile_log_jet(piece: str, params: CuspParams, t, r):
 # Chart dispatch on point batches
 # ---------------------------------------------------------------------------
 
-def piece_index(chart: ChartId, params: CuspParams, t, r) -> np.ndarray:
+def piece_index(chart: ChartId, params: CuspParams, t, r, ts=None) -> np.ndarray:
     """Index into the chart's pieces of the piece whose closure holds each
     profile point (t, r), ties going to the earlier piece; -1 off the chart.
-    The closures are the shapes of the region table (`region_masks`); the
-    inner chart accepts the closure edge t = 1/2 (the formulas are regular
-    there) even though the open core of `classify` stops below it.
+    The closures are the shapes of the region table (`region_masks`, which
+    takes `ts` = |t|^s when the caller has it); the inner chart accepts the
+    closure edge t = 1/2 (the formulas are regular there) even though the
+    open core of `classify` stops below it.
     """
-    masks = region_masks(params, chart, t, r)
+    masks = region_masks(params, chart, t, r, ts)
     return select_first(masks, range(len(masks)), -1)
 
 
@@ -313,17 +314,26 @@ def piece_gaps(piece: str, params: CuspParams, t, r):
     return _GAPS[piece](t, np.asarray(r, dtype=float), np.abs(t) ** params.s)
 
 
-def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r) -> np.ndarray:
-    """Rows T, T_t, T_r, phi, phi_t, phi_r, interface gap and kink gap of
-    each point's own piece (idx from `piece_index`); nan off the chart."""
-    out = np.full((8, idx.size), np.nan)
+def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, gaps: bool = False):
+    """Rows T, T_t, T_r, phi, phi_t, phi_r of each point's own piece (idx
+    from `piece_index`), and with `gaps` its interface gap and kink gap; nan
+    off the chart."""
+    out = np.full((8 if gaps else 6, idx.size), np.nan)
     for i, label in enumerate(chart_regions(chart)):
         m = idx == i
         if m.any():
             piece = piece_of_region(label)
-            out[:, m] = (*piece_profile(piece, params, t[m], r[m]),
-                         *piece_gaps(piece, params, t[m], r[m]))
+            rows = piece_profile(piece, params, t[m], r[m])
+            out[:, m] = (*rows, *piece_gaps(piece, params, t[m], r[m])) if gaps else rows
     return out
+
+
+def _locate_chart(chart: ChartId, params: CuspParams, t, X):
+    """(r, wall mask, piece index) of a point batch: |t|^s once for the
+    cusp-wall mask and the chart's region masks."""
+    r = radii(X)
+    ts = np.abs(t) ** params.s
+    return r, on_cusp_wall(params, t, r, ts), piece_index(chart, params, t, r, ts)
 
 
 def fd_step(t, r) -> np.ndarray:
@@ -351,9 +361,12 @@ def apply_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray, 
     axisymmetric); the first point off the chart raises ChartDomainError
     carrying its region label."""
     t, X = as_points(t, X, params)
-    r = radii(X)
-    wall = on_cusp_wall(params, t, r)
-    idx = piece_index(chart, params, t, r)
+    return _apply_located(chart, params, t, X, *_locate_chart(chart, params, t, X))
+
+
+def _apply_located(chart: ChartId, params: CuspParams, t, X, r, wall, idx):
+    """`apply_points` on a batch whose radii, wall mask and piece index
+    (`_locate_chart`) the caller already has."""
     if bad := first_flagged(~wall & (idx < 0), t, X):
         raise _domain_error(chart, params, bad[1])
     prof = _chart_profile(chart, params, idx, t, r)
@@ -397,10 +410,14 @@ def differential_points(chart: ChartId, params: CuspParams, t, X):
     the cusp wall or a piece interface raises InterfaceError, the first
     point off the chart ChartDomainError."""
     t, X = as_points(t, X, params)
-    r = radii(X)
-    wall = on_cusp_wall(params, t, r)
-    idx = piece_index(chart, params, t, r)
-    T, T_t, T_r, phi, phi_t, phi_r, interface, _ = _chart_profile(chart, params, idx, t, r)
+    return _differential_located(chart, params, t, X, *_locate_chart(chart, params, t, X))
+
+
+def _differential_located(chart: ChartId, params: CuspParams, t, X, r, wall, idx):
+    """`differential_points` on a batch whose radii, wall mask and piece
+    index (`_locate_chart`) the caller already has."""
+    T, T_t, T_r, phi, phi_t, phi_r, interface, _ = _chart_profile(chart, params, idx, t, r,
+                                                                  gaps=True)
     if bad := first_flagged(wall | (idx < 0) | (interface <= 0.0), t, X):
         i, z = bad
         if wall[i]:
@@ -443,7 +460,7 @@ def differential_fd_points(chart: ChartId, params: CuspParams, t, X, h=None) -> 
     r = radii(X)
     h = np.broadcast_to(fd_step(t, r) if h is None else np.asarray(h, dtype=float), t.shape)
     idx = piece_index(chart, params, t, r)
-    _, _, _, _, _, _, interface, kink = _chart_profile(chart, params, idx, t, r)
+    interface, kink = _chart_profile(chart, params, idx, t, r, gaps=True)[6:]
     if bad := first_flagged((idx < 0) | (np.minimum(kink, interface) <= 2.0 * h), t, X):
         i, z = bad
         if idx[i] < 0:
@@ -480,15 +497,15 @@ def invert_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray,
     t, X = as_points(t, X, params)
     s = params.s
     r = radii(X)
-    wall = on_cusp_wall(params, t, r)
     ts = np.abs(t) ** s
+    wall = on_cusp_wall(params, t, r, ts)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if chart is ChartId.R1Inner:
             # the image is the R1 collar; the bands are the collar regions
             # in the order A, C, B, so a tie at r = t goes to C
             a = 1.5 * (1.0 - t ** (1.0 - s))
             b = (3.0 * t - ts) / 2.0
-            in_a, in_b, in_c = region_masks(params, ChartId.R1Outer, t, r)
+            in_a, in_b, in_c = region_masks(params, ChartId.R1Outer, t, r, ts)
             bands = [in_a, in_c, in_b]
             src_t = [-t, t, r]
             src_r = [r * (-t) ** (s - 1.0) / 6.0, (r - b) / a,

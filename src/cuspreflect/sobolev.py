@@ -323,7 +323,11 @@ def distortion_sweep(
     log measure + max L + log mean exp(L - max L).  On region E each
     block draws its own radii from the shared scale draw with its column of
     radial tilts.  Elementwise broadcasting makes every cell's contributions
-    equal a one-cell run's bit for bit.  A nan in L raises
+    equal a one-cell run's bit for bit, except where a cell's radial
+    exponent in `geometry._power_icdf` is one of numpy's special-cased powers
+    (-1, 0.5, 2), which round differently in a one-cell column than in a
+    longer one: such a cell agrees to a few ulps (3.6e-15 in a log shell of
+    the (3, 2) cell on region E at n = 3, s = 2).  A nan in L raises
     NonFiniteIntegrandError; there is no redraw.
     """
     cells = list(cells)

@@ -311,6 +311,21 @@ class TestDistortionSweep:
             assert ss.contributions == one.contributions
             assert ss.ks == [sh.k for sh in shl]
 
+    def test_special_cased_power_matches_within_ulps(self):
+        # the (3, 2) cell tilts region E by 3, so its `_power_icdf` exponent
+        # is -1, which numpy rounds differently in a one-cell column than in
+        # a longer one: equal to the one-cell run within a few ulps, not bit
+        # for bit
+        params = CuspParams(3, 2.0)
+        cells = [(2.5, 1.5), (3, 2), (4, 1.2)]
+        shl = shells(5, 26)
+        sums = distortion_sweep(params, ChartId.R2Outer, RegionLabel.RegionE, cells, shl, 256,
+                                seed=7)
+        one = distortion_integral(params, ChartId.R2Outer, RegionLabel.RegionE, 3, 2, shl, 256,
+                                  seed=7)
+        gap = np.abs(sums[1].log_contributions - one.log_contributions)
+        assert 0.0 < np.max(gap) <= 1e-14
+
     @pytest.mark.parametrize("n,s", [(3, 2.0), (4, 1.5)])
     @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
     def test_agrees_with_pow_form_loop(self, n, s, region, chart, scheme):

@@ -292,33 +292,42 @@ def extend_global_points(spec: ExtensionSpec, params: CuspParams, u: TestFunctio
 # Cutoff
 # ---------------------------------------------------------------------------
 
-# The distance to the closed cusp searches a grid of TAU_NODES heights tau
-# over [0, 1], then TAU_STAGES - 1 times a grid of as many nodes across the
-# two cells around each point's best node.
+# The distance to the closed cusp searches a grid of TAU_NODES nodes
+# sigma = sqrt(tau) over [0, 1], then TAU_STAGES - 1 times a grid of as many
+# nodes across the two cells around each point's best node.
 TAU_NODES = 257
 TAU_STAGES = 3
 
 
 def _dist_to_domain(params: CuspParams, t, r):
     """Profile-plane distance from points off the closed domain to it: the
-    cusp by the refined grid search over tau of
-    hypot(t - tau, max(0, r - tau^s)), the ball in closed form."""
+    cusp by the refined grid search of the squared gap
+    (t - tau)^2 + max(0, r - tau^s)^2 over tau = sigma^2, the ball in closed
+    form.  For s < 2, tau^s bends without bound at the tip tau = 0, where the
+    search can have two near-equal minima; in sigma the cusp radius
+    sigma^(2s) is smooth there, and the nodes crowd towards the tip."""
     s = params.s
+    t_col, r_col = t[:, None], r[:, None]
     rows = np.arange(t.size)
     nodes = np.arange(TAU_NODES)
-    lo = np.zeros(t.size)
-    step = np.full(t.size, 1.0 / (TAU_NODES - 1))
+    lo = np.zeros((t.size, 1))
+    step = np.full((t.size, 1), 1.0 / (TAU_NODES - 1))
     best = np.full(t.size, np.inf)
     for _ in range(TAU_STAGES):
-        taus = lo[:, None] + step[:, None] * nodes
-        gap = np.hypot(t[:, None] - taus, np.maximum(0.0, r[:, None] - taus**s))
-        i = np.argmin(gap, axis=1)
+        sigma = lo + step * nodes
+        tau = sigma * sigma
+        gap = t_col - tau
+        gap *= gap
+        radial = np.maximum(r_col - tau**s, 0.0)
+        radial *= radial
+        gap += radial
+        i = gap.argmin(axis=1)
         best = np.minimum(best, gap[rows, i])
-        centre = taus[rows, i]
+        centre = sigma[rows, i][:, None]
         lo = np.maximum(centre - step, 0.0)
         step = (np.minimum(centre + step, 1.0) - lo) / (TAU_NODES - 1)
     d_ball = np.maximum(0.0, np.hypot(t - BALL_CENTER_T, r) - BALL_RADIUS)
-    return np.minimum(best, d_ball)
+    return np.minimum(np.sqrt(best), d_ball)
 
 
 def _dist_to_collar_complement(params: CuspParams, t, r):

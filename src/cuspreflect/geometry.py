@@ -179,8 +179,10 @@ def _core(t, r, ts):
 # Each chart's rows are in dispatch order: a point on an interface lies in
 # both neighbours' shapes and goes to the earlier row.  The collar regions
 # lie in the open collar box |t| < 1/2, r < 1/2 (r < (1/2)^s for R2), the
-# inner bands in the cusp core.  Every region inequality of the package is
-# stated here once.
+# inner bands in the cusp core: their rows state the band, and the chart's
+# enclosing shape (`_CHART_SHAPES`) the core, which `region_masks` evaluates
+# once for the three.  Every region inequality of the package is stated
+# here once.
 _REGIONS = {
     RegionLabel.RegionA: (ChartId.R1Outer, "A",
                           lambda t, r, ts, s: (-0.5 < t) & (t <= 0.0) & (r <= -t)),
@@ -188,16 +190,18 @@ _REGIONS = {
                           lambda t, r, ts, s: (np.abs(t) < 0.5) & (np.abs(t) <= r) & (r < 0.5)),
     RegionLabel.RegionC: (ChartId.R1Outer, "C",
                           lambda t, r, ts, s: (0.0 <= t) & (t < 0.5) & (ts <= r) & (r <= t)),
-    RegionLabel.InnerPiece1: (ChartId.R1Inner, "P1",
-                              lambda t, r, ts, s: _core(t, r, ts) & (r <= ts / 6.0)),
-    RegionLabel.InnerPiece2: (ChartId.R1Inner, "P2",
-                              lambda t, r, ts, s: _core(t, r, ts) & (r <= ts / 3.0)),
-    RegionLabel.InnerPiece3: (ChartId.R1Inner, "P3", lambda t, r, ts, s: _core(t, r, ts)),
+    RegionLabel.InnerPiece1: (ChartId.R1Inner, "P1", lambda t, r, ts, s: r <= ts / 6.0),
+    RegionLabel.InnerPiece2: (ChartId.R1Inner, "P2", lambda t, r, ts, s: r <= ts / 3.0),
+    RegionLabel.InnerPiece3: (ChartId.R1Inner, "P3", lambda t, r, ts, s: True),
     RegionLabel.RegionD: (ChartId.R2Outer, "D",
                           lambda t, r, ts, s: (-0.5 < t) & (t <= 0.0) & (r <= ts)),
     RegionLabel.RegionE: (ChartId.R2Outer, "E",
                           lambda t, r, ts, s: (np.abs(t) < 0.5) & (ts <= r) & (r < 0.5**s)),
 }
+
+# The shape that holds every row of a chart, where the rows share one: the
+# cusp core of the inner bands.
+_CHART_SHAPES = {ChartId.R1Inner: _core}
 
 _CHART_REGIONS = {chart: tuple(label for label, row in _REGIONS.items() if row[0] is chart)
                   for chart in ChartId}
@@ -243,7 +247,11 @@ def region_masks(params: CuspParams, chart: ChartId, t, r, ts=None) -> list[np.n
     r = np.asarray(r, dtype=float)
     if ts is None:
         ts = np.abs(t) ** params.s
-    return [_REGIONS[label][2](t, r, ts, params.s) for label in chart_regions(chart)]
+    masks = [_REGIONS[label][2](t, r, ts, params.s) for label in chart_regions(chart)]
+    if chart in _CHART_SHAPES:
+        inside = _CHART_SHAPES[chart](t, r, ts)
+        masks = [inside & mask for mask in masks]
+    return masks
 
 
 @dataclass(frozen=True)
@@ -487,12 +495,22 @@ def _power_icdf(lo, hi, m, u):
     p = m + 1.0
     log = _log_branch(p)
     if log is None:
-        low = (lo / hi) ** p
-        return hi * (low + u * (1.0 - low)) ** (1.0 / p)
+        return _scaled_icdf((lo / hi) ** p, u, 1.0 / p, hi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        low = (lo / hi) ** p
         return np.where(log, lo * (hi / lo) ** u,
-                        hi * (low + u * (1.0 - low)) ** np.reciprocal(p))
+                        _scaled_icdf((lo / hi) ** p, u, np.reciprocal(p), hi))
+
+
+def _scaled_icdf(low, u, inv_p, hi):
+    """hi * (low + u (1 - low))^inv_p, built in the one buffer of 1 - low
+    (or of its product with u, where low is a scalar); an array low holds
+    a value for every sample."""
+    x = 1.0 - low
+    x *= u
+    x += low
+    x **= inv_p
+    x *= hi
+    return x
 
 
 def _log_power_norm(log_lo, log_hi, m):
@@ -506,8 +524,13 @@ def _log_power_norm(log_lo, log_hi, m):
     # x^p weighs the larger end: (hi^p - lo^p)/p = hi^p (1 - (lo/hi)^p)/p
     # for p > 0, and lo^p (1 - (lo/hi)^-p)/(-p) for p < 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.where(p > 0.0, p * log_hi, p * log_lo)
-               + np.log(-np.expm1(-np.abs(p) * span)) - np.log(np.abs(p)))
+        out = np.where(p > 0.0, log_hi, log_lo) * p
+        # log(-expm1(-|p| span)) in the buffer of -|p| span; the scalars of
+        # the shell measures stay scalars
+        tail = -np.abs(p) * span
+        into = (tail,) if isinstance(tail, np.ndarray) else ()
+        out += np.log(np.negative(np.expm1(tail, *into), *into), *into)
+        out -= np.log(np.abs(p))
         return out if log is None else np.where(log, np.log(span), out)
 
 
@@ -539,9 +562,13 @@ class ProfileSample:
 
 
 def _strata(m1: int, m2: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Jittered m1 x m2 grid in the unit square, one sample per cell."""
-    u1 = (np.arange(m1)[:, None] + rng.random((m1, m2))) / m1
-    u2 = (np.arange(m2) + rng.random((m1, m2))) / m2
+    """Jittered m1 x m2 grid in the unit square, one sample per cell: the
+    jitters of u1 and then of u2 are one draw of the stream."""
+    u1, u2 = rng.random((2, m1, m2))
+    u1 += np.arange(m1)[:, None]
+    u1 /= m1
+    u2 += np.arange(m2)
+    u2 /= m2
     return u1.ravel(), u2.ravel()
 
 
@@ -594,8 +621,12 @@ class ScaleDraw:
         radial_tilt = np.minimum(radial_tilt, cap)
         m_r = nm2 - radial_tilt
         r = _power_icdf(lo_r, hi_r, m_r, self.u2)
-        log_weight = self.log_weight + radial_tilt * np.log(r) + (
-            _log_power_norm(log_lo, log_hi, m_r) - log_z_r)
+        log_weight = np.log(r)
+        log_weight *= radial_tilt
+        log_weight += self.log_weight
+        norm = _log_power_norm(log_lo, log_hi, m_r)
+        norm -= log_z_r
+        log_weight += norm
         return ProfileSample(self.t, log_weight, self.log_measure, self.count, lambda: r)
 
     @cached_property
@@ -651,7 +682,8 @@ def draw_scale(
         u1, u2 = rng.random(m), rng.random(m)
     # keep the conditional coordinate strictly inside its band, so samples
     # never sit exactly on a region interface (bias ~ 1e-9, far below MC noise)
-    u2 = 1e-9 + (1.0 - 2e-9) * u2
+    u2 *= 1.0 - 2e-9
+    u2 += 1e-9
 
     log_w = np.zeros(m)
 

@@ -159,10 +159,13 @@ def _T_E(params: CuspParams, t, radius):
 
 def _phi_E(params: CuspParams, t, r, T):
     s = params.s
-    r_T = r / T  # r^(1 - 1/s)
-    phi = (t / 4.0) * r_T + 0.75 * r
-    phi_t = r_T / 4.0
-    phi_r = (t / 4.0) * (1.0 - 1.0 / s) / T + 0.75
+    t_4 = t / 4.0
+    phi_t = r / T  # r^(1 - 1/s)
+    phi = t_4 * phi_t
+    phi += 0.75 * r
+    phi_t /= 4.0
+    phi_r = t_4 * (1.0 - 1.0 / s) / T
+    phi_r += 0.75
     return phi, phi_t, phi_r
 
 
@@ -241,19 +244,40 @@ def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r, log: bool = False):
     finite for entries up to 2^511.  The determinant carries the orientation
     sign: det2x2 * (phi/r)^(n-2); its log form log|det2x2| + (n-2) log|phi/r|
     stays finite where the product under- or overflows.
+
+    Every intermediate is written into a buffer made here, shaped like phi
+    (so 0-d input works too), by the ufuncs of the plain expressions in their
+    order, so the results are theirs bit for bit.
     """
     tang = np.empty_like(phi)
     np.copyto(tang, phi_r)
     np.divide(phi, r, out=tang, where=r > 0.0)
-    abs_tang = np.abs(tang)
-    det2 = T_t * phi_r - T_r * phi_t
-    sig_max = 0.5 * (np.sqrt((T_t + phi_r) ** 2 + (T_r - phi_t) ** 2)
-                     + np.sqrt((T_t - phi_r) ** 2 + (T_r + phi_t) ** 2))
-    opnorm = np.maximum(sig_max, abs_tang)
-    if log:
-        with np.errstate(divide="ignore"):
-            return tang, np.log(opnorm), np.log(np.abs(det2)) + (n - 2) * np.log(abs_tang)
-    return tang, opnorm, det2 * tang ** (n - 2)
+    abs_tang = np.abs(tang, out=np.empty_like(phi))
+    det2 = np.multiply(T_t, phi_r, out=np.empty_like(phi))
+    det2 -= T_r * phi_t
+    opnorm = _norm2(np.add(T_t, phi_r, out=np.empty_like(phi)),
+                    np.subtract(T_r, phi_t, out=np.empty_like(phi)))
+    opnorm += _norm2(np.subtract(T_t, phi_r, out=np.empty_like(phi)),
+                     np.add(T_r, phi_t, out=np.empty_like(phi)))
+    opnorm *= 0.5
+    np.maximum(opnorm, abs_tang, out=opnorm)
+    if not log:
+        return tang, opnorm[()], det2 * tang ** (n - 2)
+    with np.errstate(divide="ignore"):
+        np.log(opnorm, out=opnorm)
+        np.log(np.abs(det2, out=det2), out=det2)
+        np.log(abs_tang, out=abs_tang)
+    abs_tang *= n - 2
+    det2 += abs_tang
+    return tang, opnorm[()], det2[()]
+
+
+def _norm2(x, y):
+    """|(x, y)| = sqrt(x^2 + y^2) of two buffers the caller owns, squared,
+    summed and rooted in x's buffer."""
+    np.square(x, out=x)
+    x += np.square(y, out=y)
+    return np.sqrt(x, out=x)
 
 
 def profile_jet(piece: str, params: CuspParams, t, r):
@@ -314,17 +338,18 @@ def piece_gaps(piece: str, params: CuspParams, t, r):
     return _GAPS[piece](t, np.asarray(r, dtype=float), np.abs(t) ** params.s)
 
 
-def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, gaps: bool = False):
+def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, profile: bool = True,
+                   gaps: bool = False):
     """Rows T, T_t, T_r, phi, phi_t, phi_r of each point's own piece (idx
-    from `piece_index`), and with `gaps` its interface gap and kink gap; nan
-    off the chart."""
-    out = np.full((8 if gaps else 6, idx.size), np.nan)
+    from `piece_index`), then with `gaps` its interface gap and kink gap
+    (without `profile`, the gap rows alone); nan off the chart."""
+    out = np.full((6 * profile + 2 * gaps, idx.size), np.nan)
     for i, label in enumerate(chart_regions(chart)):
         m = idx == i
         if m.any():
-            piece = piece_of_region(label)
-            rows = piece_profile(piece, params, t[m], r[m])
-            out[:, m] = (*rows, *piece_gaps(piece, params, t[m], r[m])) if gaps else rows
+            piece, tm, rm = piece_of_region(label), t[m], r[m]
+            out[:, m] = ((piece_profile(piece, params, tm, rm) if profile else ())
+                         + (piece_gaps(piece, params, tm, rm) if gaps else ()))
     return out
 
 
@@ -460,7 +485,7 @@ def differential_fd_points(chart: ChartId, params: CuspParams, t, X, h=None) -> 
     r = radii(X)
     h = np.broadcast_to(fd_step(t, r) if h is None else np.asarray(h, dtype=float), t.shape)
     idx = piece_index(chart, params, t, r)
-    interface, kink = _chart_profile(chart, params, idx, t, r, gaps=True)[6:]
+    interface, kink = _chart_profile(chart, params, idx, t, r, profile=False, gaps=True)
     if bad := first_flagged((idx < 0) | (np.minimum(kink, interface) <= 2.0 * h), t, X):
         i, z = bad
         if idx[i] < 0:

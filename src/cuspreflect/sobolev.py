@@ -354,15 +354,17 @@ def distortion_sweep(
                 log_w = draw.log_weight
                 log_op, log_det = reflections.profile_log_jet(piece, params, draw.t, draw.r)
             rows = max(1, BLOCK_VALUES // draw.count)
+            scratch = np.empty((2, min(rows, len(cells)), draw.count))
             for lo in range(0, len(cells), rows):
                 block = slice(lo, lo + rows)
                 if tilted:
                     prof = draw.profile(tilts[block])
                     log_w = prof.log_weight
                     log_op, log_det = reflections.profile_log_jet(piece, params, prof.t, prof.r)
-                L = P[block] * log_op
+                L, Q_log_det = scratch[:, :len(P[block])]
+                np.multiply(P[block], log_op, out=L)
                 L += log_w
-                L -= Q[block] * log_det
+                L -= np.multiply(Q[block], log_det, out=Q_log_det)
                 log_shells[block, j] = _log_shell(draw.log_measure, L, region, sh)
     ks = [sh.k for sh in shells]
     return [ShellSum(ks, row) for row in log_shells]

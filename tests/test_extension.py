@@ -303,6 +303,15 @@ class TestCutoffAccuracy:
         psi = extension.cutoff_psi_points(params, t, X)
         assert np.max(np.abs(psi - d_out / (d_out + want))) <= 1e-8
 
+    def test_two_near_equal_minima_near_the_tip(self):
+        # for s < 2 the gap has minima at tau = 0 (0.07150919) and at
+        # tau ~ 0.0051 (0.07150677); a search even in tau followed the first
+        params = CuspParams(4, 1.5)
+        t, r = np.array([-0.002506688]), np.array([0.071465243])
+        want = dense_dist_to_domain(1.5, t[0], r[0])
+        assert want == pytest.approx(0.0715068, abs=1e-7)
+        assert abs(extension._dist_to_domain(params, t, r)[0] - want) <= 1e-8
+
 
 class TestMembershipOracle:
     @pytest.mark.parametrize("alpha,expect", [(0.5, True), (1.4, True), (1.6, False)])

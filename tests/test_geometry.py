@@ -274,3 +274,95 @@ def test_classify_profile_vectorised(params):
     assert labels[0] is RegionLabel.RegionA
     assert labels[1] is RegionLabel.CuspInterior
     assert labels[2] is RegionLabel.BoundaryCusp
+
+
+# The sampler kernels as plain numpy expressions, every intermediate a fresh
+# array: the references for the kernels, which write into their own buffers.
+def _plain_power_icdf(lo, hi, m, u):
+    p = m + 1.0
+    log = geometry._log_branch(p)
+    low = (lo / hi) ** p
+    if log is None:
+        return hi * (low + u * (1.0 - low)) ** (1.0 / p)
+    return np.where(log, lo * (hi / lo) ** u, hi * (low + u * (1.0 - low)) ** np.reciprocal(p))
+
+
+def _plain_log_power_norm(log_lo, log_hi, m):
+    p = m + 1.0
+    log = geometry._log_branch(p)
+    span = log_hi - log_lo
+    out = (np.where(p > 0.0, p * log_hi, p * log_lo)
+           + np.log(-np.expm1(-np.abs(p) * span)) - np.log(np.abs(p)))
+    return out if log is None else np.where(log, np.log(span), out)
+
+
+def _plain_strata(m1, m2, rng):
+    u1 = (np.arange(m1)[:, None] + rng.random((m1, m2))) / m1
+    u2 = (np.arange(m2) + rng.random((m1, m2))) / m2
+    return u1.ravel(), u2.ravel()
+
+
+class TestSamplerKernels:
+    # p = m + 1 of mixed sign, the log branch p = 0, and the special-cased
+    # reciprocal powers 1/p = -1, 1/2 and 2
+    M_COLUMN = np.array([[-4.5], [-2.0], [-1.0], [-0.5], [0.0], [1.0], [2.0], [39.0]])
+
+    def _band(self):
+        draw = geometry.draw_scale(CuspParams(4, 1.5), RegionLabel.RegionE, Shell(9), 200,
+                                   geometry.derive_rng(8, 9, RegionLabel.RegionE))
+        return draw, draw.lo_r, draw.hi_r, draw.u2
+
+    def test_power_icdf_matches_plain_expressions(self):
+        _, lo, hi, u = self._band()
+        with np.errstate(all="ignore"):
+            for m in [2.0, -3.0, self.M_COLUMN, *self.M_COLUMN[:, 0]]:
+                assert np.array_equal(geometry._power_icdf(lo, hi, m, u),
+                                      _plain_power_icdf(lo, hi, m, u))
+            # scalar bounds, as the scale draw has them, and a cone's lo = 0
+            for lo_, hi_ in ((2.0**-10, 2.0**-9), (0.0, 0.25)):
+                for m in (3.0, 20.0, -0.5):
+                    assert np.array_equal(geometry._power_icdf(lo_, hi_, m, u),
+                                          _plain_power_icdf(lo_, hi_, m, u))
+
+    def test_log_power_norm_matches_plain_expressions(self):
+        _, lo, hi, _ = self._band()
+        log_lo, log_hi = np.log(lo), np.log(hi)
+        log_lo[::5] = -np.inf  # lo = 0, as on cones and inner band 1
+        with np.errstate(all="ignore"):
+            for m in [2.0, -3.0, self.M_COLUMN, *self.M_COLUMN[:, 0]]:
+                assert np.array_equal(geometry._log_power_norm(log_lo, log_hi, m),
+                                      _plain_log_power_norm(log_lo, log_hi, m))
+            for m in (0.0, -1.0, 2.5):  # scalar bounds, as the shell measure has them
+                assert np.array_equal(geometry._log_power_norm(-9.0, -8.5, m),
+                                      _plain_log_power_norm(-9.0, -8.5, m))
+
+    def test_tilted_weight_matches_plain_expression(self):
+        draw, lo, hi, u = self._band()
+        cap, log_lo, log_hi, log_z_r = draw._tilt_frame
+        for tilt in (1.75, np.array([[0.4], [-2.0], [3.0], [5.5], [1e6]])):
+            prof = draw.profile(tilt)
+            tilt = np.minimum(tilt, cap)
+            with np.errstate(all="ignore"):  # tilt 3 is the log branch
+                r = _plain_power_icdf(lo, hi, 2.0 - tilt, u)
+                want = draw.log_weight + tilt * np.log(r) + (
+                    _plain_log_power_norm(log_lo, log_hi, 2.0 - tilt) - log_z_r)
+            assert np.array_equal(prof.r, r)
+            assert np.array_equal(prof.log_weight, want)
+
+    @pytest.mark.parametrize("m1,m2", [(1, 1), (3, 5), (4, 4), (7, 2)])
+    def test_strata_are_two_consecutive_draws(self, m1, m2):
+        got = geometry._strata(m1, m2, np.random.default_rng(17))
+        want = _plain_strata(m1, m2, np.random.default_rng(17))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # and the draw leaves the stream where two draws of (m1, m2) leave it
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        geometry._strata(m1, m2, rng)
+        ref.random((m1, m2))
+        ref.random((m1, m2))
+        assert rng.random() == ref.random()
+
+    def test_scale_draw_keeps_u2_off_the_band_edges(self, params):
+        draw = geometry.draw_scale(params, RegionLabel.RegionA, Shell(3), 12,
+                                   np.random.default_rng(5))
+        _, u2 = _plain_strata(3, 4, np.random.default_rng(5))
+        assert np.array_equal(draw.u2, 1e-9 + (1.0 - 2e-9) * u2)

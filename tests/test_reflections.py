@@ -381,3 +381,88 @@ def test_pieces_match_textbook_powers(n, s):
                     assert np.isfinite(got).all(), (piece, k)
                     assert (np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all(), \
                         (piece, k)
+
+
+# The jet algebra as plain numpy expressions, every intermediate a fresh
+# array: the reference for `_jet_algebra`, which writes into its own buffers.
+def _plain_jet_algebra(n, r, T_t, T_r, phi, phi_t, phi_r, log=False):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tang = np.where(r > 0.0, phi / r, phi_r)
+    abs_tang = np.abs(tang)
+    det2 = T_t * phi_r - T_r * phi_t
+    sig_max = 0.5 * (np.sqrt((T_t + phi_r) ** 2 + (T_r - phi_t) ** 2)
+                     + np.sqrt((T_t - phi_r) ** 2 + (T_r + phi_t) ** 2))
+    opnorm = np.maximum(sig_max, abs_tang)
+    if log:
+        with np.errstate(divide="ignore"):
+            return tang, np.log(opnorm), np.log(np.abs(det2)) + (n - 2) * np.log(abs_tang)
+    return tang, opnorm, det2 * tang ** (n - 2)
+
+
+def _bitwise_equal(got, want):
+    return all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+
+
+class TestJetAlgebraKernel:
+    def _block(self, shape, scale, seed):
+        # mixed-sign entries over many octaves, with axis rows r = 0
+        rng = np.random.default_rng(seed)
+        rows = [scale * rng.uniform(-1.0, 1.0, shape) * 2.0 ** rng.integers(-40, 1, shape)
+                for _ in range(5)]
+        r = np.abs(rng.uniform(-1.0, 1.0, shape))
+        r[..., ::7] = 0.0
+        return r, rows
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**510])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_matches_plain_expressions(self, n, scale, log):
+        r, (T_t, T_r, phi, phi_t, phi_r) = self._block((3, 64), scale, n)
+        with np.errstate(over="ignore"):  # squares of entries near 2^511 reach inf
+            got = refl._jet_algebra(n, r, T_t, T_r, phi, phi_t, phi_r, log)
+            want = _plain_jet_algebra(n, r, T_t, T_r, phi, phi_t, phi_r, log)
+        assert _bitwise_equal(got, want)
+
+    def test_broadcast_T_row(self):
+        # A, D and P1 give a T-row shaped like t against a full-shape phi-row
+        r, (_, _, phi, phi_t, phi_r) = self._block((2, 16), 1.0, 5)
+        T_t, T_r = -np.ones(16), np.zeros(16)
+        for log in (False, True):
+            assert _bitwise_equal(refl._jet_algebra(4, r, T_t, T_r, phi, phi_t, phi_r, log),
+                                  _plain_jet_algebra(4, r, T_t, T_r, phi, phi_t, phi_r, log))
+
+    @pytest.mark.parametrize("label", [RegionLabel.RegionA, RegionLabel.RegionB,
+                                       RegionLabel.RegionC, RegionLabel.RegionD,
+                                       RegionLabel.RegionE, RegionLabel.InnerPiece1,
+                                       RegionLabel.InnerPiece2, RegionLabel.InnerPiece3])
+    def test_piece_jets_match_plain_expressions(self, label):
+        # region E's sweep applies a column of tilts, one row of radii each
+        params = CuspParams(5, 3.0)
+        piece = piece_of_region(label)
+        draw = draw_scale(params, label, Shell(6), 256, derive_rng(3, 6, label))
+        tilts = [0.0, 3.9] + ([np.array([[-0.7], [2.9]])] if piece == "E" else [])
+        for tilt in tilts:
+            prof = draw.profile(tilt)
+            T, T_t, T_r, phi, phi_t, phi_r = refl.piece_profile(piece, params, prof.t, prof.r)
+            _, opnorm, det = _plain_jet_algebra(5, prof.r, T_t, T_r, phi, phi_t, phi_r)
+            assert _bitwise_equal(refl.profile_jet(piece, params, prof.t, prof.r),
+                                  (T, phi, opnorm, det))
+            want = _plain_jet_algebra(5, prof.r, T_t, T_r, phi, phi_t, phi_r, log=True)
+            assert _bitwise_equal(refl.profile_log_jet(piece, params, prof.t, prof.r), want[1:])
+
+
+# An interior profile point (t, r) of every piece at n = 3, s = 2.
+PIECE_POINTS = {"A": (-0.2, 0.1), "B": (0.1, 0.2), "C": (0.3, 0.2), "D": (-0.2, 0.01),
+                "E": (0.1, 0.2), "P1": (0.3, 0.001), "P2": (0.3, 0.02), "P3": (0.3, 0.05)}
+
+
+@pytest.mark.parametrize("piece", sorted(PIECE_POINTS))
+@pytest.mark.parametrize("evaluate", [refl.piece_profile, refl.profile_jet, refl.profile_log_jet])
+def test_scalar_input_matches_one_element_arrays(piece, evaluate):
+    params = CuspParams(3, 2.0)
+    t, r = PIECE_POINTS[piece]
+    scalar = evaluate(piece, params, t, r)
+    row = evaluate(piece, params, np.array([t]), np.array([r]))
+    for got, want in zip(scalar, row):
+        assert np.ndim(got) == 0
+        assert np.array_equal(np.reshape(got, 1), want)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -327,7 +328,10 @@ def _radial_count(text: str) -> int:
     return _positive_int(text, minimum=2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse starts
+    from a fresh namespace, so one command's flags never reach the next."""
     parser = argparse.ArgumentParser(
         prog="cuspreflect",
         description="Cusp reflection charts, Jacobians, and extension-exponent experiments.",

@@ -36,7 +36,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -426,42 +426,58 @@ def _shell_scale_interval(label: RegionLabel, lo: float, hi: float) -> tuple[flo
     return max(lo, 0.0), min(hi, q.scale_hi)
 
 
-def log_shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
+def log_shell_measures(params: CuspParams, label: RegionLabel, shells) -> np.ndarray:
     """log of the exact Lebesgue volume of the region with its scale
-    variable in a dyadic `Shell` or in a scale interval (lo, hi), from the
-    closed-form slices; (0, 1/2) gives the volume the shells cover.
+    variable in each dyadic `Shell` or scale interval (lo, hi) of `shells`,
+    from the closed-form slices; (0, 1/2) gives the volume the shells cover,
+    and a shell that misses the region's scale range -inf.
 
     Cross sections are (n-1)-balls or annuli: the cusp slice at height t has
     radius t^s, a cone slice radius |t|; region B integrates |x| with the
     slab length 2|x| in t; region E slices are annuli capped at (1/2)^s.
+    The power integrals of all shells are one `_log_power_norm` call (a row
+    per exponent); the scalar steps around it are `math`'s, per shell, so
+    each entry is the one-shell value bit for bit.
     """
     _require_sampleable(label)
     n, s = params.n, params.s
-    lo, hi = (shell.lo, shell.hi) if isinstance(shell, Shell) else shell
-    a, b = _shell_scale_interval(label, lo, hi)
-    if b <= a:
-        return -math.inf
-    log_a, log_b = math.log(a) if a > 0.0 else -math.inf, math.log(b)
-    log_cn = math.log(unit_ball_volume(n - 1))
     q = _QUAD[label]
-    if q.kind == "cone":
-        return log_cn + float(_log_power_norm(log_a, log_b, n - 1))
-    if q.kind == "slab":
-        # t-range 2*xi at radius xi; area weight (n-1)*cn*xi^(n-2)
-        return math.log(2.0 * (n - 1)) + log_cn + float(_log_power_norm(log_a, log_b, n - 1))
+    out = np.full(len(shells), -math.inf)
+    bounds = [_shell_scale_interval(label, *((sh.lo, sh.hi) if isinstance(sh, Shell) else sh))
+              for sh in shells]
+    live = [i for i, (a, b) in enumerate(bounds) if a < b]
+    if not live:
+        return out
+    a, b = zip(*(bounds[i] for i in live))
+    log_a = np.array([math.log(x) if x > 0.0 else -math.inf for x in a])
+    log_b = np.array([math.log(x) for x in b])
+    log_cn = math.log(unit_ball_volume(n - 1))
+    if q.kind in ("cone", "slab"):
+        # slab: t-range 2*xi at radius xi; area weight (n-1)*cn*xi^(n-2)
+        head = math.log(2.0 * (n - 1)) + log_cn if q.kind == "slab" else log_cn
+        out[live] = head + _log_power_norm(log_a, log_b, n - 1.0)
+        return out
     if q.kind == "band":
         # annulus [c_lo*xi^s, c_hi*xi^s]
         frac = q.c_hi ** (n - 1) - q.c_lo ** (n - 1)
-        return log_cn + math.log(frac) + float(_log_power_norm(log_a, log_b, s * (n - 1)))
+        out[live] = log_cn + math.log(frac) + _log_power_norm(log_a, log_b, s * (n - 1))
+        return out
     # C: cone slices less the cusp's; E: two annuli, each a disk of radius
     # (1/2)^s less the cusp's
-    cusp = float(_log_power_norm(log_a, log_b, s * (n - 1)))
     if q.kind == "cwedge":
-        whole = float(_log_power_norm(log_a, log_b, n - 1))
+        whole, cusp = _log_power_norm(log_a, log_b, np.array([[n - 1.0], [s * (n - 1)]]))
     else:
+        cusp = _log_power_norm(log_a, log_b, s * (n - 1))
         log_cn += math.log(2.0)
-        whole = s * (n - 1) * math.log(0.5) + math.log(b - a)
-    return log_cn + whole + math.log(-math.expm1(cusp - whole))
+        whole = np.array([s * (n - 1) * math.log(0.5) + math.log(y - x) for x, y in zip(a, b)])
+    out[live] = [log_cn + w + math.log(-math.expm1(c - w))
+                 for w, c in zip(whole.tolist(), cusp.tolist())]
+    return out
+
+
+def log_shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
+    """`log_shell_measures` of one `Shell` or scale interval (lo, hi)."""
+    return float(log_shell_measures(params, label, [shell])[0])
 
 
 def shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
@@ -491,11 +507,15 @@ def _log_branch(p):
 def _power_icdf(lo, hi, m, u):
     """Inverse CDF of the density ~ x^m on [lo, hi] (log branch at m=-1).
     A column of exponents m gives one row of samples per exponent.  Scaled
-    to hi, it reads (lo/hi)^(m+1), which stays in range where lo^(m+1) does not."""
+    to hi, it reads (lo/hi)^(m+1), which stays in range where lo^(m+1) does
+    not.  On a band that starts at the axis, lo is the scalar 0, and
+    (lo/hi)^(m+1) is the scalar 0 for m > -1: numpy's power of a zero base
+    is several times slower than of other values."""
     p = m + 1.0
     log = _log_branch(p)
     if log is None:
-        return _scaled_icdf((lo / hi) ** p, u, 1.0 / p, hi)
+        axis = isinstance(lo, float) and lo == 0.0 and np.all(p > 0.0)
+        return _scaled_icdf(0.0 if axis else (lo / hi) ** p, u, 1.0 / p, hi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(log, lo * (hi / lo) ** u,
                         _scaled_icdf((lo / hi) ** p, u, np.reciprocal(p), hi))
@@ -504,11 +524,15 @@ def _power_icdf(lo, hi, m, u):
 def _scaled_icdf(low, u, inv_p, hi):
     """hi * (low + u (1 - low))^inv_p, built in the one buffer of 1 - low
     (or of its product with u, where low is a scalar); an array low holds
-    a value for every sample."""
+    a value for every sample.  A scalar low with a column of exponents
+    takes the power into a new buffer of one row per exponent."""
     x = 1.0 - low
     x *= u
     x += low
-    x **= inv_p
+    if x.ndim < np.ndim(inv_p):
+        x = x ** inv_p
+    else:
+        x **= inv_p
     x *= hi
     return x
 
@@ -526,7 +550,7 @@ def _log_power_norm(log_lo, log_hi, m):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(p > 0.0, log_hi, log_lo) * p
         # log(-expm1(-|p| span)) in the buffer of -|p| span; the scalars of
-        # the shell measures stay scalars
+        # region C's proposal mass stay scalars
         tail = -np.abs(p) * span
         into = (tail,) if isinstance(tail, np.ndarray) else ()
         out += np.log(np.negative(np.expm1(tail, *into), *into), *into)
@@ -544,14 +568,15 @@ class ProfileSample:
     measure: the scale draw's weight w, times r^tilt z_m / z_r where a
     radial tilt reshaped the radius law (z_m and z_r, whose logs stay finite
     past the float range, normalise the tilted and the true radial density).
-    With a column of tilts, r and the log weight have one row per tilt.
+    With a column of tilts, r and the log weight have one row per tilt; an
+    untilted cone, band or slab sample has the scalar log weight 0.0.
 
     The radii `r` are drawn by `draw_r` on first read, so an integrand of t
     alone never pays for them.
     """
 
     t: np.ndarray
-    log_weight: np.ndarray
+    log_weight: np.ndarray | float
     log_measure: float
     count: int
     draw_r: Callable[[], np.ndarray]
@@ -565,11 +590,21 @@ def _strata(m1: int, m2: int, rng: np.random.Generator) -> tuple[np.ndarray, np.
     """Jittered m1 x m2 grid in the unit square, one sample per cell: the
     jitters of u1 and then of u2 are one draw of the stream."""
     u1, u2 = rng.random((2, m1, m2))
-    u1 += np.arange(m1)[:, None]
+    rows, cols = _strata_offsets(m1, m2)
+    u1 += rows
     u1 /= m1
-    u2 += np.arange(m2)
+    u2 += cols
     u2 /= m2
     return u1.ravel(), u2.ravel()
+
+
+@lru_cache(maxsize=16)
+def _strata_offsets(m1: int, m2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cell offsets of `_strata`: the column 0..m1-1 and the row
+    0..m2-1, as read-only floats kept for the last few grid shapes."""
+    rows, cols = np.arange(float(m1))[:, None], np.arange(float(m2))
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _grid_shape(count: int) -> tuple[int, int]:
@@ -578,25 +613,45 @@ def _grid_shape(count: int) -> tuple[int, int]:
     return m1, m2
 
 
+def _off_the_edges(u2: np.ndarray) -> np.ndarray:
+    """u2 squeezed into [1e-9, 1 - 1e-9] in place, so that a conditional
+    coordinate never sits exactly on a region interface (bias ~ 1e-9, far
+    below Monte Carlo noise)."""
+    u2 *= 1.0 - 2e-9
+    u2 += 1e-9
+    return u2
+
+
 @dataclass
 class ScaleDraw:
     """Region /\\ shell samples whose radius is still to be drawn.
 
-    The scale variable, t, the log importance weight and the conditional
-    radial band [lo_r, hi_r] with its uniform variate u2 are fixed;
-    `profile` draws r from the band.  Region B's slab fixes r by the scale
-    variable alone, so `r` is set there and the band is unused.
+    The scale variable, t and the log importance weight are fixed (the
+    weight is the scalar 0.0 on cones, bands and the slab, whose scale law
+    is exact).  `band` makes the conditional radial band [lo_r, hi_r] and
+    its uniform variate u2, squeezed off the band's edges; it runs on the
+    first read of `lo_r`, `hi_r` or `u2`, which the first read of a radius
+    does, so an integrand of t alone never forms the band.  On a band that
+    starts at the axis (region A, region D, `CuspInterior`, inner band 1),
+    lo_r is the scalar 0.0.  Region B's slab fixes r by the scale variable
+    alone, so `r` is set there and the band holds u2 alone.
     """
 
     n: int
     t: np.ndarray
-    log_weight: np.ndarray
+    log_weight: np.ndarray | float
     log_measure: float
     count: int
-    lo_r: np.ndarray | None = None
-    hi_r: np.ndarray | None = None
-    u2: np.ndarray | None = None
+    band: Callable[[], tuple]
     r: np.ndarray | None = None
+
+    @cached_property
+    def _band(self):
+        return self.band()
+
+    lo_r = property(lambda self: self._band[0])
+    hi_r = property(lambda self: self._band[1])
+    u2 = property(lambda self: self._band[2])
 
     def profile(self, radial_tilt=0.0) -> ProfileSample:
         """Draw r with conditional density ~ r^(n-2-radial_tilt) in the band,
@@ -612,15 +667,14 @@ class ScaleDraw:
         if self.r is not None:
             return ProfileSample(self.t, self.log_weight, self.log_measure, self.count,
                                  lambda: self.r)
-        lo_r, hi_r = self.lo_r, self.hi_r
         nm2 = float(self.n - 2)
         if np.ndim(radial_tilt) == 0 and radial_tilt == 0.0:
             return ProfileSample(self.t, self.log_weight, self.log_measure, self.count,
-                                 lambda: _power_icdf(lo_r, hi_r, nm2, self.u2))
+                                 lambda: _power_icdf(self.lo_r, self.hi_r, nm2, self.u2))
         cap, log_lo, log_hi, log_z_r = self._tilt_frame
         radial_tilt = np.minimum(radial_tilt, cap)
         m_r = nm2 - radial_tilt
-        r = _power_icdf(lo_r, hi_r, m_r, self.u2)
+        r = _power_icdf(self.lo_r, self.hi_r, m_r, self.u2)
         log_weight = np.log(r)
         log_weight *= radial_tilt
         log_weight += self.log_weight
@@ -643,7 +697,7 @@ class ScaleDraw:
             cap = nm2 + 0.99
         else:
             cap = (nm2 + 1.0) + 600.0 / max(1.0, -math.log(lo_min))
-        with np.errstate(divide="ignore"):  # lo_r is 0 on cones and inner band 1
+        with np.errstate(divide="ignore"):  # lo_r is 0 on axis bands
             log_lo, log_hi = np.log(self.lo_r), np.log(self.hi_r)
         return cap, log_lo, log_hi, _log_power_norm(log_lo, log_hi, nm2)
 
@@ -655,14 +709,19 @@ def draw_scale(
     count: int,
     rng: np.random.Generator,
     stratify: bool = True,
+    *,
+    log_measure: float | None = None,
 ) -> ScaleDraw:
     """Draw everything of `sample_profile` but the radius.
 
     The scale coordinate follows its exact power law when the normalisation
-    is closed form (cone/slab/band, log weight 0); otherwise (C, E) a
-    closed-form proposal plus a log importance weight is used.
+    is closed form (cone/slab/band, log weight the scalar 0.0); otherwise
+    (C, E) a closed-form proposal plus a log importance weight is used.
+    The radial band and its variate's squeeze are formed on the first read
+    of the radius (see `ScaleDraw`); the stream is drawn here all the same.
     Stratification is a jittered 2-D grid, so the effective count is the
-    enclosing m1*m2 grid size.
+    enclosing m1*m2 grid size.  `log_measure` is the shell's
+    `log_shell_measure`, for callers that made every shell's at once.
     """
     _require_sampleable(label)
     n, s = params.n, params.s
@@ -670,7 +729,8 @@ def draw_scale(
     if b <= a:
         raise EmptyRegionError(f"shell {shell.k} misses the scale range of {label.value}")
     q = _QUAD[label]
-    log_measure = log_shell_measure(params, label, shell)
+    if log_measure is None:
+        log_measure = log_shell_measure(params, label, shell)
     log_cn = math.log(unit_ball_volume(n - 1))
 
     if stratify:
@@ -680,43 +740,42 @@ def draw_scale(
     else:
         m = count
         u1, u2 = rng.random(m), rng.random(m)
-    # keep the conditional coordinate strictly inside its band, so samples
-    # never sit exactly on a region interface (bias ~ 1e-9, far below MC noise)
-    u2 *= 1.0 - 2e-9
-    u2 += 1e-9
 
-    log_w = np.zeros(m)
-
+    log_w = 0.0
     if q.kind == "cone":
         xi = _power_icdf(a, b, n - 1.0, u1)
-        lo_r, hi_r = np.zeros(m), xi
         t = q.sign * xi
+        band = lambda: (0.0, xi)
     elif q.kind == "band":
         xi = _power_icdf(a, b, s * (n - 1.0), u1)
-        xi_s = xi**s
-        lo_r, hi_r = q.c_lo * xi_s, q.c_hi * xi_s
         t = q.sign * xi
+
+        def band():
+            xi_s = xi**s
+            return q.c_lo * xi_s if q.c_lo else 0.0, q.c_hi * xi_s
     elif q.kind == "slab":
         xi = _power_icdf(a, b, n - 1.0, u1)
+        u2 = _off_the_edges(u2)
         t = -xi + 2.0 * xi * u2
-        return ScaleDraw(n, t, log_w, log_measure, m, r=xi)
+        return ScaleDraw(n, t, log_w, log_measure, m, lambda: (None, None, u2), r=xi)
     elif q.kind == "cwedge":
         # proposal ~ xi^(n-1), of total mass cn zp; true density ~ xi^(n-1)
         # - xi^(s(n-1)), of total mass the measure
         xi = _power_icdf(a, b, n - 1.0, u1)
         log_zp = float(_log_power_norm(math.log(a), math.log(b), n - 1.0))
         log_w = np.log1p(-xi ** ((s - 1.0) * (n - 1.0))) + (log_cn + log_zp - log_measure)
-        lo_r, hi_r = xi**s, xi
         t = xi
+        band = lambda: (xi**s, xi)
     else:  # 'ering'
         # uniform proposal, of total mass 2 cn (1/2)^(s(n-1)) (b - a); true
         # density ~ (1/2)^(s(n-1)) - xi^(s(n-1)), of total mass the measure
         xi = a + (b - a) * u1
         log_mass = math.log(2.0 * (b - a)) + log_cn + s * (n - 1) * math.log(0.5)
         log_w = np.log1p(-(2.0 * xi) ** (s * (n - 1.0))) + (log_mass - log_measure)
-        lo_r, hi_r = xi**s, np.full(m, 0.5**s)
         t = xi * np.where(rng.random(m) < 0.5, 1.0, -1.0)
-    return ScaleDraw(n, np.asarray(t, dtype=float), log_w, log_measure, m, lo_r, hi_r, u2)
+        band = lambda: (xi**s, np.full(m, 0.5**s))
+    return ScaleDraw(n, np.asarray(t, dtype=float), log_w, log_measure, m,
+                     lambda: (*band(), _off_the_edges(u2)))
 
 
 def sample_profile(
@@ -727,6 +786,8 @@ def sample_profile(
     rng: np.random.Generator,
     radial_tilt: float = 0.0,
     stratify: bool = True,
+    *,
+    log_measure: float | None = None,
 ) -> ProfileSample:
     """Draw weighted (t, r) quadrature samples from region /\\ shell.
 
@@ -735,7 +796,8 @@ def sample_profile(
     ~ r^(n-2-tilt), compensated by weights, which kills the variance of
     integrands with a known radial power singularity (region E).
     """
-    return draw_scale(params, label, shell, count, rng, stratify).profile(radial_tilt)
+    return draw_scale(params, label, shell, count, rng, stratify,
+                      log_measure=log_measure).profile(radial_tilt)
 
 
 def random_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -246,19 +246,21 @@ def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r, log: bool = False):
     stays finite where the product under- or overflows.
 
     Every intermediate is written into a buffer made here, shaped like phi
-    (so 0-d input works too), by the ufuncs of the plain expressions in their
-    order, so the results are theirs bit for bit.
+    and r broadcast together (so 0-d input works too, and so does P2, whose
+    phi is t itself, on a column of radii), by the ufuncs of the plain
+    expressions in their order, so the results are theirs bit for bit.
     """
-    tang = np.empty_like(phi)
+    shape = np.broadcast(phi, r).shape
+    tang = np.empty(shape)
     np.copyto(tang, phi_r)
     np.divide(phi, r, out=tang, where=r > 0.0)
-    abs_tang = np.abs(tang, out=np.empty_like(phi))
-    det2 = np.multiply(T_t, phi_r, out=np.empty_like(phi))
+    abs_tang = np.abs(tang, out=np.empty(shape))
+    det2 = np.multiply(T_t, phi_r, out=np.empty(shape))
     det2 -= T_r * phi_t
-    opnorm = _norm2(np.add(T_t, phi_r, out=np.empty_like(phi)),
-                    np.subtract(T_r, phi_t, out=np.empty_like(phi)))
-    opnorm += _norm2(np.subtract(T_t, phi_r, out=np.empty_like(phi)),
-                     np.add(T_r, phi_t, out=np.empty_like(phi)))
+    opnorm = _norm2(np.add(T_t, phi_r, out=np.empty(shape)),
+                    np.subtract(T_r, phi_t, out=np.empty(shape)))
+    opnorm += _norm2(np.subtract(T_t, phi_r, out=np.empty(shape)),
+                     np.add(T_r, phi_t, out=np.empty(shape)))
     opnorm *= 0.5
     np.maximum(opnorm, abs_tang, out=opnorm)
     if not log:

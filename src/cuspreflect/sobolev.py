@@ -25,12 +25,16 @@ The norm terms of a test function and of its extension run through one
 shell loop, `function_shells`, whose shell primitive `shell_estimate` draws
 each (region, shell) once, from the substream (seed, k, region, salt), and
 reduces every term of that shell from the draw: the terms of one radial tilt
-share one profile, which each integrand reads as a `ProfileSample`, so an
-untilted integrand of t alone never draws the radius.  Shells span hundreds
-of binary orders, so both paths work in logs from the measure to the
-verdict: log measures and weights, integrands that return logs, one reduce
-`_log_shell` with one nan rule (NonFiniteIntegrandError), and `ShellSum`s of
-log contributions, whose log ratios the verdict reads.
+share one profile, which each integrand reads as a `ProfileSample`.  A draw
+forms its radial band on the first read of r, so an untilted integrand of t
+alone neither forms the band nor draws the radius.  What is the same for
+every shell of a region is done once per region: both paths make the log
+measures of all its shells in one `geometry.log_shell_measures` pass and
+hand each shell its own.  Shells span hundreds of binary orders, so both
+paths work in logs from the measure to the verdict: log measures and
+weights, integrands that return logs, one reduce `_log_shell` with one nan
+rule (NonFiniteIntegrandError), and `ShellSum`s of log contributions, whose
+log ratios the verdict reads.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .geometry import (
     check_scheme,
     derive_rng,
     draw_scale,
+    log_shell_measures,
     piece_of_region,
     sample_profile,
 )
@@ -244,6 +249,7 @@ def shell_estimate(
     terms,
     samples: int,
     rng_seed_parts: tuple,
+    log_measure: float | None = None,
 ) -> list[float]:
     """Stratified log estimates of the terms of one shell integral, all from
     one draw of the substream (seed, k, region, salt) of `rng_seed_parts` =
@@ -252,24 +258,30 @@ def shell_estimate(
     `terms` lists (integrand, radial_tilt) pairs.  `integrand(prof)` returns
     log values of shape (N,) on the `ProfileSample` of its tilt, or a stack
     (m, N) of m integrands, each row one estimate; the terms of one tilt get
-    the same samples.  An untilted sample draws its radii on the first read
-    of `prof.r`, so an integrand that reads t alone draws none.  The result
-    lists the `_log_shell` of each row, in term order: a nan raises
-    NonFiniteIntegrandError, while inf values are kept, since genuinely
-    divergent exponents overflow by design.
+    the same samples.  Their result is a new float array, which the
+    estimate overwrites.  An untilted sample draws its radii on the first
+    read of `prof.r`, so an integrand that reads t alone neither forms the
+    radial band nor draws a radius.  A zero log weight (cones, bands, the
+    slab) is not added.  The result lists the `_log_shell` of each row, in
+    term order: a nan raises NonFiniteIntegrandError, while inf values are
+    kept, since genuinely divergent exponents overflow by design.
+    `log_measure` is the shell's `log_shell_measure`, which
+    `function_shells` makes for all its shells at once.
     """
     seed, k, salt = rng_seed_parts
     rng = derive_rng(seed, k, region, salt=salt)
     estimates = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        draw = draw_scale(params, region, shell, samples, rng)
+        draw = draw_scale(params, region, shell, samples, rng, log_measure=log_measure)
         profiles = {}
         for integrand, tilt in terms:
             if tilt not in profiles:
                 profiles[tilt] = draw.profile(tilt)
             prof = profiles[tilt]
-            L = np.atleast_2d(prof.log_weight + integrand(prof))
-            estimates += _log_shell(prof.log_measure, L, region, shell).tolist()
+            L = integrand(prof)
+            if np.ndim(prof.log_weight):  # a scalar log weight is 0.0
+                L += prof.log_weight
+            estimates += _log_shell(prof.log_measure, np.atleast_2d(L), region, shell).tolist()
     return estimates
 
 
@@ -316,7 +328,8 @@ def distortion_sweep(
     opnorm(DR)^(pq/(p-q)) / |J|^(q/(p-q)) over the region, one shell sum per
     (p, q) cell, in cell order.
 
-    Each shell is drawn once from the substream (seed, k, region, "dist").
+    Each shell is drawn once from the substream (seed, k, region, "dist"),
+    with its log measure from one `log_shell_measures` pass over the shells.
     The integrand is reduced in log space: a block of cells forms
     L = log w + P log opnorm - Q log|det| by broadcasting its exponent
     columns (P, Q) against the shared log jet, and each cell's log shell is
@@ -344,13 +357,16 @@ def distortion_sweep(
     tilted = region is RegionLabel.RegionE
 
     log_shells = np.empty((len(cells), len(shells)))
+    log_measures = log_shell_measures(params, region, shells).tolist()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for j, sh in enumerate(shells):
+        for j, (sh, log_measure) in enumerate(zip(shells, log_measures)):
             rng = derive_rng(seed, sh.k, region, salt="dist")
             if tilted:
-                draw = draw_scale(params, region, sh, samples_per_shell, rng)
+                draw = draw_scale(params, region, sh, samples_per_shell, rng,
+                                  log_measure=log_measure)
             else:
-                draw = sample_profile(params, region, sh, samples_per_shell, rng)
+                draw = sample_profile(params, region, sh, samples_per_shell, rng,
+                                      log_measure=log_measure)
                 log_w = draw.log_weight
                 log_op, log_det = reflections.profile_log_jet(piece, params, draw.t, draw.r)
             rows = max(1, BLOCK_VALUES // draw.count)
@@ -363,7 +379,8 @@ def distortion_sweep(
                     log_op, log_det = reflections.profile_log_jet(piece, params, prof.t, prof.r)
                 L, Q_log_det = scratch[:, :len(P[block])]
                 np.multiply(P[block], log_op, out=L)
-                L += log_w
+                if np.ndim(log_w):  # a scalar log weight is 0.0
+                    L += log_w
                 L -= np.multiply(Q[block], log_det, out=Q_log_det)
                 log_shells[block, j] = _log_shell(draw.log_measure, L, region, sh)
     ks = [sh.k for sh in shells]
@@ -397,9 +414,16 @@ def function_shells(
 ) -> list[ShellSum]:
     """Shell sums of the (integrand, radial_tilt) terms over the region, one
     per estimate row of `shell_estimate`; each shell is drawn once, from the
-    substream (seed, k, region, salt), for all the terms."""
-    values = [shell_estimate(params, region, sh, terms, samples_per_shell, (seed, sh.k, salt))
-              for sh in shells]
+    substream (seed, k, region, salt), for all the terms.
+
+    What does not change from shell to shell is done once per region: the
+    log measures of all shells are one `log_shell_measures` pass, handed to
+    each shell's estimate.  Within a shell, a radial band is formed only
+    when an integrand reads r."""
+    log_measures = log_shell_measures(params, region, shells).tolist()
+    values = [shell_estimate(params, region, sh, terms, samples_per_shell, (seed, sh.k, salt),
+                             log_measure)
+              for sh, log_measure in zip(shells, log_measures)]
     ks = [sh.k for sh in shells]
     return [ShellSum(ks, column) for column in zip(*values)]
 

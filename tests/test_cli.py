@@ -11,6 +11,7 @@ from conftest import negate_entry, package_env
 
 import cuspreflect
 import cuspreflect.reflections as refl
+from cuspreflect import cli
 from cuspreflect.cli import main
 
 
@@ -335,6 +336,24 @@ class TestDeterminism:
         run_cli(args + ["--out", str(a)])
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_parser_serves_every_command(self, tmp_path):
+        # the parser is built once per process: an extendnorm run, the
+        # default sweep and the same extendnorm again each see their own
+        # flags only, as a freshly built parser gives them
+        assert cli.build_parser() is cli.build_parser()
+        a, b, sweep = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "sweep.csv"
+        args = ["extendnorm", "--scheme", "r2", "--function", "clampt", "--n", "4",
+                "--s", "1.5", "--p", "3", "--q", "2", "--samples", "256", "--k-max", "12",
+                "--seed", "9"]
+        assert run_cli(args + ["--out", str(a)]) == 0
+        assert run_cli(["sweep", "--out", str(sweep)]) == 0
+        assert run_cli(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        fresh = vars(cli.build_parser.__wrapped__().parse_args(["sweep", "--out", str(sweep)]))
+        del fresh["command"], fresh["func"]
+        manifest = json.loads(Path(str(sweep) + ".manifest.json").read_text())
+        assert manifest["flags"] == fresh
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -456,6 +456,28 @@ class TestNormReadsOnlyTheTRow:
         want = {"R1": RegionLabel.RegionB, "R2": RegionLabel.RegionE}[scheme]
         assert read == {want}
 
+    @pytest.mark.parametrize("u,p,q", [(PowerAlpha(1.4), 2.0, 1.1), (ClampT(), 3.0, 2.0)],
+                             ids=["power", "clampt"])
+    @pytest.mark.parametrize("scheme", ["R1", "R2"])
+    def test_t_only_shells_never_form_the_band(self, monkeypatch, params, scheme, u, p, q):
+        # the radial band of a draw is formed on the first read of a radius:
+        # of A, C, D and the cusp window, whose integrands read t alone, none
+        draws = []
+        draw_scale = sobolev.draw_scale
+
+        def spy(prm, region, *args, **kwargs):
+            draws.append((region, draw_scale(prm, region, *args, **kwargs)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(sobolev, "draw_scale", spy)
+        spec = ExtensionSpec(scheme, Direction.FromInside)
+        extension_norm_experiment(params, spec, u, p, q, shells(5, 12), 64, 3)
+        t_only = {"R1": {RegionLabel.RegionA, RegionLabel.RegionC},
+                  "R2": {RegionLabel.RegionD}}[scheme] | {RegionLabel.CuspInterior}
+        assert t_only <= {region for region, _ in draws}
+        formed = {region for region, draw in draws if "_band" in vars(draw)}
+        assert formed == ({RegionLabel.RegionE} if scheme == "R2" else set())
+
 
 def _plant_nan(monkeypatch, piece):
     """Make `piece_T_row` return a nan in the first T_t of the piece, so

@@ -178,6 +178,69 @@ class TestShellMeasure:
             assert vol == pytest.approx(shell_measure(params, label, Shell(3)), rel=1e-3)
 
 
+def _scalar_log_shell_measure(params, label, shell):
+    """The one-shell log measure as plain `math` steps around scalar
+    `_log_power_norm` calls: the reference for `log_shell_measures`."""
+    n, s = params.n, params.s
+    lo, hi = (shell.lo, shell.hi) if isinstance(shell, Shell) else shell
+    a, b = geometry._shell_scale_interval(label, lo, hi)
+    if b <= a:
+        return -math.inf
+    log_a, log_b = math.log(a) if a > 0.0 else -math.inf, math.log(b)
+    log_cn = math.log(unit_ball_volume(n - 1))
+    q = geometry._QUAD[label]
+    norm = geometry._log_power_norm
+    if q.kind == "cone":
+        return log_cn + float(norm(log_a, log_b, n - 1))
+    if q.kind == "slab":
+        return math.log(2.0 * (n - 1)) + log_cn + float(norm(log_a, log_b, n - 1))
+    if q.kind == "band":
+        frac = q.c_hi ** (n - 1) - q.c_lo ** (n - 1)
+        return log_cn + math.log(frac) + float(norm(log_a, log_b, s * (n - 1)))
+    cusp = float(norm(log_a, log_b, s * (n - 1)))
+    if q.kind == "cwedge":
+        whole = float(norm(log_a, log_b, n - 1))
+    else:
+        log_cn += math.log(2.0)
+        whole = s * (n - 1) * math.log(0.5) + math.log(b - a)
+    return log_cn + whole + math.log(-math.expm1(cusp - whole))
+
+
+class TestLogShellMeasures:
+    # shells k = 1..250, scale intervals (the covered volume, a slice, one
+    # past every region's scale_hi) and an empty interval
+    SHELLS = [Shell(k) for k in range(1, 251)] + [(0.0, 0.5), (0.1, 0.3), (0.0, 1.0),
+                                                   (1.5, 2.0), (0.2, 0.2)]
+
+    @pytest.mark.parametrize("label", geometry.SAMPLEABLE)
+    @pytest.mark.parametrize("n,s", [(3, 2.0), (4, 1.5), (6, 4.0)])
+    def test_equal_the_one_shell_values_bit_for_bit(self, label, n, s):
+        params = CuspParams(n, s)
+        got = geometry.log_shell_measures(params, label, self.SHELLS)
+        want = [_scalar_log_shell_measure(params, label, sh) for sh in self.SHELLS]
+        assert got.tolist() == want
+        assert [geometry.log_shell_measure(params, label, sh) for sh in self.SHELLS] == want
+        assert got[-2] == got[-1] == -math.inf
+        assert np.isfinite(got[:250]).all()
+
+    def test_shells_past_the_scale_range_are_empty(self, params, monkeypatch):
+        monkeypatch.setitem(geometry._QUAD, RegionLabel.RegionC,
+                            geometry._RegionQuad("cwedge", scale_hi=0.01))
+        # scale range [0, 0.01]: shells 1 and 5 miss it, shell 6 straddles it
+        shl = [Shell(k) for k in (1, 5, 6, 7)]
+        got = geometry.log_shell_measures(params, RegionLabel.RegionC, shl)
+        assert got[:2].tolist() == [-math.inf, -math.inf]
+        assert got[2:].tolist() == [_scalar_log_shell_measure(params, RegionLabel.RegionC, sh)
+                                    for sh in shl[2:]]
+        assert np.isfinite(got[2:]).all()
+        assert geometry.log_shell_measures(params, RegionLabel.RegionC, [Shell(1)]).tolist() \
+            == [-math.inf]
+
+    def test_non_sampleable_label_rejected(self, params):
+        with pytest.raises(ValueError):
+            geometry.log_shell_measures(params, RegionLabel.Origin, [Shell(1)])
+
+
 class TestSampler:
     def test_containment_region_a(self, params):
         pts = sample_region(params, "R1", RegionLabel.RegionA, Shell(2), 10, 7)
@@ -239,6 +302,46 @@ class TestSampler:
     def test_non_sampleable(self, params):
         with pytest.raises(ValueError):
             sample_region(params, "R1", RegionLabel.Origin, Shell(1), 10, 7)
+
+    @pytest.mark.parametrize("label", geometry.SAMPLEABLE)
+    def test_band_formed_on_first_read(self, monkeypatch, params, label):
+        # the draw takes the whole stream at once; the band [lo_r, hi_r] and
+        # u2's squeeze wait for the first read and are then kept
+        rng = np.random.default_rng(4)
+        draw = geometry.draw_scale(params, label, Shell(4), 64, rng)
+        after = rng.random()
+        formed = []
+        band = draw.band
+        draw.band = lambda: formed.append(1) or band()
+        draw.profile(0.0)
+        assert formed == []
+        lo_r, hi_r, u2 = draw.lo_r, draw.hi_r, draw.u2
+        assert formed == [1] and draw.u2 is u2
+        _, raw_u2 = _plain_strata(8, 8, np.random.default_rng(4))
+        assert np.array_equal(u2, 1e-9 + (1.0 - 2e-9) * raw_u2)
+        if label is not RegionLabel.RegionB:
+            assert np.all(lo_r <= hi_r)
+        ref = np.random.default_rng(4)
+        ref.random((2, 8, 8))
+        if label is RegionLabel.RegionE:
+            ref.random(64)  # the sign draw
+        assert ref.random() == after
+
+    @pytest.mark.parametrize("label", geometry.SAMPLEABLE)
+    def test_exact_scale_laws_weigh_with_a_scalar_zero(self, params, label):
+        draw = geometry.draw_scale(params, label, Shell(4), 64, np.random.default_rng(4))
+        proposal = label in (RegionLabel.RegionC, RegionLabel.RegionE)
+        assert np.ndim(draw.log_weight) == proposal
+        if not proposal:
+            assert draw.log_weight == 0.0 and draw.profile(0.0).log_weight == 0.0
+
+    def test_handed_measure_is_used(self, params):
+        for label in (RegionLabel.RegionA, RegionLabel.RegionC):
+            draw = geometry.draw_scale(params, label, Shell(4), 64, np.random.default_rng(4),
+                                       log_measure=-7.25)
+            own = geometry.draw_scale(params, label, Shell(4), 64, np.random.default_rng(4))
+            assert draw.log_measure == -7.25
+            assert own.log_measure == geometry.log_shell_measure(params, label, Shell(4))
 
     def test_tilt_frame_made_once_per_draw(self, monkeypatch, params):
         # the tilt cap, log lo_r, log hi_r and the untilted normaliser z_r do
@@ -349,6 +452,37 @@ class TestSamplerKernels:
             assert np.array_equal(prof.r, r)
             assert np.array_equal(prof.log_weight, want)
 
+    @pytest.mark.parametrize("label", [RegionLabel.RegionA, RegionLabel.RegionD,
+                                       RegionLabel.CuspInterior, RegionLabel.InnerPiece1])
+    def test_axis_bands_match_the_zeros_array_expressions(self, label):
+        # a band from the axis carries lo_r as the scalar 0; its radii, tilt
+        # frame and tilted weights are those of an array of zeros bit for bit
+        params = CuspParams(5, 1.5)
+        draw = geometry.draw_scale(params, label, Shell(7), 300,
+                                   geometry.derive_rng(2, 7, label))
+        assert isinstance(draw.lo_r, float) and draw.lo_r == 0.0
+        zeros, hi, u = np.zeros(draw.count), draw.hi_r, draw.u2
+        assert np.array_equal(draw.profile(0.0).r, _plain_power_icdf(zeros, hi, 3.0, u))
+        cap, log_lo, log_hi, log_z_r = draw._tilt_frame
+        with np.errstate(divide="ignore"):
+            log_zeros = np.log(zeros)
+        assert cap == 3.99 and log_lo == -np.inf and np.array_equal(log_hi, np.log(hi))
+        assert np.array_equal(log_z_r, _plain_log_power_norm(log_zeros, log_hi, 3.0))
+        for tilt in (1.5, np.array([[-2.0], [0.5], [3.0], [1e6]])):
+            prof = draw.profile(tilt)
+            tilt = np.minimum(tilt, cap)
+            r = _plain_power_icdf(zeros, hi, 3.0 - tilt, u)
+            want = tilt * np.log(r) + (
+                _plain_log_power_norm(log_zeros, log_hi, 3.0 - tilt) - log_z_r)
+            assert np.array_equal(prof.r, r)
+            assert np.array_equal(prof.log_weight, want)
+
+    def test_scalar_low_with_a_column_of_exponents(self):
+        _, _, hi, u = self._band()
+        m = np.array([[-0.5], [0.0], [0.5], [1.0], [7.0]])
+        assert np.array_equal(geometry._power_icdf(0.0, hi, m, u),
+                              _plain_power_icdf(np.zeros_like(hi), hi, m, u))
+
     @pytest.mark.parametrize("m1,m2", [(1, 1), (3, 5), (4, 4), (7, 2)])
     def test_strata_are_two_consecutive_draws(self, m1, m2):
         got = geometry._strata(m1, m2, np.random.default_rng(17))
@@ -360,6 +494,9 @@ class TestSamplerKernels:
         ref.random((m1, m2))
         ref.random((m1, m2))
         assert rng.random() == ref.random()
+        # the offsets are made once per grid shape and cannot be written
+        assert geometry._strata_offsets(m1, m2) is geometry._strata_offsets(m1, m2)
+        assert not geometry._strata_offsets(m1, m2)[0].flags.writeable
 
     def test_scale_draw_keeps_u2_off_the_band_edges(self, params):
         draw = geometry.draw_scale(params, RegionLabel.RegionA, Shell(3), 12,

@@ -436,11 +436,12 @@ class TestJetAlgebraKernel:
                                        RegionLabel.RegionE, RegionLabel.InnerPiece1,
                                        RegionLabel.InnerPiece2, RegionLabel.InnerPiece3])
     def test_piece_jets_match_plain_expressions(self, label):
-        # region E's sweep applies a column of tilts, one row of radii each
+        # region E's sweep applies a column of tilts, one row of radii each;
+        # every piece takes such a column, P2 too, whose phi is t itself
         params = CuspParams(5, 3.0)
         piece = piece_of_region(label)
         draw = draw_scale(params, label, Shell(6), 256, derive_rng(3, 6, label))
-        tilts = [0.0, 3.9] + ([np.array([[-0.7], [2.9]])] if piece == "E" else [])
+        tilts = [0.0, 3.9, np.array([[-0.7], [2.9]])]
         for tilt in tilts:
             prof = draw.profile(tilt)
             T, T_t, T_r, phi, phi_t, phi_r = refl.piece_profile(piece, params, prof.t, prof.r)

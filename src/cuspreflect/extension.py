@@ -13,7 +13,9 @@ under the salt "extval" and the L^p and seminorm terms of u on the cusp
 window under "lp".  The integrands take the `ProfileSample` and return
 logs: they read u in its log form `log_jet_t` and the chart's T-row
 (`reflections.piece_T_row`) alone, so the radius is drawn only where T
-depends on it; regions sum in logs.
+depends on it; regions sum in logs.  A T-row's constant entries are
+floats, and every collar region has T_t = 0 or T_r = 0, so log|grad T| is
+the scalar 0.0 on A to D and one log of T_r on E, never a hypot.
 
 The Lipschitz cutoff psi (1 on the closed domain, 0 off the R1 collar of the
 region table) turns the extension into the global cutoff product psi E(u).
@@ -401,7 +403,7 @@ def _region_terms(
     """Shell sums of the (value, gradient) L^q masses of u o R over a collar
     region, both from one draw per shell under the salt "extval": u depends
     on t alone, so u o R = u(T) has gradient norm |u'(T)| |(T_t, T_r)|, whose
-    log sums log|u'(T)| and log hypot(T_t, T_r).  Terms of equal radial tilt
+    log sums log|u'(T)| and `_log_grad_T`.  Terms of equal radial tilt
     read one profile and one T-row."""
     piece = piece_of_region(region)
     s = params.s
@@ -420,14 +422,16 @@ def _region_terms(
         def integrand(prof):
             T, T_t, T_r = reflections.piece_T_row(piece, params, prof.t, lambda: prof.r)
             log_u, log_du = u.log_jet_t(T)
-            rows = []
+            out = np.empty((value + grad, *np.shape(T)))
             if value:
-                rows.append(q * log_u)
+                np.multiply(q, log_u, out=out[0])
             if grad:
-                # hypot(T_t, 0) = |T_t|: A, C and D never call hypot
-                grad_T = np.hypot(T_t, T_r, out=np.abs(T_t), where=T_r != 0.0)
-                rows.append(q * (log_du + np.log(grad_T)))
-            return np.stack(rows)
+                row = out[int(value)]
+                log_grad_T = _log_grad_T(T_t, T_r)
+                if not reflections._is_zero(log_grad_T):
+                    log_du = np.add(log_du, log_grad_T, out=row)
+                np.multiply(q, log_du, out=row)
+            return out
 
         return integrand
 
@@ -438,6 +442,16 @@ def _region_terms(
     value_sum, grad_sum = sobolev.function_shells(params, region, shells, terms, samples, seed,
                                                   "extval")
     return value_sum, grad_sum
+
+
+def _log_grad_T(T_t, T_r):
+    """log|(T_t, T_r)|.  Where one entry is a scalar zero it is the log of the
+    other's modulus, hypot(0, y) = |y|: the scalar 0.0 for the constant +-1
+    of A, B, C and D, one log of region E's T_r; `np.hypot` runs only where
+    neither entry is a scalar zero, which no collar region has."""
+    if reflections._is_zero(T_t) or reflections._is_zero(T_r):
+        return np.log(np.abs(T_r if reflections._is_zero(T_t) else T_t))
+    return np.log(np.hypot(T_t, T_r))
 
 
 def _window_terms(
@@ -453,7 +467,10 @@ def _window_terms(
 
     def integrand(prof):
         log_u, log_du = u.log_jet_t(prof.t)
-        return np.stack([p * log_u, p * log_du])
+        out = np.empty((2, *np.shape(log_u)))
+        np.multiply(p, log_u, out=out[0])
+        np.multiply(p, log_du, out=out[1])
+        return out
 
     lp, semi = sobolev.function_shells(params, RegionLabel.CuspInterior, shells,
                                        [(integrand, 0.0)], samples, seed, "lp")

@@ -430,7 +430,17 @@ def log_shell_measures(params: CuspParams, label: RegionLabel, shells) -> np.nda
     """log of the exact Lebesgue volume of the region with its scale
     variable in each dyadic `Shell` or scale interval (lo, hi) of `shells`,
     from the closed-form slices; (0, 1/2) gives the volume the shells cover,
-    and a shell that misses the region's scale range -inf.
+    and a shell that misses the region's scale range -inf.  See
+    `_log_shell_masses`, whose first row it is.
+    """
+    return _log_shell_masses(params, label, shells)[0]
+
+
+def _log_shell_masses(params: CuspParams, label: RegionLabel, shells):
+    """(log measures, log proposal masses) of the shells: the measures of
+    `log_shell_measures`, and on region C the log of the integral of
+    xi^(n-1) over each shell's scale interval, the mass of its draw's
+    proposal over the unit-ball volume (None on every other label).
 
     Cross sections are (n-1)-balls or annuli: the cusp slice at height t has
     radius t^s, a cone slice radius |t|; region B integrates |x| with the
@@ -443,11 +453,12 @@ def log_shell_measures(params: CuspParams, label: RegionLabel, shells) -> np.nda
     n, s = params.n, params.s
     q = _QUAD[label]
     out = np.full(len(shells), -math.inf)
+    proposal = out.copy() if q.kind == "cwedge" else None
     bounds = [_shell_scale_interval(label, *((sh.lo, sh.hi) if isinstance(sh, Shell) else sh))
               for sh in shells]
     live = [i for i, (a, b) in enumerate(bounds) if a < b]
     if not live:
-        return out
+        return out, proposal
     a, b = zip(*(bounds[i] for i in live))
     log_a = np.array([math.log(x) if x > 0.0 else -math.inf for x in a])
     log_b = np.array([math.log(x) for x in b])
@@ -456,23 +467,24 @@ def log_shell_measures(params: CuspParams, label: RegionLabel, shells) -> np.nda
         # slab: t-range 2*xi at radius xi; area weight (n-1)*cn*xi^(n-2)
         head = math.log(2.0 * (n - 1)) + log_cn if q.kind == "slab" else log_cn
         out[live] = head + _log_power_norm(log_a, log_b, n - 1.0)
-        return out
+        return out, proposal
     if q.kind == "band":
         # annulus [c_lo*xi^s, c_hi*xi^s]
         frac = q.c_hi ** (n - 1) - q.c_lo ** (n - 1)
         out[live] = log_cn + math.log(frac) + _log_power_norm(log_a, log_b, s * (n - 1))
-        return out
+        return out, proposal
     # C: cone slices less the cusp's; E: two annuli, each a disk of radius
     # (1/2)^s less the cusp's
     if q.kind == "cwedge":
         whole, cusp = _log_power_norm(log_a, log_b, np.array([[n - 1.0], [s * (n - 1)]]))
+        proposal[live] = whole
     else:
         cusp = _log_power_norm(log_a, log_b, s * (n - 1))
         log_cn += math.log(2.0)
         whole = np.array([s * (n - 1) * math.log(0.5) + math.log(y - x) for x, y in zip(a, b)])
     out[live] = [log_cn + w + math.log(-math.expm1(c - w))
                  for w, c in zip(whole.tolist(), cusp.tolist())]
-    return out
+    return out, proposal
 
 
 def log_shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
@@ -549,11 +561,9 @@ def _log_power_norm(log_lo, log_hi, m):
     # for p > 0, and lo^p (1 - (lo/hi)^-p)/(-p) for p < 0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(p > 0.0, log_hi, log_lo) * p
-        # log(-expm1(-|p| span)) in the buffer of -|p| span; the scalars of
-        # region C's proposal mass stay scalars
-        tail = -np.abs(p) * span
-        into = (tail,) if isinstance(tail, np.ndarray) else ()
-        out += np.log(np.negative(np.expm1(tail, *into), *into), *into)
+        # log(-expm1(-|p| span)) in the buffer of -|p| span
+        tail = np.asarray(-np.abs(p) * span)
+        out += np.log(np.negative(np.expm1(tail, tail), tail), tail)
         out -= np.log(np.abs(p))
         return out if log is None else np.where(log, np.log(span), out)
 
@@ -711,6 +721,7 @@ def draw_scale(
     stratify: bool = True,
     *,
     log_measure: float | None = None,
+    log_proposal: float | None = None,
 ) -> ScaleDraw:
     """Draw everything of `sample_profile` but the radius.
 
@@ -720,8 +731,9 @@ def draw_scale(
     The radial band and its variate's squeeze are formed on the first read
     of the radius (see `ScaleDraw`); the stream is drawn here all the same.
     Stratification is a jittered 2-D grid, so the effective count is the
-    enclosing m1*m2 grid size.  `log_measure` is the shell's
-    `log_shell_measure`, for callers that made every shell's at once.
+    enclosing m1*m2 grid size.  `log_measure` and, on region C,
+    `log_proposal` are the shell's entries of `_log_shell_masses`, for
+    callers that made every shell's at once.
     """
     _require_sampleable(label)
     n, s = params.n, params.s
@@ -729,8 +741,12 @@ def draw_scale(
     if b <= a:
         raise EmptyRegionError(f"shell {shell.k} misses the scale range of {label.value}")
     q = _QUAD[label]
-    if log_measure is None:
-        log_measure = log_shell_measure(params, label, shell)
+    if log_measure is None or (log_proposal is None and q.kind == "cwedge"):
+        measures, proposals = _log_shell_masses(params, label, [shell])
+        if log_measure is None:
+            log_measure = float(measures[0])
+        if log_proposal is None and proposals is not None:
+            log_proposal = float(proposals[0])
     log_cn = math.log(unit_ball_volume(n - 1))
 
     if stratify:
@@ -762,8 +778,7 @@ def draw_scale(
         # proposal ~ xi^(n-1), of total mass cn zp; true density ~ xi^(n-1)
         # - xi^(s(n-1)), of total mass the measure
         xi = _power_icdf(a, b, n - 1.0, u1)
-        log_zp = float(_log_power_norm(math.log(a), math.log(b), n - 1.0))
-        log_w = np.log1p(-xi ** ((s - 1.0) * (n - 1.0))) + (log_cn + log_zp - log_measure)
+        log_w = np.log1p(-xi ** ((s - 1.0) * (n - 1.0))) + (log_cn + log_proposal - log_measure)
         t = xi
         band = lambda: (xi**s, xi)
     else:  # 'ering'
@@ -788,6 +803,7 @@ def sample_profile(
     stratify: bool = True,
     *,
     log_measure: float | None = None,
+    log_proposal: float | None = None,
 ) -> ProfileSample:
     """Draw weighted (t, r) quadrature samples from region /\\ shell.
 
@@ -796,8 +812,8 @@ def sample_profile(
     ~ r^(n-2-tilt), compensated by weights, which kills the variance of
     integrands with a known radial power singularity (region E).
     """
-    return draw_scale(params, label, shell, count, rng, stratify,
-                      log_measure=log_measure).profile(radial_tilt)
+    return draw_scale(params, label, shell, count, rng, stratify, log_measure=log_measure,
+                      log_proposal=log_proposal).profile(radial_tilt)
 
 
 def random_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -80,7 +80,10 @@ from .geometry import (
 # phi-row (phi, phi_t, phi_r).  A T-row takes the radius as a zero-argument
 # function and calls it only where T depends on r (B, E, P2), so a caller
 # that reads the T-row alone never needs r elsewhere.  A phi-row also gets
-# the T-row's T, which E's phi-row reads.
+# the T-row's T, which E's phi-row reads.  T and phi are arrays; a
+# derivative entry that is constant on its piece (the 0 and +-1 of the
+# affine heights T = -t, t, r, E's T_t, D's phi_t and phi_r, P2's phi-row)
+# is a Python float, which the consumers broadcast and whose zeros they skip.
 # ---------------------------------------------------------------------------
 
 def _over(g, x):
@@ -91,14 +94,12 @@ def _over(g, x):
 
 def _T_reflected(params: CuspParams, t, _):
     """T = -t: the T-row of A, D and P1."""
-    one = np.ones_like(t)
-    return -t, -one, 0.0 * one
+    return -t, -1.0, 0.0
 
 
 def _t_itself(params: CuspParams, t, *_):
     """(t, 1, 0): the T-row of C and P3 and the phi-row of P2."""
-    one = np.ones_like(t)
-    return t, one, 0.0 * one
+    return t, 1.0, 0.0
 
 
 def _phi_A(params: CuspParams, t, r, _):
@@ -112,8 +113,7 @@ def _phi_A(params: CuspParams, t, r, _):
 
 
 def _T_B(params: CuspParams, t, radius):
-    r = radius()
-    return r, np.zeros_like(r), np.ones_like(r)
+    return radius(), 0.0, 1.0
 
 
 def _phi_B(params: CuspParams, t, r, _):
@@ -141,20 +141,18 @@ def _phi_C(params: CuspParams, t, r, _):
     lam, mu, lam_p, mu_p = _lam_mu(params.s, t)
     phi = lam * r + mu
     phi_t = lam_p * r + mu_p
-    phi_r = lam + 0.0 * np.ones_like(t)
-    return phi, phi_t, phi_r
+    return phi, phi_t, lam
 
 
 def _phi_D(params: CuspParams, t, r, _):
-    one = np.ones_like(t)
-    return r / 2.0 + 0.0 * one, 0.0 * one, 0.5 * one
+    return r / 2.0, 0.0, 0.5
 
 
 def _T_E(params: CuspParams, t, radius):
     s = params.s
     r = radius()
     T = r ** (1.0 / s)
-    return T, np.zeros_like(r), T / (s * r)
+    return T, 0.0, T / (s * r)
 
 
 def _phi_E(params: CuspParams, t, r, T):
@@ -174,8 +172,7 @@ def _phi_P1(params: CuspParams, t, r, _):
     g = t ** (1.0 - s)
     phi = 6.0 * r * g
     phi_t = 6.0 * (1.0 - s) * r * (g / t)
-    phi_r = 6.0 * g + 0.0 * np.ones_like(t)
-    return phi, phi_t, phi_r
+    return phi, phi_t, 6.0 * g
 
 
 def _T_P2(params: CuspParams, t, radius):
@@ -184,8 +181,7 @@ def _T_P2(params: CuspParams, t, radius):
     g = t ** (1.0 - s)
     T = 12.0 * r * g - 3.0 * t
     T_t = 12.0 * (1.0 - s) * r * (g / t) - 3.0
-    T_r = 12.0 * g + 0.0 * np.ones_like(t)
-    return T, T_t, T_r
+    return T, T_t, 12.0 * g
 
 
 def _phi_P3(params: CuspParams, t, r, _):
@@ -197,8 +193,7 @@ def _phi_P3(params: CuspParams, t, r, _):
     b_p = (3.0 - s / g) / 2.0
     phi = a * r + b
     phi_t = a_p * r + b_p
-    phi_r = a + 0.0 * np.ones_like(t)
-    return phi, phi_t, phi_r
+    return phi, phi_t, a
 
 
 # Each piece's (T-row, phi-row).
@@ -217,17 +212,29 @@ _ROWS = {
 def piece_T_row(piece: str, params: CuspParams, t, radius):
     """(T, T_t, T_r) for a piece at heights t; `radius` is a zero-argument
     function giving the radii r, called only on the pieces whose T depends
-    on r (B, E, P2)."""
+    on r (B, E, P2).  T is an array; T_t and T_r broadcast against it, and
+    an entry constant on the piece is a Python float (T_t = -1.0 and
+    T_r = 0.0 on A, D and P1; 1.0 and 0.0 on C and P3; 0.0 and 1.0 on B;
+    T_t = 0.0 on E)."""
     return _ROWS[piece][0](params, np.asarray(t, dtype=float), radius)
 
 
 def piece_profile(piece: str, params: CuspParams, t, r):
     """(T, T_t, T_r, phi, phi_t, phi_r) for a piece on arrays (t, r): its
-    T-row and its phi-row."""
+    T-row and its phi-row.  T and phi are arrays; the derivative entries
+    broadcast against them, and an entry constant on the piece is a Python
+    float (see `piece_T_row`; phi_t = 0.0 and phi_r = 0.5 on D, and P2's
+    phi-row is (t, 1.0, 0.0))."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     T_row = piece_T_row(piece, params, t, lambda: r)
     return (*T_row, *_ROWS[piece][1](params, t, r, T_row[0]))
+
+
+def _is_zero(x) -> bool:
+    """Whether a profile entry is a scalar zero: a float or numpy scalar 0,
+    such as a piece's constant 0.0 (an array, even a 0-d one, is not)."""
+    return not isinstance(x, np.ndarray) and x == 0.0
 
 
 def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r, log: bool = False):
@@ -245,22 +252,37 @@ def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r, log: bool = False):
     sign: det2x2 * (phi/r)^(n-2); its log form log|det2x2| + (n-2) log|phi/r|
     stays finite where the product under- or overflows.
 
-    Every intermediate is written into a buffer made here, shaped like phi
-    and r broadcast together (so 0-d input works too, and so does P2, whose
-    phi is t itself, on a column of radii), by the ufuncs of the plain
-    expressions in their order, so the results are theirs bit for bit.
+    An entry that is a scalar zero (a piece's constant 0.0) saves work: where
+    a or d is zero, h+ and h- share the square of their first components,
+    (0 +- x)^2 = x^2; where b or c is zero, of their second; and det2x2
+    drops a product with a zero factor, 0 x - y = -y.  For finite entries
+    the results are the plain expressions' (up to the sign of a zero
+    det2x2); where a dropped product would be 0 * inf (phi_r infinite
+    beside T_t = 0, or phi_t beside T_r = 0), det2x2 is the other product
+    where the plain expression is nan.
+
+    Every intermediate is written into a buffer made here, shaped like the
+    six inputs broadcast together (so 0-d input works too and gives numpy
+    scalars, and so does P2, whose phi is t itself, on a column of radii),
+    by the ufuncs of the plain expressions in their order, so the results
+    are theirs bit for bit.
     """
-    shape = np.broadcast(phi, r).shape
+    shape = np.broadcast(r, T_t, T_r, phi, phi_t, phi_r).shape
     tang = np.empty(shape)
     np.copyto(tang, phi_r)
     np.divide(phi, r, out=tang, where=r > 0.0)
     abs_tang = np.abs(tang, out=np.empty(shape))
-    det2 = np.multiply(T_t, phi_r, out=np.empty(shape))
-    det2 -= T_r * phi_t
-    opnorm = _norm2(np.add(T_t, phi_r, out=np.empty(shape)),
-                    np.subtract(T_r, phi_t, out=np.empty(shape)))
-    opnorm += _norm2(np.subtract(T_t, phi_r, out=np.empty(shape)),
-                     np.add(T_r, phi_t, out=np.empty(shape)))
+    det2 = _det2(T_t, phi_r, T_r, phi_t, shape)
+    # h+^2 = x0 + y0 and h-^2 = x1 + y1 with x = ((a+d)^2, (a-d)^2) and
+    # y = ((b-c)^2, (b+c)^2), summed in the buffers of an unshared pair if
+    # there is one; where both pairs are shared, h+ = h-
+    x, y = _square_pair(T_t, phi_r, shape), _square_pair(T_r, phi_t, shape)[::-1]
+    if x[0] is x[1]:
+        x, y = y, x
+    h_plus = np.add(x[0], y[0], out=x[0])
+    h_minus = h_plus if x[1] is x[0] else np.add(x[1], y[1], out=x[1])
+    opnorm = np.sqrt(h_plus, out=h_plus)
+    opnorm += opnorm if h_minus is h_plus else np.sqrt(h_minus, out=h_minus)
     opnorm *= 0.5
     np.maximum(opnorm, abs_tang, out=opnorm)
     if not log:
@@ -274,12 +296,32 @@ def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r, log: bool = False):
     return tang, opnorm[()], det2[()]
 
 
-def _norm2(x, y):
-    """|(x, y)| = sqrt(x^2 + y^2) of two buffers the caller owns, squared,
-    summed and rooted in x's buffer."""
-    np.square(x, out=x)
-    x += np.square(y, out=y)
-    return np.sqrt(x, out=x)
+def _square_pair(x, y, shape):
+    """((x + y)^2, (x - y)^2), each in a new buffer of `shape`; where x or y
+    is a scalar zero, both are one buffer holding the other's square."""
+    if _is_zero(x) or _is_zero(y):
+        shared = np.square(y if _is_zero(x) else x, out=np.empty(shape))
+        return shared, shared
+    plus = np.add(x, y, out=np.empty(shape))
+    minus = np.subtract(x, y, out=np.empty(shape))
+    return np.square(plus, out=plus), np.square(minus, out=minus)
+
+
+def _det2(a, d, b, c, shape):
+    """a d - b c in a new buffer of `shape`, leaving out a product with a
+    scalar zero factor."""
+    ad = not (_is_zero(a) or _is_zero(d))
+    bc = not (_is_zero(b) or _is_zero(c))
+    det2 = np.empty(shape)
+    if ad:
+        np.multiply(a, d, out=det2)
+        if bc:
+            det2 -= b * c
+    elif bc:
+        np.negative(np.multiply(b, c, out=det2), out=det2)
+    else:
+        det2.fill(0.0)
+    return det2
 
 
 def profile_jet(piece: str, params: CuspParams, t, r):
@@ -347,11 +389,14 @@ def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, profile: bool 
     (without `profile`, the gap rows alone); nan off the chart."""
     out = np.full((6 * profile + 2 * gaps, idx.size), np.nan)
     for i, label in enumerate(chart_regions(chart)):
-        m = idx == i
-        if m.any():
+        m = np.flatnonzero(idx == i)
+        if m.size:
             piece, tm, rm = piece_of_region(label), t[m], r[m]
-            out[:, m] = ((piece_profile(piece, params, tm, rm) if profile else ())
-                         + (piece_gaps(piece, params, tm, rm) if gaps else ()))
+            rows = ((piece_profile(piece, params, tm, rm) if profile else ())
+                    + (piece_gaps(piece, params, tm, rm) if gaps else ()))
+            # row by row: a piece's constant entries are floats
+            for j, row in enumerate(rows):
+                out[j, m] = row
     return out
 
 

@@ -29,12 +29,12 @@ share one profile, which each integrand reads as a `ProfileSample`.  A draw
 forms its radial band on the first read of r, so an untilted integrand of t
 alone neither forms the band nor draws the radius.  What is the same for
 every shell of a region is done once per region: both paths make the log
-measures of all its shells in one `geometry.log_shell_measures` pass and
-hand each shell its own.  Shells span hundreds of binary orders, so both
-paths work in logs from the measure to the verdict: log measures and
-weights, integrands that return logs, one reduce `_log_shell` with one nan
-rule (NonFiniteIntegrandError), and `ShellSum`s of log contributions, whose
-log ratios the verdict reads.
+measures of all its shells (and region C's proposal masses) in one
+`geometry._log_shell_masses` pass and hand each shell its own.  Shells span
+hundreds of binary orders, so both paths work in logs from the measure to
+the verdict: log measures and weights, integrands that return logs, one
+reduce `_log_shell` with one nan rule (NonFiniteIntegrandError), and
+`ShellSum`s of log contributions, whose log ratios the verdict reads.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ from .geometry import (
     CuspParams,
     RegionLabel,
     Shell,
+    _log_shell_masses,
     chart_of_region,
     check_scheme,
     derive_rng,
     draw_scale,
-    log_shell_measures,
     piece_of_region,
     sample_profile,
 )
@@ -250,6 +250,7 @@ def shell_estimate(
     samples: int,
     rng_seed_parts: tuple,
     log_measure: float | None = None,
+    log_proposal: float | None = None,
 ) -> list[float]:
     """Stratified log estimates of the terms of one shell integral, all from
     one draw of the substream (seed, k, region, salt) of `rng_seed_parts` =
@@ -265,14 +266,16 @@ def shell_estimate(
     slab) is not added.  The result lists the `_log_shell` of each row, in
     term order: a nan raises NonFiniteIntegrandError, while inf values are
     kept, since genuinely divergent exponents overflow by design.
-    `log_measure` is the shell's `log_shell_measure`, which
-    `function_shells` makes for all its shells at once.
+    `log_measure` and `log_proposal` are the shell's entries of
+    `geometry._log_shell_masses`, which `function_shells` makes for all its
+    shells at once.
     """
     seed, k, salt = rng_seed_parts
     rng = derive_rng(seed, k, region, salt=salt)
     estimates = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        draw = draw_scale(params, region, shell, samples, rng, log_measure=log_measure)
+        draw = draw_scale(params, region, shell, samples, rng, log_measure=log_measure,
+                          log_proposal=log_proposal)
         profiles = {}
         for integrand, tilt in terms:
             if tilt not in profiles:
@@ -315,6 +318,14 @@ def _log_shell(log_measure: float, L: np.ndarray, region: RegionLabel, shell: Sh
     return log_measure + shift + np.log(np.exp(L, out=L).sum(axis=1) / L.shape[1])
 
 
+def _shell_masses(params: CuspParams, region: RegionLabel, shells) -> list[tuple]:
+    """(log measure, log proposal mass or None) of each shell, from one
+    `geometry._log_shell_masses` pass."""
+    measures, proposals = _log_shell_masses(params, region, shells)
+    return list(zip(measures.tolist(),
+                    [None] * len(shells) if proposals is None else proposals.tolist()))
+
+
 def distortion_sweep(
     params: CuspParams,
     chart: ChartId,
@@ -329,7 +340,8 @@ def distortion_sweep(
     (p, q) cell, in cell order.
 
     Each shell is drawn once from the substream (seed, k, region, "dist"),
-    with its log measure from one `log_shell_measures` pass over the shells.
+    with its log measure (and on region C its proposal mass) from one
+    `geometry._log_shell_masses` pass over the shells.
     The integrand is reduced in log space: a block of cells forms
     L = log w + P log opnorm - Q log|det| by broadcasting its exponent
     columns (P, Q) against the shared log jet, and each cell's log shell is
@@ -357,16 +369,16 @@ def distortion_sweep(
     tilted = region is RegionLabel.RegionE
 
     log_shells = np.empty((len(cells), len(shells)))
-    log_measures = log_shell_measures(params, region, shells).tolist()
+    masses = _shell_masses(params, region, shells)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for j, (sh, log_measure) in enumerate(zip(shells, log_measures)):
+        for j, (sh, (log_measure, log_proposal)) in enumerate(zip(shells, masses)):
             rng = derive_rng(seed, sh.k, region, salt="dist")
             if tilted:
                 draw = draw_scale(params, region, sh, samples_per_shell, rng,
-                                  log_measure=log_measure)
+                                  log_measure=log_measure, log_proposal=log_proposal)
             else:
                 draw = sample_profile(params, region, sh, samples_per_shell, rng,
-                                      log_measure=log_measure)
+                                      log_measure=log_measure, log_proposal=log_proposal)
                 log_w = draw.log_weight
                 log_op, log_det = reflections.profile_log_jet(piece, params, draw.t, draw.r)
             rows = max(1, BLOCK_VALUES // draw.count)
@@ -417,13 +429,12 @@ def function_shells(
     substream (seed, k, region, salt), for all the terms.
 
     What does not change from shell to shell is done once per region: the
-    log measures of all shells are one `log_shell_measures` pass, handed to
-    each shell's estimate.  Within a shell, a radial band is formed only
-    when an integrand reads r."""
-    log_measures = log_shell_measures(params, region, shells).tolist()
+    log measures of all shells (and region C's proposal masses) are one
+    `geometry._log_shell_masses` pass, handed to each shell's estimate.
+    Within a shell, a radial band is formed only when an integrand reads r."""
     values = [shell_estimate(params, region, sh, terms, samples_per_shell, (seed, sh.k, salt),
-                             log_measure)
-              for sh, log_measure in zip(shells, log_measures)]
+                             *masses)
+              for sh, masses in zip(shells, _shell_masses(params, region, shells))]
     ks = [sh.k for sh in shells]
     return [ShellSum(ks, column) for column in zip(*values)]
 

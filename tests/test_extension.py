@@ -478,6 +478,37 @@ class TestNormReadsOnlyTheTRow:
         formed = {region for region, draw in draws if "_band" in vars(draw)}
         assert formed == ({RegionLabel.RegionE} if scheme == "R2" else set())
 
+    @pytest.mark.parametrize("u,p,q", [(PowerAlpha(1.4), 2.0, 1.1), (ClampT(), 3.0, 2.0)],
+                             ids=["power", "clampt"])
+    @pytest.mark.parametrize("scheme", ["R1", "R2"])
+    def test_no_collar_region_calls_hypot(self, monkeypatch, params, scheme, u, p, q):
+        # every collar T-row has a constant zero entry, so |grad T| is the
+        # other entry's modulus
+        calls = []
+        hypot = np.hypot
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return hypot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "hypot", spy)
+        spec = ExtensionSpec(scheme, Direction.FromInside)
+        extension_norm_experiment(params, spec, u, p, q, shells(5, 12), 64, 3)
+        assert calls == []
+        extension._log_grad_T(np.ones(3), np.ones(3))  # the spy sees an array pair
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("label", list(geometry.COLLAR_REGIONS))
+    def test_log_grad_T_matches_log_hypot(self, params, label):
+        piece = geometry.piece_of_region(label)
+        prof = sample_profile(params, label, Shell(6), 256, derive_rng(2, 6, label))
+        _, T_t, T_r = reflections.piece_T_row(piece, params, prof.t, lambda: prof.r)
+        shape = prof.t.shape
+        want = np.log(np.hypot(np.broadcast_to(T_t, shape), np.broadcast_to(T_r, shape)))
+        got = extension._log_grad_T(T_t, T_r)
+        assert np.array_equal(np.broadcast_to(got, shape), want)
+        assert np.ndim(got) == (label is RegionLabel.RegionE)
+
 
 def _plant_nan(monkeypatch, piece):
     """Make `piece_T_row` return a nan in the first T_t of the piece, so
@@ -487,7 +518,7 @@ def _plant_nan(monkeypatch, piece):
     def planted(name, prm, t, radius):
         T, T_t, T_r = row(name, prm, t, radius)
         if name == piece:
-            T_t = T_t.copy()
+            T_t = np.full(np.shape(T), T_t)
             T_t.flat[0] = np.nan
         return T, T_t, T_r
 

@@ -240,6 +240,37 @@ class TestLogShellMeasures:
         with pytest.raises(ValueError):
             geometry.log_shell_measures(params, RegionLabel.Origin, [Shell(1)])
 
+    @pytest.mark.parametrize("n,s", [(3, 2.0), (4, 1.5), (5, 3.0), (6, 4.0)])
+    def test_region_c_proposal_mass_bit_for_bit(self, n, s):
+        # the proposal mass of region C's draw, log of the integral of
+        # xi^(n-1) over the shell, against the scalar call it replaces
+        params = CuspParams(n, s)
+        shl = [Shell(k) for k in range(1, 251)] + [(0.1, 0.3), (0.2, 0.2)]
+        measures, proposals = geometry._log_shell_masses(params, RegionLabel.RegionC, shl)
+        assert measures.tolist() == geometry.log_shell_measures(params, RegionLabel.RegionC,
+                                                                shl).tolist()
+        want = []
+        for sh in shl[:-1]:
+            a, b = geometry._shell_scale_interval(RegionLabel.RegionC,
+                                                  *((sh.lo, sh.hi) if isinstance(sh, Shell)
+                                                    else sh))
+            want.append(float(geometry._log_power_norm(math.log(a), math.log(b), n - 1.0)))
+        assert proposals.tolist() == want + [-math.inf]
+        for label in geometry.SAMPLEABLE:
+            if label is not RegionLabel.RegionC:
+                assert geometry._log_shell_masses(params, label, shl)[1] is None
+
+    def test_handed_proposal_mass_gives_the_same_draw(self, params, monkeypatch):
+        label = RegionLabel.RegionC
+        measures, proposals = geometry._log_shell_masses(params, label, [Shell(4)])
+        own = geometry.draw_scale(params, label, Shell(4), 64, np.random.default_rng(4))
+        # a draw handed its measure and proposal mass makes no power integral
+        monkeypatch.setattr(geometry, "_log_power_norm", None)
+        handed = geometry.draw_scale(params, label, Shell(4), 64, np.random.default_rng(4),
+                                     log_measure=measures[0], log_proposal=proposals[0])
+        assert np.array_equal(handed.log_weight, own.log_weight)
+        assert handed.log_measure == own.log_measure
+
 
 class TestSampler:
     def test_containment_region_a(self, params):

@@ -368,6 +368,7 @@ def test_pieces_match_textbook_powers(n, s):
                 t, r, ref = t[normal], r[normal], [row[normal] for row in ref]
                 new = refl.piece_profile(piece, params, t, r)
                 for got, want in zip(new, ref):
+                    got = np.broadcast_to(got, want.shape)
                     assert np.isfinite(got[np.isfinite(want)]).all(), (piece, k)
                     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0,
                                                err_msg=f"{piece} k={k}")
@@ -456,6 +457,98 @@ class TestJetAlgebraKernel:
 PIECE_POINTS = {"A": (-0.2, 0.1), "B": (0.1, 0.2), "C": (0.3, 0.2), "D": (-0.2, 0.01),
                 "E": (0.1, 0.2), "P1": (0.3, 0.001), "P2": (0.3, 0.02), "P3": (0.3, 0.05)}
 
+# The entries of (T, T_t, T_r, phi, phi_t, phi_r) that are constant on each
+# piece, by index.
+CONSTANT_ENTRIES = {"A": {1: -1.0, 2: 0.0}, "B": {1: 0.0, 2: 1.0}, "C": {1: 1.0, 2: 0.0},
+                    "D": {1: -1.0, 2: 0.0, 4: 0.0, 5: 0.5}, "E": {1: 0.0},
+                    "P1": {1: -1.0, 2: 0.0}, "P2": {4: 1.0, 5: 0.0}, "P3": {1: 1.0, 2: 0.0}}
+
+
+def _same_bits(got, want):
+    """Equal values, nan where nan, and equal signs of zeros."""
+    return all(np.array_equal(a, b, equal_nan=True)
+               and np.array_equal(np.signbit(a), np.signbit(b)) for a, b in zip(got, want))
+
+
+class TestConstantEntries:
+    @pytest.mark.parametrize("piece", sorted(PIECE_POINTS))
+    def test_constant_entries_are_floats(self, piece):
+        # a constant entry made as an array (ones_like, zeros_like) fails
+        params = CuspParams(3, 2.0)
+        t, r = (np.full(5, x) for x in PIECE_POINTS[piece])
+        row = refl.piece_profile(piece, params, t, r)
+        T_row = refl.piece_T_row(piece, params, t, lambda: r)
+        constants = CONSTANT_ENTRIES[piece]
+        for i, entry in enumerate(row):
+            if i in constants:
+                assert type(entry) is float and entry == constants[i], (piece, i)
+                if i < 3:
+                    assert type(T_row[i]) is float and T_row[i] == constants[i]
+            else:
+                assert isinstance(entry, np.ndarray) and entry.shape == (5,), (piece, i)
+
+    @pytest.mark.parametrize("label", [RegionLabel.RegionA, RegionLabel.RegionB,
+                                       RegionLabel.RegionC, RegionLabel.RegionD,
+                                       RegionLabel.RegionE, RegionLabel.InnerPiece1,
+                                       RegionLabel.InnerPiece2, RegionLabel.InnerPiece3])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_jets_match_full_array_expressions(self, label, log):
+        # the float entries against the plain expressions on full arrays of
+        # the same values, on a row of radii and on a column of them
+        params = CuspParams(5, 3.0)
+        piece = piece_of_region(label)
+        draw = draw_scale(params, label, Shell(6), 256, derive_rng(3, 6, label))
+        for tilt in (0.0, np.array([[-0.7], [2.9]])):
+            prof = draw.profile(tilt)
+            r = prof.r
+            _, *entries = refl.piece_profile(piece, params, prof.t, r)
+            shape = np.broadcast(r, *entries).shape
+            full = [np.array(np.broadcast_to(x, shape)) for x in entries]
+            assert _same_bits(refl._jet_algebra(5, r, *entries, log),
+                              _plain_jet_algebra(5, r, *full, log))
+
+    @pytest.mark.parametrize("piece", sorted(PIECE_POINTS))
+    @pytest.mark.parametrize("log", [False, True])
+    def test_zero_dimensional_input(self, piece, log):
+        params = CuspParams(3, 2.0)
+        t, r = (np.asarray(x) for x in PIECE_POINTS[piece])
+        _, *entries = refl.piece_profile(piece, params, t, r)
+        got = refl._jet_algebra(3, r, *entries, log)
+        assert all(type(x) is np.float64 for x in got[1:])
+        full = [np.asarray(x, dtype=float) for x in entries]
+        assert _same_bits(got, _plain_jet_algebra(3, r, *full, log))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_signed_zero_entries(self, zero, log):
+        # each entry in turn, and pairs of them, a 0-d zero of either sign
+        rng = np.random.default_rng(8)
+        r = rng.uniform(0.0, 1.0, 64)
+        r[::9] = 0.0
+        block = [rng.uniform(-1.0, 1.0, 64) * 2.0 ** rng.integers(-30, 1, 64) for _ in range(5)]
+        for zeros in ([0], [1], [3], [4], [0, 1], [0, 3], [1, 4], [3, 4], [0, 1, 3, 4]):
+            T_t, T_r, phi, phi_t, phi_r = [zero if i in zeros else x for i, x in enumerate(block)]
+            full = [np.full(64, x) for x in (T_t, T_r, phi, phi_t, phi_r)]
+            assert _bitwise_equal(refl._jet_algebra(4, r, T_t, T_r, phi, phi_t, phi_r, log),
+                                  _plain_jet_algebra(4, r, *full, log)), zeros
+
+    def test_infinite_entry_beside_a_zero(self):
+        # phi_r = inf beside T_t = 0: the plain det2 forms 0 * inf = nan, the
+        # algebra drops that product and keeps -T_r phi_t
+        r = np.array([0.5, 0.25])
+        T_r, phi, phi_t, phi_r = np.array([2.0, 3.0]), np.array([0.1, 0.2]), \
+            np.array([0.5, -4.0]), np.array([np.inf, 1.5])
+        _, opnorm, det = refl._jet_algebra(4, r, 0.0, T_r, phi, phi_t, phi_r)
+        with np.errstate(invalid="ignore"):
+            _, plain_op, plain_det = _plain_jet_algebra(4, r, np.zeros(2), T_r, phi, phi_t,
+                                                        phi_r)
+        assert np.isnan(plain_det[0]) and det[0] == -(T_r[0] * phi_t[0]) * (phi[0] / r[0]) ** 2
+        assert det[1] == plain_det[1]
+        assert np.array_equal(opnorm, plain_op)
+        _, log_op, log_det = refl._jet_algebra(4, r, 0.0, T_r, phi, phi_t, phi_r, log=True)
+        assert log_op[0] == np.inf
+        assert log_det[0] == np.log(T_r[0] * phi_t[0]) + 2.0 * np.log(phi[0] / r[0])
+
 
 @pytest.mark.parametrize("piece", sorted(PIECE_POINTS))
 @pytest.mark.parametrize("evaluate", [refl.piece_profile, refl.profile_jet, refl.profile_log_jet])
@@ -466,4 +559,4 @@ def test_scalar_input_matches_one_element_arrays(piece, evaluate):
     row = evaluate(piece, params, np.array([t]), np.array([r]))
     for got, want in zip(scalar, row):
         assert np.ndim(got) == 0
-        assert np.array_equal(np.reshape(got, 1), want)
+        assert np.array_equal(np.reshape(got, 1), np.broadcast_to(want, 1))

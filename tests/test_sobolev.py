@@ -311,6 +311,21 @@ class TestDistortionSweep:
             assert ss.contributions == one.contributions
             assert ss.ks == [sh.k for sh in shl]
 
+    def test_region_c_masses_made_once_per_region(self, monkeypatch):
+        # region C's measures and proposal masses are one power-integral
+        # call per region, in the sweep and in the norm shells alike
+        from cuspreflect import geometry
+
+        params = CuspParams(4, 1.5)
+        region, shl = RegionLabel.RegionC, shells(5, 12)
+        calls = []
+        norm = geometry._log_power_norm
+        monkeypatch.setattr(geometry, "_log_power_norm",
+                            lambda *args: calls.append(args) or norm(*args))
+        distortion_sweep(params, ChartId.R1Outer, region, [(3.0, 1.5)], shl, 64, 7)
+        sobolev_seminorm(params, PowerAlpha(0.3), region, 2.0, shl, 64, 7)
+        assert len(calls) == 2
+
     def test_special_cased_power_matches_within_ulps(self):
         # the (3, 2) cell tilts region E by 3, so its `_power_icdf` exponent
         # is -1, which numpy rounds differently in a one-cell column than in

@@ -15,6 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import extension, reflections, sobolev
+from .errors import WindowError
 from .extension import ClampT, Direction, ExtensionSpec, PowerAlpha
 from .geometry import (
     SAMPLEABLE,
@@ -426,16 +427,35 @@ def check_window_consistency(
     return InvariantResult.of("sobolev.window_consistency", cells, bad, 0)
 
 
+# Region E's exponent targets, on the singular-dominated side of e = -1.
+_E_SINGULAR = (-0.9, -0.35)
+
+
+def _singular_side_q(p: float, e: float, n: int, s: float) -> float:
+    """The q at which region E's shell exponent at p is e."""
+    w = ((n - 1) * s - e) / (s - 1.0)
+    return w * p / (p + w)
+
+
 def check_shell_exponent_match(params: CuspParams, n_pairs: int = 10, seed: int = 11,
                                samples_per_shell: int = 4096):
     """Fitted log2 shell ratio equals -(e+1) within 0.05 for in-window pairs.
 
-    Region E is tested on the singular-dominated side (e in (-0.9, -0.35)):
+    Region E is tested on the singular-dominated side (e in [-0.9, -0.35)):
     for e > 0 its shells are dominated by the regular outer-radius mass and
     decay like plain volume, so the pure power law only rules near the
-    critical curve (where the verdicts live).
+    critical curve (where the verdicts live).  Where no such pair has
+    1 <= q < q_max - 0.05, as at n = 6, s = 4, this raises a WindowError
+    before sampling; where they are too rare to draw, as at n = 6, s = 3.6,
+    after 200 attempts per pair.
     """
     n, s = params.n, params.s
+    # q rises with p, and so does its gap below q_max (the q of e = -1), so
+    # region E has a pair iff it has one at the largest p drawn, 6
+    q_hi, q_lo = (_singular_side_q(6.0, e, n, s) for e in _E_SINGULAR)
+    if not (q_hi >= 1.0 and max(q_lo, 1.0) < sobolev.q_max_r2(6.0, n, s) - 0.05):
+        raise WindowError(f"RegionE has no exponent pair with e in [-0.9, -0.35) and "
+                          f"1 <= q < q_max - 0.05 at n={n}, s={s:g}")
     rng = derive_rng(seed, 0, "expmatch")
     worst = 0.0
     total = 0
@@ -447,17 +467,17 @@ def check_shell_exponent_match(params: CuspParams, n_pairs: int = 10, seed: int 
             attempts = 0
             while made < n_pairs:
                 attempts += 1
-                if attempts > 200 * n_pairs:  # pragma: no cover
-                    raise RuntimeError(f"could not draw in-window pairs for {region.value}")
+                if attempts > 200 * n_pairs:
+                    raise WindowError(f"could not draw {n_pairs} in-window pairs for "
+                                      f"{region.value} at n={n}, s={s:g} in "
+                                      f"{attempts - 1} attempts")
                 p = float(rng.uniform(max(1.2, 1.1 * pmin), 6.0))
                 qm = sobolev.q_max(scheme, p, n, s)
                 if qm <= 1.1:
                     continue
                 if region is RegionLabel.RegionE:
                     # solve q from a target exponent on the singular side
-                    e_target = float(rng.uniform(-0.9, -0.35))
-                    w = ((n - 1) * s - e_target) / (s - 1.0)
-                    q = w * p / (p + w)
+                    q = _singular_side_q(p, float(rng.uniform(*_E_SINGULAR)), n, s)
                     if not (1.0 <= q < qm - 0.05):
                         continue
                 else:

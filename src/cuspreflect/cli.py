@@ -193,7 +193,8 @@ def cmd_sweep(args) -> int:
         rows,
     )
     wall = time.perf_counter() - start
-    _write_manifest(out, args, {"rows": len(rows)}, wall)
+    processes = sobolev.sweep_processes(len(valid), len(shl), args.samples)
+    _write_manifest(out, args, {"rows": len(rows), "processes": processes}, wall)
     print(f"swept {len(rows)} cells in {wall:.1f} s -> {out}")
     return 0
 

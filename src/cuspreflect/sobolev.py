@@ -19,7 +19,11 @@ profile coordinates for many (p, q) cells at once and
 chart jet of a shell depend only on (seed, k, region), so a sweep draws
 each (region, shell) once; only region E's radial tilt, which depends on
 (p, q), reshapes the radii, block of cells by block of cells.
-`distortion_integral` is its one-cell case.
+`distortion_integral` is its one-cell case.  Since every shell has its own
+substream, a sweep call with enough work splits its shells over two
+processes where this process may run on two CPUs (`_each_shell`): a forked
+child computes the odd shells with the serial code, so the split gives the
+serial bits and the serial first error.
 
 The norm terms of a test function and of its extension run through one
 shell loop, `function_shells`, whose shell primitive `shell_estimate` draws
@@ -40,6 +44,9 @@ reduce `_log_shell` with one nan rule (NonFiniteIntegrandError), and
 from __future__ import annotations
 
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +81,10 @@ MIN_SHELLS = 6
 # Values (cells x samples) that `distortion_sweep` reduces in one block:
 # larger blocks save little time and raise peak memory.
 BLOCK_VALUES = 8192
+# Values (cells x shells x samples) from which a `distortion_sweep` call
+# splits its shells over two processes: below it the fixed cost of the split
+# (about 8 ms) outweighs the second CPU.  Measured, see `distortion_sweep`.
+SPLIT_VALUES = 2 ** 19
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +337,79 @@ def _shell_masses(params: CuspParams, region: RegionLabel, shells) -> list[tuple
                     [None] * len(shells) if proposals is None else proposals.tolist()))
 
 
+def sweep_processes(cells: int, shells: int, samples: int) -> int:
+    """Processes that serve a `distortion_sweep` call of `cells` x `shells`
+    x `samples` values: 2 when it has two shells or more, its values reach
+    SPLIT_VALUES and this process may run on two CPUs or more, else 1.  A
+    process that runs other Python threads gets 1: a fork copies only the
+    calling thread, so a lock another thread holds would stay held in the
+    child."""
+    if (shells < 2 or cells * shells * samples < SPLIT_VALUES
+            or threading.active_count() > 1 or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+
+
+def _first_failure(column, js):
+    """Run column(j) for j in js: the first j that raises and its error, or
+    (None, None)."""
+    for j in js:
+        try:
+            column(j)
+        except Exception as exc:
+            return j, exc
+    return None, None
+
+
+def _each_shell(column, out: np.ndarray, processes: int) -> None:
+    """Run column(j), which fills out[:, j], for every shell j, with the
+    columns and the error of the loop in ascending j.
+
+    With two processes a forked child runs the odd j and this process the
+    even ones.  The child runs only `column`, which must call no BLAS and
+    write no output; it sends its first failing j (or the shell count) and
+    its columns as raw float64 bytes over a pipe and ends in `os._exit`.  This
+    process then runs the odd shells from the child's failure on itself, up
+    to its own first failure, so the first failing shell raises here with
+    the serial loop's type and text.  A child that dies without sending
+    counts as failing at shell 1.  The child is killed if still running and
+    reaped before the call returns or raises.
+    """
+    count = out.shape[1]
+    if processes < 2:
+        for j in range(count):
+            column(j)
+        return
+    odd = out[:, 1::2]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child
+        try:
+            os.close(read_fd)
+            failed, _ = _first_failure(column, range(1, count, 2))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(np.int64(count if failed is None else failed).tobytes()
+                           + odd.tobytes())
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            stop, error = _first_failure(column, range(0, count, 2))
+            sent = pipe.read()
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    failed = 1
+    if len(sent) == 8 + odd.nbytes:
+        failed = int(np.frombuffer(sent[:8], np.int64)[0])
+        odd[...] = np.frombuffer(sent[8:]).reshape(odd.shape)
+    for j in range(failed, count if stop is None else stop, 2):
+        column(j)
+    if error is not None:
+        raise error
+
+
 def distortion_sweep(
     params: CuspParams,
     chart: ChartId,
@@ -354,6 +438,20 @@ def distortion_sweep(
     longer one: such a cell agrees to a few ulps (3.6e-15 in a log shell of
     the (3, 2) cell on region E at n = 3, s = 2).  A nan in L raises
     NonFiniteIntegrandError; there is no redraw.
+
+    A call of at least SPLIT_VALUES = 2^19 values (cells x shells x
+    samples), with two shells or more, in a process that may run on two
+    CPUs or more (`sweep_processes`) splits its shells: a forked child
+    computes the odd shells and this process the even ones (`_each_shell`).
+    The split is bit for bit: each shell is drawn from its own substream and
+    its column is computed by the same code from the same inputs as in the
+    serial loop, and the child's columns come back as raw float64 bytes.
+    The first failing shell raises the serial loop's error.  A smaller call,
+    or one CPU, runs the serial loop.  The floor is measured: a split costs
+    about 8 ms per call on a 2-vCPU host (fork, copy-on-write faults,
+    reaping), so it pays from about 2^17.5 values on R2, whose region E
+    grows with the cells, and from 2^19 (4096 samples) to 2^19.6 (1024
+    samples) on R1; the table is in README.md.
     """
     cells = list(cells)
     for p, q in cells:
@@ -370,31 +468,36 @@ def distortion_sweep(
 
     log_shells = np.empty((len(cells), len(shells)))
     masses = _shell_masses(params, region, shells)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for j, (sh, (log_measure, log_proposal)) in enumerate(zip(shells, masses)):
-            rng = derive_rng(seed, sh.k, region, salt="dist")
-            if tilted:
-                draw = draw_scale(params, region, sh, samples_per_shell, rng,
+
+    def column(j):
+        sh, (log_measure, log_proposal) = shells[j], masses[j]
+        rng = derive_rng(seed, sh.k, region, salt="dist")
+        if tilted:
+            draw = draw_scale(params, region, sh, samples_per_shell, rng,
+                              log_measure=log_measure, log_proposal=log_proposal)
+        else:
+            draw = sample_profile(params, region, sh, samples_per_shell, rng,
                                   log_measure=log_measure, log_proposal=log_proposal)
-            else:
-                draw = sample_profile(params, region, sh, samples_per_shell, rng,
-                                      log_measure=log_measure, log_proposal=log_proposal)
-                log_w = draw.log_weight
-                log_op, log_det = reflections.profile_log_jet(piece, params, draw.t, draw.r)
-            rows = max(1, BLOCK_VALUES // draw.count)
-            scratch = np.empty((2, min(rows, len(cells)), draw.count))
-            for lo in range(0, len(cells), rows):
-                block = slice(lo, lo + rows)
-                if tilted:
-                    prof = draw.profile(tilts[block])
-                    log_w = prof.log_weight
-                    log_op, log_det = reflections.profile_log_jet(piece, params, prof.t, prof.r)
-                L, Q_log_det = scratch[:, :len(P[block])]
-                np.multiply(P[block], log_op, out=L)
-                if np.ndim(log_w):  # a scalar log weight is 0.0
-                    L += log_w
-                L -= np.multiply(Q[block], log_det, out=Q_log_det)
-                log_shells[block, j] = _log_shell(draw.log_measure, L, region, sh)
+            log_w = draw.log_weight
+            log_op, log_det = reflections.profile_log_jet(piece, params, draw.t, draw.r)
+        rows = max(1, BLOCK_VALUES // draw.count)
+        scratch = np.empty((2, min(rows, len(cells)), draw.count))
+        for lo in range(0, len(cells), rows):
+            block = slice(lo, lo + rows)
+            if tilted:
+                prof = draw.profile(tilts[block])
+                log_w = prof.log_weight
+                log_op, log_det = reflections.profile_log_jet(piece, params, prof.t, prof.r)
+            L, Q_log_det = scratch[:, :len(P[block])]
+            np.multiply(P[block], log_op, out=L)
+            if np.ndim(log_w):  # a scalar log weight is 0.0
+                L += log_w
+            L -= np.multiply(Q[block], log_det, out=Q_log_det)
+            log_shells[block, j] = _log_shell(draw.log_measure, L, region, sh)
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        _each_shell(column, log_shells,
+                    sweep_processes(len(cells), len(shells), samples_per_shell))
     ks = [sh.k for sh in shells]
     return [ShellSum(ks, row) for row in log_shells]
 

@@ -13,6 +13,7 @@ import cuspreflect
 import cuspreflect.reflections as refl
 from cuspreflect import cli
 from cuspreflect.cli import main
+from cuspreflect.errors import WindowError
 
 
 def run_cli(args):
@@ -426,6 +427,23 @@ class TestVerify:
         monkeypatch.setattr(refl, "_jacobian_matrices", negate_entry(1, 0))
         res = checks.check_fd_agreement(cuspreflect.CuspParams(3, 2.0), 30, 1)
         assert not res.passed
+
+    def test_no_region_e_pair_exits_3(self, tmp_path, capsys):
+        # at n = 6, s = 4 every q on region E's singular side stays within
+        # 0.05 of q_max up to p = 6, so the exponent check has no pair to draw
+        out = tmp_path / "verify.csv"
+        assert run_cli(["verify", "--n", "6", "--s", "4", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: RegionE has no exponent pair with e in [-0.9, -0.35) and "
+            "1 <= q < q_max - 0.05 at n=6, s=4\n")
+        assert not out.exists()
+
+    def test_rare_region_e_pairs_raise_window_error(self):
+        import cuspreflect.checks as checks
+
+        with pytest.raises(WindowError, match="could not draw 4 in-window pairs for RegionE "
+                                              "at n=6, s=3.6 in 800 attempts"):
+            checks.check_shell_exponent_match(cuspreflect.CuspParams(6, 3.6), 4, 11, 16)
 
     def test_manifest_times_every_check(self, tmp_path):
         import cuspreflect.checks as checks

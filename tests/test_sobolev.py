@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuspreflect import checks, reflections, sobolev
-from cuspreflect.errors import WindowError
+from cuspreflect.errors import EmptyRegionError, WindowError
 from cuspreflect.extension import (
     Constant,
     Direction,
@@ -294,6 +299,35 @@ def _plant_nan(monkeypatch):
     monkeypatch.setattr(reflections, "profile_log_jet", planted)
 
 
+def _force_split(monkeypatch, split: bool, cpus: int = 2):
+    """Make every `distortion_sweep` call split its shells (floor 0) or stay
+    serial (floor infinite), on `cpus` allowed CPUs."""
+    monkeypatch.setattr(sobolev, "SPLIT_VALUES", 0 if split else math.inf)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _hex(sums) -> list[list[str]]:
+    return [[float.hex(x) for x in ss.log_contributions.tolist()] for ss in sums]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _plant_nan_on_shells(monkeypatch, ks):
+    """A nan in the first value of every block of the shells ks, met by the
+    reduce of whichever process computes the shell."""
+    reduce = sobolev._log_shell
+
+    def planted(log_measure, L, region, shell):
+        if shell.k in ks:
+            L[0, 0] = np.nan
+        return reduce(log_measure, L, region, shell)
+
+    monkeypatch.setattr(sobolev, "_log_shell", planted)
+
+
 class TestDistortionSweep:
     @pytest.mark.parametrize("n,s", [(3, 2.0), (4, 1.5)])
     @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
@@ -381,15 +415,170 @@ class TestDistortionSweep:
 
     @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
     def test_one_draw_per_region_and_shell(self, monkeypatch, params, region, chart, scheme):
-        calls = spy_rng(monkeypatch)
+        # the serial path: the floor sits above the call's work
         cells = checks.sweep_grid(params, scheme, grid=7)
+        monkeypatch.setattr(sobolev, "SPLIT_VALUES", len(cells) * 8 * 1024 + 1)
+        calls = spy_rng(monkeypatch)
         distortion_sweep(params, chart, region, cells, shells(5, 12), 1024, 3)
         assert calls == [(3, k, region, "dist") for k in range(5, 13)]
+
+    @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
+    def test_split_draws_the_even_shells_here(self, monkeypatch, params, region, chart,
+                                              scheme):
+        # the split path: this process draws the even shells, once each, and
+        # the forked child the odd ones, which a spy here cannot see; the
+        # sums equal the serial run's bit for bit
+        cells = checks.sweep_grid(params, scheme, grid=7)
+        shl = shells(5, 12)
+        _force_split(monkeypatch, False)
+        serial = distortion_sweep(params, chart, region, cells, shl, 1024, 3)
+        _force_split(monkeypatch, True)
+        calls = spy_rng(monkeypatch)
+        split = distortion_sweep(params, chart, region, cells, shl, 1024, 3)
+        assert calls == [(3, k, region, "dist") for k in range(5, 13, 2)]
+        assert _hex(split) == _hex(serial)
 
     def test_rejects_invalid_cell(self, params):
         with pytest.raises(WindowError):
             distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionA,
                              [(2.0, 1.1), (2.0, 2.5)], shells(5, 12))
+
+
+class TestShellSplit:
+    """`distortion_sweep` with its shells split over a forked child against
+    the serial loop: the same bits, the same first error, no child left."""
+
+    def test_processes_follow_the_floor_and_the_cpus(self, monkeypatch):
+        # a fault-b call (1 cell, 22 shells, 1024 samples) stays serial; the
+        # smallest acceptance sweep block (7 x 7 cells) splits on two CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert sobolev.sweep_processes(1, 22, 1024) == 1
+        assert sobolev.sweep_processes(49, 22, 1024) == 2
+        assert sobolev.sweep_processes(1, 2, sobolev.SPLIT_VALUES // 2) == 2
+        assert sobolev.sweep_processes(1, 2, sobolev.SPLIT_VALUES // 2 - 1) == 1
+        assert sobolev.sweep_processes(sobolev.SPLIT_VALUES, 1, 1) == 1  # one shell
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:  # no fork beside another thread
+            assert sobolev.sweep_processes(49, 22, 1024) == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert sobolev.sweep_processes(49, 22, 1024) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert sobolev.sweep_processes(49, 22, 1024) == 1
+
+    @pytest.mark.parametrize("k_max", [12, 11, 5])
+    @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
+    def test_split_is_bit_identical(self, monkeypatch, params, region, chart, scheme, k_max):
+        # even, odd and single shell counts; serial by the floor and by one CPU
+        cells = checks.sweep_grid(params, scheme, grid=3)
+        shl = shells(5, k_max)
+        runs = []
+        for split, cpus in [(True, 2), (False, 2), (True, 1)]:
+            _force_split(monkeypatch, split, cpus)
+            runs.append(_hex(distortion_sweep(params, chart, region, cells, shl, 256, 5)))
+            _no_child_left()
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("planted,first", [
+        ({8}, 8),      # an odd shell: the child meets it
+        ({7}, 7),      # an even shell: this process meets it
+        ({8, 9}, 8),   # the child's shell comes first
+        ({7, 8}, 7),   # this process's shell comes first
+    ])
+    def test_first_error_matches_serial(self, monkeypatch, params, planted, first):
+        _plant_nan_on_shells(monkeypatch, planted)
+        cells = checks.sweep_grid(params, "R1", grid=3)
+        errors = []
+        for split in (False, True):
+            _force_split(monkeypatch, split)
+            with pytest.raises(sobolev.NonFiniteIntegrandError) as exc:
+                distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionB, cells,
+                                 shells(5, 12), 64, 3)
+            _no_child_left()
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] == f"non-finite integrand values on RegionB, shell {first}"
+
+    def test_other_errors_in_the_child_raise_as_serial(self, monkeypatch, params):
+        # a planted EmptyRegionError on shell 8, the child's: this process
+        # recomputes the shell and raises the same type and text
+        sample = sobolev.sample_profile
+
+        def planted(params, label, shell, *args, **kwargs):
+            if shell.k == 8:
+                raise EmptyRegionError(f"shell {shell.k} misses the scale range of {label.value}")
+            return sample(params, label, shell, *args, **kwargs)
+
+        monkeypatch.setattr(sobolev, "sample_profile", planted)
+        errors = []
+        for split in (False, True):
+            _force_split(monkeypatch, split)
+            with pytest.raises(EmptyRegionError) as exc:
+                distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionB, [(2.0, 1.1)],
+                                 shells(5, 12), 64, 3)
+            _no_child_left()
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] == "shell 8 misses the scale range of RegionB"
+
+    def test_interrupt_kills_and_reaps_the_child(self, monkeypatch, params):
+        # the child's shell 8 would take a minute; an interrupt on shell 5,
+        # this process's, ends the call at once with the child killed and reaped
+        reduce = sobolev._log_shell
+
+        def planted(log_measure, L, region, shell):
+            if shell.k == 8:
+                time.sleep(60)
+            if shell.k == 5:
+                raise KeyboardInterrupt
+            return reduce(log_measure, L, region, shell)
+
+        monkeypatch.setattr(sobolev, "_log_shell", planted)
+        _force_split(monkeypatch, True)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionB, [(2.0, 1.1)],
+                             shells(5, 12), 64, 3)
+        assert time.perf_counter() - start < 30.0
+        _no_child_left()
+
+    def test_cli_sweep_same_bytes_split_or_not(self, monkeypatch, tmp_path):
+        from cuspreflect.cli import main
+
+        args = ["sweep", "--scheme", "r2", "--p", "2,3", "--q", "1.05,1.3", "--samples",
+                "256", "--k-max", "16"]
+        outputs = []
+        for split, processes in ((True, 2), (False, 1)):
+            _force_split(monkeypatch, split)
+            out = tmp_path / f"{split}.csv"
+            assert main(args + ["--out", str(out)]) == 0
+            _no_child_left()
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            assert manifest["processes"] == processes
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("planted", [{8}, {7}])
+    def test_cli_nan_exits_3_with_the_serial_stderr(self, monkeypatch, tmp_path, capsys,
+                                                    planted):
+        from cuspreflect.cli import main
+
+        _plant_nan_on_shells(monkeypatch, planted)
+        errs = []
+        for split in (False, True):
+            _force_split(monkeypatch, split)
+            out = tmp_path / "out.csv"
+            assert main(["sweep", "--p", "2", "--q", "1.1", "--samples", "64", "--k-max",
+                         "12", "--out", str(out)]) == 3
+            _no_child_left()
+            assert not out.exists()
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"error: non-finite integrand values on RegionA, shell "
+                                  f"{min(planted)}")
 
 
 _CHARTS = {"R1": ChartId.R1Outer, "R2": ChartId.R2Outer}

@@ -193,7 +193,8 @@ def cmd_sweep(args) -> int:
         rows,
     )
     wall = time.perf_counter() - start
-    processes = sobolev.sweep_processes(len(valid), len(shl), args.samples)
+    processes = max((ss.processes for by_cell in sums.values() for ss in by_cell.values()),
+                    default=1)
     _write_manifest(out, args, {"rows": len(rows), "processes": processes}, wall)
     print(f"swept {len(rows)} cells in {wall:.1f} s -> {out}")
     return 0
@@ -285,7 +286,8 @@ def cmd_extendnorm(args) -> int:
     wall = time.perf_counter() - start
     _write_manifest(
         out, args,
-        {"verdict": report.verdict.kind, "u_norm": report.u_norm, "ratio": report.ratio},
+        {"verdict": report.verdict.kind, "u_norm": report.u_norm, "ratio": report.ratio,
+         "processes": report.processes},
         wall,
     )
     print(f"extendnorm verdict: {report.verdict.kind} "

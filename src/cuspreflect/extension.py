@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -391,6 +392,35 @@ def membership_oracle(u: PowerAlpha, p: float, n: int, s: float) -> bool:
     return u.alpha + 1.0 < (1.0 + (n - 1) * s) / p
 
 
+def _region_masses(piece, params, u, q, value: bool, grad: bool, prof):
+    """Log integrands of the value and (or) gradient L^q masses of u o R on
+    a chart piece, q log|u(T)| and q (log|u'(T)| + log|grad T|), in that
+    order, from the sample's T-row.  Bound by `functools.partial`, it
+    pickles for the shell worker."""
+    T, T_t, T_r = reflections.piece_T_row(piece, params, prof.t, lambda: prof.r)
+    log_u, log_du = u.log_jet_t(T)
+    out = np.empty((value + grad, *np.shape(T)))
+    if value:
+        np.multiply(q, log_u, out=out[0])
+    if grad:
+        row = out[int(value)]
+        log_grad_T = _log_grad_T(T_t, T_r)
+        if not reflections._is_zero(log_grad_T):
+            log_du = np.add(log_du, log_grad_T, out=row)
+        np.multiply(q, log_du, out=row)
+    return out
+
+
+def _window_masses(u, p, prof):
+    """Log integrands p log|u(t)| and p log|u'(t)| of the L^p value and
+    gradient masses of u on the cusp window."""
+    log_u, log_du = u.log_jet_t(prof.t)
+    out = np.empty((2, *np.shape(log_u)))
+    np.multiply(p, log_u, out=out[0])
+    np.multiply(p, log_du, out=out[1])
+    return out
+
+
 def _region_terms(
     params: CuspParams,
     u: TestFunction,
@@ -418,27 +448,11 @@ def _region_terms(
     elif region is RegionLabel.RegionE and isinstance(u, ClampT):
         grad_tilt = (s - 1.0) * q / s
 
-    def masses(value: bool, grad: bool):
-        def integrand(prof):
-            T, T_t, T_r = reflections.piece_T_row(piece, params, prof.t, lambda: prof.r)
-            log_u, log_du = u.log_jet_t(T)
-            out = np.empty((value + grad, *np.shape(T)))
-            if value:
-                np.multiply(q, log_u, out=out[0])
-            if grad:
-                row = out[int(value)]
-                log_grad_T = _log_grad_T(T_t, T_r)
-                if not reflections._is_zero(log_grad_T):
-                    log_du = np.add(log_du, log_grad_T, out=row)
-                np.multiply(q, log_du, out=row)
-            return out
-
-        return integrand
-
     if value_tilt == grad_tilt:
-        terms = [(masses(True, True), value_tilt)]
+        terms = [(partial(_region_masses, piece, params, u, q, True, True), value_tilt)]
     else:
-        terms = [(masses(True, False), value_tilt), (masses(False, True), grad_tilt)]
+        terms = [(partial(_region_masses, piece, params, u, q, True, False), value_tilt),
+                 (partial(_region_masses, piece, params, u, q, False, True), grad_tilt)]
     value_sum, grad_sum = sobolev.function_shells(params, region, shells, terms, samples, seed,
                                                   "extval")
     return value_sum, grad_sum
@@ -464,22 +478,16 @@ def _window_terms(
 ) -> tuple[ShellSum, ShellSum]:
     """Shell sums of the L^p value and gradient masses |u|^p and |u'|^p of u
     over the cusp window, both from one draw per shell under the salt "lp"."""
-
-    def integrand(prof):
-        log_u, log_du = u.log_jet_t(prof.t)
-        out = np.empty((2, *np.shape(log_u)))
-        np.multiply(p, log_u, out=out[0])
-        np.multiply(p, log_du, out=out[1])
-        return out
-
     lp, semi = sobolev.function_shells(params, RegionLabel.CuspInterior, shells,
-                                       [(integrand, 0.0)], samples, seed, "lp")
+                                       [(partial(_window_masses, u, p), 0.0)], samples, seed,
+                                       "lp")
     return lp, semi
 
 
 @dataclass
 class ExtensionNormReport:
-    """Shell-resolved L^q masses of the composed extension and its verdict."""
+    """Shell-resolved L^q masses of the composed extension and its verdict,
+    with the most processes any of its shell loops ran on."""
 
     value_sum: ShellSum
     grad_sum: ShellSum
@@ -487,6 +495,7 @@ class ExtensionNormReport:
     u_norm: float
     ratio: float
     verdict: Verdict
+    processes: int
 
 
 def extension_norm_experiment(
@@ -514,9 +523,10 @@ def extension_norm_experiment(
     ks = [sh.k for sh in shells]
     vals = np.logaddexp.reduce([v.log_contributions for v, _ in terms])
     grads = np.logaddexp.reduce([g.log_contributions for _, g in terms])
-    value_sum = ShellSum(ks, vals)
-    grad_sum = ShellSum(ks, grads)
-    total_sum = ShellSum(ks, np.logaddexp(vals, grads))
+    processes = max(ss.processes for pair in terms for ss in pair)
+    value_sum = ShellSum(ks, vals, processes)
+    grad_sum = ShellSum(ks, grads, processes)
+    total_sum = ShellSum(ks, np.logaddexp(vals, grads), processes)
     verdict = convergence_verdict(total_sum)
 
     lp, semi = _window_terms(params, u, p, shells, samples_per_shell, seed)
@@ -529,7 +539,8 @@ def extension_norm_experiment(
         ratio = ext_norm / u_norm
     else:  # 0 / 0 for the zero function
         ratio = math.inf if ext_norm > 0.0 else 0.0
-    return ExtensionNormReport(value_sum, grad_sum, total_sum, u_norm, ratio, verdict)
+    return ExtensionNormReport(value_sum, grad_sum, total_sum, u_norm, ratio, verdict,
+                               max(processes, lp.processes))
 
 
 # ---------------------------------------------------------------------------

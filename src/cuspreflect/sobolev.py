@@ -19,11 +19,7 @@ profile coordinates for many (p, q) cells at once and
 chart jet of a shell depend only on (seed, k, region), so a sweep draws
 each (region, shell) once; only region E's radial tilt, which depends on
 (p, q), reshapes the radii, block of cells by block of cells.
-`distortion_integral` is its one-cell case.  Since every shell has its own
-substream, a sweep call with enough work splits its shells over two
-processes where this process may run on two CPUs (`_each_shell`): a forked
-child computes the odd shells with the serial code, so the split gives the
-serial bits and the serial first error.
+`distortion_integral` is its one-cell case.
 
 The norm terms of a test function and of its extension run through one
 shell loop, `function_shells`, whose shell primitive `shell_estimate` draws
@@ -39,15 +35,29 @@ hundreds of binary orders, so both paths work in logs from the measure to
 the verdict: log measures and weights, integrands that return logs, one
 reduce `_log_shell` with one nan rule (NonFiniteIntegrandError), and
 `ShellSum`s of log contributions, whose log ratios the verdict reads.
+
+Since every shell has its own substream, both shell loops split their
+shells over two processes where the call has enough work and this process
+may run on two CPUs (`_each_shell`).  The second process is one shell
+worker per process, forked once the process's shell loops have done enough
+work to repay the fork, pinned to the other CPUs and kept until the process
+ends: each split sends it a module-level column factory with its pickled
+arguments, it computes the odd shells with the serial code, and this
+process the even ones.  The split gives the serial bits and the serial
+first error.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import math
 import os
+import pickle
 import signal
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -81,10 +91,15 @@ MIN_SHELLS = 6
 # Values (cells x samples) that `distortion_sweep` reduces in one block:
 # larger blocks save little time and raise peak memory.
 BLOCK_VALUES = 8192
-# Values (cells x shells x samples) from which a `distortion_sweep` call
-# splits its shells over two processes: below it the fixed cost of the split
-# (about 8 ms) outweighs the second CPU.  Measured, see `distortion_sweep`.
-SPLIT_VALUES = 2 ** 19
+# Values (cells or terms x shells x samples) from which a shell loop splits
+# its shells with the shell worker: below it the fixed cost of a split
+# outweighs the second CPU.  Measured, see `_each_shell` and README.md.
+SPLIT_VALUES = 2 ** 13
+# Values of the shell loops that met SPLIT_VALUES, the current one included,
+# from which a process forks its shell worker: in a fresh process the fork
+# costs 12-22 ms (copy-on-write faults, and the reaping at exit), which only
+# a few hundred ms of shell work repays.  Measured, see README.md.
+FORK_VALUES = 2 ** 22
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +207,14 @@ def predicted_shell_exponent(region: RegionLabel, p: float, q: float, n: int, s:
 class ShellSum:
     """Per-shell log contributions to a singular integral, reduced in
     ascending k to a `log_total` and `log_ratios` (after an empty or infinite
-    shell: -inf if this one is empty, else inf).  The float views
-    `contributions`, `partial_sums`, `ratios` and `total`, made once, read
-    inf or 0 past the float range; the logs do not."""
+    shell: -inf if this one is empty, else inf), with the `processes` that
+    computed its shells.  The float views `contributions`, `partial_sums`,
+    `ratios` and `total`, made once, read inf or 0 past the float range; the
+    logs do not."""
 
-    def __init__(self, ks, log_contributions):
+    def __init__(self, ks, log_contributions, processes: int = 1):
         self.ks = list(ks)
+        self.processes = processes
         logs = self.log_contributions = np.asarray(log_contributions, dtype=float)
         prev, cur = logs[:-1], logs[1:]
         log_partials = np.logaddexp.accumulate(logs)
@@ -337,77 +354,268 @@ def _shell_masses(params: CuspParams, region: RegionLabel, shells) -> list[tuple
                     [None] * len(shells) if proposals is None else proposals.tolist()))
 
 
-def sweep_processes(cells: int, shells: int, samples: int) -> int:
-    """Processes that serve a `distortion_sweep` call of `cells` x `shells`
-    x `samples` values: 2 when it has two shells or more, its values reach
-    SPLIT_VALUES and this process may run on two CPUs or more, else 1.  A
-    process that runs other Python threads gets 1: a fork copies only the
+def shell_processes(rows: int, shells: int, samples: int) -> int:
+    """Processes that may serve a shell loop of `rows` (cells or terms) x
+    `shells` x `samples` values: 2 when it has two shells or more, its values
+    reach SPLIT_VALUES and this process may run on two CPUs or more, else 1
+    (with 2 the loop splits once `_may_split`).
+    A process that runs other Python threads gets 1: a fork copies only the
     calling thread, so a lock another thread holds would stay held in the
-    child."""
-    if (shells < 2 or cells * shells * samples < SPLIT_VALUES
+    worker, and two threads would share its pipes."""
+    if (shells < 2 or rows * shells * samples < SPLIT_VALUES
             or threading.active_count() > 1 or not hasattr(os, "sched_getaffinity")):
         return 1
     return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
 
 
-def _first_failure(column, js):
-    """Run column(j) for j in js: the first j that raises and its error, or
-    (None, None)."""
+class _Worker:
+    """The shell worker: its pid, the files of its task and result pipes,
+    and the pid of the process that forked it."""
+
+    def __init__(self, pid: int, tasks, results):
+        self.pid, self.tasks, self.results, self.owner = pid, tasks, results, os.getpid()
+
+
+_worker: _Worker | None = None
+# Values of the shell loops that met the floor while this process had no
+# worker (`_may_split`).
+_unsplit_values = 0
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of /proc/self/stat)."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _run_shells(column, js) -> tuple[list, int | None, Exception | None]:
+    """column(j) for j in js up to the first that raises: the columns before
+    it, that j (or None) and its error."""
+    done = []
     for j in js:
         try:
-            column(j)
+            done.append(column(j))
         except Exception as exc:
-            return j, exc
-    return None, None
+            return done, j, exc
+    return done, None, None
 
 
-def _each_shell(column, out: np.ndarray, processes: int) -> None:
-    """Run column(j), which fills out[:, j], for every shell j, with the
-    columns and the error of the loop in ascending j.
-
-    With two processes a forked child runs the odd j and this process the
-    even ones.  The child runs only `column`, which must call no BLAS and
-    write no output; it sends its first failing j (or the shell count) and
-    its columns as raw float64 bytes over a pipe and ends in `os._exit`.  This
-    process then runs the odd shells from the child's failure on itself, up
-    to its own first failure, so the first failing shell raises here with
-    the serial loop's type and text.  A child that dies without sending
-    counts as failing at shell 1.  The child is killed if still running and
-    reaped before the call returns or raises.
-    """
-    count = out.shape[1]
-    if processes < 2:
-        for j in range(count):
-            column(j)
-        return
-    odd = out[:, 1::2]
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child
+def _serve(tasks, results) -> None:
+    """The worker's loop: for each task (factory, args, shell count, numpy
+    error state) the columns of the odd shells up to the first that raises,
+    until the end of file of the task pipe.  Anything else that raises ends
+    the worker, which the caller reads as a failure at shell 1."""
+    while True:
         try:
-            os.close(read_fd)
-            failed, _ = _first_failure(column, range(1, count, 2))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(np.int64(count if failed is None else failed).tobytes()
-                           + odd.tobytes())
+            factory, args, count, errstate = pickle.load(tasks)
+        except EOFError:
+            return
+        with np.errstate(**errstate):
+            odd = _run_shells(factory(*args), range(1, count, 2))[0]
+        pickle.dump(odd, results, pickle.HIGHEST_PROTOCOL)
+        results.flush()
+
+
+def _start_worker() -> _Worker | None:
+    """Fork the shell worker, pinned to the allowed CPUs other than the one
+    this process runs on and holding no file of this process but its pipes
+    (and standard streams); None if the fork fails."""
+    global _worker
+    others = os.sched_getaffinity(0) - {_current_cpu()}
+    task_read, task_write = os.pipe()
+    result_read, result_write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (task_read, task_write, result_read, result_write):
+            os.close(fd)
+        return None
+    if pid == 0:  # the worker
+        try:
+            # Hold none of the caller's files (a pipe it closes must reach
+            # end of file), and finalize none of its garbage.
+            gc.freeze()
+            low, high = sorted((task_read, result_write))
+            os.closerange(3, low)
+            os.closerange(low + 1, high)
+            os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            try:
+                os.sched_setaffinity(0, others)
+            except OSError:
+                pass
+            with open(task_read, "rb") as tasks, open(result_write, "wb") as results:
+                _serve(tasks, results)
         finally:
             os._exit(0)
-    os.close(write_fd)
+    os.close(task_read)
+    os.close(result_write)
+    _worker = _Worker(pid, open(task_write, "wb"), open(result_read, "rb"))
+    return _worker
+
+
+def _forget_worker() -> None:
+    """Close this process's ends of the worker's pipes and forget it.  In a
+    forked child (`os.register_at_fork`) the worker is the parent's, which
+    the child neither uses nor keeps from its end of file."""
+    global _worker
+    worker, _worker = _worker, None
+    for pipe in (worker.tasks, worker.results) if worker else ():
+        try:
+            pipe.close()
+        except OSError:  # a task left in the buffer by a dead worker
+            pass
+
+
+def _stop_worker() -> None:
+    """Kill and reap this process's shell worker, if it has one."""
+    worker = _worker
+    _forget_worker()
+    if worker is not None and worker.owner == os.getpid():
+        try:
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+
+
+atexit.register(_stop_worker)
+if hasattr(os, "register_at_fork"):  # absent where there is no os.fork
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _may_split(values: int) -> bool:
+    """Whether a shell loop of `values` values that met the floor splits:
+    with the running worker, or once the loops that met the floor while this
+    process had none, this one included, reach FORK_VALUES values (its first
+    split then forks the worker)."""
+    global _unsplit_values
+    if _worker is not None:
+        return True
+    _unsplit_values += values
+    return _unsplit_values >= FORK_VALUES
+
+
+def _task(factory, args: tuple, count: int) -> bytes | None:
+    """The pickled task of a split, or None where the arguments do not
+    pickle."""
     try:
-        with open(read_fd, "rb") as pipe:
-            stop, error = _first_failure(column, range(0, count, 2))
-            sent = pipe.read()
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    failed = 1
-    if len(sent) == 8 + odd.nbytes:
-        failed = int(np.frombuffer(sent[:8], np.int64)[0])
-        odd[...] = np.frombuffer(sent[8:]).reshape(odd.shape)
-    for j in range(failed, count if stop is None else stop, 2):
-        column(j)
+        return pickle.dumps((factory, args, count, np.geterr()), pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
+
+
+def _reply(worker: _Worker) -> list | None:
+    """The worker's columns, or None if it died."""
+    try:
+        return pickle.load(worker.results)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+
+
+def _each_shell(factory, args: tuple, count: int, processes: int,
+                values: int) -> tuple[list, int]:
+    """The columns column(j) of the shells j < count, column = factory(*args),
+    with the error of the serial loop in ascending j, and the processes that
+    made them (1 or 2).
+
+    With two processes (`shell_processes` of the loop's `values`) the shells
+    are split with this process's shell worker once `_may_split`: a process
+    forks it only when its loops that met the floor reach FORK_VALUES
+    values, so a short command never pays the fork.  It is pinned to the
+    allowed CPUs other than the one this process runs on (unpinned, the
+    worker and its caller kept landing on one CPU); it stays for the life of
+    the process and takes one task at a time over a pipe: the factory, a
+    module-level function, with its pickled arguments and numpy's error
+    state.  The worker builds its
+    own column and returns the columns of the odd shells up to its first
+    failure; this process runs the even shells meanwhile, then the odd
+    shells from the worker's failure on itself, up to its own first failure,
+    so the first failing shell raises here with the serial loop's type and
+    text.  A split costs a pipe round trip and a few pickles, about 0.3 ms;
+    only the first pays the fork.
+
+    The worker exits at the end of file of its task pipe, so with this
+    process, even one killed by SIGKILL; an `atexit` hook kills and reaps
+    it; an exception or interrupt while a task is out kills and reaps it,
+    and the next split forks a new one; a worker that dies counts as failing
+    at shell 1.  A later fork of this process closes its copies of the
+    worker's pipes (`_forget_worker`), and the owner pid keeps a fork that
+    bypassed that hook from using them.  Arguments that do not pickle, or a
+    failed fork, run the serial loop.
+
+    The worker runs the code and module state it forked with: the factory
+    and any function among its arguments are pickled by name and resolved
+    there.  So only the package's own code goes to it (the integrands of
+    `function_shells` are checked by `_library_integrand`), and a process
+    that patches the package after the worker was forked must call
+    `_stop_worker()` for the next split to see the patch.
+    """
+    column = factory(*args)
+    if _worker is not None and _worker.owner != os.getpid():
+        _forget_worker()  # a fork that bypassed `_forget_worker`
+    task = _task(factory, args, count) if processes == 2 and _may_split(values) else None
+    worker = (_worker or _start_worker()) if task else None
+    if worker is None:
+        return [column(j) for j in range(count)], 1
+    try:
+        try:
+            worker.tasks.write(task)
+            worker.tasks.flush()
+        except BrokenPipeError:  # the worker died after its last task
+            _stop_worker()
+        even, stop, error = _run_shells(column, range(0, count, 2))
+        reply = _reply(worker) if _worker is worker else None
+    except BaseException:
+        _stop_worker()
+        raise
+    if reply is None:
+        _stop_worker()
+    odd = reply or []
+    odd += [column(j) for j in range(1 + 2 * len(odd), count if stop is None else stop, 2)]
     if error is not None:
         raise error
+    return [(odd if j % 2 else even)[j // 2] for j in range(count)], 1 if reply is None else 2
+
+
+def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
+    """Column factory of `distortion_sweep`: column(j) is the log shell j of
+    every cell, from one draw of the substream (seed, k, region, "dist")."""
+    piece = piece_of_region(region)
+    tilted = region is RegionLabel.RegionE
+
+    def column(j):
+        sh, (log_measure, log_proposal) = shells[j], masses[j]
+        rng = derive_rng(seed, sh.k, region, salt="dist")
+        if tilted:
+            draw = draw_scale(params, region, sh, samples, rng,
+                              log_measure=log_measure, log_proposal=log_proposal)
+        else:
+            draw = sample_profile(params, region, sh, samples, rng,
+                                  log_measure=log_measure, log_proposal=log_proposal)
+            log_w = draw.log_weight
+            log_op, log_det = reflections.profile_log_jet(piece, params, draw.t, draw.r)
+        out = np.empty(len(P))
+        rows = max(1, BLOCK_VALUES // draw.count)
+        scratch = np.empty((2, min(rows, len(P)), draw.count))
+        for lo in range(0, len(P), rows):
+            block = slice(lo, lo + rows)
+            if tilted:
+                prof = draw.profile(tilts[block])
+                log_w = prof.log_weight
+                log_op, log_det = reflections.profile_log_jet(piece, params, prof.t, prof.r)
+            L, Q_log_det = scratch[:, :len(P[block])]
+            np.multiply(P[block], log_op, out=L)
+            if np.ndim(log_w):  # a scalar log weight is 0.0
+                L += log_w
+            L -= np.multiply(Q[block], log_det, out=Q_log_det)
+            out[block] = _log_shell(draw.log_measure, L, region, sh)
+        return out
+
+    return column
 
 
 def distortion_sweep(
@@ -439,19 +647,17 @@ def distortion_sweep(
     the (3, 2) cell on region E at n = 3, s = 2).  A nan in L raises
     NonFiniteIntegrandError; there is no redraw.
 
-    A call of at least SPLIT_VALUES = 2^19 values (cells x shells x
-    samples), with two shells or more, in a process that may run on two
-    CPUs or more (`sweep_processes`) splits its shells: a forked child
-    computes the odd shells and this process the even ones (`_each_shell`).
-    The split is bit for bit: each shell is drawn from its own substream and
-    its column is computed by the same code from the same inputs as in the
-    serial loop, and the child's columns come back as raw float64 bytes.
-    The first failing shell raises the serial loop's error.  A smaller call,
-    or one CPU, runs the serial loop.  The floor is measured: a split costs
-    about 8 ms per call on a 2-vCPU host (fork, copy-on-write faults,
-    reaping), so it pays from about 2^17.5 values on R2, whose region E
-    grows with the cells, and from 2^19 (4096 samples) to 2^19.6 (1024
-    samples) on R1; the table is in README.md.
+    A call of at least SPLIT_VALUES values (cells x shells x samples), with
+    two shells or more, in a process that may run on two CPUs or more
+    (`shell_processes`) splits its shells with the shell worker, once this
+    process's calls have reached FORK_VALUES values: it computes the odd
+    shells and this process the even ones (`_each_shell`).  The
+    split is bit for bit: each shell is drawn from its own substream and its
+    column is computed by the same code (`_sweep_column`) from the same
+    inputs as in the serial loop, and the worker's columns come back
+    pickled, float64 for float64.  The first failing shell raises the serial
+    loop's error.  A smaller call, or one CPU, runs the serial loop.  Each
+    shell sum records the `processes` that computed it.
     """
     cells = list(cells)
     for p, q in cells:
@@ -460,46 +666,20 @@ def distortion_sweep(
         raise ValueError(f"distortion integral is defined on A..E, not {region.value}")
     if chart_of_region(region) is not chart:
         raise ValueError(f"{region.value} is not a piece of chart {chart.value}")
-    piece = piece_of_region(region)
     P = np.array([[p * q / (p - q)] for p, q in cells])
     Q = np.array([[q / (p - q)] for p, q in cells])
     tilts = np.array([[_distortion_tilt(region, p, q, params.s)] for p, q in cells])
-    tilted = region is RegionLabel.RegionE
-
-    log_shells = np.empty((len(cells), len(shells)))
-    masses = _shell_masses(params, region, shells)
-
-    def column(j):
-        sh, (log_measure, log_proposal) = shells[j], masses[j]
-        rng = derive_rng(seed, sh.k, region, salt="dist")
-        if tilted:
-            draw = draw_scale(params, region, sh, samples_per_shell, rng,
-                              log_measure=log_measure, log_proposal=log_proposal)
-        else:
-            draw = sample_profile(params, region, sh, samples_per_shell, rng,
-                                  log_measure=log_measure, log_proposal=log_proposal)
-            log_w = draw.log_weight
-            log_op, log_det = reflections.profile_log_jet(piece, params, draw.t, draw.r)
-        rows = max(1, BLOCK_VALUES // draw.count)
-        scratch = np.empty((2, min(rows, len(cells)), draw.count))
-        for lo in range(0, len(cells), rows):
-            block = slice(lo, lo + rows)
-            if tilted:
-                prof = draw.profile(tilts[block])
-                log_w = prof.log_weight
-                log_op, log_det = reflections.profile_log_jet(piece, params, prof.t, prof.r)
-            L, Q_log_det = scratch[:, :len(P[block])]
-            np.multiply(P[block], log_op, out=L)
-            if np.ndim(log_w):  # a scalar log weight is 0.0
-                L += log_w
-            L -= np.multiply(Q[block], log_det, out=Q_log_det)
-            log_shells[block, j] = _log_shell(draw.log_measure, L, region, sh)
-
+    args = (params, region, samples_per_shell, seed, shells,
+            _shell_masses(params, region, shells), P, Q, tilts)
+    values = len(cells) * len(shells) * samples_per_shell
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        _each_shell(column, log_shells,
-                    sweep_processes(len(cells), len(shells), samples_per_shell))
+        columns, processes = _each_shell(
+            _sweep_column, args, len(shells),
+            shell_processes(len(cells), len(shells), samples_per_shell), values)
+    log_shells = np.empty((len(cells), len(shells)))
+    log_shells.T[...] = columns
     ks = [sh.k for sh in shells]
-    return [ShellSum(ks, row) for row in log_shells]
+    return [ShellSum(ks, row, processes) for row in log_shells]
 
 
 def distortion_integral(
@@ -518,6 +698,31 @@ def distortion_integral(
     return distortion_sweep(params, chart, region, [(p, q)], shells, samples_per_shell, seed)[0]
 
 
+def _norm_column(params, region, samples, seed, shells, masses, terms, salt):
+    """Column factory of `function_shells`: column(j) is the `shell_estimate`
+    of shell j."""
+
+    def column(j):
+        sh = shells[j]
+        return shell_estimate(params, region, sh, terms, samples, (seed, sh.k, salt), *masses[j])
+
+    return column
+
+
+def _library_integrand(integrand) -> bool:
+    """Whether the shell worker may run an integrand: a `functools.partial`
+    of a function of this package bound to numbers, strings and objects of
+    the package's classes.  The worker resolves a function by its name in
+    the state it forked with, so an integrand of other code (which may have
+    been redefined since) runs here."""
+    def ours(obj):
+        return getattr(obj, "__module__", "").startswith(f"{__package__}.")
+
+    return type(integrand) is partial and ours(integrand.func) and all(
+        type(a) in (bool, int, float, str) or isinstance(a, np.generic) or ours(type(a))
+        for a in (*integrand.args, *integrand.keywords.values()))
+
+
 def function_shells(
     params: CuspParams,
     region: RegionLabel,
@@ -534,12 +739,27 @@ def function_shells(
     What does not change from shell to shell is done once per region: the
     log measures of all shells (and region C's proposal masses) are one
     `geometry._log_shell_masses` pass, handed to each shell's estimate.
-    Within a shell, a radial band is formed only when an integrand reads r."""
-    values = [shell_estimate(params, region, sh, terms, samples_per_shell, (seed, sh.k, salt),
-                             *masses)
-              for sh, masses in zip(shells, _shell_masses(params, region, shells))]
+    Within a shell, a radial band is formed only when an integrand reads r.
+    A call of terms x shells x samples values that `shell_processes` gives
+    two processes splits its shells with the shell worker (`_each_shell`),
+    bit for bit and with the serial first error, as `distortion_sweep` does,
+    if every integrand is the package's own (`_library_integrand`): the
+    integrands then travel pickled, so the library's are module-level
+    functions bound by `functools.partial`.  Other integrands run serially."""
+    args = (params, region, samples_per_shell, seed, shells,
+            _shell_masses(params, region, shells), terms, salt)
+    library = all(_library_integrand(integrand) for integrand, _ in terms)
+    columns, processes = _each_shell(
+        _norm_column, args, len(shells),
+        shell_processes(len(terms), len(shells), samples_per_shell) if library else 1,
+        len(terms) * len(shells) * samples_per_shell)
     ks = [sh.k for sh in shells]
-    return [ShellSum(ks, column) for column in zip(*values)]
+    return [ShellSum(ks, row, processes) for row in zip(*columns)]
+
+
+def _gradient_power(u, p, prof):
+    """p log|u'(t)|: the seminorm integrand, read from `u.log_jet_t`."""
+    return p * u.log_jet_t(prof.t)[1]
 
 
 def sobolev_seminorm(
@@ -556,8 +776,7 @@ def sobolev_seminorm(
     whose log p log|u'(t)| reads the log form `u.log_jet_t`."""
     if p < 1.0:
         raise WindowError(f"Sobolev exponent must satisfy p >= 1, got {p}")
-    return function_shells(params, region, shells,
-                           [(lambda prof: p * u.log_jet_t(prof.t)[1], 0.0)],
+    return function_shells(params, region, shells, [(partial(_gradient_power, u, p), 0.0)],
                            samples_per_shell, seed, "semi")[0]
 
 

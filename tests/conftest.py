@@ -1,6 +1,6 @@
 """Shared fixtures, a planted differential fault, a spy on the shell
-streams, the child-process environment and the brute-force quadrature
-oracle.
+streams, the child-process environment, the child-process check and the
+brute-force quadrature oracle.
 
 The oracle integrates profile integrands over region/shell intersections by
 dense midpoint rules (log-spaced in the radial direction where integrands
@@ -10,6 +10,7 @@ used to check.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -27,11 +28,73 @@ def params():
     return CuspParams(3, 2.0)
 
 
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Start every test with no shell-loop values counted toward the fork, as
+    in a fresh process; stop the shell worker after it, so that a monkeypatch
+    never meets a worker forked before it, and check that no child is left."""
+    sobolev._unsplit_values = 0
+    yield
+    sobolev._stop_worker()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def children() -> set[int]:
+    """Pids of this process's children, exited or not, from /proc."""
+    found = set()
+    for entry in Path("/proc").iterdir():
+        fields = _stat_fields(entry.name) if entry.name.isdigit() else None
+        if fields and int(fields[1]) == os.getpid():
+            found.add(int(entry.name))
+    return found
+
+
+def gone(pid: int) -> bool:
+    """Whether process pid has exited: no /proc entry, or a zombie."""
+    fields = _stat_fields(str(pid))
+    return fields is None or fields[0] == b"Z"
+
+
+def _stat_fields(pid: str) -> list[bytes] | None:
+    """Fields 3 on (state, ppid, ...) of /proc/<pid>/stat, or None."""
+    try:
+        return (Path("/proc") / pid / "stat").read_bytes().rsplit(b")", 1)[1].split()
+    except OSError:
+        return None
+
+
 def package_env() -> dict:
     """Environment for a child interpreter that imports the package from
     where this process found it."""
     src = str(Path(cuspreflect.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def force_split(monkeypatch, split: bool, cpus: int = 2):
+    """Make every shell loop split its shells (floors 0) or stay serial
+    (floor infinite), on `cpus` allowed CPUs."""
+    monkeypatch.setattr(sobolev, "SPLIT_VALUES", 0 if split else math.inf)
+    monkeypatch.setattr(sobolev, "FORK_VALUES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def hex_sums(sums) -> list[list[str]]:
+    """The log contributions of each shell sum as float.hex strings."""
+    return [[float.hex(x) for x in ss.log_contributions.tolist()] for ss in sums]
+
+
+def plant_nan_on_shells(monkeypatch, ks):
+    """A nan in the first value of every reduce of the shells ks, met by
+    whichever process computes the shell."""
+    reduce = sobolev._log_shell
+
+    def planted(log_measure, L, region, shell):
+        if shell.k in ks:
+            L[0, 0] = np.nan
+        return reduce(log_measure, L, region, shell)
+
+    monkeypatch.setattr(sobolev, "_log_shell", planted)
 
 
 def negate_entry(i, j):

@@ -1,10 +1,12 @@
+import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import package_env, spy_rng
+from conftest import force_split, hex_sums, package_env, plant_nan_on_shells, spy_rng
 
 from cuspreflect import extension, geometry, reflections, sobolev
 from cuspreflect.errors import ChartDomainError, WindowError
@@ -550,6 +552,98 @@ class TestNonFiniteNorm:
         err = capsys.readouterr().err
         assert err == "error: non-finite integrand values on RegionE, shell 5\n"
         assert not out.exists()
+
+
+class TestNormSplit:
+    """The norm shells split with the shell worker against the serial loop:
+    the same bits and the same first error."""
+
+    @pytest.mark.parametrize("k_max", [16, 15])
+    @pytest.mark.parametrize("u", [PowerAlpha(0.4), ClampT(), Constant(2.0)],
+                             ids=["power", "clampt", "const"])
+    @pytest.mark.parametrize("scheme", ["R1", "R2"])
+    def test_experiment_bit_identical(self, monkeypatch, params, scheme, u, k_max):
+        spec = ExtensionSpec(scheme, Direction.FromInside)
+        shl = shells(5, k_max)
+        runs = []
+        for split in (False, True):
+            force_split(monkeypatch, split)
+            rep = extension_norm_experiment(params, spec, u, 3.0, 1.5, shl, 256, 11)
+            regions = [extension._region_terms(params, u, 1.5, region, shl, 256, 11)
+                       for region in geometry.chart_regions(spec.outer_chart)]
+            window = extension._window_terms(params, u, 3.0, shl, 256, 11)
+            sums = [rep.value_sum, rep.grad_sum, rep.total_sum, *window]
+            sums += [ss for pair in regions for ss in pair]
+            assert {ss.processes for ss in sums} == {1 + split}
+            assert rep.processes == 1 + split
+            runs.append((hex_sums(sums), rep.u_norm.hex(), rep.ratio.hex(), rep.verdict))
+        assert runs[0] == runs[1]
+
+    def test_seminorm_bit_identical(self, monkeypatch, params):
+        runs = []
+        for split in (False, True):
+            force_split(monkeypatch, split)
+            ss = sobolev.sobolev_seminorm(params, PowerAlpha(0.5), RegionLabel.CuspInterior,
+                                          2.0, shells(1, 40), 512, 9)
+            assert ss.processes == 1 + split
+            runs.append(hex_sums([ss]))
+        assert runs[0] == runs[1]
+
+    def test_split_draws_the_even_shells_here(self, monkeypatch, params):
+        force_split(monkeypatch, True)
+        calls = spy_rng(monkeypatch)
+        spec = ExtensionSpec("R1", Direction.FromInside)
+        extension_norm_experiment(params, spec, PowerAlpha(1.4), 2.0, 1.1, shells(5, 12), 64, 3)
+        regions = (*geometry.chart_regions(spec.outer_chart), RegionLabel.CuspInterior)
+        assert [(label, k) for _, k, label, _ in calls] == [
+            (label, k) for label in regions for k in range(5, 13, 2)]
+
+    @pytest.mark.parametrize("planted", [{8}, {7}, {8, 9}, {7, 8}])
+    def test_first_error_matches_serial(self, monkeypatch, params, planted):
+        # shell 8 is the worker's, shell 7 this process's; region D meets it first
+        plant_nan_on_shells(monkeypatch, planted)
+        spec = ExtensionSpec("R2", Direction.FromInside)
+        errors = []
+        for split in (False, True):
+            force_split(monkeypatch, split)
+            with pytest.raises(sobolev.NonFiniteIntegrandError) as exc:
+                extension_norm_experiment(params, spec, PowerAlpha(1.4), 2.0, 1.3,
+                                          shells(5, 12), 64, 3)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] == (
+            f"non-finite integrand values on RegionD, shell {min(planted)}")
+
+    @pytest.mark.parametrize("planted", [{8}, {7}])
+    def test_extendnorm_exits_3_with_the_serial_stderr(self, monkeypatch, tmp_path, capsys,
+                                                       planted):
+        from cuspreflect.cli import main
+
+        plant_nan_on_shells(monkeypatch, planted)
+        errs = []
+        for split in (False, True):
+            force_split(monkeypatch, split)
+            out = tmp_path / "out.csv"
+            assert main(["extendnorm", "--scheme", "r2", "--p", "2", "--q", "1.3",
+                         "--samples", "64", "--k-max", "12", "--out", str(out)]) == 3
+            assert not out.exists()
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == (
+            f"error: non-finite integrand values on RegionD, shell {min(planted)}\n")
+
+    def test_cli_same_bytes_split_or_not(self, monkeypatch, tmp_path):
+        from cuspreflect.cli import main
+
+        outputs = []
+        for split in (True, False):
+            force_split(monkeypatch, split)
+            out = tmp_path / f"{split}.csv"
+            assert main(["extendnorm", "--scheme", "r2", "--function", "clampt", "--p", "3",
+                         "--q", "2", "--samples", "256", "--k-max", "20", "--out",
+                         str(out)]) == 0
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            assert manifest["processes"] == 1 + split
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

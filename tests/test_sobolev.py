@@ -1,19 +1,34 @@
+import copy
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import brute_shell_integral, spy_rng
+from conftest import (
+    brute_shell_integral,
+    children,
+    force_split,
+    gone,
+    hex_sums,
+    package_env,
+    plant_nan_on_shells,
+    spy_rng,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuspreflect import checks, reflections, sobolev
+from cuspreflect import checks, extension, reflections, sobolev
 from cuspreflect.errors import EmptyRegionError, WindowError
 from cuspreflect.extension import (
+    ClampT,
     Constant,
     Direction,
     ExtensionSpec,
@@ -299,33 +314,14 @@ def _plant_nan(monkeypatch):
     monkeypatch.setattr(reflections, "profile_log_jet", planted)
 
 
-def _force_split(monkeypatch, split: bool, cpus: int = 2):
-    """Make every `distortion_sweep` call split its shells (floor 0) or stay
-    serial (floor infinite), on `cpus` allowed CPUs."""
-    monkeypatch.setattr(sobolev, "SPLIT_VALUES", 0 if split else math.inf)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
-def _hex(sums) -> list[list[str]]:
-    return [[float.hex(x) for x in ss.log_contributions.tolist()] for ss in sums]
-
-
-def _no_child_left():
+def _only_the_worker_left():
+    """No child but the shell worker after a call, and none at all once the
+    worker is stopped."""
+    worker = sobolev._worker
+    assert children() == ({worker.pid} if worker else set())
+    sobolev._stop_worker()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def _plant_nan_on_shells(monkeypatch, ks):
-    """A nan in the first value of every block of the shells ks, met by the
-    reduce of whichever process computes the shell."""
-    reduce = sobolev._log_shell
-
-    def planted(log_measure, L, region, shell):
-        if shell.k in ks:
-            L[0, 0] = np.nan
-        return reduce(log_measure, L, region, shell)
-
-    monkeypatch.setattr(sobolev, "_log_shell", planted)
 
 
 class TestDistortionSweep:
@@ -430,13 +426,13 @@ class TestDistortionSweep:
         # sums equal the serial run's bit for bit
         cells = checks.sweep_grid(params, scheme, grid=7)
         shl = shells(5, 12)
-        _force_split(monkeypatch, False)
+        force_split(monkeypatch, False)
         serial = distortion_sweep(params, chart, region, cells, shl, 1024, 3)
-        _force_split(monkeypatch, True)
+        force_split(monkeypatch, True)
         calls = spy_rng(monkeypatch)
         split = distortion_sweep(params, chart, region, cells, shl, 1024, 3)
         assert calls == [(3, k, region, "dist") for k in range(5, 13, 2)]
-        assert _hex(split) == _hex(serial)
+        assert hex_sums(split) == hex_sums(serial)
 
     def test_rejects_invalid_cell(self, params):
         with pytest.raises(WindowError):
@@ -445,31 +441,34 @@ class TestDistortionSweep:
 
 
 class TestShellSplit:
-    """`distortion_sweep` with its shells split over a forked child against
-    the serial loop: the same bits, the same first error, no child left."""
+    """`distortion_sweep` with its shells split with the shell worker against
+    the serial loop: the same bits, the same first error, no child but the
+    worker left."""
 
     def test_processes_follow_the_floor_and_the_cpus(self, monkeypatch):
-        # a fault-b call (1 cell, 22 shells, 1024 samples) stays serial; the
-        # smallest acceptance sweep block (7 x 7 cells) splits on two CPUs
+        # the 448-value warm-up calls (1 cell or term, 7 shells, 64 samples)
+        # stay serial; a fault-b call (1 cell, 22 shells, 1024 samples) and a
+        # one-term norm region of 26 shells at 1024 samples split on two CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert sobolev.sweep_processes(1, 22, 1024) == 1
-        assert sobolev.sweep_processes(49, 22, 1024) == 2
-        assert sobolev.sweep_processes(1, 2, sobolev.SPLIT_VALUES // 2) == 2
-        assert sobolev.sweep_processes(1, 2, sobolev.SPLIT_VALUES // 2 - 1) == 1
-        assert sobolev.sweep_processes(sobolev.SPLIT_VALUES, 1, 1) == 1  # one shell
+        assert sobolev.shell_processes(1, 7, 64) == 1
+        assert sobolev.shell_processes(1, 22, 1024) == 2
+        assert sobolev.shell_processes(1, 26, 1024) == 2
+        assert sobolev.shell_processes(1, 2, sobolev.SPLIT_VALUES // 2) == 2
+        assert sobolev.shell_processes(1, 2, sobolev.SPLIT_VALUES // 2 - 1) == 1
+        assert sobolev.shell_processes(sobolev.SPLIT_VALUES, 1, 1) == 1  # one shell
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:  # no fork beside another thread
-            assert sobolev.sweep_processes(49, 22, 1024) == 1
+            assert sobolev.shell_processes(49, 22, 1024) == 1
         finally:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-        assert sobolev.sweep_processes(49, 22, 1024) == 1
+        assert sobolev.shell_processes(49, 22, 1024) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert sobolev.sweep_processes(49, 22, 1024) == 1
+        assert sobolev.shell_processes(49, 22, 1024) == 1
 
     @pytest.mark.parametrize("k_max", [12, 11, 5])
     @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
@@ -479,9 +478,9 @@ class TestShellSplit:
         shl = shells(5, k_max)
         runs = []
         for split, cpus in [(True, 2), (False, 2), (True, 1)]:
-            _force_split(monkeypatch, split, cpus)
-            runs.append(_hex(distortion_sweep(params, chart, region, cells, shl, 256, 5)))
-            _no_child_left()
+            force_split(monkeypatch, split, cpus)
+            runs.append(hex_sums(distortion_sweep(params, chart, region, cells, shl, 256, 5)))
+            _only_the_worker_left()
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("planted,first", [
@@ -491,15 +490,15 @@ class TestShellSplit:
         ({7, 8}, 7),   # this process's shell comes first
     ])
     def test_first_error_matches_serial(self, monkeypatch, params, planted, first):
-        _plant_nan_on_shells(monkeypatch, planted)
+        plant_nan_on_shells(monkeypatch, planted)
         cells = checks.sweep_grid(params, "R1", grid=3)
         errors = []
         for split in (False, True):
-            _force_split(monkeypatch, split)
+            force_split(monkeypatch, split)
             with pytest.raises(sobolev.NonFiniteIntegrandError) as exc:
                 distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionB, cells,
                                  shells(5, 12), 64, 3)
-            _no_child_left()
+            _only_the_worker_left()
             errors.append(str(exc.value))
         assert errors[0] == errors[1] == f"non-finite integrand values on RegionB, shell {first}"
 
@@ -516,34 +515,44 @@ class TestShellSplit:
         monkeypatch.setattr(sobolev, "sample_profile", planted)
         errors = []
         for split in (False, True):
-            _force_split(monkeypatch, split)
+            force_split(monkeypatch, split)
             with pytest.raises(EmptyRegionError) as exc:
                 distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionB, [(2.0, 1.1)],
                                  shells(5, 12), 64, 3)
-            _no_child_left()
+            _only_the_worker_left()
             errors.append(str(exc.value))
         assert errors[0] == errors[1] == "shell 8 misses the scale range of RegionB"
 
     def test_interrupt_kills_and_reaps_the_child(self, monkeypatch, params):
-        # the child's shell 8 would take a minute; an interrupt on shell 5,
-        # this process's, ends the call at once with the child killed and reaped
+        # the worker's shell 8 would take a minute; an interrupt on shell 5,
+        # this process's, ends the call at once with the worker killed and
+        # reaped; the next split forks a new worker and gives the serial bits
         reduce = sobolev._log_shell
+        armed = [True]
 
         def planted(log_measure, L, region, shell):
-            if shell.k == 8:
+            if armed[0] and shell.k == 8:
                 time.sleep(60)
-            if shell.k == 5:
+            if armed[0] and shell.k == 5:
                 raise KeyboardInterrupt
             return reduce(log_measure, L, region, shell)
 
         monkeypatch.setattr(sobolev, "_log_shell", planted)
-        _force_split(monkeypatch, True)
+        force_split(monkeypatch, True)
+        args = (params, ChartId.R1Outer, RegionLabel.RegionB, [(2.0, 1.1)], shells(5, 12), 64, 3)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionB, [(2.0, 1.1)],
-                             shells(5, 12), 64, 3)
+            distortion_sweep(*args)
         assert time.perf_counter() - start < 30.0
-        _no_child_left()
+        assert sobolev._worker is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        armed[0] = False
+        split = hex_sums(distortion_sweep(*args))
+        assert sobolev._worker is not None
+        force_split(monkeypatch, False)
+        assert split == hex_sums(distortion_sweep(*args))
+        _only_the_worker_left()
 
     def test_cli_sweep_same_bytes_split_or_not(self, monkeypatch, tmp_path):
         from cuspreflect.cli import main
@@ -552,10 +561,10 @@ class TestShellSplit:
                 "256", "--k-max", "16"]
         outputs = []
         for split, processes in ((True, 2), (False, 1)):
-            _force_split(monkeypatch, split)
+            force_split(monkeypatch, split)
             out = tmp_path / f"{split}.csv"
             assert main(args + ["--out", str(out)]) == 0
-            _no_child_left()
+            _only_the_worker_left()
             manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
             assert manifest["processes"] == processes
             outputs.append(out.read_bytes())
@@ -566,19 +575,378 @@ class TestShellSplit:
                                                     planted):
         from cuspreflect.cli import main
 
-        _plant_nan_on_shells(monkeypatch, planted)
+        plant_nan_on_shells(monkeypatch, planted)
         errs = []
         for split in (False, True):
-            _force_split(monkeypatch, split)
+            force_split(monkeypatch, split)
             out = tmp_path / "out.csv"
             assert main(["sweep", "--p", "2", "--q", "1.1", "--samples", "64", "--k-max",
                          "12", "--out", str(out)]) == 3
-            _no_child_left()
+            _only_the_worker_left()
             assert not out.exists()
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
         assert errs[0].startswith(f"error: non-finite integrand values on RegionA, shell "
                                   f"{min(planted)}")
+
+
+def _wait_gone(pid: int, timeout: float = 30.0) -> bool:
+    end = time.monotonic() + timeout
+    while not gone(pid):
+        if time.monotonic() > end:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _reap(pid: int, timeout: float = 30.0) -> int:
+    """The wait status of child pid, which must exit within the timeout."""
+    end = time.monotonic() + timeout
+    while time.monotonic() < end:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        time.sleep(0.01)
+    raise AssertionError(f"child {pid} still running")
+
+
+# A script that makes one split `distortion_sweep` call, prints the worker's
+# pid and ends as its argument says.
+_SPLIT_SCRIPT = """
+import atexit, os, signal, sys
+
+def check():  # runs after the package's hook, which is registered later
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("child left", flush=True)
+    except ChildProcessError:
+        print("reaped", flush=True)
+
+atexit.register(check)
+from cuspreflect import geometry, sobolev
+sobolev.SPLIT_VALUES = sobolev.FORK_VALUES = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+params = geometry.CuspParams(3, 2.0)
+sobolev.distortion_sweep(params, geometry.ChartId.R1Outer, geometry.RegionLabel.RegionB,
+                         [(2.0, 1.1)], geometry.shells(5, 12), 64, 3)
+print(sobolev._worker.pid, flush=True)
+if sys.argv[1] == "kill":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+# A script that forks the shell worker, then redefines a module-level
+# integrand of __main__ and compares a forced split with the serial loop.
+_REDEFINE_SCRIPT = """
+import math, os
+import numpy as np
+from cuspreflect import geometry, sobolev
+os.sched_getaffinity = lambda pid: {0, 1}
+params = geometry.CuspParams(3, 2.0)
+
+def integrand(prof):
+    return 2.0 * np.log(prof.t)
+
+def run(split):
+    sobolev.SPLIT_VALUES = 0 if split else math.inf
+    ss = sobolev.function_shells(params, geometry.RegionLabel.CuspInterior,
+                                 geometry.shells(5, 12), [(integrand, 0.0)], 64, 7, "semi")[0]
+    return [x.hex() for x in ss.log_contributions.tolist()], ss.processes
+
+sobolev.SPLIT_VALUES = sobolev.FORK_VALUES = 0
+sobolev.distortion_sweep(params, geometry.ChartId.R1Outer, geometry.RegionLabel.RegionB,
+                         [(2.0, 1.1)], geometry.shells(5, 12), 64, 3)
+run(True)
+
+def integrand(prof):
+    return 3.0 * np.log(prof.t)
+
+split, processes = run(True)
+print(split == run(False)[0], processes, sobolev._worker is not None)
+"""
+
+
+class _OtherCode:
+    """A test function of code outside the package."""
+
+    def log_jet_t(self, t):
+        return np.zeros_like(t), np.zeros_like(t)
+
+
+def _scaled_log(c, prof):
+    return c * np.log(prof.t)
+
+
+class TestShellWorker:
+    """The life of the shell worker: one per process, forked by the first
+    split and reused, pinned off the caller's CPU, gone with its caller."""
+
+    _ARGS = (ChartId.R1Outer, RegionLabel.RegionB, [(2.0, 1.1)], shells(5, 12), 64, 3)
+
+    def test_one_worker_serves_every_split(self, monkeypatch, params):
+        force_split(monkeypatch, True)
+        distortion_sweep(params, *self._ARGS)
+        worker = sobolev._worker
+        sobolev_seminorm(params, PowerAlpha(0.3), RegionLabel.CuspInterior, 2.0, shells(5, 12),
+                         64, 7)
+        distortion_sweep(params, *self._ARGS)
+        assert sobolev._worker is worker
+        _only_the_worker_left()
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs two allowed CPUs")
+    def test_worker_alone_is_pinned_off_the_callers_cpu(self, monkeypatch, params):
+        allowed = os.sched_getaffinity(0)
+        monkeypatch.setattr(sobolev, "SPLIT_VALUES", 0)
+        monkeypatch.setattr(sobolev, "FORK_VALUES", 0)
+        monkeypatch.setattr(sobolev, "_current_cpu", lambda: min(allowed))
+        distortion_sweep(params, *self._ARGS)
+        assert os.sched_getaffinity(sobolev._worker.pid) == allowed - {min(allowed)}
+        assert os.sched_getaffinity(0) == allowed
+        _only_the_worker_left()
+
+    def test_worker_forked_once_the_loops_reach_fork_values(self, monkeypatch, params):
+        force_split(monkeypatch, False)
+        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        force_split(monkeypatch, True)
+        monkeypatch.setattr(sobolev, "SPLIT_VALUES", 512)  # the call's 1 x 8 x 64 values
+        monkeypatch.setattr(sobolev, "FORK_VALUES", 3 * 512)
+        for _ in range(2):
+            sums = distortion_sweep(params, *self._ARGS)
+            assert hex_sums(sums) == want and sums[0].processes == 1
+            assert sobolev._worker is None and children() == set()
+        monkeypatch.setattr(sobolev, "SPLIT_VALUES", 513)  # below the floor: not counted
+        assert distortion_sweep(params, *self._ARGS)[0].processes == 1
+        monkeypatch.setattr(sobolev, "SPLIT_VALUES", 512)
+        sums = distortion_sweep(params, *self._ARGS)
+        assert hex_sums(sums) == want and sums[0].processes == 2
+        assert sobolev._worker is not None
+        _only_the_worker_left()
+
+    def test_a_short_command_does_not_fork(self, monkeypatch, tmp_path):
+        from cuspreflect.cli import main
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "norm.csv"
+        assert main(["extendnorm", "--p", "2", "--q", "1.1", "--samples", "4096", "--out",
+                     str(out)]) == 0
+        assert json.loads(Path(str(out) + ".manifest.json").read_text())["processes"] == 1
+        assert sobolev._worker is None and children() == set()
+
+    def test_current_cpu_is_an_allowed_cpu(self):
+        assert sobolev._current_cpu() in os.sched_getaffinity(0)
+
+    def test_worker_exits_at_the_end_of_file_of_its_tasks(self, monkeypatch, params):
+        force_split(monkeypatch, True)
+        distortion_sweep(params, *self._ARGS)
+        worker = sobolev._worker
+        worker.tasks.close()
+        status = _reap(worker.pid)
+        worker.results.close()
+        monkeypatch.setattr(sobolev, "_worker", None)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+    @pytest.mark.parametrize("end", ["kill", "exit"])
+    def test_worker_goes_with_its_caller(self, end):
+        # SIGKILL leaves the worker an end of file on its tasks; a normal
+        # exit runs the atexit hook, which kills and reaps it
+        proc = subprocess.run([sys.executable, "-c", _SPLIT_SCRIPT, end], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        lines = proc.stdout.split()
+        assert _wait_gone(int(lines[0]))
+        if end == "kill":
+            assert proc.returncode == -signal.SIGKILL and lines[1:] == []
+        else:
+            assert proc.returncode == 0 and lines[1:] == ["reaped"], proc.stderr
+
+    def test_exception_while_a_task_is_out_kills_the_worker(self, monkeypatch, params):
+        force_split(monkeypatch, True)
+        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        first = sobolev._worker
+        reply = sobolev._reply
+
+        def broken(worker):  # fails while the worker computes its shells
+            raise OSError("planted")
+
+        monkeypatch.setattr(sobolev, "_reply", broken)
+        with pytest.raises(OSError, match="planted"):
+            distortion_sweep(params, *self._ARGS)
+        assert sobolev._worker is None and gone(first.pid)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(sobolev, "_reply", reply)
+        assert hex_sums(distortion_sweep(params, *self._ARGS)) == want
+        assert sobolev._worker.pid != first.pid
+        _only_the_worker_left()
+
+    def test_worker_killed_between_tasks_counts_as_failing_at_shell_1(self, monkeypatch,
+                                                                    params):
+        force_split(monkeypatch, False)
+        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        force_split(monkeypatch, True)
+        distortion_sweep(params, *self._ARGS)
+        first = sobolev._worker
+        os.kill(first.pid, signal.SIGKILL)
+        calls = spy_rng(monkeypatch)
+        sums = distortion_sweep(params, *self._ARGS)
+        assert hex_sums(sums) == want and sums[0].processes == 1
+        assert sorted(k for _, k, _, _ in calls) == list(range(5, 13))
+        assert sobolev._worker is None
+        with pytest.raises(ChildProcessError):  # the dead worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+        distortion_sweep(params, *self._ARGS)
+        assert sobolev._worker.pid != first.pid
+        _only_the_worker_left()
+
+    def test_worker_dying_in_a_task_counts_as_failing_at_shell_1(self, monkeypatch, params):
+        force_split(monkeypatch, False)
+        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        caller = os.getpid()
+        reduce = sobolev._log_shell
+
+        def planted(log_measure, L, region, shell):
+            if shell.k == 8 and os.getpid() != caller:
+                os._exit(1)
+            return reduce(log_measure, L, region, shell)
+
+        monkeypatch.setattr(sobolev, "_log_shell", planted)
+        force_split(monkeypatch, True)
+        calls = spy_rng(monkeypatch)
+        sums = distortion_sweep(params, *self._ARGS)
+        assert hex_sums(sums) == want and sums[0].processes == 1
+        # this process drew every shell: the even ones, then the odd ones
+        assert [k for _, k, _, _ in calls] == [5, 7, 9, 11, 6, 8, 10, 12]
+        assert sobolev._worker is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fork_of_the_caller_neither_uses_nor_holds_the_worker(self, monkeypatch,
+                                                                 params):
+        force_split(monkeypatch, True)
+        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        worker = sobolev._worker
+        pipes = (worker.tasks.fileno(), worker.results.fileno())
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the forked child reports through the pipe
+            report = b"fail"
+            try:
+                held = []
+                for fd in pipes:
+                    try:
+                        os.fstat(fd)
+                        held.append(fd)
+                    except OSError:
+                        pass
+                if sobolev._worker is None and not held:
+                    split = hex_sums(distortion_sweep(params, *self._ARGS))
+                    own = sobolev._worker
+                    sobolev._stop_worker()
+                    if split == want and own is not None and own.pid != worker.pid:
+                        report = b"ok"
+            finally:
+                os.write(write, report)
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as fh:
+            report = fh.read()
+        assert os.WEXITSTATUS(_reap(pid)) == 0
+        assert report == b"ok"
+        assert sobolev._worker is worker
+        assert hex_sums(distortion_sweep(params, *self._ARGS)) == want
+        _only_the_worker_left()
+
+    def test_worker_holds_none_of_the_callers_files(self, monkeypatch, params):
+        # a pipe opened before the worker was forked reaches end of file
+        # once this process closes its write end
+        read, write = os.pipe()
+        try:
+            force_split(monkeypatch, True)
+            distortion_sweep(params, *self._ARGS)
+            assert sobolev._worker is not None
+            os.close(write)
+            write = None
+            os.set_blocking(read, False)
+            assert os.read(read, 1) == b""
+        finally:
+            os.close(read)
+            if write is not None:
+                os.close(write)
+        _only_the_worker_left()
+
+    def test_integrand_redefined_after_the_fork_runs_serially(self):
+        proc = subprocess.run([sys.executable, "-c", _REDEFINE_SCRIPT], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["True", "1", "True"], proc.stderr
+
+    def test_only_the_packages_integrands_go_to_the_worker(self, params):
+        library = sobolev._library_integrand
+        assert library(partial(sobolev._gradient_power, PowerAlpha(0.3), 2.0))
+        assert library(partial(sobolev._gradient_power, ClampT(), np.float64(2.0)))
+        assert library(partial(extension._region_masses, "1", params, Constant(2.0), 1.5,
+                               True, False))
+        assert not library(partial(sobolev._gradient_power, _OtherCode(), 2.0))
+        assert not library(partial(sobolev._gradient_power, PowerAlpha(0.3), p=[2.0]))
+        assert not library(partial(_scaled_log, 2.0))
+        assert not library(lambda prof: 2.0 * np.log(prof.t))
+        assert not library(partial(np.log))
+
+    def test_worker_of_another_owner_is_not_used(self, monkeypatch, params):
+        # a fork that bypassed the fork hook: the copy it kept of its
+        # parent's worker is dropped, its pipes closed, and a worker of its
+        # own forked
+        force_split(monkeypatch, True)
+        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        worker = sobolev._worker
+        forged = copy.copy(worker)
+        forged.owner = -1
+        monkeypatch.setattr(sobolev, "_worker", forged)
+        assert hex_sums(distortion_sweep(params, *self._ARGS)) == want
+        assert sobolev._worker.pid != worker.pid
+        assert os.WEXITSTATUS(_reap(worker.pid)) == 0  # end of file on its tasks
+        _only_the_worker_left()
+
+    def test_failed_fork_runs_serially(self, monkeypatch, params):
+        force_split(monkeypatch, False)
+        want = hex_sums(distortion_sweep(params, *self._ARGS))
+
+        def refuse():
+            raise BlockingIOError("planted")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        force_split(monkeypatch, True)
+        sums = distortion_sweep(params, *self._ARGS)
+        assert hex_sums(sums) == want and sums[0].processes == 1
+        assert sobolev._worker is None and children() == set()
+
+    def test_integrands_that_do_not_pickle_run_serially(self, monkeypatch, params):
+        terms = [(lambda prof: 2.0 * np.log(prof.t), 0.0)]
+        args = (params, RegionLabel.CuspInterior, shells(5, 12), terms, 64, 7, "semi")
+        force_split(monkeypatch, False)
+        want = hex_sums(sobolev.function_shells(*args))
+        force_split(monkeypatch, True)
+        sums = sobolev.function_shells(*args)
+        assert hex_sums(sums) == want and sums[0].processes == 1
+        assert sobolev._worker is None
+
+    def test_extendnorm_in_a_subprocess_leaves_no_worker(self, tmp_path):
+        script = (
+            "import os, sys\n"
+            "from cuspreflect import cli, sobolev\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sobolev.FORK_VALUES = 0\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(sobolev._worker.pid, rc)\n"
+        )
+        out = tmp_path / "norm.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "extendnorm", "--scheme", "r2", "--p", "2",
+             "--q", "1.3", "--samples", "1024", "--k-max", "30", "--out", str(out)],
+            env=package_env(), capture_output=True, text=True, timeout=120)
+        pid, rc = proc.stdout.split()[-2:]
+        assert rc == "0", proc.stderr
+        assert json.loads(Path(str(out) + ".manifest.json").read_text())["processes"] == 2
+        assert _wait_gone(int(pid))
 
 
 _CHARTS = {"R1": ChartId.R1Outer, "R2": ChartId.R2Outer}

@@ -37,14 +37,14 @@ reduce `_log_shell` with one nan rule (NonFiniteIntegrandError), and
 `ShellSum`s of log contributions, whose log ratios the verdict reads.
 
 Since every shell has its own substream, both shell loops split their
-shells over two processes where the call has enough work and this process
-may run on two CPUs (`_each_shell`).  The second process is one shell
-worker per process, forked once the process's shell loops have done enough
-work to repay the fork, pinned to the other CPUs and kept until the process
-ends: each split sends it a module-level column factory with its pickled
-arguments, it computes the odd shells with the serial code, and this
-process the even ones.  The split gives the serial bits and the serial
-first error.
+shells over two processes by one rule (`_each_shell`): a loop of two shells
+or more splits where this process runs one thread and may run on two CPUs.
+The second process is one shell worker per process, forked once the
+process's shell loops have done enough work to repay the fork, pinned to
+the other CPUs and kept until the process ends: each split sends it a
+module-level column factory with its pickled arguments, it computes the odd
+shells with the serial code, and this process the even ones.  The split
+gives the serial bits and the serial first error.
 """
 
 from __future__ import annotations
@@ -91,14 +91,11 @@ MIN_SHELLS = 6
 # Values (cells x samples) that `distortion_sweep` reduces in one block:
 # larger blocks save little time and raise peak memory.
 BLOCK_VALUES = 8192
-# Values (cells or terms x shells x samples) from which a shell loop splits
-# its shells with the shell worker: below it the fixed cost of a split
-# outweighs the second CPU.  Measured, see `_each_shell` and README.md.
-SPLIT_VALUES = 2 ** 13
-# Values of the shell loops that met SPLIT_VALUES, the current one included,
-# from which a process forks its shell worker: in a fresh process the fork
-# costs 12-22 ms (copy-on-write faults, and the reaping at exit), which only
-# a few hundred ms of shell work repays.  Measured, see README.md.
+# Values (cells or terms x shells x samples) of the shell loops that could
+# split, the current one included, from which a process forks its shell
+# worker (`_each_shell`): in a fresh process the fork costs 12-22 ms
+# (copy-on-write faults, and the reaping at exit), which only a few hundred
+# ms of shell work repays.  Measured, see README.md.
 FORK_VALUES = 2 ** 22
 
 
@@ -230,10 +227,9 @@ class ShellSum:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Convergence classification of a shell sum plus its fitted tail ratio."""
+    """Convergence classification of a shell sum."""
 
     kind: str  # 'Convergent' | 'Divergent' | 'Inconclusive'
-    decay_ratio: float
 
     def __str__(self):
         return self.kind
@@ -252,18 +248,15 @@ def convergence_verdict(shell_sum: ShellSum) -> Verdict:
         raise ValueError(f"need at least {MIN_SHELLS} shells, got {len(shell_sum.ks)}")
     log_total = shell_sum.log_total
     if log_total == -math.inf:
-        return Verdict("Convergent", 0.0)
+        return Verdict("Convergent")
     last = shell_sum.log_ratios[-VERDICT_TAIL:]
-    finite = last[np.isfinite(last)]
-    with np.errstate(over="ignore"):
-        fitted = float(np.exp(np.mean(finite))) if finite.size else math.inf
     if np.all(last <= math.log(RATIO_CONVERGENT)) and math.isfinite(log_total):
-        return Verdict("Convergent", fitted)
+        return Verdict("Convergent")
     if np.all(last >= math.log(RATIO_DIVERGENT)):
-        return Verdict("Divergent", fitted)
+        return Verdict("Divergent")
     if not math.isfinite(log_total) or log_total > math.log(PARTIAL_SUM_CAP):
-        return Verdict("Divergent", fitted)
-    return Verdict("Inconclusive", fitted)
+        return Verdict("Divergent")
+    return Verdict("Inconclusive")
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +347,6 @@ def _shell_masses(params: CuspParams, region: RegionLabel, shells) -> list[tuple
                     [None] * len(shells) if proposals is None else proposals.tolist()))
 
 
-def shell_processes(rows: int, shells: int, samples: int) -> int:
-    """Processes that may serve a shell loop of `rows` (cells or terms) x
-    `shells` x `samples` values: 2 when it has two shells or more, its values
-    reach SPLIT_VALUES and this process may run on two CPUs or more, else 1
-    (with 2 the loop splits once `_may_split`).
-    A process that runs other Python threads gets 1: a fork copies only the
-    calling thread, so a lock another thread holds would stay held in the
-    worker, and two threads would share its pipes."""
-    if (shells < 2 or rows * shells * samples < SPLIT_VALUES
-            or threading.active_count() > 1 or not hasattr(os, "sched_getaffinity")):
-        return 1
-    return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
-
-
 class _Worker:
     """The shell worker: its pid, the files of its task and result pipes,
     and the pid of the process that forked it."""
@@ -377,8 +356,8 @@ class _Worker:
 
 
 _worker: _Worker | None = None
-# Values of the shell loops that met the floor while this process had no
-# worker (`_may_split`).
+# Values of the shell loops that could split while this process had no
+# worker (`_each_shell`).
 _unsplit_values = 0
 
 
@@ -487,18 +466,6 @@ if hasattr(os, "register_at_fork"):  # absent where there is no os.fork
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _may_split(values: int) -> bool:
-    """Whether a shell loop of `values` values that met the floor splits:
-    with the running worker, or once the loops that met the floor while this
-    process had none, this one included, reach FORK_VALUES values (its first
-    split then forks the worker)."""
-    global _unsplit_values
-    if _worker is not None:
-        return True
-    _unsplit_values += values
-    return _unsplit_values >= FORK_VALUES
-
-
 def _task(factory, args: tuple, count: int) -> bytes | None:
     """The pickled task of a split, or None where the arguments do not
     pickle."""
@@ -516,27 +483,33 @@ def _reply(worker: _Worker) -> list | None:
         return None
 
 
-def _each_shell(factory, args: tuple, count: int, processes: int,
-                values: int) -> tuple[list, int]:
+def _each_shell(factory, args: tuple, count: int, values: int,
+                splittable: bool = True) -> tuple[list, int]:
     """The columns column(j) of the shells j < count, column = factory(*args),
     with the error of the serial loop in ascending j, and the processes that
     made them (1 or 2).
 
-    With two processes (`shell_processes` of the loop's `values`) the shells
-    are split with this process's shell worker once `_may_split`: a process
-    forks it only when its loops that met the floor reach FORK_VALUES
-    values, so a short command never pays the fork.  It is pinned to the
-    allowed CPUs other than the one this process runs on (unpinned, the
-    worker and its caller kept landing on one CPU); it stays for the life of
-    the process and takes one task at a time over a pipe: the factory, a
-    module-level function, with its pickled arguments and numpy's error
-    state.  The worker builds its
-    own column and returns the columns of the odd shells up to its first
-    failure; this process runs the even shells meanwhile, then the odd
-    shells from the worker's failure on itself, up to its own first failure,
-    so the first failing shell raises here with the serial loop's type and
-    text.  A split costs a pipe round trip and a few pickles, about 0.3 ms;
-    only the first pays the fork.
+    One rule decides the split.  A `splittable` loop of two shells or more,
+    in a process that runs one Python thread and may run on two CPUs or more
+    (`os.sched_getaffinity`), splits its shells with this process's shell
+    worker if the worker runs, or else once the `values` (cells or terms x
+    shells x samples) of such loops run without a worker, this one included,
+    reach FORK_VALUES: that loop forks the worker, so a short command never
+    pays the fork.  Beside another thread the loop is serial: a fork copies
+    only the calling thread, so a lock another thread holds would stay held
+    in the worker, and two threads would share its pipes.
+
+    The worker is pinned to the allowed CPUs other than the one this process
+    runs on (unpinned, the worker and its caller kept landing on one CPU);
+    it stays for the life of the process and takes one task at a time over
+    a pipe: the factory, a module-level function, with its pickled arguments
+    and numpy's error state.  The worker builds its own column and returns
+    the columns of the odd shells up to its first failure; this process runs
+    the even shells meanwhile, then the odd shells from the worker's failure
+    on itself, up to its own first failure, so the first failing shell
+    raises here with the serial loop's type and text.  A split costs a pipe
+    round trip and a few pickles, about 0.3 ms; only the first pays the
+    fork.
 
     The worker exits at the end of file of its task pipe, so with this
     process, even one killed by SIGKILL; an `atexit` hook kills and reaps
@@ -554,10 +527,16 @@ def _each_shell(factory, args: tuple, count: int, processes: int,
     that patches the package after the worker was forked must call
     `_stop_worker()` for the next split to see the patch.
     """
+    global _unsplit_values
     column = factory(*args)
     if _worker is not None and _worker.owner != os.getpid():
         _forget_worker()  # a fork that bypassed `_forget_worker`
-    task = _task(factory, args, count) if processes == 2 and _may_split(values) else None
+    splits = (splittable and count >= 2 and threading.active_count() == 1
+              and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+    if splits and _worker is None:
+        _unsplit_values += values
+        splits = _unsplit_values >= FORK_VALUES
+    task = _task(factory, args, count) if splits else None
     worker = (_worker or _start_worker()) if task else None
     if worker is None:
         return [column(j) for j in range(count)], 1
@@ -647,17 +626,16 @@ def distortion_sweep(
     the (3, 2) cell on region E at n = 3, s = 2).  A nan in L raises
     NonFiniteIntegrandError; there is no redraw.
 
-    A call of at least SPLIT_VALUES values (cells x shells x samples), with
-    two shells or more, in a process that may run on two CPUs or more
-    (`shell_processes`) splits its shells with the shell worker, once this
-    process's calls have reached FORK_VALUES values: it computes the odd
-    shells and this process the even ones (`_each_shell`).  The
-    split is bit for bit: each shell is drawn from its own substream and its
-    column is computed by the same code (`_sweep_column`) from the same
-    inputs as in the serial loop, and the worker's columns come back
-    pickled, float64 for float64.  The first failing shell raises the serial
-    loop's error.  A smaller call, or one CPU, runs the serial loop.  Each
-    shell sum records the `processes` that computed it.
+    A call of two shells or more splits its shells by the rule of
+    `_each_shell` (one thread, two allowed CPUs, and the shell worker
+    running or forked once this process's loops reach FORK_VALUES values of
+    cells x shells x samples): the worker computes the odd shells and this
+    process the even ones.  The split is bit for bit: each shell is drawn
+    from its own substream and its column is computed by the same code
+    (`_sweep_column`) from the same inputs as in the serial loop, and the
+    worker's columns come back pickled, float64 for float64.  The first
+    failing shell raises the serial loop's error.  Any other call runs the
+    serial loop.  Each shell sum records the `processes` that computed it.
     """
     cells = list(cells)
     for p, q in cells:
@@ -671,11 +649,9 @@ def distortion_sweep(
     tilts = np.array([[_distortion_tilt(region, p, q, params.s)] for p, q in cells])
     args = (params, region, samples_per_shell, seed, shells,
             _shell_masses(params, region, shells), P, Q, tilts)
-    values = len(cells) * len(shells) * samples_per_shell
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        columns, processes = _each_shell(
-            _sweep_column, args, len(shells),
-            shell_processes(len(cells), len(shells), samples_per_shell), values)
+        columns, processes = _each_shell(_sweep_column, args, len(shells),
+                                         len(cells) * len(shells) * samples_per_shell)
     log_shells = np.empty((len(cells), len(shells)))
     log_shells.T[...] = columns
     ks = [sh.k for sh in shells]
@@ -740,19 +716,17 @@ def function_shells(
     log measures of all shells (and region C's proposal masses) are one
     `geometry._log_shell_masses` pass, handed to each shell's estimate.
     Within a shell, a radial band is formed only when an integrand reads r.
-    A call of terms x shells x samples values that `shell_processes` gives
-    two processes splits its shells with the shell worker (`_each_shell`),
-    bit for bit and with the serial first error, as `distortion_sweep` does,
-    if every integrand is the package's own (`_library_integrand`): the
-    integrands then travel pickled, so the library's are module-level
-    functions bound by `functools.partial`.  Other integrands run serially."""
+    The shells split by the rule of `_each_shell`, counting terms x shells x
+    samples values, bit for bit and with the serial first error, as
+    `distortion_sweep` does, if every integrand is the package's own
+    (`_library_integrand`): the integrands then travel pickled, so the
+    library's are module-level functions bound by `functools.partial`.
+    Other integrands run serially."""
     args = (params, region, samples_per_shell, seed, shells,
             _shell_masses(params, region, shells), terms, salt)
-    library = all(_library_integrand(integrand) for integrand, _ in terms)
     columns, processes = _each_shell(
-        _norm_column, args, len(shells),
-        shell_processes(len(terms), len(shells), samples_per_shell) if library else 1,
-        len(terms) * len(shells) * samples_per_shell)
+        _norm_column, args, len(shells), len(terms) * len(shells) * samples_per_shell,
+        all(_library_integrand(integrand) for integrand, _ in terms))
     ks = [sh.k for sh in shells]
     return [ShellSum(ks, row, processes) for row in zip(*columns)]
 

@@ -10,7 +10,6 @@ used to check.
 
 from __future__ import annotations
 
-import math
 import os
 from pathlib import Path
 
@@ -71,12 +70,12 @@ def package_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def force_split(monkeypatch, split: bool, cpus: int = 2):
-    """Make every shell loop split its shells (floors 0) or stay serial
-    (floor infinite), on `cpus` allowed CPUs."""
-    monkeypatch.setattr(sobolev, "SPLIT_VALUES", 0 if split else math.inf)
+def force_split(monkeypatch, split: bool):
+    """Make every library shell loop of two shells or more split its shells
+    (two allowed CPUs) or stay serial (one), with the worker forked by the
+    first split (FORK_VALUES 0)."""
     monkeypatch.setattr(sobolev, "FORK_VALUES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1 + split)))
 
 
 def hex_sums(sums) -> list[list[str]]:

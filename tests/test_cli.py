@@ -22,6 +22,17 @@ def run_cli(args):
     return main(args)
 
 
+def csv_rows(path) -> list[dict]:
+    """The rows of a CSV file, keyed by its header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def csv_header(path) -> str:
+    """The first line of a CSV file, without its line end."""
+    return Path(path).read_text().split("\n", 1)[0].strip()
+
+
 class TestPointCommands:
     def test_reflect_piece_a(self, capsys):
         assert run_cli(["reflect", "--scheme", "r1-outer", "--n", "3", "--s", "2",
@@ -193,7 +204,7 @@ class TestInputHardening:
 def _sweep_rows(tmp_path, args):
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep", *args, "--out", str(out)]) == 0
-    return list(csv.DictReader(open(out)))
+    return csv_rows(out)
 
 
 class TestFaultRegressions:
@@ -237,7 +248,7 @@ class TestFaultRegressions:
                         "--function", "power:1.4", "--p", "2", "--q", q, "--samples", "1024",
                         "--k-max", "250", "--out", str(out)]) == 0
         assert "nan" not in out.read_text() + Path(str(out) + ".manifest.json").read_text()
-        assert list(csv.DictReader(open(out)))[-1]["verdict"] == verdict
+        assert csv_rows(out)[-1]["verdict"] == verdict
 
     def test_norm_band_exponent_21(self, tmp_path):
         # the cusp window's scale law x^20 underflowed lo^p and hi^p from k ~ 50
@@ -255,7 +266,7 @@ class TestFaultRegressions:
                         "--k-max", "250", "--out", str(out)]) == 0
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert math.isfinite(manifest["u_norm"]) and math.isfinite(manifest["ratio"])
-        rows = list(csv.DictReader(open(out)))
+        rows = csv_rows(out)
         assert [row["k"] for row in rows] == [str(k) for k in range(5, 251)]
         assert all(math.isfinite(float(row["Lq_grad_term"])) for row in rows)
         assert rows[-1]["verdict"] == manifest["verdict"] == "Divergent"
@@ -268,7 +279,7 @@ class TestFaultRegressions:
         assert run_cli(["extendnorm", "--scheme", "r2", "--n", "3", "--s", "4",
                         "--function", "power:0.5", "--p", "3", "--q", "1.8", "--samples", "256",
                         "--k-max", "250", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = csv_rows(out)
         assert all(math.isfinite(float(row["Lq_grad_term"])) for row in rows)
         assert rows[-1]["verdict"] == "Convergent"
 
@@ -277,7 +288,7 @@ class TestFaultRegressions:
         out = tmp_path / "scaling.csv"
         assert run_cli(["scaling", "--regions", "A", "--n", "6", "--s", "4", "--k-min", "8",
                         "--k-max", "80", "--samples", "256", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = csv_rows(out)
         assert float(rows[0]["target_slope"]) == 15.0
         assert float(rows[0]["fitted_slope"]) == pytest.approx(15.0, abs=1e-6)
 
@@ -295,9 +306,9 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--scheme", "r1", "--p", "2", "--q", "1.0,1.1,1.3,1.5",
                         "--samples", "1024", "--k-max", "26", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = csv_rows(out)
         assert [r["region"] for r in rows[:3]] == ["RegionA", "RegionB", "RegionC"]
-        header = open(out).readline().strip()
+        header = csv_header(out)
         assert header == ("n,s,scheme,region,p,q,q_max_theory,admissible_theory,"
                           "e_predicted,k_min,k_max,partial_sum,last_ratio,verdict,agrees,seed")
         for r in rows:
@@ -309,14 +320,14 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         run_cli(["sweep", "--scheme", "r2", "--p", "2", "--q", "1.3", "--samples", "512",
                  "--k-max", "20", "--out", str(out)])
-        rows = list(csv.DictReader(open(out)))
+        rows = csv_rows(out)
         assert all(r["admissible_theory"] == "true" for r in rows)  # 1.3 < 10/7
 
     def test_q_at_least_p_yields_window_row(self, tmp_path):
         out = tmp_path / "sweep.csv"
         run_cli(["sweep", "--scheme", "r1", "--p", "2", "--q", "2.0,2.5",
                  "--out", str(out)])
-        rows = list(csv.DictReader(open(out)))
+        rows = csv_rows(out)
         assert all(r["verdict"] == "WindowError" for r in rows)
 
     def test_manifest_written(self, tmp_path):
@@ -369,7 +380,7 @@ class TestScaling:
     def test_region_a_slope(self, tmp_path):
         out = tmp_path / "scaling.csv"
         run_cli(["scaling", "--regions", "A", "--samples", "1024", "--out", str(out)])
-        rows = list(csv.DictReader(open(out)))
+        rows = csv_rows(out)
         assert rows[0]["region"] == "RegionA"
         assert float(rows[0]["fitted_slope"]) == pytest.approx(2.0, abs=1e-9)
         assert float(rows[0]["target_slope"]) == 2.0
@@ -377,7 +388,7 @@ class TestScaling:
     def test_header(self, tmp_path):
         out = tmp_path / "scaling.csv"
         run_cli(["scaling", "--regions", "D", "--samples", "256", "--out", str(out)])
-        assert open(out).readline().strip() == "region,scale,opnorm,abs_det,fitted_slope,target_slope"
+        assert csv_header(out) == "region,scale,opnorm,abs_det,fitted_slope,target_slope"
 
 
 class TestExtendnorm:
@@ -385,15 +396,15 @@ class TestExtendnorm:
         out = tmp_path / "en.csv"
         run_cli(["extendnorm", "--function", "power:1.4", "--p", "2", "--q", "1.3",
                  "--samples", "1024", "--out", str(out)])
-        rows = list(csv.DictReader(open(out)))
+        rows = csv_rows(out)
         assert rows[-1]["verdict"] == "Divergent"
-        assert open(out).readline().strip() == "shell,k,Lq_value_term,Lq_grad_term,partial,verdict"
+        assert csv_header(out) == "shell,k,Lq_value_term,Lq_grad_term,partial,verdict"
 
     def test_convergent_case(self, tmp_path):
         out = tmp_path / "en.csv"
         run_cli(["extendnorm", "--function", "power:1.4", "--p", "2", "--q", "1.1",
                  "--samples", "1024", "--out", str(out)])
-        rows = list(csv.DictReader(open(out)))
+        rows = csv_rows(out)
         assert rows[-1]["verdict"] == "Convergent"
 
     def test_zero_function_ratio_is_zero(self, tmp_path, capsys):
@@ -410,8 +421,8 @@ class TestHolder:
     def test_csv_and_exponent(self, tmp_path):
         out = tmp_path / "holder.csv"
         run_cli(["holder", "--s", "2", "--out", str(out)])
-        rows = list(csv.DictReader(open(out)))
-        assert open(out).readline().strip() == "t,osc,diam,fitted_exponent"
+        rows = csv_rows(out)
+        assert csv_header(out) == "t,osc,diam,fitted_exponent"
         assert float(rows[0]["fitted_exponent"]) == pytest.approx(0.5, abs=0.02)
 
 
@@ -450,7 +461,7 @@ class TestVerify:
 
         out = tmp_path / "verify.csv"
         assert run_cli(["verify", "--out", str(out)]) == 0
-        assert open(out).readline().strip() == "name,samples,worst_error,threshold,pass"
+        assert csv_header(out) == "name,samples,worst_error,threshold,pass"
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         names = {name for name in dir(checks) if name.startswith("check_")}
         assert set(manifest["check_s"]) == names

@@ -167,9 +167,7 @@ class TestShellSumVerdict:
         return shell_sum_of(range(5, 5 + n), vals)
 
     def test_convergent(self):
-        v = convergence_verdict(self._sum_from_ratio(0.5))
-        assert v.kind == "Convergent"
-        assert v.decay_ratio == pytest.approx(0.5)
+        assert convergence_verdict(self._sum_from_ratio(0.5)).kind == "Convergent"
 
     def test_divergent(self):
         assert convergence_verdict(self._sum_from_ratio(8.0)).kind == "Divergent"
@@ -411,9 +409,9 @@ class TestDistortionSweep:
 
     @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
     def test_one_draw_per_region_and_shell(self, monkeypatch, params, region, chart, scheme):
-        # the serial path: the floor sits above the call's work
+        # the serial path: one allowed CPU
         cells = checks.sweep_grid(params, scheme, grid=7)
-        monkeypatch.setattr(sobolev, "SPLIT_VALUES", len(cells) * 8 * 1024 + 1)
+        force_split(monkeypatch, False)
         calls = spy_rng(monkeypatch)
         distortion_sweep(params, chart, region, cells, shells(5, 12), 1024, 3)
         assert calls == [(3, k, region, "dist") for k in range(5, 13)]
@@ -445,43 +443,71 @@ class TestShellSplit:
     the serial loop: the same bits, the same first error, no child but the
     worker left."""
 
-    def test_processes_follow_the_floor_and_the_cpus(self, monkeypatch):
-        # the 448-value warm-up calls (1 cell or term, 7 shells, 64 samples)
-        # stay serial; a fault-b call (1 cell, 22 shells, 1024 samples) and a
-        # one-term norm region of 26 shells at 1024 samples split on two CPUs
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert sobolev.shell_processes(1, 7, 64) == 1
-        assert sobolev.shell_processes(1, 22, 1024) == 2
-        assert sobolev.shell_processes(1, 26, 1024) == 2
-        assert sobolev.shell_processes(1, 2, sobolev.SPLIT_VALUES // 2) == 2
-        assert sobolev.shell_processes(1, 2, sobolev.SPLIT_VALUES // 2 - 1) == 1
-        assert sobolev.shell_processes(sobolev.SPLIT_VALUES, 1, 1) == 1  # one shell
+    def test_serial_loops_read_one_process(self, monkeypatch, params):
+        # with the worker running, a loop of one shell, beside another
+        # thread, of other code's integrands or on one CPU runs serially;
+        # without it, so does a loop below FORK_VALUES
+        def sweep(k_max=12):
+            return distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionB,
+                                    [(2.0, 1.1)], shells(5, k_max), 64, 3)[0].processes
+
+        force_split(monkeypatch, True)
+        assert sweep() == 2 and sobolev._worker is not None
+        assert sweep(k_max=5) == 1  # one shell
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
-        try:  # no fork beside another thread
-            assert sobolev.shell_processes(49, 22, 1024) == 1
+        try:  # no split beside another thread
+            assert sweep() == 1
         finally:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
+        terms = [(partial(_scaled_log, 2.0), 0.0)]  # an integrand of other code
+        assert sobolev.function_shells(params, RegionLabel.CuspInterior, shells(5, 12), terms,
+                                       64, 7, "semi")[0].processes == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-        assert sobolev.shell_processes(49, 22, 1024) == 1
+        assert sweep() == 1
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert sobolev.shell_processes(49, 22, 1024) == 1
+        assert sweep() == 1
+        _only_the_worker_left()
+        # no worker, and the loop's 1 x 8 x 64 values below FORK_VALUES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sobolev, "_unsplit_values", 0)
+        monkeypatch.setattr(sobolev, "FORK_VALUES", 513)
+        assert sweep() == 1 and sobolev._worker is None and children() == set()
+
+    @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
+    def test_small_loop_splits_with_the_worker_running(self, monkeypatch, params, region,
+                                                       chart, scheme):
+        # 1 cell x 7 shells x 64 samples = 448 values, split bit for bit by the
+        # running worker though far below FORK_VALUES
+        args = (params, chart, region, [(3.0, 1.5)], shells(5, 11), 64, 3)
+        force_split(monkeypatch, False)
+        want = hex_sums(distortion_sweep(*args))
+        force_split(monkeypatch, True)
+        distortion_sweep(*args)  # forks the worker
+        monkeypatch.setattr(sobolev, "FORK_VALUES", math.inf)
+        sums = distortion_sweep(*args)
+        assert sums[0].processes == 2 and hex_sums(sums) == want
+        _only_the_worker_left()
 
     @pytest.mark.parametrize("k_max", [12, 11, 5])
     @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
     def test_split_is_bit_identical(self, monkeypatch, params, region, chart, scheme, k_max):
-        # even, odd and single shell counts; serial by the floor and by one CPU
+        # even, odd and single shell counts; serial by one CPU and by a
+        # FORK_VALUES that no loop reaches
         cells = checks.sweep_grid(params, scheme, grid=3)
         shl = shells(5, k_max)
         runs = []
-        for split, cpus in [(True, 2), (False, 2), (True, 1)]:
-            force_split(monkeypatch, split, cpus)
-            runs.append(hex_sums(distortion_sweep(params, chart, region, cells, shl, 256, 5)))
+        for split, fork_values in [(True, 0), (False, 0), (True, math.inf)]:
+            force_split(monkeypatch, split)
+            monkeypatch.setattr(sobolev, "FORK_VALUES", fork_values)
+            sums = distortion_sweep(params, chart, region, cells, shl, 256, 5)
+            runs.append((hex_sums(sums), {ss.processes for ss in sums}))
             _only_the_worker_left()
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == runs[1][0] == runs[2][0]
+        assert [processes for _, processes in runs] == [{1 + (k_max > 5)}, {1}, {1}]
 
     @pytest.mark.parametrize("planted,first", [
         ({8}, 8),      # an odd shell: the child meets it
@@ -624,7 +650,7 @@ def check():  # runs after the package's hook, which is registered later
 
 atexit.register(check)
 from cuspreflect import geometry, sobolev
-sobolev.SPLIT_VALUES = sobolev.FORK_VALUES = 0
+sobolev.FORK_VALUES = 0
 os.sched_getaffinity = lambda pid: {0, 1}
 params = geometry.CuspParams(3, 2.0)
 sobolev.distortion_sweep(params, geometry.ChartId.R1Outer, geometry.RegionLabel.RegionB,
@@ -638,7 +664,7 @@ if sys.argv[1] == "kill":
 # A script that forks the shell worker, then redefines a module-level
 # integrand of __main__ and compares a forced split with the serial loop.
 _REDEFINE_SCRIPT = """
-import math, os
+import os
 import numpy as np
 from cuspreflect import geometry, sobolev
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -648,12 +674,12 @@ def integrand(prof):
     return 2.0 * np.log(prof.t)
 
 def run(split):
-    sobolev.SPLIT_VALUES = 0 if split else math.inf
+    os.sched_getaffinity = lambda pid: {0, 1} if split else {0}
     ss = sobolev.function_shells(params, geometry.RegionLabel.CuspInterior,
                                  geometry.shells(5, 12), [(integrand, 0.0)], 64, 7, "semi")[0]
     return [x.hex() for x in ss.log_contributions.tolist()], ss.processes
 
-sobolev.SPLIT_VALUES = sobolev.FORK_VALUES = 0
+sobolev.FORK_VALUES = 0
 sobolev.distortion_sweep(params, geometry.ChartId.R1Outer, geometry.RegionLabel.RegionB,
                          [(2.0, 1.1)], geometry.shells(5, 12), 64, 3)
 run(True)
@@ -697,7 +723,6 @@ class TestShellWorker:
                         reason="needs two allowed CPUs")
     def test_worker_alone_is_pinned_off_the_callers_cpu(self, monkeypatch, params):
         allowed = os.sched_getaffinity(0)
-        monkeypatch.setattr(sobolev, "SPLIT_VALUES", 0)
         monkeypatch.setattr(sobolev, "FORK_VALUES", 0)
         monkeypatch.setattr(sobolev, "_current_cpu", lambda: min(allowed))
         distortion_sweep(params, *self._ARGS)
@@ -709,15 +734,11 @@ class TestShellWorker:
         force_split(monkeypatch, False)
         want = hex_sums(distortion_sweep(params, *self._ARGS))
         force_split(monkeypatch, True)
-        monkeypatch.setattr(sobolev, "SPLIT_VALUES", 512)  # the call's 1 x 8 x 64 values
-        monkeypatch.setattr(sobolev, "FORK_VALUES", 3 * 512)
+        monkeypatch.setattr(sobolev, "FORK_VALUES", 3 * 512)  # the call's 1 x 8 x 64 values
         for _ in range(2):
             sums = distortion_sweep(params, *self._ARGS)
             assert hex_sums(sums) == want and sums[0].processes == 1
             assert sobolev._worker is None and children() == set()
-        monkeypatch.setattr(sobolev, "SPLIT_VALUES", 513)  # below the floor: not counted
-        assert distortion_sweep(params, *self._ARGS)[0].processes == 1
-        monkeypatch.setattr(sobolev, "SPLIT_VALUES", 512)
         sums = distortion_sweep(params, *self._ARGS)
         assert hex_sums(sums) == want and sums[0].processes == 2
         assert sobolev._worker is not None

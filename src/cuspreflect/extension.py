@@ -10,10 +10,11 @@ grad T = (T_t, T_r).  The norm experiment sums these terms region by region
 through `sobolev.function_shells`, the shell loop of the seminorm as well:
 each (region, shell) is drawn once for all its terms, the collar regions
 under the salt "extval" and the L^p and seminorm terms of u on the cusp
-window under "lp".  The integrands take the `ProfileSample` and return
-logs: they read u in its log form `log_jet_t` and the chart's T-row
-(`reflections.piece_T_row`) alone, so the radius is drawn only where T
-depends on it; regions sum in logs.  A T-row's constant entries are
+window under "lp".  The integrands take the shell's `ProfileSample` from
+`geometry.sample_profile`, tilted to the term's radial tilt by its
+`profile`, and return logs: they read u in its log form `log_jet_t` and the
+chart's T-row (`reflections.piece_T_row`) alone, so the radius is drawn only
+where T depends on it; regions sum in logs.  A T-row's constant entries are
 floats, and every collar region has T_t = 0 or T_r = 0, so log|grad T| is
 the scalar 0.0 on A to D and one log of T_r on E, never a hypot.
 

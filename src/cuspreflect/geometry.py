@@ -25,9 +25,9 @@ r.
 
 Dyadic shells stratify the singular integrals: shell k covers the region's
 scale variable (|t| for A, C, D, E and the inner bands; |x| for B) in
-[2^-(k+1), 2^-k].  The samplers draw the scale variable first
-(`draw_scale`) and the radius from its conditional band after; an untilted
-`ProfileSample` draws the radius only on the first read of its `r`.
+[2^-(k+1), 2^-k].  `sample_profile` draws the scale variable, and the
+`ProfileSample` it returns draws the radius from its conditional band only
+on the first read of its `r`; `ProfileSample.profile` tilts the radial law.
 """
 
 from __future__ import annotations
@@ -426,25 +426,21 @@ def _shell_scale_interval(label: RegionLabel, lo: float, hi: float) -> tuple[flo
     return max(lo, 0.0), min(hi, q.scale_hi)
 
 
-def log_shell_measures(params: CuspParams, label: RegionLabel, shells) -> np.ndarray:
-    """log of the exact Lebesgue volume of the region with its scale
-    variable in each dyadic `Shell` or scale interval (lo, hi) of `shells`,
-    from the closed-form slices; (0, 1/2) gives the volume the shells cover,
-    and a shell that misses the region's scale range -inf.  See
-    `_log_shell_masses`, whose first row it is.
-    """
-    return _log_shell_masses(params, label, shells)[0]
-
-
 def _log_shell_masses(params: CuspParams, label: RegionLabel, shells):
-    """(log measures, log proposal masses) of the shells: the measures of
-    `log_shell_measures`, and on region C the log of the integral of
-    xi^(n-1) over each shell's scale interval, the mass of its draw's
-    proposal over the unit-ball volume (None on every other label).
+    """(log measures, log proposal masses) of the `Shell`s or scale intervals
+    (lo, hi) of `shells`, in one pass.
 
-    Cross sections are (n-1)-balls or annuli: the cusp slice at height t has
-    radius t^s, a cone slice radius |t|; region B integrates |x| with the
-    slab length 2|x| in t; region E slices are annuli capped at (1/2)^s.
+    The measure is the log of the exact Lebesgue volume of the region with
+    its scale variable in the shell, from the closed-form slices; (0, 1/2)
+    gives the volume the shells cover, and a shell that misses the region's
+    scale range -inf.  Cross sections are (n-1)-balls or annuli: the cusp
+    slice at height t has radius t^s, a cone slice radius |t|; region B
+    integrates |x| with the slab length 2|x| in t; region E slices are
+    annuli capped at (1/2)^s.  The proposal mass is the log total mass of
+    the scale draw's proposal on regions C and E, whose scale law is not
+    exact (None on every other label): cn times the integral of xi^(n-1)
+    over the shell on C, 2 cn (1/2)^(s(n-1)) (b - a) on E.
+
     The power integrals of all shells are one `_log_power_norm` call (a row
     per exponent); the scalar steps around it are `math`'s, per shell, so
     each entry is the one-shell value bit for bit.
@@ -453,7 +449,7 @@ def _log_shell_masses(params: CuspParams, label: RegionLabel, shells):
     n, s = params.n, params.s
     q = _QUAD[label]
     out = np.full(len(shells), -math.inf)
-    proposal = out.copy() if q.kind == "cwedge" else None
+    proposal = out.copy() if q.kind in ("cwedge", "ering") else None
     bounds = [_shell_scale_interval(label, *((sh.lo, sh.hi) if isinstance(sh, Shell) else sh))
               for sh in shells]
     live = [i for i, (a, b) in enumerate(bounds) if a < b]
@@ -477,9 +473,11 @@ def _log_shell_masses(params: CuspParams, label: RegionLabel, shells):
     # (1/2)^s less the cusp's
     if q.kind == "cwedge":
         whole, cusp = _log_power_norm(log_a, log_b, np.array([[n - 1.0], [s * (n - 1)]]))
-        proposal[live] = whole
+        proposal[live] = log_cn + whole
     else:
         cusp = _log_power_norm(log_a, log_b, s * (n - 1))
+        proposal[live] = [math.log(2.0 * (y - x)) + log_cn + s * (n - 1) * math.log(0.5)
+                          for x, y in zip(a, b)]
         log_cn += math.log(2.0)
         whole = np.array([s * (n - 1) * math.log(0.5) + math.log(y - x) for x, y in zip(a, b)])
     out[live] = [log_cn + w + math.log(-math.expm1(c - w))
@@ -487,14 +485,10 @@ def _log_shell_masses(params: CuspParams, label: RegionLabel, shells):
     return out, proposal
 
 
-def log_shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
-    """`log_shell_measures` of one `Shell` or scale interval (lo, hi)."""
-    return float(log_shell_measures(params, label, [shell])[0])
-
-
 def shell_measure(params: CuspParams, label: RegionLabel, shell) -> float:
-    """exp of `log_shell_measure`: 0 or inf past the float range."""
-    return math.exp(log_shell_measure(params, label, shell))
+    """The Lebesgue volume of region /\\ shell (`_log_shell_masses`): 0 or inf
+    past the float range."""
+    return math.exp(_log_shell_masses(params, label, [shell])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -568,34 +562,6 @@ def _log_power_norm(log_lo, log_hi, m):
         return out if log is None else np.where(log, np.log(span), out)
 
 
-@dataclass
-class ProfileSample:
-    """Weighted profile samples of region /\\ shell for quadrature, in logs.
-
-    mean(exp(log_weight) f(t, r)) estimates the measure-average of f; its
-    log plus `log_measure` is the log of the shell integral.  The weight
-    absorbs any mismatch between the sampling law and the true normalised
-    measure: the scale draw's weight w, times r^tilt z_m / z_r where a
-    radial tilt reshaped the radius law (z_m and z_r, whose logs stay finite
-    past the float range, normalise the tilted and the true radial density).
-    With a column of tilts, r and the log weight have one row per tilt; an
-    untilted cone, band or slab sample has the scalar log weight 0.0.
-
-    The radii `r` are drawn by `draw_r` on first read, so an integrand of t
-    alone never pays for them.
-    """
-
-    t: np.ndarray
-    log_weight: np.ndarray | float
-    log_measure: float
-    count: int
-    draw_r: Callable[[], np.ndarray]
-
-    @cached_property
-    def r(self) -> np.ndarray:
-        return self.draw_r()
-
-
 def _strata(m1: int, m2: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Jittered m1 x m2 grid in the unit square, one sample per cell: the
     jitters of u1 and then of u2 are one draw of the stream."""
@@ -633,18 +599,26 @@ def _off_the_edges(u2: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ScaleDraw:
-    """Region /\\ shell samples whose radius is still to be drawn.
+class ProfileSample:
+    """Weighted profile samples of region /\\ shell for quadrature, in logs.
 
-    The scale variable, t and the log importance weight are fixed (the
-    weight is the scalar 0.0 on cones, bands and the slab, whose scale law
-    is exact).  `band` makes the conditional radial band [lo_r, hi_r] and
-    its uniform variate u2, squeezed off the band's edges; it runs on the
-    first read of `lo_r`, `hi_r` or `u2`, which the first read of a radius
-    does, so an integrand of t alone never forms the band.  On a band that
-    starts at the axis (region A, region D, `CuspInterior`, inner band 1),
-    lo_r is the scalar 0.0.  Region B's slab fixes r by the scale variable
-    alone, so `r` is set there and the band holds u2 alone.
+    mean(exp(log_weight) f(t, r)) estimates the measure-average of f; its
+    log plus `log_measure` is the log of the shell integral.  The weight
+    absorbs any mismatch between the sampling law and the true normalised
+    measure: the scale draw's weight w (the scalar 0.0 on cones, bands and
+    the slab, whose scale law is exact), times r^tilt z_m / z_r where a
+    radial tilt reshaped the radius law (z_m and z_r, whose logs stay finite
+    past the float range, normalise the tilted and the true radial density;
+    see `profile`).
+
+    `band` makes the conditional radial band [lo_r, hi_r] and its uniform
+    variate u2, squeezed off the band's edges; it runs on the first read of
+    `lo_r`, `hi_r` or `u2`, which the first read of an untilted sample's
+    radii `r` does, so an integrand of t alone neither forms the band nor
+    draws a radius.  On a band that starts at the axis (region A, region D,
+    `CuspInterior`, inner band 1), lo_r is the scalar 0.0.  Region B's slab
+    fixes r by the scale variable alone, so `fixed_r` holds it there and the
+    band holds u2 alone; a tilted sample's `fixed_r` holds its radii.
     """
 
     n: int
@@ -653,7 +627,7 @@ class ScaleDraw:
     log_measure: float
     count: int
     band: Callable[[], tuple]
-    r: np.ndarray | None = None
+    fixed_r: np.ndarray | None = None
 
     @cached_property
     def _band(self):
@@ -663,27 +637,30 @@ class ScaleDraw:
     hi_r = property(lambda self: self._band[1])
     u2 = property(lambda self: self._band[2])
 
-    def profile(self, radial_tilt=0.0) -> ProfileSample:
-        """Draw r with conditional density ~ r^(n-2-radial_tilt) in the band,
-        compensated by weights, and return the finished samples.
+    @cached_property
+    def r(self) -> np.ndarray:
+        if self.fixed_r is not None:
+            return self.fixed_r
+        return _power_icdf(self.lo_r, self.hi_r, float(self.n - 2), self.u2)
 
-        `radial_tilt` is one tilt or a column of tilts, which gives one row
-        of radii and weights per tilt; each row equals a one-tilt column's
-        bit for bit.  Several tilts may be applied to one draw; each call
-        leaves the draw unchanged.  Untilted, the weights do not depend on r,
-        so r is drawn on the first read of the sample's `r`, from the same
-        variate u2; a tilted profile draws it at once.
+    def profile(self, radial_tilt=0.0) -> ProfileSample:
+        """The samples with conditional radial density ~ r^(n-2-radial_tilt)
+        in the band, compensated by weights, which kills the variance of
+        integrands with a known radial power singularity (region E).
+
+        Untilted, and on a sample whose radii are fixed (the slab, a tilted
+        sample), this is the sample itself.  Otherwise it is a new sample
+        that shares this one's t and band and draws its radii at once from
+        the same variate u2.  `radial_tilt` is one tilt or a column of
+        tilts, which gives one row of radii and weights per tilt; each row
+        equals a one-tilt column's bit for bit.  Several tilts may be
+        applied to one sample; each call leaves it unchanged.
         """
-        if self.r is not None:
-            return ProfileSample(self.t, self.log_weight, self.log_measure, self.count,
-                                 lambda: self.r)
-        nm2 = float(self.n - 2)
-        if np.ndim(radial_tilt) == 0 and radial_tilt == 0.0:
-            return ProfileSample(self.t, self.log_weight, self.log_measure, self.count,
-                                 lambda: _power_icdf(self.lo_r, self.hi_r, nm2, self.u2))
+        if self.fixed_r is not None or (np.ndim(radial_tilt) == 0 and radial_tilt == 0.0):
+            return self
         cap, log_lo, log_hi, log_z_r = self._tilt_frame
         radial_tilt = np.minimum(radial_tilt, cap)
-        m_r = nm2 - radial_tilt
+        m_r = float(self.n - 2) - radial_tilt
         r = _power_icdf(self.lo_r, self.hi_r, m_r, self.u2)
         log_weight = np.log(r)
         log_weight *= radial_tilt
@@ -691,13 +668,14 @@ class ScaleDraw:
         norm = _log_power_norm(log_lo, log_hi, m_r)
         norm -= log_z_r
         log_weight += norm
-        return ProfileSample(self.t, log_weight, self.log_measure, self.count, lambda: r)
+        return ProfileSample(self.n, self.t, log_weight, self.log_measure, self.count,
+                             lambda: self._band, r)
 
     @cached_property
     def _tilt_frame(self):
-        """What every tilted `profile` of the draw shares, made on the first:
-        the tilt cap, log lo_r, log hi_r and the log normaliser z_r of the
-        untilted radial density."""
+        """What every tilted `profile` of the sample shares, made on the
+        first: the tilt cap, log lo_r, log hi_r and the log normaliser z_r of
+        the untilted radial density."""
         nm2 = float(self.n - 2)
         # Cap the tilt so (lo/hi)^(m+1) stays in float range; the cells that
         # need variance reduction sit near the critical curve where the
@@ -712,7 +690,7 @@ class ScaleDraw:
         return cap, log_lo, log_hi, _log_power_norm(log_lo, log_hi, nm2)
 
 
-def draw_scale(
+def sample_profile(
     params: CuspParams,
     label: RegionLabel,
     shell: Shell,
@@ -722,16 +700,16 @@ def draw_scale(
     *,
     log_measure: float | None = None,
     log_proposal: float | None = None,
-) -> ScaleDraw:
-    """Draw everything of `sample_profile` but the radius.
+) -> ProfileSample:
+    """Draw weighted (t, r) quadrature samples from region /\\ shell.
 
     The scale coordinate follows its exact power law when the normalisation
     is closed form (cone/slab/band, log weight the scalar 0.0); otherwise
     (C, E) a closed-form proposal plus a log importance weight is used.
-    The radial band and its variate's squeeze are formed on the first read
-    of the radius (see `ScaleDraw`); the stream is drawn here all the same.
-    Stratification is a jittered 2-D grid, so the effective count is the
-    enclosing m1*m2 grid size.  `log_measure` and, on region C,
+    The radius follows the untilted conditional law in its band, formed on
+    its first read (see `ProfileSample`); the stream is drawn here all the
+    same.  Stratification is a jittered 2-D grid, so the effective count is
+    the enclosing m1*m2 grid size.  `log_measure` and, on regions C and E,
     `log_proposal` are the shell's entries of `_log_shell_masses`, for
     callers that made every shell's at once.
     """
@@ -741,13 +719,12 @@ def draw_scale(
     if b <= a:
         raise EmptyRegionError(f"shell {shell.k} misses the scale range of {label.value}")
     q = _QUAD[label]
-    if log_measure is None or (log_proposal is None and q.kind == "cwedge"):
+    if log_measure is None or (log_proposal is None and q.kind in ("cwedge", "ering")):
         measures, proposals = _log_shell_masses(params, label, [shell])
         if log_measure is None:
             log_measure = float(measures[0])
         if log_proposal is None and proposals is not None:
             log_proposal = float(proposals[0])
-    log_cn = math.log(unit_ball_volume(n - 1))
 
     if stratify:
         m1, m2 = _grid_shape(count)
@@ -773,47 +750,23 @@ def draw_scale(
         xi = _power_icdf(a, b, n - 1.0, u1)
         u2 = _off_the_edges(u2)
         t = -xi + 2.0 * xi * u2
-        return ScaleDraw(n, t, log_w, log_measure, m, lambda: (None, None, u2), r=xi)
+        return ProfileSample(n, t, log_w, log_measure, m, lambda: (None, None, u2), xi)
     elif q.kind == "cwedge":
-        # proposal ~ xi^(n-1), of total mass cn zp; true density ~ xi^(n-1)
-        # - xi^(s(n-1)), of total mass the measure
+        # proposal ~ xi^(n-1); true density ~ xi^(n-1) - xi^(s(n-1)), of
+        # total mass the measure
         xi = _power_icdf(a, b, n - 1.0, u1)
-        log_w = np.log1p(-xi ** ((s - 1.0) * (n - 1.0))) + (log_cn + log_proposal - log_measure)
+        log_w = np.log1p(-xi ** ((s - 1.0) * (n - 1.0))) + (log_proposal - log_measure)
         t = xi
         band = lambda: (xi**s, xi)
     else:  # 'ering'
-        # uniform proposal, of total mass 2 cn (1/2)^(s(n-1)) (b - a); true
-        # density ~ (1/2)^(s(n-1)) - xi^(s(n-1)), of total mass the measure
+        # uniform proposal; true density ~ (1/2)^(s(n-1)) - xi^(s(n-1)), of
+        # total mass the measure
         xi = a + (b - a) * u1
-        log_mass = math.log(2.0 * (b - a)) + log_cn + s * (n - 1) * math.log(0.5)
-        log_w = np.log1p(-(2.0 * xi) ** (s * (n - 1.0))) + (log_mass - log_measure)
+        log_w = np.log1p(-(2.0 * xi) ** (s * (n - 1.0))) + (log_proposal - log_measure)
         t = xi * np.where(rng.random(m) < 0.5, 1.0, -1.0)
         band = lambda: (xi**s, np.full(m, 0.5**s))
-    return ScaleDraw(n, np.asarray(t, dtype=float), log_w, log_measure, m,
-                     lambda: (*band(), _off_the_edges(u2)))
-
-
-def sample_profile(
-    params: CuspParams,
-    label: RegionLabel,
-    shell: Shell,
-    count: int,
-    rng: np.random.Generator,
-    radial_tilt: float = 0.0,
-    stratify: bool = True,
-    *,
-    log_measure: float | None = None,
-    log_proposal: float | None = None,
-) -> ProfileSample:
-    """Draw weighted (t, r) quadrature samples from region /\\ shell.
-
-    `draw_scale` draws the scale coordinate and the radial band;
-    `radial_tilt` then reshapes the conditional radial density to
-    ~ r^(n-2-tilt), compensated by weights, which kills the variance of
-    integrands with a known radial power singularity (region E).
-    """
-    return draw_scale(params, label, shell, count, rng, stratify, log_measure=log_measure,
-                      log_proposal=log_proposal).profile(radial_tilt)
+    return ProfileSample(n, np.asarray(t, dtype=float), log_w, log_measure, m,
+                         lambda: (*band(), _off_the_edges(u2)))
 
 
 def random_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:

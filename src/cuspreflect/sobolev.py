@@ -25,11 +25,12 @@ The norm terms of a test function and of its extension run through one
 shell loop, `function_shells`, whose shell primitive `shell_estimate` draws
 each (region, shell) once, from the substream (seed, k, region, salt), and
 reduces every term of that shell from the draw: the terms of one radial tilt
-share one profile, which each integrand reads as a `ProfileSample`.  A draw
-forms its radial band on the first read of r, so an untilted integrand of t
-alone neither forms the band nor draws the radius.  What is the same for
-every shell of a region is done once per region: both paths make the log
-measures of all its shells (and region C's proposal masses) in one
+share one `ProfileSample.profile` of it.  Both loops draw every shell with
+`geometry.sample_profile`, whose `ProfileSample` forms its radial band on
+the first read of r, so an untilted integrand of t alone neither forms the
+band nor draws the radius.  What is the same for every shell of a region is
+done once per region: both paths make the log measures of all its shells
+(and regions C's and E's proposal masses) in one
 `geometry._log_shell_masses` pass and hand each shell its own.  Shells span
 hundreds of binary orders, so both paths work in logs from the measure to
 the verdict: log measures and weights, integrands that return logs, one
@@ -73,7 +74,6 @@ from .geometry import (
     chart_of_region,
     check_scheme,
     derive_rng,
-    draw_scale,
     piece_of_region,
     sample_profile,
 )
@@ -278,15 +278,16 @@ def shell_estimate(
     (seed, k, salt).
 
     `terms` lists (integrand, radial_tilt) pairs.  `integrand(prof)` returns
-    log values of shape (N,) on the `ProfileSample` of its tilt, or a stack
-    (m, N) of m integrands, each row one estimate; the terms of one tilt get
-    the same samples.  Their result is a new float array, which the
-    estimate overwrites.  An untilted sample draws its radii on the first
-    read of `prof.r`, so an integrand that reads t alone neither forms the
-    radial band nor draws a radius.  A zero log weight (cones, bands, the
-    slab) is not added.  The result lists the `_log_shell` of each row, in
-    term order: a nan raises NonFiniteIntegrandError, while inf values are
-    kept, since genuinely divergent exponents overflow by design.
+    log values of shape (N,) on `sample_profile`'s sample tilted by its
+    `profile(radial_tilt)`, or a stack (m, N) of m integrands, each row one
+    estimate; the terms of one tilt get the same samples.  Their result is a
+    new float array, which the estimate overwrites.  An untilted sample
+    draws its radii on the first read of `prof.r`, so an integrand that
+    reads t alone neither forms the radial band nor draws a radius.  A zero
+    log weight (cones, bands, the slab) is not added.  The result lists the
+    `_log_shell` of each row, in term order: a nan raises
+    NonFiniteIntegrandError, while inf values are kept, since genuinely
+    divergent exponents overflow by design.
     `log_measure` and `log_proposal` are the shell's entries of
     `geometry._log_shell_masses`, which `function_shells` makes for all its
     shells at once.
@@ -295,8 +296,8 @@ def shell_estimate(
     rng = derive_rng(seed, k, region, salt=salt)
     estimates = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        draw = draw_scale(params, region, shell, samples, rng, log_measure=log_measure,
-                          log_proposal=log_proposal)
+        draw = sample_profile(params, region, shell, samples, rng, log_measure=log_measure,
+                              log_proposal=log_proposal)
         profiles = {}
         for integrand, tilt in terms:
             if tilt not in profiles:
@@ -569,12 +570,9 @@ def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
     def column(j):
         sh, (log_measure, log_proposal) = shells[j], masses[j]
         rng = derive_rng(seed, sh.k, region, salt="dist")
-        if tilted:
-            draw = draw_scale(params, region, sh, samples, rng,
+        draw = sample_profile(params, region, sh, samples, rng,
                               log_measure=log_measure, log_proposal=log_proposal)
-        else:
-            draw = sample_profile(params, region, sh, samples, rng,
-                                  log_measure=log_measure, log_proposal=log_proposal)
+        if not tilted:
             log_w = draw.log_weight
             log_op, log_det = reflections.profile_log_jet(piece, params, draw.t, draw.r)
         out = np.empty(len(P))
@@ -611,18 +609,18 @@ def distortion_sweep(
     (p, q) cell, in cell order.
 
     Each shell is drawn once from the substream (seed, k, region, "dist"),
-    with its log measure (and on region C its proposal mass) from one
+    with its log measure (and on regions C and E its proposal mass) from one
     `geometry._log_shell_masses` pass over the shells.
     The integrand is reduced in log space: a block of cells forms
     L = log w + P log opnorm - Q log|det| by broadcasting its exponent
     columns (P, Q) against the shared log jet, and each cell's log shell is
     log measure + max L + log mean exp(L - max L).  On region E each
-    block draws its own radii from the shared scale draw with its column of
-    radial tilts.  Elementwise broadcasting makes every cell's contributions
-    equal a one-cell run's bit for bit, except where a cell's radial
-    exponent in `geometry._power_icdf` is one of numpy's special-cased powers
-    (-1, 0.5, 2), which round differently in a one-cell column than in a
-    longer one: such a cell agrees to a few ulps (3.6e-15 in a log shell of
+    block's `ProfileSample.profile` of the shared draw takes its own radii
+    with its column of radial tilts.  Elementwise broadcasting makes every
+    cell's contributions equal a one-cell run's bit for bit, except where a
+    cell's radial exponent in `geometry._power_icdf` is one of numpy's
+    special-cased powers (-1, 0.5, 2), which round differently in a one-cell
+    column than in a longer one: such a cell agrees to a few ulps (3.6e-15 in a log shell of
     the (3, 2) cell on region E at n = 3, s = 2).  A nan in L raises
     NonFiniteIntegrandError; there is no redraw.
 
@@ -713,8 +711,9 @@ def function_shells(
     substream (seed, k, region, salt), for all the terms.
 
     What does not change from shell to shell is done once per region: the
-    log measures of all shells (and region C's proposal masses) are one
-    `geometry._log_shell_masses` pass, handed to each shell's estimate.
+    log measures of all shells (and regions C's and E's proposal masses)
+    are one `geometry._log_shell_masses` pass, handed to each shell's
+    estimate.
     Within a shell, a radial band is formed only when an integrand reads r.
     The shells split by the rule of `_each_shell`, counting terms x shells x
     samples values, bit for bit and with the serial first error, as

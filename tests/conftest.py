@@ -122,6 +122,20 @@ def spy_rng(monkeypatch) -> list:
     return calls
 
 
+def spy_draws(monkeypatch) -> list:
+    """Record the (region, k, sample) of every `sample_profile` call of
+    sobolev."""
+    draws = []
+    sample_profile = sobolev.sample_profile
+
+    def spy(params, region, shell, *args, **kwargs):
+        draws.append((region, shell.k, sample_profile(params, region, shell, *args, **kwargs)))
+        return draws[-1][2]
+
+    monkeypatch.setattr(sobolev, "sample_profile", spy)
+    return draws
+
+
 def brute_shell_integral(
     params: CuspParams,
     region: RegionLabel,

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import force_split, hex_sums, package_env, plant_nan_on_shells, spy_rng
+from conftest import (force_split, hex_sums, package_env, plant_nan_on_shells, spy_draws,
+                      spy_rng)
 
 from cuspreflect import extension, geometry, reflections, sobolev
 from cuspreflect.errors import ChartDomainError, WindowError
@@ -431,6 +432,20 @@ class TestDrawCount:
                          for sh in shl}
         assert {salt for *_, salt in calls} <= {"extval", "lp"}
 
+    @pytest.mark.parametrize("scheme", ["R1", "R2"])
+    def test_every_draw_goes_through_sample_profile(self, monkeypatch, params, scheme):
+        # serial (one allowed CPU), so that every draw is made here: one
+        # `sample_profile` call per (region, shell), E's tilted terms too
+        force_split(monkeypatch, False)
+        draws = spy_draws(monkeypatch)
+        spec = ExtensionSpec(scheme, Direction.FromInside)
+        shl = shells(5, 12)
+        extension_norm_experiment(params, spec, PowerAlpha(1.4), 2.0, 1.3, shl, 64, 3)
+        regions = (*geometry.chart_regions(spec.outer_chart), RegionLabel.CuspInterior)
+        got = [(region, k) for region, k, _ in draws]
+        assert sorted(got, key=str) == sorted(((region, sh.k) for region in regions
+                                               for sh in shl), key=str)
+
 
 class TestNormReadsOnlyTheTRow:
     """The norm integrands read T, T_t and T_r alone: no chart piece's full
@@ -464,20 +479,13 @@ class TestNormReadsOnlyTheTRow:
     def test_t_only_shells_never_form_the_band(self, monkeypatch, params, scheme, u, p, q):
         # the radial band of a draw is formed on the first read of a radius:
         # of A, C, D and the cusp window, whose integrands read t alone, none
-        draws = []
-        draw_scale = sobolev.draw_scale
-
-        def spy(prm, region, *args, **kwargs):
-            draws.append((region, draw_scale(prm, region, *args, **kwargs)))
-            return draws[-1][1]
-
-        monkeypatch.setattr(sobolev, "draw_scale", spy)
+        draws = spy_draws(monkeypatch)
         spec = ExtensionSpec(scheme, Direction.FromInside)
         extension_norm_experiment(params, spec, u, p, q, shells(5, 12), 64, 3)
         t_only = {"R1": {RegionLabel.RegionA, RegionLabel.RegionC},
                   "R2": {RegionLabel.RegionD}}[scheme] | {RegionLabel.CuspInterior}
-        assert t_only <= {region for region, _ in draws}
-        formed = {region for region, draw in draws if "_band" in vars(draw)}
+        assert t_only <= {region for region, _, _ in draws}
+        formed = {region for region, _, draw in draws if "_band" in vars(draw)}
         assert formed == ({RegionLabel.RegionE} if scheme == "R2" else set())
 
     @pytest.mark.parametrize("u,p,q", [(PowerAlpha(1.4), 2.0, 1.1), (ClampT(), 3.0, 2.0)],
@@ -658,7 +666,7 @@ def reference_shell_estimate(params, region, shell, integrand, samples, seed_par
     seed, k, salt = seed_parts
     rng = derive_rng(seed, k, region, salt=salt)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        prof = sample_profile(params, region, shell, samples, rng, radial_tilt=radial_tilt)
+        prof = sample_profile(params, region, shell, samples, rng).profile(radial_tilt)
         weighted = np.exp(prof.log_weight) * integrand(prof.t, prof.r, rng)
         if np.isnan(weighted).any():
             raise sobolev.NonFiniteIntegrandError(region, shell)

@@ -180,7 +180,7 @@ class TestShellMeasure:
 
 def _scalar_log_shell_measure(params, label, shell):
     """The one-shell log measure as plain `math` steps around scalar
-    `_log_power_norm` calls: the reference for `log_shell_measures`."""
+    `_log_power_norm` calls: the reference for `_log_shell_masses`."""
     n, s = params.n, params.s
     lo, hi = (shell.lo, shell.hi) if isinstance(shell, Shell) else shell
     a, b = geometry._shell_scale_interval(label, lo, hi)
@@ -216,10 +216,11 @@ class TestLogShellMeasures:
     @pytest.mark.parametrize("n,s", [(3, 2.0), (4, 1.5), (6, 4.0)])
     def test_equal_the_one_shell_values_bit_for_bit(self, label, n, s):
         params = CuspParams(n, s)
-        got = geometry.log_shell_measures(params, label, self.SHELLS)
+        got = geometry._log_shell_masses(params, label, self.SHELLS)[0]
         want = [_scalar_log_shell_measure(params, label, sh) for sh in self.SHELLS]
         assert got.tolist() == want
-        assert [geometry.log_shell_measure(params, label, sh) for sh in self.SHELLS] == want
+        assert [geometry._log_shell_masses(params, label, [sh])[0][0]
+                for sh in self.SHELLS] == want
         assert got[-2] == got[-1] == -math.inf
         assert np.isfinite(got[:250]).all()
 
@@ -228,46 +229,50 @@ class TestLogShellMeasures:
                             geometry._RegionQuad("cwedge", scale_hi=0.01))
         # scale range [0, 0.01]: shells 1 and 5 miss it, shell 6 straddles it
         shl = [Shell(k) for k in (1, 5, 6, 7)]
-        got = geometry.log_shell_measures(params, RegionLabel.RegionC, shl)
+        got = geometry._log_shell_masses(params, RegionLabel.RegionC, shl)[0]
         assert got[:2].tolist() == [-math.inf, -math.inf]
         assert got[2:].tolist() == [_scalar_log_shell_measure(params, RegionLabel.RegionC, sh)
                                     for sh in shl[2:]]
         assert np.isfinite(got[2:]).all()
-        assert geometry.log_shell_measures(params, RegionLabel.RegionC, [Shell(1)]).tolist() \
+        assert geometry._log_shell_masses(params, RegionLabel.RegionC, [Shell(1)])[0].tolist() \
             == [-math.inf]
 
     def test_non_sampleable_label_rejected(self, params):
         with pytest.raises(ValueError):
-            geometry.log_shell_measures(params, RegionLabel.Origin, [Shell(1)])
+            geometry._log_shell_masses(params, RegionLabel.Origin, [Shell(1)])
 
     @pytest.mark.parametrize("n,s", [(3, 2.0), (4, 1.5), (5, 3.0), (6, 4.0)])
-    def test_region_c_proposal_mass_bit_for_bit(self, n, s):
-        # the proposal mass of region C's draw, log of the integral of
-        # xi^(n-1) over the shell, against the scalar call it replaces
+    def test_proposal_masses_bit_for_bit(self, n, s):
+        # the log total masses of regions C's and E's scale proposals against
+        # the draw-time expressions they replace: cn times the integral of
+        # xi^(n-1) over the shell on C, 2 cn (1/2)^(s(n-1)) (b - a) on E
         params = CuspParams(n, s)
         shl = [Shell(k) for k in range(1, 251)] + [(0.1, 0.3), (0.2, 0.2)]
-        measures, proposals = geometry._log_shell_masses(params, RegionLabel.RegionC, shl)
-        assert measures.tolist() == geometry.log_shell_measures(params, RegionLabel.RegionC,
-                                                                shl).tolist()
-        want = []
-        for sh in shl[:-1]:
-            a, b = geometry._shell_scale_interval(RegionLabel.RegionC,
-                                                  *((sh.lo, sh.hi) if isinstance(sh, Shell)
-                                                    else sh))
-            want.append(float(geometry._log_power_norm(math.log(a), math.log(b), n - 1.0)))
-        assert proposals.tolist() == want + [-math.inf]
+        log_cn = math.log(unit_ball_volume(n - 1))
+        for label in (RegionLabel.RegionC, RegionLabel.RegionE):
+            want = []
+            for sh in shl[:-1]:
+                a, b = geometry._shell_scale_interval(label, *((sh.lo, sh.hi)
+                                                               if isinstance(sh, Shell) else sh))
+                if label is RegionLabel.RegionC:
+                    want.append(log_cn + float(geometry._log_power_norm(math.log(a), math.log(b),
+                                                                         n - 1.0)))
+                else:
+                    want.append(math.log(2.0 * (b - a)) + log_cn + s * (n - 1) * math.log(0.5))
+            proposals = geometry._log_shell_masses(params, label, shl)[1]
+            assert proposals.tolist() == want + [-math.inf]
         for label in geometry.SAMPLEABLE:
-            if label is not RegionLabel.RegionC:
+            if label not in (RegionLabel.RegionC, RegionLabel.RegionE):
                 assert geometry._log_shell_masses(params, label, shl)[1] is None
 
-    def test_handed_proposal_mass_gives_the_same_draw(self, params, monkeypatch):
-        label = RegionLabel.RegionC
+    @pytest.mark.parametrize("label", [RegionLabel.RegionC, RegionLabel.RegionE])
+    def test_handed_proposal_mass_gives_the_same_draw(self, params, monkeypatch, label):
         measures, proposals = geometry._log_shell_masses(params, label, [Shell(4)])
-        own = geometry.draw_scale(params, label, Shell(4), 64, np.random.default_rng(4))
+        own = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4))
         # a draw handed its measure and proposal mass makes no power integral
         monkeypatch.setattr(geometry, "_log_power_norm", None)
-        handed = geometry.draw_scale(params, label, Shell(4), 64, np.random.default_rng(4),
-                                     log_measure=measures[0], log_proposal=proposals[0])
+        handed = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4),
+                                         log_measure=measures[0], log_proposal=proposals[0])
         assert np.array_equal(handed.log_weight, own.log_weight)
         assert handed.log_measure == own.log_measure
 
@@ -316,19 +321,20 @@ class TestSampler:
                                        RegionLabel.CuspInterior, RegionLabel.InnerPiece2])
     def test_untilted_radius_drawn_on_first_read(self, monkeypatch, params, label):
         # the band's radius is drawn once, on the first read of `r`, from the
-        # variate u2 fixed by the scale draw; a tilted profile draws it at once
-        draw = geometry.draw_scale(params, label, Shell(5), 64, np.random.default_rng(3))
+        # variate u2 fixed by the scale draw; the untilted profile is the
+        # sample itself, and a tilted one draws its radii at once
+        draw = geometry.sample_profile(params, label, Shell(5), 64, np.random.default_rng(3))
         calls = []
         icdf = geometry._power_icdf
         monkeypatch.setattr(geometry, "_power_icdf",
                             lambda *args: calls.append(args) or icdf(*args))
-        prof = draw.profile(0.0)
+        assert draw.profile(0.0) is draw
         assert calls == []
-        r = prof.r
-        assert len(calls) == 1 and prof.r is r
+        r = draw.r
+        assert len(calls) == 1 and draw.r is r
         assert np.array_equal(r, icdf(draw.lo_r, draw.hi_r, params.n - 2.0, draw.u2))
-        draw.profile(0.5)
-        assert len(calls) == 2
+        tilted = draw.profile(0.5)
+        assert len(calls) == 2 and tilted.profile(1.5) is tilted
 
     def test_non_sampleable(self, params):
         with pytest.raises(ValueError):
@@ -339,7 +345,7 @@ class TestSampler:
         # the draw takes the whole stream at once; the band [lo_r, hi_r] and
         # u2's squeeze wait for the first read and are then kept
         rng = np.random.default_rng(4)
-        draw = geometry.draw_scale(params, label, Shell(4), 64, rng)
+        draw = geometry.sample_profile(params, label, Shell(4), 64, rng)
         after = rng.random()
         formed = []
         band = draw.band
@@ -348,6 +354,8 @@ class TestSampler:
         assert formed == []
         lo_r, hi_r, u2 = draw.lo_r, draw.hi_r, draw.u2
         assert formed == [1] and draw.u2 is u2
+        # a tilted sample reads its parent's band and squeezes u2 no second time
+        assert draw.profile(0.5).u2 is u2 and formed == [1]
         _, raw_u2 = _plain_strata(8, 8, np.random.default_rng(4))
         assert np.array_equal(u2, 1e-9 + (1.0 - 2e-9) * raw_u2)
         if label is not RegionLabel.RegionB:
@@ -360,7 +368,7 @@ class TestSampler:
 
     @pytest.mark.parametrize("label", geometry.SAMPLEABLE)
     def test_exact_scale_laws_weigh_with_a_scalar_zero(self, params, label):
-        draw = geometry.draw_scale(params, label, Shell(4), 64, np.random.default_rng(4))
+        draw = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4))
         proposal = label in (RegionLabel.RegionC, RegionLabel.RegionE)
         assert np.ndim(draw.log_weight) == proposal
         if not proposal:
@@ -368,18 +376,18 @@ class TestSampler:
 
     def test_handed_measure_is_used(self, params):
         for label in (RegionLabel.RegionA, RegionLabel.RegionC):
-            draw = geometry.draw_scale(params, label, Shell(4), 64, np.random.default_rng(4),
-                                       log_measure=-7.25)
-            own = geometry.draw_scale(params, label, Shell(4), 64, np.random.default_rng(4))
+            draw = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4),
+                                           log_measure=-7.25)
+            own = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4))
             assert draw.log_measure == -7.25
-            assert own.log_measure == geometry.log_shell_measure(params, label, Shell(4))
+            assert own.log_measure == geometry._log_shell_masses(params, label, [Shell(4)])[0][0]
 
     def test_tilt_frame_made_once_per_draw(self, monkeypatch, params):
         # the tilt cap, log lo_r, log hi_r and the untilted normaliser z_r do
         # not depend on the tilt: every block of tilts reads them from the draw
         def draw():
-            return geometry.draw_scale(params, RegionLabel.RegionE, Shell(6), 256,
-                                       geometry.derive_rng(5, 6, RegionLabel.RegionE))
+            return geometry.sample_profile(params, RegionLabel.RegionE, Shell(6), 256,
+                                           geometry.derive_rng(5, 6, RegionLabel.RegionE))
 
         shared = draw()
         untilted = []
@@ -442,8 +450,8 @@ class TestSamplerKernels:
     M_COLUMN = np.array([[-4.5], [-2.0], [-1.0], [-0.5], [0.0], [1.0], [2.0], [39.0]])
 
     def _band(self):
-        draw = geometry.draw_scale(CuspParams(4, 1.5), RegionLabel.RegionE, Shell(9), 200,
-                                   geometry.derive_rng(8, 9, RegionLabel.RegionE))
+        draw = geometry.sample_profile(CuspParams(4, 1.5), RegionLabel.RegionE, Shell(9), 200,
+                                       geometry.derive_rng(8, 9, RegionLabel.RegionE))
         return draw, draw.lo_r, draw.hi_r, draw.u2
 
     def test_power_icdf_matches_plain_expressions(self):
@@ -489,8 +497,8 @@ class TestSamplerKernels:
         # a band from the axis carries lo_r as the scalar 0; its radii, tilt
         # frame and tilted weights are those of an array of zeros bit for bit
         params = CuspParams(5, 1.5)
-        draw = geometry.draw_scale(params, label, Shell(7), 300,
-                                   geometry.derive_rng(2, 7, label))
+        draw = geometry.sample_profile(params, label, Shell(7), 300,
+                                       geometry.derive_rng(2, 7, label))
         assert isinstance(draw.lo_r, float) and draw.lo_r == 0.0
         zeros, hi, u = np.zeros(draw.count), draw.hi_r, draw.u2
         assert np.array_equal(draw.profile(0.0).r, _plain_power_icdf(zeros, hi, 3.0, u))
@@ -530,7 +538,7 @@ class TestSamplerKernels:
         assert not geometry._strata_offsets(m1, m2)[0].flags.writeable
 
     def test_scale_draw_keeps_u2_off_the_band_edges(self, params):
-        draw = geometry.draw_scale(params, RegionLabel.RegionA, Shell(3), 12,
-                                   np.random.default_rng(5))
+        draw = geometry.sample_profile(params, RegionLabel.RegionA, Shell(3), 12,
+                                       np.random.default_rng(5))
         _, u2 = _plain_strata(3, 4, np.random.default_rng(5))
         assert np.array_equal(draw.u2, 1e-9 + (1.0 - 2e-9) * u2)

@@ -9,6 +9,7 @@ A name that `geometry` defines, such as the region table's, is read from
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -100,3 +101,20 @@ def geometry_reads_via_reflections(path: Path) -> set[str]:
                          ids=lambda p: p.stem)
 def test_geometry_names_come_from_geometry(path):
     assert geometry_reads_via_reflections(path) == set()
+
+
+def traced_names() -> dict[str, tuple[str, ...]]:
+    """The `TRACED` table of perfbench/tracing.py, read from its source
+    without running or importing the file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path} defines no TRACED table")
+
+
+@pytest.mark.parametrize("module,names", sorted(traced_names().items()))
+def test_traced_names_exist(module, names):
+    # the traced run replaces each of these by name; a missing one crashes it
+    layer = importlib.import_module(f"cuspreflect.{module}")
+    assert [name for name in names if not callable(getattr(layer, name, None))] == []

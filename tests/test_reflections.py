@@ -15,8 +15,8 @@ from cuspreflect.geometry import (
     RegionLabel,
     Shell,
     derive_rng,
-    draw_scale,
     piece_of_region,
+    sample_profile,
     sample_region,
 )
 from cuspreflect.reflections import (
@@ -356,7 +356,7 @@ def test_pieces_match_textbook_powers(n, s):
                   RegionLabel.InnerPiece2, RegionLabel.InnerPiece3]:
         piece = piece_of_region(label)
         for k in (1, 2, 4, 9, 20, 45, 90, 140, 200, 250):
-            draw = draw_scale(params, label, Shell(k), 256, derive_rng(11, k, label))
+            draw = sample_profile(params, label, Shell(k), 256, derive_rng(11, k, label))
             for tilt in (0.0, n - 2.0 + 0.9):
                 with np.errstate(all="ignore"):  # deep radii leave the normal range
                     prof = draw.profile(tilt)
@@ -441,7 +441,7 @@ class TestJetAlgebraKernel:
         # every piece takes such a column, P2 too, whose phi is t itself
         params = CuspParams(5, 3.0)
         piece = piece_of_region(label)
-        draw = draw_scale(params, label, Shell(6), 256, derive_rng(3, 6, label))
+        draw = sample_profile(params, label, Shell(6), 256, derive_rng(3, 6, label))
         tilts = [0.0, 3.9, np.array([[-0.7], [2.9]])]
         for tilt in tilts:
             prof = draw.profile(tilt)
@@ -497,7 +497,7 @@ class TestConstantEntries:
         # the same values, on a row of radii and on a column of them
         params = CuspParams(5, 3.0)
         piece = piece_of_region(label)
-        draw = draw_scale(params, label, Shell(6), 256, derive_rng(3, 6, label))
+        draw = sample_profile(params, label, Shell(6), 256, derive_rng(3, 6, label))
         for tilt in (0.0, np.array([[-0.7], [2.9]])):
             prof = draw.profile(tilt)
             r = prof.r

@@ -20,6 +20,7 @@ from conftest import (
     hex_sums,
     package_env,
     plant_nan_on_shells,
+    spy_draws,
     spy_rng,
 )
 from hypothesis import assume, given, settings
@@ -415,6 +416,16 @@ class TestDistortionSweep:
         calls = spy_rng(monkeypatch)
         distortion_sweep(params, chart, region, cells, shells(5, 12), 1024, 3)
         assert calls == [(3, k, region, "dist") for k in range(5, 13)]
+
+    @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
+    def test_every_draw_goes_through_sample_profile(self, monkeypatch, params, region, chart,
+                                                    scheme):
+        # one `sample_profile` call per shell, region E's tilted blocks too
+        cells = checks.sweep_grid(params, scheme, grid=7)
+        force_split(monkeypatch, False)
+        draws = spy_draws(monkeypatch)
+        distortion_sweep(params, chart, region, cells, shells(5, 12), 1024, 3)
+        assert [(label, k) for label, k, _ in draws] == [(region, k) for k in range(5, 13)]
 
     @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
     def test_split_draws_the_even_shells_here(self, monkeypatch, params, region, chart,

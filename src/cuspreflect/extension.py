@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .geometry import (
     chart_regions,
     check_scheme,
     first_flagged,
+    key_rows,
     outer_chart,
     piece_of_region,
     radii,
@@ -236,14 +237,12 @@ def extend_eval_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction,
     t, X = as_points(t, X, params)
     site, chart, r, wall, idx = _eval_site(spec, params, t, X)
     out = np.zeros(t.size)
-    native = site == _NATIVE
-    if native.any():
-        out[native] = u.value_t(t[native])
-    via = site == _CHART
-    if via.any():
-        T, _ = reflections._apply_located(chart, params, t[via], X[via], r[via], wall[via],
-                                          idx[via])
-        out[via] = u.value_t(T)
+    for key, m in key_rows(site, (_NATIVE, _CHART)):
+        if key == _NATIVE:
+            out[m] = u.value_t(t[m])
+        else:
+            T, _ = reflections._apply_located(chart, params, t[m], X[m], r[m], wall[m], idx[m])
+            out[m] = u.value_t(T)
     return out
 
 
@@ -261,15 +260,14 @@ def extend_gradient_points(spec: ExtensionSpec, params: CuspParams, u: TestFunct
     if bad := first_flagged(site == _ZERO, t, X):
         raise ChartDomainError(f"gradient undefined on the boundary at {bad[1]!r}")
     out = np.zeros((t.size, params.n))
-    native = site == _NATIVE
-    if native.any():
-        out[native, 0] = u.deriv_t(t[native])
-    via = site == _CHART
-    if via.any():
-        # (u'(T), 0, ..., 0) DR is the first row of DR scaled by u'(T)
-        T, _, M, _, _ = reflections._differential_located(chart, params, t[via], X[via], r[via],
-                                                          wall[via], idx[via])
-        out[via] = u.deriv_t(T)[:, None] * M[:, 0, :]
+    for key, m in key_rows(site, (_NATIVE, _CHART)):
+        if key == _NATIVE:
+            out[m, 0] = u.deriv_t(t[m])
+        else:
+            # (u'(T), 0, ..., 0) DR is the first row of DR scaled by u'(T)
+            T, _, M, _, _ = reflections._differential_located(chart, params, t[m], X[m], r[m],
+                                                              wall[m], idx[m])
+            out[m] = u.deriv_t(T)[:, None] * M[:, 0, :]
     return out
 
 
@@ -286,8 +284,7 @@ def extend_global_points(spec: ExtensionSpec, params: CuspParams, u: TestFunctio
     t, X = as_points(t, X, params)
     psi = cutoff_psi_points(params, t, X)
     out = np.zeros(t.size)
-    on = psi != 0.0
-    if on.any():
+    for _, on in key_rows(psi != 0.0, (True,)):
         out[on] = psi[on] * extend_eval_points(spec, params, u, t[on], X[on])
     return out
 
@@ -309,29 +306,43 @@ def _dist_to_domain(params: CuspParams, t, r):
     (t - tau)^2 + max(0, r - tau^s)^2 over tau = sigma^2, the ball in closed
     form.  For s < 2, tau^s bends without bound at the tip tau = 0, where the
     search can have two near-equal minima; in sigma the cusp radius
-    sigma^(2s) is smooth there, and the nodes crowd towards the tip."""
+    sigma^(2s) is smooth there, and the nodes crowd towards the tip.  The
+    first grid, one row for every point, is `_first_grid`'s."""
     s = params.s
     t_col, r_col = t[:, None], r[:, None]
     rows = np.arange(t.size)
-    nodes = np.arange(TAU_NODES)
-    lo = np.zeros((t.size, 1))
-    step = np.full((t.size, 1), 1.0 / (TAU_NODES - 1))
+    sigma, tau, tau_s = _first_grid(s)
+    step = 1.0 / (TAU_NODES - 1)
     best = np.full(t.size, np.inf)
-    for _ in range(TAU_STAGES):
-        sigma = lo + step * nodes
-        tau = sigma * sigma
+    for stage in range(TAU_STAGES):
+        if stage:
+            sigma = lo + step * np.arange(TAU_NODES)
+            tau = sigma * sigma
+            tau_s = tau**s
         gap = t_col - tau
         gap *= gap
-        radial = np.maximum(r_col - tau**s, 0.0)
+        radial = np.maximum(r_col - tau_s, 0.0)
         radial *= radial
         gap += radial
         i = gap.argmin(axis=1)
         best = np.minimum(best, gap[rows, i])
-        centre = sigma[rows, i][:, None]
+        centre = (sigma[rows, i] if stage else sigma[i])[:, None]
         lo = np.maximum(centre - step, 0.0)
         step = (np.minimum(centre + step, 1.0) - lo) / (TAU_NODES - 1)
     d_ball = np.maximum(0.0, np.hypot(t - BALL_CENTER_T, r) - BALL_RADIUS)
     return np.minimum(np.sqrt(best), d_ball)
+
+
+@lru_cache(maxsize=16)
+def _first_grid(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first stage's nodes sigma over [0, 1], tau = sigma^2 and tau^s,
+    the same for every point: read-only, kept for the last few s."""
+    sigma = 1.0 / (TAU_NODES - 1) * np.arange(TAU_NODES)
+    tau = sigma * sigma
+    grid = sigma, tau, tau**s
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
 def _dist_to_collar_complement(params: CuspParams, t, r):
@@ -358,12 +369,12 @@ def cutoff_psi_points(params: CuspParams, t, X):
               | ((t == 0.0) & (r == 0.0)))
     psi = np.where(domain, 1.0, 0.0)
     between = (psi == 0.0) & (reflections.piece_index(ChartId.R1Outer, params, t, r, ts) >= 0)
-    if between.any():
-        tb, rb = t[between], r[between]
+    for _, m in key_rows(between, (True,)):
+        tb, rb = t[m], r[m]
         d_out = _dist_to_collar_complement(params, tb, rb)
         width = d_out + _dist_to_domain(params, tb, rb)
         # width is 0 only on the corner circle, a null set
-        psi[between] = np.divide(d_out, width, out=np.zeros_like(width), where=width > 0.0)
+        psi[m] = np.divide(d_out, width, out=np.zeros_like(width), where=width > 0.0)
     return psi
 
 

@@ -127,6 +127,22 @@ def first_flagged(bad: np.ndarray, t, X) -> tuple[int, Point] | None:
     return i, Point(t[i], X[i])
 
 
+def key_rows(keys, wanted) -> list[tuple]:
+    """(key, rows) for each key of `wanted` that a batch's `keys` (ints of
+    at least -1, or bools) hold, with the rows that hold it: `slice(None)`
+    when the key holds every row, so that a batch of one key is read and
+    written whole, without a gather or scatter; else their indices.  One
+    `bincount` counts the keys, and a key that holds no row is skipped."""
+    keys = np.asarray(keys)
+    sizes = np.bincount(keys + 1).tolist()
+    out = []
+    for key in wanted:
+        size = sizes[key + 1] if key + 1 < len(sizes) else 0
+        if size:
+            out.append((key, slice(None) if size == keys.size else np.flatnonzero(keys == key)))
+    return out
+
+
 def select_first(conds, choices, default):
     """`np.select` (per element, the choice of the first true condition) as
     a chain of `np.where`, a fraction of its cost on one-row batches."""
@@ -151,6 +167,9 @@ class RegionLabel(Enum):
     OutsideNeighborhood = "OutsideNeighborhood"
     Origin = "Origin"
 
+    # members compare by identity; the stock Enum hash runs in Python
+    __hash__ = object.__hash__
+
 
 # ---------------------------------------------------------------------------
 # Region table
@@ -160,6 +179,8 @@ class ChartId(Enum):
     R1Outer = "R1Outer"
     R1Inner = "R1Inner"
     R2Outer = "R2Outer"
+
+    __hash__ = object.__hash__  # as RegionLabel's
 
 
 # The scheme table: each scheme's charts, its outer chart first.
@@ -332,7 +353,8 @@ def _locate(params: CuspParams, scheme: str, t, r):
     ball = np.hypot(t - BALL_CENTER_T, r)
     steps = [np.hypot(t, r) <= ORIGIN_TOL, wall & ~(ball < BALL_RADIUS * (1.0 - REL_TOL))]
     if scheme == "R1":
-        steps += [m & (t < 0.5) for m in masks[ChartId.R1Inner]]
+        below = t < 0.5
+        steps += [m & below for m in masks[ChartId.R1Inner]]
     steps += [(t > 0) & (t <= 1.0) & (r < ts), ball < BALL_RADIUS,
               *masks[outer_chart(scheme)]]
     return _first_step(steps), wall, masks

@@ -66,6 +66,7 @@ from .geometry import (
     chart_regions,
     classify,
     first_flagged,
+    key_rows,
     on_cusp_wall,
     piece_of_region,
     radii,
@@ -388,15 +389,14 @@ def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, profile: bool 
     from `piece_index`), then with `gaps` its interface gap and kink gap
     (without `profile`, the gap rows alone); nan off the chart."""
     out = np.full((6 * profile + 2 * gaps, idx.size), np.nan)
-    for i, label in enumerate(chart_regions(chart)):
-        m = np.flatnonzero(idx == i)
-        if m.size:
-            piece, tm, rm = piece_of_region(label), t[m], r[m]
-            rows = ((piece_profile(piece, params, tm, rm) if profile else ())
-                    + (piece_gaps(piece, params, tm, rm) if gaps else ()))
-            # row by row: a piece's constant entries are floats
-            for j, row in enumerate(rows):
-                out[j, m] = row
+    regions = chart_regions(chart)
+    for i, m in key_rows(idx, range(len(regions))):
+        piece, tm, rm = piece_of_region(regions[i]), t[m], r[m]
+        rows = ((piece_profile(piece, params, tm, rm) if profile else ())
+                + (piece_gaps(piece, params, tm, rm) if gaps else ()))
+        # row by row: a piece's constant entries are floats
+        for j, row in enumerate(rows):
+            out[j, m] = row
     return out
 
 

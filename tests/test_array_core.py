@@ -157,6 +157,83 @@ class TestBatchesEqualWrappers:
         assert (psi == 0.0).any() and (psi == 1.0).any()
 
 
+def test_key_rows():
+    keys = np.array([2, -1, 0, 2])
+    got = geometry.key_rows(keys, range(3))
+    assert [k for k, _ in got] == [0, 2]  # key 1 holds no row, -1 is no key
+    assert same(got[0][1], [2]) and same(got[1][1], [0, 3])
+    assert geometry.key_rows(np.full(4, 1), range(3)) == [(1, slice(None))]
+    assert geometry.key_rows(np.array([True, True]), (True,)) == [(True, slice(None))]
+    assert geometry.key_rows(np.array([False, False]), (True,)) == []
+    assert geometry.key_rows(np.empty(0, dtype=int), range(3)) == []
+
+
+SPECS = {
+    "R1": ((ExtensionSpec("R1", Direction.FromInside), PowerAlpha(0.7)),
+           (ExtensionSpec("R1", Direction.FromOutside), ClampT())),
+    "R2": ((ExtensionSpec("R2", Direction.FromInside), PowerAlpha(0.7)),),
+}
+
+
+@pytest.mark.parametrize("n,s", PARAMS)
+class TestOneKeyBatches:
+    """Batches that lie in one chart piece, or are empty, take the dispatch
+    without a gather or scatter; they must still equal the one-row wrappers."""
+
+    def test_empty_batches(self, n, s):
+        params = CuspParams(n, s)
+        t, X = np.empty(0), np.empty((0, n - 1))
+        for chart in ChartId:
+            for got in (*reflections.apply_points(chart, params, t, X),
+                        *reflections.invert_points(chart, params, t, X)):
+                assert got.shape[0] == 0 and got.shape[1:] in ((), (n - 1,))
+            T, X_img, M, det, opnorm = reflections.differential_points(chart, params, t, X)
+            assert (T.shape, X_img.shape, M.shape) == ((0,), (0, n - 1), (0, n, n))
+            assert det.shape == opnorm.shape == (0,)
+            assert reflections.differential_fd_points(chart, params, t, X).shape == (0, n, n)
+        for scheme, cases in SPECS.items():
+            assert classify_profile(params, scheme, t, np.empty(0)).shape == (0,)
+            for spec, u in cases:
+                assert extension.extend_eval_points(spec, params, u, t, X).shape == (0,)
+                assert extension.extend_gradient_points(spec, params, u, t, X).shape == (0, n)
+                assert extension.extend_global_points(spec, params, u, t, X).shape == (0,)
+        assert extension.cutoff_psi_points(params, t, X).shape == (0,)
+
+    def test_one_piece_batches_equal_wrappers(self, n, s):
+        params = CuspParams(n, s)
+        for chart, (scheme, labels) in CHART_CASES.items():
+            for i, label in enumerate(labels):
+                t, X = sample_region_points(params, scheme, label, Shell(3), 12, 4)
+                idx = reflections.piece_index(chart, params, t, radii(X))
+                assert geometry.key_rows(idx, range(len(labels))) == [(i, slice(None))]
+                T, X_img = reflections.apply_points(chart, params, t, X)
+                t_src, X_src = reflections.invert_points(chart, params, T, X_img)
+                T_d, X_d, M, det, opnorm = reflections.differential_points(chart, params, t, X)
+                labels_got = classify_profile(params, scheme, t, radii(X))
+                psi = extension.cutoff_psi_points(params, t, X)
+                for j, z in enumerate(rows(t, X)):
+                    img = reflections.apply(chart, params, z)
+                    assert img.t == T[j] and same(img.x, X_img[j])
+                    src = reflections.invert(chart, params, img)
+                    assert src.t == t_src[j] and same(src.x, X_src[j])
+                    jet = reflections.differential(chart, params, z)
+                    assert jet.image.t == T_d[j] and same(jet.image.x, X_d[j])
+                    assert same(jet.differential, M[j])
+                    assert jet.det == det[j] and jet.opnorm == opnorm[j]
+                    assert classify(params, scheme, z) is labels_got[j]
+                    assert extension.cutoff_psi(params, z) == psi[j]
+                for spec, u in SPECS[scheme]:
+                    values = extension.extend_eval_points(spec, params, u, t, X)
+                    grads = extension.extend_gradient_points(spec, params, u, t, X)
+                    for j, z in enumerate(rows(t, X)):
+                        assert extension.extend_eval(spec, params, u, z) == values[j]
+                        assert same(extension.extend_gradient(spec, params, u, z), grads[j])
+                t, X = checks._fd_points(params, chart, label, 8, 5)
+                fd = reflections.differential_fd_points(chart, params, t, X)
+                for j, z in enumerate(rows(t, X)):
+                    assert same(reflections.differential_fd(chart, params, z), fd[j])
+
+
 def test_batch_errors_name_the_first_bad_point(params):
     t = np.array([-0.25, 0.9, -0.3])
     X = np.array([[0.1, 0.0], [0.5, 0.0], [0.1, 0.0]])
@@ -451,3 +528,29 @@ def test_cutoff_product_draws_the_loop_points(n, s, monkeypatch):
     t, X = np.concatenate([p[0] for p in seen]), np.concatenate([p[1] for p in seen])
     want = cutoff_loop_points(params, 30, 3)
     assert same(t, [z.t for z in want]) and same(X, [z.x for z in want])
+
+
+def test_checks_call_the_chart_core_once_per_chart(params, monkeypatch):
+    # the batched checks make one chart-core call per chart, not one per draw
+    calls = {}
+
+    def spy(module, name):
+        call = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return call(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((extension, "extend_gradient_points"), (reflections, "apply_points"),
+                         (reflections, "invert_points"), (reflections, "differential_points"),
+                         (reflections, "differential_fd_points")):
+        spy(module, name)
+    checks.check_winfty_positive(params, 8, 3)
+    checks.check_round_trip(params, 30, 3)
+    checks.check_fd_agreement(params, 30, 3)
+    charts = len(ChartId)
+    assert calls == {"extend_gradient_points": 1, "apply_points": 2 * charts,
+                     "invert_points": charts, "differential_points": charts,
+                     "differential_fd_points": charts}

@@ -415,10 +415,10 @@ def check_window_consistency(
     for scheme in SCHEME_CHARTS:
         chart = outer_chart(scheme)
         grid_cells = sweep_grid(params, scheme, grid=grid)
-        for region in chart_regions(chart):
-            sums = sobolev.distortion_sweep(
-                params, chart, region, grid_cells, shl, samples_per_shell, seed
-            )
+        regions = chart_regions(chart)
+        by_region = sobolev.distortion_sweeps(params, chart, regions, grid_cells, shl,
+                                              samples_per_shell, seed)
+        for region, sums in zip(regions, by_region):
             for (p, q), ss in zip(grid_cells, sums):
                 qm = sobolev.q_max(scheme, p, n, s)
                 cells += 1

@@ -158,11 +158,9 @@ def cmd_sweep(args) -> int:
         cells = checks.sweep_grid(params, scheme, grid=args.grid)
     shl = shells(args.k_min, args.k_max)
     valid = [(p, q) for p, q in cells if 1.0 <= q < p]
-    sums = {
-        region: dict(zip(valid, sobolev.distortion_sweep(
-            params, chart, region, valid, shl, args.samples, args.seed)))
-        for region in regions
-    }
+    by_region = sobolev.distortion_sweeps(params, chart, regions, valid, shl, args.samples,
+                                          args.seed)
+    sums = {region: dict(zip(valid, by_cell)) for region, by_cell in zip(regions, by_region)}
     rows = []
     for p, q in cells:
         try:

@@ -7,16 +7,18 @@ inner chart of the first reflection.  The test functions are profiles u(t)
 with exact derivatives u'(t), so u o R = u(T) and the extension gradient is
 the first row of DR scaled by u'(T), with norm |u'(T)| |grad T|,
 grad T = (T_t, T_r).  The norm experiment sums these terms region by region
-through `sobolev.function_shells`, the shell loop of the seminorm as well:
-each (region, shell) is drawn once for all its terms, the collar regions
-under the salt "extval" and the L^p and seminorm terms of u on the cusp
-window under "lp".  The integrands take the shell's `ProfileSample` from
-`geometry.sample_profile`, tilted to the term's radial tilt by its
-`profile`, and return logs: they read u in its log form `log_jet_t` and the
-chart's T-row (`reflections.piece_T_row`) alone, so the radius is drawn only
-where T depends on it; regions sum in logs.  A T-row's constant entries are
-floats, and every collar region has T_t = 0 or T_r = 0, so log|grad T| is
-the scalar 0.0 on A to D and one log of T_r on E, never a hypot.
+through `sobolev.function_shell_loops`, whose one-loop case
+`sobolev.function_shells` is the shell loop of the seminorm: the shells of
+all the regions are one loop, and each (region, shell) is drawn once for all
+its terms, the collar regions under the salt "extval" and the L^p and
+seminorm terms of u on the cusp window under "lp".  The integrands take the
+shell's `ProfileSample` from `geometry.sample_profile`, tilted to the term's
+radial tilt by its `profile`, and return logs: they read u in its log form
+`log_jet_t` and the chart's T-row (`reflections.piece_T_row`) alone, so the
+radius is drawn only where T depends on it; regions sum in logs.  A T-row's
+constant entries are floats, and every collar region has T_t = 0 or
+T_r = 0, so log|grad T| is the scalar 0.0 on A to D and one log of T_r on
+E, never a hypot.
 
 The Lipschitz cutoff psi (1 on the closed domain, 0 off the R1 collar of the
 region table) turns the extension into the global cutoff product psi E(u).
@@ -79,7 +81,7 @@ class PowerAlpha:
             raise WindowError(f"power exponent must be positive, got {self.alpha}")
 
     def _check(self, t):
-        if np.any(t <= 0.0):
+        if np.less_equal(t, 0.0).any():
             raise ValueError("t^(-alpha) probe is only defined for t > 0")
 
     def value_t(self, t):
@@ -433,19 +435,12 @@ def _window_masses(u, p, prof):
     return out
 
 
-def _region_terms(
-    params: CuspParams,
-    u: TestFunction,
-    q: float,
-    region: RegionLabel,
-    shells,
-    samples: int,
-    seed: int,
-) -> tuple[ShellSum, ShellSum]:
-    """Shell sums of the (value, gradient) L^q masses of u o R over a collar
-    region, both from one draw per shell under the salt "extval": u depends
-    on t alone, so u o R = u(T) has gradient norm |u'(T)| |(T_t, T_r)|, whose
-    log sums log|u'(T)| and `_log_grad_T`.  Terms of equal radial tilt
+def _region_loop(params: CuspParams, u: TestFunction, q: float, region: RegionLabel) -> tuple:
+    """The (region, terms, salt) loop of `sobolev.function_shell_loops` whose
+    two shell sums are the (value, gradient) L^q masses of u o R over a
+    collar region, both from one draw per shell under the salt "extval": u
+    depends on t alone, so u o R = u(T) has gradient norm |u'(T)| |(T_t, T_r)|,
+    whose log sums log|u'(T)| and `_log_grad_T`.  Terms of equal radial tilt
     read one profile and one T-row."""
     piece = piece_of_region(region)
     s = params.s
@@ -465,8 +460,22 @@ def _region_terms(
     else:
         terms = [(partial(_region_masses, piece, params, u, q, True, False), value_tilt),
                  (partial(_region_masses, piece, params, u, q, False, True), grad_tilt)]
-    value_sum, grad_sum = sobolev.function_shells(params, region, shells, terms, samples, seed,
-                                                  "extval")
+    return region, terms, "extval"
+
+
+def _region_terms(
+    params: CuspParams,
+    u: TestFunction,
+    q: float,
+    region: RegionLabel,
+    shells,
+    samples: int,
+    seed: int,
+) -> tuple[ShellSum, ShellSum]:
+    """Shell sums of the (value, gradient) L^q masses of u o R over a collar
+    region: `_region_loop` run alone."""
+    value_sum, grad_sum = sobolev.function_shell_loops(
+        params, [_region_loop(params, u, q, region)], shells, samples, seed)[0]
     return value_sum, grad_sum
 
 
@@ -480,6 +489,14 @@ def _log_grad_T(T_t, T_r):
     return np.log(np.hypot(T_t, T_r))
 
 
+def _window_loop(u: TestFunction, p: float) -> tuple:
+    """The (region, terms, salt) loop of `sobolev.function_shell_loops` whose
+    two shell sums are the L^p value and gradient masses |u|^p and |u'|^p of
+    u over the cusp window, both from one draw per shell under the salt
+    "lp"."""
+    return RegionLabel.CuspInterior, [(partial(_window_masses, u, p), 0.0)], "lp"
+
+
 def _window_terms(
     params: CuspParams,
     u: TestFunction,
@@ -488,18 +505,17 @@ def _window_terms(
     samples: int,
     seed: int,
 ) -> tuple[ShellSum, ShellSum]:
-    """Shell sums of the L^p value and gradient masses |u|^p and |u'|^p of u
-    over the cusp window, both from one draw per shell under the salt "lp"."""
-    lp, semi = sobolev.function_shells(params, RegionLabel.CuspInterior, shells,
-                                       [(partial(_window_masses, u, p), 0.0)], samples, seed,
-                                       "lp")
+    """Shell sums of the L^p value and gradient masses of u over the cusp
+    window: `_window_loop` run alone."""
+    lp, semi = sobolev.function_shell_loops(params, [_window_loop(u, p)], shells, samples,
+                                            seed)[0]
     return lp, semi
 
 
 @dataclass
 class ExtensionNormReport:
     """Shell-resolved L^q masses of the composed extension and its verdict,
-    with the most processes any of its shell loops ran on."""
+    with the processes its shell loop ran on."""
 
     value_sum: ShellSum
     grad_sum: ShellSum
@@ -522,7 +538,9 @@ def extension_norm_experiment(
 ) -> ExtensionNormReport:
     """Estimate the L^q value/gradient masses of u o R over the extension
     side, compare against the W^{1,p} norm of u on the cusp window, and
-    classify the shell tail."""
+    classify the shell tail.  The shells of every collar region and of the
+    window are one shell loop (`sobolev.function_shell_loops`), with the
+    first error of the region-by-region loops."""
     if spec.direction is not Direction.FromInside:
         raise WindowError("norm experiments drive the outward extension only")
     sobolev._check_pq(p, q)
@@ -530,18 +548,17 @@ def extension_norm_experiment(
         raise WindowError(
             f"t^(-{u.alpha}) is not W^(1,{p}) on the cusp window; experiment is vacuous"
         )
-    terms = [_region_terms(params, u, q, region, shells, samples_per_shell, seed)
-             for region in chart_regions(spec.outer_chart)]
+    loops = [_region_loop(params, u, q, region) for region in chart_regions(spec.outer_chart)]
+    *terms, (lp, semi) = sobolev.function_shell_loops(
+        params, [*loops, _window_loop(u, p)], shells, samples_per_shell, seed)
     ks = [sh.k for sh in shells]
     vals = np.logaddexp.reduce([v.log_contributions for v, _ in terms])
     grads = np.logaddexp.reduce([g.log_contributions for _, g in terms])
-    processes = max(ss.processes for pair in terms for ss in pair)
+    processes = lp.processes
     value_sum = ShellSum(ks, vals, processes)
     grad_sum = ShellSum(ks, grads, processes)
     total_sum = ShellSum(ks, np.logaddexp(vals, grads), processes)
     verdict = convergence_verdict(total_sum)
-
-    lp, semi = _window_terms(params, u, p, shells, samples_per_shell, seed)
     with np.errstate(over="ignore"):
         u_norm = float(np.exp(lp.log_total / p) + np.exp(semi.log_total / p))
         ext_norm = float(np.exp(value_sum.log_total / q) + np.exp(grad_sum.log_total / q))
@@ -552,7 +569,7 @@ def extension_norm_experiment(
     else:  # 0 / 0 for the zero function
         ratio = math.inf if ext_norm > 0.0 else 0.0
     return ExtensionNormReport(value_sum, grad_sum, total_sum, u_norm, ratio, verdict,
-                               max(processes, lp.processes))
+                               processes)
 
 
 # ---------------------------------------------------------------------------

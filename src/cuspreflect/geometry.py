@@ -36,7 +36,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -105,12 +105,37 @@ def as_point(z, params: CuspParams | None = None) -> Point:
 
 
 def as_points(t, X, params: CuspParams) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce a point batch: t of shape (N,) and cross sections X of shape (N, n-1)."""
+    """Coerce a point batch: t of shape (N,) and cross sections X of shape
+    (N, n-1), all finite (`_reject_non_finite`)."""
     t = np.asarray(t, dtype=float).reshape(-1)
     X = np.asarray(X, dtype=float)
     if X.shape != (t.size, params.n - 1):
         raise ValueError(f"expected x of shape {(t.size, params.n - 1)}, got {X.shape}")
+    _reject_non_finite(t, X)
     return t, X
+
+
+def _reject_non_finite(t: np.ndarray, X: np.ndarray) -> None:
+    """ValueError naming the first row of the point batch (t, X), float
+    arrays, that holds a non-finite coordinate; X holds a cross section (or
+    a radius) per row.  A one-row batch, the one-row wrappers', is checked
+    by the Python sum of its floats, which is finite unless an entry is not
+    or the sum overflows; a longer one by `np.isfinite`.  Only a batch that
+    fails its check is searched row by row."""
+    if t.size == 1:
+        if math.isfinite(sum(X.ravel().tolist(), t.item())):
+            return
+    elif np.isfinite(t).all() and np.isfinite(X).all():
+        return
+    t, X = np.atleast_1d(np.asarray(t, dtype=float), np.asarray(X, dtype=float))
+    X = X.reshape(len(X), -1)
+    count = max(len(t), len(X))
+    rows = np.column_stack([np.broadcast_to(t, (count,)), np.broadcast_to(X, (count, X.shape[1]))])
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"row {i} of the point batch has non-finite coordinates "
+                         f"{rows[i].tolist()}")
 
 
 def radii(X) -> np.ndarray:
@@ -369,9 +394,13 @@ def classify_profile(params: CuspParams, scheme: str, t, r):
     CuspInterior, BallInterior, and the collar regions of the scheme's outer
     chart.  The bands and collar regions are the closed shapes of the region
     table, so interface points go to the earlier region in the order A, B, C
-    (resp. D, E; inner band 1, 2, 3).
+    (resp. D, E; inner band 1, 2, 3).  A non-finite t or r raises
+    ValueError (`_reject_non_finite`).
     """
     scheme = check_scheme(scheme)
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    _reject_non_finite(t, r)
     step, _, _ = _locate(params, scheme, t, r)
     return _STEP_LABELS[scheme][step]
 
@@ -542,7 +571,8 @@ def _power_icdf(lo, hi, m, u):
     p = m + 1.0
     log = _log_branch(p)
     if log is None:
-        axis = isinstance(lo, float) and lo == 0.0 and np.all(p > 0.0)
+        axis = isinstance(lo, float) and lo == 0.0 and (
+            p > 0.0 if isinstance(p, float) else (p > 0.0).all())
         return _scaled_icdf(0.0 if axis else (lo / hi) ** p, u, 1.0 / p, hi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(log, lo * (hi / lo) ** u,
@@ -551,16 +581,20 @@ def _power_icdf(lo, hi, m, u):
 
 def _scaled_icdf(low, u, inv_p, hi):
     """hi * (low + u (1 - low))^inv_p, built in the one buffer of 1 - low
-    (or of its product with u, where low is a scalar); an array low holds
-    a value for every sample.  A scalar low with a column of exponents
-    takes the power into a new buffer of one row per exponent."""
-    x = 1.0 - low
-    x *= u
-    x += low
-    if x.ndim < np.ndim(inv_p):
-        x = x ** inv_p
+    (or of its product with u, where low is a scalar; of u^inv_p, where low
+    is the scalar 0, whose sum is u itself); an array low holds a value for
+    every sample.  A scalar low with a column of exponents takes the power
+    into a new buffer of one row per exponent."""
+    if isinstance(low, float) and low == 0.0:
+        x = u ** inv_p
     else:
-        x **= inv_p
+        x = 1.0 - low
+        x *= u
+        x += low
+        if isinstance(inv_p, np.ndarray) and x.ndim < inv_p.ndim:
+            x = x ** inv_p
+        else:
+            x **= inv_p
     x *= hi
     return x
 
@@ -620,6 +654,22 @@ def _off_the_edges(u2: np.ndarray) -> np.ndarray:
     return u2
 
 
+class _once:
+    """`functools.cached_property` without the lock that Python 3.11 takes on
+    each first read (about 0.5 us, a few times per shell): the value is made
+    on the first read and stored on the instance, whose attribute hides this
+    descriptor from then on.  A sample is never shared between threads."""
+
+    def __init__(self, make):
+        self.make, self.name = make, make.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.make(obj)
+        return value
+
+
 @dataclass
 class ProfileSample:
     """Weighted profile samples of region /\\ shell for quadrature, in logs.
@@ -631,7 +681,9 @@ class ProfileSample:
     the slab, whose scale law is exact), times r^tilt z_m / z_r where a
     radial tilt reshaped the radius law (z_m and z_r, whose logs stay finite
     past the float range, normalise the tilted and the true radial density;
-    see `profile`).
+    see `profile`).  `weights` makes (log_weight, log_measure) on the first
+    read of either, so a caller that reads the points alone never forms the
+    shell measure.
 
     `band` makes the conditional radial band [lo_r, hi_r] and its uniform
     variate u2, squeezed off the band's edges; it runs on the first read of
@@ -645,13 +697,19 @@ class ProfileSample:
 
     n: int
     t: np.ndarray
-    log_weight: np.ndarray | float
-    log_measure: float
+    weights: Callable[[], tuple]
     count: int
     band: Callable[[], tuple]
     fixed_r: np.ndarray | None = None
 
-    @cached_property
+    @_once
+    def _weights(self):
+        return self.weights()
+
+    log_weight = property(lambda self: self._weights[0])
+    log_measure = property(lambda self: self._weights[1])
+
+    @_once
     def _band(self):
         return self.band()
 
@@ -659,7 +717,7 @@ class ProfileSample:
     hi_r = property(lambda self: self._band[1])
     u2 = property(lambda self: self._band[2])
 
-    @cached_property
+    @_once
     def r(self) -> np.ndarray:
         if self.fixed_r is not None:
             return self.fixed_r
@@ -678,7 +736,8 @@ class ProfileSample:
         equals a one-tilt column's bit for bit.  Several tilts may be
         applied to one sample; each call leaves it unchanged.
         """
-        if self.fixed_r is not None or (np.ndim(radial_tilt) == 0 and radial_tilt == 0.0):
+        if self.fixed_r is not None or (not isinstance(radial_tilt, np.ndarray)
+                                        and radial_tilt == 0.0):
             return self
         cap, log_lo, log_hi, log_z_r = self._tilt_frame
         radial_tilt = np.minimum(radial_tilt, cap)
@@ -690,10 +749,10 @@ class ProfileSample:
         norm = _log_power_norm(log_lo, log_hi, m_r)
         norm -= log_z_r
         log_weight += norm
-        return ProfileSample(self.n, self.t, log_weight, self.log_measure, self.count,
-                             lambda: self._band, r)
+        weights = (log_weight, self.log_measure)
+        return ProfileSample(self.n, self.t, lambda: weights, self.count, lambda: self._band, r)
 
-    @cached_property
+    @_once
     def _tilt_frame(self):
         """What every tilted `profile` of the sample shares, made on the
         first: the tilt cap, log lo_r, log hi_r and the log normaliser z_r of
@@ -733,7 +792,9 @@ def sample_profile(
     same.  Stratification is a jittered 2-D grid, so the effective count is
     the enclosing m1*m2 grid size.  `log_measure` and, on regions C and E,
     `log_proposal` are the shell's entries of `_log_shell_masses`, for
-    callers that made every shell's at once.
+    callers that made every shell's at once; the sample forms its log
+    weights and measure, and any masses not handed in, on the first read
+    of either (see `ProfileSample`).
     """
     _require_sampleable(label)
     n, s = params.n, params.s
@@ -741,12 +802,6 @@ def sample_profile(
     if b <= a:
         raise EmptyRegionError(f"shell {shell.k} misses the scale range of {label.value}")
     q = _QUAD[label]
-    if log_measure is None or (log_proposal is None and q.kind in ("cwedge", "ering")):
-        measures, proposals = _log_shell_masses(params, label, [shell])
-        if log_measure is None:
-            log_measure = float(measures[0])
-        if log_proposal is None and proposals is not None:
-            log_proposal = float(proposals[0])
 
     if stratify:
         m1, m2 = _grid_shape(count)
@@ -756,7 +811,7 @@ def sample_profile(
         m = count
         u1, u2 = rng.random(m), rng.random(m)
 
-    log_w = 0.0
+    log_w = None  # the scale draw's log weight less log(proposal / measure)
     if q.kind == "cone":
         xi = _power_icdf(a, b, n - 1.0, u1)
         t = q.sign * xi
@@ -772,23 +827,62 @@ def sample_profile(
         xi = _power_icdf(a, b, n - 1.0, u1)
         u2 = _off_the_edges(u2)
         t = -xi + 2.0 * xi * u2
-        return ProfileSample(n, t, log_w, log_measure, m, lambda: (None, None, u2), xi)
     elif q.kind == "cwedge":
         # proposal ~ xi^(n-1); true density ~ xi^(n-1) - xi^(s(n-1)), of
         # total mass the measure
         xi = _power_icdf(a, b, n - 1.0, u1)
-        log_w = np.log1p(-xi ** ((s - 1.0) * (n - 1.0))) + (log_proposal - log_measure)
+        log_w = lambda: np.log1p(-_normal_power(xi, (s - 1.0) * (n - 1.0), a))
         t = xi
         band = lambda: (xi**s, xi)
     else:  # 'ering'
         # uniform proposal; true density ~ (1/2)^(s(n-1)) - xi^(s(n-1)), of
         # total mass the measure
         xi = a + (b - a) * u1
-        log_w = np.log1p(-(2.0 * xi) ** (s * (n - 1.0))) + (log_proposal - log_measure)
+        log_w = lambda: np.log1p(-_normal_power(2.0 * xi, s * (n - 1.0), 2.0 * a))
         t = xi * np.where(rng.random(m) < 0.5, 1.0, -1.0)
         band = lambda: (xi**s, np.full(m, 0.5**s))
-    return ProfileSample(n, np.asarray(t, dtype=float), log_w, log_measure, m,
+
+    def weights():
+        measure, proposal = log_measure, log_proposal
+        if measure is None or (proposal is None and log_w is not None):
+            measures, proposals = _log_shell_masses(params, label, [shell])
+            if measure is None:
+                measure = float(measures[0])
+            if proposal is None and proposals is not None:
+                proposal = float(proposals[0])
+        return (0.0 if log_w is None else log_w() + (proposal - measure)), measure
+
+    if q.kind == "slab":
+        return ProfileSample(n, t, weights, m, lambda: (None, None, u2), xi)
+    return ProfileSample(n, np.asarray(t, dtype=float), weights, m,
                          lambda: (*band(), _off_the_edges(u2)))
+
+
+def _normal_power(x, m: float, lo: float):
+    """x ** m for an array x >= lo >= 0 and m > 0, with 0.0 where the power
+    would fall below the normal floats: numpy's power takes up to 70 times as
+    long where its result is subnormal, and log1p(-y) of such a y is -y,
+    below the rounding of the logs of the shell sums it is added to.  The
+    power is taken of the x at or above `_power_floor(m)`, each rounded as
+    in a power of the whole array."""
+    floor = _power_floor(m)
+    if lo >= floor:
+        return x ** m
+    out = np.zeros_like(x)
+    live = x >= floor
+    out[live] = x[live] ** m
+    return out
+
+
+@lru_cache(maxsize=16)
+def _power_floor(m: float) -> float:
+    """A floor whose power floor ** m (m > 0) is below the normal floats,
+    2^-1022, so that the power of every smaller x is: 2^(-1022/m), the
+    floor of the exact power, or the float below it that passes."""
+    floor = 2.0 ** (-1022.0 / m)
+    while floor ** m >= 2.0 ** -1022:
+        floor = math.nextafter(floor, 0.0)
+    return floor
 
 
 def random_directions(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:

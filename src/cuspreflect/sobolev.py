@@ -13,19 +13,21 @@ obstruction is the distortion integral
 
 whose dyadic shells decay like 2^(-k(e+1)) with the region's analytic
 exponent e (see `predicted_shell_exponent`); it converges iff e > -1.
-`distortion_sweep` estimates the shells by stratified Monte Carlo in
-profile coordinates for many (p, q) cells at once and
+`distortion_sweeps` estimates the shells by stratified Monte Carlo in
+profile coordinates for many (p, q) cells and regions at once and
 `convergence_verdict` classifies the tail ratios.  The samples and the
 chart jet of a shell depend only on (seed, k, region), so a sweep draws
 each (region, shell) once; only region E's radial tilt, which depends on
 (p, q), reshapes the radii, block of cells by block of cells.
-`distortion_integral` is its one-cell case.
+`distortion_sweep` is its one-region case and `distortion_integral` its
+one-cell case.
 
 The norm terms of a test function and of its extension run through one
-shell loop, `function_shells`, whose shell primitive `shell_estimate` draws
-each (region, shell) once, from the substream (seed, k, region, salt), and
-reduces every term of that shell from the draw: the terms of one radial tilt
-share one `ProfileSample.profile` of it.  Both loops draw every shell with
+shell loop, `function_shell_loops` (one loop: `function_shells`), whose
+shell primitive `shell_estimate` draws each (region, shell) once, from the
+substream (seed, k, region, salt), and reduces every term of that shell
+from the draw: the terms of one radial tilt share one
+`ProfileSample.profile` of it.  Both loops draw every shell with
 `geometry.sample_profile`, whose `ProfileSample` forms its radial band on
 the first read of r, so an untilted integrand of t alone neither forms the
 band nor draws the radius.  What is the same for every shell of a region is
@@ -40,6 +42,8 @@ reduce `_log_shell` with one nan rule (NonFiniteIntegrandError), and
 Since every shell has its own substream, both shell loops split their
 shells over two processes by one rule (`_each_shell`): a loop of two shells
 or more splits where this process runs one thread and may run on two CPUs.
+The loops of several regions (and of the window) run as one loop
+(`_each_loop_shell`), so a `sweep` or `extendnorm` command makes one split.
 The second process is one shell worker per process, forked once the
 process's shell loops have done enough work to repay the fork, pinned to
 the other CPUs and kept until the process ends: each split sends it a
@@ -304,9 +308,11 @@ def shell_estimate(
                 profiles[tilt] = draw.profile(tilt)
             prof = profiles[tilt]
             L = integrand(prof)
-            if np.ndim(prof.log_weight):  # a scalar log weight is 0.0
+            if isinstance(prof.log_weight, np.ndarray):  # a scalar log weight is 0.0
                 L += prof.log_weight
-            estimates += _log_shell(prof.log_measure, np.atleast_2d(L), region, shell).tolist()
+            if L.ndim == 1:
+                L = L[None]
+            estimates += _log_shell(prof.log_measure, L, region, shell).tolist()
     return estimates
 
 
@@ -561,9 +567,43 @@ def _each_shell(factory, args: tuple, count: int, values: int,
     return [(odd if j % 2 else even)[j // 2] for j in range(count)], 1 if reply is None else 2
 
 
+def _joined_column(loops):
+    """Column factory of several shell loops run as one: `loops` lists
+    (factory, args, count) triples, and column(j) is the column of shell j
+    of the loops' shells taken one loop after another, from the loop's own
+    column factory."""
+    index = []
+    for factory, args, count in loops:
+        loop_column = factory(*args)
+        index += [(loop_column, j) for j in range(count)]
+
+    def column(j):
+        loop_column, i = index[j]
+        return loop_column(i)
+
+    return column
+
+
+def _each_loop_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list], int]:
+    """The columns of each shell loop of `loops`, (factory, args, count)
+    triples, and the processes that made them: the loops run as one loop of
+    `_each_shell` (factory `_joined_column`) of all their `values`, which
+    splits if it is `splittable`, so a command's loops cost one worker round
+    trip and one wait at its end.  Its columns, and its first error, are
+    the loops' in turn."""
+    columns, processes = _each_shell(_joined_column, (loops,),
+                                     sum(count for _, _, count in loops), values, splittable)
+    out, lo = [], 0
+    for _, _, count in loops:
+        out.append(columns[lo:lo + count])
+        lo += count
+    return out, processes
+
+
 def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
-    """Column factory of `distortion_sweep`: column(j) is the log shell j of
-    every cell, from one draw of the substream (seed, k, region, "dist")."""
+    """Column factory of a region of `distortion_sweeps`: column(j) is the
+    log shell j of every cell, from one draw of the substream (seed, k,
+    region, "dist")."""
     piece = piece_of_region(region)
     tilted = region is RegionLabel.RegionE
 
@@ -586,7 +626,7 @@ def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
                 log_op, log_det = reflections.profile_log_jet(piece, params, prof.t, prof.r)
             L, Q_log_det = scratch[:, :len(P[block])]
             np.multiply(P[block], log_op, out=L)
-            if np.ndim(log_w):  # a scalar log weight is 0.0
+            if isinstance(log_w, np.ndarray):  # a scalar log weight is 0.0
                 L += log_w
             L -= np.multiply(Q[block], log_det, out=Q_log_det)
             out[block] = _log_shell(draw.log_measure, L, region, sh)
@@ -595,22 +635,23 @@ def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
     return column
 
 
-def distortion_sweep(
+def distortion_sweeps(
     params: CuspParams,
     chart: ChartId,
-    region: RegionLabel,
+    regions,
     cells,
     shells,
     samples_per_shell: int = 4096,
     seed: int = 42,
-) -> list[ShellSum]:
+) -> list[list[ShellSum]]:
     """Shellwise stratified estimates of the distortion integral
-    opnorm(DR)^(pq/(p-q)) / |J|^(q/(p-q)) over the region, one shell sum per
-    (p, q) cell, in cell order.
+    opnorm(DR)^(pq/(p-q)) / |J|^(q/(p-q)) over each of the chart's
+    `regions`, one list per region of one shell sum per (p, q) cell, in cell
+    order.
 
     Each shell is drawn once from the substream (seed, k, region, "dist"),
     with its log measure (and on regions C and E its proposal mass) from one
-    `geometry._log_shell_masses` pass over the shells.
+    `geometry._log_shell_masses` pass over the region's shells.
     The integrand is reduced in log space: a block of cells forms
     L = log w + P log opnorm - Q log|det| by broadcasting its exponent
     columns (P, Q) against the shared log jet, and each cell's log shell is
@@ -624,36 +665,60 @@ def distortion_sweep(
     the (3, 2) cell on region E at n = 3, s = 2).  A nan in L raises
     NonFiniteIntegrandError; there is no redraw.
 
-    A call of two shells or more splits its shells by the rule of
-    `_each_shell` (one thread, two allowed CPUs, and the shell worker
-    running or forked once this process's loops reach FORK_VALUES values of
-    cells x shells x samples): the worker computes the odd shells and this
-    process the even ones.  The split is bit for bit: each shell is drawn
-    from its own substream and its column is computed by the same code
+    The shells of all the regions, region after region, are one loop of
+    `_each_loop_shell`, which splits them by the rule of `_each_shell` (one
+    thread, two allowed CPUs, and the shell worker running or forked once
+    this process's loops reach FORK_VALUES values of cells x shells x
+    samples): the worker computes the odd shells of the joined loop and
+    this process the even ones.  The split is bit for bit: each shell is
+    drawn from its own substream and its column is computed by the same code
     (`_sweep_column`) from the same inputs as in the serial loop, and the
     worker's columns come back pickled, float64 for float64.  The first
-    failing shell raises the serial loop's error.  Any other call runs the
-    serial loop.  Each shell sum records the `processes` that computed it.
+    failing shell, in the order of the regions, raises the serial loop's
+    error.  Any other call runs the serial loop.  Each shell sum records the
+    `processes` that computed it.
     """
     cells = list(cells)
     for p, q in cells:
         _check_pq(p, q)
-    if region not in COLLAR_REGIONS:
-        raise ValueError(f"distortion integral is defined on A..E, not {region.value}")
-    if chart_of_region(region) is not chart:
-        raise ValueError(f"{region.value} is not a piece of chart {chart.value}")
+    regions = list(regions)
+    for region in regions:
+        if region not in COLLAR_REGIONS:
+            raise ValueError(f"distortion integral is defined on A..E, not {region.value}")
+        if chart_of_region(region) is not chart:
+            raise ValueError(f"{region.value} is not a piece of chart {chart.value}")
     P = np.array([[p * q / (p - q)] for p, q in cells])
     Q = np.array([[q / (p - q)] for p, q in cells])
-    tilts = np.array([[_distortion_tilt(region, p, q, params.s)] for p, q in cells])
-    args = (params, region, samples_per_shell, seed, shells,
-            _shell_masses(params, region, shells), P, Q, tilts)
+    loops = []
+    for region in regions:
+        tilts = np.array([[_distortion_tilt(region, p, q, params.s)] for p, q in cells])
+        args = (params, region, samples_per_shell, seed, shells,
+                _shell_masses(params, region, shells), P, Q, tilts)
+        loops.append((_sweep_column, args, len(shells)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        columns, processes = _each_shell(_sweep_column, args, len(shells),
-                                         len(cells) * len(shells) * samples_per_shell)
-    log_shells = np.empty((len(cells), len(shells)))
-    log_shells.T[...] = columns
+        by_region, processes = _each_loop_shell(
+            tuple(loops), len(regions) * len(cells) * len(shells) * samples_per_shell, True)
     ks = [sh.k for sh in shells]
-    return [ShellSum(ks, row, processes) for row in log_shells]
+    sums = []
+    for columns in by_region:
+        log_shells = np.empty((len(cells), len(shells)))
+        log_shells.T[...] = columns
+        sums.append([ShellSum(ks, row, processes) for row in log_shells])
+    return sums
+
+
+def distortion_sweep(
+    params: CuspParams,
+    chart: ChartId,
+    region: RegionLabel,
+    cells,
+    shells,
+    samples_per_shell: int = 4096,
+    seed: int = 42,
+) -> list[ShellSum]:
+    """The shell sums of the (p, q) cells over one region, in cell order:
+    the one-region case of `distortion_sweeps`."""
+    return distortion_sweeps(params, chart, [region], cells, shells, samples_per_shell, seed)[0]
 
 
 def distortion_integral(
@@ -673,8 +738,8 @@ def distortion_integral(
 
 
 def _norm_column(params, region, samples, seed, shells, masses, terms, salt):
-    """Column factory of `function_shells`: column(j) is the `shell_estimate`
-    of shell j."""
+    """Column factory of a loop of `function_shell_loops`: column(j) is the
+    `shell_estimate` of shell j."""
 
     def column(j):
         sh = shells[j]
@@ -697,6 +762,41 @@ def _library_integrand(integrand) -> bool:
         for a in (*integrand.args, *integrand.keywords.values()))
 
 
+def function_shell_loops(
+    params: CuspParams,
+    loops,
+    shells,
+    samples_per_shell: int,
+    seed: int,
+) -> list[list[ShellSum]]:
+    """Shell sums of the (integrand, radial_tilt) terms of each (region,
+    terms, salt) of `loops` over its region, one list per loop of one sum
+    per estimate row of `shell_estimate`; each shell is drawn once, from
+    the substream (seed, k, region, salt), for all the loop's terms.
+
+    What does not change from shell to shell is done once per region: the
+    log measures of all shells (and regions C's and E's proposal masses)
+    are one `geometry._log_shell_masses` pass, handed to each shell's
+    estimate.
+    Within a shell, a radial band is formed only when an integrand reads r.
+    The shells of all the loops, loop after loop, are one loop of
+    `_each_loop_shell`: it splits by the rule of `_each_shell`, counting
+    terms x shells x samples values, bit for bit and with the serial first
+    error, as `distortion_sweeps` does, if every integrand of every loop is
+    the package's own (`_library_integrand`): the integrands then travel
+    pickled, so the library's are module-level functions bound by
+    `functools.partial`.  Other integrands run serially."""
+    runs = tuple((_norm_column, (params, region, samples_per_shell, seed, shells,
+                                 _shell_masses(params, region, shells), terms, salt),
+                  len(shells)) for region, terms, salt in loops)
+    all_terms = [term for _, terms, _ in loops for term in terms]
+    by_loop, processes = _each_loop_shell(
+        runs, len(all_terms) * len(shells) * samples_per_shell,
+        all(_library_integrand(integrand) for integrand, _ in all_terms))
+    ks = [sh.k for sh in shells]
+    return [[ShellSum(ks, row, processes) for row in zip(*columns)] for columns in by_loop]
+
+
 def function_shells(
     params: CuspParams,
     region: RegionLabel,
@@ -707,27 +807,10 @@ def function_shells(
     salt: str,
 ) -> list[ShellSum]:
     """Shell sums of the (integrand, radial_tilt) terms over the region, one
-    per estimate row of `shell_estimate`; each shell is drawn once, from the
-    substream (seed, k, region, salt), for all the terms.
-
-    What does not change from shell to shell is done once per region: the
-    log measures of all shells (and regions C's and E's proposal masses)
-    are one `geometry._log_shell_masses` pass, handed to each shell's
-    estimate.
-    Within a shell, a radial band is formed only when an integrand reads r.
-    The shells split by the rule of `_each_shell`, counting terms x shells x
-    samples values, bit for bit and with the serial first error, as
-    `distortion_sweep` does, if every integrand is the package's own
-    (`_library_integrand`): the integrands then travel pickled, so the
-    library's are module-level functions bound by `functools.partial`.
-    Other integrands run serially."""
-    args = (params, region, samples_per_shell, seed, shells,
-            _shell_masses(params, region, shells), terms, salt)
-    columns, processes = _each_shell(
-        _norm_column, args, len(shells), len(terms) * len(shells) * samples_per_shell,
-        all(_library_integrand(integrand) for integrand, _ in terms))
-    ks = [sh.k for sh in shells]
-    return [ShellSum(ks, row, processes) for row in zip(*columns)]
+    per estimate row of `shell_estimate`: the one-loop case of
+    `function_shell_loops`."""
+    return function_shell_loops(params, [(region, terms, salt)], shells, samples_per_shell,
+                                seed)[0]
 
 
 def _gradient_power(u, p, prof):

@@ -6,6 +6,7 @@ per-point formulation, kept below as the reference, at small budgets.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -245,6 +246,58 @@ def test_batch_errors_name_the_first_bad_point(params):
     assert batch_err.value.label is RegionLabel.CuspInterior
     with pytest.raises(ValueError):
         reflections.apply_points(ChartId.R1Outer, params, t, X[:, :1])
+
+
+def _entry_points(params):
+    """Every batch entry point, as a call on (t, X)."""
+    spec, u = SPECS["R1"][0]
+    calls = {f"classify_profile {scheme}": lambda t, X, scheme=scheme: classify_profile(
+        params, scheme, t, radii(X)) for scheme in ("R1", "R2")}
+    for chart in ChartId:
+        for name in ("apply_points", "differential_points", "differential_fd_points",
+                     "invert_points"):
+            calls[f"{name} {chart.value}"] = partial(getattr(reflections, name), chart, params)
+    for name in ("extend_eval_points", "extend_gradient_points", "extend_global_points"):
+        calls[name] = partial(getattr(extension, name), spec, params, u)
+    calls["cutoff_psi_points"] = partial(extension.cutoff_psi_points, params)
+    return calls
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_non_finite_points_fail_loudly(params, bad, column):
+    # a non-finite coordinate in row 1 of a batch raises a ValueError that
+    # names the row at every entry point, never a label or a value
+    t = np.array([-0.25, -0.2, -0.3])
+    X = np.array([[0.1, 0.0], [0.05, 0.02], [0.1, 0.0]])
+    Z = np.column_stack([t, X])
+    Z[1, column] = bad
+    for name, call in _entry_points(params).items():
+        for rows, row in ((slice(None), 1), (slice(1, 2), 0)):  # and the one-row batch
+            with pytest.raises(ValueError, match=rf"^row {row} of the point batch has "
+                                                 r"non-finite coordinates \[") as exc:
+                call(Z[rows, 0], Z[rows, 1:])
+            assert str(abs(bad)) in str(exc.value), name  # classify_profile reads |x|
+
+
+def test_non_finite_profile_coordinates_fail_loudly(params):
+    # classify_profile's own (t, r), a one-row batch included
+    with pytest.raises(ValueError, match=r"^row 0 .* \[nan, 0\.05\]$"):
+        classify_profile(params, "R1", [math.nan], [0.05])
+    with pytest.raises(ValueError, match=r"^row 2 .* \[0\.3, inf\]$"):
+        classify_profile(params, "R2", [0.1, 0.2, 0.3], [0.01, 0.02, math.inf])
+    with pytest.raises(ValueError, match=r"^row 0 .* \[nan, 0\.1\]$"):
+        classify_profile(params, "R1", math.nan, 0.1)
+
+
+def test_huge_finite_points_pass_the_check():
+    # a one-row batch whose sum overflows fails the fast check, and the row
+    # search then finds every entry finite and lets it pass; a longer batch
+    # of huge entries passes `np.isfinite`
+    for t, X in [(np.array([1e308]), np.array([[1e308, 0.0]])),
+                 (np.array([-1e308]), np.array([-1e308])),
+                 (np.array([-0.25, 1e308]), np.array([[0.1, 1e308], [0.0, 0.0]]))]:
+        assert geometry._reject_non_finite(t, X) is None
 
 
 # ---------------------------------------------------------------------------

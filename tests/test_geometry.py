@@ -269,12 +269,13 @@ class TestLogShellMeasures:
     def test_handed_proposal_mass_gives_the_same_draw(self, params, monkeypatch, label):
         measures, proposals = geometry._log_shell_masses(params, label, [Shell(4)])
         own = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4))
+        own_weight, own_measure = own.log_weight, own.log_measure  # formed on the first read
         # a draw handed its measure and proposal mass makes no power integral
         monkeypatch.setattr(geometry, "_log_power_norm", None)
         handed = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4),
                                          log_measure=measures[0], log_proposal=proposals[0])
-        assert np.array_equal(handed.log_weight, own.log_weight)
-        assert handed.log_measure == own.log_measure
+        assert np.array_equal(handed.log_weight, own_weight)
+        assert handed.log_measure == own_measure
 
 
 class TestSampler:
@@ -390,6 +391,7 @@ class TestSampler:
                                            geometry.derive_rng(5, 6, RegionLabel.RegionE))
 
         shared = draw()
+        shared.log_weight  # the shell measure, formed on the first read
         untilted = []
         norm = geometry._log_power_norm
         monkeypatch.setattr(geometry, "_log_power_norm", lambda lo, hi, m: (

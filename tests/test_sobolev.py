@@ -26,7 +26,7 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuspreflect import checks, extension, reflections, sobolev
+from cuspreflect import checks, extension, geometry, reflections, sobolev
 from cuspreflect.errors import EmptyRegionError, WindowError
 from cuspreflect.extension import (
     ClampT,
@@ -979,6 +979,154 @@ class TestShellWorker:
         assert rc == "0", proc.stderr
         assert json.loads(Path(str(out) + ".manifest.json").read_text())["processes"] == 2
         assert _wait_gone(int(pid))
+
+
+def _plant_nan_on(monkeypatch, planted):
+    """A nan in the first value of the reduce of each (region, k) planted,
+    met by whichever process computes the shell."""
+    reduce = sobolev._log_shell
+
+    def plant(log_measure, L, region, shell):
+        if (region, shell.k) in planted:
+            L[0, 0] = np.nan
+        return reduce(log_measure, L, region, shell)
+
+    monkeypatch.setattr(sobolev, "_log_shell", plant)
+
+
+def _spy_splits(monkeypatch) -> list:
+    """The shell counts of the `_each_shell` calls made from here on."""
+    counts = []
+    each_shell = sobolev._each_shell
+
+    def spy(factory, args, count, *rest):
+        counts.append(count)
+        return each_shell(factory, args, count, *rest)
+
+    monkeypatch.setattr(sobolev, "_each_shell", spy)
+    return counts
+
+
+class TestJoinedLoops:
+    """All the shell loops of one `extendnorm` or `sweep` run are one split
+    loop: the bits of the serial loop and of the per-region calls, the
+    serial first error, one `_each_shell` call per command."""
+
+    @pytest.mark.parametrize("u", [PowerAlpha(0.4), ClampT()], ids=["power", "clampt"])
+    @pytest.mark.parametrize("scheme", ["R1", "R2"])
+    def test_experiment_equals_serial_and_per_region_calls(self, monkeypatch, params, scheme,
+                                                           u):
+        # 11 shells, an odd count, so the worker's shells of the joined loop
+        # are not those of each region's own loop
+        spec = ExtensionSpec(scheme, Direction.FromInside)
+        shl = shells(5, 15)
+        force_split(monkeypatch, True)
+        counts = _spy_splits(monkeypatch)
+        rep = extension_norm_experiment(params, spec, u, 3.0, 1.5, shl, 256, 11)
+        regions = geometry.chart_regions(spec.outer_chart)
+        assert counts == [len(shl) * (len(regions) + 1)] and rep.processes == 2
+        joined = hex_sums([rep.value_sum, rep.grad_sum, rep.total_sum])
+        _only_the_worker_left()
+        monkeypatch.setattr(sobolev, "FORK_VALUES", math.inf)
+        serial = extension_norm_experiment(params, spec, u, 3.0, 1.5, shl, 256, 11)
+        assert serial.processes == 1
+        assert hex_sums([serial.value_sum, serial.grad_sum, serial.total_sum]) == joined
+        assert (serial.u_norm.hex(), serial.ratio.hex()) == (rep.u_norm.hex(), rep.ratio.hex())
+        # the per-region calls, each split on its own, sum to the same bits
+        monkeypatch.setattr(sobolev, "FORK_VALUES", 0)
+        pairs = [extension._region_terms(params, u, 1.5, region, shl, 256, 11)
+                 for region in regions]
+        lp, semi = extension._window_terms(params, u, 3.0, shl, 256, 11)
+        assert {ss.processes for pair in pairs for ss in pair} == {lp.processes} == {2}
+        vals = np.logaddexp.reduce([v.log_contributions for v, _ in pairs])
+        grads = np.logaddexp.reduce([g.log_contributions for _, g in pairs])
+        ks = [sh.k for sh in shl]
+        assert hex_sums([ShellSum(ks, vals), ShellSum(ks, grads)]) == joined[:2]
+        assert np.exp(lp.log_total / 3.0) + np.exp(semi.log_total / 3.0) == rep.u_norm
+
+    @pytest.mark.parametrize("scheme", ["R1", "R2"])
+    def test_sweeps_equal_serial_and_per_region_calls(self, monkeypatch, params, scheme):
+        chart = _CHARTS[scheme]
+        regions = geometry.chart_regions(chart)
+        cells = checks.sweep_grid(params, scheme, grid=3)
+        shl = shells(5, 15)
+        force_split(monkeypatch, True)
+        counts = _spy_splits(monkeypatch)
+        joined = sobolev.distortion_sweeps(params, chart, regions, cells, shl, 256, 5)
+        assert counts == [len(shl) * len(regions)]
+        assert {ss.processes for sums in joined for ss in sums} == {2}
+        _only_the_worker_left()
+        per_region = [distortion_sweep(params, chart, region, cells, shl, 256, 5)
+                      for region in regions]
+        assert {ss.processes for sums in per_region for ss in sums} == {2}
+        _only_the_worker_left()
+        monkeypatch.setattr(sobolev, "FORK_VALUES", math.inf)
+        serial = sobolev.distortion_sweeps(params, chart, regions, cells, shl, 256, 5)
+        assert {ss.processes for sums in serial for ss in sums} == {1}
+        assert ([hex_sums(sums) for sums in joined] == [hex_sums(sums) for sums in serial]
+                == [hex_sums(sums) for sums in per_region])
+
+    @pytest.mark.parametrize("planted,first", [
+        ({(RegionLabel.RegionC, 9)}, "RegionC, shell 9"),    # the last region
+        ({(RegionLabel.RegionB, 8), (RegionLabel.RegionC, 5)}, "RegionB, shell 8"),
+        # shell 6 of region A is the worker's, shell 5 of region C this
+        # process's, which it meets first: the worker's error still raises
+        ({(RegionLabel.RegionA, 6), (RegionLabel.RegionC, 5)}, "RegionA, shell 6"),
+    ])
+    def test_experiment_first_error_in_serial_order(self, monkeypatch, params, planted, first):
+        _plant_nan_on(monkeypatch, planted)
+        spec = ExtensionSpec("R1", Direction.FromInside)
+        errors = []
+        for split in (False, True):
+            force_split(monkeypatch, split)
+            with pytest.raises(sobolev.NonFiniteIntegrandError) as exc:
+                extension_norm_experiment(params, spec, PowerAlpha(1.4), 2.0, 1.1,
+                                          shells(5, 12), 64, 3)
+            _only_the_worker_left()
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] == f"non-finite integrand values on {first}"
+
+    @pytest.mark.parametrize("planted,first", [
+        ({(RegionLabel.RegionE, 10)}, "RegionE, shell 10"),
+        ({(RegionLabel.RegionD, 6), (RegionLabel.RegionE, 5)}, "RegionD, shell 6"),
+    ])
+    def test_sweep_first_error_in_serial_order(self, monkeypatch, tmp_path, capsys, planted,
+                                               first):
+        from cuspreflect.cli import main
+
+        _plant_nan_on(monkeypatch, planted)
+        errs = []
+        for split in (False, True):
+            force_split(monkeypatch, split)
+            out = tmp_path / "out.csv"
+            assert main(["sweep", "--scheme", "r2", "--p", "2", "--q", "1.1", "--samples",
+                         "64", "--k-max", "12", "--out", str(out)]) == 3
+            _only_the_worker_left()
+            assert not out.exists()
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == f"error: non-finite integrand values on {first}\n"
+
+    @pytest.mark.parametrize("scheme", ["r1", "r2"])
+    @pytest.mark.parametrize("command", [
+        ["extendnorm", "--function", "power:0.4", "--p", "3", "--q", "1.5"],
+        ["sweep", "--p", "2.5,3", "--q", "1.1,2"],
+    ], ids=["extendnorm", "sweep"])
+    def test_one_split_per_command(self, monkeypatch, tmp_path, scheme, command):
+        from cuspreflect.cli import main
+
+        outputs = []
+        for split in (True, False):
+            force_split(monkeypatch, split)
+            counts = _spy_splits(monkeypatch)
+            out = tmp_path / f"{split}.csv"
+            assert main([*command, "--scheme", scheme, "--samples", "64", "--k-max", "14",
+                         "--out", str(out)]) == 0
+            _only_the_worker_left()
+            assert len(counts) == 1
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            assert manifest["processes"] == 1 + split
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 _CHARTS = {"R1": ChartId.R1Outer, "R2": ChartId.R2Outer}

@@ -44,7 +44,6 @@ from .sobolev import (
     Verdict,
     convergence_verdict,
     distortion_integral,
-    distortion_sweep,
     dual_exponent,
     p_min_r1,
     p_min_r2,

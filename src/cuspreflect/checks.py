@@ -232,11 +232,11 @@ def check_straddle_continuity(params: CuspParams, pairs_per_interface: int = 200
 
 
 _BANDS = {
-    RegionLabel.RegionA: ("A", 0.0, 1.0 / 6.0),
-    RegionLabel.RegionB: ("B", 1.0 / 6.0, 0.5),
-    RegionLabel.RegionC: ("C", 0.5, 1.0),
-    RegionLabel.RegionD: ("D", 0.0, 0.5),
-    RegionLabel.RegionE: ("E", 0.5, 1.0),
+    RegionLabel.RegionA: (0.0, 1.0 / 6.0),
+    RegionLabel.RegionB: (1.0 / 6.0, 0.5),
+    RegionLabel.RegionC: (0.5, 1.0),
+    RegionLabel.RegionD: (0.0, 0.5),
+    RegionLabel.RegionE: (0.5, 1.0),
 }
 
 
@@ -244,11 +244,11 @@ def check_image_bands(params: CuspParams, samples: int = 2000, seed: int = 7):
     """Outer charts land in the advertised radius bands of the cusp core."""
     worst = 0.0
     total = 0
-    for label, (piece, lo, hi) in _BANDS.items():
+    for label, (lo, hi) in _BANDS.items():
         for k in (1, 4, 9):
             rng = derive_rng(seed, k, label, salt="bands")
             prof = sample_profile(params, label, Shell(k), samples, rng)
-            T, phi, _, _ = reflections.profile_jet(piece, params, prof.t, prof.r)
+            T, phi, _, _ = reflections.profile_jet(piece_of_region(label), params, prof.t, prof.r)
             ts = T**params.s
             viol = np.maximum(lo * ts - phi, phi - hi * ts) / ts
             worst = max(worst, float(np.max(viol)))

@@ -7,11 +7,11 @@ inner chart of the first reflection.  The test functions are profiles u(t)
 with exact derivatives u'(t), so u o R = u(T) and the extension gradient is
 the first row of DR scaled by u'(T), with norm |u'(T)| |grad T|,
 grad T = (T_t, T_r).  The norm experiment sums these terms region by region
-through `sobolev.function_shell_loops`, whose one-loop case
-`sobolev.function_shells` is the shell loop of the seminorm: the shells of
-all the regions are one loop, and each (region, shell) is drawn once for all
-its terms, the collar regions under the salt "extval" and the L^p and
-seminorm terms of u on the cusp window under "lp".  The integrands take the
+through `sobolev.function_shell_loops`, which also runs the seminorm's one
+loop: the shells of all the regions and of the window are one loop, and
+each (region, shell) is drawn once for all its terms, the collar regions
+under the salt "extval" and the L^p and seminorm terms of u on the cusp
+window under "lp".  The integrands take the
 shell's `ProfileSample` from `geometry.sample_profile`, tilted to the term's
 radial tilt by its `profile`, and return logs: they read u in its log form
 `log_jet_t` and the chart's T-row (`reflections.piece_T_row`) alone, so the
@@ -50,6 +50,7 @@ from .geometry import (
     chart_of_region,
     chart_regions,
     check_scheme,
+    cusp_radius,
     first_flagged,
     key_rows,
     outer_chart,
@@ -365,7 +366,7 @@ def cutoff_psi_points(params: CuspParams, t, X):
     """
     t, X = as_points(t, X, params)
     r = radii(X)
-    ts = np.abs(t) ** params.s
+    ts = cusp_radius(params, t)
     domain = (((0.0 < t) & (t <= 1.0) & (r <= ts))
               | (np.hypot(t - BALL_CENTER_T, r) <= BALL_RADIUS)
               | ((t == 0.0) & (r == 0.0)))
@@ -463,22 +464,6 @@ def _region_loop(params: CuspParams, u: TestFunction, q: float, region: RegionLa
     return region, terms, "extval"
 
 
-def _region_terms(
-    params: CuspParams,
-    u: TestFunction,
-    q: float,
-    region: RegionLabel,
-    shells,
-    samples: int,
-    seed: int,
-) -> tuple[ShellSum, ShellSum]:
-    """Shell sums of the (value, gradient) L^q masses of u o R over a collar
-    region: `_region_loop` run alone."""
-    value_sum, grad_sum = sobolev.function_shell_loops(
-        params, [_region_loop(params, u, q, region)], shells, samples, seed)[0]
-    return value_sum, grad_sum
-
-
 def _log_grad_T(T_t, T_r):
     """log|(T_t, T_r)|.  Where one entry is a scalar zero it is the log of the
     other's modulus, hypot(0, y) = |y|: the scalar 0.0 for the constant +-1
@@ -495,21 +480,6 @@ def _window_loop(u: TestFunction, p: float) -> tuple:
     u over the cusp window, both from one draw per shell under the salt
     "lp"."""
     return RegionLabel.CuspInterior, [(partial(_window_masses, u, p), 0.0)], "lp"
-
-
-def _window_terms(
-    params: CuspParams,
-    u: TestFunction,
-    p: float,
-    shells,
-    samples: int,
-    seed: int,
-) -> tuple[ShellSum, ShellSum]:
-    """Shell sums of the L^p value and gradient masses of u over the cusp
-    window: `_window_loop` run alone."""
-    lp, semi = sobolev.function_shell_loops(params, [_window_loop(u, p)], shells, samples,
-                                            seed)[0]
-    return lp, semi
 
 
 @dataclass

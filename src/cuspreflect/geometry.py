@@ -106,42 +106,53 @@ def as_point(z, params: CuspParams | None = None) -> Point:
 
 def as_points(t, X, params: CuspParams) -> tuple[np.ndarray, np.ndarray]:
     """Coerce a point batch: t of shape (N,) and cross sections X of shape
-    (N, n-1), all finite (`_reject_non_finite`)."""
+    (N, n-1), all finite, with each entry of X past 2^500 in modulus read as
+    +-2^500 (`_reject_non_finite`)."""
     t = np.asarray(t, dtype=float).reshape(-1)
     X = np.asarray(X, dtype=float)
     if X.shape != (t.size, params.n - 1):
         raise ValueError(f"expected x of shape {(t.size, params.n - 1)}, got {X.shape}")
-    _reject_non_finite(t, X)
-    return t, X
+    return t, _reject_non_finite(t, X)
 
 
-def _reject_non_finite(t: np.ndarray, X: np.ndarray) -> None:
+def _reject_non_finite(t: np.ndarray, X: np.ndarray) -> np.ndarray:
     """ValueError naming the first row of the point batch (t, X), float
     arrays, that holds a non-finite coordinate; X holds a cross section (or
-    a radius) per row.  A one-row batch, the one-row wrappers', is checked
-    by the Python sum of its floats, which is finite unless an entry is not
-    or the sum overflows; a longer one by `np.isfinite`.  Only a batch that
-    fails its check is searched row by row."""
+    a radius) per row.  Else X, with any entry past 2^500 in modulus clipped
+    to +-2^500 in a copy, so that no |x| overflows.  A one-row batch, the
+    one-row wrappers', is checked by the Python hypot of its floats, a
+    longer one by numpy; only a batch that fails is searched row by row."""
     if t.size == 1:
-        if math.isfinite(sum(X.ravel().tolist(), t.item())):
-            return
-    elif np.isfinite(t).all() and np.isfinite(X).all():
-        return
-    t, X = np.atleast_1d(np.asarray(t, dtype=float), np.asarray(X, dtype=float))
-    X = X.reshape(len(X), -1)
-    count = max(len(t), len(X))
-    rows = np.column_stack([np.broadcast_to(t, (count,)), np.broadcast_to(X, (count, X.shape[1]))])
+        if math.hypot(t.item(), *X.ravel().tolist()) < 2.0 ** 500:
+            return X
+    elif np.isfinite(t).all() and np.abs(X).max(initial=0.0) < 2.0 ** 500:
+        return X
+    t, Y = np.atleast_1d(np.asarray(t, dtype=float), np.asarray(X, dtype=float))
+    Y = Y.reshape(len(Y), -1)
+    count = max(len(t), len(Y))
+    rows = np.column_stack([np.broadcast_to(t, (count,)), np.broadcast_to(Y, (count, Y.shape[1]))])
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"row {i} of the point batch has non-finite coordinates "
                          f"{rows[i].tolist()}")
+    return np.clip(X, -2.0 ** 500, 2.0 ** 500)
 
 
 def radii(X) -> np.ndarray:
     """|x| of each row of X, rounded as `Point.r` rounds one row."""
     X = np.asarray(X, dtype=float)
     return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
+
+
+def cusp_radius(params: CuspParams, t) -> np.ndarray:
+    """|t|^s, the cusp radius at height t, for |t| <= 1, where every region
+    lies, and 1 past it, so that no finite t overflows; a one-row batch
+    within |t| <= 1, checked in Python, skips the clamp."""
+    a = np.abs(t)
+    if a.size != 1 or not a.item() <= 1.0:
+        a = np.minimum(a, 1.0)
+    return a ** params.s
 
 
 def first_flagged(bad: np.ndarray, t, X) -> tuple[int, Point] | None:
@@ -292,7 +303,7 @@ def region_masks(params: CuspParams, chart: ChartId, t, r, ts=None) -> list[np.n
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if ts is None:
-        ts = np.abs(t) ** params.s
+        ts = cusp_radius(params, t)
     masks = [_REGIONS[label][2](t, r, ts, params.s) for label in chart_regions(chart)]
     if chart in _CHART_SHAPES:
         inside = _CHART_SHAPES[chart](t, r, ts)
@@ -335,7 +346,7 @@ def on_cusp_wall(params: CuspParams, t, r, ts=None):
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if ts is None:
-        ts = np.abs(t) ** params.s
+        ts = cusp_radius(params, t)
     return (t > 0) & (t <= 1.0) & (np.abs(r - ts) <= REL_TOL * np.maximum(ts, r))
 
 
@@ -372,7 +383,7 @@ def _locate(params: CuspParams, scheme: str, t, r):
     mask, and the `region_masks` of each chart of the scheme by chart."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    ts = np.abs(t) ** params.s
+    ts = cusp_radius(params, t)
     wall = on_cusp_wall(params, t, r, ts)
     masks = {chart: region_masks(params, chart, t, r, ts) for chart in SCHEME_CHARTS[scheme]}
     ball = np.hypot(t - BALL_CENTER_T, r)
@@ -395,7 +406,9 @@ def classify_profile(params: CuspParams, scheme: str, t, r):
     chart.  The bands and collar regions are the closed shapes of the region
     table, so interface points go to the earlier region in the order A, B, C
     (resp. D, E; inner band 1, 2, 3).  A non-finite t or r raises
-    ValueError (`_reject_non_finite`).
+    ValueError (`_reject_non_finite`); a finite point however far out is
+    OutsideNeighborhood (`cusp_radius`), and a chart raises ChartDomainError
+    for it.
     """
     scheme = check_scheme(scheme)
     t = np.asarray(t, dtype=float)
@@ -409,7 +422,8 @@ def classify(params: CuspParams, scheme: str, z) -> RegionLabel:
     """Classify a point into exactly one region label for the given scheme:
     the one-row case of `classify_profile` on (t, radii(x))."""
     p = as_point(z, params)
-    return classify_profile(params, scheme, np.array([p.t]), radii(p.x[None, :]))[0]
+    t = np.array([p.t])
+    return classify_profile(params, scheme, t, radii(_reject_non_finite(t, p.x[None, :])))[0]
 
 
 def check_scheme(scheme: str) -> str:

@@ -65,6 +65,7 @@ from .geometry import (
     as_points,
     chart_regions,
     classify,
+    cusp_radius,
     first_flagged,
     key_rows,
     on_cusp_wall,
@@ -380,7 +381,7 @@ def piece_gaps(piece: str, params: CuspParams, t, r):
     """(interface gap, kink gap) of profile points of one piece (see `_GAPS`);
     the smaller is the room a central-difference stencil has."""
     t = np.asarray(t, dtype=float)
-    return _GAPS[piece](t, np.asarray(r, dtype=float), np.abs(t) ** params.s)
+    return _GAPS[piece](t, np.asarray(r, dtype=float), cusp_radius(params, t))
 
 
 def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, profile: bool = True,
@@ -404,7 +405,7 @@ def _locate_chart(chart: ChartId, params: CuspParams, t, X):
     """(r, wall mask, piece index) of a point batch: |t|^s once for the
     cusp-wall mask and the chart's region masks."""
     r = radii(X)
-    ts = np.abs(t) ** params.s
+    ts = cusp_radius(params, t)
     return r, on_cusp_wall(params, t, r, ts), piece_index(chart, params, t, r, ts)
 
 
@@ -569,7 +570,7 @@ def invert_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray,
     t, X = as_points(t, X, params)
     s = params.s
     r = radii(X)
-    ts = np.abs(t) ** s
+    ts = cusp_radius(params, t)
     wall = on_cusp_wall(params, t, r, ts)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if chart is ChartId.R1Inner:

@@ -19,35 +19,27 @@ profile coordinates for many (p, q) cells and regions at once and
 chart jet of a shell depend only on (seed, k, region), so a sweep draws
 each (region, shell) once; only region E's radial tilt, which depends on
 (p, q), reshapes the radii, block of cells by block of cells.
-`distortion_sweep` is its one-region case and `distortion_integral` its
-one-cell case.
+`distortion_integral` is its one-cell case.
 
-The norm terms of a test function and of its extension run through one
-shell loop, `function_shell_loops` (one loop: `function_shells`), whose
-shell primitive `shell_estimate` draws each (region, shell) once, from the
-substream (seed, k, region, salt), and reduces every term of that shell
-from the draw: the terms of one radial tilt share one
-`ProfileSample.profile` of it.  Both loops draw every shell with
-`geometry.sample_profile`, whose `ProfileSample` forms its radial band on
-the first read of r, so an untilted integrand of t alone neither forms the
-band nor draws the radius.  What is the same for every shell of a region is
-done once per region: both paths make the log measures of all its shells
-(and regions C's and E's proposal masses) in one
-`geometry._log_shell_masses` pass and hand each shell its own.  Shells span
-hundreds of binary orders, so both paths work in logs from the measure to
-the verdict: log measures and weights, integrands that return logs, one
-reduce `_log_shell` with one nan rule (NonFiniteIntegrandError), and
-`ShellSum`s of log contributions, whose log ratios the verdict reads.
+The norm terms of a test function and of its extension run through
+`function_shell_loops`, whose shell primitive `shell_estimate` reduces
+every term of a (region, shell) from one draw of the substream (seed, k,
+region, salt).  Both plural forms hand their loops, one per region, to one
+assembly (`_shell_sums`): one `geometry._log_shell_masses` pass per region
+gives the log measures of its shells (and regions C's and E's proposal
+masses), `_each_shell` runs the shells, and each row of the columns
+becomes a `ShellSum`.  Shells span hundreds of binary orders, so both
+paths work in logs from the measure to the verdict: log measures and
+weights, integrands that return logs, one reduce `_log_shell` with one nan
+rule (NonFiniteIntegrandError), and `ShellSum`s of log contributions,
+whose log ratios the verdict reads.
 
-Since every shell has its own substream, both shell loops split their
-shells over two processes by one rule (`_each_shell`): a loop of two shells
-or more splits where this process runs one thread and may run on two CPUs.
-The loops of several regions (and of the window) run as one loop
-(`_each_loop_shell`), so a `sweep` or `extendnorm` command makes one split.
-The second process is one shell worker per process, forked once the
-process's shell loops have done enough work to repay the fork, pinned to
-the other CPUs and kept until the process ends: each split sends it a
-module-level column factory with its pickled arguments, it computes the odd
+Since every shell has its own substream, `_each_shell` splits the shells
+of all the loops of a call, run loop after loop as one loop, over two
+processes by one rule, so a `sweep` or `extendnorm` command makes one
+split.  The second process is one shell worker per process, forked once
+the process's shell loops have done enough work to repay the fork, pinned
+to the other CPUs and kept until the process ends: it computes the odd
 shells with the serial code, and this process the even ones.  The split
 gives the serial bits and the serial first error.
 """
@@ -92,7 +84,7 @@ RATIO_DIVERGENT = 1.0
 VERDICT_TAIL = 4
 PARTIAL_SUM_CAP = 1e12
 MIN_SHELLS = 6
-# Values (cells x samples) that `distortion_sweep` reduces in one block:
+# Values (cells x samples) that `distortion_sweeps` reduces in one block:
 # larger blocks save little time and raise peak memory.
 BLOCK_VALUES = 8192
 # Values (cells or terms x shells x samples) of the shell loops that could
@@ -293,8 +285,8 @@ def shell_estimate(
     NonFiniteIntegrandError, while inf values are kept, since genuinely
     divergent exponents overflow by design.
     `log_measure` and `log_proposal` are the shell's entries of
-    `geometry._log_shell_masses`, which `function_shells` makes for all its
-    shells at once.
+    `geometry._log_shell_masses`, which `_shell_sums` makes for all of a
+    region's shells at once.
     """
     seed, k, salt = rng_seed_parts
     rng = derive_rng(seed, k, region, salt=salt)
@@ -346,14 +338,6 @@ def _log_shell(log_measure: float, L: np.ndarray, region: RegionLabel, shell: Sh
     return log_measure + shift + np.log(np.exp(L, out=L).sum(axis=1) / L.shape[1])
 
 
-def _shell_masses(params: CuspParams, region: RegionLabel, shells) -> list[tuple]:
-    """(log measure, log proposal mass or None) of each shell, from one
-    `geometry._log_shell_masses` pass."""
-    measures, proposals = _log_shell_masses(params, region, shells)
-    return list(zip(measures.tolist(),
-                    [None] * len(shells) if proposals is None else proposals.tolist()))
-
-
 class _Worker:
     """The shell worker: its pid, the files of its task and result pipes,
     and the pid of the process that forked it."""
@@ -390,17 +374,18 @@ def _run_shells(column, js) -> tuple[list, int | None, Exception | None]:
 
 
 def _serve(tasks, results) -> None:
-    """The worker's loop: for each task (factory, args, shell count, numpy
-    error state) the columns of the odd shells up to the first that raises,
-    until the end of file of the task pipe.  Anything else that raises ends
-    the worker, which the caller reads as a failure at shell 1."""
+    """The worker's loop: for each task (loops, numpy error state) the
+    columns of the odd shells of the loops' `_joined_column` up to the first
+    that raises, until the end of file of the task pipe.  Anything else that
+    raises ends the worker, which the caller reads as a failure at shell 1."""
     while True:
         try:
-            factory, args, count, errstate = pickle.load(tasks)
+            loops, errstate = pickle.load(tasks)
         except EOFError:
             return
         with np.errstate(**errstate):
-            odd = _run_shells(factory(*args), range(1, count, 2))[0]
+            column, count = _joined_column(loops)
+            odd = _run_shells(column, range(1, count, 2))[0]
         pickle.dump(odd, results, pickle.HIGHEST_PROTOCOL)
         results.flush()
 
@@ -473,11 +458,11 @@ if hasattr(os, "register_at_fork"):  # absent where there is no os.fork
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _task(factory, args: tuple, count: int) -> bytes | None:
+def _task(loops: tuple) -> bytes | None:
     """The pickled task of a split, or None where the arguments do not
     pickle."""
     try:
-        return pickle.dumps((factory, args, count, np.geterr()), pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps((loops, np.geterr()), pickle.HIGHEST_PROTOCOL)
     except (pickle.PicklingError, AttributeError, TypeError):
         return None
 
@@ -490,33 +475,47 @@ def _reply(worker: _Worker) -> list | None:
         return None
 
 
-def _each_shell(factory, args: tuple, count: int, values: int,
-                splittable: bool = True) -> tuple[list, int]:
-    """The columns column(j) of the shells j < count, column = factory(*args),
-    with the error of the serial loop in ascending j, and the processes that
-    made them (1 or 2).
+def _joined_column(loops):
+    """Column factory of the (factory, args, count) `loops` run as one loop,
+    and its shell count: column(j) is the column of shell j of the loops'
+    shells taken one loop after another, from the loop's own column
+    factory(*args)."""
+    index = [(column, i) for column, count in ((factory(*args), count)
+                                               for factory, args, count in loops)
+             for i in range(count)]
+    return (lambda j: index[j][0](index[j][1])), len(index)
+
+
+def _each_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list], int]:
+    """The columns column(j) of the shells j < count of each (factory, args,
+    count) loop of `loops`, column = factory(*args), one list per loop, with
+    the error of the serial loop over the loops in turn and in ascending j,
+    and the processes that made them (1 or 2).  The loops run as one loop
+    (`_joined_column`), so a call costs one worker round trip and one wait
+    at its end however many loops it has.
 
     One rule decides the split.  A `splittable` loop of two shells or more,
     in a process that runs one Python thread and may run on two CPUs or more
     (`os.sched_getaffinity`), splits its shells with this process's shell
     worker if the worker runs, or else once the `values` (cells or terms x
-    shells x samples) of such loops run without a worker, this one included,
-    reach FORK_VALUES: that loop forks the worker, so a short command never
-    pays the fork.  Beside another thread the loop is serial: a fork copies
-    only the calling thread, so a lock another thread holds would stay held
-    in the worker, and two threads would share its pipes.
+    shells x samples, over all the loops) of such loops run without a
+    worker, this one included, reach FORK_VALUES: that loop forks the
+    worker, so a short command never pays the fork.  Beside another thread
+    the loop is serial: a fork copies only the calling thread, so a lock
+    another thread holds would stay held in the worker, and two threads
+    would share its pipes.
 
     The worker is pinned to the allowed CPUs other than the one this process
     runs on (unpinned, the worker and its caller kept landing on one CPU);
     it stays for the life of the process and takes one task at a time over
-    a pipe: the factory, a module-level function, with its pickled arguments
-    and numpy's error state.  The worker builds its own column and returns
-    the columns of the odd shells up to its first failure; this process runs
-    the even shells meanwhile, then the odd shells from the worker's failure
-    on itself, up to its own first failure, so the first failing shell
-    raises here with the serial loop's type and text.  A split costs a pipe
-    round trip and a few pickles, about 0.3 ms; only the first pays the
-    fork.
+    a pipe: the loops, whose factories are module-level functions, with
+    their pickled arguments and numpy's error state.  The worker builds its
+    own joined column and returns the columns of the odd shells up to its
+    first failure; this process runs the even shells meanwhile, then the odd
+    shells from the worker's failure on itself, up to its own first failure,
+    so the first failing shell raises here with the serial loop's type and
+    text.  A split costs a pipe round trip and a few pickles, about 0.3 ms;
+    only the first pays the fork.
 
     The worker exits at the end of file of its task pipe, so with this
     process, even one killed by SIGKILL; an `atexit` hook kills and reaps
@@ -527,15 +526,15 @@ def _each_shell(factory, args: tuple, count: int, values: int,
     bypassed that hook from using them.  Arguments that do not pickle, or a
     failed fork, run the serial loop.
 
-    The worker runs the code and module state it forked with: the factory
-    and any function among its arguments are pickled by name and resolved
+    The worker runs the code and module state it forked with: the factories
+    and any function among their arguments are pickled by name and resolved
     there.  So only the package's own code goes to it (the integrands of
-    `function_shells` are checked by `_library_integrand`), and a process
-    that patches the package after the worker was forked must call
+    `function_shell_loops` are checked by `_library_integrand`), and a
+    process that patches the package after the worker was forked must call
     `_stop_worker()` for the next split to see the patch.
     """
     global _unsplit_values
-    column = factory(*args)
+    column, count = _joined_column(loops)
     if _worker is not None and _worker.owner != os.getpid():
         _forget_worker()  # a fork that bypassed `_forget_worker`
     splits = (splittable and count >= 2 and threading.active_count() == 1
@@ -543,61 +542,54 @@ def _each_shell(factory, args: tuple, count: int, values: int,
     if splits and _worker is None:
         _unsplit_values += values
         splits = _unsplit_values >= FORK_VALUES
-    task = _task(factory, args, count) if splits else None
+    task = _task(loops) if splits else None
     worker = (_worker or _start_worker()) if task else None
+    reply = None
     if worker is None:
-        return [column(j) for j in range(count)], 1
-    try:
+        columns = [column(j) for j in range(count)]
+    else:
         try:
-            worker.tasks.write(task)
-            worker.tasks.flush()
-        except BrokenPipeError:  # the worker died after its last task
+            try:
+                worker.tasks.write(task)
+                worker.tasks.flush()
+            except BrokenPipeError:  # the worker died after its last task
+                _stop_worker()
+            even, stop, error = _run_shells(column, range(0, count, 2))
+            reply = _reply(worker) if _worker is worker else None
+        except BaseException:
             _stop_worker()
-        even, stop, error = _run_shells(column, range(0, count, 2))
-        reply = _reply(worker) if _worker is worker else None
-    except BaseException:
-        _stop_worker()
-        raise
-    if reply is None:
-        _stop_worker()
-    odd = reply or []
-    odd += [column(j) for j in range(1 + 2 * len(odd), count if stop is None else stop, 2)]
-    if error is not None:
-        raise error
-    return [(odd if j % 2 else even)[j // 2] for j in range(count)], 1 if reply is None else 2
+            raise
+        if reply is None:
+            _stop_worker()
+        odd = reply or []
+        odd += [column(j) for j in range(1 + 2 * len(odd), count if stop is None else stop, 2)]
+        if error is not None:
+            raise error
+        columns = [(odd if j % 2 else even)[j // 2] for j in range(count)]
+    ordered = iter(columns)
+    return [[next(ordered) for _ in range(n)] for *_, n in loops], 1 if reply is None else 2
 
 
-def _joined_column(loops):
-    """Column factory of several shell loops run as one: `loops` lists
-    (factory, args, count) triples, and column(j) is the column of shell j
-    of the loops' shells taken one loop after another, from the loop's own
-    column factory."""
-    index = []
-    for factory, args, count in loops:
-        loop_column = factory(*args)
-        index += [(loop_column, j) for j in range(count)]
-
-    def column(j):
-        loop_column, i = index[j]
-        return loop_column(i)
-
-    return column
-
-
-def _each_loop_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list], int]:
-    """The columns of each shell loop of `loops`, (factory, args, count)
-    triples, and the processes that made them: the loops run as one loop of
-    `_each_shell` (factory `_joined_column`) of all their `values`, which
-    splits if it is `splittable`, so a command's loops cost one worker round
-    trip and one wait at its end.  Its columns, and its first error, are
-    the loops' in turn."""
-    columns, processes = _each_shell(_joined_column, (loops,),
-                                     sum(count for _, _, count in loops), values, splittable)
-    out, lo = [], 0
-    for _, _, count in loops:
-        out.append(columns[lo:lo + count])
-        lo += count
-    return out, processes
+def _shell_sums(params: CuspParams, loops, shells, samples: int, seed: int, width: int,
+                splittable: bool) -> list[list[ShellSum]]:
+    """The shell sums of each (factory, region, extra args) loop of `loops`,
+    one per row of the columns of factory(params, region, samples, seed,
+    shells, masses, *extra), with `masses` the (log measure, log proposal
+    mass or None) of each shell from one `geometry._log_shell_masses` pass.
+    All the loops are one `_each_shell` loop of `width` (cells or terms) x
+    shells x samples values, which splits if it is `splittable`."""
+    runs = []
+    for factory, region, extra in loops:
+        measures, proposals = _log_shell_masses(params, region, shells)
+        masses = list(zip(measures.tolist(), [None] * len(shells) if proposals is None
+                          else proposals.tolist()))
+        runs.append((factory, (params, region, samples, seed, shells, masses, *extra),
+                     len(shells)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        by_loop, processes = _each_shell(tuple(runs), width * len(shells) * samples, splittable)
+    ks = [sh.k for sh in shells]
+    return [[ShellSum(ks, row, processes) for row in np.array(columns, dtype=float).T.copy()]
+            for columns in by_loop]
 
 
 def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
@@ -649,9 +641,7 @@ def distortion_sweeps(
     `regions`, one list per region of one shell sum per (p, q) cell, in cell
     order.
 
-    Each shell is drawn once from the substream (seed, k, region, "dist"),
-    with its log measure (and on regions C and E its proposal mass) from one
-    `geometry._log_shell_masses` pass over the region's shells.
+    Each shell is drawn once from the substream (seed, k, region, "dist").
     The integrand is reduced in log space: a block of cells forms
     L = log w + P log opnorm - Q log|det| by broadcasting its exponent
     columns (P, Q) against the shared log jet, and each cell's log shell is
@@ -666,17 +656,13 @@ def distortion_sweeps(
     NonFiniteIntegrandError; there is no redraw.
 
     The shells of all the regions, region after region, are one loop of
-    `_each_loop_shell`, which splits them by the rule of `_each_shell` (one
-    thread, two allowed CPUs, and the shell worker running or forked once
-    this process's loops reach FORK_VALUES values of cells x shells x
-    samples): the worker computes the odd shells of the joined loop and
-    this process the even ones.  The split is bit for bit: each shell is
-    drawn from its own substream and its column is computed by the same code
-    (`_sweep_column`) from the same inputs as in the serial loop, and the
-    worker's columns come back pickled, float64 for float64.  The first
-    failing shell, in the order of the regions, raises the serial loop's
-    error.  Any other call runs the serial loop.  Each shell sum records the
-    `processes` that computed it.
+    `_shell_sums`, which `_each_shell` splits by its rule.  The split is bit
+    for bit: each shell is drawn from its own substream and its column is
+    computed by the same code (`_sweep_column`) from the same inputs as in
+    the serial loop, and the worker's columns come back pickled, float64
+    for float64.  The first failing shell, in the order of the regions,
+    raises the serial loop's error.  Each shell sum records the `processes`
+    that computed it.
     """
     cells = list(cells)
     for p, q in cells:
@@ -689,36 +675,11 @@ def distortion_sweeps(
             raise ValueError(f"{region.value} is not a piece of chart {chart.value}")
     P = np.array([[p * q / (p - q)] for p, q in cells])
     Q = np.array([[q / (p - q)] for p, q in cells])
-    loops = []
-    for region in regions:
-        tilts = np.array([[_distortion_tilt(region, p, q, params.s)] for p, q in cells])
-        args = (params, region, samples_per_shell, seed, shells,
-                _shell_masses(params, region, shells), P, Q, tilts)
-        loops.append((_sweep_column, args, len(shells)))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        by_region, processes = _each_loop_shell(
-            tuple(loops), len(regions) * len(cells) * len(shells) * samples_per_shell, True)
-    ks = [sh.k for sh in shells]
-    sums = []
-    for columns in by_region:
-        log_shells = np.empty((len(cells), len(shells)))
-        log_shells.T[...] = columns
-        sums.append([ShellSum(ks, row, processes) for row in log_shells])
-    return sums
-
-
-def distortion_sweep(
-    params: CuspParams,
-    chart: ChartId,
-    region: RegionLabel,
-    cells,
-    shells,
-    samples_per_shell: int = 4096,
-    seed: int = 42,
-) -> list[ShellSum]:
-    """The shell sums of the (p, q) cells over one region, in cell order:
-    the one-region case of `distortion_sweeps`."""
-    return distortion_sweeps(params, chart, [region], cells, shells, samples_per_shell, seed)[0]
+    loops = [(_sweep_column, region,
+              (P, Q, np.array([[_distortion_tilt(region, p, q, params.s)] for p, q in cells])))
+             for region in regions]
+    return _shell_sums(params, loops, shells, samples_per_shell, seed, len(loops) * len(cells),
+                       True)
 
 
 def distortion_integral(
@@ -732,9 +693,10 @@ def distortion_integral(
     seed: int = 42,
 ) -> ShellSum:
     """Shellwise stratified estimate of the (p, q) distortion integral
-    opnorm(DR)^(pq/(p-q)) / |J|^(q/(p-q)) over the region: the one-cell
-    case of `distortion_sweep`."""
-    return distortion_sweep(params, chart, region, [(p, q)], shells, samples_per_shell, seed)[0]
+    opnorm(DR)^(pq/(p-q)) / |J|^(q/(p-q)) over the region: the one-region,
+    one-cell case of `distortion_sweeps`."""
+    return distortion_sweeps(params, chart, [region], [(p, q)], shells, samples_per_shell,
+                             seed)[0][0]
 
 
 def _norm_column(params, region, samples, seed, shells, masses, terms, salt):
@@ -774,43 +736,17 @@ def function_shell_loops(
     per estimate row of `shell_estimate`; each shell is drawn once, from
     the substream (seed, k, region, salt), for all the loop's terms.
 
-    What does not change from shell to shell is done once per region: the
-    log measures of all shells (and regions C's and E's proposal masses)
-    are one `geometry._log_shell_masses` pass, handed to each shell's
-    estimate.
     Within a shell, a radial band is formed only when an integrand reads r.
     The shells of all the loops, loop after loop, are one loop of
-    `_each_loop_shell`: it splits by the rule of `_each_shell`, counting
-    terms x shells x samples values, bit for bit and with the serial first
-    error, as `distortion_sweeps` does, if every integrand of every loop is
-    the package's own (`_library_integrand`): the integrands then travel
+    `_shell_sums`, which splits as `distortion_sweeps` does, counting terms
+    x shells x samples values, if every integrand of every loop is the
+    package's own (`_library_integrand`): the integrands then travel
     pickled, so the library's are module-level functions bound by
     `functools.partial`.  Other integrands run serially."""
-    runs = tuple((_norm_column, (params, region, samples_per_shell, seed, shells,
-                                 _shell_masses(params, region, shells), terms, salt),
-                  len(shells)) for region, terms, salt in loops)
+    runs = [(_norm_column, region, (terms, salt)) for region, terms, salt in loops]
     all_terms = [term for _, terms, _ in loops for term in terms]
-    by_loop, processes = _each_loop_shell(
-        runs, len(all_terms) * len(shells) * samples_per_shell,
-        all(_library_integrand(integrand) for integrand, _ in all_terms))
-    ks = [sh.k for sh in shells]
-    return [[ShellSum(ks, row, processes) for row in zip(*columns)] for columns in by_loop]
-
-
-def function_shells(
-    params: CuspParams,
-    region: RegionLabel,
-    shells,
-    terms,
-    samples_per_shell: int,
-    seed: int,
-    salt: str,
-) -> list[ShellSum]:
-    """Shell sums of the (integrand, radial_tilt) terms over the region, one
-    per estimate row of `shell_estimate`: the one-loop case of
-    `function_shell_loops`."""
-    return function_shell_loops(params, [(region, terms, salt)], shells, samples_per_shell,
-                                seed)[0]
+    return _shell_sums(params, runs, shells, samples_per_shell, seed, len(all_terms),
+                       all(_library_integrand(integrand) for integrand, _ in all_terms))
 
 
 def _gradient_power(u, p, prof):
@@ -832,8 +768,9 @@ def sobolev_seminorm(
     whose log p log|u'(t)| reads the log form `u.log_jet_t`."""
     if p < 1.0:
         raise WindowError(f"Sobolev exponent must satisfy p >= 1, got {p}")
-    return function_shells(params, region, shells, [(partial(_gradient_power, u, p), 0.0)],
-                           samples_per_shell, seed, "semi")[0]
+    terms = [(partial(_gradient_power, u, p), 0.0)]
+    return function_shell_loops(params, [(region, terms, "semi")], shells, samples_per_shell,
+                                seed)[0][0]
 
 
 # ---------------------------------------------------------------------------

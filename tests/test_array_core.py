@@ -290,14 +290,34 @@ def test_non_finite_profile_coordinates_fail_loudly(params):
         classify_profile(params, "R1", math.nan, 0.1)
 
 
-def test_huge_finite_points_pass_the_check():
-    # a one-row batch whose sum overflows fails the fast check, and the row
-    # search then finds every entry finite and lets it pass; a longer batch
-    # of huge entries passes `np.isfinite`
-    for t, X in [(np.array([1e308]), np.array([[1e308, 0.0]])),
-                 (np.array([-1e308]), np.array([-1e308])),
-                 (np.array([-0.25, 1e308]), np.array([[0.1, 1e308], [0.0, 0.0]]))]:
-        assert geometry._reject_non_finite(t, X) is None
+@pytest.mark.parametrize("t0,x0", [(1e200, 0.0), (-1e200, 0.0), (-0.1, 1e300), (0.3, -1e300),
+                                   (1e308, 1e308), (-1e308, -1e308)])
+def test_huge_finite_points_lie_outside(params, t0, x0):
+    # a finite point past the float range of |t|^s or of |x|^2 (and one whose
+    # coordinate sum overflows the one-row finiteness check) is
+    # OutsideNeighborhood, has psi 0 and raises ChartDomainError from every
+    # chart and the outward extension, without a numpy warning, which the
+    # suite makes an error; alone and in row 1 of a batch
+    t, X = np.array([-0.25, t0]), np.array([[0.1, 0.0], [x0, 0.0]])
+    outside = RegionLabel.OutsideNeighborhood
+    for scheme in ("R1", "R2"):
+        assert classify(params, scheme, Point(t0, X[1])) is outside
+        for rows in (slice(None), slice(1, 2)):
+            assert classify_profile(params, scheme, t[rows], np.abs(X[rows, 0]))[-1] is outside
+    assert extension.cutoff_psi_points(params, t, X)[1] == 0.0
+    assert extension.cutoff_psi(params, Point(t0, X[1])) == 0.0
+    calls = [partial(getattr(reflections, name), chart, params)
+             for chart in ChartId for name in ("apply_points", "invert_points")]
+    calls += [partial(extension.extend_eval_points, spec, params, u)
+              for spec, u in (SPECS["R1"][0], SPECS["R2"][0])]
+    for call in calls:
+        with pytest.raises(ChartDomainError) as exc:
+            call(t[1:], X[1:])
+        assert exc.value.label is outside
+    # inward, the complement is the extension's native side
+    spec, u = SPECS["R1"][1]
+    assert extension.extend_eval_points(spec, params, u, t[1:], X[1:])[0] == min(max(t0, 0.0),
+                                                                                 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -7,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from conftest import negate_entry, package_env
+from conftest import force_split, negate_entry, package_env
 
 import cuspreflect
 import cuspreflect.reflections as refl
@@ -374,6 +375,35 @@ class TestDeterminism:
         run_cli(base + ["--out", str(a)])
         run_cli(base + ["--seed", "43", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+
+# sha256 of the CSVs of small `sweep` and `extendnorm` commands: any change
+# to the shell loops that moves a bit of their output changes a digest.
+_PINNED_CSVS = {
+    "sweep-r1": (["sweep", "--scheme", "r1", "--grid", "3", "--samples", "256"],
+                 "aea702cbd2ad7c3d5a8b087a20ed06b6313549663952a0d5a00ef4015075baaf"),
+    "sweep-r2": (["sweep", "--scheme", "r2", "--grid", "3", "--samples", "256"],
+                 "82270a676ab1f35699e26db40c1cb7350be27557a94090cc327e61b2156cae9b"),
+    "extendnorm-r1-power": (["extendnorm", "--scheme", "r1", "--function", "power:0.3",
+                             "--p", "2", "--q", "1.1", "--samples", "256", "--k-max", "16"],
+                            "2e534eb31523e7f403ecd70c327cd061a7c6c9a1562810745f378f3a37764ae0"),
+    "extendnorm-r2-clampt": (["extendnorm", "--scheme", "r2", "--function", "clampt",
+                              "--p", "3", "--q", "2", "--samples", "256", "--k-max", "16"],
+                             "39d84c28c9e351fd10d390e6b5302bdaad5858e2d5677676899d7244f55416a8"),
+}
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("name", sorted(_PINNED_CSVS))
+def test_pinned_csv_digests(tmp_path, monkeypatch, name, split):
+    # the same bytes with the shells on one process and split over two
+    args, digest = _PINNED_CSVS[name]
+    force_split(monkeypatch, split)
+    out = tmp_path / f"{name}.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["processes"] == 1 + split
 
 
 class TestScaling:

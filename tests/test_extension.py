@@ -401,8 +401,8 @@ class TestClampRegionE:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_grad_shells_match_closed_form(self, params, q, seed):
         shl = shells(5, 30)
-        _, grad = extension._region_terms(params, ClampT(), q, RegionLabel.RegionE, shl,
-                                          1024, seed)
+        loop = extension._region_loop(params, ClampT(), q, RegionLabel.RegionE)
+        _, grad = sobolev.function_shell_loops(params, [loop], shl, 1024, seed)[0]
         for sh in shl:
             want = clampt_region_e_grad(3, 2.0, q, sh.k)
             assert grad.contributions[sh.k] == pytest.approx(want, rel=5e-3), sh.k
@@ -577,9 +577,12 @@ class TestNormSplit:
         for split in (False, True):
             force_split(monkeypatch, split)
             rep = extension_norm_experiment(params, spec, u, 3.0, 1.5, shl, 256, 11)
-            regions = [extension._region_terms(params, u, 1.5, region, shl, 256, 11)
-                       for region in geometry.chart_regions(spec.outer_chart)]
-            window = extension._window_terms(params, u, 3.0, shl, 256, 11)
+            loops = [extension._region_loop(params, u, 1.5, region)
+                     for region in geometry.chart_regions(spec.outer_chart)]
+            regions = [sobolev.function_shell_loops(params, [loop], shl, 256, 11)[0]
+                       for loop in loops]
+            window = sobolev.function_shell_loops(params, [extension._window_loop(u, 3.0)], shl,
+                                                  256, 11)[0]
             sums = [rep.value_sum, rep.grad_sum, rep.total_sum, *window]
             sums += [ss for pair in regions for ss in pair]
             assert {ss.processes for ss in sums} == {1 + split}
@@ -753,7 +756,8 @@ class TestProfileIntegrands:
         q = 1.3
         shl = shells(5, 10)
         for region in geometry.chart_regions(spec.outer_chart):
-            got_value, got_grad = extension._region_terms(params, u, q, region, shl, 256, 7)
+            loop = extension._region_loop(params, u, q, region)
+            got_value, got_grad = sobolev.function_shell_loops(params, [loop], shl, 256, 7)[0]
             for sh in shl:
                 got = (got_value.contributions[sh.k], got_grad.contributions[sh.k])
                 want = reference_composed_terms(params, u, q, region, sh, 256, 7)
@@ -764,7 +768,8 @@ class TestProfileIntegrands:
     def test_function_shells_match_reference(self, n, s, u):
         params = CuspParams(n, s)
         shl = shells(3, 10)
-        lp, semi = extension._window_terms(params, u, 2.0, shl, 256, 7)
+        lp, semi = sobolev.function_shell_loops(params, [extension._window_loop(u, 2.0)], shl,
+                                                256, 7)[0]
         want_lp, want_semi = reference_function_shells(params, u, 2.0, shl, 256, 7, "lp")
         assert all(map(_matches, lp.contributions.values(), want_lp))
         assert all(map(_matches, semi.contributions.values(), want_semi))
@@ -825,7 +830,8 @@ class TestDeterminism:
                                       2.0, q, shells(5, 10), 64, 7)
         sobolev.sobolev_seminorm(params, ClampT(), RegionLabel.CuspInterior, 2.0, shells(3, 8),
                                  64, 7)
-        extension._window_terms(params, ClampT(), 2.0, shells(3, 8), 64, 7)
+        sobolev.function_shell_loops(params, [extension._window_loop(ClampT(), 2.0)],
+                                     shells(3, 8), 64, 7)
 
 
 class TestHolderProbe:

@@ -41,7 +41,7 @@ from cuspreflect.sobolev import (
     ShellSum,
     convergence_verdict,
     distortion_integral,
-    distortion_sweep,
+    distortion_sweeps,
     dual_exponent,
     dual_exponent_inverse,
     p_min_r1,
@@ -272,7 +272,7 @@ class TestDistortionIntegral:
 
 
 def reference_distortion(params, region, p, q, shl, samples, seed):
-    """The pow-form per-cell shell loop that `distortion_sweep` replaced: one
+    """The pow-form per-cell shell loop that `distortion_sweeps` replaced: one
     `shell_estimate` per shell, with opnorm^P / |det|^Q evaluated as floats
     inside the integrand, which returns its log."""
     piece = piece_of_region(region)
@@ -332,7 +332,7 @@ class TestDistortionSweep:
         params = CuspParams(n, s)
         cells = checks.sweep_grid(params, scheme, grid=5)
         shl = shells(5, 12)
-        sums = distortion_sweep(params, chart, region, cells, shl, 1024, 7)
+        sums = distortion_sweeps(params, chart, [region], cells, shl, 1024, 7)[0]
         assert len(sums) == len(cells)
         assert len(cells) * 1024 > 3 * sobolev.BLOCK_VALUES
         for (p, q), ss in zip(cells, sums):
@@ -351,7 +351,7 @@ class TestDistortionSweep:
         norm = geometry._log_power_norm
         monkeypatch.setattr(geometry, "_log_power_norm",
                             lambda *args: calls.append(args) or norm(*args))
-        distortion_sweep(params, ChartId.R1Outer, region, [(3.0, 1.5)], shl, 64, 7)
+        distortion_sweeps(params, ChartId.R1Outer, [region], [(3.0, 1.5)], shl, 64, 7)
         sobolev_seminorm(params, PowerAlpha(0.3), region, 2.0, shl, 64, 7)
         assert len(calls) == 2
 
@@ -363,8 +363,8 @@ class TestDistortionSweep:
         params = CuspParams(3, 2.0)
         cells = [(2.5, 1.5), (3, 2), (4, 1.2)]
         shl = shells(5, 26)
-        sums = distortion_sweep(params, ChartId.R2Outer, RegionLabel.RegionE, cells, shl, 256,
-                                seed=7)
+        sums = distortion_sweeps(params, ChartId.R2Outer, [RegionLabel.RegionE], cells, shl,
+                                 256, seed=7)[0]
         one = distortion_integral(params, ChartId.R2Outer, RegionLabel.RegionE, 3, 2, shl, 256,
                                   seed=7)
         gap = np.abs(sums[1].log_contributions - one.log_contributions)
@@ -378,7 +378,7 @@ class TestDistortionSweep:
         params = CuspParams(n, s)
         cells = checks.sweep_grid(params, scheme, grid=3)
         shl = shells(5, 12)
-        sums = distortion_sweep(params, chart, region, cells, shl, 256, 7)
+        sums = distortion_sweeps(params, chart, [region], cells, shl, 256, 7)[0]
         compared = 0
         for (p, q), ss in zip(cells, sums):
             ref = reference_distortion(params, region, p, q, shl, 256, 7)
@@ -395,7 +395,7 @@ class TestDistortionSweep:
         calls = spy_rng(monkeypatch)
         cells = checks.sweep_grid(params, scheme, grid=3)
         with pytest.raises(sobolev.NonFiniteIntegrandError, match=f"{region.value}, shell 5"):
-            distortion_sweep(params, chart, region, cells, shells(5, 10), 64, 3)
+            distortion_sweeps(params, chart, [region], cells, shells(5, 10), 64, 3)
         assert calls == [(3, 5, region, "dist")]
 
     def test_nan_exits_3(self, monkeypatch, tmp_path, capsys):
@@ -414,7 +414,7 @@ class TestDistortionSweep:
         cells = checks.sweep_grid(params, scheme, grid=7)
         force_split(monkeypatch, False)
         calls = spy_rng(monkeypatch)
-        distortion_sweep(params, chart, region, cells, shells(5, 12), 1024, 3)
+        distortion_sweeps(params, chart, [region], cells, shells(5, 12), 1024, 3)
         assert calls == [(3, k, region, "dist") for k in range(5, 13)]
 
     @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
@@ -424,7 +424,7 @@ class TestDistortionSweep:
         cells = checks.sweep_grid(params, scheme, grid=7)
         force_split(monkeypatch, False)
         draws = spy_draws(monkeypatch)
-        distortion_sweep(params, chart, region, cells, shells(5, 12), 1024, 3)
+        distortion_sweeps(params, chart, [region], cells, shells(5, 12), 1024, 3)
         assert [(label, k) for label, k, _ in draws] == [(region, k) for k in range(5, 13)]
 
     @pytest.mark.parametrize("region,chart,scheme", _SWEEP_REGIONS)
@@ -436,21 +436,21 @@ class TestDistortionSweep:
         cells = checks.sweep_grid(params, scheme, grid=7)
         shl = shells(5, 12)
         force_split(monkeypatch, False)
-        serial = distortion_sweep(params, chart, region, cells, shl, 1024, 3)
+        serial = distortion_sweeps(params, chart, [region], cells, shl, 1024, 3)[0]
         force_split(monkeypatch, True)
         calls = spy_rng(monkeypatch)
-        split = distortion_sweep(params, chart, region, cells, shl, 1024, 3)
+        split = distortion_sweeps(params, chart, [region], cells, shl, 1024, 3)[0]
         assert calls == [(3, k, region, "dist") for k in range(5, 13, 2)]
         assert hex_sums(split) == hex_sums(serial)
 
     def test_rejects_invalid_cell(self, params):
         with pytest.raises(WindowError):
-            distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionA,
-                             [(2.0, 1.1), (2.0, 2.5)], shells(5, 12))
+            distortion_sweeps(params, ChartId.R1Outer, [RegionLabel.RegionA],
+                              [(2.0, 1.1), (2.0, 2.5)], shells(5, 12))
 
 
 class TestShellSplit:
-    """`distortion_sweep` with its shells split with the shell worker against
+    """`distortion_sweeps` with its shells split with the shell worker against
     the serial loop: the same bits, the same first error, no child but the
     worker left."""
 
@@ -459,8 +459,8 @@ class TestShellSplit:
         # thread, of other code's integrands or on one CPU runs serially;
         # without it, so does a loop below FORK_VALUES
         def sweep(k_max=12):
-            return distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionB,
-                                    [(2.0, 1.1)], shells(5, k_max), 64, 3)[0].processes
+            return distortion_sweeps(params, ChartId.R1Outer, [RegionLabel.RegionB],
+                                     [(2.0, 1.1)], shells(5, k_max), 64, 3)[0][0].processes
 
         force_split(monkeypatch, True)
         assert sweep() == 2 and sobolev._worker is not None
@@ -475,8 +475,8 @@ class TestShellSplit:
             other.join(timeout=10)
         assert not other.is_alive()
         terms = [(partial(_scaled_log, 2.0), 0.0)]  # an integrand of other code
-        assert sobolev.function_shells(params, RegionLabel.CuspInterior, shells(5, 12), terms,
-                                       64, 7, "semi")[0].processes == 1
+        assert sobolev.function_shell_loops(params, [(RegionLabel.CuspInterior, terms, "semi")],
+                                            shells(5, 12), 64, 7)[0][0].processes == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
         assert sweep() == 1
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -493,13 +493,13 @@ class TestShellSplit:
                                                        chart, scheme):
         # 1 cell x 7 shells x 64 samples = 448 values, split bit for bit by the
         # running worker though far below FORK_VALUES
-        args = (params, chart, region, [(3.0, 1.5)], shells(5, 11), 64, 3)
+        args = (params, chart, [region], [(3.0, 1.5)], shells(5, 11), 64, 3)
         force_split(monkeypatch, False)
-        want = hex_sums(distortion_sweep(*args))
+        want = hex_sums(distortion_sweeps(*args)[0])
         force_split(monkeypatch, True)
-        distortion_sweep(*args)  # forks the worker
+        distortion_sweeps(*args)  # forks the worker
         monkeypatch.setattr(sobolev, "FORK_VALUES", math.inf)
-        sums = distortion_sweep(*args)
+        sums = distortion_sweeps(*args)[0]
         assert sums[0].processes == 2 and hex_sums(sums) == want
         _only_the_worker_left()
 
@@ -514,7 +514,7 @@ class TestShellSplit:
         for split, fork_values in [(True, 0), (False, 0), (True, math.inf)]:
             force_split(monkeypatch, split)
             monkeypatch.setattr(sobolev, "FORK_VALUES", fork_values)
-            sums = distortion_sweep(params, chart, region, cells, shl, 256, 5)
+            sums = distortion_sweeps(params, chart, [region], cells, shl, 256, 5)[0]
             runs.append((hex_sums(sums), {ss.processes for ss in sums}))
             _only_the_worker_left()
         assert runs[0][0] == runs[1][0] == runs[2][0]
@@ -533,8 +533,8 @@ class TestShellSplit:
         for split in (False, True):
             force_split(monkeypatch, split)
             with pytest.raises(sobolev.NonFiniteIntegrandError) as exc:
-                distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionB, cells,
-                                 shells(5, 12), 64, 3)
+                distortion_sweeps(params, ChartId.R1Outer, [RegionLabel.RegionB], cells,
+                                  shells(5, 12), 64, 3)
             _only_the_worker_left()
             errors.append(str(exc.value))
         assert errors[0] == errors[1] == f"non-finite integrand values on RegionB, shell {first}"
@@ -554,8 +554,8 @@ class TestShellSplit:
         for split in (False, True):
             force_split(monkeypatch, split)
             with pytest.raises(EmptyRegionError) as exc:
-                distortion_sweep(params, ChartId.R1Outer, RegionLabel.RegionB, [(2.0, 1.1)],
-                                 shells(5, 12), 64, 3)
+                distortion_sweeps(params, ChartId.R1Outer, [RegionLabel.RegionB],
+                                  [(2.0, 1.1)], shells(5, 12), 64, 3)
             _only_the_worker_left()
             errors.append(str(exc.value))
         assert errors[0] == errors[1] == "shell 8 misses the scale range of RegionB"
@@ -576,19 +576,20 @@ class TestShellSplit:
 
         monkeypatch.setattr(sobolev, "_log_shell", planted)
         force_split(monkeypatch, True)
-        args = (params, ChartId.R1Outer, RegionLabel.RegionB, [(2.0, 1.1)], shells(5, 12), 64, 3)
+        args = (params, ChartId.R1Outer, [RegionLabel.RegionB], [(2.0, 1.1)], shells(5, 12),
+                64, 3)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            distortion_sweep(*args)
+            distortion_sweeps(*args)
         assert time.perf_counter() - start < 30.0
         assert sobolev._worker is None
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         armed[0] = False
-        split = hex_sums(distortion_sweep(*args))
+        split = hex_sums(distortion_sweeps(*args)[0])
         assert sobolev._worker is not None
         force_split(monkeypatch, False)
-        assert split == hex_sums(distortion_sweep(*args))
+        assert split == hex_sums(distortion_sweeps(*args)[0])
         _only_the_worker_left()
 
     def test_cli_sweep_same_bytes_split_or_not(self, monkeypatch, tmp_path):
@@ -647,7 +648,7 @@ def _reap(pid: int, timeout: float = 30.0) -> int:
     raise AssertionError(f"child {pid} still running")
 
 
-# A script that makes one split `distortion_sweep` call, prints the worker's
+# A script that makes one split `distortion_sweeps` call, prints the worker's
 # pid and ends as its argument says.
 _SPLIT_SCRIPT = """
 import atexit, os, signal, sys
@@ -664,8 +665,8 @@ from cuspreflect import geometry, sobolev
 sobolev.FORK_VALUES = 0
 os.sched_getaffinity = lambda pid: {0, 1}
 params = geometry.CuspParams(3, 2.0)
-sobolev.distortion_sweep(params, geometry.ChartId.R1Outer, geometry.RegionLabel.RegionB,
-                         [(2.0, 1.1)], geometry.shells(5, 12), 64, 3)
+sobolev.distortion_sweeps(params, geometry.ChartId.R1Outer, [geometry.RegionLabel.RegionB],
+                          [(2.0, 1.1)], geometry.shells(5, 12), 64, 3)
 print(sobolev._worker.pid, flush=True)
 if sys.argv[1] == "kill":
     os.kill(os.getpid(), signal.SIGKILL)
@@ -686,13 +687,13 @@ def integrand(prof):
 
 def run(split):
     os.sched_getaffinity = lambda pid: {0, 1} if split else {0}
-    ss = sobolev.function_shells(params, geometry.RegionLabel.CuspInterior,
-                                 geometry.shells(5, 12), [(integrand, 0.0)], 64, 7, "semi")[0]
+    loops = [(geometry.RegionLabel.CuspInterior, [(integrand, 0.0)], "semi")]
+    ss = sobolev.function_shell_loops(params, loops, geometry.shells(5, 12), 64, 7)[0][0]
     return [x.hex() for x in ss.log_contributions.tolist()], ss.processes
 
 sobolev.FORK_VALUES = 0
-sobolev.distortion_sweep(params, geometry.ChartId.R1Outer, geometry.RegionLabel.RegionB,
-                         [(2.0, 1.1)], geometry.shells(5, 12), 64, 3)
+sobolev.distortion_sweeps(params, geometry.ChartId.R1Outer, [geometry.RegionLabel.RegionB],
+                          [(2.0, 1.1)], geometry.shells(5, 12), 64, 3)
 run(True)
 
 def integrand(prof):
@@ -718,15 +719,15 @@ class TestShellWorker:
     """The life of the shell worker: one per process, forked by the first
     split and reused, pinned off the caller's CPU, gone with its caller."""
 
-    _ARGS = (ChartId.R1Outer, RegionLabel.RegionB, [(2.0, 1.1)], shells(5, 12), 64, 3)
+    _ARGS = (ChartId.R1Outer, [RegionLabel.RegionB], [(2.0, 1.1)], shells(5, 12), 64, 3)
 
     def test_one_worker_serves_every_split(self, monkeypatch, params):
         force_split(monkeypatch, True)
-        distortion_sweep(params, *self._ARGS)
+        distortion_sweeps(params, *self._ARGS)
         worker = sobolev._worker
         sobolev_seminorm(params, PowerAlpha(0.3), RegionLabel.CuspInterior, 2.0, shells(5, 12),
                          64, 7)
-        distortion_sweep(params, *self._ARGS)
+        distortion_sweeps(params, *self._ARGS)
         assert sobolev._worker is worker
         _only_the_worker_left()
 
@@ -736,21 +737,21 @@ class TestShellWorker:
         allowed = os.sched_getaffinity(0)
         monkeypatch.setattr(sobolev, "FORK_VALUES", 0)
         monkeypatch.setattr(sobolev, "_current_cpu", lambda: min(allowed))
-        distortion_sweep(params, *self._ARGS)
+        distortion_sweeps(params, *self._ARGS)
         assert os.sched_getaffinity(sobolev._worker.pid) == allowed - {min(allowed)}
         assert os.sched_getaffinity(0) == allowed
         _only_the_worker_left()
 
     def test_worker_forked_once_the_loops_reach_fork_values(self, monkeypatch, params):
         force_split(monkeypatch, False)
-        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        want = hex_sums(distortion_sweeps(params, *self._ARGS)[0])
         force_split(monkeypatch, True)
         monkeypatch.setattr(sobolev, "FORK_VALUES", 3 * 512)  # the call's 1 x 8 x 64 values
         for _ in range(2):
-            sums = distortion_sweep(params, *self._ARGS)
+            sums = distortion_sweeps(params, *self._ARGS)[0]
             assert hex_sums(sums) == want and sums[0].processes == 1
             assert sobolev._worker is None and children() == set()
-        sums = distortion_sweep(params, *self._ARGS)
+        sums = distortion_sweeps(params, *self._ARGS)[0]
         assert hex_sums(sums) == want and sums[0].processes == 2
         assert sobolev._worker is not None
         _only_the_worker_left()
@@ -770,7 +771,7 @@ class TestShellWorker:
 
     def test_worker_exits_at_the_end_of_file_of_its_tasks(self, monkeypatch, params):
         force_split(monkeypatch, True)
-        distortion_sweep(params, *self._ARGS)
+        distortion_sweeps(params, *self._ARGS)
         worker = sobolev._worker
         worker.tasks.close()
         status = _reap(worker.pid)
@@ -793,7 +794,7 @@ class TestShellWorker:
 
     def test_exception_while_a_task_is_out_kills_the_worker(self, monkeypatch, params):
         force_split(monkeypatch, True)
-        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        want = hex_sums(distortion_sweeps(params, *self._ARGS)[0])
         first = sobolev._worker
         reply = sobolev._reply
 
@@ -802,37 +803,37 @@ class TestShellWorker:
 
         monkeypatch.setattr(sobolev, "_reply", broken)
         with pytest.raises(OSError, match="planted"):
-            distortion_sweep(params, *self._ARGS)
+            distortion_sweeps(params, *self._ARGS)
         assert sobolev._worker is None and gone(first.pid)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         monkeypatch.setattr(sobolev, "_reply", reply)
-        assert hex_sums(distortion_sweep(params, *self._ARGS)) == want
+        assert hex_sums(distortion_sweeps(params, *self._ARGS)[0]) == want
         assert sobolev._worker.pid != first.pid
         _only_the_worker_left()
 
     def test_worker_killed_between_tasks_counts_as_failing_at_shell_1(self, monkeypatch,
                                                                     params):
         force_split(monkeypatch, False)
-        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        want = hex_sums(distortion_sweeps(params, *self._ARGS)[0])
         force_split(monkeypatch, True)
-        distortion_sweep(params, *self._ARGS)
+        distortion_sweeps(params, *self._ARGS)
         first = sobolev._worker
         os.kill(first.pid, signal.SIGKILL)
         calls = spy_rng(monkeypatch)
-        sums = distortion_sweep(params, *self._ARGS)
+        sums = distortion_sweeps(params, *self._ARGS)[0]
         assert hex_sums(sums) == want and sums[0].processes == 1
         assert sorted(k for _, k, _, _ in calls) == list(range(5, 13))
         assert sobolev._worker is None
         with pytest.raises(ChildProcessError):  # the dead worker is reaped
             os.waitpid(-1, os.WNOHANG)
-        distortion_sweep(params, *self._ARGS)
+        distortion_sweeps(params, *self._ARGS)
         assert sobolev._worker.pid != first.pid
         _only_the_worker_left()
 
     def test_worker_dying_in_a_task_counts_as_failing_at_shell_1(self, monkeypatch, params):
         force_split(monkeypatch, False)
-        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        want = hex_sums(distortion_sweeps(params, *self._ARGS)[0])
         caller = os.getpid()
         reduce = sobolev._log_shell
 
@@ -844,7 +845,7 @@ class TestShellWorker:
         monkeypatch.setattr(sobolev, "_log_shell", planted)
         force_split(monkeypatch, True)
         calls = spy_rng(monkeypatch)
-        sums = distortion_sweep(params, *self._ARGS)
+        sums = distortion_sweeps(params, *self._ARGS)[0]
         assert hex_sums(sums) == want and sums[0].processes == 1
         # this process drew every shell: the even ones, then the odd ones
         assert [k for _, k, _, _ in calls] == [5, 7, 9, 11, 6, 8, 10, 12]
@@ -855,7 +856,7 @@ class TestShellWorker:
     def test_fork_of_the_caller_neither_uses_nor_holds_the_worker(self, monkeypatch,
                                                                  params):
         force_split(monkeypatch, True)
-        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        want = hex_sums(distortion_sweeps(params, *self._ARGS)[0])
         worker = sobolev._worker
         pipes = (worker.tasks.fileno(), worker.results.fileno())
         read, write = os.pipe()
@@ -871,7 +872,7 @@ class TestShellWorker:
                     except OSError:
                         pass
                 if sobolev._worker is None and not held:
-                    split = hex_sums(distortion_sweep(params, *self._ARGS))
+                    split = hex_sums(distortion_sweeps(params, *self._ARGS)[0])
                     own = sobolev._worker
                     sobolev._stop_worker()
                     if split == want and own is not None and own.pid != worker.pid:
@@ -885,7 +886,7 @@ class TestShellWorker:
         assert os.WEXITSTATUS(_reap(pid)) == 0
         assert report == b"ok"
         assert sobolev._worker is worker
-        assert hex_sums(distortion_sweep(params, *self._ARGS)) == want
+        assert hex_sums(distortion_sweeps(params, *self._ARGS)[0]) == want
         _only_the_worker_left()
 
     def test_worker_holds_none_of_the_callers_files(self, monkeypatch, params):
@@ -894,7 +895,7 @@ class TestShellWorker:
         read, write = os.pipe()
         try:
             force_split(monkeypatch, True)
-            distortion_sweep(params, *self._ARGS)
+            distortion_sweeps(params, *self._ARGS)
             assert sobolev._worker is not None
             os.close(write)
             write = None
@@ -928,36 +929,36 @@ class TestShellWorker:
         # parent's worker is dropped, its pipes closed, and a worker of its
         # own forked
         force_split(monkeypatch, True)
-        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        want = hex_sums(distortion_sweeps(params, *self._ARGS)[0])
         worker = sobolev._worker
         forged = copy.copy(worker)
         forged.owner = -1
         monkeypatch.setattr(sobolev, "_worker", forged)
-        assert hex_sums(distortion_sweep(params, *self._ARGS)) == want
+        assert hex_sums(distortion_sweeps(params, *self._ARGS)[0]) == want
         assert sobolev._worker.pid != worker.pid
         assert os.WEXITSTATUS(_reap(worker.pid)) == 0  # end of file on its tasks
         _only_the_worker_left()
 
     def test_failed_fork_runs_serially(self, monkeypatch, params):
         force_split(monkeypatch, False)
-        want = hex_sums(distortion_sweep(params, *self._ARGS))
+        want = hex_sums(distortion_sweeps(params, *self._ARGS)[0])
 
         def refuse():
             raise BlockingIOError("planted")
 
         monkeypatch.setattr(os, "fork", refuse)
         force_split(monkeypatch, True)
-        sums = distortion_sweep(params, *self._ARGS)
+        sums = distortion_sweeps(params, *self._ARGS)[0]
         assert hex_sums(sums) == want and sums[0].processes == 1
         assert sobolev._worker is None and children() == set()
 
     def test_integrands_that_do_not_pickle_run_serially(self, monkeypatch, params):
         terms = [(lambda prof: 2.0 * np.log(prof.t), 0.0)]
-        args = (params, RegionLabel.CuspInterior, shells(5, 12), terms, 64, 7, "semi")
+        args = (params, [(RegionLabel.CuspInterior, terms, "semi")], shells(5, 12), 64, 7)
         force_split(monkeypatch, False)
-        want = hex_sums(sobolev.function_shells(*args))
+        want = hex_sums(sobolev.function_shell_loops(*args)[0])
         force_split(monkeypatch, True)
-        sums = sobolev.function_shells(*args)
+        sums = sobolev.function_shell_loops(*args)[0]
         assert hex_sums(sums) == want and sums[0].processes == 1
         assert sobolev._worker is None
 
@@ -999,9 +1000,9 @@ def _spy_splits(monkeypatch) -> list:
     counts = []
     each_shell = sobolev._each_shell
 
-    def spy(factory, args, count, *rest):
-        counts.append(count)
-        return each_shell(factory, args, count, *rest)
+    def spy(loops, *rest):
+        counts.append(sum(count for *_, count in loops))
+        return each_shell(loops, *rest)
 
     monkeypatch.setattr(sobolev, "_each_shell", spy)
     return counts
@@ -1034,9 +1035,11 @@ class TestJoinedLoops:
         assert (serial.u_norm.hex(), serial.ratio.hex()) == (rep.u_norm.hex(), rep.ratio.hex())
         # the per-region calls, each split on its own, sum to the same bits
         monkeypatch.setattr(sobolev, "FORK_VALUES", 0)
-        pairs = [extension._region_terms(params, u, 1.5, region, shl, 256, 11)
-                 for region in regions]
-        lp, semi = extension._window_terms(params, u, 3.0, shl, 256, 11)
+        pairs = [sobolev.function_shell_loops(
+            params, [extension._region_loop(params, u, 1.5, region)], shl, 256, 11)[0]
+            for region in regions]
+        lp, semi = sobolev.function_shell_loops(params, [extension._window_loop(u, 3.0)], shl,
+                                                256, 11)[0]
         assert {ss.processes for pair in pairs for ss in pair} == {lp.processes} == {2}
         vals = np.logaddexp.reduce([v.log_contributions for v, _ in pairs])
         grads = np.logaddexp.reduce([g.log_contributions for _, g in pairs])
@@ -1056,7 +1059,7 @@ class TestJoinedLoops:
         assert counts == [len(shl) * len(regions)]
         assert {ss.processes for sums in joined for ss in sums} == {2}
         _only_the_worker_left()
-        per_region = [distortion_sweep(params, chart, region, cells, shl, 256, 5)
+        per_region = [distortion_sweeps(params, chart, [region], cells, shl, 256, 5)[0]
                       for region in regions]
         assert {ss.processes for sums in per_region for ss in sums} == {2}
         _only_the_worker_left()

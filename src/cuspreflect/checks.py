@@ -28,7 +28,6 @@ from .geometry import (
     classify_profile,
     derive_rng,
     outer_chart,
-    piece_of_region,
     radii,
     random_directions,
     sample_profile,
@@ -170,16 +169,16 @@ def check_boundary_fixity(params: CuspParams, samples: int = 10_000, seed: int =
 
 # (piece-minus, piece-plus, interface radius as function of t, t-range)
 def _interfaces(params: CuspParams):
-    s = params.s
+    s, L = params.s, RegionLabel
     return [
-        ("A", "B", lambda t: -t, (-0.49, -0.01)),
-        ("B", "C", lambda t: t, (0.01, 0.49)),
-        ("C", None, lambda t: t**s, (0.01, 0.49)),
-        ("P1", "P2", lambda t: t**s / 6.0, (0.01, 0.49)),
-        ("P2", "P3", lambda t: t**s / 3.0, (0.01, 0.49)),
-        ("P3", None, lambda t: t**s, (0.01, 0.49)),
-        ("D", "E", lambda t: (-t) ** s, (-0.49, -0.01)),
-        ("E", None, lambda t: t**s, (0.01, 0.49)),
+        (L.RegionA, L.RegionB, lambda t: -t, (-0.49, -0.01)),
+        (L.RegionB, L.RegionC, lambda t: t, (0.01, 0.49)),
+        (L.RegionC, None, lambda t: t**s, (0.01, 0.49)),
+        (L.InnerPiece1, L.InnerPiece2, lambda t: t**s / 6.0, (0.01, 0.49)),
+        (L.InnerPiece2, L.InnerPiece3, lambda t: t**s / 3.0, (0.01, 0.49)),
+        (L.InnerPiece3, None, lambda t: t**s, (0.01, 0.49)),
+        (L.RegionD, L.RegionE, lambda t: (-t) ** s, (-0.49, -0.01)),
+        (L.RegionE, None, lambda t: t**s, (0.01, 0.49)),
     ]
 
 
@@ -216,7 +215,7 @@ def check_straddle_continuity(params: CuspParams, pairs_per_interface: int = 200
     worst = 0.0
     count = 0
     for minus, plus, radius, (t_lo, _) in _interfaces(params):
-        if minus.startswith("P"):
+        if minus in chart_regions(ChartId.R1Inner):
             continue  # inner pieces expand by ~ t^(1-s); the limit check covers them
         sign = -1.0 if t_lo < 0 else 1.0
         t = sign * rng.uniform(0.3, 0.45, pairs_per_interface)
@@ -248,7 +247,7 @@ def check_image_bands(params: CuspParams, samples: int = 2000, seed: int = 7):
         for k in (1, 4, 9):
             rng = derive_rng(seed, k, label, salt="bands")
             prof = sample_profile(params, label, Shell(k), samples, rng)
-            T, phi, _, _ = reflections.profile_jet(piece_of_region(label), params, prof.t, prof.r)
+            T, phi, _, _ = reflections.profile_jet(label, params, prof.t, prof.r)
             ts = T**params.s
             viol = np.maximum(lo * ts - phi, phi - hi * ts) / ts
             worst = max(worst, float(np.max(viol)))
@@ -301,12 +300,11 @@ def check_boundedness(params: CuspParams, samples: int = 2048, seed: int = 7):
     worst = 0.0
     total = 0
     for label in chart_regions(ChartId.R1Outer):
-        piece = piece_of_region(label)
         running = 0.0
         for k in range(5, 21):
             rng = derive_rng(seed, k, label, salt="bound")
             prof = sample_profile(params, label, Shell(k), samples, rng)
-            _, _, opnorm, _ = reflections.profile_jet(piece, params, prof.t, prof.r)
+            _, _, opnorm, _ = reflections.profile_jet(label, params, prof.t, prof.r)
             mx = float(np.max(opnorm))
             if running > 0.0:
                 worst = max(worst, mx / running)
@@ -327,14 +325,13 @@ def check_e_opnorm_factor(params: CuspParams, samples: int = 2048, seed: int = 7
 def _fd_points(params: CuspParams, chart: ChartId, label: RegionLabel, count: int, seed: int):
     """Up to `count` piece-interior points (t, X) with comfortable margins
     for the FD stencil."""
-    piece = piece_of_region(label)
     ts, Xs = [], []
     got = 0
     k = 2
     while got < count and k < 7:
         t, X = sample_region_points(params, scheme_of(chart), label, Shell(k), count, seed + k)
         r = radii(X)
-        room = np.minimum(*reflections.piece_gaps(piece, params, t, r))
+        room = np.minimum(*reflections.piece_gaps(label, params, t, r))
         keep = room > 4.0 * reflections.fd_step(t, r)
         ts.append(t[keep][: count - got])
         Xs.append(X[keep][: count - got])

@@ -205,7 +205,7 @@ def cmd_sweep(args) -> int:
 def cmd_scaling(args) -> int:
     params = _params(args)
     start = time.perf_counter()
-    collar = {geometry.piece_of_region(label): label for label in geometry.COLLAR_REGIONS}
+    collar = {label.value.removeprefix("Region"): label for label in geometry.COLLAR_REGIONS}
     letters = [r.strip().upper() for r in args.regions.split(",")] if args.regions else collar
     for letter in letters:
         if letter not in collar:

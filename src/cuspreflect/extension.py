@@ -54,7 +54,6 @@ from .geometry import (
     first_flagged,
     key_rows,
     outer_chart,
-    piece_of_region,
     radii,
     select_first,
 )
@@ -407,12 +406,12 @@ def membership_oracle(u: PowerAlpha, p: float, n: int, s: float) -> bool:
     return u.alpha + 1.0 < (1.0 + (n - 1) * s) / p
 
 
-def _region_masses(piece, params, u, q, value: bool, grad: bool, prof):
+def _region_masses(region, params, u, q, value: bool, grad: bool, prof):
     """Log integrands of the value and (or) gradient L^q masses of u o R on
     a chart piece, q log|u(T)| and q (log|u'(T)| + log|grad T|), in that
     order, from the sample's T-row.  Bound by `functools.partial`, it
     pickles for the shell worker."""
-    T, T_t, T_r = reflections.piece_T_row(piece, params, prof.t, lambda: prof.r)
+    T, T_t, T_r = reflections.piece_T_row(region, params, prof.t, lambda: prof.r)
     log_u, log_du = u.log_jet_t(T)
     out = np.empty((value + grad, *np.shape(T)))
     if value:
@@ -443,7 +442,6 @@ def _region_loop(params: CuspParams, u: TestFunction, q: float, region: RegionLa
     depends on t alone, so u o R = u(T) has gradient norm |u'(T)| |(T_t, T_r)|,
     whose log sums log|u'(T)| and `_log_grad_T`.  Terms of equal radial tilt
     read one profile and one T-row."""
-    piece = piece_of_region(region)
     s = params.s
     # Region E composes through T = r^(1/s), with |grad T| = r^(1/s-1)/s: the
     # power family pulls a radial singularity r^(-alpha q / s) (value) or
@@ -457,10 +455,10 @@ def _region_loop(params: CuspParams, u: TestFunction, q: float, region: RegionLa
         grad_tilt = (s - 1.0) * q / s
 
     if value_tilt == grad_tilt:
-        terms = [(partial(_region_masses, piece, params, u, q, True, True), value_tilt)]
+        terms = [(partial(_region_masses, region, params, u, q, True, True), value_tilt)]
     else:
-        terms = [(partial(_region_masses, piece, params, u, q, True, False), value_tilt),
-                 (partial(_region_masses, piece, params, u, q, False, True), grad_tilt)]
+        terms = [(partial(_region_masses, region, params, u, q, True, False), value_tilt),
+                 (partial(_region_masses, region, params, u, q, False, True), grad_tilt)]
     return region, terms, "extval"
 
 

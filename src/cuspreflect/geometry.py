@@ -13,9 +13,9 @@ Two collar neighbourhoods support the reflection charts:
 `classify` partitions collar \\ closure(domain) into pieces A, B, C (R1) or
 D, E (R2), and under R1 splits the cusp core {0 < t < 1/2, |x| < t^s} into
 three inner bands with radius breakpoints t^s/6 and t^s/3.  The region
-table below states each piece's chart, scheme and closed shape once; the
-classification, the chart dispatch of `reflections` and the samplers' scheme
-checks all read it.  A point batch is located once: one pass over the table
+table below states each region's chart, sampling row and closed shape once;
+the classification, the chart dispatch of `reflections` and the samplers all
+read it.  A point batch is located once: one pass over the table
 (`_locate`) gives the classification step of every point and the masks of
 the scheme's charts, which the extension reads for its evaluation sites and
 its chart dispatch.  Everything here is axisymmetric in x, so the heavy
@@ -80,7 +80,7 @@ class Point:
 
     @property
     def r(self) -> float:
-        return float(np.linalg.norm(self.x))
+        return float(radii(self.x))
 
     def as_array(self) -> np.ndarray:
         return np.concatenate(([self.t], self.x))
@@ -140,9 +140,28 @@ def _reject_non_finite(t: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def radii(X) -> np.ndarray:
-    """|x| of each row of X, rounded as `Point.r` rounds one row."""
+    """|x| of each row of X, the root of its square sum.  A finite nonzero
+    row whose square sum leaves the normal floats (an entry past about
+    2^511, or all below about 2^-511) is scaled by a power of two first, so
+    its |x| is nonzero and, short of the float range, finite, without a
+    numpy warning; other rows keep their bits.  A one-row batch is screened
+    by the Python hypot of its floats, any other X by numpy."""
     X = np.asarray(X, dtype=float)
-    return np.sqrt((X[..., None, :] @ X[..., :, None])[..., 0, 0])
+    if X.ndim == 2 and len(X) == 1:
+        if 2.0 ** -511 <= math.hypot(*X.tolist()[0]) < 2.0 ** 500:
+            return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+    elif np.abs(X).max(initial=0.0) < 2.0 ** 500:
+        sq = (X[..., None, :] @ X[..., :, None])[..., 0, 0]
+        if sq.min(initial=1.0) >= 2.0 ** -1022:
+            return np.sqrt(sq)
+    rows = X.reshape(-1, X.shape[-1])
+    with np.errstate(over="ignore"):
+        out = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+        top = np.abs(rows).max(axis=1, initial=0.0)
+        off = (0.0 < top) & (top < math.inf) & ((out < 2.0 ** -511) | (out == math.inf))
+        e = np.frexp(top[off])[1]
+        out[off] = np.ldexp(radii(np.ldexp(rows[off], -e[:, None])), e)
+    return out.reshape(X.shape[:-1])[()]
 
 
 def cusp_radius(params: CuspParams, t) -> np.ndarray:
@@ -226,39 +245,60 @@ SCHEME_CHARTS: dict[str, tuple[ChartId, ...]] = {
 }
 
 
-def _core(t, r, ts):
-    """The cusp core 0 < t <= 1/2, r < t^s, with its closure edge t = 1/2."""
-    return (0.0 < t) & (t <= 0.5) & (r < ts)
+# A region's sampling row, which the shell measures and samplers read: the
+# scale variable, its exact (or proposal) power, and the radial band.
+# kind:  'cone'   -> r in [c_lo*xi, c_hi*xi],        t = sign*xi
+#        'band'   -> r in [c_lo*xi^s, c_hi*xi^s],    t = sign*xi
+#        'slab'   -> r = xi, t uniform in [-xi, xi]          (region B)
+#        'cwedge' -> r in [xi^s, xi], t = xi                 (region C)
+#        'ering'  -> r in [xi^s, (1/2)^s], t = +/-xi         (region E)
+
+@dataclass(frozen=True)
+class _RegionQuad:
+    kind: str
+    sign: int = 1
+    c_lo: float = 0.0
+    c_hi: float = 1.0
+    scale_hi: float = 0.5
 
 
-# The region table: every chart region's chart, piece name and closed shape
-# in profile coordinates (t, r), r = |x|, as a mask of (t, r, ts = |t|^s, s).
-# Each chart's rows are in dispatch order: a point on an interface lies in
-# both neighbours' shapes and goes to the earlier row.  The collar regions
-# lie in the open collar box |t| < 1/2, r < 1/2 (r < (1/2)^s for R2), the
-# inner bands in the cusp core: their rows state the band, and the chart's
+# The region table: every sampleable region's chart, sampling row and closed
+# shape in profile coordinates (t, r), r = |x|, as a mask of (t, r, ts =
+# |t|^s, s); the cusp window `CuspInterior` has no chart and no shape.  Each
+# chart's rows are in dispatch order: a point on an interface lies in both
+# neighbours' shapes and goes to the earlier row.  The collar regions lie in
+# the open collar box |t| < 1/2, r < 1/2 (r < (1/2)^s for R2), the inner
+# bands in the cusp core: their rows state the band, and the chart's
 # enclosing shape (`_CHART_SHAPES`) the core, which `region_masks` evaluates
-# once for the three.  Every region inequality of the package is stated
-# here once.
+# once for the three.  Every region inequality of the package is stated here
+# once.
 _REGIONS = {
-    RegionLabel.RegionA: (ChartId.R1Outer, "A",
+    RegionLabel.RegionA: (ChartId.R1Outer, _RegionQuad("cone", sign=-1),
                           lambda t, r, ts, s: (-0.5 < t) & (t <= 0.0) & (r <= -t)),
-    RegionLabel.RegionB: (ChartId.R1Outer, "B",
+    RegionLabel.RegionB: (ChartId.R1Outer, _RegionQuad("slab"),
                           lambda t, r, ts, s: (np.abs(t) < 0.5) & (np.abs(t) <= r) & (r < 0.5)),
-    RegionLabel.RegionC: (ChartId.R1Outer, "C",
+    RegionLabel.RegionC: (ChartId.R1Outer, _RegionQuad("cwedge"),
                           lambda t, r, ts, s: (0.0 <= t) & (t < 0.5) & (ts <= r) & (r <= t)),
-    RegionLabel.InnerPiece1: (ChartId.R1Inner, "P1", lambda t, r, ts, s: r <= ts / 6.0),
-    RegionLabel.InnerPiece2: (ChartId.R1Inner, "P2", lambda t, r, ts, s: r <= ts / 3.0),
-    RegionLabel.InnerPiece3: (ChartId.R1Inner, "P3", lambda t, r, ts, s: True),
-    RegionLabel.RegionD: (ChartId.R2Outer, "D",
+    RegionLabel.InnerPiece1: (ChartId.R1Inner, _RegionQuad("band", c_hi=1.0 / 6.0),
+                              lambda t, r, ts, s: r <= ts / 6.0),
+    RegionLabel.InnerPiece2: (ChartId.R1Inner,
+                              _RegionQuad("band", c_lo=1.0 / 6.0, c_hi=1.0 / 3.0),
+                              lambda t, r, ts, s: r <= ts / 3.0),
+    RegionLabel.InnerPiece3: (ChartId.R1Inner, _RegionQuad("band", c_lo=1.0 / 3.0),
+                              lambda t, r, ts, s: True),
+    RegionLabel.RegionD: (ChartId.R2Outer, _RegionQuad("band", sign=-1),
                           lambda t, r, ts, s: (-0.5 < t) & (t <= 0.0) & (r <= ts)),
-    RegionLabel.RegionE: (ChartId.R2Outer, "E",
+    RegionLabel.RegionE: (ChartId.R2Outer, _RegionQuad("ering"),
                           lambda t, r, ts, s: (np.abs(t) < 0.5) & (ts <= r) & (r < 0.5**s)),
+    RegionLabel.CuspInterior: (None, _RegionQuad("band", scale_hi=1.0), None),
 }
 
+SAMPLEABLE = tuple(_REGIONS)
+
 # The shape that holds every row of a chart, where the rows share one: the
-# cusp core of the inner bands.
-_CHART_SHAPES = {ChartId.R1Inner: _core}
+# cusp core 0 < t <= 1/2, r < t^s of the inner bands, with its closure edge
+# t = 1/2, which is also the outer charts' image.
+_CHART_SHAPES = {ChartId.R1Inner: lambda t, r, ts: (0.0 < t) & (t <= 0.5) & (r < ts)}
 
 _CHART_REGIONS = {chart: tuple(label for label, row in _REGIONS.items() if row[0] is chart)
                   for chart in ChartId}
@@ -270,17 +310,9 @@ def chart_regions(chart: ChartId) -> tuple[RegionLabel, ...]:
 
 
 def chart_of_region(label: RegionLabel) -> ChartId:
-    try:
-        return _REGIONS[label][0]
-    except KeyError:
-        raise ValueError(f"{label.value} does not belong to any chart") from None
-
-
-def piece_of_region(label: RegionLabel) -> str:
-    try:
-        return _REGIONS[label][1]
-    except KeyError:
-        raise ValueError(f"{label.value} is not a chart piece") from None
+    if (chart := _REGIONS.get(label, (None,))[0]) is None:
+        raise ValueError(f"{label.value} does not belong to any chart")
+    return chart
 
 
 def scheme_of(chart: ChartId) -> str:
@@ -438,47 +470,13 @@ def check_scheme(scheme: str) -> str:
 # Shell measures
 # ---------------------------------------------------------------------------
 
-# Per-region quadrature structure: the scale variable, its exact (or
-# proposal) power, and the conditional radial band at fixed scale.
-# kind:  'cone'   -> r in [c_lo*xi, c_hi*xi],        t = sign*xi
-#        'band'   -> r in [c_lo*xi^s, c_hi*xi^s],    t = sign*xi
-#        'slab'   -> r = xi, t uniform in [-xi, xi]          (region B)
-#        'cwedge' -> r in [xi^s, xi], t = xi                 (region C)
-#        'ering'  -> r in [xi^s, (1/2)^s], t = +/-xi         (region E)
-
-@dataclass(frozen=True)
-class _RegionQuad:
-    kind: str
-    sign: int = 1
-    c_lo: float = 0.0
-    c_hi: float = 1.0
-    scale_hi: float = 0.5
-
-
-_QUAD: dict[RegionLabel, _RegionQuad] = {
-    RegionLabel.RegionA: _RegionQuad("cone", sign=-1),
-    RegionLabel.RegionB: _RegionQuad("slab"),
-    RegionLabel.RegionC: _RegionQuad("cwedge"),
-    RegionLabel.RegionD: _RegionQuad("band", sign=-1),
-    RegionLabel.RegionE: _RegionQuad("ering"),
-    RegionLabel.CuspInterior: _RegionQuad("band", scale_hi=1.0),
-    RegionLabel.InnerPiece1: _RegionQuad("band", c_hi=1.0 / 6.0),
-    RegionLabel.InnerPiece2: _RegionQuad("band", c_lo=1.0 / 6.0, c_hi=1.0 / 3.0),
-    RegionLabel.InnerPiece3: _RegionQuad("band", c_lo=1.0 / 3.0),
-}
-
-SAMPLEABLE = tuple(_QUAD)
-
-
 def _scheme_of_label(label: RegionLabel) -> str | None:
-    try:
-        return scheme_of(chart_of_region(label))
-    except ValueError:
-        return None  # CuspInterior is scheme-agnostic
+    chart = _REGIONS[label][0]
+    return None if chart is None else scheme_of(chart)  # CuspInterior is scheme-agnostic
 
 
 def _require_sampleable(label: RegionLabel, scheme: str | None = None):
-    if label not in _QUAD:
+    if label not in _REGIONS:
         raise ValueError(f"{label.value} is not a sampleable open region")
     if scheme is not None:
         want = _scheme_of_label(label)
@@ -487,8 +485,7 @@ def _require_sampleable(label: RegionLabel, scheme: str | None = None):
 
 
 def _shell_scale_interval(label: RegionLabel, lo: float, hi: float) -> tuple[float, float]:
-    q = _QUAD[label]
-    return max(lo, 0.0), min(hi, q.scale_hi)
+    return max(lo, 0.0), min(hi, _REGIONS[label][1].scale_hi)
 
 
 def _log_shell_masses(params: CuspParams, label: RegionLabel, shells):
@@ -512,7 +509,7 @@ def _log_shell_masses(params: CuspParams, label: RegionLabel, shells):
     """
     _require_sampleable(label)
     n, s = params.n, params.s
-    q = _QUAD[label]
+    q = _REGIONS[label][1]
     out = np.full(len(shells), -math.inf)
     proposal = out.copy() if q.kind in ("cwedge", "ering") else None
     bounds = [_shell_scale_interval(label, *((sh.lo, sh.hi) if isinstance(sh, Shell) else sh))
@@ -815,7 +812,7 @@ def sample_profile(
     a, b = _shell_scale_interval(label, shell.lo, shell.hi)
     if b <= a:
         raise EmptyRegionError(f"shell {shell.k} misses the scale range of {label.value}")
-    q = _QUAD[label]
+    q = _REGIONS[label][1]
 
     if stratify:
         m1, m2 = _grid_shape(count)

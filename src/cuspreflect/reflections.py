@@ -58,9 +58,11 @@ import numpy as np
 
 from .errors import ChartDomainError, InterfaceError
 from .geometry import (
+    _CHART_SHAPES,
     ChartId,
     CuspParams,
     Point,
+    RegionLabel,
     as_point,
     as_points,
     chart_regions,
@@ -69,7 +71,6 @@ from .geometry import (
     first_flagged,
     key_rows,
     on_cusp_wall,
-    piece_of_region,
     radii,
     region_masks,
     scheme_of,
@@ -79,13 +80,14 @@ from .geometry import (
 
 # ---------------------------------------------------------------------------
 # Profile evaluators, vectorised: per piece a T-row (T, T_t, T_r) and a
-# phi-row (phi, phi_t, phi_r).  A T-row takes the radius as a zero-argument
-# function and calls it only where T depends on r (B, E, P2), so a caller
-# that reads the T-row alone never needs r elsewhere.  A phi-row also gets
-# the T-row's T, which E's phi-row reads.  T and phi are arrays; a
-# derivative entry that is constant on its piece (the 0 and +-1 of the
-# affine heights T = -t, t, r, E's T_t, D's phi_t and phi_r, P2's phi-row)
-# is a Python float, which the consumers broadcast and whose zeros they skip.
+# phi-row (phi, phi_t, phi_r), rows of the piece table `_PIECES`.  A T-row
+# takes the radius as a zero-argument function and calls it only where T
+# depends on r (B, E, P2), so a caller that reads the T-row alone never
+# needs r elsewhere.  A phi-row also gets the T-row's T, which E's phi-row
+# reads.  T and phi are arrays; a derivative entry that is constant on its
+# piece (the 0 and +-1 of the affine heights T = -t, t, r, E's T_t, D's
+# phi_t and phi_r, P2's phi-row) is a Python float, which the consumers
+# broadcast and whose zeros they skip.
 # ---------------------------------------------------------------------------
 
 def _over(g, x):
@@ -198,30 +200,41 @@ def _phi_P3(params: CuspParams, t, r, _):
     return phi, phi_t, a
 
 
-# Each piece's (T-row, phi-row).
-_ROWS = {
-    "A": (_T_reflected, _phi_A),
-    "B": (_T_B, _phi_B),
-    "C": (_t_itself, _phi_C),
-    "D": (_T_reflected, _phi_D),
-    "E": (_T_E, _phi_E),
-    "P1": (_T_reflected, _phi_P1),
-    "P2": (_T_P2, _t_itself),
-    "P3": (_t_itself, _phi_P3),
+# The piece table: each chart region's (T-row, phi-row, gaps), keyed by its
+# RegionLabel.  The gaps, with ts = |t|^s, are the coordinatewise distances
+# from (t, r) to the nearest interface (piece interfaces and the cusp wall;
+# the formulas are one-sidedly analytic at domain closure edges such as
+# t = -1/2) and to the kinks of the piece's own formula (t = 0 for
+# fractional powers of t, r = 0 for x/|x| factors).  The formulas extend
+# analytically across the interfaces, so finite differencing one formula
+# only has to avoid kinks.
+_PIECES = {
+    RegionLabel.RegionA: (_T_reflected, _phi_A, lambda t, r, ts: (-t - r, -t)),
+    RegionLabel.RegionB: (_T_B, _phi_B, lambda t, r, ts: (r - np.abs(t), r)),
+    RegionLabel.RegionC: (_t_itself, _phi_C,
+                          lambda t, r, ts: (np.minimum(r - ts, t - r), np.minimum(t, r))),
+    RegionLabel.RegionD: (_T_reflected, _phi_D,
+                          lambda t, r, ts: (ts - r, np.full_like(t, np.inf))),
+    RegionLabel.RegionE: (_T_E, _phi_E, lambda t, r, ts: (r - ts, r)),
+    RegionLabel.InnerPiece1: (_T_reflected, _phi_P1, lambda t, r, ts: (ts / 6.0 - r, t)),
+    RegionLabel.InnerPiece2: (_T_P2, _t_itself, lambda t, r, ts: (
+        np.minimum(r - ts / 6.0, ts / 3.0 - r), np.minimum(t, r))),
+    RegionLabel.InnerPiece3: (_t_itself, _phi_P3, lambda t, r, ts: (
+        np.minimum(r - ts / 3.0, ts - r), np.minimum(t, r))),
 }
 
 
-def piece_T_row(piece: str, params: CuspParams, t, radius):
+def piece_T_row(label: RegionLabel, params: CuspParams, t, radius):
     """(T, T_t, T_r) for a piece at heights t; `radius` is a zero-argument
     function giving the radii r, called only on the pieces whose T depends
     on r (B, E, P2).  T is an array; T_t and T_r broadcast against it, and
     an entry constant on the piece is a Python float (T_t = -1.0 and
     T_r = 0.0 on A, D and P1; 1.0 and 0.0 on C and P3; 0.0 and 1.0 on B;
     T_t = 0.0 on E)."""
-    return _ROWS[piece][0](params, np.asarray(t, dtype=float), radius)
+    return _PIECES[label][0](params, np.asarray(t, dtype=float), radius)
 
 
-def piece_profile(piece: str, params: CuspParams, t, r):
+def piece_profile(label: RegionLabel, params: CuspParams, t, r):
     """(T, T_t, T_r, phi, phi_t, phi_r) for a piece on arrays (t, r): its
     T-row and its phi-row.  T and phi are arrays; the derivative entries
     broadcast against them, and an entry constant on the piece is a Python
@@ -229,8 +242,8 @@ def piece_profile(piece: str, params: CuspParams, t, r):
     phi-row is (t, 1.0, 0.0))."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    T_row = piece_T_row(piece, params, t, lambda: r)
-    return (*T_row, *_ROWS[piece][1](params, t, r, T_row[0]))
+    T_row = piece_T_row(label, params, t, lambda: r)
+    return (*T_row, *_PIECES[label][1](params, t, r, T_row[0]))
 
 
 def _is_zero(x) -> bool:
@@ -326,18 +339,18 @@ def _det2(a, d, b, c, shape):
     return det2
 
 
-def profile_jet(piece: str, params: CuspParams, t, r):
+def profile_jet(label: RegionLabel, params: CuspParams, t, r):
     """Vectorised (T, phi, opnorm, det) of a piece at profile points."""
-    T, T_t, T_r, phi, phi_t, phi_r = piece_profile(piece, params, t, r)
+    T, T_t, T_r, phi, phi_t, phi_r = piece_profile(label, params, t, r)
     _, opnorm, det = _jet_algebra(params.n, np.asarray(r, dtype=float), T_t, T_r, phi, phi_t, phi_r)
     return T, phi, opnorm, det
 
 
-def profile_log_jet(piece: str, params: CuspParams, t, r):
+def profile_log_jet(label: RegionLabel, params: CuspParams, t, r):
     """Vectorised (log opnorm, log|det|) of a piece at profile points: the
     log form of `profile_jet`'s opnorm and |det|, finite in deep shells
     where |det| underflows to 0."""
-    _, T_t, T_r, phi, phi_t, phi_r = piece_profile(piece, params, t, r)
+    _, T_t, T_r, phi, phi_t, phi_r = piece_profile(label, params, t, r)
     _, log_opnorm, log_absdet = _jet_algebra(params.n, np.asarray(r, dtype=float),
                                              T_t, T_r, phi, phi_t, phi_r, log=True)
     return log_opnorm, log_absdet
@@ -359,29 +372,11 @@ def piece_index(chart: ChartId, params: CuspParams, t, r, ts=None) -> np.ndarray
     return select_first(masks, range(len(masks)), -1)
 
 
-# Per piece, with ts = |t|^s: the coordinatewise distances from (t, r) to
-# the nearest interface (piece interfaces and the cusp wall; the formulas
-# are one-sidedly analytic at domain closure edges such as t = -1/2) and to
-# the kinks of the piece's own formula (t = 0 for fractional powers of t,
-# r = 0 for x/|x| factors).  The formulas extend analytically across the
-# interfaces, so finite differencing one formula only has to avoid kinks.
-_GAPS = {
-    "A": lambda t, r, ts: (-t - r, -t),
-    "B": lambda t, r, ts: (r - np.abs(t), r),
-    "C": lambda t, r, ts: (np.minimum(r - ts, t - r), np.minimum(t, r)),
-    "D": lambda t, r, ts: (ts - r, np.full_like(t, np.inf)),
-    "E": lambda t, r, ts: (r - ts, r),
-    "P1": lambda t, r, ts: (ts / 6.0 - r, t),
-    "P2": lambda t, r, ts: (np.minimum(r - ts / 6.0, ts / 3.0 - r), np.minimum(t, r)),
-    "P3": lambda t, r, ts: (np.minimum(r - ts / 3.0, ts - r), np.minimum(t, r)),
-}
-
-
-def piece_gaps(piece: str, params: CuspParams, t, r):
-    """(interface gap, kink gap) of profile points of one piece (see `_GAPS`);
-    the smaller is the room a central-difference stencil has."""
+def piece_gaps(label: RegionLabel, params: CuspParams, t, r):
+    """(interface gap, kink gap) of profile points of one piece (the gaps of
+    `_PIECES`); the smaller is the room a central-difference stencil has."""
     t = np.asarray(t, dtype=float)
-    return _GAPS[piece](t, np.asarray(r, dtype=float), cusp_radius(params, t))
+    return _PIECES[label][2](t, np.asarray(r, dtype=float), cusp_radius(params, t))
 
 
 def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, profile: bool = True,
@@ -392,9 +387,9 @@ def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, profile: bool 
     out = np.full((6 * profile + 2 * gaps, idx.size), np.nan)
     regions = chart_regions(chart)
     for i, m in key_rows(idx, range(len(regions))):
-        piece, tm, rm = piece_of_region(regions[i]), t[m], r[m]
-        rows = ((piece_profile(piece, params, tm, rm) if profile else ())
-                + (piece_gaps(piece, params, tm, rm) if gaps else ()))
+        label, tm, rm = regions[i], t[m], r[m]
+        rows = ((piece_profile(label, params, tm, rm) if profile else ())
+                + (piece_gaps(label, params, tm, rm) if gaps else ()))
         # row by row: a piece's constant entries are floats
         for j, row in enumerate(rows):
             out[j, m] = row
@@ -497,8 +492,8 @@ def _differential_located(chart: ChartId, params: CuspParams, t, X, r, wall, idx
             raise InterfaceError(f"differential undefined on the cusp boundary at {z!r}")
         if idx[i] < 0:
             raise _domain_error(chart, params, z)
-        piece = piece_of_region(chart_regions(chart)[idx[i]])
-        raise InterfaceError(f"point {z!r} sits on an interface of piece {piece}")
+        raise InterfaceError(f"point {z!r} sits on an interface of "
+                             f"{chart_regions(chart)[idx[i]].value}")
     tang, opnorm, det = _jet_algebra(params.n, r, T_t, T_r, phi, phi_t, phi_r)
     pos = r > 0.0
     u_hat = np.where(pos[:, None], X / np.where(pos, r, 1.0)[:, None], np.eye(1, params.n - 1))
@@ -539,8 +534,8 @@ def differential_fd_points(chart: ChartId, params: CuspParams, t, X, h=None) -> 
         if idx[i] < 0:
             raise _domain_error(chart, params, z)
         raise InterfaceError(
-            f"point {z!r} is within 2h={2 * h[i]:.3g} of an interface/kink of piece "
-            f"{piece_of_region(chart_regions(chart)[idx[i]])}"
+            f"point {z!r} is within 2h={2 * h[i]:.3g} of an interface/kink of "
+            f"{chart_regions(chart)[idx[i]].value}"
         )
     Z = np.column_stack([t, X])
     M = np.empty((t.size, params.n, params.n))
@@ -584,7 +579,7 @@ def invert_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray,
             src_r = [r * (-t) ** (s - 1.0) / 6.0, (r - b) / a,
                      (t + 3.0 * r) * r ** (s - 1.0) / 12.0]
         else:
-            core = (0.0 < t) & (t <= 0.5) & (r <= ts)
+            core = _CHART_SHAPES[ChartId.R1Inner](t, r, ts)  # the wall overrides r = t^s
             if chart is ChartId.R1Outer:
                 # A: t' = -t, x' = |t'|^(s-1) x / 6; B: radial profile
                 # (tau/6) t'^(s-1) + t'^s/3 at |x| = t'; C: lam x + mu x/|x|

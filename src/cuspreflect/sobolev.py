@@ -70,7 +70,6 @@ from .geometry import (
     chart_of_region,
     check_scheme,
     derive_rng,
-    piece_of_region,
     sample_profile,
 )
 
@@ -577,7 +576,10 @@ def _shell_sums(params: CuspParams, loops, shells, samples: int, seed: int, widt
     shells, masses, *extra), with `masses` the (log measure, log proposal
     mass or None) of each shell from one `geometry._log_shell_masses` pass.
     All the loops are one `_each_shell` loop of `width` (cells or terms) x
-    shells x samples values, which splits if it is `splittable`."""
+    shells x samples values, which splits if it is `splittable`.  An empty
+    `shells` raises ValueError before any draw."""
+    if not shells:
+        raise ValueError("the shell list is empty: a shell sum needs at least one shell")
     runs = []
     for factory, region, extra in loops:
         measures, proposals = _log_shell_masses(params, region, shells)
@@ -596,7 +598,6 @@ def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
     """Column factory of a region of `distortion_sweeps`: column(j) is the
     log shell j of every cell, from one draw of the substream (seed, k,
     region, "dist")."""
-    piece = piece_of_region(region)
     tilted = region is RegionLabel.RegionE
 
     def column(j):
@@ -606,7 +607,7 @@ def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
                               log_measure=log_measure, log_proposal=log_proposal)
         if not tilted:
             log_w = draw.log_weight
-            log_op, log_det = reflections.profile_log_jet(piece, params, draw.t, draw.r)
+            log_op, log_det = reflections.profile_log_jet(region, params, draw.t, draw.r)
         out = np.empty(len(P))
         rows = max(1, BLOCK_VALUES // draw.count)
         scratch = np.empty((2, min(rows, len(P)), draw.count))
@@ -615,7 +616,7 @@ def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
             if tilted:
                 prof = draw.profile(tilts[block])
                 log_w = prof.log_weight
-                log_op, log_det = reflections.profile_log_jet(piece, params, prof.t, prof.r)
+                log_op, log_det = reflections.profile_log_jet(region, params, prof.t, prof.r)
             L, Q_log_det = scratch[:, :len(P[block])]
             np.multiply(P[block], log_op, out=L)
             if isinstance(log_w, np.ndarray):  # a scalar log weight is 0.0
@@ -806,13 +807,12 @@ def scaling_profile(
     """Per-shell log geometric means of the scale variable and of |det| and
     means of opnorm for a chart piece, plus the radial-compensated opnorm
     mean used by the region-E boundedness check."""
-    piece = piece_of_region(region)
     s = params.s
     rows = []
     for sh in shells:
         rng = derive_rng(seed, sh.k, region, salt="scal")
         prof = sample_profile(params, region, sh, samples_per_shell, rng)
-        log_opnorm, log_absdet = reflections.profile_log_jet(piece, params, prof.t, prof.r)
+        log_opnorm, log_absdet = reflections.profile_log_jet(region, params, prof.t, prof.r)
         opnorm = np.exp(log_opnorm)
         # pair |J| with the geometric mean of the *sampled* scale variable,
         # so exact power laws (region A) fit to machine precision

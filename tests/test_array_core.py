@@ -320,6 +320,23 @@ def test_huge_finite_points_lie_outside(params, t0, x0):
                                                                                  1.0)
 
 
+@pytest.mark.parametrize("x", [[1e300, 0.0], [-1e200, 1e200], [1e308, 1e308], [1e-170, 0.0],
+                               [3e-320, -4e-320], [5e-324, 0.0]])
+def test_radii_of_rows_whose_squares_leave_the_normal_floats(x):
+    # a finite nonzero row whose square sum over- or underflows has a finite
+    # nonzero |x|, the Python hypot's to rounding, without a numpy warning
+    # (an error in the suite): alone, as one row, as Point.r and in row 1 of
+    # a batch, whose other rows keep the bits of the plain square-sum form
+    want = math.hypot(*x)
+    plain = np.array([[0.3, 0.4], [0.0, 0.0], [1e-3, -2e-3]])
+    X = np.vstack([plain[:1], [x], plain[1:]])
+    for got in (radii(np.array(x)), radii(np.array([x]))[0], Point(0.1, x).r, radii(X)[1]):
+        assert 0.0 < got < math.inf
+        assert got == pytest.approx(want, rel=1e-15, abs=5e-324)
+    assert np.array_equal(radii(X)[[0, 2, 3]],
+                          np.sqrt((plain[:, None, :] @ plain[:, :, None])[:, 0, 0]))
+
+
 # ---------------------------------------------------------------------------
 # Per-point formulations of the batched checks, as references
 # ---------------------------------------------------------------------------
@@ -372,53 +389,52 @@ def ref_equivariance(params, samples, seed):
     return total, worst
 
 
-def _interface_gap(params, piece, t, r):
-    s = params.s
-    if piece == "A":
+def _interface_gap(params, label, t, r):
+    s, L = params.s, RegionLabel
+    if label is L.RegionA:
         return (-t) - r
-    if piece == "B":
+    if label is L.RegionB:
         return r - abs(t)
-    if piece == "C":
+    if label is L.RegionC:
         return min(r - t**s, t - r)
-    if piece == "D":
+    if label is L.RegionD:
         return (-t) ** s - r
-    if piece == "E":
+    if label is L.RegionE:
         return r - abs(t) ** s
     ts = t**s
-    if piece == "P1":
+    if label is L.InnerPiece1:
         return ts / 6.0 - r
-    if piece == "P2":
+    if label is L.InnerPiece2:
         return min(r - ts / 6.0, ts / 3.0 - r)
     return min(r - ts / 3.0, ts - r)
 
 
-def _smoothness_gap(piece, t, r):
-    if piece == "A":
+def _smoothness_gap(label, t, r):
+    L = RegionLabel
+    if label is L.RegionA:
         return -t
-    if piece in ("B", "E"):
+    if label in (L.RegionB, L.RegionE):
         return r
-    if piece == "D":
+    if label is L.RegionD:
         return math.inf
-    if piece == "P1":
+    if label is L.InnerPiece1:
         return t
     return min(t, r)
 
 
-PIECE_REGION = {"A": RegionLabel.RegionA, "B": RegionLabel.RegionB, "C": RegionLabel.RegionC,
-                "D": RegionLabel.RegionD, "E": RegionLabel.RegionE,
-                "P1": RegionLabel.InnerPiece1, "P2": RegionLabel.InnerPiece2,
-                "P3": RegionLabel.InnerPiece3}
+PIECES = (RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC, RegionLabel.RegionD,
+          RegionLabel.RegionE, RegionLabel.InnerPiece1, RegionLabel.InnerPiece2,
+          RegionLabel.InnerPiece3)
 
 
-def _fd_points(params, piece, count, seed):
-    label = PIECE_REGION[piece]
-    scheme = "R2" if piece in ("D", "E") else "R1"
+def _fd_points(params, label, count, seed):
+    scheme = "R2" if label in (RegionLabel.RegionD, RegionLabel.RegionE) else "R1"
     pts = []
     k = 2
     while len(pts) < count and k < 7:
         got = sample_region(params, scheme, label, Shell(k), count, seed + k)
         for z in got:
-            gap = min(_interface_gap(params, piece, z.t, z.r), _smoothness_gap(piece, z.t, z.r))
+            gap = min(_interface_gap(params, label, z.t, z.r), _smoothness_gap(label, z.t, z.r))
             if gap > 4.0 * max(1e-6, 1e-6 * math.hypot(z.t, z.r)):
                 pts.append(z)
             if len(pts) >= count:
@@ -430,9 +446,9 @@ def _fd_points(params, piece, count, seed):
 def ref_fd_agreement(params, per_piece, seed):
     worst = 0.0
     total = 0
-    for piece, label in PIECE_REGION.items():
+    for label in PIECES:
         chart = geometry.chart_of_region(label)
-        for z in _fd_points(params, piece, per_piece, seed):
+        for z in _fd_points(params, label, per_piece, seed):
             jet = reflections.differential(chart, params, z)
             fd = reflections.differential_fd(chart, params, z)
             scale = float(np.max(np.abs(jet.differential)))
@@ -444,7 +460,7 @@ def ref_fd_agreement(params, per_piece, seed):
 def ref_round_trip(params, per_piece, seed):
     worst = 0.0
     total = 0
-    for label in PIECE_REGION.values():
+    for label in PIECES:
         chart = geometry.chart_of_region(label)
         scheme = "R2" if chart is ChartId.R2Outer else "R1"
         for k in (1, 4, 9):

@@ -510,9 +510,8 @@ class TestNormReadsOnlyTheTRow:
 
     @pytest.mark.parametrize("label", list(geometry.COLLAR_REGIONS))
     def test_log_grad_T_matches_log_hypot(self, params, label):
-        piece = geometry.piece_of_region(label)
         prof = sample_profile(params, label, Shell(6), 256, derive_rng(2, 6, label))
-        _, T_t, T_r = reflections.piece_T_row(piece, params, prof.t, lambda: prof.r)
+        _, T_t, T_r = reflections.piece_T_row(label, params, prof.t, lambda: prof.r)
         shape = prof.t.shape
         want = np.log(np.hypot(np.broadcast_to(T_t, shape), np.broadcast_to(T_r, shape)))
         got = extension._log_grad_T(T_t, T_r)
@@ -520,14 +519,14 @@ class TestNormReadsOnlyTheTRow:
         assert np.ndim(got) == (label is RegionLabel.RegionE)
 
 
-def _plant_nan(monkeypatch, piece):
-    """Make `piece_T_row` return a nan in the first T_t of the piece, so
-    that only the gradient integrand of its region meets one."""
+def _plant_nan(monkeypatch, region):
+    """Make `piece_T_row` return a nan in the first T_t of the region's
+    piece, so that only the gradient integrand of the region meets one."""
     row = reflections.piece_T_row
 
-    def planted(name, prm, t, radius):
-        T, T_t, T_r = row(name, prm, t, radius)
-        if name == piece:
+    def planted(label, prm, t, radius):
+        T, T_t, T_r = row(label, prm, t, radius)
+        if label is region:
             T_t = np.full(np.shape(T), T_t)
             T_t.flat[0] = np.nan
         return T, T_t, T_r
@@ -539,7 +538,7 @@ class TestNonFiniteNorm:
     """A nan in a norm integrand raises at once, from the shell's one draw."""
 
     def test_raises_after_one_draw(self, monkeypatch, params):
-        _plant_nan(monkeypatch, "E")
+        _plant_nan(monkeypatch, RegionLabel.RegionE)
         calls = spy_rng(monkeypatch)
         spec = ExtensionSpec("R2", Direction.FromInside)
         with pytest.raises(sobolev.NonFiniteIntegrandError, match="RegionE, shell 5$"):
@@ -553,7 +552,7 @@ class TestNonFiniteNorm:
     def test_extendnorm_exits_3(self, monkeypatch, tmp_path, capsys):
         from cuspreflect.cli import main
 
-        _plant_nan(monkeypatch, "E")
+        _plant_nan(monkeypatch, RegionLabel.RegionE)
         out = tmp_path / "out.csv"
         assert main(["extendnorm", "--scheme", "r2", "--p", "2", "--q", "1.3",
                      "--samples", "64", "--k-max", "12", "--out", str(out)]) == 3
@@ -677,7 +676,6 @@ def reference_shell_estimate(params, region, shell, integrand, samples, seed_par
 
 
 def reference_composed_terms(params, u, q, region, shell, samples, seed):
-    piece = geometry.piece_of_region(region)
     n, s = params.n, params.s
     dim = n - 1
     tilts = (0.0, 0.0)
@@ -687,11 +685,11 @@ def reference_composed_terms(params, u, q, region, shell, samples, seed):
         tilts = (0.0, (s - 1.0) * q / s)
 
     def value_integrand(t, r, rng):
-        T = reflections.profile_jet(piece, params, t, r)[0]
+        T = reflections.profile_jet(region, params, t, r)[0]
         return np.abs(u.value_t(T)) ** q
 
     def grad_integrand(t, r, rng):
-        T, T_t, T_r, phi, phi_t, phi_r = reflections.piece_profile(piece, params, t, r)
+        T, T_t, T_r, phi, phi_t, phi_r = reflections.piece_profile(region, params, t, r)
         dirs = random_directions(t.size, dim, rng)
         g_t, g_x = u.deriv_t(T), np.zeros((t.size, dim))
         g_par = np.sum(g_x * dirs, axis=1)

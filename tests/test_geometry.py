@@ -20,6 +20,12 @@ from cuspreflect.geometry import (
 import cuspreflect.geometry as geometry
 
 
+def _set_quad(monkeypatch, label, quad):
+    """Give the region's row of the region table the sampling row `quad`."""
+    chart, _, shape = geometry._REGIONS[label]
+    monkeypatch.setitem(geometry._REGIONS, label, (chart, quad, shape))
+
+
 class TestParams:
     def test_valid(self):
         CuspParams(3, 1.5)
@@ -150,9 +156,8 @@ class TestShellMeasure:
 
     def test_shell_outside_region_is_zero(self, params, monkeypatch):
         # shrink a region's scale range so shell 1 misses it entirely
-        monkeypatch.setitem(
-            geometry._QUAD, RegionLabel.RegionA, geometry._RegionQuad("cone", sign=-1, scale_hi=0.01)
-        )
+        _set_quad(monkeypatch, RegionLabel.RegionA,
+                  geometry._RegionQuad("cone", sign=-1, scale_hi=0.01))
         assert shell_measure(params, RegionLabel.RegionA, Shell(1)) == 0.0
 
     def test_non_sampleable_label_rejected(self, params):
@@ -188,7 +193,7 @@ def _scalar_log_shell_measure(params, label, shell):
         return -math.inf
     log_a, log_b = math.log(a) if a > 0.0 else -math.inf, math.log(b)
     log_cn = math.log(unit_ball_volume(n - 1))
-    q = geometry._QUAD[label]
+    q = geometry._REGIONS[label][1]
     norm = geometry._log_power_norm
     if q.kind == "cone":
         return log_cn + float(norm(log_a, log_b, n - 1))
@@ -225,8 +230,7 @@ class TestLogShellMeasures:
         assert np.isfinite(got[:250]).all()
 
     def test_shells_past_the_scale_range_are_empty(self, params, monkeypatch):
-        monkeypatch.setitem(geometry._QUAD, RegionLabel.RegionC,
-                            geometry._RegionQuad("cwedge", scale_hi=0.01))
+        _set_quad(monkeypatch, RegionLabel.RegionC, geometry._RegionQuad("cwedge", scale_hi=0.01))
         # scale range [0, 0.01]: shells 1 and 5 miss it, shell 6 straddles it
         shl = [Shell(k) for k in (1, 5, 6, 7)]
         got = geometry._log_shell_masses(params, RegionLabel.RegionC, shl)[0]
@@ -307,9 +311,8 @@ class TestSampler:
                 assert all(classify(params, scheme, p) is label for p in pts)
 
     def test_empty_shell_signals(self, params, monkeypatch):
-        monkeypatch.setitem(
-            geometry._QUAD, RegionLabel.RegionA, geometry._RegionQuad("cone", sign=-1, scale_hi=0.01)
-        )
+        _set_quad(monkeypatch, RegionLabel.RegionA,
+                  geometry._RegionQuad("cone", sign=-1, scale_hi=0.01))
         with pytest.raises(EmptyRegionError):
             sample_region(params, "R1", RegionLabel.RegionA, Shell(1), 10, 7)
 

@@ -15,7 +15,6 @@ from cuspreflect.geometry import (
     RegionLabel,
     Shell,
     derive_rng,
-    piece_of_region,
     sample_profile,
     sample_region,
 )
@@ -196,8 +195,7 @@ class TestFiniteDifferences:
                 pts = sample_region(params, scheme, label, Shell(2), 40, 17)
                 checked = 0
                 for z in pts:
-                    piece = piece_of_region(label)
-                    if min(refl.piece_gaps(piece, params, z.t, z.r)) < 4e-6:
+                    if min(refl.piece_gaps(label, params, z.t, z.r)) < 4e-6:
                         continue
                     A = differential(chart, params, z).differential
                     F = differential_fd(chart, params, z)
@@ -253,22 +251,23 @@ class TestBoundaryAndInterfaces:
 
     def test_interface_limits_agree(self, params):
         # adjacent formulas evaluated at the same interface point
-        s = params.s
+        s, L = params.s, RegionLabel
         for t in np.linspace(0.02, 0.48, 50):
-            for minus, plus, r in [("P1", "P2", t**s / 6), ("P2", "P3", t**s / 3)]:
+            for minus, plus, r in [(L.InnerPiece1, L.InnerPiece2, t**s / 6),
+                                   (L.InnerPiece2, L.InnerPiece3, t**s / 3)]:
                 Tm, _, _, Pm, _, _ = refl.piece_profile(minus, params, t, r)
                 Tp, _, _, Pp, _, _ = refl.piece_profile(plus, params, t, r)
                 assert math.hypot(Tm - Tp, Pm - Pp) < 1e-9
             # wall identity limits
-            for piece in ("P3", "C", "E"):
-                T, _, _, P, _, _ = refl.piece_profile(piece, params, t, t**s)
+            for label in (L.InnerPiece3, L.RegionC, L.RegionE):
+                T, _, _, P, _, _ = refl.piece_profile(label, params, t, t**s)
                 assert math.hypot(T - t, P - t**s) < 1e-12
         for t in np.linspace(-0.48, -0.02, 50):
-            Tm, _, _, Pm, _, _ = refl.piece_profile("A", params, t, -t)
-            Tp, _, _, Pp, _, _ = refl.piece_profile("B", params, t, -t)
+            Tm, _, _, Pm, _, _ = refl.piece_profile(L.RegionA, params, t, -t)
+            Tp, _, _, Pp, _, _ = refl.piece_profile(L.RegionB, params, t, -t)
             assert math.hypot(Tm - Tp, Pm - Pp) < 1e-12
-            Tm, _, _, Pm, _, _ = refl.piece_profile("D", params, t, (-t) ** s)
-            Tp, _, _, Pp, _, _ = refl.piece_profile("E", params, t, (-t) ** s)
+            Tm, _, _, Pm, _, _ = refl.piece_profile(L.RegionD, params, t, (-t) ** s)
+            Tp, _, _, Pp, _, _ = refl.piece_profile(L.RegionE, params, t, (-t) ** s)
             assert math.hypot(Tm - Tp, Pm - Pp) < 1e-12
 
 
@@ -285,22 +284,23 @@ def test_fault_hook_breaks_fd_agreement(params, monkeypatch):
 # Textbook power forms of every piece's profile, each power taken by `**`:
 # the reference for `piece_profile`, which takes each power once.  Each
 # returns the six profile scalars and the powers it took.
-def _reference_profile(piece, s, t, r):
+def _reference_profile(label, s, t, r):
+    L = RegionLabel
     one, zero = np.ones_like(t * r), np.zeros_like(t * r)
-    if piece in ("A", "D", "P1"):
+    if label in (L.RegionA, L.RegionD, L.InnerPiece1):
         T_row = (-t + zero, -one, zero)
-    elif piece in ("C", "P3"):
+    elif label in (L.RegionC, L.InnerPiece3):
         T_row = (t + zero, one, zero)
-    if piece == "A":
+    if label is L.RegionA:
         xi = -t
         powers = (xi ** (s - 1.0), xi ** (s - 2.0))
         phi_row = (powers[0] * r / 6.0, -(s - 1.0) * powers[1] * r / 6.0, powers[0] / 6.0 + zero)
-    elif piece == "B":
+    elif label is L.RegionB:
         powers = (r ** (s - 1.0), r**s, r ** (s - 2.0))
         T_row = (r + zero, zero, one)
         phi_row = ((t / 6.0) * powers[0] + powers[1] / 3.0, powers[0] / 6.0,
                    (s - 1.0) * (t / 6.0) * powers[2] + s * powers[0] / 3.0)
-    elif piece == "C":
+    elif label is L.RegionC:
         powers = (t ** (s - 1.0), t**s, t ** (2.0 * s - 1.0), t ** (s - 2.0),
                   t ** (2.0 * s - 2.0), t ** (3.0 * s - 3.0))
         g, ts, t2s1, ts2, t2s2, t3s3 = powers
@@ -309,23 +309,23 @@ def _reference_profile(piece, s, t, r):
         lam_p = -(s - 1.0) * ts2 / (2.0 * (g - 1.0) ** 2)
         mu_p = s * g - (2.0 * s - 1.0) * t2s2 / den + (s - 1.0) * t3s3 / (2.0 * (g - 1.0) ** 2)
         phi_row = (lam * r + mu, lam_p * r + mu_p, lam + zero)
-    elif piece == "D":
+    elif label is L.RegionD:
         powers = ()
         phi_row = (r / 2.0 + zero, zero, 0.5 * one)
-    elif piece == "E":
+    elif label is L.RegionE:
         powers = (r ** (1.0 / s), r ** (1.0 / s - 1.0), r ** (1.0 - 1.0 / s), r ** (-1.0 / s))
         T_row = (powers[0] + zero, zero, powers[1] / s + zero)
         phi_row = ((t / 4.0) * powers[2] + 0.75 * r, powers[2] / 4.0 + zero,
                    (t / 4.0) * (1.0 - 1.0 / s) * powers[3] + 0.75)
-    elif piece == "P1":
+    elif label is L.InnerPiece1:
         powers = (t ** (1.0 - s), t ** (-s))
         phi_row = (6.0 * r * powers[0], 6.0 * (1.0 - s) * r * powers[1], 6.0 * powers[0] + zero)
-    elif piece == "P2":
+    elif label is L.InnerPiece2:
         powers = (t ** (1.0 - s), t ** (-s))
         T_row = (12.0 * r * powers[0] - 3.0 * t, 12.0 * (1.0 - s) * r * powers[1] - 3.0,
                  12.0 * powers[0] + zero)
         phi_row = (t + zero, one, zero)
-    else:  # P3
+    else:  # InnerPiece3
         powers = (t ** (1.0 - s), t ** (-s), t**s, t ** (s - 1.0))
         a, a_p = 1.5 * (1.0 - powers[0]), 1.5 * (s - 1.0) * powers[1]
         b, b_p = (3.0 * t - powers[2]) / 2.0, (3.0 - s * powers[3]) / 2.0
@@ -354,34 +354,33 @@ def test_pieces_match_textbook_powers(n, s):
     for label in [RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC,
                   RegionLabel.RegionD, RegionLabel.RegionE, RegionLabel.InnerPiece1,
                   RegionLabel.InnerPiece2, RegionLabel.InnerPiece3]:
-        piece = piece_of_region(label)
         for k in (1, 2, 4, 9, 20, 45, 90, 140, 200, 250):
             draw = sample_profile(params, label, Shell(k), 256, derive_rng(11, k, label))
             for tilt in (0.0, n - 2.0 + 0.9):
                 with np.errstate(all="ignore"):  # deep radii leave the normal range
                     prof = draw.profile(tilt)
                     t, r = prof.t, prof.r
-                    ref, powers = _reference_profile(piece, s, t, r)
+                    ref, powers = _reference_profile(label, s, t, r)
                 normal = np.ones(t.shape, dtype=bool)
                 for power in (t, r, *powers):
                     normal &= (np.abs(power) >= tiny) & np.isfinite(power)
                 t, r, ref = t[normal], r[normal], [row[normal] for row in ref]
-                new = refl.piece_profile(piece, params, t, r)
+                new = refl.piece_profile(label, params, t, r)
                 for got, want in zip(new, ref):
                     got = np.broadcast_to(got, want.shape)
-                    assert np.isfinite(got[np.isfinite(want)]).all(), (piece, k)
+                    assert np.isfinite(got[np.isfinite(want)]).all(), (label, k)
                     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0,
-                                               err_msg=f"{piece} k={k}")
+                                               err_msg=f"{label.value} k={k}")
                 # the jet algebra's range: block entries below 2^511
                 fits = np.all(np.abs(ref[1:]) < 2.0**511, axis=0)
                 with np.errstate(over="ignore"):
-                    new_log = refl.profile_log_jet(piece, params, t[fits], r[fits])
+                    new_log = refl.profile_log_jet(label, params, t[fits], r[fits])
                 ref_log = _reference_log_jet(n, r[fits], *[row[fits] for row in ref[1:]])
                 # a log's absolute error is its argument's relative error
                 for got, want in zip(new_log, ref_log):
-                    assert np.isfinite(got).all(), (piece, k)
+                    assert np.isfinite(got).all(), (label, k)
                     assert (np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))).all(), \
-                        (piece, k)
+                        (label, k)
 
 
 # The jet algebra as plain numpy expressions, every intermediate a fresh
@@ -440,28 +439,32 @@ class TestJetAlgebraKernel:
         # region E's sweep applies a column of tilts, one row of radii each;
         # every piece takes such a column, P2 too, whose phi is t itself
         params = CuspParams(5, 3.0)
-        piece = piece_of_region(label)
         draw = sample_profile(params, label, Shell(6), 256, derive_rng(3, 6, label))
         tilts = [0.0, 3.9, np.array([[-0.7], [2.9]])]
         for tilt in tilts:
             prof = draw.profile(tilt)
-            T, T_t, T_r, phi, phi_t, phi_r = refl.piece_profile(piece, params, prof.t, prof.r)
+            T, T_t, T_r, phi, phi_t, phi_r = refl.piece_profile(label, params, prof.t, prof.r)
             _, opnorm, det = _plain_jet_algebra(5, prof.r, T_t, T_r, phi, phi_t, phi_r)
-            assert _bitwise_equal(refl.profile_jet(piece, params, prof.t, prof.r),
+            assert _bitwise_equal(refl.profile_jet(label, params, prof.t, prof.r),
                                   (T, phi, opnorm, det))
             want = _plain_jet_algebra(5, prof.r, T_t, T_r, phi, phi_t, phi_r, log=True)
-            assert _bitwise_equal(refl.profile_log_jet(piece, params, prof.t, prof.r), want[1:])
+            assert _bitwise_equal(refl.profile_log_jet(label, params, prof.t, prof.r), want[1:])
 
 
 # An interior profile point (t, r) of every piece at n = 3, s = 2.
-PIECE_POINTS = {"A": (-0.2, 0.1), "B": (0.1, 0.2), "C": (0.3, 0.2), "D": (-0.2, 0.01),
-                "E": (0.1, 0.2), "P1": (0.3, 0.001), "P2": (0.3, 0.02), "P3": (0.3, 0.05)}
+PIECE_POINTS = {RegionLabel.RegionA: (-0.2, 0.1), RegionLabel.RegionB: (0.1, 0.2),
+                RegionLabel.RegionC: (0.3, 0.2), RegionLabel.RegionD: (-0.2, 0.01),
+                RegionLabel.RegionE: (0.1, 0.2), RegionLabel.InnerPiece1: (0.3, 0.001),
+                RegionLabel.InnerPiece2: (0.3, 0.02), RegionLabel.InnerPiece3: (0.3, 0.05)}
 
 # The entries of (T, T_t, T_r, phi, phi_t, phi_r) that are constant on each
 # piece, by index.
-CONSTANT_ENTRIES = {"A": {1: -1.0, 2: 0.0}, "B": {1: 0.0, 2: 1.0}, "C": {1: 1.0, 2: 0.0},
-                    "D": {1: -1.0, 2: 0.0, 4: 0.0, 5: 0.5}, "E": {1: 0.0},
-                    "P1": {1: -1.0, 2: 0.0}, "P2": {4: 1.0, 5: 0.0}, "P3": {1: 1.0, 2: 0.0}}
+CONSTANT_ENTRIES = {RegionLabel.RegionA: {1: -1.0, 2: 0.0}, RegionLabel.RegionB: {1: 0.0, 2: 1.0},
+                    RegionLabel.RegionC: {1: 1.0, 2: 0.0},
+                    RegionLabel.RegionD: {1: -1.0, 2: 0.0, 4: 0.0, 5: 0.5},
+                    RegionLabel.RegionE: {1: 0.0}, RegionLabel.InnerPiece1: {1: -1.0, 2: 0.0},
+                    RegionLabel.InnerPiece2: {4: 1.0, 5: 0.0},
+                    RegionLabel.InnerPiece3: {1: 1.0, 2: 0.0}}
 
 
 def _same_bits(got, want):
@@ -471,21 +474,21 @@ def _same_bits(got, want):
 
 
 class TestConstantEntries:
-    @pytest.mark.parametrize("piece", sorted(PIECE_POINTS))
-    def test_constant_entries_are_floats(self, piece):
+    @pytest.mark.parametrize("label", PIECE_POINTS)
+    def test_constant_entries_are_floats(self, label):
         # a constant entry made as an array (ones_like, zeros_like) fails
         params = CuspParams(3, 2.0)
-        t, r = (np.full(5, x) for x in PIECE_POINTS[piece])
-        row = refl.piece_profile(piece, params, t, r)
-        T_row = refl.piece_T_row(piece, params, t, lambda: r)
-        constants = CONSTANT_ENTRIES[piece]
+        t, r = (np.full(5, x) for x in PIECE_POINTS[label])
+        row = refl.piece_profile(label, params, t, r)
+        T_row = refl.piece_T_row(label, params, t, lambda: r)
+        constants = CONSTANT_ENTRIES[label]
         for i, entry in enumerate(row):
             if i in constants:
-                assert type(entry) is float and entry == constants[i], (piece, i)
+                assert type(entry) is float and entry == constants[i], (label, i)
                 if i < 3:
                     assert type(T_row[i]) is float and T_row[i] == constants[i]
             else:
-                assert isinstance(entry, np.ndarray) and entry.shape == (5,), (piece, i)
+                assert isinstance(entry, np.ndarray) and entry.shape == (5,), (label, i)
 
     @pytest.mark.parametrize("label", [RegionLabel.RegionA, RegionLabel.RegionB,
                                        RegionLabel.RegionC, RegionLabel.RegionD,
@@ -496,23 +499,22 @@ class TestConstantEntries:
         # the float entries against the plain expressions on full arrays of
         # the same values, on a row of radii and on a column of them
         params = CuspParams(5, 3.0)
-        piece = piece_of_region(label)
         draw = sample_profile(params, label, Shell(6), 256, derive_rng(3, 6, label))
         for tilt in (0.0, np.array([[-0.7], [2.9]])):
             prof = draw.profile(tilt)
             r = prof.r
-            _, *entries = refl.piece_profile(piece, params, prof.t, r)
+            _, *entries = refl.piece_profile(label, params, prof.t, r)
             shape = np.broadcast(r, *entries).shape
             full = [np.array(np.broadcast_to(x, shape)) for x in entries]
             assert _same_bits(refl._jet_algebra(5, r, *entries, log),
                               _plain_jet_algebra(5, r, *full, log))
 
-    @pytest.mark.parametrize("piece", sorted(PIECE_POINTS))
+    @pytest.mark.parametrize("label", PIECE_POINTS)
     @pytest.mark.parametrize("log", [False, True])
-    def test_zero_dimensional_input(self, piece, log):
+    def test_zero_dimensional_input(self, label, log):
         params = CuspParams(3, 2.0)
-        t, r = (np.asarray(x) for x in PIECE_POINTS[piece])
-        _, *entries = refl.piece_profile(piece, params, t, r)
+        t, r = (np.asarray(x) for x in PIECE_POINTS[label])
+        _, *entries = refl.piece_profile(label, params, t, r)
         got = refl._jet_algebra(3, r, *entries, log)
         assert all(type(x) is np.float64 for x in got[1:])
         full = [np.asarray(x, dtype=float) for x in entries]
@@ -550,13 +552,13 @@ class TestConstantEntries:
         assert log_det[0] == np.log(T_r[0] * phi_t[0]) + 2.0 * np.log(phi[0] / r[0])
 
 
-@pytest.mark.parametrize("piece", sorted(PIECE_POINTS))
+@pytest.mark.parametrize("label", PIECE_POINTS)
 @pytest.mark.parametrize("evaluate", [refl.piece_profile, refl.profile_jet, refl.profile_log_jet])
-def test_scalar_input_matches_one_element_arrays(piece, evaluate):
+def test_scalar_input_matches_one_element_arrays(label, evaluate):
     params = CuspParams(3, 2.0)
-    t, r = PIECE_POINTS[piece]
-    scalar = evaluate(piece, params, t, r)
-    row = evaluate(piece, params, np.array([t]), np.array([r]))
+    t, r = PIECE_POINTS[label]
+    scalar = evaluate(label, params, t, r)
+    row = evaluate(label, params, np.array([t]), np.array([r]))
     for got, want in zip(scalar, row):
         assert np.ndim(got) == 0
         assert np.array_equal(np.reshape(got, 1), np.broadcast_to(want, 1))

@@ -199,3 +199,19 @@ def test_invert_r1_inner_matches_reference(n, s):
         with pytest.raises(ChartDomainError):
             reflections.invert_points(ChartId.R1Inner, params, t[i:i + 1], X[i:i + 1])
 
+
+
+def test_one_row_per_region_in_each_table():
+    # every chart region has one row in geometry's region table and one in
+    # reflections' piece table, both keyed by its label; the sampleable
+    # regions are the chart regions and the cusp window, which has no chart
+    regions = [label for chart in ChartId for label in geometry.chart_regions(chart)]
+    assert len(regions) == len(set(regions)) == 8
+    assert all(geometry.chart_of_region(label) in ChartId for label in regions)
+    assert set(reflections._PIECES) == set(regions)
+    assert set(geometry._REGIONS) == set(geometry.SAMPLEABLE) == {
+        RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC, RegionLabel.RegionD,
+        RegionLabel.RegionE, RegionLabel.CuspInterior, RegionLabel.InnerPiece1,
+        RegionLabel.InnerPiece2, RegionLabel.InnerPiece3}
+    with pytest.raises(ValueError, match="CuspInterior does not belong to any chart"):
+        geometry.chart_of_region(RegionLabel.CuspInterior)

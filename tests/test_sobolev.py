@@ -36,7 +36,7 @@ from cuspreflect.extension import (
     PowerAlpha,
     extension_norm_experiment,
 )
-from cuspreflect.geometry import ChartId, CuspParams, RegionLabel, Shell, piece_of_region, shells
+from cuspreflect.geometry import ChartId, CuspParams, RegionLabel, Shell, shells
 from cuspreflect.sobolev import (
     ShellSum,
     convergence_verdict,
@@ -233,11 +233,10 @@ class TestDistortionIntegral:
     ])
     def test_against_brute_force(self, params, region, chart, p, q):
         # independent dense-quadrature oracle per shell
-        piece = piece_of_region(region)
         P, Q = p * q / (p - q), q / (p - q)
 
         def f(t, r):
-            _, _, opnorm, det = reflections.profile_jet(piece, params, t, r)
+            _, _, opnorm, det = reflections.profile_jet(region, params, t, r)
             return opnorm**P / np.abs(det) ** Q
 
         ss = distortion_integral(params, chart, region, p, q, shells(4, 8), 16384, 42)
@@ -275,13 +274,12 @@ def reference_distortion(params, region, p, q, shl, samples, seed):
     """The pow-form per-cell shell loop that `distortion_sweeps` replaced: one
     `shell_estimate` per shell, with opnorm^P / |det|^Q evaluated as floats
     inside the integrand, which returns its log."""
-    piece = piece_of_region(region)
     P, Q = p * q / (p - q), q / (p - q)
     s = params.s
     tilt = (s - 1.0) * p * q / (s * (p - q)) if region is RegionLabel.RegionE else 0.0
 
     def integrand(prof):
-        _, _, opnorm, det = reflections.profile_jet(piece, params, prof.t, prof.r)
+        _, _, opnorm, det = reflections.profile_jet(region, params, prof.t, prof.r)
         return np.log(opnorm**P / np.abs(det) ** Q)
 
     logs = [sobolev.shell_estimate(params, region, sh, [(integrand, tilt)], samples,
@@ -304,8 +302,8 @@ def _plant_nan(monkeypatch):
     """Make `profile_log_jet` return a nan in its first log opnorm."""
     jet = reflections.profile_log_jet
 
-    def planted(piece, prm, t, r):
-        log_opnorm, log_absdet = jet(piece, prm, t, r)
+    def planted(label, prm, t, r):
+        log_opnorm, log_absdet = jet(label, prm, t, r)
         log_opnorm = log_opnorm.copy()
         log_opnorm.flat[0] = np.nan
         return log_opnorm, log_absdet
@@ -1150,6 +1148,29 @@ def _window_cells(draw):
     q = 1.0 + (p - 1.05) * draw(unit)
     assume(abs(predicted_shell_exponent(region, p, q, n, s) + 1.0) >= 0.5)
     return n, s, region, scheme, p, q, draw(st.sampled_from([26, 60, 120]))
+
+
+_EMPTY_SHELL_ENTRIES = {
+    "distortion_integral": lambda params: distortion_integral(
+        params, ChartId.R1Outer, RegionLabel.RegionA, 2.0, 1.1, [], 64, 1),
+    "distortion_sweeps": lambda params: distortion_sweeps(
+        params, ChartId.R2Outer, [RegionLabel.RegionD, RegionLabel.RegionE], [(2.0, 1.1)], [],
+        64, 1),
+    "sobolev_seminorm": lambda params: sobolev_seminorm(
+        params, PowerAlpha(0.5), RegionLabel.CuspInterior, 2.0, [], 64, 1),
+    "extension_norm_experiment": lambda params: extension_norm_experiment(
+        params, ExtensionSpec("R1", Direction.FromInside), PowerAlpha(0.3), 2.0, 1.1, [], 64, 1),
+}
+
+
+@pytest.mark.parametrize("entry", _EMPTY_SHELL_ENTRIES)
+def test_empty_shell_list_raises_before_any_draw(params, monkeypatch, entry):
+    # no shell, no sum: a ValueError that names the list, not an IndexError
+    # or an empty result
+    calls, draws = spy_rng(monkeypatch), spy_draws(monkeypatch)
+    with pytest.raises(ValueError, match="shell list is empty"):
+        _EMPTY_SHELL_ENTRIES[entry](params)
+    assert calls == [] and draws == []
 
 
 class TestVerdictProperty:

@@ -158,6 +158,8 @@ def cmd_sweep(args) -> int:
         cells = checks.sweep_grid(params, scheme, grid=args.grid)
     shl = shells(args.k_min, args.k_max)
     valid = [(p, q) for p, q in cells if 1.0 <= q < p]
+    if valid:  # a grid of invalid cells alone still writes its WindowError rows
+        sobolev.check_shell_count(len(shl))
     by_region = sobolev.distortion_sweeps(params, chart, regions, valid, shl, args.samples,
                                           args.seed)
     sums = {region: dict(zip(valid, by_cell)) for region, by_cell in zip(regions, by_region)}

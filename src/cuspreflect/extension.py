@@ -50,11 +50,9 @@ from .geometry import (
     chart_of_region,
     chart_regions,
     check_scheme,
-    cusp_radius,
     first_flagged,
     key_rows,
     outer_chart,
-    radii,
     select_first,
 )
 from .sobolev import ShellSum, Verdict, convergence_verdict, scaling_fit
@@ -200,10 +198,10 @@ _INSIDE_PIECES = {scheme: _step_table(scheme, _outer_piece) for scheme in SCHEME
 _OUTSIDE_SITES = _step_table("R1", _outside_site)
 
 
-def _eval_site(spec: ExtensionSpec, params: CuspParams, t, X):
-    """Site of each point of a batch (_ZERO, _NATIVE or _CHART), the chart
-    the _CHART points compose through, the radii and cusp-wall mask of every
-    point, and the piece index of every _CHART point, all from one
+def _eval_site(spec: ExtensionSpec, params: CuspParams, t, X, r, ts):
+    """Site of each point of a gated batch (`as_points`) (_ZERO, _NATIVE or
+    _CHART), the chart the _CHART points compose through, the cusp-wall mask
+    of every point, and the piece index of every _CHART point, all from one
     region-table pass (`geometry._locate`); the first point outside the
     extension's reach raises ChartDomainError.
 
@@ -213,8 +211,7 @@ def _eval_site(spec: ExtensionSpec, params: CuspParams, t, X):
     so closure edges (such as t = 1/2 on the cusp core) compose fine; the
     step only splits the rest into native and off-domain points.
     """
-    r = radii(X)
-    step, wall, masks = geometry._locate(params, spec.scheme, t, r)
+    step, wall, masks = geometry._locate(params, spec.scheme, t, r, ts)
     if spec.direction is Direction.FromInside:
         chart = spec.outer_chart
         site = _INSIDE_SITES[spec.scheme][step]
@@ -229,15 +226,19 @@ def _eval_site(spec: ExtensionSpec, params: CuspParams, t, X):
     if bad := first_flagged(site < 0, t, X):
         label = geometry._STEPS[spec.scheme][step[bad[0]]]
         raise ChartDomainError(f"{bad[1]!r} {reason} ({label.value})", label=label)
-    return site, chart, r, wall, idx
+    return site, chart, wall, idx
 
 
 def extend_eval_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction, t, X):
     """Values of the extended function on a point batch: u on the native
     side, u o R across the boundary, 0 on the boundary itself (a null set,
     kept as printed)."""
-    t, X = as_points(t, X, params)
-    site, chart, r, wall, idx = _eval_site(spec, params, t, X)
+    return _extend_eval(spec, params, u, *as_points(t, X, params))
+
+
+def _extend_eval(spec: ExtensionSpec, params: CuspParams, u: TestFunction, t, X, r, ts):
+    """`extend_eval_points` on a gated batch (`as_points`)."""
+    site, chart, wall, idx = _eval_site(spec, params, t, X, r, ts)
     out = np.zeros(t.size)
     for key, m in key_rows(site, (_NATIVE, _CHART)):
         if key == _NATIVE:
@@ -257,8 +258,8 @@ def extend_eval(spec: ExtensionSpec, params: CuspParams, u: TestFunction, z) -> 
 
 def extend_gradient_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction, t, X):
     """Chain-rule gradients (N, n) of the extension at piece-interior points."""
-    t, X = as_points(t, X, params)
-    site, chart, r, wall, idx = _eval_site(spec, params, t, X)
+    t, X, r, ts = as_points(t, X, params)
+    site, chart, wall, idx = _eval_site(spec, params, t, X, r, ts)
     if bad := first_flagged(site == _ZERO, t, X):
         raise ChartDomainError(f"gradient undefined on the boundary at {bad[1]!r}")
     out = np.zeros((t.size, params.n))
@@ -283,11 +284,11 @@ def extend_gradient(spec: ExtensionSpec, params: CuspParams, u: TestFunction, z)
 def extend_global_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction, t, X):
     """Cutoff product psi * E(u) on a point batch: the globally defined
     extension, zero outside the collar neighbourhood."""
-    t, X = as_points(t, X, params)
-    psi = cutoff_psi_points(params, t, X)
+    t, X, r, ts = as_points(t, X, params)
+    psi = _cutoff_psi(params, t, r, ts)
     out = np.zeros(t.size)
     for _, on in key_rows(psi != 0.0, (True,)):
-        out[on] = psi[on] * extend_eval_points(spec, params, u, t[on], X[on])
+        out[on] = psi[on] * _extend_eval(spec, params, u, t[on], X[on], r[on], ts[on])
     return out
 
 
@@ -363,9 +364,12 @@ def cutoff_psi_points(params: CuspParams, t, X):
     the distance quotient d(z, complement) / (d(z, complement) + d(z, domain)),
     i.e. the distance to the complement normalised by the local collar width.
     """
-    t, X = as_points(t, X, params)
-    r = radii(X)
-    ts = cusp_radius(params, t)
+    t, _, r, ts = as_points(t, X, params)
+    return _cutoff_psi(params, t, r, ts)
+
+
+def _cutoff_psi(params: CuspParams, t, r, ts):
+    """`cutoff_psi_points` on a gated batch (`as_points`)."""
     domain = (((0.0 < t) & (t <= 1.0) & (r <= ts))
               | (np.hypot(t - BALL_CENTER_T, r) <= BALL_RADIUS)
               | ((t == 0.0) & (r == 0.0)))
@@ -516,6 +520,8 @@ def extension_norm_experiment(
         raise WindowError(
             f"t^(-{u.alpha}) is not W^(1,{p}) on the cusp window; experiment is vacuous"
         )
+    if shells:  # an empty list raises its own error in the shell loop
+        sobolev.check_shell_count(len(shells))
     loops = [_region_loop(params, u, q, region) for region in chart_regions(spec.outer_chart)]
     *terms, (lp, semi) = sobolev.function_shell_loops(
         params, [*loops, _window_loop(u, p)], shells, samples_per_shell, seed)
@@ -527,11 +533,18 @@ def extension_norm_experiment(
     grad_sum = ShellSum(ks, grads, processes)
     total_sum = ShellSum(ks, np.logaddexp(vals, grads), processes)
     verdict = convergence_verdict(total_sum)
+    log_u_norm = np.logaddexp(lp.log_total / p, semi.log_total / p)
+    log_ext_norm = np.logaddexp(value_sum.log_total / q, grad_sum.log_total / q)
     with np.errstate(over="ignore"):
         u_norm = float(np.exp(lp.log_total / p) + np.exp(semi.log_total / p))
         ext_norm = float(np.exp(value_sum.log_total / q) + np.exp(grad_sum.log_total / q))
     if total_sum.log_total == math.inf:
         ratio = math.inf
+    elif (not all(2.0 ** -1022 <= x < math.inf for x in (u_norm, ext_norm))
+          and math.isfinite(log_u_norm) and math.isfinite(log_ext_norm)):
+        # a norm past the normal floats whose log is finite: the logs' quotient
+        with np.errstate(over="ignore"):
+            ratio = float(np.exp(log_ext_norm - log_u_norm))
     elif u_norm > 0.0:
         ratio = ext_norm / u_norm
     else:  # 0 / 0 for the zero function

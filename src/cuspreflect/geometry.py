@@ -104,28 +104,33 @@ def as_point(z, params: CuspParams | None = None) -> Point:
     return p
 
 
-def as_points(t, X, params: CuspParams) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce a point batch: t of shape (N,) and cross sections X of shape
-    (N, n-1), all finite, with each entry of X past 2^500 in modulus read as
-    +-2^500 (`_reject_non_finite`)."""
+def as_points(t, X, params: CuspParams):
+    """The gate of every point batch: (t, X, r, ts), t of shape (N,) and X of
+    shape (N, n-1), all finite, each entry of X past 2^500 in modulus read as
+    +-2^500 (`_reject_non_finite`), with radii r = |x| (`radii`) and cusp
+    radii ts = |t|^s (`cusp_radius`).  A one-row batch with |t| < 2^500 and
+    2^-511 <= |x| < 2^500 is screened by one Python hypot and takes the
+    square-sum form of `radii`; any other by `_reject_non_finite`, `radii`."""
     t = np.asarray(t, dtype=float).reshape(-1)
     X = np.asarray(X, dtype=float)
     if X.shape != (t.size, params.n - 1):
         raise ValueError(f"expected x of shape {(t.size, params.n - 1)}, got {X.shape}")
-    return t, _reject_non_finite(t, X)
+    if t.size == 1 and abs(t.item()) < 2.0 ** 500 and \
+            2.0 ** -511 <= math.hypot(*X.tolist()[0]) < 2.0 ** 500:
+        r = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+    else:
+        X = _reject_non_finite(t, X)
+        r = radii(X)
+    return t, X, r, cusp_radius(params, t)
 
 
 def _reject_non_finite(t: np.ndarray, X: np.ndarray) -> np.ndarray:
     """ValueError naming the first row of the point batch (t, X), float
     arrays, that holds a non-finite coordinate; X holds a cross section (or
     a radius) per row.  Else X, with any entry past 2^500 in modulus clipped
-    to +-2^500 in a copy, so that no |x| overflows.  A one-row batch, the
-    one-row wrappers', is checked by the Python hypot of its floats, a
-    longer one by numpy; only a batch that fails is searched row by row."""
-    if t.size == 1:
-        if math.hypot(t.item(), *X.ravel().tolist()) < 2.0 ** 500:
-            return X
-    elif np.isfinite(t).all() and np.abs(X).max(initial=0.0) < 2.0 ** 500:
+    to +-2^500 in a copy, so that no |x| overflows.  Only a batch that fails
+    numpy's check is searched row by row."""
+    if np.isfinite(t).all() and np.abs(X).max(initial=0.0) < 2.0 ** 500:
         return X
     t, Y = np.atleast_1d(np.asarray(t, dtype=float), np.asarray(X, dtype=float))
     Y = Y.reshape(len(Y), -1)
@@ -144,13 +149,9 @@ def radii(X) -> np.ndarray:
     row whose square sum leaves the normal floats (an entry past about
     2^511, or all below about 2^-511) is scaled by a power of two first, so
     its |x| is nonzero and, short of the float range, finite, without a
-    numpy warning; other rows keep their bits.  A one-row batch is screened
-    by the Python hypot of its floats, any other X by numpy."""
+    numpy warning; other rows keep their bits."""
     X = np.asarray(X, dtype=float)
-    if X.ndim == 2 and len(X) == 1:
-        if 2.0 ** -511 <= math.hypot(*X.tolist()[0]) < 2.0 ** 500:
-            return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
-    elif np.abs(X).max(initial=0.0) < 2.0 ** 500:
+    if np.abs(X).max(initial=0.0) < 2.0 ** 500:
         sq = (X[..., None, :] @ X[..., :, None])[..., 0, 0]
         if sq.min(initial=1.0) >= 2.0 ** -1022:
             return np.sqrt(sq)
@@ -367,6 +368,15 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
+def _log_unit_ball_volume(dim: int) -> float:
+    """log `unit_ball_volume`, from `math.lgamma` past dim = 341, where the
+    direct form's gamma overflows."""
+    try:
+        return math.log(unit_ball_volume(dim))
+    except OverflowError:
+        return dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -407,15 +417,12 @@ def _first_step(masks) -> np.ndarray:
     return side.argmax(axis=-1)
 
 
-def _locate(params: CuspParams, scheme: str, t, r):
+def _locate(params: CuspParams, scheme: str, t, r, ts):
     """The region-table pass behind `classify_profile`, the extension's
-    evaluation sites and its chart dispatch.  It computes |t|^s, the
-    cusp-wall mask and each region mask of the (checked) scheme once, and
-    returns each point's step (an index into `_STEPS[scheme]`), the wall
-    mask, and the `region_masks` of each chart of the scheme by chart."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    ts = cusp_radius(params, t)
+    evaluation sites and its chart dispatch, on arrays t, r and ts = |t|^s.
+    It computes the cusp-wall mask and each region mask of the (checked)
+    scheme once, and returns each point's step (an index into `_STEPS`), the
+    wall mask, and the `region_masks` of each chart of the scheme by chart."""
     wall = on_cusp_wall(params, t, r, ts)
     masks = {chart: region_masks(params, chart, t, r, ts) for chart in SCHEME_CHARTS[scheme]}
     ball = np.hypot(t - BALL_CENTER_T, r)
@@ -446,16 +453,17 @@ def classify_profile(params: CuspParams, scheme: str, t, r):
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     _reject_non_finite(t, r)
-    step, _, _ = _locate(params, scheme, t, r)
+    step, _, _ = _locate(params, scheme, t, r, cusp_radius(params, t))
     return _STEP_LABELS[scheme][step]
 
 
 def classify(params: CuspParams, scheme: str, z) -> RegionLabel:
     """Classify a point into exactly one region label for the given scheme:
-    the one-row case of `classify_profile` on (t, radii(x))."""
+    the one-row case of `classify_profile`, through the gate `as_points`."""
     p = as_point(z, params)
-    t = np.array([p.t])
-    return classify_profile(params, scheme, t, radii(_reject_non_finite(t, p.x[None, :])))[0]
+    scheme = check_scheme(scheme)
+    t, _, r, ts = as_points([p.t], p.x[None, :], params)
+    return _STEP_LABELS[scheme][_locate(params, scheme, t, r, ts)[0]][0]
 
 
 def check_scheme(scheme: str) -> str:
@@ -520,7 +528,7 @@ def _log_shell_masses(params: CuspParams, label: RegionLabel, shells):
     a, b = zip(*(bounds[i] for i in live))
     log_a = np.array([math.log(x) if x > 0.0 else -math.inf for x in a])
     log_b = np.array([math.log(x) for x in b])
-    log_cn = math.log(unit_ball_volume(n - 1))
+    log_cn = _log_unit_ball_volume(n - 1)
     if q.kind in ("cone", "slab"):
         # slab: t-range 2*xi at radius xi; area weight (n-1)*cn*xi^(n-2)
         head = math.log(2.0 * (n - 1)) + log_cn if q.kind == "slab" else log_cn

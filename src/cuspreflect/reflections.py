@@ -396,14 +396,6 @@ def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, profile: bool 
     return out
 
 
-def _locate_chart(chart: ChartId, params: CuspParams, t, X):
-    """(r, wall mask, piece index) of a point batch: |t|^s once for the
-    cusp-wall mask and the chart's region masks."""
-    r = radii(X)
-    ts = cusp_radius(params, t)
-    return r, on_cusp_wall(params, t, r, ts), piece_index(chart, params, t, r, ts)
-
-
 def fd_step(t, r) -> np.ndarray:
     """Central-difference step per point: h = max(1e-6, 1e-6 * |z|)."""
     return np.maximum(1e-6, 1e-6 * np.hypot(t, r))
@@ -428,13 +420,14 @@ def apply_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray, 
     to themselves and the image direction x/|x| is preserved (all pieces are
     axisymmetric); the first point off the chart raises ChartDomainError
     carrying its region label."""
-    t, X = as_points(t, X, params)
-    return _apply_located(chart, params, t, X, *_locate_chart(chart, params, t, X))
+    t, X, r, ts = as_points(t, X, params)
+    return _apply_located(chart, params, t, X, r, on_cusp_wall(params, t, r, ts),
+                          piece_index(chart, params, t, r, ts))
 
 
 def _apply_located(chart: ChartId, params: CuspParams, t, X, r, wall, idx):
-    """`apply_points` on a batch whose radii, wall mask and piece index
-    (`_locate_chart`) the caller already has."""
+    """`apply_points` on a batch whose radii, wall mask and piece index the
+    caller already has."""
     if bad := first_flagged(~wall & (idx < 0), t, X):
         raise _domain_error(chart, params, bad[1])
     prof = _chart_profile(chart, params, idx, t, r)
@@ -477,13 +470,14 @@ def differential_points(chart: ChartId, params: CuspParams, t, X):
     come from the profile block, as in `profile_jet`.  The first point on
     the cusp wall or a piece interface raises InterfaceError, the first
     point off the chart ChartDomainError."""
-    t, X = as_points(t, X, params)
-    return _differential_located(chart, params, t, X, *_locate_chart(chart, params, t, X))
+    t, X, r, ts = as_points(t, X, params)
+    return _differential_located(chart, params, t, X, r, on_cusp_wall(params, t, r, ts),
+                                 piece_index(chart, params, t, r, ts))
 
 
 def _differential_located(chart: ChartId, params: CuspParams, t, X, r, wall, idx):
     """`differential_points` on a batch whose radii, wall mask and piece
-    index (`_locate_chart`) the caller already has."""
+    index the caller already has."""
     T, T_t, T_r, phi, phi_t, phi_r, interface, _ = _chart_profile(chart, params, idx, t, r,
                                                                   gaps=True)
     if bad := first_flagged(wall | (idx < 0) | (interface <= 0.0), t, X):
@@ -524,10 +518,9 @@ def differential_fd_points(chart: ChartId, params: CuspParams, t, X, h=None) -> 
     piece with its interfaces and formula kinks more than 2h away, so the
     stencil samples a single smooth formula; the first that does not raises.
     """
-    t, X = as_points(t, X, params)
-    r = radii(X)
+    t, X, r, ts = as_points(t, X, params)
     h = np.broadcast_to(fd_step(t, r) if h is None else np.asarray(h, dtype=float), t.shape)
-    idx = piece_index(chart, params, t, r)
+    idx = piece_index(chart, params, t, r, ts)
     interface, kink = _chart_profile(chart, params, idx, t, r, profile=False, gaps=True)
     if bad := first_flagged((idx < 0) | (np.minimum(kink, interface) <= 2.0 * h), t, X):
         i, z = bad
@@ -562,10 +555,8 @@ def invert_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray,
     from the R1 collar.  Cusp-boundary points return themselves; the first
     point outside the chart's image raises ChartDomainError.
     """
-    t, X = as_points(t, X, params)
+    t, X, r, ts = as_points(t, X, params)
     s = params.s
-    r = radii(X)
-    ts = cusp_radius(params, t)
     wall = on_cusp_wall(params, t, r, ts)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if chart is ChartId.R1Inner:

@@ -167,6 +167,13 @@ def dual_exponent_inverse(d: float, n: int) -> float:
     return (n - 1) * d / (d - 1.0)
 
 
+def check_shell_count(count: int):
+    """ValueError unless a shell range of `count` shells is long enough for
+    `convergence_verdict`, so that a command refuses it before any draw."""
+    if count < MIN_SHELLS:
+        raise ValueError(f"need at least {MIN_SHELLS} shells, got {count}")
+
+
 def _check_pq(p: float, q: float):
     if not (1.0 <= q < p):
         raise WindowError(f"exponents must satisfy 1 <= q < p, got p={p}, q={q}")
@@ -239,8 +246,7 @@ def convergence_verdict(shell_sum: ShellSum) -> Verdict:
     the (finite) sum is numerically enormous, as happens for bounded
     integrands at exponent pairs with q close to p.
     """
-    if len(shell_sum.ks) < MIN_SHELLS:
-        raise ValueError(f"need at least {MIN_SHELLS} shells, got {len(shell_sum.ks)}")
+    check_shell_count(len(shell_sum.ks))
     log_total = shell_sum.log_total
     if log_total == -math.inf:
         return Verdict("Convergent")

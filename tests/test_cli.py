@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from conftest import force_split, negate_entry, package_env
+from conftest import force_split, negate_entry, package_env, spy_draws
 
 import cuspreflect
 import cuspreflect.reflections as refl
@@ -452,6 +452,54 @@ class TestExtendnorm:
         assert "(u-norm 0, ratio 0)" in capsys.readouterr().out
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert (manifest["ratio"], manifest["u_norm"]) == (0.0, 0.0)
+
+
+class TestTooFewShells:
+    """A shell range too short for a verdict is refused before any draw, with
+    the error the verdict raises."""
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--p", "3", "--q", "1.5"],
+        ["extendnorm", "--p", "2", "--q", "1.2"],
+    ], ids=["sweep", "extendnorm"])
+    def test_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, args):
+        force_split(monkeypatch, False)
+        draws = spy_draws(monkeypatch)
+        assert run_cli(args + ["--k-min", "5", "--k-max", "8", "--samples", "64",
+                               "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == "error: need at least 6 shells, got 4\n"
+        assert draws == []
+
+    def test_window_errors_keep_precedence(self, tmp_path, capsys):
+        # extendnorm: the membership check speaks first; sweep: a grid of
+        # invalid cells alone still writes its WindowError rows
+        assert run_cli(["extendnorm", "--function", "power:5", "--p", "2", "--q", "1.2",
+                        "--k-max", "8", "--out", str(tmp_path / "e.csv")]) == 3
+        assert "is not W^(1,2.0)" in capsys.readouterr().err
+        out = tmp_path / "s.csv"
+        assert run_cli(["sweep", "--p", "1.5", "--q", "2", "--k-max", "8", "--samples", "64",
+                        "--out", str(out)]) == 0
+        assert {row["verdict"] for row in csv_rows(out)} == {"WindowError"}
+
+
+class TestLargeDimension:
+    """From n = 343 the gamma in the unit-ball volume c_{n-1} overflows, and
+    from n = 200 region volumes underflow: no command may crash on it."""
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--p", "3", "--q", "1.5", "--samples", "64"],
+        ["extendnorm", "--p", "2", "--q", "1.2", "--samples", "64"],
+        ["scaling", "--samples", "64"],
+        ["verify"],
+    ], ids=["sweep", "extendnorm", "scaling", "verify"])
+    def test_n_400_exits_without_traceback(self, tmp_path, args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspreflect", *args, "--n", "400",
+             "--out", str(tmp_path / "o.csv")],
+            capture_output=True, text=True, env=package_env(),
+        )
+        assert proc.returncode in (0, 1, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestHolder:

@@ -378,6 +378,21 @@ class TestNormExperiment:
         # q = 1.3 < q_max_r2 = 10/7: admissible through the second reflection
         assert rep.verdict.kind == "Convergent"
 
+    def test_ratio_where_both_norms_underflow(self):
+        # at n = 200 both norms are below the floats; the ratio is read from
+        # their logs, not as 0 / 0
+        params = CuspParams(200, 2.0)
+        spec = ExtensionSpec("R1", Direction.FromInside)
+        u, p, q, shl = PowerAlpha(1.4), 2.0, 1.2, shells(5, 30)
+        rep = extension_norm_experiment(params, spec, u, p, q, shl, 256, 42)
+        [(lp, semi)] = sobolev.function_shell_loops(params, [extension._window_loop(u, p)], shl,
+                                                    256, 42)
+        log_u = np.logaddexp(lp.log_total / p, semi.log_total / p)
+        log_ext = np.logaddexp(rep.value_sum.log_total / q, rep.grad_sum.log_total / q)
+        assert rep.u_norm == 0.0
+        assert 0.0 < rep.ratio < math.inf
+        assert rep.ratio == pytest.approx(math.exp(log_ext - log_u), rel=1e-12)
+
 
 def clampt_region_e_grad(n, s, q, k):
     """Exact gradient L^q mass of clamp(t, 0, 1) o R over region E /\\ shell k:

@@ -18,6 +18,7 @@ from cuspreflect.geometry import (
     unit_ball_volume,
 )
 import cuspreflect.geometry as geometry
+from cuspreflect import checks
 
 
 def _set_quad(monkeypatch, label, quad):
@@ -412,6 +413,25 @@ class TestSampler:
 def test_unit_ball_volumes():
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 50, 250, 341, 342, 400, 2000])
+def test_log_unit_ball_volume_past_the_float_range(dim):
+    # the log of c_dim stays finite past dim = 341, where the gamma of its
+    # direct form overflows (c_dim itself underflows past dim = 435), and
+    # keeps the direct form's bits below
+    want = dim / 2.0 * math.log(math.pi) - math.lgamma(dim / 2.0 + 1.0)
+    got = geometry._log_unit_ball_volume(dim)
+    assert got == pytest.approx(want, rel=1e-12)
+    if dim <= 341:
+        assert got == math.log(unit_ball_volume(dim))
+
+
+def test_shell_measure_sums_check_where_the_volume_underflows():
+    # at n = 200 a region's exact volume is below the floats: the check
+    # compares the shell sums in logs
+    for n in (3, 200, 400):
+        assert checks.check_shell_measure_sums(CuspParams(n, 2.0)).passed
 
 
 def test_classify_profile_vectorised(params):

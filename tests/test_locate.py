@@ -206,11 +206,12 @@ def test_sites_and_pieces_match_reference(n, s, spec):
     keep = want >= 0
     assert keep.sum() >= 1000
     t, X, want = t[keep], X[keep], want[keep]
-    site, got_chart, r, wall, idx = extension._eval_site(spec, params, t, X)
+    _, _, r, ts = geometry.as_points(t, X, params)
+    assert np.array_equal(r, radii(X))
+    site, got_chart, wall, idx = extension._eval_site(spec, params, t, X, r, ts)
     assert got_chart is chart
     assert np.array_equal(site, want)
     assert set(site) == {0, 1, 2}
-    assert np.array_equal(r, radii(X))
     assert np.array_equal(wall, on_cusp_wall(params, t, r))
     via = site == 2
     assert np.array_equal(idx[via], piece_index(chart, params, t[via], r[via]))

@@ -205,20 +205,26 @@ def _eval_site(spec: ExtensionSpec, params: CuspParams, t, X, r, ts):
     region-table pass (`geometry._locate`); the first point outside the
     extension's reach raises ChartDomainError.
 
-    Outward, the site and the piece follow from the classification step: a
-    collar region's step is the first outer-chart mask that holds the point.
-    Inward, chart membership is tested through the inner chart's closures,
-    so closure edges (such as t = 1/2 on the cusp core) compose fine; the
-    step only splits the rest into native and off-domain points.
+    Each direction's pass reads the masks of its own chart alone.  Outward,
+    the site and the piece follow from the classification step: a collar
+    region's step is the first outer-chart mask that holds the point, and an
+    inner-band point, without the inner chart's masks, takes the step
+    CuspInterior, of the same site.  Inward, chart membership is tested
+    through the inner chart's closures, so closure edges (such as t = 1/2 on
+    the cusp core) compose fine; the step only splits the rest into native
+    and off-domain points, and a point of A, B or C, without the outer
+    chart's masks, takes the step OutsideNeighborhood, of the same site.
+    Out-of-reach steps come before the steps left out, so the error labels
+    are the classification's.
     """
-    step, wall, masks = geometry._locate(params, spec.scheme, t, r, ts)
-    if spec.direction is Direction.FromInside:
-        chart = spec.outer_chart
+    inside = spec.direction is Direction.FromInside
+    chart = spec.outer_chart if inside else ChartId.R1Inner
+    step, wall, masks = geometry._locate(params, spec.scheme, t, r, ts, (chart,))
+    if inside:
         site = _INSIDE_SITES[spec.scheme][step]
         idx = _INSIDE_PIECES[spec.scheme][step]
         reason = "is outside the extension neighbourhood"
     else:  # FromOutside (scheme R1 only): compose through the inner chart.
-        chart = ChartId.R1Inner
         idx = select_first(masks[chart], range(len(masks[chart])), -1)
         site = _OUTSIDE_SITES[step]
         site = np.where(wall | (site == _ZERO), _ZERO, np.where(idx >= 0, _CHART, site))
@@ -237,15 +243,19 @@ def extend_eval_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction,
 
 
 def _extend_eval(spec: ExtensionSpec, params: CuspParams, u: TestFunction, t, X, r, ts):
-    """`extend_eval_points` on a gated batch (`as_points`)."""
-    site, chart, wall, idx = _eval_site(spec, params, t, X, r, ts)
+    """`extend_eval_points` on a gated batch (`as_points`): u(t) on the
+    native points, and on the _CHART points, which lie on the chart and off
+    the cusp wall, u(T) of their piece's T-row alone."""
+    site, chart, _, idx = _eval_site(spec, params, t, X, r, ts)
+    regions = chart_regions(chart)
+    native = len(regions)
     out = np.zeros(t.size)
-    for key, m in key_rows(site, (_NATIVE, _CHART)):
-        if key == _NATIVE:
-            out[m] = u.value_t(t[m])
-        else:
-            T, _ = reflections._apply_located(chart, params, t[m], X[m], r[m], wall[m], idx[m])
-            out[m] = u.value_t(T)
+    keys = select_first([site == _CHART, site == _NATIVE], [idx, native], -1)
+    for key, m in key_rows(keys, range(native + 1)):
+        tm = t[m]
+        if key < native:
+            tm = reflections.piece_T_row(regions[key], params, tm, lambda: r[m])[0]
+        out[m] = u.value_t(tm)
     return out
 
 
@@ -269,7 +279,7 @@ def extend_gradient_points(spec: ExtensionSpec, params: CuspParams, u: TestFunct
         else:
             # (u'(T), 0, ..., 0) DR is the first row of DR scaled by u'(T)
             T, _, M, _, _ = reflections._differential_located(chart, params, t[m], X[m], r[m],
-                                                              wall[m], idx[m])
+                                                              ts[m], wall[m], idx[m])
             out[m] = u.deriv_t(T)[:, None] * M[:, 0, :]
     return out
 

@@ -417,21 +417,26 @@ def _first_step(masks) -> np.ndarray:
     return side.argmax(axis=-1)
 
 
-def _locate(params: CuspParams, scheme: str, t, r, ts):
+def _locate(params: CuspParams, scheme: str, t, r, ts, charts):
     """The region-table pass behind `classify_profile`, the extension's
     evaluation sites and its chart dispatch, on arrays t, r and ts = |t|^s.
-    It computes the cusp-wall mask and each region mask of the (checked)
-    scheme once, and returns each point's step (an index into `_STEPS`), the
-    wall mask, and the `region_masks` of each chart of the scheme by chart."""
+    It computes the cusp-wall mask and each region mask of `charts`, the
+    charts of the (checked) scheme whose masks the caller reads, once, and
+    returns each point's step (an index into `_STEPS`), the wall mask, and
+    the `region_masks` of each of `charts` by chart.  The steps of a chart
+    left out hold no point, which then takes a later step."""
     wall = on_cusp_wall(params, t, r, ts)
-    masks = {chart: region_masks(params, chart, t, r, ts) for chart in SCHEME_CHARTS[scheme]}
+    masks = {chart: region_masks(params, chart, t, r, ts) for chart in charts}
     ball = np.hypot(t - BALL_CENTER_T, r)
     steps = [np.hypot(t, r) <= ORIGIN_TOL, wall & ~(ball < BALL_RADIUS * (1.0 - REL_TOL))]
-    if scheme == "R1":
+    if ChartId.R1Inner in masks:
         below = t < 0.5
         steps += [m & below for m in masks[ChartId.R1Inner]]
+    elif scheme == "R1":
+        steps += [False] * len(chart_regions(ChartId.R1Inner))
+    outer = outer_chart(scheme)
     steps += [(t > 0) & (t <= 1.0) & (r < ts), ball < BALL_RADIUS,
-              *masks[outer_chart(scheme)]]
+              *masks.get(outer, [False] * len(chart_regions(outer)))]
     return _first_step(steps), wall, masks
 
 
@@ -453,7 +458,7 @@ def classify_profile(params: CuspParams, scheme: str, t, r):
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     _reject_non_finite(t, r)
-    step, _, _ = _locate(params, scheme, t, r, cusp_radius(params, t))
+    step, _, _ = _locate(params, scheme, t, r, cusp_radius(params, t), SCHEME_CHARTS[scheme])
     return _STEP_LABELS[scheme][step]
 
 
@@ -463,7 +468,7 @@ def classify(params: CuspParams, scheme: str, z) -> RegionLabel:
     p = as_point(z, params)
     scheme = check_scheme(scheme)
     t, _, r, ts = as_points([p.t], p.x[None, :], params)
-    return _STEP_LABELS[scheme][_locate(params, scheme, t, r, ts)[0]][0]
+    return _STEP_LABELS[scheme][_locate(params, scheme, t, r, ts, SCHEME_CHARTS[scheme])[0]][0]
 
 
 def check_scheme(scheme: str) -> str:

@@ -301,7 +301,8 @@ def _jet_algebra(n: int, r, T_t, T_r, phi, phi_t, phi_r, log: bool = False):
     opnorm *= 0.5
     np.maximum(opnorm, abs_tang, out=opnorm)
     if not log:
-        return tang, opnorm[()], det2 * tang ** (n - 2)
+        with np.errstate(over="ignore"):  # past the float range the signed det is +-inf
+            return tang, opnorm[()], det2 * tang ** (n - 2)
     with np.errstate(divide="ignore"):
         np.log(opnorm, out=opnorm)
         np.log(np.abs(det2, out=det2), out=det2)
@@ -379,21 +380,31 @@ def piece_gaps(label: RegionLabel, params: CuspParams, t, r):
     return _PIECES[label][2](t, np.asarray(r, dtype=float), cusp_radius(params, t))
 
 
-def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, profile: bool = True,
-                   gaps: bool = False):
+def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, ts=None, profile: bool = True):
     """Rows T, T_t, T_r, phi, phi_t, phi_r of each point's own piece (idx
-    from `piece_index`), then with `gaps` its interface gap and kink gap
-    (without `profile`, the gap rows alone); nan off the chart."""
-    out = np.full((6 * profile + 2 * gaps, idx.size), np.nan)
+    from `piece_index`), then, given the batch's cusp radii `ts` (the
+    gate's), its interface gap and kink gap (without `profile`, the gap rows
+    alone); nan off the chart.  A batch that lies in one piece gets that
+    piece's rows as they are: its constant entries are Python floats, and T
+    is t itself on C and P3.  Any other gets a buffer of rows."""
     regions = chart_regions(chart)
-    for i, m in key_rows(idx, range(len(regions))):
-        label, tm, rm = regions[i], t[m], r[m]
-        rows = ((piece_profile(label, params, tm, rm) if profile else ())
-                + (piece_gaps(label, params, tm, rm) if gaps else ()))
+    pieces = key_rows(idx, range(len(regions)))
+    if pieces and isinstance(pieces[0][1], slice):  # one piece holds every row
+        return _piece_rows(regions[pieces[0][0]], params, t, r, ts, profile)
+    out = np.full((6 * profile + 2 * (ts is not None), idx.size), np.nan)
+    for i, m in pieces:
+        rows = _piece_rows(regions[i], params, t[m], r[m], None if ts is None else ts[m], profile)
         # row by row: a piece's constant entries are floats
         for j, row in enumerate(rows):
             out[j, m] = row
     return out
+
+
+def _piece_rows(label: RegionLabel, params: CuspParams, t, r, ts, profile: bool) -> tuple:
+    """A piece's `_chart_profile` rows: its profile with `profile`, its gaps
+    given `ts`."""
+    return ((piece_profile(label, params, t, r) if profile else ())
+            + (_PIECES[label][2](t, r, ts) if ts is not None else ()))
 
 
 def fd_step(t, r) -> np.ndarray:
@@ -421,13 +432,8 @@ def apply_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray, 
     axisymmetric); the first point off the chart raises ChartDomainError
     carrying its region label."""
     t, X, r, ts = as_points(t, X, params)
-    return _apply_located(chart, params, t, X, r, on_cusp_wall(params, t, r, ts),
-                          piece_index(chart, params, t, r, ts))
-
-
-def _apply_located(chart: ChartId, params: CuspParams, t, X, r, wall, idx):
-    """`apply_points` on a batch whose radii, wall mask and piece index the
-    caller already has."""
+    wall = on_cusp_wall(params, t, r, ts)
+    idx = piece_index(chart, params, t, r, ts)
     if bad := first_flagged(~wall & (idx < 0), t, X):
         raise _domain_error(chart, params, bad[1])
     prof = _chart_profile(chart, params, idx, t, r)
@@ -458,9 +464,9 @@ def _jacobian_matrices(u_hat, T_t, T_r, phi_t, phi_r, tang) -> np.ndarray:
     uu = u_hat[:, :, None] * u_hat[:, None, :]
     M = np.empty((count, m + 1, m + 1))
     M[:, 0, 0] = T_t
-    M[:, 0, 1:] = T_r[:, None] * u_hat
-    M[:, 1:, 0] = phi_t[:, None] * u_hat
-    M[:, 1:, 1:] = tang[:, None, None] * (np.eye(m) - uu) + phi_r[:, None, None] * uu
+    M[:, 0, 1:] = np.reshape(T_r, (-1, 1)) * u_hat
+    M[:, 1:, 0] = np.reshape(phi_t, (-1, 1)) * u_hat
+    M[:, 1:, 1:] = tang[:, None, None] * (np.eye(m) - uu) + np.reshape(phi_r, (-1, 1, 1)) * uu
     return M
 
 
@@ -471,15 +477,14 @@ def differential_points(chart: ChartId, params: CuspParams, t, X):
     the cusp wall or a piece interface raises InterfaceError, the first
     point off the chart ChartDomainError."""
     t, X, r, ts = as_points(t, X, params)
-    return _differential_located(chart, params, t, X, r, on_cusp_wall(params, t, r, ts),
+    return _differential_located(chart, params, t, X, r, ts, on_cusp_wall(params, t, r, ts),
                                  piece_index(chart, params, t, r, ts))
 
 
-def _differential_located(chart: ChartId, params: CuspParams, t, X, r, wall, idx):
-    """`differential_points` on a batch whose radii, wall mask and piece
-    index the caller already has."""
-    T, T_t, T_r, phi, phi_t, phi_r, interface, _ = _chart_profile(chart, params, idx, t, r,
-                                                                  gaps=True)
+def _differential_located(chart: ChartId, params: CuspParams, t, X, r, ts, wall, idx):
+    """`differential_points` on a gated batch (`as_points`) whose wall mask
+    and piece index the caller already has."""
+    T, T_t, T_r, phi, phi_t, phi_r, interface, _ = _chart_profile(chart, params, idx, t, r, ts)
     if bad := first_flagged(wall | (idx < 0) | (interface <= 0.0), t, X):
         i, z = bad
         if wall[i]:
@@ -492,7 +497,8 @@ def _differential_located(chart: ChartId, params: CuspParams, t, X, r, wall, idx
     pos = r > 0.0
     u_hat = np.where(pos[:, None], X / np.where(pos, r, 1.0)[:, None], np.eye(1, params.n - 1))
     M = _jacobian_matrices(u_hat, T_t, T_r, phi_t, phi_r, tang)
-    return T, _along(phi, X, r), M, det, opnorm
+    # a copy of T where it is t itself, so that no caller returns its input
+    return T.copy() if T is t else T, _along(phi, X, r), M, det, opnorm
 
 
 def differential(chart: ChartId, params: CuspParams, z) -> Jet:
@@ -521,7 +527,7 @@ def differential_fd_points(chart: ChartId, params: CuspParams, t, X, h=None) -> 
     t, X, r, ts = as_points(t, X, params)
     h = np.broadcast_to(fd_step(t, r) if h is None else np.asarray(h, dtype=float), t.shape)
     idx = piece_index(chart, params, t, r, ts)
-    interface, kink = _chart_profile(chart, params, idx, t, r, profile=False, gaps=True)
+    interface, kink = _chart_profile(chart, params, idx, t, r, ts, profile=False)
     if bad := first_flagged((idx < 0) | (np.minimum(kink, interface) <= 2.0 * h), t, X):
         i, z = bad
         if idx[i] < 0:
@@ -548,44 +554,68 @@ def differential_fd(chart: ChartId, params: CuspParams, z, h: float | None = Non
     return differential_fd_points(chart, params, [p.t], p.x[None, :], h)[0]
 
 
+def _core_band(t, r, ts, *tops):
+    """Index of the image band of the cusp core that holds each point, -1 off
+    the core: the first whose radius r <= ts / top, the last for the rest."""
+    core = _CHART_SHAPES[ChartId.R1Inner](t, r, ts)  # the wall overrides r = t^s
+    return select_first([core & (r <= ts / top) for top in tops] + [core],
+                        range(len(tops) + 1), -1)
+
+
+def _collar_band(params: CuspParams, t, r, ts):
+    """Index of the R1 collar region that holds each point in the order A,
+    C, B (a tie at r = t goes to C), -1 off the collar."""
+    in_a, in_b, in_c = region_masks(params, ChartId.R1Outer, t, r, ts)
+    return select_first([in_a, in_c, in_b], range(3), -1)
+
+
+def _source_C(s: float, t, r, ts):
+    lam, mu, _, _ = _lam_mu(s, t)
+    return t, (r - mu) / lam
+
+
+# Each chart's inverse: its image bands (an index per point, -1 off the
+# image) and, per band, the source point's height and radius as functions of
+# (s, t, r, ts).  R1Outer and R2Outer invert from the cusp core, in radius
+# bands of units t^s [0,1/6]/[1/6,1/2]/[1/2,1] and [0,1/2]/[1/2,1]; R1Inner
+# from the R1 collar.
+_INVERSES = {
+    ChartId.R1Outer: (
+        lambda params, t, r, ts: _core_band(t, r, ts, 6.0, 2.0),
+        # A: t' = -t, x' = |t'|^(s-1) x / 6; B: radial profile
+        # (tau/6) t'^(s-1) + t'^s/3 at |x| = t'; C: lam x + mu x/|x|
+        (lambda s, t, r, ts: (-t, 6.0 * r * t ** (1.0 - s)),
+         lambda s, t, r, ts: ((6.0 * r - 2.0 * ts) * t ** (1.0 - s), t),
+         _source_C)),
+    ChartId.R1Inner: (
+        _collar_band,
+        (lambda s, t, r, ts: (-t, r * (-t) ** (s - 1.0) / 6.0),
+         lambda s, t, r, ts: (t, (r - (3.0 * t - ts) / 2.0) / (1.5 * (1.0 - t ** (1.0 - s)))),
+         lambda s, t, r, ts: (r, (t + 3.0 * r) * r ** (s - 1.0) / 12.0))),
+    ChartId.R2Outer: (
+        lambda params, t, r, ts: _core_band(t, r, ts, 2.0),
+        (lambda s, t, r, ts: (-t, 2.0 * r),
+         lambda s, t, r, ts: (4.0 * t * r / ts - 3.0 * t, ts))),
+}
+
+
 def invert_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form inverse of the chart on a point batch, dispatched on the
-    image bands: R1Outer and R2Outer invert from the cusp core (radius bands
-    in units of t^s: [0,1/6]/[1/6,1/2]/[1/2,1] and [0,1/2]/[1/2,1]), R1Inner
-    from the R1 collar.  Cusp-boundary points return themselves; the first
-    point outside the chart's image raises ChartDomainError.
+    image bands (`_INVERSES`), each band's formula evaluated on its own
+    points alone.  Cusp-boundary points return themselves; the first point
+    outside the chart's image raises ChartDomainError.
     """
     t, X, r, ts = as_points(t, X, params)
-    s = params.s
     wall = on_cusp_wall(params, t, r, ts)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if chart is ChartId.R1Inner:
-            # the image is the R1 collar; the bands are the collar regions
-            # in the order A, C, B, so a tie at r = t goes to C
-            a = 1.5 * (1.0 - t ** (1.0 - s))
-            b = (3.0 * t - ts) / 2.0
-            in_a, in_b, in_c = region_masks(params, ChartId.R1Outer, t, r, ts)
-            bands = [in_a, in_c, in_b]
-            src_t = [-t, t, r]
-            src_r = [r * (-t) ** (s - 1.0) / 6.0, (r - b) / a,
-                     (t + 3.0 * r) * r ** (s - 1.0) / 12.0]
-        else:
-            core = _CHART_SHAPES[ChartId.R1Inner](t, r, ts)  # the wall overrides r = t^s
-            if chart is ChartId.R1Outer:
-                # A: t' = -t, x' = |t'|^(s-1) x / 6; B: radial profile
-                # (tau/6) t'^(s-1) + t'^s/3 at |x| = t'; C: lam x + mu x/|x|
-                lam, mu, _, _ = _lam_mu(s, t)
-                bands = [core & (r <= ts / 6.0), core & (r <= ts / 2.0), core]
-                src_t = [-t, (6.0 * r - 2.0 * ts) * t ** (1.0 - s), t]
-                src_r = [6.0 * r * t ** (1.0 - s), t, (r - mu) / lam]
-            else:
-                bands = [core & (r <= ts / 2.0), core]
-                src_t = [-t, 4.0 * t * r / ts - 3.0 * t]
-                src_r = [2.0 * r, ts]
-    if bad := first_flagged(~wall & ~select_first(bands, [True] * len(bands), False), t, X):
+    bands, sources = _INVERSES[chart]
+    band = bands(params, t, r, ts)
+    if bad := first_flagged(~wall & (band < 0), t, X):
         raise _domain_error(chart, params, bad[1])
-    T = np.where(wall, t, select_first(bands, src_t, 0.0))
-    return T, np.where(wall[:, None], X, _along(select_first(bands, src_r, 0.0), X, r))
+    T, R = t.copy(), np.zeros(t.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, m in key_rows(np.where(wall, -1, band), range(len(sources))):
+            T[m], R[m] = sources[i](params.s, t[m], r[m], ts[m])
+    return T, np.where(wall[:, None], X, _along(R, X, r))
 
 
 def invert(chart: ChartId, params: CuspParams, w) -> Point:

@@ -1,12 +1,14 @@
 """One region-table pass per point batch.
 
 `classify_profile`, the extension's evaluation sites and its chart dispatch
-all read one pass over the region table (`geometry._locate`).  The guard
-tests count `region_masks` calls per batch call; the reference tests keep
-the site rule the extension used before the pass, which read the labels of
-`classify_profile` one by one and located the chart points with
-`piece_index`, and require the same sites, piece indices, values and errors
-on mixed batches that reach every label.
+all read one pass over the region table (`geometry._locate`), which computes
+the masks of the charts its caller reads: both of the scheme's for the
+classification, the chart each extension direction composes through for the
+extension.  The guard tests record the `region_masks` calls per batch call;
+the reference tests keep the site rule the extension used before the pass,
+which read the labels of `classify_profile` one by one and located the chart
+points with `piece_index`, and require the same sites, piece indices, values
+and errors on mixed batches that reach every label.
 """
 
 import numpy as np
@@ -65,9 +67,14 @@ def probe(spec):
     return PowerAlpha(0.7) if spec.direction is Direction.FromInside else ClampT()
 
 
+def spec_chart(spec):
+    """The chart the extension composes through."""
+    return spec.outer_chart if spec.direction is Direction.FromInside else ChartId.R1Inner
+
+
 def chart_batch(params, spec, count=20, seed=3):
     """Points of every piece of the chart the extension composes through."""
-    chart = spec.outer_chart if spec.direction is Direction.FromInside else ChartId.R1Inner
+    chart = spec_chart(spec)
     ts, Xs = [], []
     for label in chart_regions(chart):
         t, X = sample_region_points(params, spec.scheme, label, Shell(3), count, seed)
@@ -76,15 +83,15 @@ def chart_batch(params, spec, count=20, seed=3):
     return np.concatenate(ts), np.concatenate(Xs)
 
 
-@pytest.mark.parametrize("spec,passes", list(zip(SPECS, [2, 2, 1])))
-def test_extend_eval_points_locates_once(monkeypatch, params, spec, passes):
-    # one mask list per chart of the scheme, from the one locate pass; the
-    # chart evaluation reads the pass's piece index
+@pytest.mark.parametrize("spec", SPECS)
+def test_extend_eval_points_locates_once(monkeypatch, params, spec):
+    # one mask list, of the chart the direction composes through (outward the
+    # outer chart, inward R1Inner), from the one locate pass; the chart
+    # evaluation reads the pass's piece index
     t, X = chart_batch(params, spec)
     calls = spy_region_masks(monkeypatch)
     extension.extend_eval_points(spec, params, probe(spec), t, X)
-    assert len(calls) == passes
-    assert set(calls) == set(geometry.SCHEME_CHARTS[spec.scheme])
+    assert calls == [spec_chart(spec)]
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -92,7 +99,16 @@ def test_extend_gradient_points_locates_once(monkeypatch, params, spec):
     t, X = chart_batch(params, spec)
     calls = spy_region_masks(monkeypatch)
     extension.extend_gradient_points(spec, params, probe(spec), t, X)
-    assert len(calls) == len(geometry.SCHEME_CHARTS[spec.scheme])
+    assert calls == [spec_chart(spec)]
+
+
+@pytest.mark.parametrize("scheme", ["R1", "R2"])
+def test_classify_profile_locates_once(monkeypatch, params, scheme):
+    # the classification reads the masks of every chart of the scheme, once
+    t, X = chart_batch(params, SPECS[0] if scheme == "R1" else SPECS[2])
+    calls = spy_region_masks(monkeypatch)
+    classify_profile(params, scheme, t, radii(X))
+    assert calls == list(geometry.SCHEME_CHARTS[scheme])
 
 
 @pytest.mark.parametrize("chart", list(ChartId))

@@ -142,18 +142,22 @@ def check_shell_measure_sums(params: CuspParams):
 
 
 def check_sampler_hit_rate(params: CuspParams, count: int = 400, seed: int = 7):
-    """sample_region output classifies back to its region, every time."""
+    """sample_region output classifies back to its region, every time: one
+    classification per scheme of all its (region, shell) draws, each drawn
+    from its own stream."""
     misses = 0
     total = 0
     cases = [(scheme_of(chart), lab) for chart in ChartId for lab in chart_regions(chart)]
     # under R1 the cusp core splits into the inner pieces, so the plain
     # cusp-interior label is only reachable through scheme R2 here
     cases += [("R2", RegionLabel.CuspInterior)]
-    for scheme, label in cases:
-        for k in (1, 3, 8, 20):
-            t, X = sample_region_points(params, scheme, label, Shell(k), count, seed)
-            total += t.size
-            misses += int(np.sum(classify_profile(params, scheme, t, radii(X)) != label))
+    for scheme in SCHEME_CHARTS:
+        draws = [(label, sample_region_points(params, scheme, label, Shell(k), count, seed))
+                 for case, label in cases if case == scheme for k in (1, 3, 8, 20)]
+        t, X = _joined(draw for _, draw in draws)
+        want = np.repeat([label for label, _ in draws], [draw[0].size for _, draw in draws])
+        total += t.size
+        misses += int(np.sum(classify_profile(params, scheme, t, radii(X)) != want))
     return InvariantResult.of("geometry.sampler_hit_rate", total, misses, 0)
 
 
@@ -265,7 +269,8 @@ def check_image_bands(params: CuspParams, samples: int = 2000, seed: int = 7):
 
 
 def check_equivariance(params: CuspParams, samples: int = 200, seed: int = 7):
-    """apply commutes with rotations of the cross-section."""
+    """apply commutes with rotations of the cross-section: one batch of every
+    piece's draw per chart, each row rotated by its own piece's rotation."""
     rng = derive_rng(seed, 0, "equivariance")
     n = params.n
     worst = 0.0
@@ -275,14 +280,18 @@ def check_equivariance(params: CuspParams, samples: int = 200, seed: int = 7):
         return (q @ X[:, :, None])[:, :, 0]
 
     for chart in (ChartId.R1Outer, ChartId.R2Outer, ChartId.R1Inner):
+        draws, qs = [], []
         for label in chart_regions(chart):
-            t, X = sample_region_points(params, scheme_of(chart), label, Shell(3), samples, seed)
-            q, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
-            T, X_img = reflections.apply_points(chart, params, t, X)
-            T_rot, X_rot = reflections.apply_points(chart, params, t, rotate(q, X))
-            worst = max(worst, float(np.max(np.abs(T_rot - T))),
-                        float(np.max(np.abs(X_rot - rotate(q, X_img)))))
-            total += t.size
+            draws.append(sample_region_points(params, scheme_of(chart), label, Shell(3),
+                                              samples, seed))
+            qs.append(np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0])
+        t, X = _joined(draws)
+        q = np.repeat(qs, [draw[0].size for draw in draws], axis=0)  # each row's rotation
+        T, X_img = reflections.apply_points(chart, params, t, X)
+        T_rot, X_rot = reflections.apply_points(chart, params, t, rotate(q, X))
+        worst = max(worst, float(np.max(np.abs(T_rot - T))),
+                    float(np.max(np.abs(X_rot - rotate(q, X_img)))))
+        total += t.size
     return InvariantResult.of("reflections.equivariance", total, worst, 1e-12)
 
 

@@ -287,11 +287,15 @@ def cmd_extendnorm(args) -> int:
     _write_manifest(
         out, args,
         {"verdict": report.verdict.kind, "u_norm": report.u_norm, "ratio": report.ratio,
+         "log_u_norm": report.log_u_norm, "log_ext_norm": report.log_ext_norm,
          "processes": report.processes},
         wall,
     )
+    u_norm = f12(report.u_norm)
+    if not 2.0 ** -1022 <= report.u_norm < math.inf and math.isfinite(report.log_u_norm):
+        u_norm = f"exp({f12(report.log_u_norm)})"  # past the normal floats: its log
     print(f"extendnorm verdict: {report.verdict.kind} "
-          f"(u-norm {f12(report.u_norm)}, ratio {f12(report.ratio)}) -> {out}")
+          f"(u-norm {u_norm}, ratio {f12(report.ratio)}) -> {out}")
     return 0
 
 

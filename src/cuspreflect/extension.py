@@ -497,12 +497,16 @@ def _window_loop(u: TestFunction, p: float) -> tuple:
 @dataclass
 class ExtensionNormReport:
     """Shell-resolved L^q masses of the composed extension and its verdict,
-    with the processes its shell loop ran on."""
+    with the processes its shell loop ran on.  `log_u_norm` and
+    `log_ext_norm` are the logs of the W^{1,p} norm of u and of the W^{1,q}
+    norm of its extension, finite where a norm leaves the float range."""
 
     value_sum: ShellSum
     grad_sum: ShellSum
     total_sum: ShellSum
     u_norm: float
+    log_u_norm: float
+    log_ext_norm: float
     ratio: float
     verdict: Verdict
     processes: int
@@ -559,8 +563,8 @@ def extension_norm_experiment(
         ratio = ext_norm / u_norm
     else:  # 0 / 0 for the zero function
         ratio = math.inf if ext_norm > 0.0 else 0.0
-    return ExtensionNormReport(value_sum, grad_sum, total_sum, u_norm, ratio, verdict,
-                               processes)
+    return ExtensionNormReport(value_sum, grad_sum, total_sum, u_norm, float(log_u_norm),
+                               float(log_ext_norm), ratio, verdict, processes)
 
 
 # ---------------------------------------------------------------------------

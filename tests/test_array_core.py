@@ -590,15 +590,19 @@ def test_shifted_wall_image_fails_fixity(params, monkeypatch):
 
 def test_mislabelled_sample_fails_hit_rate(params, monkeypatch):
     assert checks.check_sampler_hit_rate(params, 20, 1).passed
+    calls = []
 
     def mislabel(params, scheme, t, r):
+        # row 0 of every 20-point draw of the scheme's joined batch
+        calls.append(scheme)
         labels = classify_profile(params, scheme, t, r)
-        labels[0] = RegionLabel.OutsideNeighborhood
+        labels[::20] = RegionLabel.OutsideNeighborhood
         return labels
 
     monkeypatch.setattr(checks, "classify_profile", mislabel)
     res = checks.check_sampler_hit_rate(params, 20, 1)
     assert not res.passed and res.worst_error == 36  # one per (region, shell) draw
+    assert calls == ["R1", "R2"]  # one classification per scheme
 
 
 @pytest.mark.parametrize("n,s", PARAMS)

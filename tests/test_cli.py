@@ -13,7 +13,7 @@ from conftest import force_split, negate_entry, package_env, spy_draws
 import cuspreflect
 import cuspreflect.reflections as refl
 from cuspreflect import cli
-from cuspreflect.cli import main
+from cuspreflect.cli import f12, main
 from cuspreflect.errors import WindowError
 
 
@@ -453,6 +453,20 @@ class TestExtendnorm:
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert (manifest["ratio"], manifest["u_norm"]) == (0.0, 0.0)
 
+    def test_norm_past_float_range_reads_its_log(self, tmp_path, capsys):
+        # at n = 200 the norm of u underflows to 0: the manifest carries the
+        # logs of both norms, and the summary prints the norm as exp(log)
+        out = tmp_path / "en.csv"
+        assert run_cli(["extendnorm", "--n", "200", "--p", "2", "--q", "1.2",
+                        "--samples", "256", "--out", str(out)]) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["u_norm"] == 0.0
+        assert math.isfinite(manifest["log_u_norm"]) and math.isfinite(manifest["log_ext_norm"])
+        assert manifest["ratio"] == pytest.approx(
+            math.exp(manifest["log_ext_norm"] - manifest["log_u_norm"]), rel=1e-12)
+        printed = capsys.readouterr().out
+        assert f"(u-norm exp({f12(manifest['log_u_norm'])}), ratio " in printed
+
 
 class TestTooFewShells:
     """A shell range too short for a verdict is refused before any draw, with
@@ -533,6 +547,16 @@ class TestVerify:
             "error: RegionE has no exponent pair with e in [-0.9, -0.35) and "
             "1 <= q < q_max - 0.05 at n=6, s=4\n")
         assert not out.exists()
+
+    def test_n_200_warns_nothing(self, tmp_path, capsys):
+        # the signed det overflows past n ~ 100 and reads -inf without a numpy
+        # RuntimeWarning (an error under this suite's warning filter); the run
+        # then stops at region E's exponent check, with its documented exit 3
+        out = tmp_path / "verify.csv"
+        assert run_cli(["verify", "--n", "200", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: RegionE has no exponent pair with e in [-0.9, -0.35) and "
+            "1 <= q < q_max - 0.05 at n=200, s=2\n")
 
     def test_rare_region_e_pairs_raise_window_error(self):
         import cuspreflect.checks as checks

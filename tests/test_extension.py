@@ -393,6 +393,20 @@ class TestNormExperiment:
         assert 0.0 < rep.ratio < math.inf
         assert rep.ratio == pytest.approx(math.exp(log_ext - log_u), rel=1e-12)
 
+    def test_report_carries_the_norms_logs(self, params):
+        # at n = 200 the norm of u underflows to 0 and its log stays finite;
+        # where the norms are normal floats, the logs are theirs
+        spec = ExtensionSpec("R1", Direction.FromInside)
+        rep = extension_norm_experiment(CuspParams(200, 2.0), spec, PowerAlpha(1.4), 2.0, 1.2,
+                                        shells(5, 30), 256, 42)
+        assert rep.u_norm == 0.0
+        assert math.isfinite(rep.log_u_norm) and math.isfinite(rep.log_ext_norm)
+        assert rep.ratio == pytest.approx(math.exp(rep.log_ext_norm - rep.log_u_norm), rel=1e-12)
+        rep = extension_norm_experiment(params, spec, PowerAlpha(1.4), 2.0, 1.1,
+                                        shells(5, 12), 256, 42)
+        assert math.exp(rep.log_u_norm) == pytest.approx(rep.u_norm, rel=1e-12)
+        assert math.exp(rep.log_ext_norm) == pytest.approx(rep.ratio * rep.u_norm, rel=1e-12)
+
 
 def clampt_region_e_grad(n, s, q, k):
     """Exact gradient L^q mass of clamp(t, 0, 1) o R over region E /\\ shell k:

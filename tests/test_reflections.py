@@ -551,6 +551,19 @@ class TestConstantEntries:
         assert log_op[0] == np.inf
         assert log_det[0] == np.log(T_r[0] * phi_t[0]) + 2.0 * np.log(phi[0] / r[0])
 
+    def test_signed_det_past_float_range(self):
+        # at n = 200 the inner band 1's stretch 6 t^(1-s) = 600 makes
+        # det2 * tang^198 overflow: the signed det reads -inf, without a numpy
+        # warning (an error under this suite's filter), the log form stays finite
+        params = CuspParams(200, 2.0)
+        t, X = np.array([0.01, 0.02]), np.array([[1e-5] + [0.0] * 198, [2e-5] + [0.0] * 198])
+        _, _, _, det = refl.profile_jet(RegionLabel.InnerPiece1, params, t, X[:, 0])
+        assert np.array_equal(det, [-np.inf, -np.inf])
+        _, _, _, det, _ = refl.differential_points(ChartId.R1Inner, params, t, X)
+        assert np.array_equal(det, [-np.inf, -np.inf])
+        _, log_det = refl.profile_log_jet(RegionLabel.InnerPiece1, params, t, X[:, 0])
+        assert np.isfinite(log_det).all()
+
 
 @pytest.mark.parametrize("label", PIECE_POINTS)
 @pytest.mark.parametrize("evaluate", [refl.piece_profile, refl.profile_jet, refl.profile_log_jet])

@@ -143,8 +143,7 @@ def check_shell_measure_sums(params: CuspParams):
 
 def check_sampler_hit_rate(params: CuspParams, count: int = 400, seed: int = 7):
     """sample_region output classifies back to its region, every time: one
-    classification per scheme of all its (region, shell) draws, each drawn
-    from its own stream."""
+    classification per scheme of all its (region, shell) draws."""
     misses = 0
     total = 0
     cases = [(scheme_of(chart), lab) for chart in ChartId for lab in chart_regions(chart)]
@@ -270,7 +269,7 @@ def check_image_bands(params: CuspParams, samples: int = 2000, seed: int = 7):
 
 def check_equivariance(params: CuspParams, samples: int = 200, seed: int = 7):
     """apply commutes with rotations of the cross-section: one batch of every
-    piece's draw per chart, each row rotated by its own piece's rotation."""
+    piece's draw per chart, each rotated by its own q."""
     rng = derive_rng(seed, 0, "equivariance")
     n = params.n
     worst = 0.0
@@ -280,11 +279,9 @@ def check_equivariance(params: CuspParams, samples: int = 200, seed: int = 7):
         return (q @ X[:, :, None])[:, :, 0]
 
     for chart in (ChartId.R1Outer, ChartId.R2Outer, ChartId.R1Inner):
-        draws, qs = [], []
-        for label in chart_regions(chart):
-            draws.append(sample_region_points(params, scheme_of(chart), label, Shell(3),
-                                              samples, seed))
-            qs.append(np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0])
+        draws = [sample_region_points(params, scheme_of(chart), label, Shell(3), samples, seed)
+                 for label in chart_regions(chart)]
+        qs = [np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0] for _ in draws]
         t, X = _joined(draws)
         q = np.repeat(qs, [draw[0].size for draw in draws], axis=0)  # each row's rotation
         T, X_img = reflections.apply_points(chart, params, t, X)

@@ -205,17 +205,14 @@ def _eval_site(spec: ExtensionSpec, params: CuspParams, t, X, r, ts):
     region-table pass (`geometry._locate`); the first point outside the
     extension's reach raises ChartDomainError.
 
-    Each direction's pass reads the masks of its own chart alone.  Outward,
-    the site and the piece follow from the classification step: a collar
-    region's step is the first outer-chart mask that holds the point, and an
-    inner-band point, without the inner chart's masks, takes the step
-    CuspInterior, of the same site.  Inward, chart membership is tested
-    through the inner chart's closures, so closure edges (such as t = 1/2 on
-    the cusp core) compose fine; the step only splits the rest into native
-    and off-domain points, and a point of A, B or C, without the outer
-    chart's masks, takes the step OutsideNeighborhood, of the same site.
-    Out-of-reach steps come before the steps left out, so the error labels
-    are the classification's.
+    The pass reads the masks of the direction's own chart alone; a point of
+    the other chart's regions takes a later step of the same site
+    (CuspInterior, OutsideNeighborhood), after every out-of-reach step.
+    Outward, the site and the piece follow from the classification step: a
+    collar region's step is the first outer-chart mask that holds the point.
+    Inward, chart membership is tested through the inner chart's closures,
+    so closure edges (such as t = 1/2 on the cusp core) compose fine; the
+    step only splits the rest into native and off-domain points.
     """
     inside = spec.direction is Direction.FromInside
     chart = spec.outer_chart if inside else ChartId.R1Inner
@@ -243,9 +240,8 @@ def extend_eval_points(spec: ExtensionSpec, params: CuspParams, u: TestFunction,
 
 
 def _extend_eval(spec: ExtensionSpec, params: CuspParams, u: TestFunction, t, X, r, ts):
-    """`extend_eval_points` on a gated batch (`as_points`): u(t) on the
-    native points, and on the _CHART points, which lie on the chart and off
-    the cusp wall, u(T) of their piece's T-row alone."""
+    """`extend_eval_points` on a gated batch (`as_points`); a _CHART point,
+    on the chart and off the cusp wall, reads its piece's T-row alone."""
     site, chart, _, idx = _eval_site(spec, params, t, X, r, ts)
     regions = chart_regions(chart)
     native = len(regions)

@@ -385,26 +385,22 @@ def _chart_profile(chart: ChartId, params: CuspParams, idx, t, r, ts=None, profi
     from `piece_index`), then, given the batch's cusp radii `ts` (the
     gate's), its interface gap and kink gap (without `profile`, the gap rows
     alone); nan off the chart.  A batch that lies in one piece gets that
-    piece's rows as they are: its constant entries are Python floats, and T
-    is t itself on C and P3.  Any other gets a buffer of rows."""
+    piece's rows as they are, its constant entries floats; any other a
+    buffer of rows."""
     regions = chart_regions(chart)
     pieces = key_rows(idx, range(len(regions)))
-    if pieces and isinstance(pieces[0][1], slice):  # one piece holds every row
-        return _piece_rows(regions[pieces[0][0]], params, t, r, ts, profile)
-    out = np.full((6 * profile + 2 * (ts is not None), idx.size), np.nan)
+    if not (pieces and isinstance(pieces[0][1], slice)):
+        out = np.full((6 * profile + 2 * (ts is not None), idx.size), np.nan)
     for i, m in pieces:
-        rows = _piece_rows(regions[i], params, t[m], r[m], None if ts is None else ts[m], profile)
+        label, tm, rm = regions[i], t[m], r[m]
+        rows = ((piece_profile(label, params, tm, rm) if profile else ())
+                + (_PIECES[label][2](tm, rm, ts[m]) if ts is not None else ()))
+        if isinstance(m, slice):  # one piece holds every row
+            return rows
         # row by row: a piece's constant entries are floats
         for j, row in enumerate(rows):
             out[j, m] = row
     return out
-
-
-def _piece_rows(label: RegionLabel, params: CuspParams, t, r, ts, profile: bool) -> tuple:
-    """A piece's `_chart_profile` rows: its profile with `profile`, its gaps
-    given `ts`."""
-    return ((piece_profile(label, params, t, r) if profile else ())
-            + (_PIECES[label][2](t, r, ts) if ts is not None else ()))
 
 
 def fd_step(t, r) -> np.ndarray:
@@ -497,8 +493,8 @@ def _differential_located(chart: ChartId, params: CuspParams, t, X, r, ts, wall,
     pos = r > 0.0
     u_hat = np.where(pos[:, None], X / np.where(pos, r, 1.0)[:, None], np.eye(1, params.n - 1))
     M = _jacobian_matrices(u_hat, T_t, T_r, phi_t, phi_r, tang)
-    # a copy of T where it is t itself, so that no caller returns its input
-    return T.copy() if T is t else T, _along(phi, X, r), M, det, opnorm
+    # T is (a view of) t itself on a one-piece batch of C or P3: a copy
+    return T.copy() if np.may_share_memory(T, t) else T, _along(phi, X, r), M, det, opnorm
 
 
 def differential(chart: ChartId, params: CuspParams, z) -> Jet:
@@ -554,67 +550,54 @@ def differential_fd(chart: ChartId, params: CuspParams, z, h: float | None = Non
     return differential_fd_points(chart, params, [p.t], p.x[None, :], h)[0]
 
 
-def _core_band(t, r, ts, *tops):
-    """Index of the image band of the cusp core that holds each point, -1 off
-    the core: the first whose radius r <= ts / top, the last for the rest."""
-    core = _CHART_SHAPES[ChartId.R1Inner](t, r, ts)  # the wall overrides r = t^s
-    return select_first([core & (r <= ts / top) for top in tops] + [core],
-                        range(len(tops) + 1), -1)
-
-
-def _collar_band(params: CuspParams, t, r, ts):
-    """Index of the R1 collar region that holds each point in the order A,
-    C, B (a tie at r = t goes to C), -1 off the collar."""
-    in_a, in_b, in_c = region_masks(params, ChartId.R1Outer, t, r, ts)
-    return select_first([in_a, in_c, in_b], range(3), -1)
-
-
 def _source_C(s: float, t, r, ts):
     lam, mu, _, _ = _lam_mu(s, t)
     return t, (r - mu) / lam
 
 
-# Each chart's inverse: its image bands (an index per point, -1 off the
-# image) and, per band, the source point's height and radius as functions of
-# (s, t, r, ts).  R1Outer and R2Outer invert from the cusp core, in radius
-# bands of units t^s [0,1/6]/[1/6,1/2]/[1/2,1] and [0,1/2]/[1/2,1]; R1Inner
-# from the R1 collar.
+# Each chart's inverse per image band (see `invert_points`): the source
+# point's height and radius as functions of (s, t, r, ts).
 _INVERSES = {
-    ChartId.R1Outer: (
-        lambda params, t, r, ts: _core_band(t, r, ts, 6.0, 2.0),
-        # A: t' = -t, x' = |t'|^(s-1) x / 6; B: radial profile
-        # (tau/6) t'^(s-1) + t'^s/3 at |x| = t'; C: lam x + mu x/|x|
-        (lambda s, t, r, ts: (-t, 6.0 * r * t ** (1.0 - s)),
-         lambda s, t, r, ts: ((6.0 * r - 2.0 * ts) * t ** (1.0 - s), t),
-         _source_C)),
-    ChartId.R1Inner: (
-        _collar_band,
-        (lambda s, t, r, ts: (-t, r * (-t) ** (s - 1.0) / 6.0),
-         lambda s, t, r, ts: (t, (r - (3.0 * t - ts) / 2.0) / (1.5 * (1.0 - t ** (1.0 - s)))),
-         lambda s, t, r, ts: (r, (t + 3.0 * r) * r ** (s - 1.0) / 12.0))),
-    ChartId.R2Outer: (
-        lambda params, t, r, ts: _core_band(t, r, ts, 2.0),
-        (lambda s, t, r, ts: (-t, 2.0 * r),
-         lambda s, t, r, ts: (4.0 * t * r / ts - 3.0 * t, ts))),
+    # A: t' = -t, x' = |t'|^(s-1) x / 6; B: radial profile
+    # (tau/6) t'^(s-1) + t'^s/3 at |x| = t'; C: lam x + mu x/|x|
+    ChartId.R1Outer: (lambda s, t, r, ts: (-t, 6.0 * r * t ** (1.0 - s)),
+                      lambda s, t, r, ts: ((6.0 * r - 2.0 * ts) * t ** (1.0 - s), t),
+                      _source_C),
+    ChartId.R1Inner: (lambda s, t, r, ts: (-t, r * (-t) ** (s - 1.0) / 6.0),
+                      lambda s, t, r, ts: (t, (r - (3.0 * t - ts) / 2.0)
+                                           / (1.5 * (1.0 - t ** (1.0 - s)))),
+                      lambda s, t, r, ts: (r, (t + 3.0 * r) * r ** (s - 1.0) / 12.0)),
+    ChartId.R2Outer: (lambda s, t, r, ts: (-t, 2.0 * r),
+                      lambda s, t, r, ts: (4.0 * t * r / ts - 3.0 * t, ts)),
 }
 
 
 def invert_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form inverse of the chart on a point batch, dispatched on the
-    image bands (`_INVERSES`), each band's formula evaluated on its own
-    points alone.  Cusp-boundary points return themselves; the first point
+    image bands, each band's formula (`_INVERSES`) on its own points alone:
+    R1Outer and R2Outer invert from the cusp core (radius bands in units of
+    t^s: [0,1/6]/[1/6,1/2]/[1/2,1] and [0,1/2]/[1/2,1]), R1Inner from the
+    R1 collar.  Cusp-boundary points return themselves; the first point
     outside the chart's image raises ChartDomainError.
     """
     t, X, r, ts = as_points(t, X, params)
     wall = on_cusp_wall(params, t, r, ts)
-    bands, sources = _INVERSES[chart]
-    band = bands(params, t, r, ts)
+    if chart is ChartId.R1Inner:
+        # the image is the R1 collar; the bands are the collar regions in the
+        # order A, C, B, so a tie at r = t goes to C
+        in_a, in_b, in_c = region_masks(params, ChartId.R1Outer, t, r, ts)
+        bands = [in_a, in_c, in_b]
+    else:
+        core = _CHART_SHAPES[ChartId.R1Inner](t, r, ts)  # the wall overrides r = t^s
+        bands = [core & (r <= ts / top) for top in ((6.0, 2.0) if chart is ChartId.R1Outer
+                                                   else (2.0,))] + [core]
+    band = select_first(bands, range(len(bands)), -1)
     if bad := first_flagged(~wall & (band < 0), t, X):
         raise _domain_error(chart, params, bad[1])
     T, R = t.copy(), np.zeros(t.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, m in key_rows(np.where(wall, -1, band), range(len(sources))):
-            T[m], R[m] = sources[i](params.s, t[m], r[m], ts[m])
+        for i, m in key_rows(np.where(wall, -1, band), range(len(bands))):
+            T[m], R[m] = _INVERSES[chart][i](params.s, t[m], r[m], ts[m])
     return T, np.where(wall[:, None], X, _along(R, X, r))
 
 

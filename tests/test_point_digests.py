@@ -605,14 +605,14 @@ def batch_entries(params):
     for spec in SPECS:
         site, chart, _, _ = ref_eval_site(spec, params, t, X)
         idx, interface, _ = own_gaps(chart, params, t, r)
+        smooth = (site == 1) | ((site == 2) & (idx >= 0) & (interface > 0.0))
         for entry, rows in (("extend_eval_points", site >= 0),
                             ("extend_global_points", site >= 0),
-                            ("extend_gradient_points",
-                             (site == 1) | ((site == 2) & (idx >= 0) & (interface > 0.0)))):
+                            ("extend_gradient_points", smooth)):
             for key in (0, 1, 2):
                 yield (f"{entry} {spec.scheme} {spec.direction.value} site {key}",
                        partial(getattr(extension, entry), spec, params, probe(spec)),
-                       rows & (site == key) & ((key != 0) | (entry != "extend_gradient_points")))
+                       rows & (site == key))
     yield "cutoff_psi_points", partial(extension.cutoff_psi_points, params), np.ones(t.size, bool)
 
 

@@ -76,6 +76,8 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_manifest(path: Path, args, extra: dict, wall: float) -> None:
+    """The run's JSON manifest, strict JSON: a non-finite float is written
+    as the string "inf", "-inf" or "nan"."""
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -84,8 +86,21 @@ def _write_manifest(path: Path, args, extra: dict, wall: float) -> None:
         **extra,
     }
     with open(path.with_suffix(path.suffix + ".manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+        json.dump(_finite_json(manifest), fh, indent=2, sort_keys=True, default=str,
+                  allow_nan=False)
         fh.write("\n")
+
+
+def _finite_json(value):
+    """`value` with every non-finite float, in nested dicts and lists too,
+    replaced by its string "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ class PowerAlpha:
             raise WindowError(f"power exponent must be positive, got {self.alpha}")
 
     def _check(self, t):
-        if np.less_equal(t, 0.0).any():
+        if np.count_nonzero(np.less_equal(t, 0.0)):
             raise ValueError("t^(-alpha) probe is only defined for t > 0")
 
     def value_t(self, t):
@@ -320,12 +320,15 @@ def _dist_to_domain(params: CuspParams, t, r):
     s = params.s
     t_col, r_col = t[:, None], r[:, None]
     rows = np.arange(t.size)
-    sigma, tau, tau_s = _first_grid(s)
+    nodes, sigma, tau, tau_s = _first_grid(s)
     step = 1.0 / (TAU_NODES - 1)
     best = np.full(t.size, np.inf)
     for stage in range(TAU_STAGES):
-        if stage:
-            sigma = lo + step * np.arange(TAU_NODES)
+        if stage:  # refine around the last stage's best node
+            centre = (sigma[rows, i] if stage > 1 else sigma[i])[:, None]
+            lo = np.maximum(centre - step, 0.0)
+            step = (np.minimum(centre + step, 1.0) - lo) / (TAU_NODES - 1)
+            sigma = lo + step * nodes
             tau = sigma * sigma
             tau_s = tau**s
         gap = t_col - tau
@@ -335,20 +338,19 @@ def _dist_to_domain(params: CuspParams, t, r):
         gap += radial
         i = gap.argmin(axis=1)
         best = np.minimum(best, gap[rows, i])
-        centre = (sigma[rows, i] if stage else sigma[i])[:, None]
-        lo = np.maximum(centre - step, 0.0)
-        step = (np.minimum(centre + step, 1.0) - lo) / (TAU_NODES - 1)
     d_ball = np.maximum(0.0, np.hypot(t - BALL_CENTER_T, r) - BALL_RADIUS)
     return np.minimum(np.sqrt(best), d_ball)
 
 
 @lru_cache(maxsize=16)
-def _first_grid(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first stage's nodes sigma over [0, 1], tau = sigma^2 and tau^s,
-    the same for every point: read-only, kept for the last few s."""
-    sigma = 1.0 / (TAU_NODES - 1) * np.arange(TAU_NODES)
+def _first_grid(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The node numbers 0, ..., TAU_NODES - 1 and the first stage's nodes
+    sigma over [0, 1], tau = sigma^2 and tau^s, the same for every point:
+    read-only, kept for the last few s."""
+    nodes = np.arange(TAU_NODES)
+    sigma = 1.0 / (TAU_NODES - 1) * nodes
     tau = sigma * sigma
-    grid = sigma, tau, tau**s
+    grid = nodes, sigma, tau, tau**s
     for a in grid:
         a.flags.writeable = False
     return grid
@@ -380,7 +382,8 @@ def _cutoff_psi(params: CuspParams, t, r, ts):
               | (np.hypot(t - BALL_CENTER_T, r) <= BALL_RADIUS)
               | ((t == 0.0) & (r == 0.0)))
     psi = np.where(domain, 1.0, 0.0)
-    between = (psi == 0.0) & (reflections.piece_index(ChartId.R1Outer, params, t, r, ts) >= 0)
+    in_a, in_b, in_c = geometry.region_masks(params, ChartId.R1Outer, t, r, ts)
+    between = ~domain & (in_a | in_b | in_c)
     for _, m in key_rows(between, (True,)):
         tb, rb = t[m], r[m]
         d_out = _dist_to_collar_complement(params, tb, rb)

@@ -75,7 +75,7 @@ class Point:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(-1))
-        if not (math.isfinite(self.t) and np.isfinite(self.x).all()):
+        if not (math.isfinite(self.t) and all(map(math.isfinite, self.x.tolist()))):
             raise ValueError("point has non-finite coordinates")
 
     @property
@@ -83,7 +83,9 @@ class Point:
         return float(radii(self.x))
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.t], self.x))
+        z = np.empty(self.x.size + 1)
+        z[0], z[1:] = self.t, self.x
+        return z
 
     def __repr__(self):  # keeps failure output short in tests
         xs = ",".join(f"{v:.6g}" for v in self.x)
@@ -177,7 +179,7 @@ def cusp_radius(params: CuspParams, t) -> np.ndarray:
 
 def first_flagged(bad: np.ndarray, t, X) -> tuple[int, Point] | None:
     """Index and Point of the first flagged row of a point batch, if any."""
-    if not bad.any():
+    if not np.count_nonzero(bad):
         return None
     i = int(np.argmax(bad))
     return i, Point(t[i], X[i])
@@ -277,7 +279,7 @@ _REGIONS = {
     RegionLabel.RegionA: (ChartId.R1Outer, _RegionQuad("cone", sign=-1),
                           lambda t, r, ts, s: (-0.5 < t) & (t <= 0.0) & (r <= -t)),
     RegionLabel.RegionB: (ChartId.R1Outer, _RegionQuad("slab"),
-                          lambda t, r, ts, s: (np.abs(t) < 0.5) & (np.abs(t) <= r) & (r < 0.5)),
+                          lambda t, r, ts, s: ((a := np.abs(t)) < 0.5) & (a <= r) & (r < 0.5)),
     RegionLabel.RegionC: (ChartId.R1Outer, _RegionQuad("cwedge"),
                           lambda t, r, ts, s: (0.0 <= t) & (t < 0.5) & (ts <= r) & (r <= t)),
     RegionLabel.InnerPiece1: (ChartId.R1Inner, _RegionQuad("band", c_hi=1.0 / 6.0),
@@ -340,7 +342,7 @@ def region_masks(params: CuspParams, chart: ChartId, t, r, ts=None) -> list[np.n
     masks = [_REGIONS[label][2](t, r, ts, params.s) for label in chart_regions(chart)]
     if chart in _CHART_SHAPES:
         inside = _CHART_SHAPES[chart](t, r, ts)
-        masks = [inside & mask for mask in masks]
+        masks = [inside if mask is True else inside & mask for mask in masks]
     return masks
 
 
@@ -389,7 +391,12 @@ def on_cusp_wall(params: CuspParams, t, r, ts=None):
     r = np.asarray(r, dtype=float)
     if ts is None:
         ts = cusp_radius(params, t)
-    return (t > 0) & (t <= 1.0) & (np.abs(r - ts) <= REL_TOL * np.maximum(ts, r))
+    return _near_wall((t > 0) & (t <= 1.0), r, ts)
+
+
+def _near_wall(span, r, ts):
+    """`on_cusp_wall` given the mask `span` of the cusp's heights 0 < t <= 1."""
+    return span & (np.abs(r - ts) <= REL_TOL * np.maximum(ts, r))
 
 
 # The classification steps of each scheme: Origin, BoundaryCusp, under R1
@@ -409,10 +416,12 @@ def _first_step(masks) -> np.ndarray:
     """Per point, the index of the first true mask, and len(masks) where
     none is: one argmax over the masks laid side by side with a column of
     True.  For the nine to eleven steps of a scheme it costs less than a
-    chain of `np.where` on one-row batches and no more on large ones."""
-    side = np.empty((*np.shape(masks[0]), len(masks) + 1), dtype=bool)
+    chain of `np.where` on one-row batches and no more on large ones.  A
+    mask that is the constant False (a left-out chart's) is not copied."""
+    side = np.zeros((*masks[0].shape, len(masks) + 1), dtype=bool)
     for i, mask in enumerate(masks):
-        side[..., i] = mask
+        if mask is not False:
+            side[..., i] = mask
     side[..., -1] = True
     return side.argmax(axis=-1)
 
@@ -425,7 +434,8 @@ def _locate(params: CuspParams, scheme: str, t, r, ts, charts):
     returns each point's step (an index into `_STEPS`), the wall mask, and
     the `region_masks` of each of `charts` by chart.  The steps of a chart
     left out hold no point, which then takes a later step."""
-    wall = on_cusp_wall(params, t, r, ts)
+    span = (t > 0) & (t <= 1.0)  # the cusp's heights, for the wall and CuspInterior
+    wall = _near_wall(span, r, ts)
     masks = {chart: region_masks(params, chart, t, r, ts) for chart in charts}
     ball = np.hypot(t - BALL_CENTER_T, r)
     steps = [np.hypot(t, r) <= ORIGIN_TOL, wall & ~(ball < BALL_RADIUS * (1.0 - REL_TOL))]
@@ -435,7 +445,7 @@ def _locate(params: CuspParams, scheme: str, t, r, ts, charts):
     elif scheme == "R1":
         steps += [False] * len(chart_regions(ChartId.R1Inner))
     outer = outer_chart(scheme)
-    steps += [(t > 0) & (t <= 1.0) & (r < ts), ball < BALL_RADIUS,
+    steps += [span & (r < ts), ball < BALL_RADIUS,
               *masks.get(outer, [False] * len(chart_regions(outer)))]
     return _first_step(steps), wall, masks
 

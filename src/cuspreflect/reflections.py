@@ -53,6 +53,7 @@ for the first point off the chart.  `apply`, `differential`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,7 +94,7 @@ from .geometry import (
 def _over(g, x):
     """g/x, and 0 where x is 0: g is a positive power of x, and the quotient
     only multiplies factors that vanish where x does on the piece's closure."""
-    return np.divide(g, x, out=np.zeros_like(g), where=x != 0.0)
+    return np.divide(g, x, out=np.zeros(g.shape), where=x != 0.0)
 
 
 def _T_reflected(params: CuspParams, t, _):
@@ -129,13 +130,16 @@ def _phi_B(params: CuspParams, t, r, _):
     return phi, phi_t, phi_r
 
 
-def _lam_mu(s: float, t):
+def _lam_mu(s: float, t, derivatives: bool = True):
+    """C's coefficients (lam, mu), then, with `derivatives`, (lam', mu')."""
     g = t ** (s - 1.0)
     gg = g * g
     den = 2.0 * (g - 1.0)
-    den2 = 2.0 * (g - 1.0) ** 2
     lam = g / den
     mu = g * t - gg * t / den
+    if not derivatives:
+        return lam, mu
+    den2 = 2.0 * (g - 1.0) ** 2
     lam_p = -(s - 1.0) * _over(g, t) / den2
     mu_p = s * g - (2.0 * s - 1.0) * gg / den + (s - 1.0) * (gg * g) / den2
     return lam, mu, lam_p, mu_p
@@ -455,15 +459,27 @@ class Jet:
 
 def _jacobian_matrices(u_hat, T_t, T_r, phi_t, phi_r, tang) -> np.ndarray:
     """(N, n, n) differentials [[T_t, T_r u^T], [phi_t u, tang (I - u u^T) +
-    phi_r u u^T]] from the profile block and the unit directions u."""
+    phi_r u u^T]] from the profile block and the unit directions u, each
+    block written into the matrices once."""
     count, m = u_hat.shape
-    uu = u_hat[:, :, None] * u_hat[:, None, :]
     M = np.empty((count, m + 1, m + 1))
     M[:, 0, 0] = T_t
-    M[:, 0, 1:] = np.reshape(T_r, (-1, 1)) * u_hat
-    M[:, 1:, 0] = np.reshape(phi_t, (-1, 1)) * u_hat
-    M[:, 1:, 1:] = tang[:, None, None] * (np.eye(m) - uu) + np.reshape(phi_r, (-1, 1, 1)) * uu
+    np.multiply(np.asarray(T_r)[..., None], u_hat, out=M[:, 0, 1:])
+    np.multiply(np.asarray(phi_t)[..., None], u_hat, out=M[:, 1:, 0])
+    uu = u_hat[:, :, None] * u_hat[:, None, :]
+    block = _eye(m) - uu
+    block *= tang[:, None, None]
+    np.add(block, np.multiply(np.asarray(phi_r)[..., None, None], uu, out=uu), out=M[:, 1:, 1:])
     return M
+
+
+@lru_cache(maxsize=16)
+def _eye(m: int) -> np.ndarray:
+    """np.eye(m), read-only, kept for the last few dimensions; its first row
+    is the axis direction."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
 
 
 def differential_points(chart: ChartId, params: CuspParams, t, X):
@@ -490,11 +506,14 @@ def _differential_located(chart: ChartId, params: CuspParams, t, X, r, ts, wall,
         raise InterfaceError(f"point {z!r} sits on an interface of "
                              f"{chart_regions(chart)[idx[i]].value}")
     tang, opnorm, det = _jet_algebra(params.n, r, T_t, T_r, phi, phi_t, phi_r)
+    # the unit directions x/|x|, once for the matrices and the image (`_along`)
     pos = r > 0.0
-    u_hat = np.where(pos[:, None], X / np.where(pos, r, 1.0)[:, None], np.eye(1, params.n - 1))
-    M = _jacobian_matrices(u_hat, T_t, T_r, phi_t, phi_r, tang)
+    u = X / np.where(pos, r, 1.0)[:, None]
+    pos = pos[:, None]
+    M = _jacobian_matrices(np.where(pos, u, _eye(params.n - 1)[:1]), T_t, T_r, phi_t, phi_r, tang)
     # T is (a view of) t itself on a one-piece batch of C or P3: a copy
-    return T.copy() if np.may_share_memory(T, t) else T, _along(phi, X, r), M, det, opnorm
+    T = T.copy() if np.may_share_memory(T, t) else T
+    return T, np.where(pos, phi[:, None] * u, 0.0), M, det, opnorm
 
 
 def differential(chart: ChartId, params: CuspParams, z) -> Jet:
@@ -551,7 +570,7 @@ def differential_fd(chart: ChartId, params: CuspParams, z, h: float | None = Non
 
 
 def _source_C(s: float, t, r, ts):
-    lam, mu, _, _ = _lam_mu(s, t)
+    lam, mu = _lam_mu(s, t, derivatives=False)
     return t, (r - mu) / lam
 
 
@@ -591,12 +610,13 @@ def invert_points(chart: ChartId, params: CuspParams, t, X) -> tuple[np.ndarray,
         core = _CHART_SHAPES[ChartId.R1Inner](t, r, ts)  # the wall overrides r = t^s
         bands = [core & (r <= ts / top) for top in ((6.0, 2.0) if chart is ChartId.R1Outer
                                                    else (2.0,))] + [core]
-    band = select_first(bands, range(len(bands)), -1)
-    if bad := first_flagged(~wall & (band < 0), t, X):
+    # a wall point takes the key len(bands), which no band's formula reads
+    band = select_first([wall, *bands], [len(bands), *range(len(bands))], -1)
+    if bad := first_flagged(band < 0, t, X):
         raise _domain_error(chart, params, bad[1])
     T, R = t.copy(), np.zeros(t.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, m in key_rows(np.where(wall, -1, band), range(len(bands))):
+        for i, m in key_rows(band, range(len(bands))):
             T[m], R[m] = _INVERSES[chart][i](params.s, t[m], r[m], ts[m])
     return T, np.where(wall[:, None], X, _along(R, X, r))
 

@@ -23,6 +23,24 @@ def run_cli(args):
     return main(args)
 
 
+def strict_json(text: str):
+    """Parse JSON text as RFC 8259 JSON: the bare constants NaN, Infinity and
+    -Infinity raise."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.fixture(autouse=True)
+def manifests_are_strict_json(tmp_path):
+    """Every manifest a test of this module writes under its tmp_path parses
+    as strict JSON."""
+    yield
+    for path in tmp_path.rglob("*.manifest.json"):
+        strict_json(path.read_text())
+
+
 def csv_rows(path) -> list[dict]:
     """The rows of a CSV file, keyed by its header."""
     with open(path, newline="") as fh:
@@ -452,6 +470,18 @@ class TestExtendnorm:
         assert "(u-norm 0, ratio 0)" in capsys.readouterr().out
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert (manifest["ratio"], manifest["u_norm"]) == (0.0, 0.0)
+
+    def test_manifest_writes_non_finite_floats_as_strings(self, tmp_path):
+        # the logs of the zero norms are -inf: strict JSON has no token for
+        # them, so the manifest writes the strings "inf", "-inf" and "nan"
+        out = tmp_path / "en.csv"
+        assert run_cli(["extendnorm", "--function", "const:0", "--p", "2", "--q", "1.1",
+                        "--samples", "64", "--k-max", "12", "--out", str(out)]) == 0
+        manifest = strict_json(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["log_u_norm"] == manifest["log_ext_norm"] == "-inf"
+        assert float(manifest["log_u_norm"]) == -math.inf
+        assert cli._finite_json({"a": [math.inf, -math.inf, math.nan], "b": (1.0, "x")}) == {
+            "a": ["inf", "-inf", "nan"], "b": [1.0, "x"]}
 
     def test_norm_past_float_range_reads_its_log(self, tmp_path, capsys):
         # at n = 200 the norm of u underflows to 0: the manifest carries the

@@ -43,6 +43,32 @@ class TestParams:
         with pytest.raises(ValueError):
             Point(0.1, [math.inf, 0.0])
 
+    @pytest.mark.parametrize("kind", [np.array, list, tuple])
+    @pytest.mark.parametrize("size", [2, 399])
+    @pytest.mark.parametrize("where", [0, -1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_point_screen_rejects_each_non_finite_entry(self, kind, size, where, bad):
+        # the first or last entry of x, in a cross section of n = 3 or n = 400
+        x = [0.25] * size
+        x[where] = bad
+        with pytest.raises(ValueError, match="^point has non-finite coordinates$"):
+            Point(0.1, kind(x))
+        with pytest.raises(ValueError, match="^point has non-finite coordinates$"):
+            Point(1, kind(x))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_point_screen_rejects_non_finite_t(self, t):
+        for x in ([0.0, 0.0], (1, 2), np.zeros(399)):
+            with pytest.raises(ValueError, match="^point has non-finite coordinates$"):
+                Point(t, x)
+
+    @pytest.mark.parametrize("x", [[0.0, 0.0], (1, 2), [3, -4], (1e308, -1e308),
+                                   np.full(399, 5e-324), np.arange(399), [[0.5], [0.25]]])
+    def test_point_screen_passes_finite_points(self, x):
+        p = Point(2, x)
+        assert p.t == 2 and p.x.dtype == float
+        assert np.array_equal(p.x, np.asarray(x, dtype=float).reshape(-1))
+
     def test_shell_interval(self):
         sh = Shell(2)
         assert sh.lo == 0.125 and sh.hi == 0.25

@@ -632,6 +632,38 @@ def test_outputs_share_no_memory_with_inputs(n, s):
 
 
 @pytest.mark.parametrize("n,s", PARAMS)
+def test_cached_constants_do_not_leak(n, s):
+    # the identity and its axis row are built once per dimension and are
+    # read-only; writing into a returned differential, image or batch output
+    # in place leaves the bits of the next call as they were
+    params = CuspParams(n, s)
+    eye = reflections._eye(n - 1)
+    assert eye is reflections._eye(n - 1)
+    assert not eye.flags.writeable and not eye[:1].flags.writeable
+    assert np.array_equal(eye, np.eye(n - 1))
+    t, X = mixed_batch(params)
+    for name, entry, rows in batch_entries(params):
+        if not name.startswith("differential_points") or not rows.any():
+            continue
+        want = digest(*entry(t[rows], X[rows]))
+        for a in entry(t[rows], X[rows]):
+            a[...] = np.nan
+        assert digest(*entry(t[rows], X[rows])) == want, name
+    # one-row jets off and on the axis, where the axis row is the direction
+    axis = np.zeros(n - 1)
+    for chart, z in ((ChartId.R1Outer, (0.1, np.full(n - 1, 0.02))),
+                     (ChartId.R2Outer, (-0.25, axis)), (ChartId.R1Inner, (0.25, axis))):
+        jet = reflections.differential(chart, params, z)
+        want = digest(jet.image.as_array(), jet.differential, jet.det, jet.opnorm)
+        jet.differential[...] = np.nan
+        jet.image.x[...] = np.nan
+        again = reflections.differential(chart, params, z)
+        assert digest(again.image.as_array(), again.differential, again.det,
+                      again.opnorm) == want, chart
+    assert np.array_equal(eye, np.eye(n - 1))
+
+
+@pytest.mark.parametrize("n,s", PARAMS)
 @pytest.mark.parametrize("spec", SPECS)
 def test_extension_values_compose_with_apply_points(n, s, spec):
     # the composite rows of extend_eval_points are u(T) of the chart's image,

@@ -431,18 +431,17 @@ def check_window_consistency(
         by_region = sobolev.distortion_sweeps(params, chart, regions, grid_cells, shl,
                                               samples_per_shell, seed)
         for region, sums in zip(regions, by_region):
+            # no critical curve where the exponent is constant (c_Q = c_P = 0)
+            constant = sobolev._EXPONENTS[region](n, s)[1:] == (0.0, 0.0)
             for (p, q), ss in zip(grid_cells, sums):
                 qm = sobolev.q_max(scheme, p, n, s)
                 cells += 1
                 verdict = sobolev.convergence_verdict(ss)
                 predicted = region_prediction(region, p, q, n, s)
-                near_curve = abs(q - qm) < 0.05 and region is not RegionLabel.RegionD
-                if verdict.kind == "Inconclusive":
-                    if not near_curve:
-                        bad += 1
-                elif (verdict.kind == "Convergent") != predicted:
-                    if not near_curve or region is RegionLabel.RegionD:
-                        bad += 1
+                near_curve = abs(q - qm) < 0.05 and not constant
+                if not near_curve and (verdict.kind == "Inconclusive"
+                                       or (verdict.kind == "Convergent") != predicted):
+                    bad += 1
     return InvariantResult.of("sobolev.window_consistency", cells, bad, 0)
 
 
@@ -451,8 +450,9 @@ _E_SINGULAR = (-0.9, -0.35)
 
 
 def _singular_side_q(p: float, e: float, n: int, s: float) -> float:
-    """The q at which region E's shell exponent at p is e."""
-    w = ((n - 1) * s - e) / (s - 1.0)
+    """The q at which region E's shell exponent at p is e, from its row."""
+    e0, _, c_P = sobolev._EXPONENTS[RegionLabel.RegionE](n, s)
+    w = (e0 - e) / c_P
     return w * p / (p + w)
 
 

@@ -17,9 +17,10 @@ exponent e (see `predicted_shell_exponent`); it converges iff e > -1.
 profile coordinates for many (p, q) cells and regions at once and
 `convergence_verdict` classifies the tail ratios.  The samples and the
 chart jet of a shell depend only on (seed, k, region), so a sweep draws
-each (region, shell) once; only region E's radial tilt, which depends on
-(p, q), reshapes the radii, block of cells by block of cells.
-`distortion_integral` is its one-cell case.
+each (region, shell) once; only a radial tilt, which depends on (p, q),
+reshapes the radii, block of cells by block of cells.  A region's exponents
+and tilt are read from its one row of `_EXPONENTS` (a new region is a new
+row).  `distortion_integral` is its one-cell case.
 
 The norm terms of a test function and of its extension run through
 `function_shell_loops`, whose shell primitive `shell_estimate` reduces
@@ -61,7 +62,6 @@ import numpy as np
 from . import reflections
 from .errors import WindowError
 from .geometry import (
-    COLLAR_REGIONS,
     ChartId,
     CuspParams,
     RegionLabel,
@@ -179,24 +179,29 @@ def _check_pq(p: float, q: float):
         raise WindowError(f"exponents must satisfy 1 <= q < p, got p={p}, q={q}")
 
 
-def predicted_shell_exponent(region: RegionLabel, p: float, q: float, n: int, s: float) -> float:
-    """Analytic power e with shell-k distortion mass ~ 2^(-k(e+1)).
+# The exponent table: each collar region's row (e0, c_Q, c_P) at (n, s).  In
+# the region's scale variable the shell volume has the power e0 and |J| the
+# power c_Q; opnorm has the radial singularity r^(-c_P/s), whose power
+# r^-(c_P pq/(s(p-q))) of the distortion is the sweep's radial tilt: sampling
+# the radii by it removes the variance of the radially unbounded factor.
+_EXPONENTS = {
+    **dict.fromkeys((RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC),
+                    lambda n, s: (n - 1, (n - 1) * (s - 1.0), 0.0)),
+    RegionLabel.RegionD: lambda n, s: ((n - 1) * s, 0.0, 0.0),
+    RegionLabel.RegionE: lambda n, s: ((n - 1) * s, 0.0, s - 1.0),
+}
 
-    The collar pieces of the first reflection all reduce to the 1-D integral
-    of t^((n-1) - (n-1)(s-1)q/(p-q)) in their scale variable; region E
-    reduces (after the radial integration) to t^((n-1)s - (s-1)pq/(p-q)),
-    and region D has constant distortion, so only its volume scaling
-    (n-1)s remains.  Convergence of the region integral <=> e > -1.
-    """
+
+def predicted_shell_exponent(region: RegionLabel, p: float, q: float, n: int, s: float) -> float:
+    """Analytic power e = e0 - (c_Q + c_P p) q/(p-q) of the region's row of
+    `_EXPONENTS`, with shell-k distortion mass ~ 2^(-k(e+1)).  Convergence
+    of the region integral <=> e > -1."""
     _check_pq(p, q)
     _check_params(n, s)
-    if region in (RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC):
-        return (n - 1) - (n - 1) * (s - 1.0) * q / (p - q)
-    if region is RegionLabel.RegionD:
-        return (n - 1) * s
-    if region is RegionLabel.RegionE:
-        return (n - 1) * s - (s - 1.0) * p * q / (p - q)
-    raise ValueError(f"no shell exponent for region {region.value}")
+    if (row := _EXPONENTS.get(region)) is None:
+        raise ValueError(f"no shell exponent for region {region.value}")
+    e0, c_Q, c_P = row(n, s)
+    return e0 - (c_Q + c_P * p) * q / (p - q)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +323,6 @@ class NonFiniteIntegrandError(RuntimeError):
 
     def __init__(self, region, shell):
         super().__init__(f"non-finite integrand values on {region.value}, shell {shell.k}")
-
-
-def _distortion_tilt(region: RegionLabel, p: float, q: float, s: float) -> float:
-    # Region E's integrand carries the radial power r^-((s-1)pq / (s(p-q)));
-    # matching the conditional sampling density to it removes the variance
-    # of the radially unbounded factor.
-    if region is RegionLabel.RegionE:
-        return (s - 1.0) * p * q / (s * (p - q))
-    return 0.0
 
 
 def _log_shell(log_measure: float, L: np.ndarray, region: RegionLabel, shell: Shell) -> np.ndarray:
@@ -583,9 +579,11 @@ def _shell_sums(params: CuspParams, loops, shells, samples: int, seed: int, widt
     mass or None) of each shell from one `geometry._log_shell_masses` pass.
     All the loops are one `_each_shell` loop of `width` (cells or terms) x
     shells x samples values, which splits if it is `splittable`.  An empty
-    `shells` raises ValueError before any draw."""
+    `shells` raises ValueError before any draw, and a `width` of 0 no draw."""
     if not shells:
         raise ValueError("the shell list is empty: a shell sum needs at least one shell")
+    if not width:
+        return [[] for _ in loops]
     runs = []
     for factory, region, extra in loops:
         measures, proposals = _log_shell_masses(params, region, shells)
@@ -603,8 +601,8 @@ def _shell_sums(params: CuspParams, loops, shells, samples: int, seed: int, widt
 def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
     """Column factory of a region of `distortion_sweeps`: column(j) is the
     log shell j of every cell, from one draw of the substream (seed, k,
-    region, "dist")."""
-    tilted = region is RegionLabel.RegionE
+    region, "dist"); untilted, the cells share one chart jet."""
+    tilted = tilts.any()
 
     def column(j):
         sh, (log_measure, log_proposal) = shells[j], masses[j]
@@ -676,15 +674,16 @@ def distortion_sweeps(
         _check_pq(p, q)
     regions = list(regions)
     for region in regions:
-        if region not in COLLAR_REGIONS:
+        if region not in _EXPONENTS:
             raise ValueError(f"distortion integral is defined on A..E, not {region.value}")
         if chart_of_region(region) is not chart:
             raise ValueError(f"{region.value} is not a piece of chart {chart.value}")
     P = np.array([[p * q / (p - q)] for p, q in cells])
     Q = np.array([[q / (p - q)] for p, q in cells])
+    c_Ps = [_EXPONENTS[region](params.n, params.s)[2] for region in regions]
     loops = [(_sweep_column, region,
-              (P, Q, np.array([[_distortion_tilt(region, p, q, params.s)] for p, q in cells])))
-             for region in regions]
+              (P, Q, np.array([[c_P * p * q / (params.s * (p - q))] for p, q in cells])))
+             for region, c_P in zip(regions, c_Ps)]
     return _shell_sums(params, loops, shells, samples_per_shell, seed, len(loops) * len(cells),
                        True)
 
@@ -820,9 +819,10 @@ def scaling_profile(
         prof = sample_profile(params, region, sh, samples_per_shell, rng)
         log_opnorm, log_absdet = reflections.profile_log_jet(region, params, prof.t, prof.r)
         opnorm = np.exp(log_opnorm)
-        # pair |J| with the geometric mean of the *sampled* scale variable,
-        # so exact power laws (region A) fit to machine precision
-        scale_var = prof.r if region is RegionLabel.RegionB else np.abs(prof.t)
+        # pair |J| with the geometric mean of the *sampled* scale variable
+        # (|t|, or the radii that region B's slab fixes), so exact power laws
+        # (region A) fit to machine precision
+        scale_var = np.abs(prof.t) if prof.fixed_r is None else prof.fixed_r
         rows.append(
             {
                 "k": sh.k,
@@ -836,12 +836,11 @@ def scaling_profile(
 
 
 def det_scaling_target(region: RegionLabel, n: int, s: float) -> float:
-    """Analytic log-log slope of |J| in the region's scale variable."""
-    if region in (RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC):
-        return (n - 1) * (s - 1.0)
-    if region in (RegionLabel.RegionD, RegionLabel.RegionE):
-        return 0.0
-    raise ValueError(f"no scaling target for {region.value}")
+    """Analytic log-log slope c_Q of |J| in the region's scale variable, from
+    its row of `_EXPONENTS`."""
+    if (row := _EXPONENTS.get(region)) is None:
+        raise ValueError(f"no scaling target for {region.value}")
+    return row(n, s)[1]
 
 
 def qmax_crossing(n: int, s: float) -> float:

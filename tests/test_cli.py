@@ -349,6 +349,17 @@ class TestSweep:
         rows = csv_rows(out)
         assert all(r["verdict"] == "WindowError" for r in rows)
 
+    def test_invalid_cells_alone_draw_nothing(self, tmp_path, monkeypatch):
+        # three WindowError rows, in the bytes they always had, and no shell
+        # drawn for the empty list of valid cells
+        force_split(monkeypatch, False)
+        draws = spy_draws(monkeypatch)
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--p", "2", "--q", "3", "--out", str(out)]) == 0
+        assert draws == []
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "232753a8794f6df37c8c1e94a78f0fc5b68e10157824e0d86f48e83554a3621b")
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "sweep.csv"
         run_cli(["sweep", "--scheme", "r1", "--p", "2", "--q", "1.0", "--samples",

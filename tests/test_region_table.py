@@ -1,16 +1,27 @@
-"""The region table against the region inequalities it replaced.
+"""The region tables against the formulas they replaced.
 
 `classify_profile`, `piece_index` and the collar bands of
 `invert_points(R1Inner)` each used to state the region inequalities
 themselves.  Those formulations are kept below as the references, and the
 table-driven functions must equal them bit for bit on every interface, every
 closure edge and the cusp wall, in both schemes and all three charts.
+
+Likewise `sobolev`'s shell exponent, radial tilt and det slope, and the
+inverse of region E's exponent in `checks`, each used to branch on the
+region; they now read the exponent table `sobolev._EXPONENTS`, and must
+equal the closed forms they had bit for bit, signs of zero included.
 """
+
+import ast
+import math
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import spy_draws
 
-from cuspreflect import geometry, reflections
+from cuspreflect import checks, geometry, reflections, sobolev
 from cuspreflect.errors import ChartDomainError
 from cuspreflect.geometry import (
     BALL_CENTER_T,
@@ -20,6 +31,7 @@ from cuspreflect.geometry import (
     ChartId,
     CuspParams,
     RegionLabel,
+    Shell,
     classify_profile,
     on_cusp_wall,
     radii,
@@ -209,9 +221,124 @@ def test_one_row_per_region_in_each_table():
     assert len(regions) == len(set(regions)) == 8
     assert all(geometry.chart_of_region(label) in ChartId for label in regions)
     assert set(reflections._PIECES) == set(regions)
+    assert set(sobolev._EXPONENTS) == set(geometry.COLLAR_REGIONS)
     assert set(geometry._REGIONS) == set(geometry.SAMPLEABLE) == {
         RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC, RegionLabel.RegionD,
         RegionLabel.RegionE, RegionLabel.CuspInterior, RegionLabel.InnerPiece1,
         RegionLabel.InnerPiece2, RegionLabel.InnerPiece3}
     with pytest.raises(ValueError, match="CuspInterior does not belong to any chart"):
         geometry.chart_of_region(RegionLabel.CuspInterior)
+
+
+# ---------------------------------------------------------------------------
+# The exponent table against the closed forms it replaced
+# ---------------------------------------------------------------------------
+
+_R1_COLLAR = (RegionLabel.RegionA, RegionLabel.RegionB, RegionLabel.RegionC)
+
+
+def ref_shell_exponent(region, p, q, n, s):
+    if region in _R1_COLLAR:
+        return (n - 1) - (n - 1) * (s - 1.0) * q / (p - q)
+    if region is RegionLabel.RegionD:
+        return (n - 1) * s
+    return (n - 1) * s - (s - 1.0) * p * q / (p - q)
+
+
+def ref_tilt(region, p, q, s):
+    if region is RegionLabel.RegionE:
+        return (s - 1.0) * p * q / (s * (p - q))
+    return 0.0
+
+
+def ref_det_target(region, n, s):
+    return (n - 1) * (s - 1.0) if region in _R1_COLLAR else 0.0
+
+
+def ref_singular_side_q(p, e, n, s):
+    w = ((n - 1) * s - e) / (s - 1.0)
+    return w * p / (p + w)
+
+
+def bits(values):
+    """Each value with its sign, so that 0.0 and -0.0 differ."""
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+# every cell of both schemes' acceptance grids at (3, 2) and (5, 1.5)
+GRID_CELLS = [cell for n, s in [(3, 2.0), (5, 1.5)] for scheme in geometry.SCHEME_CHARTS
+              for cell in checks.sweep_grid(CuspParams(n, s), scheme)]
+EXPONENT_PARAMS = list(product(range(3, 9), [1.2, 1.5, 2.0, 3.0, 4.0]))
+
+
+@pytest.mark.parametrize("n,s", EXPONENT_PARAMS)
+def test_exponents_match_closed_forms(n, s):
+    for region in geometry.COLLAR_REGIONS:
+        got = [sobolev.predicted_shell_exponent(region, p, q, n, s) for p, q in GRID_CELLS]
+        assert bits(got) == bits(ref_shell_exponent(region, p, q, n, s) for p, q in GRID_CELLS)
+        assert bits([sobolev.det_scaling_target(region, n, s)]) == bits(
+            [ref_det_target(region, n, s)])
+    # the ends of the targets `check_shell_exponent_match` draws, and each
+    # cell's own exponent
+    pairs = [(p, e) for p, q in GRID_CELLS
+             for e in (-0.9, -0.35, ref_shell_exponent(RegionLabel.RegionE, p, q, n, s))]
+    assert bits(checks._singular_side_q(p, e, n, s) for p, e in pairs) == bits(
+        ref_singular_side_q(p, e, n, s) for p, e in pairs)
+
+
+@pytest.mark.parametrize("n,s", EXPONENT_PARAMS)
+def test_sweep_tilts_match_closed_form(n, s, monkeypatch):
+    # the tilt column each region's loop hands to `_sweep_column`, and
+    # whether it tilts at all, caught before any draw
+    params = CuspParams(n, s)
+    caught = []
+    monkeypatch.setattr(sobolev, "_shell_sums", lambda params, loops, *args: caught.extend(loops))
+    for scheme in geometry.SCHEME_CHARTS:
+        chart = geometry.outer_chart(scheme)
+        sobolev.distortion_sweeps(params, chart, geometry.chart_regions(chart), GRID_CELLS,
+                                  [Shell(5)])
+    assert [region for _, region, _ in caught] == list(geometry.COLLAR_REGIONS)
+    for _, region, (_, _, tilts) in caught:
+        assert tilts.shape == (len(GRID_CELLS), 1)
+        assert bits(tilts[:, 0].tolist()) == bits(ref_tilt(region, p, q, s) for p, q in GRID_CELLS)
+        assert bool(tilts.any()) is (region is RegionLabel.RegionE)
+
+
+_NOT_COLLAR = (RegionLabel.InnerPiece1, RegionLabel.InnerPiece2, RegionLabel.InnerPiece3,
+               RegionLabel.CuspInterior)
+
+
+@pytest.mark.parametrize("region", _NOT_COLLAR, ids=lambda label: label.value)
+def test_regions_without_a_row_are_refused(region, monkeypatch):
+    draws = spy_draws(monkeypatch)
+    params = CuspParams(3, 2.0)
+    with pytest.raises(ValueError) as info:
+        sobolev.predicted_shell_exponent(region, 2.0, 1.1, 3, 2.0)
+    assert str(info.value) == f"no shell exponent for region {region.value}"
+    with pytest.raises(ValueError) as info:
+        sobolev.det_scaling_target(region, 3, 2.0)
+    assert str(info.value) == f"no scaling target for {region.value}"
+    # the inner bands' own chart, so that only the missing row refuses them
+    with pytest.raises(ValueError) as info:
+        sobolev.distortion_sweeps(params, ChartId.R1Inner, [region], [(2.0, 1.1)],
+                                  geometry.shells(5, 12), 64, 1)
+    assert str(info.value) == f"distortion integral is defined on A..E, not {region.value}"
+    assert draws == []
+
+
+def test_sobolev_names_collar_regions_only_in_the_exponent_table():
+    # a region's exponents are its row: no branch of sobolev names a collar
+    # region, by attribute or by string
+    names = {label.name for label in geometry.COLLAR_REGIONS}
+    tree = ast.parse(Path(sobolev.__file__).read_text())
+    table = [node for node in tree.body if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["_EXPONENTS"]]
+    assert len(table) == 1
+    inside = {id(node) for node in ast.walk(table[0])}
+    named = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in names
+                 or isinstance(node, ast.Constant) and node.value in names)
+             and id(node) not in inside]
+    assert named == []
+    assert len([node for node in ast.walk(table[0])
+                if isinstance(node, ast.Attribute) and node.attr in names]) == len(names)

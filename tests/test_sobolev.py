@@ -1156,6 +1156,8 @@ _EMPTY_SHELL_ENTRIES = {
     "distortion_sweeps": lambda params: distortion_sweeps(
         params, ChartId.R2Outer, [RegionLabel.RegionD, RegionLabel.RegionE], [(2.0, 1.1)], [],
         64, 1),
+    "distortion_sweeps-no-cells": lambda params: distortion_sweeps(
+        params, ChartId.R1Outer, geometry.chart_regions(ChartId.R1Outer), [], [], 64, 1),
     "sobolev_seminorm": lambda params: sobolev_seminorm(
         params, PowerAlpha(0.5), RegionLabel.CuspInterior, 2.0, [], 64, 1),
     "extension_norm_experiment": lambda params: extension_norm_experiment(

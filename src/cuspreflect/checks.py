@@ -258,7 +258,7 @@ def check_image_bands(params: CuspParams, samples: int = 2000, seed: int = 7):
     for label, (lo, hi) in _BANDS.items():
         for k in (1, 4, 9):
             rng = derive_rng(seed, k, label, salt="bands")
-            prof = sample_profile(params, label, Shell(k), samples, rng)
+            prof = sample_profile(params, label, [Shell(k)], samples, [rng])
             T, phi, _, _ = reflections.profile_jet(label, params, prof.t, prof.r)
             ts = T**params.s
             viol = np.maximum(lo * ts - phi, phi - hi * ts) / ts
@@ -318,7 +318,7 @@ def check_boundedness(params: CuspParams, samples: int = 2048, seed: int = 7):
         running = 0.0
         for k in range(5, 21):
             rng = derive_rng(seed, k, label, salt="bound")
-            prof = sample_profile(params, label, Shell(k), samples, rng)
+            prof = sample_profile(params, label, [Shell(k)], samples, [rng])
             _, _, opnorm, _ = reflections.profile_jet(label, params, prof.t, prof.r)
             mx = float(np.max(opnorm))
             if running > 0.0:

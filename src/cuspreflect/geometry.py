@@ -25,9 +25,9 @@ r.
 
 Dyadic shells stratify the singular integrals: shell k covers the region's
 scale variable (|t| for A, C, D, E and the inner bands; |x| for B) in
-[2^-(k+1), 2^-k].  `sample_profile` draws the scale variable, and the
-`ProfileSample` it returns draws the radius from its conditional band only
-on the first read of its `r`; `ProfileSample.profile` tilts the radial law.
+[2^-(k+1), 2^-k].  `sample_profile` draws the scale variable of a batch of
+shells; its `ProfileSample` draws the radius from its conditional band only
+on the first read of `r`, and `ProfileSample.profile` tilts the radial law.
 """
 
 from __future__ import annotations
@@ -615,15 +615,18 @@ def _power_icdf(lo, hi, m, u):
 
 def _scaled_icdf(low, u, inv_p, hi):
     """hi * (low + u (1 - low))^inv_p, built in the one buffer of 1 - low
-    (or of its product with u, where low is a scalar; of u^inv_p, where low
-    is the scalar 0, whose sum is u itself); an array low holds a value for
-    every sample.  A scalar low with a column of exponents takes the power
-    into a new buffer of one row per exponent."""
+    (or of its product with u, where low is a scalar or a column; of
+    u^inv_p, where low is the scalar 0, whose sum is u itself); an array low
+    holds a value for every sample.  A scalar low with a column of exponents
+    takes the power into a new buffer of one row per exponent."""
     if isinstance(low, float) and low == 0.0:
         x = u ** inv_p
     else:
         x = 1.0 - low
-        x *= u
+        if getattr(x, "shape", ())[-1:] == u.shape[-1:]:
+            x *= u
+        else:  # a scalar or a column of lows
+            x = x * u
         x += low
         if isinstance(inv_p, np.ndarray) and x.ndim < inv_p.ndim:
             x = x ** inv_p
@@ -652,16 +655,28 @@ def _log_power_norm(log_lo, log_hi, m):
         return out if log is None else np.where(log, np.log(span), out)
 
 
-def _strata(m1: int, m2: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Jittered m1 x m2 grid in the unit square, one sample per cell: the
-    jitters of u1 and then of u2 are one draw of the stream."""
-    u1, u2 = rng.random((2, m1, m2))
-    rows, cols = _strata_offsets(m1, m2)
-    u1 += rows
-    u1 /= m1
-    u2 += cols
-    u2 /= m2
-    return u1.ravel(), u2.ravel()
+def _uniforms(rngs, shape) -> np.ndarray:
+    """The generators' `random(shape)`: one generator's array, or the arrays
+    of several stacked."""
+    if len(rngs) == 1:
+        return rngs[0].random(shape)
+    u = np.empty((len(rngs), *shape))
+    for rng, block in zip(rngs, u):
+        rng.random(out=block)
+    return u
+
+
+def _strata(m1: int, m2: int, rngs, axes, jitter: bool = True) -> list[np.ndarray]:
+    """The coordinates `axes` (0: u1, 1: u2) of m1 x m2 samples in the unit
+    square per generator, from its next len(axes) m1 m2 doubles; with
+    `jitter`, one sample per cell of the grid, u1 jittered within its row of
+    cells and u2 within its column."""
+    u = _uniforms(rngs, (len(axes), m1, m2))
+    coords = [u[..., i, :, :] for i in range(len(axes))]
+    for axis, x in zip(axes, coords if jitter else ()):
+        x += _strata_offsets(m1, m2)[axis]
+        x /= (m1, m2)[axis]
+    return coords
 
 
 @lru_cache(maxsize=16)
@@ -706,7 +721,7 @@ class _once:
 
 @dataclass
 class ProfileSample:
-    """Weighted profile samples of region /\\ shell for quadrature, in logs.
+    """Weighted samples of region /\\ shell, a row per shell of a batch, in logs.
 
     mean(exp(log_weight) f(t, r)) estimates the measure-average of f; its
     log plus `log_measure` is the log of the shell integral.  The weight
@@ -774,6 +789,8 @@ class ProfileSample:
                                         and radial_tilt == 0.0):
             return self
         cap, log_lo, log_hi, log_z_r = self._tilt_frame
+        if isinstance(cap, np.ndarray) and np.all(radial_tilt <= cap):
+            cap = radial_tilt  # no shell's cap binds: the tilt stays a scalar
         radial_tilt = np.minimum(radial_tilt, cap)
         m_r = float(self.n - 2) - radial_tilt
         r = _power_icdf(self.lo_r, self.hi_r, m_r, self.u2)
@@ -789,107 +806,110 @@ class ProfileSample:
     @_once
     def _tilt_frame(self):
         """What every tilted `profile` of the sample shares, made on the
-        first: the tilt cap, log lo_r, log hi_r and the log normaliser z_r of
-        the untilted radial density."""
+        first: the tilt cap (a float, or a column of each shell's), log lo_r,
+        log hi_r and the log normaliser z_r of the untilted radial density."""
         nm2 = float(self.n - 2)
         # Cap the tilt so (lo/hi)^(m+1) stays in float range; the cells that
         # need variance reduction sit near the critical curve where the
         # natural tilt is about (n-1) + 1/s, far below the cap.
-        lo_min = float(np.min(self.lo_r))
-        if lo_min <= 0.0:
-            cap = nm2 + 0.99
-        else:
-            cap = (nm2 + 1.0) + 600.0 / max(1.0, -math.log(lo_min))
+        caps = [nm2 + 0.99 if lo_min <= 0.0 else (nm2 + 1.0) + 600.0 / max(1.0, -math.log(lo_min))
+                for lo_min in np.reshape(np.min(self.lo_r, axis=-1), -1).tolist()]
         with np.errstate(divide="ignore"):  # lo_r is 0 on axis bands
             log_lo, log_hi = np.log(self.lo_r), np.log(self.hi_r)
-        return cap, log_lo, log_hi, _log_power_norm(log_lo, log_hi, nm2)
+        return (caps[0] if len(caps) == 1 else np.array(caps)[:, None], log_lo, log_hi,
+                _log_power_norm(log_lo, log_hi, nm2))
 
 
 def sample_profile(
     params: CuspParams,
     label: RegionLabel,
-    shell: Shell,
+    shells,
     count: int,
-    rng: np.random.Generator,
+    rngs,
     stratify: bool = True,
     *,
-    log_measure: float | None = None,
-    log_proposal: float | None = None,
+    masses=None,
 ) -> ProfileSample:
-    """Draw weighted (t, r) quadrature samples from region /\\ shell.
+    """Draw weighted (t, r) quadrature samples from region /\\ shell for
+    each of the `shells`, each from its own generator of `rngs`, in one pass.
 
     The scale coordinate follows its exact power law when the normalisation
     is closed form (cone/slab/band, log weight the scalar 0.0); otherwise
     (C, E) a closed-form proposal plus a log importance weight is used.
     The radius follows the untilted conditional law in its band, formed on
-    its first read (see `ProfileSample`); the stream is drawn here all the
-    same.  Stratification is a jittered 2-D grid, so the effective count is
-    the enclosing m1*m2 grid size.  `log_measure` and, on regions C and E,
-    `log_proposal` are the shell's entries of `_log_shell_masses`, for
-    callers that made every shell's at once; the sample forms its log
-    weights and measure, and any masses not handed in, on the first read
-    of either (see `ProfileSample`).
+    its first read (see `ProfileSample`).  Stratification is a jittered 2-D
+    grid, so the effective count per shell is the enclosing m1*m2 grid
+    size; a stream gives u1, then u2, then region E's sign coin, and on
+    cones, bands and region C a stratified draw takes u2 from it only when
+    the band is formed.  `masses` holds each shell's (log measure, log
+    proposal mass or None) of `_log_shell_masses`, for callers that made
+    every shell's at once; the sample forms its log weights and measure,
+    and any masses not handed in, on the first read of either.
+
+    One shell gives flat arrays and Python-float scalars; J shells give
+    arrays (J, N), a row per shell, and their scalars (the scale interval,
+    (a/b)^p, proposal - measure, `ProfileSample._tilt_frame`'s tilt cap),
+    each computed as for one shell, as (J, 1) columns (`log_measure` (J,)).
+    So a row is its shell's one-shell sample bit for bit, except where a
+    shell's cap binds the tilt, whose column then rounds apart a shell whose
+    radial exponent is one of numpy's special-cased powers.
     """
     _require_sampleable(label)
     n, s = params.n, params.s
-    a, b = _shell_scale_interval(label, shell.lo, shell.hi)
-    if b <= a:
-        raise EmptyRegionError(f"shell {shell.k} misses the scale range of {label.value}")
+    bounds = [_shell_scale_interval(label, sh.lo, sh.hi) for sh in shells]
+    for shell, (a, b) in zip(shells, bounds):
+        if b <= a:
+            raise EmptyRegionError(f"shell {shell.k} misses the scale range of {label.value}")
     q = _REGIONS[label][1]
-
-    if stratify:
-        m1, m2 = _grid_shape(count)
-        u1, u2 = _strata(m1, m2, rng)
-        m = m1 * m2
-    else:
-        m = count
-        u1, u2 = rng.random(m), rng.random(m)
+    one = len(shells) == 1
+    stack = (lambda values: values[0]) if one else (lambda values: np.array(values)[:, None])
+    a, b = bounds[0] if one else np.array(bounds).T[..., None]
+    m1, m2 = _grid_shape(count) if stratify else (1, count)
+    shape = (m1 * m2,) if one else (len(shells), m1 * m2)
+    draw = lambda *axes: [x.reshape(shape) for x in _strata(m1, m2, rngs, axes, stratify)]
+    u1, u2 = draw(0) + [None] if stratify and q.kind in ("cone", "band", "cwedge") else draw(0, 1)
 
     log_w = None  # the scale draw's log weight less log(proposal / measure)
+    if q.kind == "ering":
+        # uniform proposal; true density ~ (1/2)^(s(n-1)) - xi^(s(n-1)), of
+        # total mass the measure
+        xi = a + (b - a) * u1
+        log_w = lambda: np.log1p(-_normal_power(2.0 * xi, s * (n - 1.0), 2.0 * min(bounds)[0]))
+        t = xi * np.where(_uniforms(rngs, (m1 * m2,)).reshape(shape) < 0.5, 1.0, -1.0)
+        band = lambda: (xi**s, np.full(shape, 0.5**s))
+    else:  # `_power_icdf` of the scale's power law, each shell's (a/b)^p a Python float
+        p = (s * (n - 1.0) if q.kind == "band" else n - 1.0) + 1.0
+        xi = _scaled_icdf(stack([(x / y) ** p for x, y in bounds]), u1, 1.0 / p, b)
+        t = xi if q.sign == 1 else -xi
     if q.kind == "cone":
-        xi = _power_icdf(a, b, n - 1.0, u1)
-        t = q.sign * xi
         band = lambda: (0.0, xi)
     elif q.kind == "band":
-        xi = _power_icdf(a, b, s * (n - 1.0), u1)
-        t = q.sign * xi
-
         def band():
             xi_s = xi**s
             return q.c_lo * xi_s if q.c_lo else 0.0, q.c_hi * xi_s
     elif q.kind == "slab":
-        xi = _power_icdf(a, b, n - 1.0, u1)
         u2 = _off_the_edges(u2)
         t = -xi + 2.0 * xi * u2
     elif q.kind == "cwedge":
         # proposal ~ xi^(n-1); true density ~ xi^(n-1) - xi^(s(n-1)), of
         # total mass the measure
-        xi = _power_icdf(a, b, n - 1.0, u1)
-        log_w = lambda: np.log1p(-_normal_power(xi, (s - 1.0) * (n - 1.0), a))
-        t = xi
+        log_w = lambda: np.log1p(-_normal_power(xi, (s - 1.0) * (n - 1.0), min(bounds)[0]))
         band = lambda: (xi**s, xi)
-    else:  # 'ering'
-        # uniform proposal; true density ~ (1/2)^(s(n-1)) - xi^(s(n-1)), of
-        # total mass the measure
-        xi = a + (b - a) * u1
-        log_w = lambda: np.log1p(-_normal_power(2.0 * xi, s * (n - 1.0), 2.0 * a))
-        t = xi * np.where(rng.random(m) < 0.5, 1.0, -1.0)
-        band = lambda: (xi**s, np.full(m, 0.5**s))
 
     def weights():
-        measure, proposal = log_measure, log_proposal
-        if measure is None or (proposal is None and log_w is not None):
-            measures, proposals = _log_shell_masses(params, label, [shell])
-            if measure is None:
-                measure = float(measures[0])
-            if proposal is None and proposals is not None:
-                proposal = float(proposals[0])
-        return (0.0 if log_w is None else log_w() + (proposal - measure)), measure
+        given = masses or [(None, None)] * len(shells)
+        if any(m is None or (p is None and log_w is not None) for m, p in given):
+            measures, proposals = _log_shell_masses(params, label, shells)
+            given = [(float(measures[j]) if m is None else m,
+                      float(proposals[j]) if p is None and proposals is not None else p)
+                     for j, (m, p) in enumerate(given)]
+        measure = given[0][0] if one else np.array([m for m, _ in given])
+        return (0.0 if log_w is None else log_w() + stack([p - m for m, p in given])), measure
 
     if q.kind == "slab":
-        return ProfileSample(n, t, weights, m, lambda: (None, None, u2), xi)
-    return ProfileSample(n, np.asarray(t, dtype=float), weights, m,
-                         lambda: (*band(), _off_the_edges(u2)))
+        return ProfileSample(n, t, weights, u1.size, lambda: (None, None, u2), xi)
+    return ProfileSample(n, np.asarray(t, dtype=float), weights, u1.size,
+                         lambda: (*band(), _off_the_edges(draw(1)[0] if u2 is None else u2)))
 
 
 def _normal_power(x, m: float, lo: float):
@@ -946,7 +966,7 @@ def sample_region_points(
     if count <= 0:
         raise ValueError("count must be positive")
     rng = derive_rng(seed, shell.k, label)
-    prof = sample_profile(params, label, shell, count, rng, stratify=False)
+    prof = sample_profile(params, label, [shell], count, [rng], stratify=False)
     dirs = random_directions(prof.count, params.n - 1, rng)
     return prof.t[:count], (prof.r[:, None] * dirs)[:count]
 

@@ -23,9 +23,9 @@ and tilt are read from its one row of `_EXPONENTS` (a new region is a new
 row).  `distortion_integral` is its one-cell case.
 
 The norm terms of a test function and of its extension run through
-`function_shell_loops`, whose shell primitive `shell_estimate` reduces
-every term of a (region, shell) from one draw of the substream (seed, k,
-region, salt).  Both plural forms hand their loops, one per region, to one
+`function_shell_loops`, whose primitive `shell_estimate` reduces every term
+of a block of a region's shells in one pass, each shell drawn once from its
+substream (seed, k, region, salt).  Both plural forms hand their loops, one per region, to one
 assembly (`_shell_sums`): one `geometry._log_shell_masses` pass per region
 gives the log measures of its shells (and regions C's and E's proposal
 masses), `_each_shell` runs the shells, and each row of the columns
@@ -41,8 +41,8 @@ processes by one rule, so a `sweep` or `extendnorm` command makes one
 split.  The second process is one shell worker per process, forked once
 the process's shell loops have done enough work to repay the fork, pinned
 to the other CPUs and kept until the process ends: it computes the odd
-shells with the serial code, and this process the even ones.  The split
-gives the serial bits and the serial first error.
+shells with the serial code, and this process the even ones, each in its
+own blocks.  The split gives the serial bits and the serial first error.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .geometry import (
     CuspParams,
     RegionLabel,
     Shell,
+    _grid_shape,
     _log_shell_masses,
     chart_of_region,
     check_scheme,
@@ -83,8 +84,9 @@ RATIO_DIVERGENT = 1.0
 VERDICT_TAIL = 4
 PARTIAL_SUM_CAP = 1e12
 MIN_SHELLS = 6
-# Values (cells x samples) that `distortion_sweeps` reduces in one block:
-# larger blocks save little time and raise peak memory.
+# Values of one block: cells x samples of a `distortion_sweeps` reduce,
+# terms x shells x samples of a `shell_estimate`.  Larger blocks raise peak
+# memory, and past it each block re-faults its pages (README.md).
 BLOCK_VALUES = 8192
 # Values (cells or terms x shells x samples) of the shell loops that could
 # split, the current one included, from which a process forks its shell
@@ -175,8 +177,8 @@ def check_shell_count(count: int):
 
 
 def _check_pq(p: float, q: float):
-    if not (1.0 <= q < p):
-        raise WindowError(f"exponents must satisfy 1 <= q < p, got p={p}, q={q}")
+    if not (1.0 <= q < p < math.inf):
+        raise WindowError(f"exponents must satisfy 1 <= q < p < inf, got p={p}, q={q}")
 
 
 # The exponent table: each collar region's row (e0, c_Q, c_P) at (n, s).  In
@@ -269,41 +271,33 @@ def convergence_verdict(shell_sum: ShellSum) -> Verdict:
 # Stratified shell quadrature
 # ---------------------------------------------------------------------------
 
-def shell_estimate(
-    params: CuspParams,
-    region: RegionLabel,
-    shell: Shell,
-    terms,
-    samples: int,
-    rng_seed_parts: tuple,
-    log_measure: float | None = None,
-    log_proposal: float | None = None,
-) -> list[float]:
-    """Stratified log estimates of the terms of one shell integral, all from
-    one draw of the substream (seed, k, region, salt) of `rng_seed_parts` =
-    (seed, k, salt).
+def shell_estimate(params: CuspParams, region: RegionLabel, shells, terms, samples: int,
+                   seed: int, salt: str, masses=None) -> list[list[float]]:
+    """Stratified log estimates of the terms of a block of shell integrals,
+    one list per shell of `shells`, each shell drawn once from its substream
+    (seed, k, region, salt) for all the terms.  The block is one pass: one
+    `sample_profile` of its shells, whose arrays hold a row per shell, then
+    per term one integrand call and one `_log_shell`; each shell's list
+    equals its one-shell block's bit for bit (see `sample_profile`).
 
     `terms` lists (integrand, radial_tilt) pairs.  `integrand(prof)` returns
-    log values of shape (N,) on `sample_profile`'s sample tilted by its
-    `profile(radial_tilt)`, or a stack (m, N) of m integrands, each row one
-    estimate; the terms of one tilt get the same samples.  Their result is a
-    new float array, which the estimate overwrites.  An untilted sample
-    draws its radii on the first read of `prof.r`, so an integrand that
-    reads t alone neither forms the radial band nor draws a radius.  A zero
-    log weight (cones, bands, the slab) is not added.  The result lists the
+    log values of the shape of `prof.t` on the sample tilted by its
+    `profile(radial_tilt)`, or a stack of m integrands, each one estimate;
+    the terms of one tilt get the same samples.  Their result is a new float
+    array, which the estimate overwrites.  An untilted sample draws its radii
+    on the first read of `prof.r`, so an integrand that reads t alone
+    neither forms the radial band nor draws a radius.  A zero log weight
+    (cones, bands, the slab) is not added.  A shell's list holds the
     `_log_shell` of each row, in term order: a nan raises
     NonFiniteIntegrandError, while inf values are kept, since genuinely
-    divergent exponents overflow by design.
-    `log_measure` and `log_proposal` are the shell's entries of
-    `geometry._log_shell_masses`, which `_shell_sums` makes for all of a
-    region's shells at once.
+    divergent exponents overflow by design.  `masses` holds each shell's
+    entries of `geometry._log_shell_masses`, which `_shell_sums` makes for
+    all of a region's shells at once.
     """
-    seed, k, salt = rng_seed_parts
-    rng = derive_rng(seed, k, region, salt=salt)
+    rngs = [derive_rng(seed, sh.k, region, salt=salt) for sh in shells]
     estimates = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        draw = sample_profile(params, region, shell, samples, rng, log_measure=log_measure,
-                              log_proposal=log_proposal)
+        draw = sample_profile(params, region, shells, samples, rngs, masses=masses)
         profiles = {}
         for integrand, tilt in terms:
             if tilt not in profiles:
@@ -312,10 +306,9 @@ def shell_estimate(
             L = integrand(prof)
             if isinstance(prof.log_weight, np.ndarray):  # a scalar log weight is 0.0
                 L += prof.log_weight
-            if L.ndim == 1:
-                L = L[None]
-            estimates += _log_shell(prof.log_measure, L, region, shell).tolist()
-    return estimates
+            L = L.reshape(-1, len(shells), prof.t.shape[-1])
+            estimates.append(_log_shell(prof.log_measure, L, region, shells))
+    return np.concatenate(estimates).T.tolist()
 
 
 class NonFiniteIntegrandError(RuntimeError):
@@ -325,18 +318,22 @@ class NonFiniteIntegrandError(RuntimeError):
         super().__init__(f"non-finite integrand values on {region.value}, shell {shell.k}")
 
 
-def _log_shell(log_measure: float, L: np.ndarray, region: RegionLabel, shell: Shell) -> np.ndarray:
-    """log(measure * mean(exp(L), axis=1)) row by row, or NonFiniteIntegrandError
-    on a nan in L.  Each row is shifted by its max so that no exp over- or
-    underflows; a row with an infinite max is not shifted, so an infinite L
-    gives an infinite shell and an all -inf row an empty one.  L is the
-    caller's scratch: it is shifted and exponentiated in place."""
-    top = L.max(axis=1)  # nan where a row holds a nan
+def _log_shell(log_measure, L: np.ndarray, region: RegionLabel, shells) -> np.ndarray:
+    """log(measure * mean(exp(L), axis=-1)) row by row, for L of shape (...,
+    J, N) on the J `shells` of log measures `log_measure` (a float or J), or
+    NonFiniteIntegrandError naming the first shell with a nan in its rows.
+    Each row is shifted by its max so that no exp over- or underflows; a row
+    with an infinite max is not shifted, so an infinite L gives an infinite
+    shell and an all -inf row an empty one.  A row reduces as a one-row
+    array does.  L is the caller's scratch, shifted and exponentiated in
+    place."""
+    top = L.max(axis=-1)  # nan where a row holds a nan
     if np.isnan(top).any():
-        raise NonFiniteIntegrandError(region, shell)
+        nan = np.isnan(top).reshape(-1, len(shells)).any(axis=0)
+        raise NonFiniteIntegrandError(region, shells[int(np.argmax(nan))])
     shift = np.where(np.isfinite(top), top, 0.0)
-    L -= shift[:, None]
-    return log_measure + shift + np.log(np.exp(L, out=L).sum(axis=1) / L.shape[1])
+    L -= shift[..., None]
+    return log_measure + shift + np.log(np.exp(L, out=L).sum(axis=-1) / L.shape[-1])
 
 
 class _Worker:
@@ -362,15 +359,24 @@ def _current_cpu() -> int | None:
         return None
 
 
-def _run_shells(column, js) -> tuple[list, int | None, Exception | None]:
-    """column(j) for j in js up to the first that raises: the columns before
-    it, that j (or None) and its error."""
+def _run_shells(blocks, js) -> tuple[list, int | None, Exception | None]:
+    """The columns of the shells js, block by block of `blocks(js)`, up to
+    the first shell that raises: the columns before it, that j (or None) and
+    its error.  A block of several shells that raises is rerun shell by
+    shell, so that the first failing shell raises its own error."""
     done = []
-    for j in js:
+    for block, part in blocks(js):
         try:
-            done.append(column(j))
+            done += block([i for _, i in part])
+            continue
         except Exception as exc:
-            return done, j, exc
+            if len(part) == 1:
+                return done, part[0][0], exc
+        for j, i in part:
+            try:
+                done += block([i])
+            except Exception as exc:
+                return done, j, exc
     return done, None, None
 
 
@@ -385,8 +391,8 @@ def _serve(tasks, results) -> None:
         except EOFError:
             return
         with np.errstate(**errstate):
-            column, count = _joined_column(loops)
-            odd = _run_shells(column, range(1, count, 2))[0]
+            blocks, count = _joined_column(loops)
+            odd = _run_shells(blocks, range(1, count, 2))[0]
         pickle.dump(odd, results, pickle.HIGHEST_PROTOCOL)
         results.flush()
 
@@ -477,23 +483,35 @@ def _reply(worker: _Worker) -> list | None:
 
 
 def _joined_column(loops):
-    """Column factory of the (factory, args, count) `loops` run as one loop,
-    and its shell count: column(j) is the column of shell j of the loops'
-    shells taken one loop after another, from the loop's own column
-    factory(*args)."""
-    index = [(column, i) for column, count in ((factory(*args), count)
-                                               for factory, args, count in loops)
-             for i in range(count)]
-    return (lambda j: index[j][0](index[j][1])), len(index)
+    """The blocks of the (factory, args, count) `loops` run as one loop, and
+    its shell count.  Shell j is shell i of one loop, the loops' shells taken
+    one loop after another; factory(*args) gives the loop's (block, rows):
+    block(shells i) makes their columns in one pass, at most `rows` of them.
+    blocks(js) splits js into runs of one loop's shells, at most its `rows`,
+    as (block, [(j, i), ...])."""
+    made = [(*factory(*args), count) for factory, args, count in loops]
+    index = [(block, rows, i) for block, rows, count in made for i in range(count)]
+
+    def blocks(js):
+        out = []
+        for j in js:
+            block, rows, i = index[j]
+            if out and out[-1][0] is block and len(out[-1][1]) < rows:
+                out[-1][1].append((j, i))
+            else:
+                out.append((block, [(j, i)]))
+        return out
+
+    return blocks, len(index)
 
 
 def _each_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list], int]:
-    """The columns column(j) of the shells j < count of each (factory, args,
-    count) loop of `loops`, column = factory(*args), one list per loop, with
-    the error of the serial loop over the loops in turn and in ascending j,
-    and the processes that made them (1 or 2).  The loops run as one loop
-    (`_joined_column`), so a call costs one worker round trip and one wait
-    at its end however many loops it has.
+    """The columns of the shells j < count of each (factory, args, count)
+    loop of `loops`, made in blocks of factory(*args), one list per loop,
+    with the error of the serial loop over the loops in turn and in
+    ascending j, and the processes that made them (1 or 2).  The loops run
+    as one loop (`_joined_column`), so a call costs one worker round trip
+    and one wait at its end however many loops it has.
 
     One rule decides the split.  A `splittable` loop of two shells or more,
     in a process that runs one Python thread and may run on two CPUs or more
@@ -510,10 +528,10 @@ def _each_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list]
     runs on (unpinned, the worker and its caller kept landing on one CPU);
     it stays for the life of the process and takes one task at a time over
     a pipe: the loops, whose factories are module-level functions, with
-    their pickled arguments and numpy's error state.  The worker builds its
-    own joined column and returns the columns of the odd shells up to its
-    first failure; this process runs the even shells meanwhile, then the odd
-    shells from the worker's failure on itself, up to its own first failure,
+    their pickled arguments and numpy's error state.  The worker returns the
+    columns of the odd shells up to its first failure; this process runs
+    the even shells meanwhile, then the odd shells from the worker's failure
+    on, up to its own first failure, each side in blocks of its own shells,
     so the first failing shell raises here with the serial loop's type and
     text.  A split costs a pipe round trip and a few pickles, about 0.3 ms;
     only the first pays the fork.
@@ -535,7 +553,7 @@ def _each_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list]
     `_stop_worker()` for the next split to see the patch.
     """
     global _unsplit_values
-    column, count = _joined_column(loops)
+    blocks, count = _joined_column(loops)
     if _worker is not None and _worker.owner != os.getpid():
         _forget_worker()  # a fork that bypassed `_forget_worker`
     splits = (splittable and count >= 2 and threading.active_count() == 1
@@ -547,7 +565,7 @@ def _each_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list]
     worker = (_worker or _start_worker()) if task else None
     reply = None
     if worker is None:
-        columns = [column(j) for j in range(count)]
+        columns, _, error = _run_shells(blocks, range(count))
     else:
         try:
             try:
@@ -555,7 +573,7 @@ def _each_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list]
                 worker.tasks.flush()
             except BrokenPipeError:  # the worker died after its last task
                 _stop_worker()
-            even, stop, error = _run_shells(column, range(0, count, 2))
+            even, stop, error = _run_shells(blocks, range(0, count, 2))
             reply = _reply(worker) if _worker is worker else None
         except BaseException:
             _stop_worker()
@@ -563,10 +581,13 @@ def _each_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list]
         if reply is None:
             _stop_worker()
         odd = reply or []
-        odd += [column(j) for j in range(1 + 2 * len(odd), count if stop is None else stop, 2)]
-        if error is not None:
-            raise error
-        columns = [(odd if j % 2 else even)[j // 2] for j in range(count)]
+        more, _, odd_error = _run_shells(blocks, range(1 + 2 * len(odd),
+                                                       count if stop is None else stop, 2))
+        error = error if odd_error is None else odd_error  # odd shells come before `stop`
+        odd += more
+        columns = [column for pair in zip(even, odd) for column in pair] + even[len(odd):]
+    if error is not None:
+        raise error
     ordered = iter(columns)
     return [[next(ordered) for _ in range(n)] for *_, n in loops], 1 if reply is None else 2
 
@@ -599,16 +620,16 @@ def _shell_sums(params: CuspParams, loops, shells, samples: int, seed: int, widt
 
 
 def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
-    """Column factory of a region of `distortion_sweeps`: column(j) is the
-    log shell j of every cell, from one draw of the substream (seed, k,
-    region, "dist"); untilted, the cells share one chart jet."""
+    """Block factory of a region of `distortion_sweeps`, a shell per block:
+    column(j), the log shell j of every cell, from one draw of the substream
+    (seed, k, region, "dist"); untilted, the cells share one chart jet."""
     tilted = tilts.any()
 
     def column(j):
         sh, (log_measure, log_proposal) = shells[j], masses[j]
         rng = derive_rng(seed, sh.k, region, salt="dist")
-        draw = sample_profile(params, region, sh, samples, rng,
-                              log_measure=log_measure, log_proposal=log_proposal)
+        draw = sample_profile(params, region, [sh], samples, [rng],
+                              masses=[(log_measure, log_proposal)])
         if not tilted:
             log_w = draw.log_weight
             log_op, log_det = reflections.profile_log_jet(region, params, draw.t, draw.r)
@@ -626,10 +647,10 @@ def _sweep_column(params, region, samples, seed, shells, masses, P, Q, tilts):
             if isinstance(log_w, np.ndarray):  # a scalar log weight is 0.0
                 L += log_w
             L -= np.multiply(Q[block], log_det, out=Q_log_det)
-            out[block] = _log_shell(draw.log_measure, L, region, sh)
+            out[block] = _log_shell(draw.log_measure, L[:, None], region, [sh])[:, 0]
         return out
 
-    return column
+    return (lambda block: [column(j) for j in block]), 1
 
 
 def distortion_sweeps(
@@ -706,14 +727,12 @@ def distortion_integral(
 
 
 def _norm_column(params, region, samples, seed, shells, masses, terms, salt):
-    """Column factory of a loop of `function_shell_loops`: column(j) is the
-    `shell_estimate` of shell j."""
-
-    def column(j):
-        sh = shells[j]
-        return shell_estimate(params, region, sh, terms, samples, (seed, sh.k, salt), *masses[j])
-
-    return column
+    """Block factory of a loop of `function_shell_loops`: a block is one
+    `shell_estimate` of its shells, at most BLOCK_VALUES values (terms x
+    shells x samples)."""
+    return (lambda block: shell_estimate(params, region, [shells[i] for i in block], terms,
+                                         samples, seed, salt, [masses[i] for i in block]),
+            max(1, BLOCK_VALUES // (len(terms) * math.prod(_grid_shape(samples)))))
 
 
 def _library_integrand(integrand) -> bool:
@@ -816,7 +835,7 @@ def scaling_profile(
     rows = []
     for sh in shells:
         rng = derive_rng(seed, sh.k, region, salt="scal")
-        prof = sample_profile(params, region, sh, samples_per_shell, rng)
+        prof = sample_profile(params, region, [sh], samples_per_shell, [rng])
         log_opnorm, log_absdet = reflections.profile_log_jet(region, params, prof.t, prof.r)
         opnorm = np.exp(log_opnorm)
         # pair |J| with the geometric mean of the *sampled* scale variable

@@ -84,14 +84,15 @@ def hex_sums(sums) -> list[list[str]]:
 
 
 def plant_nan_on_shells(monkeypatch, ks):
-    """A nan in the first value of every reduce of the shells ks, met by
-    whichever process computes the shell."""
+    """A nan in the first value of the first row of every reduce of the
+    shells ks, in whichever block and process computes the shell."""
     reduce = sobolev._log_shell
 
-    def planted(log_measure, L, region, shell):
-        if shell.k in ks:
-            L[0, 0] = np.nan
-        return reduce(log_measure, L, region, shell)
+    def planted(log_measure, L, region, shells):
+        for j, shell in enumerate(shells):
+            if shell.k in ks:
+                L[(0,) * (L.ndim - 2) + (j, 0)] = np.nan
+        return reduce(log_measure, L, region, shells)
 
     monkeypatch.setattr(sobolev, "_log_shell", planted)
 
@@ -123,14 +124,16 @@ def spy_rng(monkeypatch) -> list:
 
 
 def spy_draws(monkeypatch) -> list:
-    """Record the (region, k, sample) of every `sample_profile` call of
-    sobolev."""
+    """Record the (region, k, sample) of every shell of every `sample_profile`
+    call of sobolev, one entry per shell of a batch, which shares the
+    batch's sample."""
     draws = []
     sample_profile = sobolev.sample_profile
 
-    def spy(params, region, shell, *args, **kwargs):
-        draws.append((region, shell.k, sample_profile(params, region, shell, *args, **kwargs)))
-        return draws[-1][2]
+    def spy(params, region, shells, *args, **kwargs):
+        sample = sample_profile(params, region, shells, *args, **kwargs)
+        draws.extend((region, shell.k, sample) for shell in shells)
+        return sample
 
     monkeypatch.setattr(sobolev, "sample_profile", spy)
     return draws

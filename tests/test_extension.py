@@ -539,7 +539,7 @@ class TestNormReadsOnlyTheTRow:
 
     @pytest.mark.parametrize("label", list(geometry.COLLAR_REGIONS))
     def test_log_grad_T_matches_log_hypot(self, params, label):
-        prof = sample_profile(params, label, Shell(6), 256, derive_rng(2, 6, label))
+        prof = sample_profile(params, label, [Shell(6)], 256, [derive_rng(2, 6, label)])
         _, T_t, T_r = reflections.piece_T_row(label, params, prof.t, lambda: prof.r)
         shape = prof.t.shape
         want = np.log(np.hypot(np.broadcast_to(T_t, shape), np.broadcast_to(T_r, shape)))
@@ -564,7 +564,9 @@ def _plant_nan(monkeypatch, region):
 
 
 class TestNonFiniteNorm:
-    """A nan in a norm integrand raises at once, from the shell's one draw."""
+    """A nan in a norm integrand raises at once, with no redraw: the shell is
+    drawn in its block of shells, and once more alone when the block is rerun
+    shell by shell to find the first failing shell."""
 
     def test_raises_after_one_draw(self, monkeypatch, params):
         _plant_nan(monkeypatch, RegionLabel.RegionE)
@@ -575,7 +577,7 @@ class TestNonFiniteNorm:
                                       shells(5, 12), 64, 3)
         shell_calls = [c for c in calls if c[1:3] == (5, RegionLabel.RegionE)
                        and c[3].startswith("extval")]
-        assert shell_calls == [(3, 5, RegionLabel.RegionE, "extval")]
+        assert shell_calls == [(3, 5, RegionLabel.RegionE, "extval")] * 2
         assert calls[-1] == shell_calls[0]
 
     def test_extendnorm_exits_3(self, monkeypatch, tmp_path, capsys):
@@ -685,6 +687,94 @@ class TestNormSplit:
         assert outputs[0] == outputs[1]
 
 
+class TestShellBlocks:
+    """A norm loop evaluates blocks of consecutive shells in one pass, at
+    most BLOCK_VALUES values (terms x shells x samples) each: any block size
+    gives the one-shell blocks' bits and first error."""
+
+    _SHELLS = shells(5, 16)
+    _SAMPLES = 1024
+
+    def _all_sums(self, params, scheme, u):
+        spec = ExtensionSpec(scheme, Direction.FromInside)
+        loops = [extension._region_loop(params, u, 1.3, region)
+                 for region in geometry.chart_regions(spec.outer_chart)]
+        sums = sobolev.function_shell_loops(params, [*loops, extension._window_loop(u, 2.0)],
+                                            self._SHELLS, self._SAMPLES, 5)
+        semi = sobolev.sobolev_seminorm(params, u, RegionLabel.CuspInterior, 2.0, self._SHELLS,
+                                        self._SAMPLES, 5)
+        return [ss for pair in sums for ss in pair] + [semi]
+
+    @pytest.mark.parametrize("u", [PowerAlpha(1.4), ClampT(), Constant(0.0)],
+                             ids=["power", "clampt", "const0"])
+    @pytest.mark.parametrize("scheme", ["R1", "R2"])
+    def test_block_size_keeps_the_bits(self, monkeypatch, params, scheme, u):
+        # one shell per block (the per-shell loop), the default (blocks of 8
+        # shells, 4 on region E's two tilts) and a whole loop per block
+        whole = 2 * len(self._SHELLS) * self._SAMPLES
+        runs = {}
+        for values in (1, sobolev.BLOCK_VALUES, whole):
+            monkeypatch.setattr(sobolev, "BLOCK_VALUES", values)
+            for split in (False, True):
+                force_split(monkeypatch, split)
+                sums = self._all_sums(params, scheme, u)
+                assert {ss.processes for ss in sums} == {1 + split}
+                runs[values, split] = hex_sums(sums)
+                sobolev._stop_worker()  # the next worker forks with the next block size
+        assert len({str(run) for run in runs.values()}) == 1
+
+    def test_blocks_hold_several_shells(self, monkeypatch, params):
+        sizes = []
+        estimate = sobolev.shell_estimate
+
+        def spy(params, region, shells, *args, **kwargs):
+            sizes.append((region, len(shells)))
+            return estimate(params, region, shells, *args, **kwargs)
+
+        monkeypatch.setattr(sobolev, "shell_estimate", spy)
+        force_split(monkeypatch, False)
+        self._all_sums(params, "R2", PowerAlpha(1.4))
+        assert sizes == [(RegionLabel.RegionD, 8), (RegionLabel.RegionD, 4),
+                         (RegionLabel.RegionE, 4), (RegionLabel.RegionE, 4),
+                         (RegionLabel.RegionE, 4), (RegionLabel.CuspInterior, 8),
+                         (RegionLabel.CuspInterior, 4), (RegionLabel.CuspInterior, 8),
+                         (RegionLabel.CuspInterior, 4)]
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_nan_in_the_middle_of_a_block_names_its_shell(self, monkeypatch, params, split):
+        # serial, shell 9 sits in region A's block of shells 5-12; split, in
+        # this process's block of shells 5, 7, ..., 15 (the worker has 6, 8, ...)
+        plant_nan_on_shells(monkeypatch, {9})
+        draws = spy_draws(monkeypatch)
+        force_split(monkeypatch, split)
+        spec = ExtensionSpec("R1", Direction.FromInside)
+        with pytest.raises(sobolev.NonFiniteIntegrandError) as exc:
+            extension_norm_experiment(params, spec, PowerAlpha(1.4), 2.0, 1.3, self._SHELLS,
+                                      self._SAMPLES, 5)
+        assert str(exc.value) == "non-finite integrand values on RegionA, shell 9"
+        # the block, then its shells one at a time up to shell 9
+        block = list(range(5, 13)) if not split else list(range(5, 17, 2))
+        reruns = list(range(5, 10)) if not split else [5, 7, 9]
+        assert [k for region, k, _ in draws if region is RegionLabel.RegionA] == block + reruns
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_non_finite_p_is_refused_before_any_draw(monkeypatch, params, p):
+    # p = inf is no window: a WindowError, not a nan exponent or a
+    # NonFiniteIntegrandError on the first shell
+    draws = spy_draws(monkeypatch)
+    with pytest.raises(WindowError, match="1 <= q < p < inf"):
+        sobolev.predicted_shell_exponent(RegionLabel.RegionA, p, 2.0, 3, 2.0)
+    with pytest.raises(WindowError, match="1 <= q < p < inf"):
+        sobolev.distortion_integral(params, geometry.ChartId.R1Outer, RegionLabel.RegionA, p, 2.0,
+                                    shells(5, 12), 64, 3)
+    for scheme in ("R1", "R2"):
+        with pytest.raises(WindowError, match="1 <= q < p < inf"):
+            extension_norm_experiment(params, ExtensionSpec(scheme, Direction.FromInside),
+                                      PowerAlpha(0.4), p, 2.0, shells(5, 12), 64, 3)
+    assert draws == []
+
+
 # ---------------------------------------------------------------------------
 # The direction-drawing integrands that the t-only integrands replaced, kept
 # as the reference: each sample draws a uniform cross-section direction after
@@ -697,7 +787,7 @@ def reference_shell_estimate(params, region, shell, integrand, samples, seed_par
     seed, k, salt = seed_parts
     rng = derive_rng(seed, k, region, salt=salt)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        prof = sample_profile(params, region, shell, samples, rng).profile(radial_tilt)
+        prof = sample_profile(params, region, [shell], samples, [rng]).profile(radial_tilt)
         weighted = np.exp(prof.log_weight) * integrand(prof.t, prof.r, rng)
         if np.isnan(weighted).any():
             raise sobolev.NonFiniteIntegrandError(region, shell)

@@ -299,12 +299,13 @@ class TestLogShellMeasures:
     @pytest.mark.parametrize("label", [RegionLabel.RegionC, RegionLabel.RegionE])
     def test_handed_proposal_mass_gives_the_same_draw(self, params, monkeypatch, label):
         measures, proposals = geometry._log_shell_masses(params, label, [Shell(4)])
-        own = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4))
+        own = geometry.sample_profile(params, label, [Shell(4)], 64, [np.random.default_rng(4)])
         own_weight, own_measure = own.log_weight, own.log_measure  # formed on the first read
         # a draw handed its measure and proposal mass makes no power integral
         monkeypatch.setattr(geometry, "_log_power_norm", None)
-        handed = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4),
-                                         log_measure=measures[0], log_proposal=proposals[0])
+        handed = geometry.sample_profile(params, label, [Shell(4)], 64,
+                                         [np.random.default_rng(4)],
+                                         masses=[(measures[0], proposals[0])])
         assert np.array_equal(handed.log_weight, own_weight)
         assert handed.log_measure == own_measure
 
@@ -354,7 +355,7 @@ class TestSampler:
         # the band's radius is drawn once, on the first read of `r`, from the
         # variate u2 fixed by the scale draw; the untilted profile is the
         # sample itself, and a tilted one draws its radii at once
-        draw = geometry.sample_profile(params, label, Shell(5), 64, np.random.default_rng(3))
+        draw = geometry.sample_profile(params, label, [Shell(5)], 64, [np.random.default_rng(3)])
         calls = []
         icdf = geometry._power_icdf
         monkeypatch.setattr(geometry, "_power_icdf",
@@ -373,11 +374,19 @@ class TestSampler:
 
     @pytest.mark.parametrize("label", geometry.SAMPLEABLE)
     def test_band_formed_on_first_read(self, monkeypatch, params, label):
-        # the draw takes the whole stream at once; the band [lo_r, hi_r] and
-        # u2's squeeze wait for the first read and are then kept
+        # the draw takes u1 from the stream, and u2 and E's sign coin where
+        # the sample reads them at once (the slab's t, E's coin after u2);
+        # the band [lo_r, hi_r] and u2's squeeze wait for the first read and
+        # are then kept, and a cone, band or region C draws u2 only then
         rng = np.random.default_rng(4)
-        draw = geometry.sample_profile(params, label, Shell(4), 64, rng)
-        after = rng.random()
+        draw = geometry.sample_profile(params, label, [Shell(4)], 64, [rng])
+        ref = np.random.default_rng(4)
+        ref.random((8, 8))
+        if label in (RegionLabel.RegionB, RegionLabel.RegionE):
+            ref.random((8, 8))
+        if label is RegionLabel.RegionE:
+            ref.random(64)  # the sign draw
+        assert rng.bit_generator.state == ref.bit_generator.state
         formed = []
         band = draw.band
         draw.band = lambda: formed.append(1) or band()
@@ -391,15 +400,16 @@ class TestSampler:
         assert np.array_equal(u2, 1e-9 + (1.0 - 2e-9) * raw_u2)
         if label is not RegionLabel.RegionB:
             assert np.all(lo_r <= hi_r)
+        # the band leaves the stream where the draws of u1, u2 (and the coin) do
         ref = np.random.default_rng(4)
         ref.random((2, 8, 8))
         if label is RegionLabel.RegionE:
-            ref.random(64)  # the sign draw
-        assert ref.random() == after
+            ref.random(64)
+        assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("label", geometry.SAMPLEABLE)
     def test_exact_scale_laws_weigh_with_a_scalar_zero(self, params, label):
-        draw = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4))
+        draw = geometry.sample_profile(params, label, [Shell(4)], 64, [np.random.default_rng(4)])
         proposal = label in (RegionLabel.RegionC, RegionLabel.RegionE)
         assert np.ndim(draw.log_weight) == proposal
         if not proposal:
@@ -407,9 +417,9 @@ class TestSampler:
 
     def test_handed_measure_is_used(self, params):
         for label in (RegionLabel.RegionA, RegionLabel.RegionC):
-            draw = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4),
-                                           log_measure=-7.25)
-            own = geometry.sample_profile(params, label, Shell(4), 64, np.random.default_rng(4))
+            draw = geometry.sample_profile(params, label, [Shell(4)], 64,
+                                           [np.random.default_rng(4)], masses=[(-7.25, None)])
+            own = geometry.sample_profile(params, label, [Shell(4)], 64, [np.random.default_rng(4)])
             assert draw.log_measure == -7.25
             assert own.log_measure == geometry._log_shell_masses(params, label, [Shell(4)])[0][0]
 
@@ -417,8 +427,8 @@ class TestSampler:
         # the tilt cap, log lo_r, log hi_r and the untilted normaliser z_r do
         # not depend on the tilt: every block of tilts reads them from the draw
         def draw():
-            return geometry.sample_profile(params, RegionLabel.RegionE, Shell(6), 256,
-                                           geometry.derive_rng(5, 6, RegionLabel.RegionE))
+            return geometry.sample_profile(params, RegionLabel.RegionE, [Shell(6)], 256,
+                                           [geometry.derive_rng(5, 6, RegionLabel.RegionE)])
 
         shared = draw()
         shared.log_weight  # the shell measure, formed on the first read
@@ -501,8 +511,8 @@ class TestSamplerKernels:
     M_COLUMN = np.array([[-4.5], [-2.0], [-1.0], [-0.5], [0.0], [1.0], [2.0], [39.0]])
 
     def _band(self):
-        draw = geometry.sample_profile(CuspParams(4, 1.5), RegionLabel.RegionE, Shell(9), 200,
-                                       geometry.derive_rng(8, 9, RegionLabel.RegionE))
+        draw = geometry.sample_profile(CuspParams(4, 1.5), RegionLabel.RegionE, [Shell(9)], 200,
+                                       [geometry.derive_rng(8, 9, RegionLabel.RegionE)])
         return draw, draw.lo_r, draw.hi_r, draw.u2
 
     def test_power_icdf_matches_plain_expressions(self):
@@ -548,8 +558,8 @@ class TestSamplerKernels:
         # a band from the axis carries lo_r as the scalar 0; its radii, tilt
         # frame and tilted weights are those of an array of zeros bit for bit
         params = CuspParams(5, 1.5)
-        draw = geometry.sample_profile(params, label, Shell(7), 300,
-                                       geometry.derive_rng(2, 7, label))
+        draw = geometry.sample_profile(params, label, [Shell(7)], 300,
+                                       [geometry.derive_rng(2, 7, label)])
         assert isinstance(draw.lo_r, float) and draw.lo_r == 0.0
         zeros, hi, u = np.zeros(draw.count), draw.hi_r, draw.u2
         assert np.array_equal(draw.profile(0.0).r, _plain_power_icdf(zeros, hi, 3.0, u))
@@ -575,21 +585,32 @@ class TestSamplerKernels:
 
     @pytest.mark.parametrize("m1,m2", [(1, 1), (3, 5), (4, 4), (7, 2)])
     def test_strata_are_two_consecutive_draws(self, m1, m2):
-        got = geometry._strata(m1, m2, np.random.default_rng(17))
+        # u1 and u2 of a generator drawn at once, or u1 and then u2, are the
+        # halves of one (2, m1, m2) draw
         want = _plain_strata(m1, m2, np.random.default_rng(17))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        # and the draw leaves the stream where two draws of (m1, m2) leave it
-        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
-        geometry._strata(m1, m2, rng)
-        ref.random((m1, m2))
-        ref.random((m1, m2))
+        rng = np.random.default_rng(17)
+        for got in (geometry._strata(m1, m2, [np.random.default_rng(17)], (0, 1)),
+                    geometry._strata(m1, m2, [rng], (0,)) + geometry._strata(m1, m2, [rng], (1,))):
+            assert all(np.array_equal(a.reshape(-1), b) for a, b in zip(got, want))
+        ref = np.random.default_rng(17)
+        ref.random((2, m1, m2))
         assert rng.random() == ref.random()
+        # several generators give a row each, each its own stream's
+        for axes in ((0, 1), (1,)):
+            rngs = [np.random.default_rng(seed) for seed in (17, 18, 19)]
+            rows = geometry._strata(m1, m2, rngs, axes)[-1]
+            for seed, row in zip((17, 18, 19), rows):
+                one = geometry._strata(m1, m2, [np.random.default_rng(seed)], axes)[-1]
+                assert np.array_equal(row, one)
+        # unjittered, the coordinates are the stream's doubles as drawn
+        plain = geometry._strata(m1, m2, [np.random.default_rng(17)], (0, 1), jitter=False)
+        assert np.array_equal(np.stack(plain), np.random.default_rng(17).random((2, m1, m2)))
         # the offsets are made once per grid shape and cannot be written
         assert geometry._strata_offsets(m1, m2) is geometry._strata_offsets(m1, m2)
         assert not geometry._strata_offsets(m1, m2)[0].flags.writeable
 
     def test_scale_draw_keeps_u2_off_the_band_edges(self, params):
-        draw = geometry.sample_profile(params, RegionLabel.RegionA, Shell(3), 12,
-                                       np.random.default_rng(5))
+        draw = geometry.sample_profile(params, RegionLabel.RegionA, [Shell(3)], 12,
+                                       [np.random.default_rng(5)])
         _, u2 = _plain_strata(3, 4, np.random.default_rng(5))
         assert np.array_equal(draw.u2, 1e-9 + (1.0 - 2e-9) * u2)

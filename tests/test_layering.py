@@ -118,3 +118,25 @@ def test_traced_names_exist(module, names):
     # the traced run replaces each of these by name; a missing one crashes it
     layer = importlib.import_module(f"cuspreflect.{module}")
     assert [name for name in names if not callable(getattr(layer, name, None))] == []
+
+
+def test_traced_sampler_result_has_what_the_tracer_reads():
+    # the traced run counts `sample_profile`'s points by attributes of its
+    # result (`count`): they exist on a batch of one shell and of several,
+    # and count every sample of every shell
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    table = next(node.value for node in ast.parse(path.read_text(), str(path)).body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["POINTS"])
+    reader = next(value for key, value in zip(table.keys, table.values)
+                  if ast.literal_eval(key) == "geometry.sample_profile")
+    read = {node.attr for node in ast.walk(reader)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "result"}
+    assert read == {"count"}
+    geometry = importlib.import_module("cuspreflect.geometry")
+    params = geometry.CuspParams(3, 2.0)
+    for ks in ([5], [5, 6, 7]):
+        batch = [geometry.Shell(k) for k in ks]
+        rngs = [geometry.derive_rng(1, k, geometry.RegionLabel.RegionE) for k in ks]
+        prof = geometry.sample_profile(params, geometry.RegionLabel.RegionE, batch, 64, rngs)
+        assert all(hasattr(prof, name) for name in read)
+        assert prof.count == prof.t.size == 64 * len(ks)

@@ -355,7 +355,7 @@ def test_pieces_match_textbook_powers(n, s):
                   RegionLabel.RegionD, RegionLabel.RegionE, RegionLabel.InnerPiece1,
                   RegionLabel.InnerPiece2, RegionLabel.InnerPiece3]:
         for k in (1, 2, 4, 9, 20, 45, 90, 140, 200, 250):
-            draw = sample_profile(params, label, Shell(k), 256, derive_rng(11, k, label))
+            draw = sample_profile(params, label, [Shell(k)], 256, [derive_rng(11, k, label)])
             for tilt in (0.0, n - 2.0 + 0.9):
                 with np.errstate(all="ignore"):  # deep radii leave the normal range
                     prof = draw.profile(tilt)
@@ -439,7 +439,7 @@ class TestJetAlgebraKernel:
         # region E's sweep applies a column of tilts, one row of radii each;
         # every piece takes such a column, P2 too, whose phi is t itself
         params = CuspParams(5, 3.0)
-        draw = sample_profile(params, label, Shell(6), 256, derive_rng(3, 6, label))
+        draw = sample_profile(params, label, [Shell(6)], 256, [derive_rng(3, 6, label)])
         tilts = [0.0, 3.9, np.array([[-0.7], [2.9]])]
         for tilt in tilts:
             prof = draw.profile(tilt)
@@ -499,7 +499,7 @@ class TestConstantEntries:
         # the float entries against the plain expressions on full arrays of
         # the same values, on a row of radii and on a column of them
         params = CuspParams(5, 3.0)
-        draw = sample_profile(params, label, Shell(6), 256, derive_rng(3, 6, label))
+        draw = sample_profile(params, label, [Shell(6)], 256, [derive_rng(3, 6, label)])
         for tilt in (0.0, np.array([[-0.7], [2.9]])):
             prof = draw.profile(tilt)
             r = prof.r

@@ -282,8 +282,8 @@ def reference_distortion(params, region, p, q, shl, samples, seed):
         _, _, opnorm, det = reflections.profile_jet(region, params, prof.t, prof.r)
         return np.log(opnorm**P / np.abs(det) ** Q)
 
-    logs = [sobolev.shell_estimate(params, region, sh, [(integrand, tilt)], samples,
-                                   (seed, sh.k, "dist"))[0]
+    logs = [sobolev.shell_estimate(params, region, [sh], [(integrand, tilt)], samples, seed,
+                                   "dist")[0][0]
             for sh in shl]
     with np.errstate(over="ignore"):
         return np.exp(logs).tolist()
@@ -542,10 +542,10 @@ class TestShellSplit:
         # recomputes the shell and raises the same type and text
         sample = sobolev.sample_profile
 
-        def planted(params, label, shell, *args, **kwargs):
-            if shell.k == 8:
-                raise EmptyRegionError(f"shell {shell.k} misses the scale range of {label.value}")
-            return sample(params, label, shell, *args, **kwargs)
+        def planted(params, label, shells, *args, **kwargs):
+            if shells[0].k == 8:
+                raise EmptyRegionError(f"shell 8 misses the scale range of {label.value}")
+            return sample(params, label, shells, *args, **kwargs)
 
         monkeypatch.setattr(sobolev, "sample_profile", planted)
         errors = []
@@ -565,12 +565,12 @@ class TestShellSplit:
         reduce = sobolev._log_shell
         armed = [True]
 
-        def planted(log_measure, L, region, shell):
-            if armed[0] and shell.k == 8:
+        def planted(log_measure, L, region, shells):
+            if armed[0] and shells[0].k == 8:
                 time.sleep(60)
-            if armed[0] and shell.k == 5:
+            if armed[0] and shells[0].k == 5:
                 raise KeyboardInterrupt
-            return reduce(log_measure, L, region, shell)
+            return reduce(log_measure, L, region, shells)
 
         monkeypatch.setattr(sobolev, "_log_shell", planted)
         force_split(monkeypatch, True)
@@ -835,10 +835,10 @@ class TestShellWorker:
         caller = os.getpid()
         reduce = sobolev._log_shell
 
-        def planted(log_measure, L, region, shell):
-            if shell.k == 8 and os.getpid() != caller:
+        def planted(log_measure, L, region, shells):
+            if shells[0].k == 8 and os.getpid() != caller:
                 os._exit(1)
-            return reduce(log_measure, L, region, shell)
+            return reduce(log_measure, L, region, shells)
 
         monkeypatch.setattr(sobolev, "_log_shell", planted)
         force_split(monkeypatch, True)
@@ -985,10 +985,11 @@ def _plant_nan_on(monkeypatch, planted):
     met by whichever process computes the shell."""
     reduce = sobolev._log_shell
 
-    def plant(log_measure, L, region, shell):
-        if (region, shell.k) in planted:
-            L[0, 0] = np.nan
-        return reduce(log_measure, L, region, shell)
+    def plant(log_measure, L, region, shells):
+        for j, shell in enumerate(shells):
+            if (region, shell.k) in planted:
+                L[(0,) * (L.ndim - 2) + (j, 0)] = np.nan
+        return reduce(log_measure, L, region, shells)
 
     monkeypatch.setattr(sobolev, "_log_shell", plant)
 

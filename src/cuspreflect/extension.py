@@ -453,8 +453,8 @@ def _region_loop(params: CuspParams, u: TestFunction, q: float, region: RegionLa
     two shell sums are the (value, gradient) L^q masses of u o R over a
     collar region, both from one draw per shell under the salt "extval": u
     depends on t alone, so u o R = u(T) has gradient norm |u'(T)| |(T_t, T_r)|,
-    whose log sums log|u'(T)| and `_log_grad_T`.  Terms of equal radial tilt
-    read one profile and one T-row."""
+    whose log sums log|u'(T)| and `_log_grad_T`.  Equal value and gradient
+    tilts make one term, which reads one profile and one T-row."""
     s = params.s
     # Region E composes through T = r^(1/s), with |grad T| = r^(1/s-1)/s: the
     # power family pulls a radial singularity r^(-alpha q / s) (value) or

@@ -348,13 +348,17 @@ def region_masks(params: CuspParams, chart: ChartId, t, r, ts=None) -> list[np.n
 
 @dataclass(frozen=True)
 class Shell:
-    """Dyadic shell k >= 1: the scale variable lies in [2^-(k+1), 2^-k]."""
+    """Dyadic shell 1 <= k <= 1021: the scale variable lies in [2^-(k+1),
+    2^-k], whose ends are normal floats only up to k = 1021."""
 
     k: int
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"shell index must be >= 1, got {self.k}")
+        if self.k > 1021:
+            raise ValueError(f"shell index must be <= 1021, the last shell whose edge "
+                             f"2^-(k+1) is a normal float, got {self.k}")
 
     @property
     def lo(self) -> float:
@@ -739,7 +743,8 @@ class ProfileSample:
     `lo_r`, `hi_r` or `u2`, which the first read of an untilted sample's
     radii `r` does, so an integrand of t alone neither forms the band nor
     draws a radius.  On a band that starts at the axis (region A, region D,
-    `CuspInterior`, inner band 1), lo_r is the scalar 0.0.  Region B's slab
+    `CuspInterior`, inner band 1), lo_r is the scalar 0.0; on region E's
+    ring, which ends at r = (1/2)^s, hi_r is that scalar.  Region B's slab
     fixes r by the scale variable alone, so `fixed_r` holds it there and the
     band holds u2 alone; a tilted sample's `fixed_r` holds its radii.
     """
@@ -807,7 +812,8 @@ class ProfileSample:
     def _tilt_frame(self):
         """What every tilted `profile` of the sample shares, made on the
         first: the tilt cap (a float, or a column of each shell's), log lo_r,
-        log hi_r and the log normaliser z_r of the untilted radial density."""
+        log hi_r (a scalar on region E) and the log normaliser z_r of the
+        untilted radial density."""
         nm2 = float(self.n - 2)
         # Cap the tilt so (lo/hi)^(m+1) stays in float range; the cells that
         # need variance reduction sit near the critical curve where the
@@ -876,7 +882,7 @@ def sample_profile(
         xi = a + (b - a) * u1
         log_w = lambda: np.log1p(-_normal_power(2.0 * xi, s * (n - 1.0), 2.0 * min(bounds)[0]))
         t = xi * np.where(_uniforms(rngs, (m1 * m2,)).reshape(shape) < 0.5, 1.0, -1.0)
-        band = lambda: (xi**s, np.full(shape, 0.5**s))
+        band = lambda: (xi**s, 0.5**s)
     else:  # `_power_icdf` of the scale's power law, each shell's (a/b)^p a Python float
         p = (s * (n - 1.0) if q.kind == "band" else n - 1.0) + 1.0
         xi = _scaled_icdf(stack([(x / y) ** p for x, y in bounds]), u1, 1.0 / p, b)

@@ -39,10 +39,10 @@ Since every shell has its own substream, `_each_shell` splits the shells
 of all the loops of a call, run loop after loop as one loop, over two
 processes by one rule, so a `sweep` or `extendnorm` command makes one
 split.  The second process is one shell worker per process, forked once
-the process's shell loops have done enough work to repay the fork, pinned
-to the other CPUs and kept until the process ends: it computes the odd
-shells with the serial code, and this process the even ones, each in its
-own blocks.  The split gives the serial bits and the serial first error.
+the process's shell loops have done enough work to repay the fork and kept
+until the process ends: it computes the odd shells with the serial code,
+and this process the even ones, each in its own blocks.  The split gives
+the serial bits and the serial first error.
 """
 
 from __future__ import annotations
@@ -90,9 +90,11 @@ MIN_SHELLS = 6
 BLOCK_VALUES = 8192
 # Values (cells or terms x shells x samples) of the shell loops that could
 # split, the current one included, from which a process forks its shell
-# worker (`_each_shell`): in a fresh process the fork costs 12-22 ms
-# (copy-on-write faults, and the reaping at exit), which only a few hundred
-# ms of shell work repays.  Measured, see README.md.
+# worker (`_each_shell`): in a fresh process the first split of a small sweep
+# costs about 8 ms more than its serial loop (2 ms of it the fork itself, the
+# rest copy-on-write faults) and the process 12-18 ms more with the reaping
+# at exit, which only a few hundred ms of shell work repays.  Measured, see
+# README.md.
 FORK_VALUES = 2 ** 22
 
 
@@ -283,7 +285,7 @@ def shell_estimate(params: CuspParams, region: RegionLabel, shells, terms, sampl
     `terms` lists (integrand, radial_tilt) pairs.  `integrand(prof)` returns
     log values of the shape of `prof.t` on the sample tilted by its
     `profile(radial_tilt)`, or a stack of m integrands, each one estimate;
-    the terms of one tilt get the same samples.  Their result is a new float
+    each term tilts the shared draw itself.  Their result is a new float
     array, which the estimate overwrites.  An untilted sample draws its radii
     on the first read of `prof.r`, so an integrand that reads t alone
     neither forms the radial band nor draws a radius.  A zero log weight
@@ -298,11 +300,8 @@ def shell_estimate(params: CuspParams, region: RegionLabel, shells, terms, sampl
     estimates = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         draw = sample_profile(params, region, shells, samples, rngs, masses=masses)
-        profiles = {}
         for integrand, tilt in terms:
-            if tilt not in profiles:
-                profiles[tilt] = draw.profile(tilt)
-            prof = profiles[tilt]
+            prof = draw.profile(tilt)
             L = integrand(prof)
             if isinstance(prof.log_weight, np.ndarray):  # a scalar log weight is 0.0
                 L += prof.log_weight
@@ -350,15 +349,6 @@ _worker: _Worker | None = None
 _unsplit_values = 0
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on (field 39 of /proc/self/stat)."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
 def _run_shells(blocks, js) -> tuple[list, int | None, Exception | None]:
     """The columns of the shells js, block by block of `blocks(js)`, up to
     the first shell that raises: the columns before it, that j (or None) and
@@ -398,11 +388,9 @@ def _serve(tasks, results) -> None:
 
 
 def _start_worker() -> _Worker | None:
-    """Fork the shell worker, pinned to the allowed CPUs other than the one
-    this process runs on and holding no file of this process but its pipes
+    """Fork the shell worker, holding no file of this process but its pipes
     (and standard streams); None if the fork fails."""
     global _worker
-    others = os.sched_getaffinity(0) - {_current_cpu()}
     task_read, task_write = os.pipe()
     result_read, result_write = os.pipe()
     try:
@@ -421,10 +409,6 @@ def _start_worker() -> _Worker | None:
             os.closerange(low + 1, high)
             os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            try:
-                os.sched_setaffinity(0, others)
-            except OSError:
-                pass
             with open(task_read, "rb") as tasks, open(result_write, "wb") as results:
                 _serve(tasks, results)
         finally:
@@ -524,17 +508,16 @@ def _each_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list]
     another thread holds would stay held in the worker, and two threads
     would share its pipes.
 
-    The worker is pinned to the allowed CPUs other than the one this process
-    runs on (unpinned, the worker and its caller kept landing on one CPU);
-    it stays for the life of the process and takes one task at a time over
-    a pipe: the loops, whose factories are module-level functions, with
-    their pickled arguments and numpy's error state.  The worker returns the
-    columns of the odd shells up to its first failure; this process runs
-    the even shells meanwhile, then the odd shells from the worker's failure
-    on, up to its own first failure, each side in blocks of its own shells,
-    so the first failing shell raises here with the serial loop's type and
-    text.  A split costs a pipe round trip and a few pickles, about 0.3 ms;
-    only the first pays the fork.
+    The scheduler places the worker on the CPUs this process may use, as it
+    does this process; the worker stays for the life of the process and
+    takes one task at a time over a pipe: the loops, whose factories are
+    module-level functions, with their pickled arguments and numpy's error
+    state.  The worker returns the columns of the odd shells up to its first
+    failure; this process runs the even shells meanwhile, then the odd
+    shells from the worker's failure on, up to its own first failure, each
+    side in blocks of its own shells, so the first failing shell raises here
+    with the serial loop's type and text.  A split costs a pipe round trip
+    and a few pickles, about 0.3 ms; only the first pays the fork.
 
     The worker exits at the end of file of its task pipe, so with this
     process, even one killed by SIGKILL; an `atexit` hook kills and reaps

@@ -319,6 +319,32 @@ class TestFaultRegressions:
         assert [r["region"] for r in rows] == ["RegionA", "RegionB", "RegionC"]
         assert all(r["agrees"] == "true" for r in rows)
 
+    @pytest.mark.parametrize("command,scheme,q", [
+        ("sweep", "r1", "1.5"),
+        pytest.param("sweep", "r2", "1.5", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="from k = 537 at s = 2 region E's band edge xi^s underflows to 0, "
+                   "its tilted radii can too, and its integrand reads nan there")),
+        ("extendnorm", "r1", "1.1"),
+        ("extendnorm", "r2", "1.1"),
+    ])
+    def test_deepest_normal_shell_runs(self, tmp_path, command, scheme, q):
+        # 2^-(k+1) is a normal float up to k = 1021, the deepest shell
+        assert run_cli([command, "--scheme", scheme, "--p", "2", "--q", q, "--k-min", "1016",
+                        "--k-max", "1021", "--out", str(tmp_path / "deep.csv")]) == 0
+
+    @pytest.mark.parametrize("scheme", ["r1", "r2"])
+    @pytest.mark.parametrize("command", ["sweep", "extendnorm"])
+    def test_shell_past_the_normal_floats_is_3(self, tmp_path, monkeypatch, capsys, command,
+                                              scheme):
+        # past k = 1021 a shell's edge 2^-(k+1) is subnormal: refused before any draw
+        draws = spy_draws(monkeypatch)
+        assert run_cli([command, "--scheme", scheme, "--p", "2", "--q", "1.5", "--k-min",
+                        "1017", "--k-max", "1022", "--out", str(tmp_path / "deep.csv")]) == 3
+        assert ("shell index must be <= 1021, the last shell whose edge 2^-(k+1) is a "
+                "normal float, got 1022") in capsys.readouterr().err
+        assert draws == []
+
 
 class TestSweep:
     def test_explicit_cells_and_agreement(self, tmp_path, capsys):

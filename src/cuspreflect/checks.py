@@ -400,8 +400,10 @@ def check_round_trip(params: CuspParams, per_piece: int = 400, seed: int = 7):
 # ---------------------------------------------------------------------------
 
 def sweep_grid(params: CuspParams, scheme: str, grid: int = 21):
-    """The acceptance (p, q) grid: p in [1.1 p_min, 6], q in [1, p - 0.05]."""
-    ps = np.linspace(1.1 * sobolev.p_min(scheme, params.n, params.s), 6.0, grid)
+    """The acceptance (p, q) grid: p in [1.1 p_min, 6] (else WindowError), q in [1, p - 0.05]."""
+    if not (low := 1.1 * sobolev.p_min(scheme, params.n, params.s)) <= 6.0:  # a nan too
+        raise WindowError(f"the acceptance grid needs 1.1 p_min <= 6, got {low:.6g} on {scheme}")
+    ps = np.linspace(low, 6.0, grid)
     return [(float(p), float(q)) for p in ps for q in np.linspace(1.0, p - 0.05, grid)]
 
 
@@ -672,6 +674,8 @@ def run_all(params: CuspParams, quick: bool = True, seed: int = 42):
         partial(check_winfty_positive, params, 60 if quick else 120, seed),
         partial(check_holder_negative, params),
     ]
+    for scheme in SCHEME_CHARTS:  # an empty acceptance grid fails before the first check
+        sweep_grid(params, scheme, grid)
     results, seconds = [], {}
     for check in suite:
         start = time.perf_counter()

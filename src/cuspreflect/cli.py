@@ -223,10 +223,11 @@ def cmd_scaling(args) -> int:
     params = _params(args)
     start = time.perf_counter()
     collar = {label.value.removeprefix("Region"): label for label in geometry.COLLAR_REGIONS}
-    letters = [r.strip().upper() for r in args.regions.split(",")] if args.regions else collar
+    given = collar if args.regions is None else args.regions.split(",")
+    letters = [r.strip().upper() for r in given]
     for letter in letters:
         if letter not in collar:
-            raise WindowError(f"unknown region {letter!r} (use {','.join(collar)})")
+            raise WindowError(f"unknown region {letter!r} in --regions (use {','.join(collar)})")
     labels = [collar[letter] for letter in letters]
     rows = []
     for label in labels:

@@ -36,26 +36,28 @@ rule (NonFiniteIntegrandError), and `ShellSum`s of log contributions,
 whose log ratios the verdict reads.
 
 Since every shell has its own substream, `_each_shell` splits the shells
-of all the loops of a call, run loop after loop as one loop, over two
-processes by one rule, so a `sweep` or `extendnorm` command makes one
-split.  The second process is one shell worker per process, forked once
-the process's shell loops have done enough work to repay the fork and kept
-until the process ends: it computes the odd shells with the serial code,
-and this process the even ones, each in its own blocks.  The split gives
-the serial bits and the serial first error.
+of all the loops of a call, run as one loop, over two processes by one
+rule, so a `sweep` or `extendnorm` command makes one split: a shell worker,
+forked once the process's shell loops have done enough work to repay the
+fork and kept until the process ends, computes the odd shells with the
+serial code, and this process the even ones, each in its own blocks.  The
+split gives the serial bits and the serial first error.
 """
 
 from __future__ import annotations
 
 import atexit
 import gc
+import io
 import math
 import os
 import pickle
 import signal
+import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
+from types import BuiltinFunctionType, FunctionType
 
 import numpy as np
 
@@ -449,13 +451,28 @@ if hasattr(os, "register_at_fork"):  # absent where there is no os.fork
     os.register_at_fork(after_in_child=_forget_worker)
 
 
+class _PackagePickler(pickle.Pickler):
+    """Refuses (PicklingError) every class and function, however deep, whose
+    module root is not in `roots`: the package, numpy, the standard library."""
+
+    roots = frozenset({__package__, "numpy", *sys.stdlib_module_names})
+
+    def reducer_override(self, obj):
+        named = obj if isinstance(obj, (type, FunctionType, BuiltinFunctionType)) else type(obj)
+        if str(getattr(named, "__module__", None)).partition(".")[0] not in self.roots:
+            raise pickle.PicklingError(f"{named!r} may not go to the shell worker")
+        return NotImplemented
+
+
 def _task(loops: tuple) -> bytes | None:
-    """The pickled task of a split, or None where the arguments do not
-    pickle."""
+    """The pickled loops and numpy error state of a split, or None where
+    they do not pickle or `_PackagePickler` refuses them."""
+    task = io.BytesIO()
     try:
-        return pickle.dumps((loops, np.geterr()), pickle.HIGHEST_PROTOCOL)
+        _PackagePickler(task, pickle.HIGHEST_PROTOCOL).dump((loops, np.geterr()))
     except (pickle.PicklingError, AttributeError, TypeError):
         return None
+    return task.getvalue()
 
 
 def _reply(worker: _Worker) -> list | None:
@@ -489,7 +506,7 @@ def _joined_column(loops):
     return blocks, len(index)
 
 
-def _each_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list], int]:
+def _each_shell(loops: tuple, values: int) -> tuple[list[list], int]:
     """The columns of the shells j < count of each (factory, args, count)
     loop of `loops`, made in blocks of factory(*args), one list per loop,
     with the error of the serial loop over the loops in turn and in
@@ -497,49 +514,42 @@ def _each_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list]
     as one loop (`_joined_column`), so a call costs one worker round trip
     and one wait at its end however many loops it has.
 
-    One rule decides the split.  A `splittable` loop of two shells or more,
-    in a process that runs one Python thread and may run on two CPUs or more
+    One rule decides the split.  A loop of two shells or more, in a process
+    that runs one Python thread and may run on two CPUs or more
     (`os.sched_getaffinity`), splits its shells with this process's shell
     worker if the worker runs, or else once the `values` (cells or terms x
-    shells x samples, over all the loops) of such loops run without a
-    worker, this one included, reach FORK_VALUES: that loop forks the
-    worker, so a short command never pays the fork.  Beside another thread
-    the loop is serial: a fork copies only the calling thread, so a lock
-    another thread holds would stay held in the worker, and two threads
-    would share its pipes.
+    shells x samples, over all the loops) of such loops run without a worker,
+    this one included, reach FORK_VALUES: that loop forks the worker, so a
+    short command never pays the fork.  Beside another thread the loop is
+    serial: a fork copies only the calling thread, so a lock another thread
+    holds would stay held in the worker, and two threads would share its pipes.
 
-    The scheduler places the worker on the CPUs this process may use, as it
-    does this process; the worker stays for the life of the process and
-    takes one task at a time over a pipe: the loops, whose factories are
-    module-level functions, with their pickled arguments and numpy's error
-    state.  The worker returns the columns of the odd shells up to its first
-    failure; this process runs the even shells meanwhile, then the odd
-    shells from the worker's failure on, up to its own first failure, each
-    side in blocks of its own shells, so the first failing shell raises here
-    with the serial loop's type and text.  A split costs a pipe round trip
-    and a few pickles, about 0.3 ms; only the first pays the fork.
+    The worker stays for the life of the process and takes one task
+    (`_task`) at a time over a pipe.  It returns the columns of the odd
+    shells up to its first failure; this process runs the even shells
+    meanwhile, then the odd ones from the worker's failure on, up to its own
+    first failure, each side in blocks of its own shells, so the first
+    failing shell raises here with the serial loop's type and text.  A split
+    costs a pipe round trip and a few pickles, about 0.3 ms; only the first
+    pays the fork, and a failed fork runs the serial loop.  The worker exits
+    at the end of file of its task pipe, so with this process, even one
+    killed by SIGKILL; an `atexit` hook kills and reaps it, as does an
+    exception or interrupt while a task is out (the next split forks a new
+    one); a worker that dies counts as failing at shell 1.  A later fork of
+    this process closes its copies of the worker's pipes (`_forget_worker`),
+    and the owner pid keeps a fork that bypassed that hook from using them.
 
-    The worker exits at the end of file of its task pipe, so with this
-    process, even one killed by SIGKILL; an `atexit` hook kills and reaps
-    it; an exception or interrupt while a task is out kills and reaps it,
-    and the next split forks a new one; a worker that dies counts as failing
-    at shell 1.  A later fork of this process closes its copies of the
-    worker's pipes (`_forget_worker`), and the owner pid keeps a fork that
-    bypassed that hook from using them.  Arguments that do not pickle, or a
-    failed fork, run the serial loop.
-
-    The worker runs the code and module state it forked with: the factories
-    and any function among their arguments are pickled by name and resolved
-    there.  So only the package's own code goes to it (the integrands of
-    `function_shell_loops` are checked by `_library_integrand`), and a
-    process that patches the package after the worker was forked must call
-    `_stop_worker()` for the next split to see the patch.
+    The worker resolves each class and function of a task by name in the
+    state it forked with, so one gate, `_task`, decides what it runs: a task
+    that does not pickle, or holds code of other roots than the package,
+    numpy and the standard library, runs serially.  After patching the
+    package, call `_stop_worker()` so that the next split sees the patch.
     """
     global _unsplit_values
     blocks, count = _joined_column(loops)
     if _worker is not None and _worker.owner != os.getpid():
         _forget_worker()  # a fork that bypassed `_forget_worker`
-    splits = (splittable and count >= 2 and threading.active_count() == 1
+    splits = (count >= 2 and threading.active_count() == 1
               and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
     if splits and _worker is None:
         _unsplit_values += values
@@ -575,15 +585,15 @@ def _each_shell(loops: tuple, values: int, splittable: bool) -> tuple[list[list]
     return [[next(ordered) for _ in range(n)] for *_, n in loops], 1 if reply is None else 2
 
 
-def _shell_sums(params: CuspParams, loops, shells, samples: int, seed: int, width: int,
-                splittable: bool) -> list[list[ShellSum]]:
+def _shell_sums(params: CuspParams, loops, shells, samples: int, seed: int,
+                width: int) -> list[list[ShellSum]]:
     """The shell sums of each (factory, region, extra args) loop of `loops`,
     one per row of the columns of factory(params, region, samples, seed,
     shells, masses, *extra), with `masses` the (log measure, log proposal
     mass or None) of each shell from one `geometry._log_shell_masses` pass.
     All the loops are one `_each_shell` loop of `width` (cells or terms) x
-    shells x samples values, which splits if it is `splittable`.  An empty
-    `shells` raises ValueError before any draw, and a `width` of 0 no draw."""
+    shells x samples values.  An empty `shells` raises ValueError before any
+    draw, and a `width` of 0 no draw."""
     if not shells:
         raise ValueError("the shell list is empty: a shell sum needs at least one shell")
     if not width:
@@ -596,7 +606,7 @@ def _shell_sums(params: CuspParams, loops, shells, samples: int, seed: int, widt
         runs.append((factory, (params, region, samples, seed, shells, masses, *extra),
                      len(shells)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        by_loop, processes = _each_shell(tuple(runs), width * len(shells) * samples, splittable)
+        by_loop, processes = _each_shell(tuple(runs), width * len(shells) * samples)
     ks = [sh.k for sh in shells]
     return [[ShellSum(ks, row, processes) for row in np.array(columns, dtype=float).T.copy()]
             for columns in by_loop]
@@ -688,8 +698,7 @@ def distortion_sweeps(
     loops = [(_sweep_column, region,
               (P, Q, np.array([[c_P * p * q / (params.s * (p - q))] for p, q in cells])))
              for region, c_P in zip(regions, c_Ps)]
-    return _shell_sums(params, loops, shells, samples_per_shell, seed, len(loops) * len(cells),
-                       True)
+    return _shell_sums(params, loops, shells, samples_per_shell, seed, len(loops) * len(cells))
 
 
 def distortion_integral(
@@ -718,20 +727,6 @@ def _norm_column(params, region, samples, seed, shells, masses, terms, salt):
             max(1, BLOCK_VALUES // (len(terms) * math.prod(_grid_shape(samples)))))
 
 
-def _library_integrand(integrand) -> bool:
-    """Whether the shell worker may run an integrand: a `functools.partial`
-    of a function of this package bound to numbers, strings and objects of
-    the package's classes.  The worker resolves a function by its name in
-    the state it forked with, so an integrand of other code (which may have
-    been redefined since) runs here."""
-    def ours(obj):
-        return getattr(obj, "__module__", "").startswith(f"{__package__}.")
-
-    return type(integrand) is partial and ours(integrand.func) and all(
-        type(a) in (bool, int, float, str) or isinstance(a, np.generic) or ours(type(a))
-        for a in (*integrand.args, *integrand.keywords.values()))
-
-
 def function_shell_loops(
     params: CuspParams,
     loops,
@@ -747,14 +742,13 @@ def function_shell_loops(
     Within a shell, a radial band is formed only when an integrand reads r.
     The shells of all the loops, loop after loop, are one loop of
     `_shell_sums`, which splits as `distortion_sweeps` does, counting terms
-    x shells x samples values, if every integrand of every loop is the
-    package's own (`_library_integrand`): the integrands then travel
-    pickled, so the library's are module-level functions bound by
-    `functools.partial`.  Other integrands run serially."""
+    x shells x samples values.  The integrands then travel pickled, so the
+    library's are module-level functions bound by `functools.partial`; a
+    loop whose integrands do not pickle or hold other code than the
+    package, numpy and the standard library runs serially (`_task`)."""
     runs = [(_norm_column, region, (terms, salt)) for region, terms, salt in loops]
-    all_terms = [term for _, terms, _ in loops for term in terms]
-    return _shell_sums(params, runs, shells, samples_per_shell, seed, len(all_terms),
-                       all(_library_integrand(integrand) for integrand, _ in all_terms))
+    return _shell_sums(params, runs, shells, samples_per_shell, seed,
+                       sum(len(terms) for _, terms, _ in loops))
 
 
 def _gradient_power(u, p, prof):

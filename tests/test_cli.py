@@ -156,6 +156,16 @@ class TestInputHardening:
         assert "A,B,C,D,E" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("regions", ["", "A,", " "])
+    def test_scaling_empty_region_is_3(self, tmp_path, capsys, regions):
+        # an empty --regions is not "all regions"
+        out = tmp_path / "out.csv"
+        assert run_cli(["scaling", "--regions", regions, "--samples", "64", "--k-min", "8",
+                        "--k-max", "10", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: unknown region '' in --regions (use A,B,C,D,E)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("function,reason", [
         ("clampt:3", "use power:A, clampt or const:C"),
         ("const:nan", "const needs a finite number"),
@@ -561,6 +571,32 @@ class TestTooFewShells:
         assert run_cli(["sweep", "--p", "1.5", "--q", "2", "--k-max", "8", "--samples", "64",
                         "--out", str(out)]) == 0
         assert {row["verdict"] for row in csv_rows(out)} == {"WindowError"}
+
+
+class TestEmptyAcceptanceGrid:
+    """Where 1.1 p_min exceeds 6 (at n = 3 under the first reflection for
+    s > 7.68) the acceptance grid has no p: `sweep` and `verify` refuse it
+    before any draw."""
+
+    @pytest.mark.parametrize("args,low", [
+        (["sweep", "--s", "12"], "9.16667"),
+        (["verify", "--s", "12"], "9.16667"),
+        (["sweep", "--s", "1e308"], "inf"),
+    ], ids=["sweep", "verify", "sweep-huge-s"])
+    def test_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, args, low):
+        draws = spy_draws(monkeypatch)
+        out = tmp_path / "o.csv"
+        assert run_cli(args + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: the acceptance grid needs 1.1 p_min <= 6, got {low} on R1\n")
+        assert draws == [] and not out.exists()
+
+    def test_second_reflection_sweeps(self, tmp_path):
+        # its p_min (1 + 2s)/(2 + s) stays below 2 at n = 3
+        out = tmp_path / "o.csv"
+        assert run_cli(["sweep", "--scheme", "r2", "--s", "12", "--grid", "3", "--samples",
+                        "64", "--k-max", "12", "--out", str(out)]) == 0
+        assert len(csv_rows(out)) == 18
 
 
 class TestLargeDimension:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -702,6 +703,38 @@ print(split == run(False)[0], processes, sobolev._worker is not None)
 """
 
 
+# A script that forks the shell worker, then redefines a float subclass of
+# __main__ that a package test function holds and compares a forced split
+# with the serial loop.
+_STALE_CLASS_SCRIPT = """
+import os
+from cuspreflect import extension, geometry, sobolev
+os.sched_getaffinity = lambda pid: {0, 1}
+params = geometry.CuspParams(3, 2.0)
+
+class Alpha(float):
+    pass
+
+def run(split):
+    os.sched_getaffinity = lambda pid: {0, 1} if split else {0}
+    ss = sobolev.sobolev_seminorm(params, extension.PowerAlpha(Alpha(0.3)),
+                                  geometry.RegionLabel.CuspInterior, 2.0,
+                                  geometry.shells(5, 12), 64, 7)
+    return [x.hex() for x in ss.log_contributions.tolist()], ss.processes
+
+sobolev.FORK_VALUES = 0
+sobolev.distortion_sweeps(params, geometry.ChartId.R1Outer, [geometry.RegionLabel.RegionB],
+                          [(2.0, 1.1)], geometry.shells(5, 12), 64, 3)
+
+class Alpha(float):
+    def __add__(self, other):
+        return 2.0 * float(self) + other
+
+split, processes = run(True)
+print(split == run(False)[0], processes, sobolev._worker is not None)
+"""
+
+
 class _OtherCode:
     """A test function of code outside the package."""
 
@@ -711,6 +744,10 @@ class _OtherCode:
 
 def _scaled_log(c, prof):
     return c * np.log(prof.t)
+
+
+class _OtherFloat(float):
+    """A number of a class outside the package."""
 
 
 class TestShellWorker:
@@ -907,17 +944,50 @@ class TestShellWorker:
                               capture_output=True, text=True, timeout=120)
         assert proc.stdout.split() == ["True", "1", "True"], proc.stderr
 
+    def test_class_redefined_after_the_fork_runs_serially(self):
+        # the class is nested in a package object, the integrand's argument
+        proc = subprocess.run([sys.executable, "-c", _STALE_CLASS_SCRIPT], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["True", "1", "True"], proc.stderr
+
     def test_only_the_packages_integrands_go_to_the_worker(self, params):
-        library = sobolev._library_integrand
-        assert library(partial(sobolev._gradient_power, PowerAlpha(0.3), 2.0))
-        assert library(partial(sobolev._gradient_power, ClampT(), np.float64(2.0)))
-        assert library(partial(extension._region_masses, "1", params, Constant(2.0), 1.5,
-                               True, False))
-        assert not library(partial(sobolev._gradient_power, _OtherCode(), 2.0))
-        assert not library(partial(sobolev._gradient_power, PowerAlpha(0.3), p=[2.0]))
-        assert not library(partial(_scaled_log, 2.0))
-        assert not library(lambda prof: 2.0 * np.log(prof.t))
-        assert not library(partial(np.log))
+        # a norm loop's task holds only the package's, numpy's and the
+        # standard library's classes and functions, however deep
+        def task(integrand):
+            args = (params, RegionLabel.CuspInterior, 64, 7, shells(5, 12), [],
+                    [(integrand, 0.0)], "semi")
+            return sobolev._task(((sobolev._norm_column, args, 8),))
+
+        gradient = sobolev._gradient_power
+        assert task(partial(gradient, PowerAlpha(0.3), 2.0)) is not None
+        assert task(partial(gradient, ClampT(), np.float64(2.0))) is not None
+        assert task(partial(extension._region_masses, "1", params, Constant(2.0), 1.5, True,
+                            False)) is not None
+        assert task(partial(gradient, PowerAlpha(0.3), p=[2.0])) is not None
+        assert task(partial(gradient, PowerAlpha(0.3), np.array(2.0))) is not None
+        assert task(partial(gradient, PowerAlpha(0.3), Fraction(2))) is not None
+        assert task(partial(np.log)) is not None
+        assert task(partial(gradient, _OtherCode(), 2.0)) is None
+        assert task(partial(gradient, PowerAlpha(_OtherFloat(0.3)), 2.0)) is None
+        assert task(partial(gradient, PowerAlpha(0.3), p=[2.0, _OtherFloat(2.0)])) is None
+        assert task(partial(_scaled_log, 2.0)) is None
+        assert task(lambda prof: 2.0 * np.log(prof.t)) is None
+
+    @pytest.mark.parametrize("u,p,processes", [
+        (PowerAlpha(0.3), np.array(2.0), 2),  # a numpy array travels by value
+        (PowerAlpha(_OtherFloat(0.3)), 2.0, 1),  # a class of other code, nested
+    ], ids=["array", "nested-other-class"])
+    def test_norm_loop_splits_unless_it_holds_other_code(self, monkeypatch, params, u, p,
+                                                         processes):
+        terms = [(partial(sobolev._gradient_power, u, p), 0.0)]
+        args = (params, [(RegionLabel.CuspInterior, terms, "semi")], shells(5, 12), 64, 7)
+        force_split(monkeypatch, False)
+        want = hex_sums(sobolev.function_shell_loops(*args)[0])
+        force_split(monkeypatch, True)
+        sums = sobolev.function_shell_loops(*args)[0]
+        assert hex_sums(sums) == want and sums[0].processes == processes
+        assert (sobolev._worker is not None) == (processes == 2)
+        _only_the_worker_left()
 
     def test_worker_of_another_owner_is_not_used(self, monkeypatch, params):
         # a fork that bypassed the fork hook: the copy it kept of its
